@@ -43,7 +43,7 @@ let analyze file report_out dot_out min_flips storm_prefixes min_quarantines
       (match report_out with
       | None -> ()
       | Some path ->
-          Cascade.Report.write ~path
+          Telemetry.Artifact.write_json ~path
             (Cascade.Report.to_json ~timeline ~propagation cascades);
           Printf.printf "wrote %s report to %s\n" Cascade.Report.version path);
       (match dot_out with

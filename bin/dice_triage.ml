@@ -13,14 +13,8 @@
                                 patch for the entry's fault; store the
                                 dice-repair/1 record in the entry *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load_scenario path =
-  let contents = read_file path in
+  let contents = Telemetry.Artifact.read_file path in
   match Triage.Scenario.of_string contents with
   | Ok s -> s
   | Error _ ->
@@ -186,23 +180,24 @@ let load_uncovered path =
         List.filter_map (function J.String s -> Some s | _ -> None) l
     | _ -> []
   in
-  match J.of_string (read_file path) with
-  | Error e -> Error (Printf.sprintf "%s: %s" path e)
-  | Ok (J.List _ as l) -> Ok (strings l)
-  | Ok doc ->
-      let arm name =
-        match J.member name doc with
-        | Some arm -> (
-            match J.member "uncovered" arm with
-            | Some l -> strings l
-            | None -> [])
-        | None -> []
-      in
-      Ok (List.sort_uniq String.compare (arm "guided" @ arm "random"))
+  Telemetry.Artifact.read_json path
+  |> Result.map (function
+       | J.List _ as l -> strings l
+       | doc ->
+           let arm name =
+             match J.member name doc with
+             | Some arm -> (
+                 match J.member "uncovered" arm with
+                 | Some l -> strings l
+                 | None -> [])
+             | None -> []
+           in
+           List.sort_uniq String.compare (arm "guided" @ arm "random"))
 
 let repair_cmd entry_path all max_candidates uncovered emit =
-  let module J = Telemetry.Json in
-  match Triage.Corpus.entry_of_string (read_file entry_path) with
+  match
+    Result.bind (Telemetry.Artifact.read_json entry_path) Triage.Corpus.validate
+  with
   | Error e ->
       Printf.eprintf "repair: %s: not a corpus entry: %s\n" entry_path e;
       2
@@ -234,15 +229,7 @@ let repair_cmd entry_path all max_candidates uncovered emit =
               entry record
           in
           ignore entry';
-          (match emit with
-          | None -> ()
-          | Some path ->
-              let oc = open_out path in
-              Fun.protect
-                ~finally:(fun () -> close_out oc)
-                (fun () ->
-                  output_string oc (J.to_string record);
-                  output_char oc '\n'));
+          Option.iter (fun path -> Telemetry.Artifact.write_json ~path record) emit;
           Format.printf "%a@." Repair.Report.pp_summary record;
           (match outcome.Repair.Search.re_verified with
           | Some c ->

@@ -81,7 +81,7 @@ let () =
      in the report belongs to the guided campaign. *)
   let random = if !compare_random then Some (arm false) else None in
   let guided = arm true in
-  Confuzz.Report.write ~path:!report_path
+  Telemetry.Artifact.write_json ~path:!report_path
     (Confuzz.Report.to_json ~guided ?random ());
   Format.printf "%t%!" (fun ppf ->
       Confuzz.Report.pp_summary ppf ~guided ?random ());

@@ -1,84 +1,76 @@
-(* Smoke validator for dice-telemetry/1 artifacts: every line parses,
-   the header is well-formed, span ids are unique, every span closes,
-   and fault span paths reference real spans.  With --cascade, the
-   file is instead validated as a single-document dice-cascade/1
-   analysis report; with --campaign, as a dice-campaign/1 final
-   report.  Exit 0 on a valid file, 1 with the violations
-   listed otherwise.  CI runs this over the demo's JSONL (and the
-   cascade smoke's report) before uploading them.  With --repair, the
-   file is validated as a dice-repair/1 record — either standalone
-   (dice_triage repair --emit) or embedded as the "repair" member of a
-   dice-corpus/1 entry. *)
+(* Validate any DiCE artifact: telemetry_check FILE.
+
+   The "schema" member of the file's first line picks the validator:
+   a dice-telemetry/1 JSONL run (every line parses, the header is
+   well-formed, span ids are unique, every span closes, fault span
+   paths reference real spans), or one of the single-document
+   artifacts — cascade report, campaign spec or report (told apart by
+   their "doc" member), repair record, corpus entry (plus its embedded
+   repair record, if any) and config-fuzz coverage report.  A first
+   line without a schema member can only be a telemetry run with a
+   broken header, so it goes to the telemetry validator, which reports
+   every bad line.  Exit 0 on a valid file, 1 with the violations
+   listed otherwise (an unknown schema included), 2 on bad usage. *)
+
+module J = Telemetry.Json
+module A = Telemetry.Artifact
 
 let invalid path msgs =
   Printf.eprintf "%s: INVALID (%d problem(s))\n" path (List.length msgs);
   List.iter (fun m -> Printf.eprintf "  - %s\n" m) msgs;
   exit 1
 
+let first_line_schema path =
+  match In_channel.with_open_bin path In_channel.input_line with
+  | exception Sys_error e -> invalid path [ e ]
+  | None -> invalid path [ "empty file" ]
+  | Some line -> (
+      match Result.map (J.member "schema") (J.of_string line) with
+      | Ok (Some (J.String s)) -> Some s
+      | _ -> None)
+
+let telemetry path =
+  match Telemetry.Schema.validate_file path with
+  | Ok stats ->
+      Format.printf "%s: OK — %a@." path Telemetry.Schema.pp_stats stats;
+      exit 0
+  | Error msgs -> invalid path msgs
+
+let ( let* ) = Result.bind
+
+let corpus_entry json =
+  let* _ = Triage.Corpus.validate json in
+  match J.member "repair" json with
+  | None | Some J.Null -> Ok ()
+  | Some r -> Result.map_error (( ^ ) "repair: ") (Repair.Report.validate r)
+
+let campaign json =
+  match J.member "doc" json with
+  | Some (J.String "report") -> Campaign.Report.validate json
+  | _ -> Result.map ignore (Campaign.Spec.validate json)
+
+let documents =
+  [ (Cascade.Report.version, Cascade.Report.validate);
+    (Campaign.Spec.schema_version, campaign);
+    (Repair.Report.schema_version, Repair.Report.validate);
+    (Triage.Corpus.schema_version, corpus_entry);
+    (Confuzz.Report.version, Confuzz.Report.validate) ]
+
 let () =
   match Sys.argv with
   | [| _; path |] -> (
-      match Telemetry.Schema.validate_file path with
-      | Ok stats ->
-          Format.printf "%s: OK — %a@." path Telemetry.Schema.pp_stats stats;
-          exit 0
-      | Error msgs -> invalid path msgs)
-  | [| _; "--cascade"; path |] -> (
-      match Cascade.Report.validate_file path with
-      | Ok json ->
-          let cascades =
-            match Telemetry.Json.member "cascades" json with
-            | Some (Telemetry.Json.List l) -> List.length l
-            | _ -> 0
-          in
-          Printf.printf "%s: OK — %s report, %d cascade(s)\n" path
-            Cascade.Report.version cascades;
-          exit 0
-      | Error msgs -> invalid path msgs)
-  | [| _; "--campaign"; path |] -> (
-      match Campaign.Report.validate_file path with
-      | Ok json ->
-          let outcome =
-            match Telemetry.Json.member "outcome" json with
-            | Some (Telemetry.Json.String o) -> o
-            | _ -> "unknown"
-          in
-          Printf.printf "%s: OK — %s report, outcome %s\n" path
-            Campaign.Report.version outcome;
-          exit 0
-      | Error msgs -> invalid path msgs)
-  | [| _; "--repair"; path |] -> (
-      let contents =
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match Telemetry.Json.of_string contents with
-      | Error e -> invalid path [ e ]
-      | Ok json -> (
-          let record =
-            match Telemetry.Json.member "schema" json with
-            | Some (Telemetry.Json.String s)
-              when s = Repair.Report.schema_version ->
-                Ok json
-            | _ -> (
-                (* a corpus entry wrapping the record *)
-                match Telemetry.Json.member "repair" json with
-                | Some r -> Ok r
-                | None -> Error "neither a dice-repair/1 record nor a corpus entry with one")
-          in
-          match record with
-          | Error e -> invalid path [ e ]
-          | Ok r -> (
-              match Repair.Report.validate r with
+      match first_line_schema path with
+      | None -> telemetry path
+      | Some s when s = Telemetry.Schema.version -> telemetry path
+      | Some s -> (
+          match List.assoc_opt s documents with
+          | None -> invalid path [ Printf.sprintf "line 1: unknown schema %S" s ]
+          | Some validate -> (
+              match Result.bind (A.read_json path) validate with
               | Ok () ->
-                  Printf.printf "%s: OK — %s record, status %s\n" path
-                    Repair.Report.schema_version
-                    (Repair.Report.status r);
+                  Printf.printf "%s: OK — %s document\n" path s;
                   exit 0
               | Error e -> invalid path [ e ])))
   | _ ->
-      Printf.eprintf "usage: %s [--cascade|--campaign|--repair] FILE\n"
-        Sys.argv.(0);
+      Printf.eprintf "usage: %s FILE\n" Sys.argv.(0);
       exit 2

@@ -423,31 +423,6 @@ let rib_view t =
   in
   Rib.make ~adj_in ~loc ~adj_out
 
-let restore_view t ~rib ~established =
-  t.loc <- Prefix_trie.empty;
-  Prefix.Map.iter
-    (fun prefix (r : Rib.route) ->
-      t.loc <- Prefix_trie.add prefix (r.Rib.attrs, r.Rib.source.Rib.peer_addr) t.loc)
-    rib.Rib.loc;
-  List.iter
-    (fun (addr, p) ->
-      let of_peer m =
-        Option.value (Ipv4.Map.find_opt addr m) ~default:Prefix.Map.empty
-      in
-      p.p_in <-
-        Prefix.Map.fold
-          (fun prefix (r : Rib.route) acc -> Prefix_trie.add prefix r.Rib.attrs acc)
-          (of_peer rib.Rib.adj_in) Prefix_trie.empty;
-      p.p_out <-
-        Prefix.Map.fold
-          (fun prefix attrs acc -> Prefix_trie.add prefix attrs acc)
-          (of_peer rib.Rib.adj_out) Prefix_trie.empty;
-      let up = List.exists (Ipv4.equal addr) established in
-      p.p_phase <- (if up then Up else Down);
-      p.p_sent_open <- up;
-      p.p_got_open <- up)
-    t.peers
-
 type image = {
   im_cfg : Config.t;
   im_loc : (Attr.t * Ipv4.t) Prefix_trie.t;

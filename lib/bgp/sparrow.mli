@@ -38,8 +38,4 @@ val process_raw : t -> from_node:int -> string -> unit
 val inject_update : t -> from:Ipv4.t -> Msg.update -> unit
 val stats : t -> Netsim.Stats.t
 
-val restore_view : t -> rib:Rib.t -> established:Ipv4.t list -> unit
-(** Load routing state from a Rib-shaped view (used by checkpoint
-    import); peers in [established] come back up. *)
-
 val speaker : t -> Speaker.t

@@ -74,34 +74,10 @@ let to_json = function
 
 let ( let* ) = Result.bind
 
-let str name json =
-  match J.member name json with
-  | Some (J.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing or non-string %S" name)
+module A = Telemetry.Artifact
 
-let int name json =
-  match J.member name json with
-  | Some (J.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "missing or non-integer %S" name)
-
-let flt name json =
-  match J.member name json with
-  | Some (J.Float f) -> Ok f
-  | Some (J.Int i) -> Ok (float_of_int i)
-  | _ -> Error (Printf.sprintf "missing or non-number %S" name)
-
-let str_list name json =
-  match J.member name json with
-  | Some (J.List l) ->
-      List.fold_left
-        (fun acc s ->
-          let* acc = acc in
-          match s with
-          | J.String s -> Ok (s :: acc)
-          | _ -> Error (Printf.sprintf "non-string element in %S" name))
-        (Ok []) l
-      |> Result.map List.rev
-  | _ -> Error (Printf.sprintf "missing or non-list %S" name)
+let str = A.string_field
+let int = A.int_field
 
 let of_json json =
   let* kind = str "rec" json in
@@ -137,14 +113,10 @@ let of_json json =
             Ok (Failed e)
         | s -> Error (Printf.sprintf "unknown verdict status %S" s)
       in
-      let* signatures = str_list "signatures" json in
-      let* cascades = str_list "cascades" json in
-      let* final =
-        match J.member "final" json with
-        | Some (J.Bool b) -> Ok b
-        | _ -> Error "missing or non-bool \"final\""
-      in
-      let* wall_s = flt "wall_s" json in
+      let* signatures = A.list_of A.as_string "signatures" json in
+      let* cascades = A.list_of A.as_string "cascades" json in
+      let* final = A.bool_field "final" json in
+      let* wall_s = A.float_field "wall_s" json in
       Ok (Verdict { job; attempt; status; signatures; cascades; final; wall_s })
   | "quarantined" ->
       let* template = str "template" json in
@@ -180,42 +152,6 @@ let state_digest ~finals ~filed =
   let filed = List.sort String.compare filed in
   Digest.to_hex
     (Digest.string (String.concat ";" finals ^ "|" ^ String.concat ";" filed))
-
-(* --- durability helpers ------------------------------------------------ *)
-
-(* fsync the directory itself so file creations and renames are
-   durable: after a power cut the fully-fsync'd journal must not be
-   missing from the directory.  Directory fds can legitimately refuse
-   fsync on some filesystems — that only weakens durability, never
-   atomicity, so errors are swallowed (same contract as
-   [Triage.Corpus]). *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-
-(* tmp + fsync + rename + fsync(dir): a kill -9 at any instant leaves
-   either the old file or the new one, never a torn half-write. *)
-let write_atomic ~path contents =
-  let tmp = path ^ ".tmp" in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let n = String.length contents in
-      let written = ref 0 in
-      while !written < n do
-        written :=
-          !written + Unix.write_substring fd contents !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Sys.rename tmp path;
-  fsync_dir (Filename.dirname path)
 
 (* --- writer ----------------------------------------------------------- *)
 
@@ -260,11 +196,7 @@ let close w =
 (* --- reader ----------------------------------------------------------- *)
 
 let read path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-        really_input_string ic (in_channel_length ic))
-  with
+  match A.read_file path with
   | exception Sys_error e -> Error e
   | contents ->
       let lines = String.split_on_char '\n' contents in

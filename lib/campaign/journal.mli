@@ -56,15 +56,6 @@ val state_digest :
     final verdict statuses and sorted filed signatures.  Order of the
     input lists does not matter. *)
 
-val fsync_dir : string -> unit
-(** fsync a directory so creations/renames inside it are durable.
-    Errors are swallowed: some filesystems refuse directory fsync, which
-    weakens durability but never atomicity. *)
-
-val write_atomic : path:string -> string -> unit
-(** tmp + fsync + rename + {!fsync_dir}: a [kill -9] at any instant
-    leaves the old file or the new one, never a torn half-write. *)
-
 type writer
 
 val open_writer : ?truncate_at:int -> string -> writer

@@ -103,58 +103,34 @@ let build ~name ~spec_digest ~templates ~total ~finals ~quarantines ~filed =
   in
   { r_json = json; r_outcome = outcome; r_gate_failed = gate_failed }
 
-(* Atomic (tmp + fsync + rename): a campaign killed mid-write must
-   leave the previous report or the new one, never a torn report.json
-   that [telemetry_check --campaign] and CI consumers fail to parse. *)
-let write ~path json = Journal.write_atomic ~path (J.to_string json ^ "\n")
-
 (* --- validation ------------------------------------------------------- *)
 
 let ( let* ) = Result.bind
 
-let str_field name json =
-  match J.member name json with
-  | Some (J.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing or non-string %S field" name)
+module A = Telemetry.Artifact
 
-let int_fields names json =
+let counts names json =
   List.fold_left
     (fun acc name ->
       let* () = acc in
-      match J.member name json with
-      | Some (J.Int i) when i >= 0 -> Ok ()
-      | Some (J.Int _) -> Error (Printf.sprintf "negative %S count" name)
-      | _ -> Error (Printf.sprintf "missing or non-integer %S field" name))
+      let* n = A.int_field name json in
+      if n >= 0 then Ok () else Error (Printf.sprintf "negative %S count" name))
     (Ok ()) names
 
-let str_list_field name json =
-  match J.member name json with
-  | Some (J.List l)
-    when List.for_all (function J.String _ -> true | _ -> false) l ->
-      Ok (List.map (function J.String s -> s | _ -> assert false) l)
-  | _ -> Error (Printf.sprintf "missing or non-string-list %S field" name)
+let string_list = A.list_of A.as_string
 
 let validate json =
-  let* schema = str_field "schema" json in
-  let* () =
-    if String.equal schema version then Ok ()
-    else
-      Error (Printf.sprintf "unsupported schema %S (want %S)" schema version)
-  in
-  let* doc = str_field "doc" json in
+  let* () = A.check_schema version json in
+  let* doc = A.string_field "doc" json in
   let* () =
     if String.equal doc "report" then Ok ()
     else Error (Printf.sprintf "document is a %S, not a campaign report" doc)
   in
-  let* _name = str_field "name" json in
-  let* _spec = str_field "spec" json in
-  let* jobs =
-    match J.member "jobs" json with
-    | Some (J.Obj _ as o) -> Ok o
-    | _ -> Error "missing or non-object \"jobs\" field"
-  in
+  let* _name = A.string_field "name" json in
+  let* _spec = A.string_field "spec" json in
+  let* jobs = A.field "jobs" json in
   let* () =
-    int_fields [ "total"; "completed"; "ok"; "error"; "hung"; "retried" ] jobs
+    counts [ "total"; "completed"; "ok"; "error"; "hung"; "retried" ] jobs
   in
   let* () =
     match (J.member "total" jobs, J.member "completed" jobs) with
@@ -162,48 +138,38 @@ let validate json =
         Error "more completed jobs than total"
     | _ -> Ok ()
   in
-  let* templates =
-    match J.member "templates" json with
-    | Some (J.List l) -> Ok l
-    | _ -> Error "missing or non-list \"templates\" field"
-  in
+  let* templates = A.list_field "templates" json in
   let* () =
     List.fold_left
       (fun acc t ->
         let* () = acc in
-        let* name = str_field "name" t in
+        let* name = A.string_field "name" t in
         let in_tpl msg = Printf.sprintf "template %S: %s" name msg in
         let* () =
           Result.map_error in_tpl
-            (int_fields
+            (counts
                [ "completed"; "ok"; "error"; "hung"; "quarantines" ]
                t)
         in
-        let* _ = Result.map_error in_tpl (str_list_field "signatures" t) in
+        let* _ = Result.map_error in_tpl (string_list "signatures" t) in
         Ok ())
       (Ok ()) templates
   in
+  let* census = A.list_field "signatures" json in
   let* () =
-    match J.member "signatures" json with
-    | Some (J.List l) ->
-        List.fold_left
-          (fun acc s ->
-            let* () = acc in
-            let* _ = str_field "signature" s in
-            match J.member "jobs" s with
-            | Some (J.Int n) when n > 0 -> Ok ()
-            | _ -> Error "signature census entry needs a positive \"jobs\"")
-          (Ok ()) l
-    | _ -> Error "missing or non-list \"signatures\" field"
+    List.fold_left
+      (fun acc s ->
+        let* () = acc in
+        let* _ = A.string_field "signature" s in
+        let* n = A.int_field "jobs" s in
+        if n > 0 then Ok ()
+        else Error "signature census entry needs a positive \"jobs\"")
+      (Ok ()) census
   in
-  let* _filed = str_list_field "filed" json in
-  let* health =
-    match J.member "health" json with
-    | Some (J.Obj _ as o) -> Ok o
-    | _ -> Error "missing or non-object \"health\" field"
-  in
-  let* cascades = str_list_field "cascades" health in
-  let* gate = str_field "gate" health in
+  let* _filed = string_list "filed" json in
+  let* health = A.field "health" json in
+  let* cascades = string_list "cascades" health in
+  let* gate = A.string_field "gate" health in
   let* () =
     match gate with
     | "ok" when cascades = [] -> Ok ()
@@ -211,7 +177,7 @@ let validate json =
     | "ok" | "failed" -> Error "health gate disagrees with cascade list"
     | g -> Error (Printf.sprintf "unknown health gate %S" g)
   in
-  let* outcome = str_field "outcome" json in
+  let* outcome = A.string_field "outcome" json in
   let* () =
     match outcome with
     | "passed" | "degraded" | "failed" -> Ok ()
@@ -225,18 +191,3 @@ let validate json =
     | _ -> Ok ()
   in
   Ok ()
-
-let validate_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-        really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error [ e ]
-  | contents -> (
-      match J.of_string contents with
-      | Error e -> Error [ Printf.sprintf "%s: %s" path e ]
-      | Ok json -> (
-          match validate json with
-          | Ok () -> Ok json
-          | Error e -> Error [ Printf.sprintf "%s: %s" path e ]))

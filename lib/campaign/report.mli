@@ -47,13 +47,4 @@ val build :
     was quarantined, or jobs are missing final verdicts, else
     [passed]. *)
 
-val write : path:string -> Telemetry.Json.t -> unit
-(** One line of JSON plus a newline, written atomically
-    ({!Journal.write_atomic}) so a crash mid-write never leaves a torn
-    report. *)
-
 val validate : Telemetry.Json.t -> (unit, string) result
-
-val validate_file : string -> (Telemetry.Json.t, string list) result
-(** Parse and validate a report file ([telemetry_check --campaign]'s
-    path); returns the parsed document on success. *)

@@ -392,7 +392,9 @@ let drive ?runner ?pool ?(log = ignore) ?crash_after ?corpus_dir ~dir ~writer
       ~quarantines ~filed:filed_all
   in
   Journal.append writer (Journal.End { outcome = report.Report.r_outcome });
-  Report.write ~path:(report_file dir) report.Report.r_json;
+  (* Atomic: a campaign killed mid-write leaves the previous report or
+     the new one, never a torn report.json. *)
+  Telemetry.Artifact.write_json ~path:(report_file dir) report.Report.r_json;
   (* Any pool still held here is healthy by construction: a hang
      replaces it with [None] at the verdict.  Wedged pools stay
      leaked. *)
@@ -417,7 +419,7 @@ let start ?runner ?pool ?log ?crash_after ?corpus_dir ~dir spec =
        appends below fsync the journal's {e contents}, but without a
        directory fsync a power cut could leave the fully-fsync'd file
        missing from the directory altogether. *)
-    Journal.fsync_dir dir;
+    Telemetry.Artifact.fsync_dir dir;
     Fun.protect ~finally:(fun () -> Journal.close writer) (fun () ->
         let jobs = Spec.jobs spec in
         Journal.append writer

@@ -76,72 +76,39 @@ let digest spec = Digest.to_hex (Digest.string (J.to_string (to_json spec)))
 
 let ( let* ) = Result.bind
 
-let str_field name json =
-  match J.member name json with
-  | Some (J.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing or non-string %S field" name)
+module A = Telemetry.Artifact
 
-let int_field ~default name json =
-  match J.member name json with
+(* An absent (or null) knob takes its default. *)
+let with_default decode ~default name json =
+  match A.opt_field name json with
   | None -> Ok default
-  | Some (J.Int i) -> Ok i
-  | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
+  | Some _ -> decode name json
 
-let float_field ~default name json =
-  match J.member name json with
-  | None -> Ok default
-  | Some (J.Float f) -> Ok f
-  | Some (J.Int i) -> Ok (float_of_int i)
-  | Some _ -> Error (Printf.sprintf "field %S must be a number" name)
+let int_field = with_default A.int_field
+let float_field = with_default A.float_field
 
 (* Seed sweeps come in two spellings: an explicit list, or a compact
    range object for wide sweeps. *)
 let seeds_of_json = function
   | J.List l ->
-      let* seeds =
-        List.fold_left
-          (fun acc s ->
-            let* acc = acc in
-            match s with
-            | J.Int i -> Ok (i :: acc)
-            | _ -> Error "seeds list must contain only integers")
-          (Ok []) l
-      in
-      if seeds = [] then Error "seeds list is empty" else Ok (List.rev seeds)
+      let* seeds = A.map_result A.as_int l in
+      if seeds = [] then Error "seeds list is empty" else Ok seeds
   | J.Obj _ as o ->
       let* from = int_field ~default:0 "from" o in
-      let* count =
-        match J.member "count" o with
-        | Some (J.Int c) -> Ok c
-        | _ -> Error "seed range needs an integer \"count\""
-      in
+      let* count = A.int_field "count" o in
       if count <= 0 then Error "seed range \"count\" must be positive"
       else Ok (List.init count (fun i -> from + i))
   | _ -> Error "\"seeds\" must be a list of integers or a {from, count} range"
 
 let template_of_json json =
-  let* name = str_field "name" json in
-  let in_tpl msg = Printf.sprintf "template %S: %s" name msg in
-  let* seeds =
-    match J.member "seeds" json with
-    | None -> Error (in_tpl "missing \"seeds\"")
-    | Some s -> Result.map_error in_tpl (seeds_of_json s)
-  in
-  let* scenario =
-    match J.member "scenario" json with
-    | None -> Error (in_tpl "missing \"scenario\"")
-    | Some s ->
-        Result.map_error in_tpl (Triage.Scenario.of_json s)
-  in
-  Ok { t_name = name; t_seeds = seeds; t_scenario = scenario }
+  let* name = A.string_field "name" json in
+  Result.map_error (Printf.sprintf "template %S: %s" name)
+    (let* seeds = Result.bind (A.field "seeds" json) seeds_of_json in
+     let* scenario = Result.bind (A.field "scenario" json) Triage.Scenario.of_json in
+     Ok { t_name = name; t_seeds = seeds; t_scenario = scenario })
 
 let validate json =
-  let* schema = str_field "schema" json in
-  let* () =
-    if String.equal schema schema_version then Ok ()
-    else Error (Printf.sprintf "unsupported schema %S (want %S)" schema
-                  schema_version)
-  in
+  let* () = A.check_schema schema_version json in
   let* () =
     match J.member "doc" json with
     | None | Some (J.String "spec") -> Ok ()
@@ -149,14 +116,12 @@ let validate json =
         Error (Printf.sprintf "document is a %S, not a campaign spec" d)
     | Some _ -> Error "field \"doc\" must be a string"
   in
-  let* name = str_field "name" json in
+  let* name = A.string_field "name" json in
   let* scenario_budget_s = float_field ~default:60. "scenario_budget_sec" json in
   let* budget_s =
-    match J.member "budget_sec" json with
-    | None | Some J.Null -> Ok None
-    | Some (J.Float f) -> Ok (Some f)
-    | Some (J.Int i) -> Ok (Some (float_of_int i))
-    | Some _ -> Error "field \"budget_sec\" must be a number or null"
+    match A.opt_field "budget_sec" json with
+    | None -> Ok None
+    | Some b -> Result.map Option.some (A.as_float b)
   in
   let* retries = int_field ~default:1 "retries" json in
   let* max_strikes = int_field ~default:2 "max_strikes" json in
@@ -170,18 +135,9 @@ let validate json =
     else Ok ()
   in
   let* templates =
-    match J.member "templates" json with
-    | Some (J.List (_ :: _ as l)) ->
-        List.fold_left
-          (fun acc t ->
-            let* acc = acc in
-            let* tpl = template_of_json t in
-            Ok (tpl :: acc))
-          (Ok []) l
-        |> Result.map List.rev
-    | Some (J.List []) -> Error "campaign has no templates"
-    | _ -> Error "missing or non-list \"templates\" field"
+    Result.bind (A.list_field "templates" json) (A.map_result template_of_json)
   in
+  let* () = if templates = [] then Error "campaign has no templates" else Ok () in
   let* () =
     let names = List.map (fun t -> t.t_name) templates in
     let dup =
@@ -204,16 +160,9 @@ let of_string s =
   validate json
 
 let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-        really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | contents ->
-      Result.map_error (Printf.sprintf "%s: %s" path) (of_string contents)
+  let* json = A.read_json path in
+  Result.map_error (Printf.sprintf "%s: %s" path) (validate json)
 
 (* Atomic: resume reloads this file, so a kill -9 during [save] must
    not be able to leave a torn spec.json behind. *)
-let save ~path spec =
-  Journal.write_atomic ~path (J.to_string (to_json spec) ^ "\n")
+let save ~path spec = A.write_json ~path (to_json spec)

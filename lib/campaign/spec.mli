@@ -82,5 +82,5 @@ val load : string -> (t, string) result
 (** Read and validate a spec file. *)
 
 val save : path:string -> t -> unit
-(** Atomic write ({!Journal.write_atomic}): a crash mid-save leaves the
-    old spec file or the new one, never a torn half-write. *)
+(** Atomic write ({!Telemetry.Artifact.write_json}): a crash mid-save
+    leaves the old spec file or the new one, never a torn half-write. *)

@@ -45,105 +45,57 @@ let to_json ?graph ~timeline ~propagation cascades =
            ("cycles", Json.Int (List.length (Graph.sccs propagation))) ]);
       ("cascades", Json.List (List.map (cascade_to_json ?graph) cascades)) ]
 
-let write ~path json =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string json);
-      output_char oc '\n')
+module A = Telemetry.Artifact
 
-let str_member key j =
-  match Json.member key j with Some (Json.String s) -> Some s | _ -> None
+let ( let* ) = Result.bind
 
-let int_member key j =
-  match Json.member key j with Some (Json.Int i) -> Some i | _ -> None
+let fail fmt = Printf.ksprintf (fun s -> Error s) fmt
+
+let check_cascade c =
+  let* kind = A.string_field "kind" c in
+  let* () =
+    match Detect.kind_of_string kind with
+    | Some _ -> Ok ()
+    | None -> fail "unknown kind %s" kind
+  in
+  let* nodes = A.list_of A.as_int "nodes" c in
+  let* count = A.int_field "count" c in
+  let* first_us = A.int_field "first_us" c in
+  let* last_us = A.int_field "last_us" c in
+  let* detail = A.string_field "detail" c in
+  let* signature = A.string_field "signature" c in
+  if nodes = [] then fail "nodes must be a non-empty int list"
+  else if count < 1 then fail "count < 1"
+  else if first_us > last_us then fail "first_us > last_us"
+  else if detail = "" then fail "missing detail"
+  else
+    match Dice.Signature.of_string signature with
+    | Ok sg when sg.Dice.Signature.sg_class = Dice.Fault.Cascade -> Ok ()
+    | Ok _ -> fail "signature class is not cascade"
+    | Error e -> fail "bad signature: %s" e
 
 let validate json =
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
+  let* () = A.check_schema version json in
+  let* source = A.field "source" json in
   let* () =
-    match str_member "schema" json with
-    | Some s when String.equal s version -> Ok ()
-    | Some s -> fail "schema mismatch: expected %s, got %s" version s
-    | None -> fail "missing schema field"
+    List.fold_left
+      (fun acc k ->
+        let* () = acc in
+        let* n = A.int_field k source in
+        if n >= 0 then Ok () else fail "source.%s is negative (%d)" k n)
+      (Ok ())
+      [ "records"; "rounds"; "faults"; "sys"; "flips" ]
   in
-  let* () =
-    match Json.member "source" json with
-    | Some (Json.Obj _ as src) ->
-        let required = [ "records"; "rounds"; "faults"; "sys"; "flips" ] in
-        List.fold_left
-          (fun acc k ->
-            let* () = acc in
-            match int_member k src with
-            | Some n when n >= 0 -> Ok ()
-            | Some n -> fail "source.%s is negative (%d)" k n
-            | None -> fail "source.%s missing or not an int" k)
-          (Ok ()) required
-    | _ -> fail "missing source object"
-  in
-  let* cascades =
-    match Json.member "cascades" json with
-    | Some (Json.List l) -> Ok l
-    | _ -> fail "missing cascades list"
-  in
-  let check_cascade i c =
-    let* kind =
-      match str_member "kind" c with
-      | Some k -> Ok k
-      | None -> fail "cascades[%d]: missing kind" i
-    in
-    let* () =
-      match Detect.kind_of_string kind with
-      | Some _ -> Ok ()
-      | None -> fail "cascades[%d]: unknown kind %s" i kind
-    in
-    let* () =
-      match Json.member "nodes" c with
-      | Some (Json.List (_ :: _ as l))
-        when List.for_all (function Json.Int _ -> true | _ -> false) l ->
-          Ok ()
-      | _ -> fail "cascades[%d]: nodes must be a non-empty int list" i
-    in
-    let* () =
-      match (int_member "count" c, int_member "first_us" c, int_member "last_us" c) with
-      | Some n, _, _ when n < 1 -> fail "cascades[%d]: count < 1" i
-      | _, Some f, Some l when f > l -> fail "cascades[%d]: first_us > last_us" i
-      | Some _, Some _, Some _ -> Ok ()
-      | _ -> fail "cascades[%d]: count/first_us/last_us missing" i
-    in
-    let* () =
-      match str_member "detail" c with
-      | Some "" | None -> fail "cascades[%d]: missing detail" i
-      | Some _ -> Ok ()
-    in
-    match str_member "signature" c with
-    | None -> fail "cascades[%d]: missing signature" i
-    | Some s -> (
-        match Dice.Signature.of_string s with
-        | Ok sg when sg.Dice.Signature.sg_class = Dice.Fault.Cascade -> Ok ()
-        | Ok _ -> fail "cascades[%d]: signature class is not cascade" i
-        | Error e -> fail "cascades[%d]: bad signature: %s" i e)
-  in
+  let* cascades = A.list_field "cascades" json in
   let rec all i = function
     | [] -> Ok ()
     | c :: rest ->
-        let* () = check_cascade i c in
+        let* () =
+          Result.map_error (Printf.sprintf "cascades[%d]: %s" i) (check_cascade c)
+        in
         all (i + 1) rest
   in
   all 0 cascades
-
-let validate_file path =
-  let ic = open_in path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Json.of_string (String.trim content) with
-  | Error msg -> Error [ Printf.sprintf "not a JSON document: %s" msg ]
-  | Ok json -> (
-      match validate json with Ok () -> Ok json | Error msg -> Error [ msg ])
 
 let dot_escape s =
   String.concat ""

@@ -22,14 +22,7 @@ val to_json :
 (** [graph], when given, canonicalizes node roles in the embedded
     signatures (as {!Dice.Signature.make} does). *)
 
-val write : path:string -> Telemetry.Json.t -> unit
-(** One line of JSON plus a newline. *)
-
 val validate : Telemetry.Json.t -> (unit, string) result
-
-val validate_file : string -> (Telemetry.Json.t, string list) result
-(** Parse and validate a report file ([telemetry_check --cascade]'s
-    path); returns the parsed document on success. *)
 
 val to_dot : Graph.t -> string
 (** Graphviz rendering: one box per state (cycle members filled),

@@ -162,35 +162,18 @@ let to_json m =
 
 let ( let* ) = Result.bind
 
-let field name j =
-  match J.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "mutation: missing field %S" name)
-
-let int_field name j =
-  let* v = field name j in
-  match v with
-  | J.Int n -> Ok n
-  | _ -> Error (Printf.sprintf "mutation: field %S: expected int" name)
-
-let string_field name j =
-  let* v = field name j in
-  match v with
-  | J.String s -> Ok s
-  | _ -> Error (Printf.sprintf "mutation: field %S: expected string" name)
+open Telemetry.Artifact
 
 let opt_int_field name j =
-  let* v = field name j in
-  match v with
-  | J.Int n -> Ok (Some n)
-  | J.Null -> Ok None
-  | _ -> Error (Printf.sprintf "mutation: field %S: expected int or null" name)
+  match field name j with
+  | Ok J.Null -> Ok None
+  | _ -> Result.map Option.some (int_field name j)
 
 let prefix_field name j =
   let* s = string_field name j in
   Bgp.Prefix.of_string s
 
-let of_json j =
+let decode j =
   let* kind = string_field "kind" j in
   let* node = int_field "node" j in
   let entry_target () =
@@ -251,7 +234,7 @@ let of_json j =
         match d with
         | "import" -> Ok Import
         | "export" -> Ok Export
-        | _ -> Error (Printf.sprintf "mutation: unknown dir %S" d)
+        | _ -> Error (Printf.sprintf "unknown dir %S" d)
       in
       Ok (Ref_dangle { node; neighbor; dir })
   | "ref-swap" ->
@@ -269,7 +252,9 @@ let of_json j =
       let* via_asn = int_field "via_asn" j in
       let* pref = int_field "pref" j in
       Ok (Te_pin { node; map; prefix; via_asn; pref })
-  | other -> Error (Printf.sprintf "mutation: unknown kind %S" other)
+  | other -> Error (Printf.sprintf "unknown kind %S" other)
+
+let of_json j = Result.map_error (( ^ ) "mutation: ") (decode j)
 
 (* ------------------------------------------------------------------ *)
 (* Application                                                         *)

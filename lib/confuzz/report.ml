@@ -23,16 +23,41 @@ let arm_to_json (r : Loop.result) =
 
 let to_json ~guided ?random () =
   J.Obj
-    [ ("version", J.String version);
+    [ ("schema", J.String version);
       ("guided", arm_to_json guided);
       ("random", (match random with Some r -> arm_to_json r | None -> J.Null));
       ("metrics", J.Obj (Telemetry.Metrics.filtered ~prefix:"confuzz." ())) ]
 
-let write ~path json =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-  output_string oc (J.to_string json);
-  output_char oc '\n'
+module A = Telemetry.Artifact
+
+let ( let* ) = Result.bind
+
+let validate_arm arm =
+  let* universe = A.int_field "universe" arm in
+  let* covered = A.int_field "covered" arm in
+  let* _ =
+    A.map_result
+      (fun k -> A.int_field k arm)
+      [ "budget"; "seed"; "baseline_covered"; "kept"; "findings" ]
+  in
+  let* _ = A.bool_field "guided" arm in
+  let* _ = A.list_of A.as_int "curve" arm in
+  let* _ = A.list_of A.as_string "uncovered" arm in
+  if covered > universe then Error "covered exceeds universe" else Ok ()
+
+let validate json =
+  let* () = A.check_schema version json in
+  let* guided = A.field "guided" json in
+  let* () = Result.map_error (( ^ ) "guided: ") (validate_arm guided) in
+  let* () =
+    match A.opt_field "random" json with
+    | None -> Ok ()
+    | Some arm -> Result.map_error (( ^ ) "random: ") (validate_arm arm)
+  in
+  let* metrics = A.field "metrics" json in
+  match metrics with
+  | J.Obj _ -> Ok ()
+  | _ -> Error "field \"metrics\": expected object"
 
 let pp_arm ppf name (r : Loop.result) =
   Format.fprintf ppf "%s: coverage %d/%d -> %d/%d, %d finding(s) in %d round(s)@ "

@@ -113,4 +113,4 @@ let eval ctx ~own_asn ~universe policy sr =
                    sr entry.Bgp.Policy.sets)
         else go rest
   in
-  go (Bgp.Policy.normalize policy)
+  go policy

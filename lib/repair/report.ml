@@ -60,63 +60,31 @@ let of_outcome (o : Search.outcome) =
 let status r =
   match J.member "status" r with Some (J.String s) -> s | _ -> "none"
 
-let decode_patch = function
-  | J.List ms ->
-      let rec go = function
-        | [] -> Ok ()
-        | m :: rest -> (
-            match M.of_json m with Ok _ -> go rest | Error e -> Error e)
-      in
-      go ms
-  | _ -> Error "patch is not a list"
+module A = Telemetry.Artifact
+
+let ( let* ) = Result.bind
+
+let decode_patch what j =
+  let* p = A.field "patch" j in
+  match Result.bind (A.as_list p) (A.map_result M.of_json) with
+  | Ok _ -> Ok ()
+  | Error e -> Error (Printf.sprintf "%s patch: %s" what e)
 
 let validate r =
-  let ( let* ) = Result.bind in
+  let* () = A.check_schema schema_version r in
+  let* st = A.string_field "status" r in
   let* () =
-    match J.member "schema" r with
-    | Some (J.String s) when s = schema_version -> Ok ()
-    | Some (J.String s) -> Error (Printf.sprintf "unknown schema %S" s)
-    | _ -> Error "missing schema tag"
+    match st with
+    | "verified" | "candidate" | "none-found" -> Ok ()
+    | s -> Error (Printf.sprintf "unknown status %S" s)
   in
-  let* st =
-    match J.member "status" r with
-    | Some (J.String ("verified" | "candidate" | "none-found" as s)) -> Ok s
-    | Some (J.String s) -> Error (Printf.sprintf "unknown status %S" s)
-    | _ -> Error "missing status"
+  let* target = A.string_field "target" r in
+  let* _ =
+    Result.map_error (( ^ ) "bad target signature: ") (Dice.Signature.of_string target)
   in
-  let* () =
-    match J.member "target" r with
-    | Some (J.String s) -> (
-        match Dice.Signature.of_string s with
-        | Ok _ -> Ok ()
-        | Error e -> Error (Printf.sprintf "bad target signature: %s" e))
-    | _ -> Error "missing target"
-  in
-  let* () =
-    match J.member "candidates" r with
-    | Some (J.List cs) ->
-        let rec go = function
-          | [] -> Ok ()
-          | c :: rest -> (
-              match J.member "patch" c with
-              | Some p -> (
-                  match decode_patch p with
-                  | Ok () -> go rest
-                  | Error e -> Error (Printf.sprintf "candidate patch: %s" e))
-              | None -> Error "candidate without patch")
-        in
-        go cs
-    | Some _ -> Error "candidates is not a list"
-    | None -> Error "missing candidates"
-  in
-  if st = "verified" then
-    match J.member "patch" r with
-    | Some p -> (
-        match decode_patch p with
-        | Ok () -> Ok ()
-        | Error e -> Error (Printf.sprintf "verified patch: %s" e))
-    | None -> Error "verified record without top-level patch"
-  else Ok ()
+  let* candidates = A.list_field "candidates" r in
+  let* _ = A.map_result (decode_patch "candidate") candidates in
+  if st = "verified" then decode_patch "verified" r else Ok ()
 
 let pp_summary ppf r =
   let suspects =

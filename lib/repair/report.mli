@@ -2,7 +2,7 @@
 
     Stored verbatim inside the corpus entry it repairs (the entry's
     optional ["repair"] member), uploaded as a CI artifact, and
-    validated by [telemetry_check --repair].  Contains {e no}
+    validated by [telemetry_check].  Contains {e no}
     timestamps and no host-dependent data: running the same repair
     twice over the same entry must produce byte-identical records. *)
 

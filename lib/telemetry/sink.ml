@@ -94,24 +94,11 @@ let to_json ~seq event =
           ("detail", Json.String detail) ]
 
 let of_json json =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let field name =
-    match Json.member name json with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let str name =
-    let* v = field name in
-    match v with
-    | Json.String s -> Ok s
-    | _ -> Error (Printf.sprintf "field %S: expected string" name)
-  in
-  let int name =
-    let* v = field name in
-    match v with
-    | Json.Int i -> Ok i
-    | _ -> Error (Printf.sprintf "field %S: expected int" name)
-  in
+  let ( let* ) = Result.bind in
+  let field name = Artifact.field name json in
+  let str name = Artifact.string_field name json in
+  let int name = Artifact.int_field name json in
+  let ints name = Artifact.list_of Artifact.as_int name json in
   let attrs () =
     let* v = field "attrs" in
     match v with
@@ -157,22 +144,7 @@ let of_json json =
           | Json.String s -> Ok (Some s)
           | _ -> Error "field \"input\": expected string or null"
         in
-        let* span_path =
-          let* v = field "span_path" in
-          match v with
-          | Json.List items ->
-              List.fold_left
-                (fun acc item ->
-                  let* acc = acc in
-                  match item with
-                  | Json.Int i -> Ok (i :: acc)
-                  | _ -> Error "span_path: expected ints")
-                (Ok []) items
-              |> fun r ->
-              let* l = r in
-              Ok (List.rev l)
-          | _ -> Error "field \"span_path\": expected list"
-        in
+        let* span_path = ints "span_path" in
         Ok (Fault { t_us; fault_class; property; node; detail; input; span_path })
     | "metric" ->
         let* t_us = int "t_us" in
@@ -188,22 +160,7 @@ let of_json json =
     | "sys" ->
         let* t_us = int "t_us" in
         let* kind = str "kind" in
-        let* nodes =
-          let* v = field "nodes" in
-          match v with
-          | Json.List items ->
-              List.fold_left
-                (fun acc item ->
-                  let* acc = acc in
-                  match item with
-                  | Json.Int i -> Ok (i :: acc)
-                  | _ -> Error "nodes: expected ints")
-                (Ok []) items
-              |> fun r ->
-              let* l = r in
-              Ok (List.rev l)
-          | _ -> Error "field \"nodes\": expected list"
-        in
+        let* nodes = ints "nodes" in
         let* detail = str "detail" in
         Ok (Sys { t_us; kind; nodes; detail })
     | other -> Error (Printf.sprintf "unknown event type %S" other)

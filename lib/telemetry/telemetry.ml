@@ -3,6 +3,7 @@ module Histogram = Histogram
 module Metrics = Metrics
 module Sink = Sink
 module Schema = Schema
+module Artifact = Artifact
 
 let schema_version = Schema.version
 

@@ -23,6 +23,7 @@ module Histogram = Histogram
 module Metrics = Metrics
 module Sink = Sink
 module Schema = Schema
+module Artifact = Artifact
 
 val schema_version : string
 (** ["dice-telemetry/1"]. *)

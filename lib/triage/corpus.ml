@@ -43,70 +43,42 @@ let entry_to_json e =
 
 let ( let* ) = Result.bind
 
-let str_field name j =
-  match J.member name j with
-  | Some (J.String s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "field %S is not a string" name)
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let num_field name j =
-  match J.member name j with
-  | Some (J.Float f) -> Ok f
-  | Some (J.Int n) -> Ok (float_of_int n)
-  | Some _ -> Error (Printf.sprintf "field %S is not a number" name)
-  | None -> Error (Printf.sprintf "missing field %S" name)
+module A = Telemetry.Artifact
 
 let repair_schema_version = "dice-repair/1"
 
 let validate j =
-  let* schema = str_field "schema" j in
-  if not (String.equal schema schema_version) then
-    Error (Printf.sprintf "schema %S, want %S" schema schema_version)
-  else
-    let* sg_s = str_field "signature" j in
-    let* e_signature = Dice.Signature.of_string sg_s in
-    let* scenario_j =
-      match J.member "scenario" j with
-      | Some v -> Ok v
-      | None -> Error "missing field \"scenario\""
-    in
-    let* e_scenario = Scenario.of_json scenario_j in
-    let* e_first_seen = num_field "first_seen" j in
-    let* e_last_seen = num_field "last_seen" j in
-    let* e_hits =
-      match J.member "hits" j with
-      | Some (J.Int n) when n >= 1 -> Ok n
-      | Some _ -> Error "field \"hits\" is not a positive int"
-      | None -> Error "missing field \"hits\""
-    in
-    let e_env =
-      match J.member "env" j with
-      | Some (J.Obj fields) ->
-          List.filter_map
-            (function k, J.String v -> Some (k, v) | _ -> None)
-            fields
-      | _ -> []
-    in
-    (* Optional: entries filed before the repair engine existed have no
-       record; when one is present only its schema tag is checked here
-       (the full structure is the repair reporter's contract, validated
-       by [telemetry_check --repair]). *)
-    let* e_repair =
-      match J.member "repair" j with
-      | None | Some J.Null -> Ok None
-      | Some r -> (
-          match J.member "schema" r with
-          | Some (J.String s) when String.equal s repair_schema_version ->
-              Ok (Some r)
-          | Some (J.String s) ->
-              Error
-                (Printf.sprintf "repair schema %S, want %S" s
-                   repair_schema_version)
-          | Some _ | None -> Error "repair record missing \"schema\"")
-    in
-    Ok
-      { e_signature; e_scenario; e_first_seen; e_last_seen; e_hits; e_env;
-        e_repair }
+  let* () = A.check_schema schema_version j in
+  let* sg_s = A.string_field "signature" j in
+  let* e_signature = Dice.Signature.of_string sg_s in
+  let* scenario_j = A.field "scenario" j in
+  let* e_scenario = Scenario.of_json scenario_j in
+  let* e_first_seen = A.float_field "first_seen" j in
+  let* e_last_seen = A.float_field "last_seen" j in
+  let* e_hits = A.int_field "hits" j in
+  let* () = if e_hits >= 1 then Ok () else Error "field \"hits\" is not positive" in
+  let e_env =
+    match J.member "env" j with
+    | Some (J.Obj fields) ->
+        List.filter_map
+          (function k, J.String v -> Some (k, v) | _ -> None)
+          fields
+    | _ -> []
+  in
+  (* Optional: entries filed before the repair engine existed have no
+     record; when one is present only its schema tag is checked here
+     (the full structure is the repair reporter's contract, checked by
+     [telemetry_check]). *)
+  let* e_repair =
+    match A.opt_field "repair" j with
+    | None -> Ok None
+    | Some r ->
+        let* () = A.check_schema repair_schema_version r in
+        Ok (Some r)
+  in
+  Ok
+    { e_signature; e_scenario; e_first_seen; e_last_seen; e_hits; e_env;
+      e_repair }
 
 let entry_of_string s =
   let* j = J.of_string s in
@@ -116,45 +88,6 @@ let entry_of_string s =
 (* Store                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* fsync the directory itself so the rename is durable: a kill -9 (or
-   power cut) right after [add] must not be able to roll the entry
-   back.  Directory fds can legitimately refuse fsync on some
-   filesystems — that only weakens durability, never atomicity, so
-   errors are swallowed. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-
-let write_file path contents =
-  (* tmp + fsync + rename + fsync(dir): the tmp file is fully on disk
-     before the rename publishes it, and the rename itself is on disk
-     before [add] returns — a campaign killed at any instant leaves
-     either the old entry or the new one, never a torn file and never
-     a "filed" journal record pointing at data the crash rolled back. *)
-  let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let n = String.length contents in
-      let written = ref 0 in
-      while !written < n do
-        written := !written + Unix.write_substring fd contents !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Sys.rename tmp path;
-  fsync_dir (Filename.dirname path)
-
 let ensure_dir dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
 
 let load_entry path =
@@ -162,10 +95,8 @@ let load_entry path =
      JSON, schema drift — degrades to [Error] for that entry alone;
      a long campaign's corpus load must never abort wholesale because
      one file is damaged. *)
-  match entry_of_string (read_file path) with
+  match Result.bind (A.read_json path) validate with
   | r -> r
-  | exception Sys_error e -> Error e
-  | exception End_of_file -> Error "truncated entry (torn write?)"
   | exception e -> Error (Printexc.to_string e)
 
 let add ~dir ?now sg scenario =
@@ -201,7 +132,7 @@ let add ~dir ?now sg scenario =
           e_env = env_fingerprint ();
           e_repair = None }
   in
-  write_file path (J.to_string (entry_to_json entry) ^ "\n");
+  A.write_json ~path (entry_to_json entry);
   entry
 
 let files dir =
@@ -249,30 +180,21 @@ let repair_status_name = function
 let set_repair ~dir entry repair =
   ensure_dir dir;
   let entry = { entry with e_repair = Some repair } in
-  write_file
-    (path_of dir entry.e_signature)
-    (J.to_string (entry_to_json entry) ^ "\n");
+  A.write_json ~path:(path_of dir entry.e_signature) (entry_to_json entry);
   entry
 
 let patched_scenario e =
   match e.e_repair with
   | None -> None
   | Some r -> (
-      match J.member "patch" r with
-      | Some (J.List ms) -> (
-          let rec decode acc = function
-            | [] -> Some (List.rev acc)
-            | m :: rest -> (
-                match Confuzz.Mutation.of_json m with
-                | Ok m -> decode (m :: acc) rest
-                | Error _ -> None)
-          in
-          match (decode [] ms, e.e_scenario) with
-          | Some (_ :: _ as patch), Scenario.Deploy d ->
-              Some
-                (Scenario.Deploy
-                   { d with Scenario.dp_confuzz = d.Scenario.dp_confuzz @ patch })
-          | _ -> None)
+      match
+        ( Result.bind (A.list_field "patch" r) (A.map_result Confuzz.Mutation.of_json),
+          e.e_scenario )
+      with
+      | Ok (_ :: _ as patch), Scenario.Deploy d ->
+          Some
+            (Scenario.Deploy
+               { d with Scenario.dp_confuzz = d.Scenario.dp_confuzz @ patch })
       | _ -> None)
 
 (* ------------------------------------------------------------------ *)

@@ -33,7 +33,7 @@ type entry = {
       (** optional [dice-repair/1] record from the repair engine.
           Entries without one serialize byte-for-byte as before the
           field existed; {!validate} only checks the schema tag here —
-          full structure is [telemetry_check --repair]'s job.  Filing a
+          full structure is [telemetry_check]'s job.  Filing a
           {e smaller} repro via {!add} drops the record (it targeted
           the replaced scenario). *)
 }

@@ -449,48 +449,7 @@ let to_json = function
 
 let ( let* ) = Result.bind
 
-let field name j =
-  match J.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let opt_field name j =
-  match J.member name j with Some J.Null | None -> None | Some v -> Some v
-
-let as_int = function
-  | J.Int n -> Ok n
-  | j -> Error (Printf.sprintf "expected int, got %s" (J.to_string j))
-
-let as_float = function
-  | J.Float f -> Ok f
-  | J.Int n -> Ok (float_of_int n)
-  | j -> Error (Printf.sprintf "expected number, got %s" (J.to_string j))
-
-let as_string = function
-  | J.String s -> Ok s
-  | j -> Error (Printf.sprintf "expected string, got %s" (J.to_string j))
-
-let as_list = function
-  | J.List l -> Ok l
-  | j -> Error (Printf.sprintf "expected list, got %s" (J.to_string j))
-
-let map_result f l =
-  List.fold_left
-    (fun acc x ->
-      let* acc = acc in
-      let* y = f x in
-      Ok (y :: acc))
-    (Ok []) l
-  |> Result.map List.rev
-
-let int_field name j = let* v = field name j in as_int v
-let string_field name j = let* v = field name j in as_string v
-let float_field name j = let* v = field name j in as_float v
-
-let int_list_field name j =
-  let* v = field name j in
-  let* l = as_list v in
-  map_result as_int l
+open Telemetry.Artifact
 
 let topo_of_json j =
   let* name = string_field "name" j in
@@ -517,7 +476,7 @@ let inject_of_json j =
       let* at = int_field "at" j in
       Ok (Dice.Inject.Bogus_netmask { at })
   | "policy-dispute" ->
-      let* cycle = int_list_field "cycle" j in
+      let* cycle = list_of as_int "cycle" j in
       let* victim = int_field "victim" j in
       Ok (Dice.Inject.Policy_dispute { cycle; victim })
   | "loop-check-bug" ->
@@ -549,8 +508,8 @@ let churn_entry_of_json j =
         let* b = int_field "b" j in
         Ok (Netsim.Churn.Link_up (a, b))
     | "partition" ->
-        let* xs = int_list_field "xs" j in
-        let* ys = int_list_field "ys" j in
+        let* xs = list_of as_int "xs" j in
+        let* ys = list_of as_int "ys" j in
         Ok (Netsim.Churn.Partition (xs, ys))
     | "heal" -> Ok Netsim.Churn.Heal
     | other -> Error (Printf.sprintf "unknown churn event %S" other)
@@ -583,9 +542,7 @@ let mangle_entry_of_json j =
     match set with
     | "rate" -> let* r = float_field "rate" j in Ok (Netsim.Mangler.Set_rate r)
     | "kinds" ->
-        let* v = field "kinds" j in
-        let* l = as_list v in
-        let* ks = map_result kind_of_json l in
+        let* ks = list_of kind_of_json "kinds" j in
         Ok (Netsim.Mangler.Set_kinds ks)
     | "links" ->
         let* v = field "links" j in
@@ -598,12 +555,8 @@ let mangle_entry_of_json j =
 let mangle_of_json j =
   let* mg_seed = int_field "seed" j in
   let* mg_rate = float_field "rate" j in
-  let* kinds_v = field "kinds" j in
-  let* kinds_l = as_list kinds_v in
-  let* mg_kinds = map_result kind_of_json kinds_l in
-  let* sched_v = field "schedule" j in
-  let* sched_l = as_list sched_v in
-  let* mg_schedule = map_result mangle_entry_of_json sched_l in
+  let* mg_kinds = list_of kind_of_json "kinds" j in
+  let* mg_schedule = list_of mangle_entry_of_json "schedule" j in
   let mg_fragile_node =
     match opt_field "fragile_node" j with Some (J.Int n) -> Some n | _ -> None
   in
@@ -632,7 +585,7 @@ let mode_of_json j =
       Ok (Direct { dr_node; dr_peer; dr_input })
   | "explore" ->
       let* ex_rounds = int_field "rounds" j in
-      let* ex_nodes = int_list_field "nodes" j in
+      let* ex_nodes = list_of as_int "nodes" j in
       let* ex_max_inputs = int_field "max_inputs" j in
       let* ex_max_branches = int_field "max_branches" j in
       let* ex_solver_nodes = int_field "solver_nodes" j in
@@ -677,10 +630,7 @@ let of_json j =
       let* dp_keep =
         match opt_field "keep" j with
         | None -> Ok None
-        | Some v ->
-            let* l = as_list v in
-            let* keep = map_result as_int l in
-            Ok (Some keep)
+        | Some _ -> Result.map Option.some (list_of as_int "keep" j)
       in
       let* dp_seed = int_field "seed" j in
       let* dp_inject =
@@ -689,9 +639,7 @@ let of_json j =
         | Some v -> let* s = inject_of_json v in Ok (Some s)
       in
       let* dp_settle_sec = float_field "settle_sec" j in
-      let* churn_v = field "churn" j in
-      let* churn_l = as_list churn_v in
-      let* dp_churn = map_result churn_entry_of_json churn_l in
+      let* dp_churn = list_of churn_entry_of_json "churn" j in
       let* dp_mangle =
         match opt_field "mangle" j with
         | None -> Ok None
@@ -701,9 +649,7 @@ let of_json j =
         (* Absent in scenarios filed before the config fuzzer existed. *)
         match opt_field "confuzz" j with
         | None -> Ok []
-        | Some v ->
-            let* l = as_list v in
-            map_result Confuzz.Mutation.of_json l
+        | Some _ -> list_of Confuzz.Mutation.of_json "confuzz" j
       in
       (* Absent in scenarios filed before the cascade detector existed. *)
       let dp_cascade =

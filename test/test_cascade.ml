@@ -279,10 +279,10 @@ let report_roundtrip_and_validation () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Cascade.Report.write ~path doc;
-      match Cascade.Report.validate_file path with
-      | Ok _ -> ()
-      | Error msgs -> Alcotest.failf "written report invalid: %s" (String.concat "; " msgs));
+      Telemetry.Artifact.write_json ~path doc;
+      match Result.bind (Telemetry.Artifact.read_json path) Cascade.Report.validate with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "written report invalid: %s" e);
   check Alcotest.bool "garbage rejected" true
     (Result.is_error (Cascade.Report.validate (Telemetry.Json.String "nope")));
   check Alcotest.bool "wrong schema rejected" true

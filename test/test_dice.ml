@@ -70,33 +70,38 @@ let sym_policy_matches_concrete =
       let cfg = sp.Bgp.Speaker.sp_config () in
       let peer = List.hd cfg.Bgp.Config.neighbors in
       let view = Dice.Sym_handler.view_of_speaker sp ~peer:peer.Bgp.Config.addr in
+      (* The map as configured is seq-sorted; the reversed copy is not,
+         and both engines must walk it in list order. *)
+      let agrees policy =
+        (* Symbolic run. *)
+        let ctx = Concolic.Ctx.create input in
+        let sr =
+          Dice.Sym_route.read ctx ~asn_lo:view.Dice.Sym_handler.sh_asn_lo
+            ~asn_hi:view.Dice.Sym_handler.sh_asn_hi
+            ~universe_size:(List.length view.Dice.Sym_handler.sh_universe)
+        in
+        let sym =
+          Dice.Sym_policy.eval ctx ~own_asn:cfg.Bgp.Config.asn
+            ~universe:view.Dice.Sym_handler.sh_universe policy sr
+        in
+        (* Concrete run over the concretized message. *)
+        let u = Dice.Sym_handler.update_of_input view input in
+        let attrs = Option.get u.Bgp.Msg.attrs in
+        let prefix = List.hd u.Bgp.Msg.nlri in
+        let conc = Bgp.Policy.apply policy prefix attrs in
+        match (sym, conc) with
+        | Dice.Sym_policy.Denied, None -> true
+        | Dice.Sym_policy.Accepted sr', Some attrs' ->
+            Concolic.Cval.to_int sr'.Dice.Sym_route.sr_local_pref
+            = Bgp.Attr.effective_local_pref attrs'
+            && Concolic.Cval.to_int sr'.Dice.Sym_route.sr_path_len
+               = Bgp.As_path.length attrs'.Bgp.Attr.as_path
+            && Concolic.Cval.to_int sr'.Dice.Sym_route.sr_med
+               = Option.value attrs'.Bgp.Attr.med ~default:0
+        | Dice.Sym_policy.Denied, Some _ | Dice.Sym_policy.Accepted _, None -> false
+      in
       let policy = Bgp.Config.import_policy cfg peer in
-      (* Symbolic run. *)
-      let ctx = Concolic.Ctx.create input in
-      let sr =
-        Dice.Sym_route.read ctx ~asn_lo:view.Dice.Sym_handler.sh_asn_lo
-          ~asn_hi:view.Dice.Sym_handler.sh_asn_hi
-          ~universe_size:(List.length view.Dice.Sym_handler.sh_universe)
-      in
-      let sym =
-        Dice.Sym_policy.eval ctx ~own_asn:cfg.Bgp.Config.asn
-          ~universe:view.Dice.Sym_handler.sh_universe policy sr
-      in
-      (* Concrete run over the concretized message. *)
-      let u = Dice.Sym_handler.update_of_input view input in
-      let attrs = Option.get u.Bgp.Msg.attrs in
-      let prefix = List.hd u.Bgp.Msg.nlri in
-      let conc = Bgp.Policy.apply policy prefix attrs in
-      match (sym, conc) with
-      | Dice.Sym_policy.Denied, None -> true
-      | Dice.Sym_policy.Accepted sr', Some attrs' ->
-          Concolic.Cval.to_int sr'.Dice.Sym_route.sr_local_pref
-          = Bgp.Attr.effective_local_pref attrs'
-          && Concolic.Cval.to_int sr'.Dice.Sym_route.sr_path_len
-             = Bgp.As_path.length attrs'.Bgp.Attr.as_path
-        && Concolic.Cval.to_int sr'.Dice.Sym_route.sr_med
-             = Option.value attrs'.Bgp.Attr.med ~default:0
-      | Dice.Sym_policy.Denied, Some _ | Dice.Sym_policy.Accepted _, None -> false)
+      agrees policy && agrees (List.rev policy))
 
 (* The instrumented mirror agrees with reality: its verdict about an
    input matches what the concrete pipeline does with the concretized

@@ -26,4 +26,5 @@ let () =
       ("benchgate", Test_benchgate.suite);
       ("cascade", Test_cascade.suite);
       ("campaign", Test_campaign.suite);
-      ("repair", Test_repair.suite) ]
+      ("repair", Test_repair.suite);
+      ("artifact", Test_artifact.suite) ]

@@ -191,59 +191,6 @@ let checkpoint_cost_constant () =
     (Printf.sprintf "1000 checkpoints of a 500-route RIB in <0.1s (took %.4fs)" dt)
     true (dt < 0.1)
 
-(* --- checkpoint serialization --- *)
-
-let codec_roundtrip () =
-  let build = deploy_line 3 in
-  let sp = Topology.Build.speaker build 1 in
-  let text = Snapshot.Codec.export sp in
-  Alcotest.(check bool) "has route entries" true (Snapshot.Codec.route_entries text > 0);
-  (* Import onto a fresh isolated network with the same node ids. *)
-  let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  List.iter (fun id -> Netsim.Network.add_node net id (fun ~src:_ _ -> ())) [ 0; 1; 2 ];
-  Netsim.Network.connect_sym net 0 1 Netsim.Link.ideal;
-  Netsim.Network.connect_sym net 1 2 Netsim.Link.ideal;
-  match Snapshot.Codec.import ~net text with
-  | Error msg -> Alcotest.fail msg
-  | Ok clone ->
-      (* Compare canonical bindings: Map structural equality depends on
-         insertion order. *)
-      let canon (rib : Bgp.Rib.t) =
-        ( Bgp.Prefix.Map.bindings rib.Bgp.Rib.loc,
-          List.map
-            (fun (peer, pm) -> (peer, Bgp.Prefix.Map.bindings pm))
-            (Bgp.Ipv4.Map.bindings rib.Bgp.Rib.adj_in),
-          List.map
-            (fun (peer, pm) -> (peer, Bgp.Prefix.Map.bindings pm))
-            (Bgp.Ipv4.Map.bindings rib.Bgp.Rib.adj_out) )
-      in
-      Alcotest.(check bool) "identical rib view" true
-        (canon (clone.Bgp.Speaker.sp_rib ()) = canon (sp.Bgp.Speaker.sp_rib ()));
-      check (Alcotest.list (Alcotest.testable Bgp.Ipv4.pp Bgp.Ipv4.equal))
-        "sessions restored"
-        (sp.Bgp.Speaker.sp_established ())
-        (clone.Bgp.Speaker.sp_established ())
-
-let codec_cross_implementation () =
-  (* Export a bird-like node, import it as a Sparrow: the selected
-     routes survive the implementation change. *)
-  let build = deploy_line 3 in
-  let sp = Topology.Build.speaker build 1 in
-  let text = Snapshot.Codec.export sp in
-  let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  List.iter (fun id -> Netsim.Network.add_node net id (fun ~src:_ _ -> ())) [ 0; 1; 2 ];
-  Netsim.Network.connect_sym net 0 1 Netsim.Link.ideal;
-  Netsim.Network.connect_sym net 1 2 Netsim.Link.ideal;
-  match Snapshot.Codec.import ~impl:`Sparrow ~net text with
-  | Error msg -> Alcotest.fail msg
-  | Ok clone ->
-      check Alcotest.string "implementation switched" "sparrow" clone.Bgp.Speaker.sp_impl;
-      Alcotest.(check bool) "same Loc-RIB prefixes" true
-        (List.map fst (Bgp.Prefix.Map.bindings (Bgp.Speaker.loc_rib clone))
-        = List.map fst (Bgp.Prefix.Map.bindings (Bgp.Speaker.loc_rib sp)))
-
 (* --- cuts under churn --- *)
 
 let cut_aborts_on_dead_peer () =
@@ -312,20 +259,8 @@ let cut_deadline_property =
           in
           ok_kind && Snapshot.Cut.active cut = 0)
 
-let codec_rejects_garbage () =
-  let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  Netsim.Network.add_node net 0 (fun ~src:_ _ -> ());
-  Alcotest.(check bool) "bad header" true
-    (Result.is_error (Snapshot.Codec.import ~net "not a checkpoint"));
-  Alcotest.(check bool) "truncated" true
-    (Result.is_error (Snapshot.Codec.import ~net "dice-checkpoint v1\nnode 0\n"))
-
 let suite =
   [ ("checkpoint: captures state immutably", `Quick, checkpoint_captures_state);
-    ("codec: export/import roundtrip", `Quick, codec_roundtrip);
-    ("codec: cross-implementation import", `Quick, codec_cross_implementation);
-    ("codec: rejects garbage", `Quick, codec_rejects_garbage);
     ("cut: completes over all nodes", `Quick, cut_completes_with_all_nodes);
     ("cut: concurrent snapshots", `Quick, concurrent_cuts);
     ("cut: consistency with in-flight messages", `Quick, cut_captures_in_flight);
