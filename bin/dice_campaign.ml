@@ -5,23 +5,6 @@
    observed), 2 = bad usage / unreadable spec / corrupt journal — so
    CI can gate on the exit code directly. *)
 
-let print_result dir (r : Campaign.Run.result_t) =
-  List.iter (fun w -> Printf.eprintf "warning: %s\n" w) r.r_warnings;
-  let report = r.r_report in
-  Printf.printf
-    "campaign %s: %d/%d job(s) complete (%d executed, %d replayed), %d \
-     signature(s) filed\n"
-    r.r_report.Campaign.Report.r_outcome r.r_completed r.r_total r.r_executed
-    r.r_replayed
-    (List.length r.r_filed);
-  List.iter (fun sg -> Printf.printf "  filed %s\n" sg) r.r_filed;
-  Printf.printf "report: %s\n" (Filename.concat dir "report.json");
-  if report.Campaign.Report.r_gate_failed then begin
-    Printf.printf "health gate FAILED: self-sustaining failure(s) observed\n";
-    1
-  end
-  else 0
-
 let fail msg =
   Printf.eprintf "dice_campaign: %s\n" msg;
   2
@@ -31,20 +14,16 @@ let run_cmd spec_path dir crash_after verbose =
   match Campaign.Spec.load spec_path with
   | Error e -> fail e
   | Ok spec -> (
-      let jobs = List.length (Campaign.Spec.jobs spec) in
-      Printf.printf "campaign %S: %d template(s), %d job(s) -> %s\n"
-        spec.Campaign.Spec.c_name
-        (List.length spec.Campaign.Spec.c_templates)
-        jobs dir;
+      Campaign.Run.print_start ~dir spec;
       match Campaign.Run.start ?crash_after ~log ~dir spec with
       | Error e -> fail e
-      | Ok r -> print_result dir r)
+      | Ok r -> Campaign.Run.print_result ~dir r)
 
 let resume_cmd dir crash_after verbose =
   let log = if verbose then prerr_endline else ignore in
   match Campaign.Run.resume ?crash_after ~log ~dir () with
   | Error e -> fail e
-  | Ok r -> print_result dir r
+  | Ok r -> Campaign.Run.print_result ~dir r
 
 let check_cmd spec_path =
   match Campaign.Spec.load spec_path with

@@ -1,268 +1,180 @@
 (* The demo driver: reproduces the paper's demonstration — DiCE
    executing an exploration experiment over a topology of 27 BGP
    routers under Internet-like conditions — and renders the view the
-   demo GUI showed (Figure 1). *)
+   demo GUI showed (Figure 1).  The flags describe one replayable run,
+   a Triage.Scenario value; the demo executes that value through
+   [Scenario.run_observed] and files detections against the same
+   value, so every repro is the run by construction. *)
 
-let setup_logging verbose =
-  if verbose then begin
-    Logs.set_reporter (Logs_fmt.reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end
+module S = Triage.Scenario
 
-(* "gao-rexford:N" — N routers in the canonical Internet-like tiering;
-   bare "gao-rexford" takes N from --nodes. *)
-let gao_rexford_nodes topo nodes =
-  if String.equal topo "gao-rexford" then Some nodes
-  else
-    match String.index_opt topo ':' with
-    | Some i when String.equal (String.sub topo 0 i) "gao-rexford" -> (
-        let arg = String.sub topo (i + 1) (String.length topo - i - 1) in
-        match int_of_string_opt arg with
-        | Some n when n >= 5 -> Some n
-        | Some _ | None ->
-            failwith
-              (Printf.sprintf "gao-rexford:%s: expected a node count >= 5" arg))
-    | Some _ | None -> None
+let ( let* ) = Result.bind
 
-let make_graph topo nodes seed =
-  match gao_rexford_nodes topo nodes with
-  | Some n -> Topology.Gao_rexford.scale_graph ~nodes:n ~seed
-  | None -> (
-      match topo with
-      | "demo27" -> Topology.Demo27.graph
-      | "gadget" -> Topology.Gadget.embedded ()
-      | "bad-gadget" -> Topology.Gadget.bad_gadget ()
-      | file when String.length file > 1 && file.[0] = '@' -> (
-          match
-            Topology.Topo_file.load (String.sub file 1 (String.length file - 1))
-          with
-          | Ok g -> g
-          | Error msg -> failwith msg)
-      | "random" ->
-          let stub = max 1 (nodes / 2) in
-          let transit = max 1 (nodes - stub - 2) in
-          let t1 = max 1 (nodes - stub - transit) in
-          Topology.Generate.generate
-            ~params:
-              { Topology.Generate.default_params with n_tier1 = t1;
-                n_transit = transit; n_stub = stub }
-            (Netsim.Rng.create seed)
-      | other ->
-          failwith
-            (Printf.sprintf
-               "unknown topology %S \
-                (demo27|gadget|bad-gadget|random|gao-rexford[:N]|@file.topo)"
-               other))
-
-let scenario_of_fault fault =
-  match fault with
-    | "none" -> None
-    | "hijack" -> Some (Dice.Inject.Prefix_hijack { at = 21; victim = 11 })
-    | "martian" -> Some (Dice.Inject.Bogus_netmask { at = 12 })
-    | "dispute" ->
-        Some
-          (Dice.Inject.Policy_dispute
-             { cycle = Topology.Gadget.wheel; victim = Topology.Gadget.victim })
-    | "loop-bug" -> Some (Dice.Inject.Loop_check_bug { at = 3 })
-    | "med-bug" -> Some (Dice.Inject.Inverted_med_bug { at = 3 })
-    | "crash-bug" ->
-        Some (Dice.Inject.Crash_bug { at = 3; community = Bgp.Community.make 64999 13 })
-    | other ->
-        failwith
-          (Printf.sprintf
-             "unknown fault %S (none|hijack|martian|dispute|loop-bug|med-bug|crash-bug)"
-             other)
-
-let inject_scenario build scenario =
-  match scenario with
-  | None -> ()
-  | Some s ->
-      Dice.Inject.apply build s;
-      Printf.printf "injected: %s\n%!" (Dice.Inject.describe s)
-
-(* Under --churn: crash-and-restore ~20% of the nodes and flap ~20% of
-   the links across the whole run, while cuts get a deadline so a lost
-   marker aborts into a Partial instead of stalling the round.  The
-   schedule is built separately from being armed so --corpus can store
-   it in the run's scenario. *)
-let churn_schedule graph seed rounds =
-  let links =
-    List.map (fun (e : Topology.Graph.edge) -> (e.Topology.Graph.a, e.Topology.Graph.b))
-      graph.Topology.Graph.edges
+(* -t NAME as a scenario topology.  "gao-rexford:N" is N routers in
+   the canonical Internet-like tiering (bare "gao-rexford" takes N from
+   --nodes); "@FILE" is carried as Topo_file text. *)
+let topo_of_flag ~nodes ~seed flag =
+  let random (r_tier1, r_transit, r_stub) =
+    S.Random { r_seed = seed; r_tier1; r_transit; r_stub }
   in
-  Netsim.Churn.random
-    ~rng:(Netsim.Rng.create (seed lxor 0xC4A0))
-    ~nodes:(Topology.Graph.node_ids graph)
-    ~links ~start:(Netsim.Time.span_sec 5.)
-    ~duration:(Netsim.Time.span_sec (float_of_int rounds *. 10.))
-    ()
+  let gao_rexford n =
+    match n with
+    | Some n when n >= 5 -> Ok (random (Topology.Gao_rexford.tiering ~nodes:n))
+    | Some _ | None -> Error (flag ^ ": expected a node count >= 5")
+  in
+  let arg k = String.sub flag k (String.length flag - k) in
+  match flag with
+  | "demo27" -> Ok S.Demo27
+  | "gadget" -> Ok S.Gadget
+  | "bad-gadget" -> Ok S.Bad_gadget
+  | "random" ->
+      let stub = max 1 (nodes / 2) in
+      let transit = max 1 (nodes - stub - 2) in
+      Ok (random (max 1 (nodes - stub - transit), transit, stub))
+  | "gao-rexford" -> gao_rexford (Some nodes)
+  | _ when String.starts_with ~prefix:"gao-rexford:" flag ->
+      gao_rexford (int_of_string_opt (arg 12))
+  | _ when String.length flag > 1 && flag.[0] = '@' ->
+      Result.map
+        (fun g -> S.File (Topology.Topo_file.render g))
+        (Topology.Topo_file.load (arg 1))
+  | other ->
+      Error
+        (Printf.sprintf
+           "unknown topology %S \
+            (demo27|gadget|bad-gadget|random|gao-rexford[:N]|@file.topo)"
+           other)
 
-let start_churn build schedule =
-  Printf.printf "churn schedule: %d node crash(es), %d link flap(s)\n%!"
-    (Netsim.Churn.node_crashes schedule)
-    (Netsim.Churn.link_downs schedule);
-  Format.printf "%a%!" Netsim.Churn.pp schedule;
-  ignore (Netsim.Churn.apply build.Topology.Build.net schedule)
+let faults =
+  let open Dice.Inject in
+  [ ("none", None);
+    ("hijack", Some (Prefix_hijack { at = 21; victim = 11 }));
+    ("martian", Some (Bogus_netmask { at = 12 }));
+    ( "dispute",
+      Some (Policy_dispute { cycle = Topology.Gadget.wheel; victim = Topology.Gadget.victim }) );
+    ("loop-bug", Some (Loop_check_bug { at = 3 }));
+    ("med-bug", Some (Inverted_med_bug { at = 3 }));
+    ("crash-bug", Some (Crash_bug { at = 3; community = Bgp.Community.make 64999 13 })) ]
 
-(* Under --adversary: mangle live wire traffic at [rate], absorb (and
-   later restart) routers that die on it, seed a fragile-decode bug on
-   one router so there is a real programming error to surface, and feed
-   the explorer mangled exploration seeds.  At rate 0 the installed
-   mangler draws no randomness and no bug is seeded, so the run is
-   identical to one without --adversary. *)
-let start_adversary build graph seed rate =
-  if rate < 0. || rate > 1. then failwith "mangle rate must be in [0,1]";
-  let net = build.Topology.Build.net in
-  Netsim.Network.set_crash_policy net
-    (Netsim.Network.Absorb { restart_after = Some (Netsim.Time.span_sec 10.) });
-  let m = Netsim.Mangler.create ~seed:(seed lxor 0xAD5E) ~rate () in
-  Netsim.Mangler.install m net;
-  if rate > 0. then begin
-    let ids = Topology.Graph.node_ids graph in
-    let victim = List.nth ids (min 3 (List.length ids - 1)) in
-    let sp = Topology.Build.speaker build victim in
-    sp.Bgp.Speaker.sp_set_bugs
-      { (sp.Bgp.Speaker.sp_bugs ()) with Bgp.Router.fragile_decode = true };
-    Printf.printf
-      "adversary: mangling wire traffic at rate %.3f; seeded fragile-decode bug \
-       at node %d\n%!"
-      rate victim;
-    Some victim
-  end
-  else None
-
-(* Under --confuzz: apply N seeded operator-error config mutations to
-   the live routers before exploring, so DiCE hunts for faults caused
-   by the configuration itself.  At 0 no RNG is created and no config
-   is touched, so the run is identical to one without --confuzz. *)
-let start_confuzz build graph seed n =
+(* Under --confuzz: N seeded operator-error config mutations, each kept
+   iff the stack so far applies to the deployed configs (the config
+   fuzzer's rule).  At 0 no RNG is created, so the run is identical to
+   one without --confuzz. *)
+let draw_confuzz graph seed n =
   if n <= 0 then []
-  else begin
+  else
     let rng = Netsim.Rng.create (seed lxor 0xC0F2) in
     let ctx = Confuzz.Mutation.ctx_of_graph graph in
     let rec gen acc k tries =
       if k = 0 || tries = 0 then List.rev acc
       else
         match Confuzz.Mutation.random ~rng ~parent:(List.rev acc) ctx with
-        | None -> gen acc k (tries - 1)
-        | Some m -> (
-            match
-              Confuzz.Mutation.apply_speaker (Topology.Build.speaker build) m
-            with
-            | Ok () ->
-                Printf.printf "confuzz: %s\n%!" (Confuzz.Mutation.describe m);
-                gen (m :: acc) (k - 1) (tries - 1)
-            | Error _ -> gen acc k (tries - 1))
+        | Some m when Confuzz.Mutation.applies ctx (List.rev (m :: acc)) ->
+            gen (m :: acc) (k - 1) (tries - 1)
+        | Some _ | None -> gen acc k (tries - 1)
     in
     gen [] n (8 * n)
-  end
 
-(* Under --corpus: describe this very run as a replayable triage
-   scenario, so every live detection can be confirmed headlessly,
-   delta-minimized and filed. *)
-let scenario_of_run ~topo ~nodes ~seed ~inject ~rounds ~churn_sched ~mangle
-    ~confuzz ~churned ~cascade =
-  let scenario_topo =
-    match gao_rexford_nodes topo nodes with
-    | Some n ->
-        (* Same generator and seed as [make_graph], so the replay
-           rebuilds the identical graph. *)
-        let r_tier1, r_transit, r_stub = Topology.Gao_rexford.tiering ~nodes:n in
-        Some (Triage.Scenario.Random { r_seed = seed; r_tier1; r_transit; r_stub })
-    | None -> (
-        match topo with
-        | "demo27" -> Some Triage.Scenario.Demo27
-        | "gadget" -> Some Triage.Scenario.Gadget
-        | "bad-gadget" -> Some Triage.Scenario.Bad_gadget
-        | "random" ->
-            let stub = max 1 (nodes / 2) in
-            let transit = max 1 (nodes - stub - 2) in
-            let t1 = max 1 (nodes - stub - transit) in
-            Some
-              (Triage.Scenario.Random
-                 { r_seed = seed; r_tier1 = t1; r_transit = transit; r_stub = stub })
-        | _ -> None  (* @file topologies have no self-contained description *))
-  in
-  Option.map
-    (fun dp_topo ->
-      Triage.Scenario.Deploy
-        { Triage.Scenario.dp_topo;
-          dp_keep = None;
-          dp_seed = seed;
-          dp_inject = inject;
-          dp_settle_sec = 10.;
-          dp_churn = Option.value churn_sched ~default:[];
-          dp_mangle = mangle;
-          dp_confuzz = confuzz;
-          dp_cascade = cascade;
-          dp_mode =
-            Triage.Scenario.Explore
-              { Triage.Scenario.default_exploration with
-                Triage.Scenario.ex_rounds = rounds;
-                ex_mangle_extra = (if mangle <> None then 6 else 0);
-                ex_mangle_seed = (if mangle <> None then seed lxor 0x5EED else 0);
-                ex_deadline_sec = (if churned then Some 30. else None) } })
-    scenario_topo
+(* The run -t/-s/-f/-r/--confuzz describe, before any overlay flag:
+   deploy, inject, mutate, settle 10 s, explore. *)
+let base_deploy ~topo ~graph ~seed ~inject ~rounds ~confuzz =
+  { S.dp_topo = topo;
+    dp_keep = None;
+    dp_seed = seed;
+    dp_inject = inject;
+    dp_settle_sec = 10.;
+    dp_churn = [];
+    dp_mangle = None;
+    dp_confuzz = draw_confuzz graph seed confuzz;
+    dp_cascade = false;
+    dp_mode = S.Explore { S.default_exploration with ex_rounds = rounds } }
 
-(* Under --campaign: run a declarative dice-campaign/1 sweep through the
-   supervising driver instead of a single demo deployment.  The demo's
-   overlay flags compose onto every template: --churn adds a random
-   churn schedule to templates that have none, --adversary arms the
-   wire mangler at --mangle-rate, --cascade re-arms the per-replay
-   detector, --corpus redirects filing, --telemetry wraps the whole
-   campaign in a flight-recorder artifact.  A directory that already
-   holds a journal is resumed rather than restarted. *)
-let overlay_scenario ~churn ~adversary ~mangle_rate ~cascade scenario =
-  match scenario with
-  | Triage.Scenario.Wire _ -> scenario
-  | Triage.Scenario.Deploy d ->
+(* The overlay flags, shared by the single run and every --campaign
+   template.  --churn gives a deployment without churn a schedule that
+   crashes-and-restores ~20% of the nodes and flaps ~20% of the links
+   across the run.  --adversary (at a non-zero --mangle-rate) gives one
+   without wire faults a mangler, a fragile-decode bug on one router
+   and mangled exploration seeds; at rate 0 nothing is added.  Either
+   gives cuts a 30 s deadline, so a lost marker aborts into a Partial
+   instead of stalling the round.  --cascade arms the detector. *)
+let overlay ~churn ~adversary ~mangle_rate ~cascade (d : S.deploy) =
+  let graph = lazy (S.graph_of d) in
+  let seed = d.S.dp_seed in
+  let add_churn = churn && d.S.dp_churn = [] in
+  let add_mangle = adversary && mangle_rate > 0. && d.S.dp_mangle = None in
+  let dp_churn =
+    if not add_churn then d.S.dp_churn
+    else
+      let g = Lazy.force graph in
       let rounds =
-        match d.Triage.Scenario.dp_mode with
-        | Triage.Scenario.Explore e -> e.Triage.Scenario.ex_rounds
-        | Triage.Scenario.Direct _ -> 3
+        match d.S.dp_mode with
+        | S.Explore e when e.S.ex_rounds > 0 -> e.S.ex_rounds
+        | S.Explore _ -> Topology.Graph.size g
+        | S.Direct _ -> 3
       in
-      let dp_churn =
-        if churn && d.Triage.Scenario.dp_churn = [] then
-          churn_schedule (Triage.Scenario.graph_of d) d.Triage.Scenario.dp_seed
-            rounds
-        else d.Triage.Scenario.dp_churn
-      in
-      let dp_mangle =
-        if adversary && mangle_rate > 0. && d.Triage.Scenario.dp_mangle = None
-        then
-          Some
-            { Triage.Scenario.mg_seed = d.Triage.Scenario.dp_seed lxor 0xAD5E;
-              mg_rate = mangle_rate;
-              mg_kinds = [];
-              mg_schedule = [];
-              mg_fragile_node = None }
-        else d.Triage.Scenario.dp_mangle
-      in
-      Triage.Scenario.Deploy
-        { d with
-          Triage.Scenario.dp_churn;
-          dp_mangle;
-          dp_cascade = d.Triage.Scenario.dp_cascade || cascade }
-
-let run_campaign spec_path dir ~churn ~adversary ~mangle_rate ~cascade
-    ~corpus_dir ~telemetry_file ~verbose =
-  let fail msg =
-    Printf.eprintf "dice_demo: %s\n" msg;
-    2
+      let link (e : Topology.Graph.edge) = (e.Topology.Graph.a, e.Topology.Graph.b) in
+      Netsim.Churn.random
+        ~rng:(Netsim.Rng.create (seed lxor 0xC4A0))
+        ~nodes:(Topology.Graph.node_ids g)
+        ~links:(List.map link g.Topology.Graph.edges)
+        ~start:(Netsim.Time.span_sec 5.)
+        ~duration:(Netsim.Time.span_sec (float_of_int rounds *. 10.))
+        ()
   in
+  let dp_mangle =
+    if not add_mangle then d.S.dp_mangle
+    else
+      let ids = Topology.Graph.node_ids (Lazy.force graph) in
+      Some
+        { S.mg_seed = seed lxor 0xAD5E;
+          mg_rate = mangle_rate;
+          mg_kinds = [];
+          mg_schedule = [];
+          mg_fragile_node = Some (List.nth ids (min 3 (List.length ids - 1))) }
+  in
+  let dp_mode =
+    match d.S.dp_mode with
+    | S.Explore e when add_churn || add_mangle ->
+        let e =
+          { e with
+            S.ex_deadline_sec = Some (Option.value e.S.ex_deadline_sec ~default:30.) }
+        in
+        if add_mangle then
+          S.Explore { e with S.ex_mangle_extra = 6; ex_mangle_seed = seed lxor 0x5EED }
+        else S.Explore e
+    | m -> m
+  in
+  { d with S.dp_churn; dp_mangle; dp_cascade = d.S.dp_cascade || cascade; dp_mode }
+
+let fail msg =
+  Printf.eprintf "dice_demo: %s\n" msg;
+  2
+
+let with_telemetry file ~attrs f =
+  match file with
+  | None -> f ()
+  | Some path ->
+      let r = Telemetry.with_jsonl path ~attrs f in
+      Printf.printf "wrote telemetry to %s\n%!" path;
+      r
+
+(* Under --campaign: run a dice-campaign/1 sweep through the
+   supervising driver instead of a single deployment, with the overlay
+   flags on every template, --corpus redirecting filing and --telemetry
+   one artifact for the whole sweep.  A directory that already holds a
+   journal is resumed rather than restarted. *)
+let run_campaign ~overlay spec_path dir ~corpus_dir ~telemetry_file ~verbose =
   match Campaign.Spec.load spec_path with
   | Error e -> fail e
   | Ok spec -> (
+      let overlay (t : Campaign.Spec.template) =
+        match t.Campaign.Spec.t_scenario with
+        | S.Wire _ -> t
+        | S.Deploy d -> { t with Campaign.Spec.t_scenario = S.Deploy (overlay d) }
+      in
       let spec =
         { spec with
-          Campaign.Spec.c_templates =
-            List.map
-              (fun (t : Campaign.Spec.template) ->
-                { t with
-                  Campaign.Spec.t_scenario =
-                    overlay_scenario ~churn ~adversary ~mangle_rate ~cascade
-                      t.Campaign.Spec.t_scenario })
-              spec.Campaign.Spec.c_templates }
+          Campaign.Spec.c_templates = List.map overlay spec.Campaign.Spec.c_templates }
       in
       let log = if verbose then prerr_endline else ignore in
       let go () =
@@ -271,168 +183,65 @@ let run_campaign spec_path dir ~churn ~adversary ~mangle_rate ~cascade
           Campaign.Run.resume ~log ?corpus_dir ~dir ()
         end
         else begin
-          Printf.printf "campaign %S: %d template(s), %d job(s) -> %s\n%!"
-            spec.Campaign.Spec.c_name
-            (List.length spec.Campaign.Spec.c_templates)
-            (List.length (Campaign.Spec.jobs spec))
-            dir;
+          Campaign.Run.print_start ~dir spec;
           Campaign.Run.start ~log ?corpus_dir ~dir spec
         end
       in
-      let result =
-        match telemetry_file with
-        | None -> go ()
-        | Some path ->
-            let r =
-              Telemetry.with_jsonl path
-                ~attrs:
-                  [ ("campaign", Telemetry.Json.String spec.Campaign.Spec.c_name) ]
-                go
-            in
-            Printf.printf "wrote telemetry to %s\n%!" path;
-            r
-      in
-      match result with
+      let attrs = [ ("campaign", Telemetry.Json.String spec.Campaign.Spec.c_name) ] in
+      match with_telemetry telemetry_file ~attrs go with
       | Error e -> fail e
-      | Ok r ->
-          List.iter (fun w -> Printf.eprintf "warning: %s\n" w) r.Campaign.Run.r_warnings;
-          Printf.printf
-            "campaign %s: %d/%d job(s) complete (%d executed, %d replayed), \
-             %d signature(s) filed\n"
-            r.Campaign.Run.r_report.Campaign.Report.r_outcome
-            r.Campaign.Run.r_completed r.Campaign.Run.r_total
-            r.Campaign.Run.r_executed r.Campaign.Run.r_replayed
-            (List.length r.Campaign.Run.r_filed);
-          Printf.printf "report: %s\n" (Filename.concat dir "report.json");
-          if r.Campaign.Run.r_report.Campaign.Report.r_gate_failed then begin
-            print_endline "health gate FAILED: self-sustaining failure(s) observed";
-            1
-          end
-          else 0)
+      | Ok r -> Campaign.Run.print_result ~dir r)
 
-let run topo nodes seed fault rounds churn adversary mangle_rate confuzz
-    cascade corpus_dir dot_file telemetry_file report verbose campaign
-    campaign_dir =
-  (match campaign with
-  | Some spec_path ->
-      exit
-        (run_campaign spec_path campaign_dir ~churn ~adversary ~mangle_rate
-           ~cascade ~corpus_dir ~telemetry_file ~verbose)
-  | None -> ());
-  setup_logging verbose;
-  let graph = make_graph topo nodes seed in
-  Printf.printf "deploying %s\n%!" (Topology.Render.summary_line graph);
-  let build = Topology.Build.deploy ~seed graph in
-  Topology.Build.start_all build;
-  if not (Topology.Build.converge build) then
-    print_endline "warning: live system did not quiesce (expected under dispute wheels)";
+(* Printed once the deployment is configured, before it settles. *)
+let print_plan ~corpus_dir ~rounds (d : S.deploy) build =
   Printf.printf "live: %d routes, %d sessions established\n%!"
     (Topology.Build.total_loc_routes build)
     (Topology.Build.established_sessions build);
-  let inject = scenario_of_fault fault in
-  inject_scenario build inject;
-  let confuzz_ms = start_confuzz build graph seed confuzz in
-  Topology.Build.run_for build (Netsim.Time.span_sec 10.);
-  let gt = Dice.Checks.ground_truth_of_graph graph in
-  let rounds =
-    match rounds with Some r -> r | None -> Topology.Graph.size graph
-  in
-  let fragile = if adversary then start_adversary build graph seed mangle_rate else None in
-  let adversary_on = adversary && mangle_rate > 0. in
-  let churn_sched = if churn then Some (churn_schedule graph seed rounds) else None in
-  let params =
-    let base =
-      match churn_sched with
-      | Some sched ->
-          start_churn build sched;
-          Some
-            { Dice.Explorer.default_params with
-              snapshot_deadline = Some (Netsim.Time.span_sec 30.) }
-      | None -> None
-    in
-    if adversary_on then
-      (* Mangled live traffic can cost the cut a marker (a crashed
-         router drops everything until its restart), so adversarial
-         runs need the deadline too. *)
-      let p = Option.value base ~default:Dice.Explorer.default_params in
-      Some
-        { p with
-          snapshot_deadline = Some (Netsim.Time.span_sec 30.);
-          mangle_extra = 6;
-          mangle_seed = seed lxor 0x5EED }
-    else base
-  in
-  let collector =
-    match corpus_dir with
-    | None -> None
-    | Some dir -> (
-        let mangle =
-          if adversary_on then
-            Some
-              { Triage.Scenario.mg_seed = seed lxor 0xAD5E;
-                mg_rate = mangle_rate;
-                mg_kinds = [];
-                mg_schedule = [];
-                mg_fragile_node = fragile }
-          else None
-        in
-        match
-          scenario_of_run ~topo ~nodes ~seed ~inject ~rounds ~churn_sched
-            ~mangle ~confuzz:confuzz_ms ~churned:(churn || adversary_on)
-            ~cascade
-        with
-        | None ->
-            print_endline
-              "warning: --corpus needs a self-contained topology \
-               (demo27|gadget|random); detections will not be filed";
-            None
-        | Some scenario ->
-            Printf.printf "corpus: filing minimized repros into %s\n%!" dir;
-            Some
-              (Triage.Auto.collector ~max_tests:60 ~corpus_dir:dir ~scenario
-                 ~graph ()))
-  in
-  let on_fault = Option.map Triage.Auto.hook collector in
+  let describe fmt f x = Printf.printf fmt (f x) in
+  Option.iter (describe "injected: %s\n%!" Dice.Inject.describe) d.S.dp_inject;
+  List.iter (describe "confuzz: %s\n%!" Confuzz.Mutation.describe) d.S.dp_confuzz;
+  (match d.S.dp_mangle with
+  | Some { S.mg_rate; mg_fragile_node = Some node; _ } ->
+      Printf.printf
+        "adversary: mangling wire traffic at rate %.3f; seeded fragile-decode bug \
+         at node %d\n%!"
+        mg_rate node
+  | Some _ | None -> ());
+  if d.S.dp_churn <> [] then begin
+    Printf.printf "churn schedule: %d node crash(es), %d link flap(s)\n%!"
+      (Netsim.Churn.node_crashes d.S.dp_churn)
+      (Netsim.Churn.link_downs d.S.dp_churn);
+    Format.printf "%a%!" Netsim.Churn.pp d.S.dp_churn
+  end;
+  Option.iter (Printf.printf "corpus: filing minimized repros into %s\n%!") corpus_dir;
   Printf.printf "running DiCE for %d exploration rounds%s%s...\n%!" rounds
-    (if churn then " under churn" else "")
-    (if adversary_on then " under adversarial wire faults" else "");
-  let explore () =
-    if not cascade then Dice.Orchestrator.run ?params ?on_fault ~build ~gt ~rounds ()
-    else
-      (* The monitor tees whatever sink is current (the --telemetry
-         artifact included) with its own bounded ring, and the
-         orchestrator polls it after every round — cascades surface
-         while the deployment is still oscillating, and flow into
-         --corpus like any other detection. *)
-      Cascade.Online.with_monitor @@ fun mon ->
-      Dice.Orchestrator.run ?params ?on_fault
-        ~probe:(fun () -> Cascade.Online.probe mon)
-        ~on_cascade:(fun f -> Format.printf "cascade detected: %a@." Dice.Fault.pp f)
-        ~build ~gt ~rounds ()
-  in
-  let summary =
-    match telemetry_file with
-    | None -> explore ()
-    | Some path ->
-        (* The orchestrator re-installs the sim clock at run entry, but
-           the run header is written before that — install it here so
-           even the header timestamp is simulated time. *)
-        Telemetry.set_clock (fun () ->
-            Netsim.Time.to_us (Netsim.Engine.now build.Topology.Build.engine));
-        let summary =
-          Telemetry.with_jsonl path
-            ~attrs:
-              [ ("topology", Telemetry.Json.String topo);
-                ("seed", Telemetry.Json.Int seed);
-                ("fault", Telemetry.Json.String fault);
-                ("rounds", Telemetry.Json.Int rounds);
-                ("churn", Telemetry.Json.Bool churn);
-                ("adversary", Telemetry.Json.Bool adversary_on) ]
-            explore
-        in
-        Printf.printf "wrote telemetry to %s\n%!" path;
-        summary
-  in
+    (if d.S.dp_churn <> [] then " under churn" else "")
+    (if d.S.dp_mangle <> None then " under adversarial wire faults" else "")
+
+let print_filed collector =
+  match Triage.Auto.filed collector with
+  | [] -> print_endline "corpus: no detections to file."
+  | filed ->
+      List.iter
+        (fun (fd : Triage.Auto.filed) ->
+          let sg = Triage.Signature.to_string fd.Triage.Auto.fd_signature in
+          match (fd.Triage.Auto.fd_entry, fd.Triage.Auto.fd_result) with
+          | Some entry, r ->
+              Printf.printf "corpus: filed %s (%s, hits %d)\n%!" sg
+                (match r with
+                | Some r ->
+                    Printf.sprintf "size %d -> %d" r.Triage.Minimize.r_original_size
+                      r.Triage.Minimize.r_minimized_size
+                | None -> "unminimized")
+                entry.Triage.Corpus.e_hits
+          | None, _ ->
+              Printf.printf
+                "corpus: %s detected live but not reproduced headlessly; not \
+                 filed\n%!"
+                sg)
+        filed
+
+let render ~graph ~collector ~dot_file ~report (summary : Dice.Orchestrator.summary) =
   let annotations =
     List.filter_map
       (fun (r : Dice.Orchestrator.round) ->
@@ -456,43 +265,85 @@ let run topo nodes seed fault rounds churn adversary mangle_rate confuzz
   | faults ->
       Printf.printf "%d fault(s) detected:\n" (List.length faults);
       List.iter (fun f -> Format.printf "  %a@." Dice.Fault.pp f) faults);
-  (match collector with
-  | None -> ()
-  | Some c -> (
-      match Triage.Auto.filed c with
-      | [] -> print_endline "corpus: no detections to file."
-      | filed ->
-          List.iter
-            (fun (fd : Triage.Auto.filed) ->
-              match (fd.Triage.Auto.fd_entry, fd.Triage.Auto.fd_result) with
-              | Some entry, Some r ->
-                  Printf.printf "corpus: filed %s (size %d -> %d, hits %d)\n%!"
-                    (Triage.Signature.to_string fd.Triage.Auto.fd_signature)
-                    r.Triage.Minimize.r_original_size
-                    r.Triage.Minimize.r_minimized_size
-                    entry.Triage.Corpus.e_hits
-              | Some entry, None ->
-                  Printf.printf "corpus: filed %s (unminimized, hits %d)\n%!"
-                    (Triage.Signature.to_string fd.Triage.Auto.fd_signature)
-                    entry.Triage.Corpus.e_hits
-              | None, _ ->
-                  Printf.printf
-                    "corpus: %s detected live but not reproduced headlessly; \
-                     not filed\n%!"
-                    (Triage.Signature.to_string fd.Triage.Auto.fd_signature))
-            filed));
+  Option.iter print_filed collector;
   if report then begin
     print_newline ();
     print_endline "telemetry report:";
     Format.printf "%a%!" Telemetry.report ()
   end;
-  match dot_file with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Topology.Render.dot ~annotations graph);
-      close_out oc;
-      Printf.printf "wrote Graphviz rendering to %s\n" path
-  | None -> ()
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Topology.Render.dot ~annotations graph));
+      Printf.printf "wrote Graphviz rendering to %s\n" path)
+    dot_file
+
+(* Every flag is resolved before anything is deployed: a bad value is
+   an [Error] (a usage error); a scenario that cannot be set up exits
+   2. *)
+let run topo nodes seed (fault, inject) rounds churn adversary mangle_rate
+    confuzz cascade corpus_dir dot_file telemetry_file report verbose campaign
+    campaign_dir =
+  if verbose then begin
+    Logs.set_reporter (Logs_fmt.reporter ());
+    Logs.set_level (Some Logs.Debug)
+  end;
+  let* () =
+    if mangle_rate < 0. || mangle_rate > 1. then Error "--mangle-rate must be in [0,1]"
+    else if Option.fold rounds ~none:false ~some:(fun r -> r < 1) then
+      Error "--rounds must be at least 1"
+    else Ok ()
+  in
+  let overlay = overlay ~churn ~adversary ~mangle_rate ~cascade in
+  match campaign with
+  | Some spec_path ->
+      Ok
+        (run_campaign ~overlay spec_path campaign_dir ~corpus_dir ~telemetry_file
+           ~verbose)
+  | None ->
+      let* topo_v = topo_of_flag ~nodes ~seed topo in
+      let graph = S.base_graph topo_v in
+      let rounds = Option.value rounds ~default:(Topology.Graph.size graph) in
+      let d =
+        overlay (base_deploy ~topo:topo_v ~graph ~seed ~inject ~rounds ~confuzz)
+      in
+      let scenario = S.Deploy d in
+      Printf.printf "deploying %s\n%!" (Topology.Render.summary_line graph);
+      let collector =
+        Option.map
+          (fun dir ->
+            Triage.Auto.collector ~max_tests:60 ~corpus_dir:dir ~scenario ~graph ())
+          corpus_dir
+      in
+      let summary = ref None in
+      let around_explore build explore =
+        (* The orchestrator installs the sim clock at run entry, but the
+           artifact's run header is written before that: install it
+           here so every timestamp is simulated time. *)
+        Telemetry.set_clock (fun () ->
+            Netsim.Time.to_us (Netsim.Engine.now build.Topology.Build.engine));
+        let attrs =
+          Telemetry.Json.
+            [ ("topology", String topo); ("seed", Int seed); ("fault", String fault);
+              ("rounds", Int rounds); ("churn", Bool churn);
+              ("adversary", Bool (d.S.dp_mangle <> None)) ]
+        in
+        let s = with_telemetry telemetry_file ~attrs explore in
+        summary := Some s;
+        s
+      in
+      let on_cascade f = Format.printf "cascade detected: %a@." Dice.Fault.pp f in
+      let o =
+        S.run_observed ~on_deployed:(print_plan ~corpus_dir ~rounds d)
+          ?on_fault:(Option.map Triage.Auto.hook collector)
+          ?on_cascade:(if cascade then Some on_cascade else None)
+          ~around_explore scenario
+      in
+      match (o.S.o_error, !summary) with
+      | None, Some summary ->
+          render ~graph ~collector ~dot_file ~report summary;
+          Ok 0
+      | error, _ -> Ok (fail (Option.value error ~default:"no exploration ran"))
 
 open Cmdliner
 
@@ -517,7 +368,8 @@ let fault =
     "Fault to inject before exploring: none, hijack, martian, dispute \
      (requires -t gadget or -t bad-gadget), loop-bug, med-bug, crash-bug."
   in
-  Arg.(value & opt string "none" & info [ "f"; "fault" ] ~docv:"FAULT" ~doc)
+  let faults = List.map (fun (name, inject) -> (name, (name, inject))) faults in
+  Arg.(value & opt (enum faults) ("none", None) & info [ "f"; "fault" ] ~docv:"FAULT" ~doc)
 
 let rounds =
   let doc = "Exploration rounds (default: one per AS)." in
@@ -534,11 +386,9 @@ let churn =
 let adversary =
   let doc =
     "Inject adversarial wire faults while DiCE runs: mangle live BGP \
-     traffic byte-by-byte (bit flips, truncation, length/marker \
-     corruption, duplication, garbage) at --mangle-rate, seed a \
-     fragile-decode bug on one router, absorb-and-restart routers that \
-     die on malformed input, and feed the explorer mangled exploration \
-     seeds.  Composes with --churn and --telemetry."
+     traffic byte-by-byte at --mangle-rate, seed a fragile-decode bug on \
+     one router, absorb-and-restart routers that die on malformed input, \
+     and feed the explorer mangled exploration seeds."
   in
   Arg.(value & flag & info [ "adversary" ] ~doc)
 
@@ -551,25 +401,20 @@ let mangle_rate =
 
 let confuzz =
   let doc =
-    "Apply $(docv) seeded operator-error configuration mutations (from the \
-     confuzz catalog: constant typos, flipped actions, dropped or shadowed \
-     clauses, dangling map references, mis-tagged TE pins) to the live \
-     routers before exploring.  At 0 the run is bit-identical to one \
-     without --confuzz.  Composes with --churn, --adversary, --telemetry \
-     and --corpus (mutations are recorded in filed scenarios and \
-     delta-minimized like any other schedule)."
+    "Apply $(docv) seeded operator-error configuration mutations (constant \
+     typos, flipped actions, dropped or shadowed clauses, dangling map \
+     references, mis-tagged TE pins) to the routers before exploring.  At \
+     0 the run is bit-identical to one without --confuzz."
   in
   Arg.(value & opt int 0 & info [ "confuzz" ] ~docv:"N" ~doc)
 
 let cascade =
   let doc =
     "Run the online cascade monitor alongside exploration: a bounded ring \
-     of recent telemetry is re-analyzed after every round (causal \
-     propagation graph + flap spectrum), and self-sustaining failures — \
-     route oscillations, flap storms, quarantine ping-pong — surface as \
-     cascade-class faults while the system is still misbehaving.  \
-     Composes with --churn, --adversary, --telemetry and --corpus \
-     (cascade repros replay with the detector re-armed)."
+     of recent telemetry is re-analyzed after every round, and \
+     self-sustaining failures (route oscillations, flap storms, \
+     quarantine ping-pong) surface as cascade-class faults while the \
+     system is still misbehaving."
   in
   Arg.(value & flag & info [ "cascade" ] ~doc)
 
@@ -579,8 +424,7 @@ let corpus_dir =
      (dice-corpus/1): each newly-seen fault signature is confirmed by a \
      headless replay of this very run's scenario, delta-minimized, and \
      stored as a deterministic repro (replay with `dice_triage replay \
-     $(docv)`).  Composes with --churn, --adversary and --telemetry; \
-     requires a self-contained topology (demo27|gadget|random)."
+     $(docv)`)."
   in
   Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"DIR" ~doc)
 
@@ -608,12 +452,11 @@ let verbose =
 let campaign =
   let doc =
     "Run the dice-campaign/1 spec at $(docv) through the supervising \
-     campaign driver instead of a single demo deployment.  Composes with \
-     --churn, --adversary, --cascade (overlaid onto every template), \
-     --corpus (filing directory override) and --telemetry (one artifact \
-     for the whole sweep).  If --campaign-dir already holds a journal the \
-     campaign is resumed.  Exit status follows dice_campaign: 0 clean, 1 \
-     health gate failed, 2 usage or spec errors."
+     campaign driver instead of a single demo deployment, with --churn, \
+     --adversary and --cascade overlaid onto every template, --corpus as \
+     the filing directory and --telemetry one artifact for the sweep.  A \
+     --campaign-dir that holds a journal is resumed.  Exit status follows \
+     dice_campaign: 0 clean, 1 health gate failed, 2 spec errors."
   in
   Arg.(value & opt (some string) None & info [ "campaign" ] ~docv:"SPEC" ~doc)
 
@@ -644,11 +487,14 @@ let cmd =
       `Pre "  dice_demo -f hijack --telemetry run.jsonl --report  # flight recorder";
       `Pre "  dice_demo -f hijack --corpus dice-corpus  # auto-minimize + file repros" ]
   in
+  let status = function Ok code -> `Ok code | Error msg -> `Error (false, msg) in
   Cmd.v
     (Cmd.info "dice_demo" ~version:"1.0.0" ~doc ~man)
     Term.(
-      const run $ topo $ nodes $ seed $ fault $ rounds $ churn $ adversary
-      $ mangle_rate $ confuzz $ cascade $ corpus_dir $ dot_file
-      $ telemetry_file $ report $ verbose $ campaign $ campaign_dir)
+      ret
+        (const status
+        $ (const run $ topo $ nodes $ seed $ fault $ rounds $ churn $ adversary
+          $ mangle_rate $ confuzz $ cascade $ corpus_dir $ dot_file
+          $ telemetry_file $ report $ verbose $ campaign $ campaign_dir)))
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

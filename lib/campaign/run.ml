@@ -463,3 +463,24 @@ let resume ?runner ?pool ?log ?crash_after ?corpus_dir ~dir () =
       Ok
         (drive ?runner ?pool ?log ?crash_after ?corpus_dir ~dir ~writer ~spec
            ~replay ~warnings ()))
+
+let print_start ~dir (spec : Spec.t) =
+  Printf.printf "campaign %S: %d template(s), %d job(s) -> %s\n" spec.Spec.c_name
+    (List.length spec.Spec.c_templates)
+    (List.length (Spec.jobs spec))
+    dir
+
+let print_result ~dir r =
+  List.iter (fun w -> Printf.eprintf "warning: %s\n" w) r.r_warnings;
+  Printf.printf
+    "campaign %s: %d/%d job(s) complete (%d executed, %d replayed), %d \
+     signature(s) filed\n"
+    r.r_report.Report.r_outcome r.r_completed r.r_total r.r_executed r.r_replayed
+    (List.length r.r_filed);
+  List.iter (fun sg -> Printf.printf "  filed %s\n" sg) r.r_filed;
+  Printf.printf "report: %s\n" (report_file dir);
+  if r.r_report.Report.r_gate_failed then begin
+    Printf.printf "health gate FAILED: self-sustaining failure(s) observed\n";
+    1
+  end
+  else 0

@@ -80,3 +80,11 @@ val resume :
     journal so new appends start on a fresh line, then skip completed
     work and continue.  Idempotent: resuming a finished campaign just
     rebuilds the report. *)
+
+val print_start : dir:string -> Spec.t -> unit
+(** The line a fresh run prints before its first job. *)
+
+val print_result : dir:string -> result_t -> int
+(** Print warnings (stderr), the completion line, the filed signatures
+    and the report path; return the exit status: [1] when the health
+    gate failed, else [0]. *)

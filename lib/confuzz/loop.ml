@@ -36,25 +36,6 @@ let m_rounds = Telemetry.Metrics.counter "confuzz.rounds"
 let m_kept = Telemetry.Metrics.counter "confuzz.kept"
 let m_findings = Telemetry.Metrics.counter "confuzz.findings"
 
-(* A stack applies iff folding it over the base configs succeeds; a
-   config-less mutation target (pruned map, already-stripped entry)
-   makes the whole stack inapplicable. *)
-let applies ctx stack =
-  let by_node = Hashtbl.create 8 in
-  List.iter (fun (n, c) -> Hashtbl.replace by_node n c) ctx.Mutation.cx_configs;
-  List.for_all
-    (fun m ->
-      let n = Mutation.node_of m in
-      match Hashtbl.find_opt by_node n with
-      | None -> false
-      | Some cfg -> (
-          match Mutation.apply_config m cfg with
-          | Ok cfg' ->
-              Hashtbl.replace by_node n cfg';
-              true
-          | Error _ -> false))
-    stack
-
 (* One more mutation for [parent].  Under guidance, half the draws aim
    at a random uncovered point and half explore the full catalog —
    pure exploitation would starve the mutation kinds (foreign
@@ -117,7 +98,7 @@ let run ?(params = default_params) ~ctx ~run_mutant () =
         | None -> None
         | Some m ->
             let stack = parent @ [ m ] in
-            if applies ctx stack then Some stack else candidate (tries - 1)
+            if Mutation.applies ctx stack then Some stack else candidate (tries - 1)
     in
     match candidate 8 with
     | None -> ()

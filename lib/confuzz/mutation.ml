@@ -489,6 +489,25 @@ let ctx_of_graph graph =
       List.map (fun id -> (id, Topology.Graph.customers_of graph id)) ids;
     cx_prefixes = List.map (fun id -> (id, Topology.Gao_rexford.prefix_of_node id)) ids }
 
+(* A stack applies iff folding it over the base configs succeeds; a
+   config-less mutation target (pruned map, already-stripped entry)
+   makes the whole stack inapplicable. *)
+let applies ctx stack =
+  let by_node = Hashtbl.create 8 in
+  List.iter (fun (n, c) -> Hashtbl.replace by_node n c) ctx.cx_configs;
+  List.for_all
+    (fun m ->
+      let n = node_of m in
+      match Hashtbl.find_opt by_node n with
+      | None -> false
+      | Some cfg -> (
+          match apply_config m cfg with
+          | Ok cfg' ->
+              Hashtbl.replace by_node n cfg';
+              true
+          | Error _ -> false))
+    stack
+
 let entries_of cfg =
   List.concat_map
     (fun (name, m) -> List.map (fun (e : P.entry) -> (name, e)) m)

@@ -98,6 +98,10 @@ type ctx = {
 val ctx_of_graph : Topology.Graph.t -> ctx
 (** Context for a Gao-Rexford deployment of [graph]. *)
 
+val applies : ctx -> t list -> bool
+(** Does the stack apply, in order, to the configs of [ctx]?  One
+    inapplicable mutation makes the whole stack inapplicable. *)
+
 val random : rng:Netsim.Rng.t -> ?parent:t list -> ctx -> t option
 (** One seeded mutation, uniform over the instantiable catalog.
     [parent] is the mutant being extended: a new {!Te_pin} chains onto

@@ -66,7 +66,3 @@ let file_fault t (f : Dice.Fault.t) =
 let hook t f = ignore (file_fault t f)
 
 let filed t = List.rev t.filed
-
-let file_summary t (summary : Dice.Orchestrator.summary) =
-  List.iter (fun f -> ignore (file_fault t f)) summary.Dice.Orchestrator.faults;
-  filed t

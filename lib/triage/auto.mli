@@ -45,9 +45,5 @@ val hook : t -> Dice.Fault.t -> unit
 val file_fault : t -> Dice.Fault.t -> filed option
 (** Process one fault now; [None] if its signature was already seen. *)
 
-val file_summary : t -> Dice.Orchestrator.summary -> filed list
-(** After-the-fact filing: push every fault of a finished run through
-    the collector, then return everything it has filed so far. *)
-
 val filed : t -> filed list
 (** In processing order. *)

@@ -5,6 +5,7 @@ type topo =
   | Gadget
   | Bad_gadget
   | Random of { r_seed : int; r_tier1 : int; r_transit : int; r_stub : int }
+  | File of string
 
 type mangle = {
   mg_seed : int;
@@ -75,6 +76,7 @@ let base_graph = function
           { Topology.Generate.default_params with
             n_tier1 = r.r_tier1; n_transit = r.r_transit; n_stub = r.r_stub }
         (Netsim.Rng.create r.r_seed)
+  | File text -> Topology.Topo_file.parse_exn text
 
 let graph_of d =
   let g = base_graph d.dp_topo in
@@ -189,7 +191,8 @@ let explorer_params (e : exploration) churned =
              never let a minimization replay stall on it. *)
           if churned then Some (Netsim.Time.span_sec 30.) else None) }
 
-let run_deploy_base ?(on_deployed = fun (_ : Topology.Build.t) -> ())
+let run_deploy ?(on_deployed = fun (_ : Topology.Build.t) -> ())
+    ?on_fault ?on_cascade ?(around_explore = fun _ explore -> explore ())
     ?(on_finished = fun (_ : Topology.Build.t) (_ : Dice.Fault.t list) -> ()) d
     =
   let graph = graph_of d in
@@ -199,10 +202,10 @@ let run_deploy_base ?(on_deployed = fun (_ : Topology.Build.t) -> ())
   (match d.dp_inject with
   | None -> ()
   | Some s -> Dice.Inject.apply build s);
-  (* Config mutations land after injection, like a live [--confuzz]
-     run: each is one operator edit applied to the target speaker.  An
-     inapplicable mutation (pruned map or entry) aborts the replay —
-     the minimizer treats that as a rejected step. *)
+  (* Config mutations land after injection: each is one operator edit
+     applied to the target speaker.  An inapplicable mutation (pruned
+     map or entry) aborts the replay — the minimizer treats that as a
+     rejected step. *)
   List.iter
     (fun m ->
       match Confuzz.Mutation.apply_speaker (Topology.Build.speaker build) m with
@@ -214,9 +217,7 @@ let run_deploy_base ?(on_deployed = fun (_ : Topology.Build.t) -> ())
      but has not yet settled: the observation point for harvesting live
      configs or arming coverage before any route re-propagation. *)
   on_deployed build;
-  (* Settle between injection and the fault schedules — the same
-     sequencing as the live demo, so a scenario lifted from a demo run
-     reproduces its detections. *)
+  (* Settle between injection and arming the fault schedules. *)
   if d.dp_settle_sec > 0. then
     Topology.Build.run_for build (Netsim.Time.span_sec d.dp_settle_sec);
   let net = build.Topology.Build.net in
@@ -262,8 +263,21 @@ let run_deploy_base ?(on_deployed = fun (_ : Topology.Build.t) -> ())
           if e.ex_rounds > 0 then e.ex_rounds
           else match nodes with None -> Topology.Graph.size graph | Some l -> List.length l
         in
-        let summary = Dice.Orchestrator.run ~params ?nodes ~build ~gt ~rounds () in
-        summary.Dice.Orchestrator.faults
+        let orchestrate ?probe () =
+          Dice.Orchestrator.run ~params ?nodes ?on_fault ?probe ?on_cascade ~build
+            ~gt ~rounds ()
+        in
+        let explore () =
+          if not (d.dp_cascade && on_cascade <> None) then orchestrate ()
+          else
+            (* Live cascade detection: the monitor tees whatever sink is
+               current (an [around_explore] artifact included) with its
+               own bounded ring, polled after every round, so cascades
+               surface while the deployment is still oscillating. *)
+            Cascade.Online.with_monitor @@ fun mon ->
+            orchestrate ~probe:(fun () -> Cascade.Online.probe mon) ()
+        in
+        (around_explore build explore).Dice.Orchestrator.faults
   in
   (* The network is still alive here: [on_finished] can read RIBs and
      speaker configs for the final state the checkers judged. *)
@@ -272,26 +286,24 @@ let run_deploy_base ?(on_deployed = fun (_ : Topology.Build.t) -> ())
     o_faults = faults;
     o_error = None }
 
-(* A cascade scenario re-runs the whole-timeline detector over the
-   replay's own telemetry: a ring wide enough for the full deployment
-   captures the loc-rib flips and supervisor decisions, and any
-   cascade found joins the outcome exactly as in the live run — so
+(* A replayed cascade scenario re-runs the whole-timeline detector over
+   the replay's own telemetry: a ring wide enough for the full
+   deployment captures the loc-rib flips and supervisor decisions, and
+   any cascade found joins the outcome like a live detection — so
    [detects] and the corpus replayer treat cascade signatures like any
-   other. *)
-let run_deploy ?on_deployed ?on_finished d =
-  if not d.dp_cascade then run_deploy_base ?on_deployed ?on_finished d
-  else
-    Cascade.Online.with_monitor ~capacity:65536 @@ fun mon ->
-    let o = run_deploy_base ?on_deployed ?on_finished d in
-    let cascade_faults = Cascade.Online.probe mon in
-    let graph = graph_of d in
-    { o with
-      o_faults = o.o_faults @ cascade_faults;
-      o_signatures =
-        o.o_signatures
-        @ List.map (Dice.Signature.of_fault ~graph) cascade_faults }
+   other.  A live run ([on_cascade] given) probes per round instead. *)
+let with_whole_run_cascade d run =
+  Cascade.Online.with_monitor ~capacity:65536 @@ fun mon ->
+  let o = run () in
+  let cascade_faults = Cascade.Online.probe mon in
+  let graph = graph_of d in
+  { o with
+    o_faults = o.o_faults @ cascade_faults;
+    o_signatures =
+      o.o_signatures @ List.map (Dice.Signature.of_fault ~graph) cascade_faults }
 
-let run_observed ?on_deployed ?on_finished t =
+let run_observed ?on_deployed ?on_fault ?on_cascade ?around_explore ?on_finished
+    t =
   (* A nested deployment installs its own telemetry clock; restore the
      caller's so an outer live run's timeline survives the replay. *)
   let saved_clock = Telemetry.current_clock () in
@@ -301,7 +313,13 @@ let run_observed ?on_deployed ?on_finished t =
       match t with
       | Wire bytes -> run_wire bytes
       | Deploy d -> (
-          try run_deploy ?on_deployed ?on_finished d
+          let run () =
+            run_deploy ?on_deployed ?on_fault ?on_cascade ?around_explore
+              ?on_finished d
+          in
+          try
+            if d.dp_cascade && on_cascade = None then with_whole_run_cascade d run
+            else run ()
           with e ->
             (* A scenario that cannot even be set up (pruned-away inject
                target, missing speaker, stalled cut) detects nothing —
@@ -328,6 +346,7 @@ let json_of_topo = function
           ("tier1", J.Int r.r_tier1);
           ("transit", J.Int r.r_transit);
           ("stub", J.Int r.r_stub) ]
+  | File text -> J.Obj [ ("name", J.String "file"); ("text", J.String text) ]
 
 let json_of_inject (s : Dice.Inject.scenario) =
   match s with
@@ -463,6 +482,9 @@ let topo_of_json j =
       let* r_transit = int_field "transit" j in
       let* r_stub = int_field "stub" j in
       Ok (Random { r_seed; r_tier1; r_transit; r_stub })
+  | "file" ->
+      let* text = string_field "text" j in
+      Ok (File text)
   | other -> Error (Printf.sprintf "unknown topo %S" other)
 
 let inject_of_json j =

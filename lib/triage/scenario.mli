@@ -18,6 +18,9 @@ type topo =
   | Gadget  (** {!Topology.Gadget.embedded}, 12 nodes *)
   | Bad_gadget  (** {!Topology.Gadget.bad_gadget}, 4 nodes *)
   | Random of { r_seed : int; r_tier1 : int; r_transit : int; r_stub : int }
+  | File of string
+      (** a topology carried as {!Topology.Topo_file} text, so a
+          scenario over a file topology stays self-contained *)
 
 type mangle = {
   mg_seed : int;
@@ -124,17 +127,35 @@ val run : t -> outcome
 
 val run_observed :
   ?on_deployed:(Topology.Build.t -> unit) ->
+  ?on_fault:(Dice.Fault.t -> unit) ->
+  ?on_cascade:(Dice.Fault.t -> unit) ->
+  ?around_explore:
+    (Topology.Build.t ->
+    (unit -> Dice.Orchestrator.summary) ->
+    Dice.Orchestrator.summary) ->
   ?on_finished:(Topology.Build.t -> Dice.Fault.t list -> unit) ->
   t ->
   outcome
-(** {!run} with observation hooks for the repair engine (both ignored
-    for [Wire] scenarios).  [on_deployed] fires once the deployment is
-    fully configured — inject and confuzz mutations applied — but
-    before settling, the point to harvest live configs or arm
-    {!Bgp.Clause_cov}.  [on_finished] fires after fault collection with
-    the network still alive, so RIBs and final configs are readable.
-    Hook exceptions propagate into [o_error] like any setup failure;
-    the hooks never change what the replay detects. *)
+(** {!run} with observers: the repair engine's hooks and everything a
+    live run adds (all ignored for [Wire] scenarios).  [on_deployed]
+    fires once the deployment is fully configured — inject and confuzz
+    mutations applied — but before settling, the point to harvest live
+    configs or arm {!Bgp.Clause_cov}.  [on_finished] fires after fault
+    collection with the network still alive, so RIBs and final configs
+    are readable.
+
+    In [Explore] mode, [on_fault] and [on_cascade] are passed to
+    {!Dice.Orchestrator.run}, and [around_explore build explore] wraps
+    the exploration once every schedule is armed — the point to
+    install a telemetry artifact; its result is the run's summary.
+    Given [on_cascade], a [dp_cascade] scenario detects cascades live:
+    a bounded monitor installed inside [around_explore] and probed
+    after every round, instead of the replay's whole-run monitor
+    probed once at the end.
+
+    Hook exceptions propagate into [o_error] like any setup failure.
+    Apart from that cascade monitor, the hooks never change what the
+    run detects. *)
 
 val detects : t -> Dice.Signature.t -> bool
 (** [detects t sg] — does one replay of [t] report [sg]?  The

@@ -27,4 +27,5 @@ let () =
       ("cascade", Test_cascade.suite);
       ("campaign", Test_campaign.suite);
       ("repair", Test_repair.suite);
-      ("artifact", Test_artifact.suite) ]
+      ("artifact", Test_artifact.suite);
+      ("demo", Test_demo.suite) ]

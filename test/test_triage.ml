@@ -191,13 +191,23 @@ let scenario_json_roundtrip () =
             { dr_node = 0; dr_peer = 1; dr_input = Some [ ("community", 3) ] } }
   in
   let wire = Triage.Scenario.Wire "\x00\xff\x7f framed \n bytes" in
+  (* A @FILE topology travels as its Topo_file text. *)
+  let text = Topology.Topo_file.render (Triage.Scenario.base_graph small_random) in
+  let file_topo =
+    match hijack_explore with
+    | Triage.Scenario.Deploy d ->
+        Triage.Scenario.Deploy { d with dp_topo = Triage.Scenario.File text }
+    | w -> w
+  in
+  check Alcotest.string "file topology rebuilds its graph" text
+    (Topology.Topo_file.render (Triage.Scenario.base_graph (Triage.Scenario.File text)));
   List.iter
     (fun s ->
       match Triage.Scenario.of_string (Triage.Scenario.to_string s) with
       | Ok s' ->
           Alcotest.(check bool) "round-trips" true (Triage.Scenario.equal s s')
       | Error e -> Alcotest.failf "scenario decode failed: %s" e)
-    [ rich; wire; hijack_explore; dispute_direct ];
+    [ rich; wire; hijack_explore; dispute_direct; file_topo ];
   Alcotest.(check bool)
     "garbage rejected" true
     (Result.is_error (Triage.Scenario.of_string "{\"scenario\":\"nope\"}"))
