@@ -1,30 +1,24 @@
-type what =
-  | Wmatch of int * bool
-  | Waction
-  | Wset of int
-  | Wfall
+type point = { pt_site : Policy.cov_site; pt_seq : int; pt_what : Policy.cov_point }
 
-type point = { pt_node : int; pt_map : string; pt_seq : int; pt_what : what }
+let what_rank : Policy.cov_point -> int = function
+  | Cov_match _ -> 0
+  | Cov_action -> 1
+  | Cov_set _ -> 2
+  | Cov_fallthrough -> 3
 
-let what_rank = function
-  | Wmatch _ -> 0
-  | Waction -> 1
-  | Wset _ -> 2
-  | Wfall -> 3
-
-let compare_what a b =
+let compare_what (a : Policy.cov_point) (b : Policy.cov_point) =
   match (a, b) with
-  | Wmatch (i, oi), Wmatch (j, oj) ->
-      let c = Int.compare i j in
-      if c <> 0 then c else Bool.compare oi oj
-  | Wset i, Wset j -> Int.compare i j
+  | Cov_match a, Cov_match b ->
+      let c = Int.compare a.idx b.idx in
+      if c <> 0 then c else Bool.compare a.outcome b.outcome
+  | Cov_set i, Cov_set j -> Int.compare i j
   | _ -> Int.compare (what_rank a) (what_rank b)
 
 let compare_point a b =
-  let c = Int.compare a.pt_node b.pt_node in
+  let c = Int.compare a.pt_site.cs_node b.pt_site.cs_node in
   if c <> 0 then c
   else
-    let c = String.compare a.pt_map b.pt_map in
+    let c = String.compare a.pt_site.cs_map b.pt_site.cs_map in
     if c <> 0 then c
     else
       let c = Int.compare a.pt_seq b.pt_seq in
@@ -33,12 +27,13 @@ let compare_point a b =
 let id_of p =
   let what =
     match p.pt_what with
-    | Wmatch (i, o) -> Printf.sprintf "m%d=%c" i (if o then 'T' else 'F')
-    | Waction -> "act"
-    | Wset i -> Printf.sprintf "s%d" i
-    | Wfall -> "fall"
+    | Cov_match { idx; outcome } ->
+        Printf.sprintf "m%d=%c" idx (if outcome then 'T' else 'F')
+    | Cov_action -> "act"
+    | Cov_set i -> Printf.sprintf "s%d" i
+    | Cov_fallthrough -> "fall"
   in
-  Printf.sprintf "n%d/%s/e%d/%s" p.pt_node p.pt_map p.pt_seq what
+  Printf.sprintf "n%d/%s/e%d/%s" p.pt_site.cs_node p.pt_site.cs_map p.pt_seq what
 
 (* Universe and counter cache.  The mutex guards the hashtables only;
    hit counts themselves are Metrics counters (atomic) so the observer
@@ -68,19 +63,7 @@ let on = Atomic.make false
 let enabled () = Atomic.get on
 
 let record site ~seq pt =
-  let what =
-    match (pt : Policy.cov_point) with
-    | Policy.Cov_match { idx; outcome } -> Wmatch (idx, outcome)
-    | Policy.Cov_action -> Waction
-    | Policy.Cov_set i -> Wset i
-    | Policy.Cov_fallthrough -> Wfall
-  in
-  let p =
-    { pt_node = site.Policy.cs_node;
-      pt_map = site.Policy.cs_map;
-      pt_seq = seq;
-      pt_what = what }
-  in
+  let p = { pt_site = site; pt_seq = seq; pt_what = pt } in
   let c = with_lock (fun () -> add_point p) in
   Telemetry.Metrics.incr c
 
@@ -101,20 +84,21 @@ let register_config ~node (cfg : Config.t) =
   with_lock (fun () ->
       List.iter
         (fun (name, map) ->
-          let pt seq what = { pt_node = node; pt_map = name; pt_seq = seq; pt_what = what } in
+          let site = { Policy.cs_node = node; cs_map = name } in
+          let add seq what =
+            ignore (add_point { pt_site = site; pt_seq = seq; pt_what = what })
+          in
           List.iter
             (fun (e : Policy.entry) ->
               List.iteri
-                (fun i _ ->
-                  ignore (add_point (pt e.Policy.seq (Wmatch (i, true))));
-                  ignore (add_point (pt e.Policy.seq (Wmatch (i, false)))))
-                e.Policy.matches;
-              ignore (add_point (pt e.Policy.seq Waction));
-              List.iteri
-                (fun i _ -> ignore (add_point (pt e.Policy.seq (Wset i))))
-                e.Policy.sets)
+                (fun idx _ ->
+                  add e.seq (Cov_match { idx; outcome = true });
+                  add e.seq (Cov_match { idx; outcome = false }))
+                e.matches;
+              add e.seq Cov_action;
+              List.iteri (fun i _ -> add e.seq (Cov_set i)) e.sets)
             map;
-          ignore (add_point (pt (-1) Wfall)))
+          add (-1) Cov_fallthrough)
         (Config.referenced_maps cfg))
 
 let snapshot () =

@@ -19,13 +19,10 @@
     while disabled, policy evaluation takes the uninstrumented path and
     is bit-identical to a build without this module. *)
 
-type what =
-  | Wmatch of int * bool  (** match clause index, outcome *)
-  | Waction
-  | Wset of int
-  | Wfall  (** per-map default-deny fallthrough; [pt_seq] = -1 *)
-
-type point = { pt_node : int; pt_map : string; pt_seq : int; pt_what : what }
+type point = { pt_site : Policy.cov_site; pt_seq : int; pt_what : Policy.cov_point }
+(** The interpreter's own vocabulary: the site and point
+    {!Policy.apply} reports, with the entry's sequence number ([-1] for
+    {!Policy.Cov_fallthrough}). *)
 
 val id_of : point -> string
 (** Stable id, e.g. ["n4/FROM-PEER/e10/m0=T"]. *)

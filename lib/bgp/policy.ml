@@ -13,7 +13,7 @@ let prefix_rule ?ge ?le p =
 (* Cisco prefix-list semantics: no bound = exact length; [ge] alone
    opens the range up to /32; [le] alone starts it at the rule's own
    length. *)
-let prefix_rule_matches r q =
+let prefix_rule_bounds r =
   let base = Prefix.len r.rule_prefix in
   let lo = Option.value r.ge ~default:base in
   let hi =
@@ -22,6 +22,10 @@ let prefix_rule_matches r q =
     | None, Some _ -> 32
     | None, None -> base
   in
+  (lo, hi)
+
+let prefix_rule_matches r q =
+  let lo, hi = prefix_rule_bounds r in
   Prefix.subsumes r.rule_prefix q && Prefix.len q >= lo && Prefix.len q <= hi
 
 type as_path_test =
@@ -107,51 +111,44 @@ let observer : cov_observer option Atomic.t = Atomic.make None
 let set_cov_observer f = Atomic.set observer f
 let cov_on () = Atomic.get observer <> None
 
-let apply_plain t prefix attrs =
-  let rec go = function
-    | [] -> None
-    | e :: rest ->
-        if List.for_all (fun m -> matches_route m prefix attrs) e.matches then
-          match e.action with
-          | Deny -> None
-          | Permit -> Some (List.fold_left (fun a s -> apply_set s a) attrs e.sets)
-        else go rest
-  in
-  go t
+(* The one first-match walk: [apply] with or without an observer and
+   [deciding] all go through it, so the observed evaluation order and
+   short-circuiting are the plain one's.  A match clause after a
+   failing one is never evaluated, so a shadowed clause never records
+   a hit.  Points are built only under an observer, and the deciding
+   entry goes straight to [decide], so the plain walk allocates
+   nothing of its own. *)
+let rec holds obs ~seq prefix attrs i = function
+  | [] -> true
+  | m :: ms ->
+      let r = matches_route m prefix attrs in
+      (match obs with
+      | Some f -> f ~seq (Cov_match { idx = i; outcome = r })
+      | None -> ());
+      r && holds obs ~seq prefix attrs (i + 1) ms
 
-(* Same evaluation order and short-circuiting as [apply_plain]: a match
-   clause after a failing one is never evaluated, so a shadowed clause
-   never records a hit. *)
-let apply_observed obs t prefix attrs =
-  let rec go = function
-    | [] ->
-        obs ~seq:(-1) Cov_fallthrough;
-        None
-    | e :: rest ->
-        let rec all i = function
-          | [] -> true
-          | m :: ms ->
-              let r = matches_route m prefix attrs in
-              obs ~seq:e.seq (Cov_match { idx = i; outcome = r });
-              r && all (i + 1) ms
-        in
-        if all 0 e.matches then begin
-          obs ~seq:e.seq Cov_action;
-          match e.action with
-          | Deny -> None
-          | Permit ->
-              let _, attrs =
-                List.fold_left
-                  (fun (i, a) s ->
-                    obs ~seq:e.seq (Cov_set i);
-                    (i + 1, apply_set s a))
-                  (0, attrs) e.sets
-              in
-              Some attrs
-        end
-        else go rest
-  in
-  go t
+let rec first_match obs prefix attrs ~decide = function
+  | [] ->
+      (match obs with Some f -> f ~seq:(-1) Cov_fallthrough | None -> ());
+      None
+  | e :: rest ->
+      if holds obs ~seq:e.seq prefix attrs 0 e.matches then decide obs attrs e
+      else first_match obs prefix attrs ~decide rest
+
+let deciding t prefix attrs =
+  first_match None prefix attrs ~decide:(fun _ _ e -> Some e) t
+
+let rec apply_sets obs ~seq i attrs = function
+  | [] -> attrs
+  | s :: rest ->
+      (match obs with Some f -> f ~seq (Cov_set i) | None -> ());
+      apply_sets obs ~seq (i + 1) (apply_set s attrs) rest
+
+let decide obs attrs e =
+  (match obs with Some f -> f ~seq:e.seq Cov_action | None -> ());
+  match e.action with
+  | Deny -> None
+  | Permit -> Some (apply_sets obs ~seq:e.seq 0 attrs e.sets)
 
 (* --- route tracing -------------------------------------------------- *)
 
@@ -161,14 +158,12 @@ let tracer : trace_observer option Atomic.t = Atomic.make None
 let set_trace_observer f = Atomic.set tracer f
 
 let apply ?site t prefix attrs =
-  let result =
+  let obs =
     match site with
-    | None -> apply_plain t prefix attrs
-    | Some s -> (
-        match Atomic.get observer with
-        | None -> apply_plain t prefix attrs
-        | Some f -> apply_observed (fun ~seq pt -> f s ~seq pt) t prefix attrs)
+    | None -> None
+    | Some s -> Option.map (fun f ~seq pt -> f s ~seq pt) (Atomic.get observer)
   in
+  let result = first_match obs prefix attrs ~decide t in
   (match site with
   | None -> ()
   | Some s -> (
@@ -177,7 +172,7 @@ let apply ?site t prefix attrs =
       | Some f -> f s prefix attrs result));
   result
 
-(* --- constant symbolization ----------------------------------------- *)
+(* --- constant slots --------------------------------------------------- *)
 
 type const_slot =
   | S_action
@@ -198,9 +193,8 @@ let slot_id = function
   | S_add_community i -> Printf.sprintf "s%d.comm" i
 
 let int_of_action = function Permit -> 1 | Deny -> 0
-let action_of_int v = if v <> 0 then Permit else Deny
 
-let entry_slots e =
+let slots e =
   let slots = ref [] in
   let add s v = slots := (s, v) :: !slots in
   add S_action (int_of_action e.action);
@@ -231,65 +225,6 @@ let entry_slots e =
           ())
     e.sets;
   List.rev !slots
-
-let rebuild_entry e subst =
-  let action = action_of_int (subst S_action (int_of_action e.action)) in
-  let matches =
-    List.mapi
-      (fun i m ->
-        match m with
-        | Match_prefix rules ->
-            Match_prefix
-              (List.mapi
-                 (fun j r ->
-                   {
-                     r with
-                     ge = Option.map (fun g -> subst (S_match_ge (i, j)) g) r.ge;
-                     le = Option.map (fun l -> subst (S_match_le (i, j)) l) r.le;
-                   })
-                 rules)
-        | Match_community c ->
-            Match_community
-              (Community.of_int32_exn
-                 (subst (S_match_community i) (Community.to_int c)))
-        | (Match_as_path _ | Match_origin _ | Match_next_hop _) as m -> m)
-      e.matches
-  in
-  let sets =
-    List.mapi
-      (fun i s ->
-        match s with
-        | Set_local_pref v -> Set_local_pref (subst (S_local_pref i) v)
-        | Set_med (Some v) -> Set_med (Some (subst (S_med i) v))
-        | Add_community c ->
-            Add_community
-              (Community.of_int32_exn (subst (S_add_community i) (Community.to_int c)))
-        | ( Set_med None | Set_origin _ | Del_community _ | Prepend_as _
-          | Set_next_hop _ ) as s ->
-            s)
-      e.sets
-  in
-  { e with action; matches; sets }
-
-(* [apply] decides on the FIRST list-order entry with a given seq (maps
-   are not normalized on the hot path), so symbolization targets that
-   same entry: rebuild substitutes into the first occurrence only. *)
-let symbolize ~seq t =
-  match List.find_opt (fun e -> e.seq = seq) t with
-  | None -> None
-  | Some e ->
-      let rebuild subst =
-        let replaced = ref false in
-        List.map
-          (fun e' ->
-            if (not !replaced) && e'.seq = seq then begin
-              replaced := true;
-              rebuild_entry e' subst
-            end
-            else e')
-          t
-      in
-      Some (entry_slots e, rebuild)
 
 let pp_action ppf = function
   | Permit -> Format.pp_print_string ppf "permit"

@@ -11,6 +11,14 @@ type prefix_rule = { rule_prefix : Prefix.t; ge : int option; le : int option }
     match). *)
 
 val prefix_rule : ?ge:int -> ?le:int -> Prefix.t -> prefix_rule
+
+val prefix_rule_bounds : prefix_rule -> int * int
+(** [(lo, hi)], the inclusive prefix-length range the rule accepts
+    (Cisco prefix-list semantics): no bound is the exact length, [ge]
+    alone opens the range up to /32, [le] alone starts it at the rule's
+    own length.  The one statement of this rule; the symbolic mirror
+    and the repair engine read it from here. *)
+
 val prefix_rule_matches : prefix_rule -> Prefix.t -> bool
 
 type as_path_test =
@@ -63,8 +71,9 @@ val apply_set : set_clause -> Attr.t -> Attr.t
 
     When a coverage observer is installed ({!set_cov_observer}) and the
     caller identifies the evaluation with a [?site], {!apply} reports
-    every clause it evaluates and the outcome.  Evaluation order and
-    short-circuiting are identical to the uninstrumented path: a match
+    every clause it evaluates and the outcome.  Observed and plain
+    evaluation are one walk, so order and short-circuiting are
+    identical: a match
     clause after a failing one in the same entry is never evaluated and
     therefore never reported, and an entry shadowed by an earlier
     deciding entry records nothing — shadowed policy text shows up as
@@ -89,6 +98,12 @@ val set_cov_observer : cov_observer option -> unit
 val cov_on : unit -> bool
 (** Is an observer currently installed? *)
 
+val deciding : t -> Prefix.t -> Attr.t -> entry option
+(** The entry that decides a route: the first in list order whose
+    match clauses all hold (maps are not normalized on the hot path),
+    or [None] for the default deny.  {!apply} decides through this
+    same walk. *)
+
 val apply : ?site:cov_site -> t -> Prefix.t -> Attr.t -> Attr.t option
 (** [None] when the route is rejected.  [site] is only used for
     coverage reporting and never changes the result. *)
@@ -107,11 +122,11 @@ type trace_observer = cov_site -> Prefix.t -> Attr.t -> Attr.t option -> unit
 
 val set_trace_observer : trace_observer option -> unit
 
-(** {1 Constant symbolization}
+(** {1 Constant slots}
 
-    The repair engine's hook (DESIGN.md §2.6j): enumerate the tunable integer constants of one entry so a symbolic
-    layer can lift them into solver variables, and rebuild the map with
-    a substitution applied.  Only constants with a natural integer
+    The repair engine's hook (DESIGN.md §2.6j): enumerate the tunable
+    integer constants of one entry so a symbolic layer can lift them
+    into solver variables.  Only constants with a natural integer
     encoding are exposed: the permit/deny bit (1/0), [Set_local_pref]
     and concrete [Set_med] values, community literals in
     [Match_community]/[Add_community] (via {!Community.to_int}), and
@@ -131,14 +146,9 @@ val slot_id : const_slot -> string
 (** Stable short id, e.g. ["s0.lp"], ["m1.r0.ge"] — used to name
     solver variables. *)
 
-val symbolize :
-  seq:int -> t -> ((const_slot * int) list * ((const_slot -> int -> int) -> t)) option
-(** [symbolize ~seq t] targets the {e first} entry in list order with
-    sequence number [seq] (the one {!apply} would reach first, since
-    maps are evaluated unnormalized).  Returns [None] when no entry has
-    that seq; otherwise the slots of that entry with their current
-    values, and a rebuild function: [rebuild subst] is [t] with each
-    slot [s] of value [v] replaced by [subst s v] in that entry.
-    [rebuild (fun _ v -> v)] is structurally equal to [t]. *)
+val slots : entry -> (const_slot * int) list
+(** The entry's slots with their current values: [S_action] first,
+    then match-clause slots, then set-clause slots, each in clause
+    order. *)
 
 val pp : Format.formatter -> t -> unit

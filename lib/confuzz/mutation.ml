@@ -804,11 +804,10 @@ let random ~rng ?(parent = []) ctx =
           attempt 8)
 
 let targeted ~rng ctx (pt : Bgp.Clause_cov.point) =
-  match List.assoc_opt pt.Bgp.Clause_cov.pt_node ctx.cx_configs with
+  let { P.cs_node = node; cs_map = map } = pt.Bgp.Clause_cov.pt_site in
+  match List.assoc_opt node ctx.cx_configs with
   | None -> None
   | Some cfg -> (
-      let node = pt.Bgp.Clause_cov.pt_node in
-      let map = pt.Bgp.Clause_cov.pt_map in
       match C.find_route_map cfg map with
       | None -> None
       | Some m -> (
@@ -829,7 +828,7 @@ let targeted ~rng ctx (pt : Bgp.Clause_cov.point) =
           in
           let clause (e : P.entry) idx = List.nth_opt e.P.matches idx in
           match (pt.Bgp.Clause_cov.pt_what, entry_opt) with
-          | Bgp.Clause_cov.Wmatch (idx, true), Some e -> (
+          | P.Cov_match { idx; outcome = true }, Some e -> (
               (* Make the clause hold where it currently never does. *)
               match clause e idx with
               | Some (P.Match_prefix _) -> widen idx
@@ -845,7 +844,7 @@ let targeted ~rng ctx (pt : Bgp.Clause_cov.point) =
                          { node; map; seq = e.P.seq;
                            idx = (idx + 1) mod List.length e.P.matches })
                   else None)
-          | Bgp.Clause_cov.Wmatch (idx, false), Some e -> (
+          | P.Cov_match { idx; outcome = false }, Some e -> (
               (* Make the clause fail at least once. *)
               match clause e idx with
               | Some (P.Match_prefix _) -> narrow idx
@@ -855,7 +854,7 @@ let targeted ~rng ctx (pt : Bgp.Clause_cov.point) =
                        { node; map; seq = e.P.seq;
                          community = Bgp.Community.make 65000 999 })
               | Some _ | None -> None)
-          | (Bgp.Clause_cov.Waction | Bgp.Clause_cov.Wset _), Some e ->
+          | (P.Cov_action | P.Cov_set _), Some e ->
               (* The entry never decided: widen its conjunction. *)
               if e.P.matches <> [] then
                 Some

@@ -6,14 +6,8 @@ let cval_of_bool b = Cval.concrete (if b then 1 else 0)
 
 let prefix_rule_matches (rule : Bgp.Policy.prefix_rule) (sr : Sym_route.t) =
   let base = Bgp.Prefix.len rule.Bgp.Policy.rule_prefix in
-  let lo = Option.value rule.Bgp.Policy.ge ~default:base in
-  let hi =
-    match (rule.Bgp.Policy.le, rule.Bgp.Policy.ge) with
-    | Some le, _ -> le
-    | None, Some _ -> 32
-    | None, None -> base
-  in
-  let a, b, c, _ = Bgp.Ipv4.to_octets (Bgp.Prefix.addr rule.Bgp.Policy.rule_prefix) in
+  let lo, hi = Bgp.Policy.prefix_rule_bounds rule in
+  let a, b, c, d = Bgp.Ipv4.to_octets (Bgp.Prefix.addr rule.Bgp.Policy.rule_prefix) in
   (* Compare the address octets covered by the rule's own length.  An
      octet covered partially (e.g. a /4 rule) contributes a masked
      comparison on its high bits. *)
@@ -27,11 +21,16 @@ let prefix_rule_matches (rule : Bgp.Policy.prefix_rule) (sr : Sym_route.t) =
         (Cval.band sym_octet (Cval.concrete mask))
         (Cval.concrete (rule_octet land mask))
   in
-  List.fold_left Cval.conj
-    (Cval.in_range sr.Sym_route.sr_prefix_len ~lo ~hi)
-    [ octet_ok 1 a sr.Sym_route.sr_prefix_a;
-      octet_ok 2 b sr.Sym_route.sr_prefix_b;
-      octet_ok 3 c sr.Sym_route.sr_prefix_c ]
+  (* The mirror's fourth NLRI octet is always 0, so a rule with a set
+     bit there (rule prefixes are canonical: only bits past /24) never
+     matches. *)
+  if d <> 0 then cval_of_bool false
+  else
+    List.fold_left Cval.conj
+      (Cval.in_range sr.Sym_route.sr_prefix_len ~lo ~hi)
+      [ octet_ok 1 a sr.Sym_route.sr_prefix_a;
+        octet_ok 2 b sr.Sym_route.sr_prefix_b;
+        octet_ok 3 c sr.Sym_route.sr_prefix_c ]
 
 let as_path_test ~own_asn (test : Bgp.Policy.as_path_test) (sr : Sym_route.t) =
   match test with
@@ -93,24 +92,17 @@ let apply_set ctx ~universe (set : Bgp.Policy.set_clause) (sr : Sym_route.t) =
         Sym_route.sr_path_len = Cval.add sr.Sym_route.sr_path_len (Cval.concrete n) }
   | Bgp.Policy.Set_next_hop _ -> sr
 
+(* First match in list order, as [Bgp.Policy.deciding]: one branch per
+   entry reached, on the conjunction of its match clauses. *)
 let eval ctx ~own_asn ~universe policy sr =
-  let rec go = function
-    | [] -> Denied
-    | (entry : Bgp.Policy.entry) :: rest ->
-        let matches =
-          List.fold_left
-            (fun acc clause ->
-              Cval.conj acc (match_clause ctx ~own_asn ~universe clause sr))
-            (cval_of_bool true) entry.Bgp.Policy.matches
-        in
-        if Ctx.branch ctx matches then
-          match entry.Bgp.Policy.action with
-          | Bgp.Policy.Deny -> Denied
-          | Bgp.Policy.Permit ->
-              Accepted
-                (List.fold_left
-                   (fun sr set -> apply_set ctx ~universe set sr)
-                   sr entry.Bgp.Policy.sets)
-        else go rest
+  let decides (entry : Bgp.Policy.entry) =
+    Ctx.branch ctx
+      (List.fold_left
+         (fun acc clause -> Cval.conj acc (match_clause ctx ~own_asn ~universe clause sr))
+         (cval_of_bool true) entry.Bgp.Policy.matches)
   in
-  go policy
+  match List.find_opt decides policy with
+  | None -> Denied
+  | Some { Bgp.Policy.action = Bgp.Policy.Deny; _ } -> Denied
+  | Some { Bgp.Policy.action = Bgp.Policy.Permit; sets; _ } ->
+      Accepted (List.fold_left (fun sr set -> apply_set ctx ~universe set sr) sr sets)

@@ -82,14 +82,6 @@ let foreign_networks gt configs =
         cfg.C.networks)
     configs
 
-(* First entry in list order whose matches all hold — exactly the one
-   {!Bgp.Policy.apply} lets decide. *)
-let deciding_entry map prefix attrs =
-  List.find_opt
-    (fun (e : P.entry) ->
-      List.for_all (fun m -> P.matches_route m prefix attrs) e.P.matches)
-    map
-
 let prefs_set_by (e : P.entry) =
   List.filter_map
     (function P.Set_local_pref v -> Some v | _ -> None)
@@ -242,7 +234,7 @@ let run ?(negative = []) ?(max_suspects = default_max_suspects) ~target
                     let by_seq = Hashtbl.create 4 in
                     List.iter
                       (fun w ->
-                        match deciding_entry map w.w_prefix w.w_attrs_in with
+                        match P.deciding map w.w_prefix w.w_attrs_in with
                         | None -> ()
                         | Some e ->
                             let l =
@@ -255,7 +247,10 @@ let run ?(negative = []) ?(max_suspects = default_max_suspects) ~target
                     Hashtbl.fold
                       (fun seq ws acc ->
                         let action_id =
-                          Printf.sprintf "n%d/%s/e%d/act" node map_name seq
+                          Bgp.Clause_cov.id_of
+                            { pt_site = { cs_node = node; cs_map = map_name };
+                              pt_seq = seq;
+                              pt_what = Cov_action }
                         in
                         if List.mem action_id negative then acc
                         else

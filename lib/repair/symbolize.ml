@@ -45,8 +45,7 @@ let lookup bindings =
     | None -> v.E.v_lo
 
 (* Split the map at the first entry carrying the suspect seq — the one
-   [Policy.apply] reaches first and the one [Policy.symbolize]
-   rebuilds. *)
+   [Policy.apply] reaches first. *)
 let split_at_seq seq map =
   let rec go before = function
     | [] -> None
@@ -56,13 +55,9 @@ let split_at_seq seq map =
   in
   go [] map
 
-let field_var ctx ~site slot orig =
+let slot_var ~site slot =
   let lo, hi = slot_domain slot in
-  let cv =
-    Concolic.Ctx.field ctx (var_name ~site (P.slot_id slot)) ~lo ~hi
-      ~default:orig
-  in
-  match cv.Concolic.Cval.sym with E.Var v -> v | _ -> assert false
+  E.var (var_name ~site (P.slot_id slot)) ~lo ~hi
 
 let var_of bindings slot =
   List.find_map
@@ -85,22 +80,16 @@ let sym_match bindings (w : Localize.witness) i clause =
              if r.P.ge = None && r.P.le = None then
                bool_e (P.prefix_rule_matches r w.Localize.w_prefix)
              else
-               let base = Bgp.Prefix.len r.P.rule_prefix in
-               let sub = Bgp.Prefix.subsumes r.P.rule_prefix w.Localize.w_prefix in
-               let lo_e =
-                 match (r.P.ge, var_of bindings (P.S_match_ge (i, j))) with
-                 | Some _, Some v -> E.Var v
-                 | _ -> E.Const base
-               in
-               let hi_e =
-                 match (r.P.le, var_of bindings (P.S_match_le (i, j))) with
-                 | Some _, Some v -> E.Var v
-                 | _ -> if r.P.ge <> None then E.Const 32 else E.Const base
+               let lo, hi = P.prefix_rule_bounds r in
+               let bound slot deployed =
+                 match var_of bindings slot with
+                 | Some v -> E.Var v
+                 | None -> E.Const deployed
                in
                conj
-                 [ bool_e sub;
-                   E.Le (lo_e, E.Const qlen);
-                   E.Le (E.Const qlen, hi_e) ])
+                 [ bool_e (Bgp.Prefix.subsumes r.P.rule_prefix w.Localize.w_prefix);
+                   E.Le (bound (P.S_match_ge (i, j)) lo, E.Const qlen);
+                   E.Le (E.Const qlen, bound (P.S_match_le (i, j)) hi) ])
            rules)
   | P.Match_community _ -> (
       match var_of bindings (P.S_match_community i) with
@@ -113,141 +102,124 @@ let sym_match bindings (w : Localize.witness) i clause =
   | P.Match_as_path _ | P.Match_origin _ | P.Match_next_hop _ ->
       bool_e (P.matches_route clause w.Localize.w_prefix w.Localize.w_attrs_in)
 
+(* Lift the constants of [entry] (the suspect; [before] are the entries
+   ahead of it) into solver variables, in slot order, and give for a
+   witness the entry's match formula over them — [None] when an entry
+   ahead of it decides the witness first. *)
+let lift_entry ~site before (entry : P.entry) =
+  let slots =
+    List.stable_sort
+      (fun (a, _) (b, _) -> Int.compare (slot_rank a) (slot_rank b))
+      (P.slots entry)
+  in
+  let bindings =
+    List.map
+      (fun (slot, orig) ->
+        { b_var = slot_var ~site slot;
+          b_slot = Policy_slot slot;
+          b_orig = orig })
+      slots
+  in
+  let entry_match (w : Localize.witness) =
+    match P.deciding before w.Localize.w_prefix w.Localize.w_attrs_in with
+    | Some _ -> None
+    | None ->
+        Some (conj (List.mapi (fun i c -> sym_match bindings w i c) entry.P.matches))
+  in
+  (bindings, entry_match)
+
+let lift ~site ~seq map =
+  Option.map
+    (fun (before, entry, _) -> lift_entry ~site before entry)
+    (split_at_seq seq map)
+
 let policy_site ~target (su : Localize.suspect) site seq =
-  match P.symbolize ~seq su.Localize.su_map with
+  match split_at_seq seq su.Localize.su_map with
   | None -> None
-  | Some (slots, _rebuild) -> (
-      match split_at_seq seq su.Localize.su_map with
-      | None -> None
-      | Some (before, entry, after) ->
-          let slots =
-            List.stable_sort
-              (fun (a, _) (b, _) -> Int.compare (slot_rank a) (slot_rank b))
-              slots
-          in
-          let ctx = Concolic.Ctx.create [] in
-          let bindings =
-            List.map
-              (fun (slot, orig) ->
-                { b_var = field_var ctx ~site slot orig;
-                  b_slot = Policy_slot slot;
-                  b_orig = orig })
-              slots
-          in
-          let conflict =
-            target.Dice.Signature.sg_class = Dice.Fault.Policy_conflict
-          in
-          let alt = su.Localize.su_alt_pref in
-          let action_var =
-            match var_of bindings P.S_action with
-            | Some v -> v
-            | None -> assert false (* symbolize always emits the action *)
-          in
-          let lp_var =
-            (* [apply_set] folds left, so the last Set_local_pref wins. *)
-            List.fold_left
-              (fun acc b ->
-                match b.b_slot with
-                | Policy_slot (P.S_local_pref _) -> Some b.b_var
-                | _ -> acc)
-              None bindings
-          in
-          let witness_detected (w : Localize.witness) =
-            (* A witness an earlier entry already decides never reaches
-               the suspect; record the concrete branch and move on. *)
-            let reaches =
-              List.for_all
-                (fun (e : P.entry) ->
-                  let decided =
-                    List.for_all
-                      (fun m ->
-                        P.matches_route m w.Localize.w_prefix
-                          w.Localize.w_attrs_in)
-                      e.P.matches
-                  in
-                  ignore
-                    (Concolic.Ctx.branch ctx
-                       (Concolic.Cval.concrete (if decided then 0 else 1)));
-                  not decided)
-                before
+  | Some (before, entry, after) ->
+      let bindings, entry_match = lift_entry ~site before entry in
+      let conflict =
+        target.Dice.Signature.sg_class = Dice.Fault.Policy_conflict
+      in
+      let alt = su.Localize.su_alt_pref in
+      let action_var =
+        match var_of bindings P.S_action with
+        | Some v -> v
+        | None -> assert false (* [P.slots] always emits the action *)
+      in
+      let lp_var =
+        (* [apply_set] folds left, so the last Set_local_pref wins. *)
+        List.fold_left
+          (fun acc b ->
+            match b.b_slot with
+            | Policy_slot (P.S_local_pref _) -> Some b.b_var
+            | _ -> acc)
+          None bindings
+      in
+      (* A witness an earlier entry already decides never reaches the
+         suspect and constrains nothing. *)
+      let witness_detected (w : Localize.witness) =
+        Option.map
+          (fun m ->
+            let a = E.Eq (E.Var action_var, E.Const 1) in
+            let pref_out =
+              match lp_var with
+              | Some v -> E.Var v
+              | None ->
+                  E.Const
+                    (Bgp.Attr.effective_local_pref
+                       (match w.Localize.w_out with
+                       | Some o -> o
+                       | None -> w.Localize.w_attrs_in))
             in
-            if not reaches then None
-            else
-              let m =
-                conj
-                  (List.mapi (fun i c -> sym_match bindings w i c) entry.P.matches)
-              in
-              let a = E.Eq (E.Var action_var, E.Const 1) in
-              let pref_out =
-                match lp_var with
-                | Some v -> E.Var v
-                | None ->
-                    E.Const
-                      (Bgp.Attr.effective_local_pref
-                         (match w.Localize.w_out with
-                         | Some o -> o
-                         | None -> w.Localize.w_attrs_in))
-              in
-              let d_here =
-                if conflict then E.Lt (E.Const alt, pref_out) else E.tru
-              in
-              let d_later =
-                match P.apply after w.Localize.w_prefix w.Localize.w_attrs_in with
-                | None -> E.fls
-                | Some out ->
-                    if conflict then
-                      bool_e (Bgp.Attr.effective_local_pref out > alt)
-                    else E.tru
-              in
-              Some
-                (E.Or
-                   ( E.And (m, E.And (a, d_here)),
-                     E.And (E.Not m, d_later) ))
-          in
-          let env = lookup bindings in
-          (* Reproduce gate: only witnesses whose symbolic detection is
-             true under the deployed values constrain the solver — a
-             non-reproducing witness would let it "repair" the fault by
-             changing nothing. *)
-          let detections =
-            List.filter_map
-              (fun w ->
-                match witness_detected w with
-                | Some dw when E.eval env dw <> 0 -> Some dw
-                | _ -> None)
-              su.Localize.su_witnesses
-          in
-          if detections = [] then None
-          else
-            let bound_pairs =
-              List.filter_map
-                (fun (slot, _) ->
-                  match slot with
-                  | P.S_match_ge (i, j) -> (
-                      match var_of bindings (P.S_match_le (i, j)) with
-                      | Some le -> (
-                          match var_of bindings (P.S_match_ge (i, j)) with
-                          | Some ge -> Some (E.Le (E.Var ge, E.Var le))
-                          | None -> None)
-                      | None -> None)
-                  | _ -> None)
-                slots
+            let d_here =
+              if conflict then E.Lt (E.Const alt, pref_out) else E.tru
             in
-            let path_conds =
-              List.map
-                (fun (e, dir) -> if dir then e else E.negate e)
-                (Concolic.Ctx.path ctx)
+            let d_later =
+              match P.apply after w.Localize.w_prefix w.Localize.w_attrs_in with
+              | None -> E.fls
+              | Some out ->
+                  if conflict then
+                    bool_e (Bgp.Attr.effective_local_pref out > alt)
+                  else E.tru
             in
-            Some
-              { sy_suspect = su;
-                sy_detection = disj detections;
-                sy_constraints = bound_pairs @ path_conds;
-                sy_bindings = bindings })
+            E.Or (E.And (m, E.And (a, d_here)), E.And (E.Not m, d_later)))
+          (entry_match w)
+      in
+      let env = lookup bindings in
+      (* Reproduce gate: only witnesses whose symbolic detection is
+         true under the deployed values constrain the solver — a
+         non-reproducing witness would let it "repair" the fault by
+         changing nothing. *)
+      let detections =
+        List.filter_map
+          (fun w ->
+            match witness_detected w with
+            | Some dw when E.eval env dw <> 0 -> Some dw
+            | _ -> None)
+          su.Localize.su_witnesses
+      in
+      if detections = [] then None
+      else
+        let bound_pairs =
+          List.filter_map
+            (fun b ->
+              match b.b_slot with
+              | Policy_slot (P.S_match_ge (i, j)) ->
+                  Option.map
+                    (fun le -> E.Le (E.Var b.b_var, E.Var le))
+                    (var_of bindings (P.S_match_le (i, j)))
+              | _ -> None)
+            bindings
+        in
+        Some
+          { sy_suspect = su;
+            sy_detection = disj detections;
+            sy_constraints = bound_pairs;
+            sy_bindings = bindings }
 
 let network_site (su : Localize.suspect) site =
-  let ctx = Concolic.Ctx.create [] in
-  let cv = Concolic.Ctx.field ctx (var_name ~site "originate") ~lo:0 ~hi:1 ~default:1 in
-  let v = match cv.Concolic.Cval.sym with E.Var v -> v | _ -> assert false in
+  let v = E.var (var_name ~site "originate") ~lo:0 ~hi:1 in
   Some
     { sy_suspect = su;
       sy_detection = E.Eq (E.Var v, E.Const 1);

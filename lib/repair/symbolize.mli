@@ -1,20 +1,20 @@
 (** Selective symbolization of a suspect site.
 
     Lifts the suspect's concrete constants into {!Concolic.Expr}
-    variables (through the {!Bgp.Policy.symbolize} hook for policy
-    entries; a single 0/1 originate bit for network statements) and
-    compiles the fault's {e detection predicate} over the localized
-    witnesses: a formula that is true exactly when, under a candidate
-    assignment to the constants, the suspect still produces the
-    behavior the checker flagged.  The search stage then asks
+    variables (the {!Bgp.Policy.slots} of a policy entry; a single 0/1
+    originate bit for network statements) and compiles the fault's
+    {e detection predicate} over the localized witnesses: a formula
+    that is true exactly when, under a candidate assignment to the
+    constants, the suspect still produces the behavior the checker
+    flagged.  The search stage then asks
     {!Concolic.Solver.solve_negated} for an assignment that falsifies
     it.
 
-    The witness evaluations run in a {!Concolic.Ctx}: entries ahead of
-    the suspect are branched on concretely (they are not being
-    repaired), the suspect itself contributes a pure symbolic formula —
-    branching on it would pin the path in the direction the buggy
-    config took and hide every repair that flips a match. *)
+    Entries ahead of the suspect are not being repaired: a witness one
+    of them decides ({!Bgp.Policy.deciding}) is dropped.  The suspect
+    itself contributes a pure symbolic formula — fixing its outcome to
+    the one the buggy config took would hide every repair that flips a
+    match. *)
 
 type slot_ref =
   | Policy_slot of Bgp.Policy.const_slot
@@ -32,7 +32,7 @@ type t = {
       (** true iff the fault's detection predicate still fires *)
   sy_constraints : Concolic.Expr.t list;
       (** side conditions a well-formed assignment must satisfy
-          (ge <= le, recorded path conditions) *)
+          (ge <= le) *)
   sy_bindings : binding list;
       (** in slot order — also the search's preferred repair order *)
 }
@@ -40,6 +40,19 @@ type t = {
 val var_name : site:Localize.site -> string -> string
 (** ["rep.<site-id>.<slot-id>"] — interned, so repeated repairs of the
     same entry reuse the same solver variables. *)
+
+val lift :
+  site:Localize.site ->
+  seq:int ->
+  Bgp.Policy.t ->
+  (binding list * (Localize.witness -> Concolic.Expr.t option)) option
+(** The repair-side evaluation of a map's suspect entry, the first with
+    sequence number [seq] ([None] when there is none): its slots lifted
+    to solver variables named after [site], in the search's preferred
+    repair order, and for a witness the entry's match formula over
+    them — [None] when an entry ahead of it decides the witness.  At
+    the deployed constants ([b_orig]) the formula holds exactly when
+    {!Bgp.Policy.deciding} picks the suspect entry. *)
 
 val suspect :
   target:Dice.Signature.t -> Localize.suspect -> t option

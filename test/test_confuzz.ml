@@ -186,7 +186,7 @@ let coverage_registry () =
   check Alcotest.int "miss adds m0=F and entry-20 action" 7 after_miss;
   Alcotest.(check bool) "m1=F still uncovered (short-circuit)" true
     (List.exists
-       (fun pt -> pt.Cov.pt_seq = 10 && pt.Cov.pt_what = Cov.Wmatch (1, false))
+       (fun pt -> pt.Cov.pt_seq = 10 && pt.Cov.pt_what = Bgp.Policy.Cov_match { idx = 1; outcome = false })
        (Cov.uncovered ()));
   (* In-block route without the community: m1=F finally covered. *)
   ignore (Bgp.Policy.apply ?site map (p "10.1.0.0/16") (attrs ~tagged:false));
@@ -194,9 +194,11 @@ let coverage_registry () =
   (* The deny-all tail entry always decides, so the per-map
      fallthrough is unreachable in this map — left uncovered. *)
   Alcotest.(check bool) "fallthrough uncovered" true
-    (List.exists (fun pt -> pt.Cov.pt_what = Cov.Wfall) (Cov.uncovered ()));
+    (List.exists (fun pt -> pt.Cov.pt_what = Bgp.Policy.Cov_fallthrough) (Cov.uncovered ()));
   let hit =
-    { Cov.pt_node = 1; pt_map = "IN"; pt_seq = 10; pt_what = Cov.Wmatch (0, true) }
+    { Cov.pt_site = { Bgp.Policy.cs_node = 1; cs_map = "IN" };
+      pt_seq = 10;
+      pt_what = Bgp.Policy.Cov_match { idx = 0; outcome = true } }
   in
   check Alcotest.int "hit counter" 2 (Cov.hits hit);
   check Alcotest.string "stable point id" "n1/IN/e10/m0=T" (Cov.id_of hit)

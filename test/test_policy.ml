@@ -152,17 +152,11 @@ let community_match_and_delete () =
   check (Alcotest.option Alcotest.reject) "without the community: default deny" None
     (Option.map ignore (Bgp.Policy.apply map (p "192.0.2.0/24") base_attrs))
 
-(* --- symbolize: constant lifting for the repair engine --------------- *)
+(* --- slots: constant lifting for the repair engine ------------------ *)
 
-let qtest = QCheck_alcotest.to_alcotest
-
-let all_seqs map =
-  List.sort_uniq Int.compare (List.map (fun e -> e.Bgp.Policy.seq) map)
-
-let symbolize_identity_full_suite () =
-  (* Identity pin: over every entry of every route map the Gao-Rexford
-     generator produces, rebuilding with the identity substitution is
-     the original map, byte for byte. *)
+let slots_on_generated_maps () =
+  (* Every entry of every route map the Gao-Rexford generator produces
+     exposes at least one constant. *)
   let graph = Topology.Demo27.graph in
   List.iter
     (fun id ->
@@ -170,117 +164,35 @@ let symbolize_identity_full_suite () =
       List.iter
         (fun (name, map) ->
           List.iter
-            (fun seq ->
-              match Bgp.Policy.symbolize ~seq map with
-              | None ->
-                  Alcotest.failf "node %d %s seq %d: symbolize refused" id name
-                    seq
-              | Some (slots, rebuild) ->
-                  if slots = [] then
-                    Alcotest.failf "node %d %s seq %d: no slots" id name seq;
-                  if rebuild (fun _ v -> v) <> map then
-                    Alcotest.failf "node %d %s seq %d: identity rebuild differs"
-                      id name seq)
-            (all_seqs map))
+            (fun (e : Bgp.Policy.entry) ->
+              if Bgp.Policy.slots e = [] then
+                Alcotest.failf "node %d %s seq %d: no slots" id name
+                  e.Bgp.Policy.seq)
+            map)
         cfg.Bgp.Config.route_maps)
     (Topology.Graph.node_ids graph)
 
-let symbolize_substitutes () =
+let slots_expose_constants () =
   let c = Bgp.Community.make 65000 100 in
-  let map =
-    [ Bgp.Policy.entry 10 Bgp.Policy.Permit
-        ~matches:
-          [ Bgp.Policy.Match_prefix
-              [ Bgp.Policy.prefix_rule ~ge:16 ~le:24 (p "10.0.0.0/8") ];
-            Bgp.Policy.Match_community c ]
-        ~sets:
-          [ Bgp.Policy.Set_local_pref 200;
-            Bgp.Policy.Set_med (Some 30);
-            Bgp.Policy.Add_community c ] ]
+  let e =
+    Bgp.Policy.entry 10 Bgp.Policy.Permit
+      ~matches:
+        [ Bgp.Policy.Match_prefix
+            [ Bgp.Policy.prefix_rule ~ge:16 ~le:24 (p "10.0.0.0/8") ];
+          Bgp.Policy.Match_community c ]
+      ~sets:
+        [ Bgp.Policy.Set_local_pref 200;
+          Bgp.Policy.Set_med (Some 30);
+          Bgp.Policy.Add_community c ]
   in
-  match Bgp.Policy.symbolize ~seq:10 map with
-  | None -> Alcotest.fail "symbolize must find seq 10"
-  | Some (slots, rebuild) -> (
-      check Alcotest.int "slot count" 7 (List.length slots);
-      check Alcotest.int "permit encodes as 1" 1
-        (List.assoc Bgp.Policy.S_action slots);
-      check Alcotest.int "local-pref constant" 200
-        (List.assoc (Bgp.Policy.S_local_pref 0) slots);
-      check Alcotest.int "ge bound" 16
-        (List.assoc (Bgp.Policy.S_match_ge (0, 0)) slots);
-      let map' =
-        rebuild (fun s v ->
-            match s with
-            | Bgp.Policy.S_action -> 0
-            | Bgp.Policy.S_local_pref _ -> 999
-            | _ -> v)
-      in
-      match map' with
-      | [ e ] ->
-          Alcotest.(check bool) "action flipped to deny" true
-            (e.Bgp.Policy.action = Bgp.Policy.Deny);
-          Alcotest.(check bool) "local-pref rewritten" true
-            (List.mem (Bgp.Policy.Set_local_pref 999) e.Bgp.Policy.sets);
-          Alcotest.(check bool) "med untouched" true
-            (List.mem (Bgp.Policy.Set_med (Some 30)) e.Bgp.Policy.sets)
-      | _ -> Alcotest.fail "rebuild must keep one entry")
-
-let arb_map =
-  let open QCheck.Gen in
-  let prefix =
-    oneofl [ p "10.0.0.0/8"; p "192.0.2.0/24"; p "172.16.0.0/12" ]
-  in
-  let bound = opt (int_bound 32) in
-  let rule =
-    map3
-      (fun pf ge le -> { Bgp.Policy.rule_prefix = pf; ge; le })
-      prefix bound bound
-  in
-  let community = map2 Bgp.Community.make (int_range 1 65535) (int_bound 65535) in
-  let matches =
-    oneof
-      [ return [];
-        map (fun r -> [ Bgp.Policy.Match_prefix [ r ] ]) rule;
-        map (fun c -> [ Bgp.Policy.Match_community c ]) community;
-        map2
-          (fun r c ->
-            [ Bgp.Policy.Match_prefix [ r ]; Bgp.Policy.Match_community c ])
-          rule community ]
-  in
-  let sets =
-    oneof
-      [ return [];
-        map (fun v -> [ Bgp.Policy.Set_local_pref v ]) (int_bound 1000);
-        map2
-          (fun v m ->
-            [ Bgp.Policy.Set_local_pref v; Bgp.Policy.Set_med (Some m) ])
-          (int_bound 1000) (int_bound 65535);
-        map (fun c -> [ Bgp.Policy.Add_community c ]) community ]
-  in
-  let entry =
-    let* seq = oneofl [ 0; 10; 20 ] in
-    let* action = oneofl [ Bgp.Policy.Permit; Bgp.Policy.Deny ] in
-    let* matches = matches in
-    let* sets = sets in
-    return (Bgp.Policy.entry seq action ~matches ~sets)
-  in
-  QCheck.make (list_size (int_range 1 3) entry)
-
-let symbolize_roundtrip =
-  QCheck.Test.make ~name:"policy: symbolize identity round-trip" ~count:300
-    arb_map (fun map ->
-      List.for_all
-        (fun seq ->
-          match Bgp.Policy.symbolize ~seq map with
-          | None -> false
-          | Some (slots, rebuild) ->
-              rebuild (fun _ v -> v) = map
-              &&
-              (* re-symbolizing the rebuilt map yields the same slots *)
-              (match Bgp.Policy.symbolize ~seq (rebuild (fun _ v -> v)) with
-              | Some (slots', _) -> slots = slots'
-              | None -> false))
-        (all_seqs map))
+  let slots = Bgp.Policy.slots e in
+  check Alcotest.int "slot count" 7 (List.length slots);
+  check Alcotest.int "permit encodes as 1" 1
+    (List.assoc Bgp.Policy.S_action slots);
+  check Alcotest.int "local-pref constant" 200
+    (List.assoc (Bgp.Policy.S_local_pref 0) slots);
+  check Alcotest.int "ge bound" 16
+    (List.assoc (Bgp.Policy.S_match_ge (0, 0)) slots)
 
 let suite =
   [ ("policy: prefix-rule le/ge semantics", `Quick, prefix_rule_semantics);
@@ -292,7 +204,5 @@ let suite =
     ("policy: as-path matches", `Quick, as_path_matches);
     ("policy: normalize sorts by seq", `Quick, entries_sorted_by_seq);
     ("policy: community match/delete", `Quick, community_match_and_delete);
-    ("policy: symbolize identity on generated maps", `Quick,
-     symbolize_identity_full_suite);
-    ("policy: symbolize substitutes constants", `Quick, symbolize_substitutes);
-    qtest symbolize_roundtrip ]
+    ("policy: slots on generated maps", `Quick, slots_on_generated_maps);
+    ("policy: slots expose constants", `Quick, slots_expose_constants) ]

@@ -246,6 +246,101 @@ let auto_triage_repairs_after_filing () =
                    o.Triage.Scenario.o_signatures)
           | None -> Alcotest.fail "verified entry must yield a patched scenario"))
 
+(* --- the repair-side evaluation is the concrete one ------------------- *)
+
+(* Random unsorted maps (duplicate seqs included) over every match form,
+   and witnesses drawn from the same prefixes and communities. *)
+let arb_map_and_witness =
+  let open QCheck.Gen in
+  let prefixes =
+    List.map p
+      [ "10.0.0.0/8"; "10.1.0.0/16"; "10.1.1.0/24"; "192.0.2.0/24"; "192.0.2.128/25" ]
+  in
+  let communities = [ Bgp.Community.make 65000 1; Bgp.Community.make 65000 2 ] in
+  let rule =
+    let* pf = oneofl prefixes in
+    let bound = opt (int_range (Bgp.Prefix.len pf) 32) in
+    let* ge = bound and* le = bound in
+    return (Bgp.Policy.prefix_rule ?ge ?le pf)
+  in
+  let clause =
+    oneof
+      [ map (fun rs -> Bgp.Policy.Match_prefix rs) (list_size (int_range 1 2) rule);
+        map (fun c -> Bgp.Policy.Match_community c) (oneofl communities);
+        map (fun o -> Bgp.Policy.Match_origin o) (oneofl Bgp.Attr.[ Igp; Incomplete ]);
+        map
+          (fun asn -> Bgp.Policy.Match_as_path (Bgp.Policy.Path_contains asn))
+          (oneofl [ 1; 2 ]) ]
+  in
+  let entry =
+    let* seq = oneofl [ 10; 20; 30 ] in
+    let* action = oneofl [ Bgp.Policy.Permit; Bgp.Policy.Deny ] in
+    let* matches = list_size (int_bound 2) clause in
+    let* lp = opt (int_bound 1000) in
+    let sets = Option.to_list (Option.map (fun v -> Bgp.Policy.Set_local_pref v) lp) in
+    return (Bgp.Policy.entry seq action ~matches ~sets)
+  in
+  let witness =
+    let* base = oneofl prefixes in
+    let* len = int_range (Bgp.Prefix.len base) 32 in
+    let* comms = list_size (int_bound 2) (oneofl communities) in
+    let* origin = oneofl Bgp.Attr.[ Igp; Incomplete ] in
+    let* asn = oneofl [ 1; 2; 3 ] in
+    let attrs =
+      Bgp.Attr.make ~origin ~communities:comms ~as_path:[ Bgp.As_path.Seq [ asn ] ]
+        ~next_hop:(Bgp.Ipv4.of_string_exn "10.0.0.2") ()
+    in
+    return
+      { Repair.Localize.w_prefix = Bgp.Prefix.make (Bgp.Prefix.addr base) len;
+        w_attrs_in = attrs;
+        w_out = None }
+  in
+  QCheck.make
+    ~print:(fun (map, w) ->
+      Format.asprintf "%a@.witness %s" Bgp.Policy.pp map
+        (Bgp.Prefix.to_string w.Repair.Localize.w_prefix))
+    (pair (list_size (int_range 1 4) entry) witness)
+
+let repair_match_is_deciding =
+  QCheck.Test.make
+    ~name:"symbolize: the suspect's match formula at deployed constants is Policy.deciding"
+    ~count:500 arb_map_and_witness
+    (fun (map, w) ->
+      let seqs =
+        List.sort_uniq Int.compare (List.map (fun e -> e.Bgp.Policy.seq) map)
+      in
+      List.for_all
+        (fun seq ->
+          let site =
+            Repair.Localize.Policy_site { ps_node = 1; ps_map = "M"; ps_seq = seq }
+          in
+          match Repair.Symbolize.lift ~site ~seq map with
+          | None -> false
+          | Some (bindings, entry_match) ->
+              let deployed (v : Concolic.Expr.var) =
+                (List.find
+                   (fun b ->
+                     b.Repair.Symbolize.b_var.Concolic.Expr.v_id = v.Concolic.Expr.v_id)
+                   bindings)
+                  .Repair.Symbolize.b_orig
+              in
+              let suspect = List.find (fun e -> e.Bgp.Policy.seq = seq) map in
+              let symbolic =
+                match entry_match w with
+                | None -> false
+                | Some m -> Concolic.Expr.eval deployed m <> 0
+              in
+              let concrete =
+                match
+                  Bgp.Policy.deciding map w.Repair.Localize.w_prefix
+                    w.Repair.Localize.w_attrs_in
+                with
+                | Some e -> e == suspect
+                | None -> false
+              in
+              symbolic = concrete)
+        seqs)
+
 let suite =
   [ ("localize: hijack names the network statement", `Quick,
      localize_finds_mutated_site);
@@ -260,4 +355,5 @@ let suite =
     ("search: unrepairable classes rejected", `Quick,
      unrepairable_class_rejected);
     ("auto: repair hook runs after filing", `Slow,
-     auto_triage_repairs_after_filing) ]
+     auto_triage_repairs_after_filing);
+    QCheck_alcotest.to_alcotest repair_match_is_deciding ]
