@@ -12,7 +12,7 @@ module Json = Telemetry.Json
 let canonical_order =
   [ "schema"; "host_cores"; "topology"; "micro_ns_per_op";
     "micro_minor_words_per_op"; "exploration"; "solver_cache";
-    "orchestrator"; "adversary"; "cascade"; "scale" ]
+    "orchestrator"; "adversary"; "cascade"; "detection"; "scale" ]
 
 let read_fields path =
   if not (Sys.file_exists path) then []

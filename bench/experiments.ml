@@ -25,7 +25,35 @@ let deploy_generated ~seed ~t1 ~transit ~stub =
 
 let fmt_time span = Format.asprintf "%a" Netsim.Time.pp (Netsim.Time.of_us (max 0 span))
 
-let fmt_instant t = Format.asprintf "%a" Netsim.Time.pp t
+(* F1 and T1 run through the one deployment path, [Triage.Scenario]:
+   seed 42, no churn or mangler, default exploration limits. *)
+let scenario ?inject ?(settle = 0.) topo =
+  { Triage.Scenario.dp_topo = topo;
+    dp_keep = None;
+    dp_seed = 42;
+    dp_inject = inject;
+    dp_settle_sec = settle;
+    dp_churn = [];
+    dp_mangle = None;
+    dp_confuzz = [];
+    dp_cascade = false;
+    dp_mode = Explore Triage.Scenario.default_exploration }
+
+(* [on_deployed] sees the configured live system before it settles;
+   the result is the run's summary and the wall time of the
+   exploration alone. *)
+let run_scenario ?until ~on_deployed d =
+  let result = ref None in
+  let around_explore _ explore =
+    let summary, wall = time_wall explore in
+    result := Some (summary, wall);
+    summary
+  in
+  let o =
+    Triage.Scenario.run_observed ?until ~on_deployed ~around_explore
+      (Triage.Scenario.Deploy d)
+  in
+  match o.Triage.Scenario.o_error with Some e -> failwith e | None -> Option.get !result
 
 (* ------------------------------------------------------------------ *)
 (* F1                                                                  *)
@@ -33,21 +61,18 @@ let fmt_instant t = Format.asprintf "%a" Netsim.Time.pp t
 
 let f1 () =
   Tables.section "F1 / Figure 1: DiCE over 27 BGP routers, Internet-like conditions";
-  let graph = Topology.Demo27.graph in
-  let build = Topology.Build.deploy graph in
-  Topology.Build.start_all build;
-  let (), conv_wall = time_wall (fun () -> assert (Topology.Build.converge build)) in
+  let d = scenario Triage.Scenario.Demo27 in
+  let graph = Triage.Scenario.graph_of d in
   Tables.note "topology: %s\n" (Topology.Render.summary_line graph);
-  Tables.note "live convergence: %d routes, %d sessions, %d messages, %.2fs wall\n"
-    (Topology.Build.total_loc_routes build)
-    (Topology.Build.established_sessions build)
-    (Netsim.Network.messages_sent build.Topology.Build.net)
-    conv_wall;
-  let gt = Dice.Checks.ground_truth_of_graph graph in
-  let summary, wall =
-    time_wall (fun () ->
-        Dice.Orchestrator.run ~build ~gt ~rounds:(Topology.Graph.size graph) ())
+  let t0 = Unix.gettimeofday () in
+  let on_deployed build =
+    Tables.note "live convergence: %d routes, %d sessions, %d messages, %.2fs wall\n"
+      (Topology.Build.total_loc_routes build)
+      (Topology.Build.established_sessions build)
+      (Netsim.Network.messages_sent build.Topology.Build.net)
+      (Unix.gettimeofday () -. t0)
   in
+  let summary, wall = run_scenario ~on_deployed d in
   let per_node =
     List.filter_map
       (fun (r : Dice.Orchestrator.round) ->
@@ -121,122 +146,103 @@ let f2 () =
 
 type t1_row = {
   t1_name : string;
+  t1_key : string;  (** its entry in BENCH.json's [detection] section *)
   t1_class : Dice.Fault.fault_class;
-  t1_nodes : int;
-  t1_run : unit -> Topology.Build.t * Dice.Checks.ground_truth * Dice.Inject.scenario * int list option;
+  t1_deploy : Triage.Scenario.deploy;
 }
+
+(* Inject, settle 10 s, then explore until the class shows up, for at
+   most two passes over the explorer nodes. *)
+let t1_deploy ?(nodes = []) topo inject =
+  let d = scenario ~inject ~settle:10. topo in
+  let explorers =
+    if nodes = [] then Topology.Graph.size (Triage.Scenario.graph_of d) else List.length nodes
+  in
+  { d with
+    dp_mode =
+      Triage.Scenario.Explore
+        { Triage.Scenario.default_exploration with
+          ex_nodes = nodes; ex_rounds = 2 * explorers } }
 
 let t1 () =
   Tables.section "T1: detection of the three fault classes";
+  let random r_seed =
+    Triage.Scenario.Random { r_seed; r_tier1 = 1; r_transit = 3; r_stub = 5 }
+  in
   let scenarios =
     [ { t1_name = "prefix hijack (operator mistake)";
+        t1_key = "hijack-9";
         t1_class = Dice.Fault.Operator_mistake;
-        t1_nodes = 9;
-        t1_run =
-          (fun () ->
-            let graph, build = deploy_generated ~seed:11 ~t1:1 ~transit:3 ~stub:5 in
-            ( build,
-              Dice.Checks.ground_truth_of_graph graph,
-              Dice.Inject.Prefix_hijack { at = 8; victim = 5 },
-              None )) };
+        t1_deploy = t1_deploy (random 11) (Dice.Inject.Prefix_hijack { at = 8; victim = 5 }) };
       { t1_name = "prefix hijack, 27-node demo topology";
+        t1_key = "hijack-27";
         t1_class = Dice.Fault.Operator_mistake;
-        t1_nodes = 27;
-        t1_run =
-          (fun () ->
-            let graph = Topology.Demo27.graph in
-            let build = Topology.Build.deploy graph in
-            Topology.Build.start_all build;
-            assert (Topology.Build.converge build);
-            ( build,
-              Dice.Checks.ground_truth_of_graph graph,
-              Dice.Inject.Prefix_hijack { at = 21; victim = 11 },
-              None )) };
+        t1_deploy =
+          t1_deploy Triage.Scenario.Demo27 (Dice.Inject.Prefix_hijack { at = 21; victim = 11 }) };
       { t1_name = "bogus netmask announcement (operator mistake)";
+        t1_key = "netmask-9";
         t1_class = Dice.Fault.Operator_mistake;
-        t1_nodes = 9;
-        t1_run =
-          (fun () ->
-            let graph, build = deploy_generated ~seed:12 ~t1:1 ~transit:3 ~stub:5 in
-            ( build,
-              Dice.Checks.ground_truth_of_graph graph,
-              Dice.Inject.Bogus_netmask { at = 6 },
-              None )) };
+        t1_deploy = t1_deploy (random 12) (Dice.Inject.Bogus_netmask { at = 6 }) };
       { t1_name = "BAD GADGET dispute wheel (policy conflict)";
+        t1_key = "gadget-12";
         t1_class = Dice.Fault.Policy_conflict;
-        t1_nodes = 12;
-        t1_run =
-          (fun () ->
-            let graph = Topology.Gadget.embedded () in
-            let build = Topology.Build.deploy graph in
-            Topology.Build.start_all build;
-            assert (Topology.Build.converge build);
-            ( build,
-              Dice.Checks.ground_truth_of_graph graph,
-              Dice.Inject.Policy_dispute
-                { cycle = Topology.Gadget.wheel; victim = Topology.Gadget.victim },
-              Some Topology.Gadget.wheel )) };
+        t1_deploy =
+          t1_deploy ~nodes:Topology.Gadget.wheel Triage.Scenario.Gadget
+            (Dice.Inject.Policy_dispute
+               { cycle = Topology.Gadget.wheel; victim = Topology.Gadget.victim }) };
       { t1_name = "loop-check bypass (programming error)";
+        t1_key = "loop-check-9";
         t1_class = Dice.Fault.Programming_error;
-        t1_nodes = 9;
-        t1_run =
-          (fun () ->
-            let graph, build = deploy_generated ~seed:13 ~t1:1 ~transit:3 ~stub:5 in
-            ( build,
-              Dice.Checks.ground_truth_of_graph graph,
-              Dice.Inject.Loop_check_bug { at = 2 },
-              None )) };
+        t1_deploy = t1_deploy (random 13) (Dice.Inject.Loop_check_bug { at = 2 }) };
       { t1_name = "community handler crash (programming error)";
+        t1_key = "crash-9";
         t1_class = Dice.Fault.Programming_error;
-        t1_nodes = 9;
-        t1_run =
-          (fun () ->
-            let graph, build = deploy_generated ~seed:14 ~t1:1 ~transit:3 ~stub:5 in
-            ( build,
-              Dice.Checks.ground_truth_of_graph graph,
-              Dice.Inject.Crash_bug { at = 1; community = Bgp.Community.make 64999 13 },
-              None )) } ]
+        t1_deploy =
+          t1_deploy (random 14)
+            (Dice.Inject.Crash_bug { at = 1; community = Bgp.Community.make 64999 13 }) } ]
   in
-  let rows =
-    List.map
-      (fun s ->
-        let build, gt, scenario, nodes = s.t1_run () in
-        let injected_at = Netsim.Engine.now build.Topology.Build.engine in
-        Dice.Inject.apply build scenario;
-        Topology.Build.run_for build (Netsim.Time.span_sec 10.);
-        let (summary, hit), wall =
-          time_wall (fun () ->
-              Dice.Orchestrator.run_until_detection ~build ~gt ?nodes
-                ~expect:s.t1_class ())
-        in
-        let detected, rounds, sim_latency =
-          match hit with
-          | Some round ->
-              let detection =
-                List.find
-                  (fun (f : Dice.Fault.t) -> f.Dice.Fault.f_class = s.t1_class)
-                  (Dice.Orchestrator.round_exploration_exn round).Dice.Explorer.x_faults
-              in
-              ( "yes",
-                List.length summary.Dice.Orchestrator.rounds,
-                fmt_time (Netsim.Time.diff detection.Dice.Fault.f_detected_at injected_at) )
-          | None -> ("NO", List.length summary.Dice.Orchestrator.rounds, "-")
-        in
-        [ s.t1_name;
-          string_of_int s.t1_nodes;
-          Dice.Fault.class_to_string s.t1_class;
-          detected;
-          string_of_int rounds;
-          string_of_int summary.Dice.Orchestrator.total_inputs;
-          sim_latency;
-          Printf.sprintf "%.2f" wall ])
-      scenarios
+  (* Time to first detection, gated by bench_check: the deterministic
+     columns exactly, wall time within the deploy margin. *)
+  let module J = Telemetry.Json in
+  let rows, entries =
+    List.split
+      (List.map
+         (fun s ->
+           let injected_at = ref Netsim.Time.zero in
+           let on_deployed build =
+             injected_at := Netsim.Engine.now build.Topology.Build.engine
+           in
+           let summary, wall = run_scenario ~until:s.t1_class ~on_deployed s.t1_deploy in
+           let latency =
+             List.find_opt (fun (c, _, _) -> c = s.t1_class)
+               summary.Dice.Orchestrator.first_detection
+             |> Option.map (fun (_, t, _) -> Netsim.Time.diff t !injected_at)
+           in
+           let rounds = List.length summary.Dice.Orchestrator.rounds in
+           let inputs = summary.Dice.Orchestrator.total_inputs in
+           ( [ s.t1_name;
+               string_of_int (Topology.Graph.size (Triage.Scenario.graph_of s.t1_deploy));
+               Dice.Fault.class_to_string s.t1_class;
+               (if latency = None then "NO" else "yes");
+               string_of_int rounds;
+               string_of_int inputs;
+               Option.fold ~none:"-" ~some:fmt_time latency;
+               Printf.sprintf "%.2f" wall ],
+             ( s.t1_key,
+               J.Obj
+                 [ ("detected", J.Bool (latency <> None));
+                   ("rounds", J.Int rounds);
+                   ("inputs", J.Int inputs);
+                   ("sim_latency_us", Option.fold ~none:J.Null ~some:(fun l -> J.Int l) latency);
+                   ("wall_s", J.Float (Benchio.round2 wall)) ] ) ))
+         scenarios)
   in
   Tables.print ~title:"fault detection (paper: 'quickly detects faults' of all three classes)"
     ~header:
       [ "scenario"; "ASes"; "class"; "detected"; "rounds"; "inputs"; "sim latency";
         "wall s" ]
-    rows
+    rows;
+  Benchio.update ~path:"BENCH.json" [ ("detection", J.Obj entries) ]
 
 (* ------------------------------------------------------------------ *)
 (* T2                                                                  *)
@@ -667,5 +673,3 @@ let all () =
   t5 ();
   t6 ();
   Tables.note "\nexperiment harness total: %.1fs\n" (Unix.gettimeofday () -. t0)
-
-let _ = fmt_instant

@@ -36,8 +36,9 @@ let cmd =
     [ `S Manpage.s_description;
       `P
         "Compares the gated metric families (micro ns/op, micro minor \
-         words/op, the cascade analyzer throughput and the per-config \
-         scale results) of two BENCH.json \
+         words/op, the cascade analyzer throughput, time to first \
+         detection per T1 row and the per-config scale results) of two \
+         BENCH.json \
          files.  Each family has a noise margin sized for a shared CI \
          host; a gated metric missing from the fresh file counts as a \
          regression.  Exit status: 0 all within margin, 1 regression, \

@@ -38,18 +38,25 @@ let () =
     (Topology.Build.speaker build target).Bgp.Speaker.sp_impl;
 
   let gt = Dice.Checks.ground_truth_of_graph graph in
-  let summary, hit =
-    Dice.Orchestrator.run_until_detection ~build ~gt ~nodes:[ target ]
-      ~expect:Dice.Fault.Programming_error ()
+  let cls = Dice.Fault.Programming_error in
+  let summary =
+    Dice.Orchestrator.run ~build ~gt ~nodes:[ target ] ~until:cls ~rounds:2 ()
   in
-  (match hit with
-  | Some round ->
-      Printf.printf "detected after %d round(s):\n" (List.length summary.Dice.Orchestrator.rounds);
+  (* [first_detection] names the detecting round, the last one run. *)
+  let detected =
+    Dice.Orchestrator.(
+      List.find_opt (fun (c, _, _) -> c = cls) summary.first_detection
+      |> Option.map (fun (_, _, n) ->
+             (n, Option.get (round_exploration (List.nth summary.rounds (n - 1))))))
+  in
+  (match detected with
+  | Some (n, x) ->
+      Printf.printf "detected after %d round(s):\n" n;
       List.iter
         (fun (f : Dice.Fault.t) ->
           if String.equal f.Dice.Fault.f_property "handler-crash" then
             Format.printf "  %a@." Dice.Fault.pp f)
-        (Dice.Orchestrator.round_exploration_exn round).Dice.Explorer.x_faults
+        x.Dice.Explorer.x_faults
   | None -> print_endline "NOT DETECTED (unexpected)");
 
   (* The healthy remainder stays clean: one more full sweep. *)

@@ -22,20 +22,25 @@ let () =
     (Bgp.Prefix.to_string (Topology.Gao_rexford.prefix_of_node Topology.Gadget.victim));
   Topology.Build.run_for build (Netsim.Time.span_sec 5.);
 
-  let summary, hit =
-    Dice.Orchestrator.run_until_detection ~build ~gt ~nodes:Topology.Gadget.wheel
-      ~expect:Dice.Fault.Policy_conflict ()
+  let cls = Dice.Fault.Policy_conflict in
+  let nodes = Topology.Gadget.wheel in
+  let summary =
+    Dice.Orchestrator.run ~build ~gt ~nodes ~until:cls ~rounds:(2 * List.length nodes) ()
   in
-  (match hit with
-  | Some round ->
-      Printf.printf "policy conflict detected after %d round(s):\n"
-        (List.length summary.Dice.Orchestrator.rounds);
+  (* [first_detection] names the detecting round, the last one run. *)
+  let detected =
+    Dice.Orchestrator.(
+      List.find_opt (fun (c, _, _) -> c = cls) summary.first_detection
+      |> Option.map (fun (_, _, n) ->
+             (n, Option.get (round_exploration (List.nth summary.rounds (n - 1))))))
+  in
+  (match detected with
+  | Some (n, x) ->
+      Printf.printf "policy conflict detected after %d round(s):\n" n;
       List.iter
         (fun (f : Dice.Fault.t) ->
-          if f.Dice.Fault.f_class = Dice.Fault.Policy_conflict then
-            Format.printf "  %a@." Dice.Fault.pp f)
-        (List.filteri (fun i _ -> i < 4)
-           (Dice.Orchestrator.round_exploration_exn round).Dice.Explorer.x_faults)
+          if f.Dice.Fault.f_class = cls then Format.printf "  %a@." Dice.Fault.pp f)
+        (List.filteri (fun i _ -> i < 4) x.Dice.Explorer.x_faults)
   | None -> print_endline "NOT DETECTED (unexpected)");
 
   (* Show that the live system is indeed flapping. *)

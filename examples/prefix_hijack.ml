@@ -22,20 +22,26 @@ let () =
   Topology.Build.run_for build (Netsim.Time.span_sec 30.);
 
   (* Run DiCE round-robin until the operator mistake surfaces. *)
-  let summary, hit =
-    Dice.Orchestrator.run_until_detection ~build ~gt
-      ~expect:Dice.Fault.Operator_mistake ()
+  let cls = Dice.Fault.Operator_mistake in
+  let summary =
+    Dice.Orchestrator.run ~build ~gt ~until:cls
+      ~rounds:(2 * Topology.Graph.size graph) ()
   in
-  (match hit with
-  | Some round ->
-      Printf.printf "detected after %d round(s), exploring node %d:\n"
-        (List.length summary.Dice.Orchestrator.rounds)
-        (Dice.Orchestrator.round_exploration_exn round).Dice.Explorer.x_node;
+  (* [first_detection] names the detecting round, the last one run. *)
+  let detected =
+    Dice.Orchestrator.(
+      List.find_opt (fun (c, _, _) -> c = cls) summary.first_detection
+      |> Option.map (fun (_, _, n) ->
+             (n, Option.get (round_exploration (List.nth summary.rounds (n - 1))))))
+  in
+  (match detected with
+  | Some (n, x) ->
+      Printf.printf "detected after %d round(s), exploring node %d:\n" n
+        x.Dice.Explorer.x_node;
       List.iter
         (fun (f : Dice.Fault.t) ->
-          if f.Dice.Fault.f_class = Dice.Fault.Operator_mistake then
-            Format.printf "  %a@." Dice.Fault.pp f)
-        (Dice.Orchestrator.round_exploration_exn round).Dice.Explorer.x_faults
+          if f.Dice.Fault.f_class = cls then Format.printf "  %a@." Dice.Fault.pp f)
+        x.Dice.Explorer.x_faults
   | None -> print_endline "NOT DETECTED (unexpected)");
 
   (* How far did the hijack spread in the live system? *)

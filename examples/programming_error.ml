@@ -8,6 +8,16 @@
           exit; caught by checking selections against a reference run
           of the decision process. *)
 
+(* Explore [nodes] until a programming error shows up; [first_detection]
+   names the detecting round, the last one run. *)
+let detecting_round ~nodes ~build ~gt =
+  let cls = Dice.Fault.Programming_error in
+  Dice.Orchestrator.(
+    let summary = run ~build ~gt ~nodes ~until:cls ~rounds:(2 * List.length nodes) () in
+    List.find_opt (fun (c, _, _) -> c = cls) summary.first_detection
+    |> Option.map (fun (_, _, n) ->
+           Option.get (round_exploration (List.nth summary.rounds (n - 1)))))
+
 let () =
   (* --- Bug 1: crash on a "poisoned" community --- *)
   let params =
@@ -20,18 +30,14 @@ let () =
   let gt = Dice.Checks.ground_truth_of_graph graph in
   let poison = Bgp.Community.make 64999 13 in
   Dice.Inject.apply build (Dice.Inject.Crash_bug { at = 2; community = poison });
-  let _, hit =
-    Dice.Orchestrator.run_until_detection ~build ~gt ~nodes:[ 2 ]
-      ~expect:Dice.Fault.Programming_error ()
-  in
-  (match hit with
-  | Some round ->
+  (match detecting_round ~nodes:[ 2 ] ~build ~gt with
+  | Some x ->
       print_endline "crash bug found by concolic exploration:";
       List.iter
         (fun (f : Dice.Fault.t) ->
           if String.equal f.Dice.Fault.f_property "handler-crash" then
             Format.printf "  %a@." Dice.Fault.pp f)
-        (Dice.Orchestrator.round_exploration_exn round).Dice.Explorer.x_faults
+        x.Dice.Explorer.x_faults
   | None -> print_endline "crash bug NOT found (unexpected)");
 
   (* --- Bug 2: inverted MED comparison --- *)
@@ -68,19 +74,14 @@ let () =
       announce p2 500
   | _ -> assert false);
   Topology.Build.run_for build2 (Netsim.Time.span_sec 5.);
-  let _, hit2 =
-    Dice.Orchestrator.run_until_detection ~build:build2 ~gt:gt2 ~nodes:[ victim ]
-      ~expect:Dice.Fault.Programming_error ()
-  in
-  (match hit2 with
-  | Some round ->
+  (match detecting_round ~nodes:[ victim ] ~build:build2 ~gt:gt2 with
+  | Some x ->
       print_endline "inverted-MED bug found via the decision-process-spec property:";
       List.iter
         (fun (f : Dice.Fault.t) ->
           if f.Dice.Fault.f_class = Dice.Fault.Programming_error then
             Format.printf "  %a@." Dice.Fault.pp f)
-        (List.filteri (fun i _ -> i < 3)
-           (Dice.Orchestrator.round_exploration_exn round).Dice.Explorer.x_faults)
+        (List.filteri (fun i _ -> i < 3) x.Dice.Explorer.x_faults)
   | None -> print_endline "inverted-MED bug NOT found (unexpected)");
 
   (* Sanity: what did the buggy router actually select? *)

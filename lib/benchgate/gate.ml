@@ -16,10 +16,17 @@ type rule = {
    still strictly below the pre-optimization hot-path costs, which is
    the regression the gate exists to catch.  Coarser wall-clock
    families get ~1.6-2x, allocation counts are near-deterministic and
-   get a tight 1.25x.  Suffix rules come first so they beat the family
-   catch-alls. *)
+   get a tight 1.25x.  Time to first detection is deterministic apart
+   from its wall time: detected, rounds, inputs and simulated latency
+   may not get worse at all, wall time gets the deploy margin.  Suffix
+   rules come first so they beat the family catch-alls. *)
 let default_rules =
-  [ { sel = Suffix ".records_per_s"; dir = Higher_is_better; ratio = 2.0; slack = 0. };
+  [ { sel = Suffix ".detected"; dir = Higher_is_better; ratio = 1.0; slack = 0. };
+    { sel = Suffix ".rounds"; dir = Lower_is_better; ratio = 1.0; slack = 0. };
+    { sel = Suffix ".inputs"; dir = Lower_is_better; ratio = 1.0; slack = 0. };
+    { sel = Suffix ".sim_latency_us"; dir = Lower_is_better; ratio = 1.0; slack = 0. };
+    { sel = Suffix ".wall_s"; dir = Lower_is_better; ratio = 2.0; slack = 1. };
+    { sel = Suffix ".records_per_s"; dir = Higher_is_better; ratio = 2.0; slack = 0. };
     { sel = Suffix ".shadows_per_s"; dir = Higher_is_better; ratio = 1.6; slack = 0.5 };
     { sel = Suffix ".updates_per_s"; dir = Higher_is_better; ratio = 1.6; slack = 0. };
     { sel = Suffix ".peak_rss_mb"; dir = Lower_is_better; ratio = 1.5; slack = 32. };
@@ -52,11 +59,12 @@ let rule_for rules metric = List.find_opt (fun r -> matches metric r.sel) rules
 let number = function
   | Json.Int i -> Some (float_of_int i)
   | Json.Float f -> Some f
-  | Json.Null | Json.Bool _ | Json.String _ | Json.List _ | Json.Obj _ -> None
+  | Json.Bool b -> Some (if b then 1. else 0.)
+  | Json.Null | Json.String _ | Json.List _ | Json.Obj _ -> None
 
 (* The gated families.  [micro_*] maps are one level deep (benchmark
    names contain '/', not nesting); [cascade] is a flat metric map;
-   [scale] is config -> metric. *)
+   [detection] is row -> metric and [scale] is config -> metric. *)
 let metrics doc =
   let field name =
     match doc with
@@ -68,15 +76,18 @@ let metrics doc =
     List.filter_map (fun (k, v) ->
         Option.map (fun x -> (prefix ^ "." ^ k, x)) (number v))
   in
+  let nested family =
+    List.concat_map
+      (fun (key, v) ->
+        match v with
+        | Json.Obj inner -> flat (family ^ "." ^ key) inner
+        | _ -> [])
+      (field family)
+  in
   flat "micro_ns_per_op" (field "micro_ns_per_op")
   @ flat "micro_minor_words_per_op" (field "micro_minor_words_per_op")
   @ flat "cascade" (field "cascade")
-  @ List.concat_map
-      (fun (config, v) ->
-        match v with
-        | Json.Obj inner -> flat ("scale." ^ config) inner
-        | _ -> [])
-      (field "scale")
+  @ nested "detection" @ nested "scale"
 
 let judge (rule : rule) ~base ~fresh =
   match rule.dir with

@@ -32,9 +32,11 @@ type rule = {
 
 val default_rules : rule list
 (** First match wins.  Covers [micro_ns_per_op.*],
-    [micro_minor_words_per_op.*] and the [scale.*] per-config metrics;
-    workload descriptors (node counts, route totals) match no rule and
-    are not gated. *)
+    [micro_minor_words_per_op.*], the [detection.*] per-row metrics
+    (detected, rounds, inputs and simulated latency exactly, wall
+    time with a margin) and the [scale.*] per-config metrics; workload
+    descriptors (node counts, route totals) match no rule and are not
+    gated. *)
 
 type verdict = {
   metric : string;
@@ -48,8 +50,9 @@ type verdict = {
 val metrics : Telemetry.Json.t -> (string * float) list
 (** Flattens the gated families of a BENCH.json document into
     dot-joined [path, value] pairs, e.g.
-    ["micro_ns_per_op.dice/wire/decode-update"] or
-    ["scale.lite.shadows_per_s"]. *)
+    ["micro_ns_per_op.dice/wire/decode-update"],
+    ["detection.hijack-9.rounds"] or ["scale.lite.shadows_per_s"];
+    booleans count as 1 and 0. *)
 
 val check :
   ?rules:rule list -> baseline:Telemetry.Json.t -> fresh:Telemetry.Json.t ->

@@ -17,11 +17,6 @@ let round_exploration r =
   | Ok x | Degraded (x, _) -> Some x
   | Failed _ -> None
 
-let round_exploration_exn r =
-  match round_exploration r with
-  | Some x -> x
-  | None -> invalid_arg "Orchestrator.round_exploration_exn: round Failed"
-
 type quarantine_event = {
   q_node : int;
   q_round : int;  (** round index whose failure triggered it *)
@@ -327,115 +322,73 @@ let make_cascade_notifier on_cascade =
             end)
           faults
 
+(* The [?until] stop rule: a round stops the run when its exploration
+   or probe reported the class — or, for programming errors, when a
+   live crash was absorbed during it.  Without [until] the rule is a
+   constant and costs nothing per round. *)
+let stop_rule until build =
+  match until with
+  | None -> fun _ _ -> false
+  | Some cls ->
+      let crashes () = List.length (Netsim.Network.crashes build.Topology.Build.net) in
+      let seen = ref (crashes ()) in
+      let has = List.exists (fun (f : Fault.t) -> f.Fault.f_class = cls) in
+      fun explored probed ->
+        let n = crashes () in
+        let grew = n > !seen in
+        seen := n;
+        has explored || has probed || (grew && cls = Fault.Programming_error)
+
 let run ?params ?pool ?(interval = Netsim.Time.span_sec 5.) ?nodes
-    ?(supervisor = default_supervisor) ?on_fault ?probe ?on_cascade ~build ~gt
+    ?(supervisor = default_supervisor) ?on_fault ?probe ?on_cascade ?until ~build ~gt
     ~rounds () =
+  let node_ids = node_list nodes build in
+  if rounds > 0 && node_ids = [] then invalid_arg "Orchestrator.run: empty node list";
   install_clock build;
   let notify = make_notifier on_fault in
   let notify_cascade = make_cascade_notifier on_cascade in
   let probed = ref [] in
   let poll () =
     match probe with
-    | None -> ()
+    | None -> []
     | Some p ->
         let pf = p () in
         probed := !probed @ pf;
         notify pf;
-        notify_cascade pf
+        notify_cascade pf;
+        pf
   in
-  let sched = sched_make supervisor (node_list nodes build) in
+  let stop = stop_rule until build in
+  let sched = sched_make supervisor node_ids in
   let cut = make_cut build in
-  let result =
-    List.init rounds (fun i ->
-        sched_release sched i;
-        let slot = sched_pick sched i in
-        let r =
-          one_round ~params ~pool ~supervisor ~build ~cut ~gt ~interval ~index:i
-            sched.s_nodes.(slot)
-        in
-        sched_record sched ~round_index:i ~slot r.rd_outcome;
-        (match round_exploration r with
+  let rec go i acc =
+    if i >= rounds then List.rev acc
+    else begin
+      sched_release sched i;
+      let slot = sched_pick sched i in
+      let r =
+        one_round ~params ~pool ~supervisor ~build ~cut ~gt ~interval ~index:i
+          sched.s_nodes.(slot)
+      in
+      sched_record sched ~round_index:i ~slot r.rd_outcome;
+      let explored =
+        match round_exploration r with
         | Some x ->
             notify x.Explorer.x_faults;
-            notify_cascade x.Explorer.x_faults
-        | None -> ());
-        poll ();
-        r)
+            notify_cascade x.Explorer.x_faults;
+            x.Explorer.x_faults
+        | None -> []
+      in
+      if stop explored (poll ()) then List.rev (r :: acc) else go (i + 1) (r :: acc)
+    end
   in
+  let result = go 0 [] in
   Telemetry.Metrics.set (Lazy.force m_leaked) (Snapshot.Cut.active cut);
   let live_faults = live_crash_faults build in
   notify live_faults;
   summarize ~quarantines:(List.rev sched.s_events)
     ~leaked_snapshots:(Snapshot.Cut.active cut)
     ~live_faults:(live_faults @ !probed) ~graph:build.Topology.Build.graph result
-
-let run_until_detection ?params ?pool ?(interval = Netsim.Time.span_sec 5.) ?nodes
-    ?(supervisor = default_supervisor) ?max_rounds ?on_fault ?probe ?on_cascade
-    ~build ~gt ~expect () =
-  install_clock build;
-  let notify = make_notifier on_fault in
-  let notify_cascade = make_cascade_notifier on_cascade in
-  let probed = ref [] in
-  let sched = sched_make supervisor (node_list nodes build) in
-  let cut = make_cut build in
-  let n = Array.length sched.s_nodes in
-  let max_rounds = Option.value max_rounds ~default:(2 * n) in
-  let finish acc =
-    Telemetry.Metrics.set (Lazy.force m_leaked) (Snapshot.Cut.active cut);
-    let live_faults = live_crash_faults build in
-    notify live_faults;
-    summarize ~quarantines:(List.rev sched.s_events)
-      ~leaked_snapshots:(Snapshot.Cut.active cut)
-      ~live_faults:(live_faults @ !probed) ~graph:build.Topology.Build.graph acc
-  in
-  let crashes_seen = ref (List.length (Netsim.Network.crashes build.Topology.Build.net)) in
-  let rec go i acc =
-    if i >= max_rounds then (finish (List.rev acc), None)
-    else begin
-      sched_release sched i;
-      let slot = sched_pick sched i in
-      let round =
-        one_round ~params ~pool ~supervisor ~build ~cut ~gt ~interval ~index:i
-          sched.s_nodes.(slot)
-      in
-      sched_record sched ~round_index:i ~slot round.rd_outcome;
-      (match round_exploration round with
-      | Some x ->
-          notify x.Explorer.x_faults;
-          notify_cascade x.Explorer.x_faults
-      | None -> ());
-      let round_probed =
-        match probe with
-        | None -> []
-        | Some p ->
-            let pf = p () in
-            probed := !probed @ pf;
-            notify pf;
-            notify_cascade pf;
-            pf
-      in
-      let hit =
-        (match round_exploration round with
-        | Some x ->
-            List.exists
-              (fun (f : Fault.t) -> f.Fault.f_class = expect)
-              x.Explorer.x_faults
-        | None -> false)
-        || List.exists (fun (f : Fault.t) -> f.Fault.f_class = expect) round_probed
-      in
-      (* A live crash absorbed during this round also counts as a
-         detection of the programming-error class. *)
-      let hit_live =
-        let n = List.length (Netsim.Network.crashes build.Topology.Build.net) in
-        let grew = n > !crashes_seen in
-        crashes_seen := n;
-        grew && expect = Fault.Programming_error
-      in
-      if hit || hit_live then (finish (List.rev (round :: acc)), Some round)
-      else go (i + 1) (round :: acc)
-    end
-  in
-  go 0 []
 
 let pp_outcome ppf = function
   | Ok _ -> Format.fprintf ppf "ok"

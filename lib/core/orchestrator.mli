@@ -38,11 +38,6 @@ type round = {
 val round_exploration : round -> Explorer.exploration option
 (** [None] exactly for [Failed] rounds. *)
 
-val round_exploration_exn : round -> Explorer.exploration
-(** @raise Invalid_argument on a [Failed] round — for callers that know
-    the round produced results (e.g. the detection round returned by
-    {!run_until_detection}). *)
-
 type quarantine_event = {
   q_node : int;
   q_round : int;  (** round index whose failure triggered it *)
@@ -95,6 +90,7 @@ val run :
   ?on_fault:(Fault.t -> unit) ->
   ?probe:(unit -> Fault.t list) ->
   ?on_cascade:(Fault.t -> unit) ->
+  ?until:Fault.fault_class ->
   build:Topology.Build.t ->
   gt:Checks.ground_truth ->
   rounds:int ->
@@ -116,26 +112,20 @@ val run :
     analysis layer.  [on_cascade] fires once per newly-seen
     {!Fault.Cascade} root (from probe or exploration).  Rounds never
     propagate exploration exceptions — see the supervision notes
-    above. *)
+    above.
 
-val run_until_detection :
-  ?params:Explorer.params ->
-  ?pool:Parallel.Pool.t ->
-  ?interval:Netsim.Time.span ->
-  ?nodes:int list ->
-  ?supervisor:supervisor ->
-  ?max_rounds:int ->
-  ?on_fault:(Fault.t -> unit) ->
-  ?probe:(unit -> Fault.t list) ->
-  ?on_cascade:(Fault.t -> unit) ->
-  build:Topology.Build.t ->
-  gt:Checks.ground_truth ->
-  expect:Fault.fault_class ->
-  unit ->
-  summary * round option
-(** Stop at the first round whose exploration (or [probe]) reports a
-    fault of class [expect]; [None] if [max_rounds] (default: 2 passes
-    over the node list) were exhausted. *)
+    [until] stops the run early, after the first round whose
+    exploration or [probe] reports a fault of that class; for
+    {!Fault.Programming_error} a live crash absorbed by the network
+    during the round (see {!Netsim.Network.crashes}) also counts.
+    [rounds] stays the cap.  The detecting round is the summary's last
+    round, and [first_detection] carries the class with its simulated
+    time and round; a run that hit the cap without a detection has no
+    entry for the class (unless a live crash predating the run
+    supplies one).  Without [until] every one of [rounds] runs.
+
+    @raise Invalid_argument if [rounds > 0] and the node list is
+    empty. *)
 
 val pp_outcome : Format.formatter -> round_outcome -> unit
 val pp_summary : Format.formatter -> summary -> unit

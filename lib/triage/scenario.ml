@@ -192,7 +192,7 @@ let explorer_params (e : exploration) churned =
           if churned then Some (Netsim.Time.span_sec 30.) else None) }
 
 let run_deploy ?(on_deployed = fun (_ : Topology.Build.t) -> ())
-    ?on_fault ?on_cascade ?(around_explore = fun _ explore -> explore ())
+    ?on_fault ?on_cascade ?until ?(around_explore = fun _ explore -> explore ())
     ?(on_finished = fun (_ : Topology.Build.t) (_ : Dice.Fault.t list) -> ()) d
     =
   let graph = graph_of d in
@@ -264,8 +264,8 @@ let run_deploy ?(on_deployed = fun (_ : Topology.Build.t) -> ())
           else match nodes with None -> Topology.Graph.size graph | Some l -> List.length l
         in
         let orchestrate ?probe () =
-          Dice.Orchestrator.run ~params ?nodes ?on_fault ?probe ?on_cascade ~build
-            ~gt ~rounds ()
+          Dice.Orchestrator.run ~params ?nodes ?on_fault ?probe ?on_cascade ?until
+            ~build ~gt ~rounds ()
         in
         let explore () =
           if not (d.dp_cascade && on_cascade <> None) then orchestrate ()
@@ -302,8 +302,8 @@ let with_whole_run_cascade d run =
     o_signatures =
       o.o_signatures @ List.map (Dice.Signature.of_fault ~graph) cascade_faults }
 
-let run_observed ?on_deployed ?on_fault ?on_cascade ?around_explore ?on_finished
-    t =
+let run_observed ?on_deployed ?on_fault ?on_cascade ?until ?around_explore
+    ?on_finished t =
   (* A nested deployment installs its own telemetry clock; restore the
      caller's so an outer live run's timeline survives the replay. *)
   let saved_clock = Telemetry.current_clock () in
@@ -314,7 +314,7 @@ let run_observed ?on_deployed ?on_fault ?on_cascade ?around_explore ?on_finished
       | Wire bytes -> run_wire bytes
       | Deploy d -> (
           let run () =
-            run_deploy ?on_deployed ?on_fault ?on_cascade ?around_explore
+            run_deploy ?on_deployed ?on_fault ?on_cascade ?until ?around_explore
               ?on_finished d
           in
           try

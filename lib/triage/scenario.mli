@@ -129,6 +129,7 @@ val run_observed :
   ?on_deployed:(Topology.Build.t -> unit) ->
   ?on_fault:(Dice.Fault.t -> unit) ->
   ?on_cascade:(Dice.Fault.t -> unit) ->
+  ?until:Dice.Fault.fault_class ->
   ?around_explore:
     (Topology.Build.t ->
     (unit -> Dice.Orchestrator.summary) ->
@@ -144,10 +145,13 @@ val run_observed :
     collection with the network still alive, so RIBs and final configs
     are readable.
 
-    In [Explore] mode, [on_fault] and [on_cascade] are passed to
-    {!Dice.Orchestrator.run}, and [around_explore build explore] wraps
-    the exploration once every schedule is armed — the point to
-    install a telemetry artifact; its result is the run's summary.
+    In [Explore] mode, [on_fault], [on_cascade] and [until] are passed
+    to {!Dice.Orchestrator.run}.  [until] cuts the exploration short
+    after the first round that reports its class, so the outcome's
+    signatures are those of the rounds that ran; [Direct] mode ignores
+    it.  [around_explore build explore] wraps the exploration once
+    every schedule is armed — the point to install a telemetry
+    artifact; its result is the run's summary.
     Given [on_cascade], a [dp_cascade] scenario detects cascades live:
     a bounded monitor installed inside [around_explore] and probed
     after every round, instead of the replay's whole-run monitor
@@ -155,7 +159,7 @@ val run_observed :
 
     Hook exceptions propagate into [o_error] like any setup failure.
     Apart from that cascade monitor, the hooks never change what the
-    run detects. *)
+    run detects; only [until] does, by running fewer rounds. *)
 
 val detects : t -> Dice.Signature.t -> bool
 (** [detects t sg] — does one replay of [t] report [sg]?  The

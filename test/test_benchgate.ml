@@ -85,6 +85,40 @@ let gate_ungated_names_pass_through () =
   Alcotest.(check int) "descriptive fields have no rule" 0
     (List.length (Gate.check ~baseline ~fresh ()))
 
+(* Time to first detection: the deterministic fields gate exactly, so a
+   later or missed detection fails; wall time rides the deploy margin. *)
+let gate_detection_family () =
+  let row ?(detected = true) ?(rounds = 3) ?(latency = Some 20_439_702) wall =
+    Json.Obj
+      [ ( "detection",
+          Json.Obj
+            [ ( "loop-check-9",
+                Json.Obj
+                  [ ("detected", Json.Bool detected);
+                    ("rounds", Json.Int rounds);
+                    ("inputs", Json.Int (48 * rounds));
+                    ( "sim_latency_us",
+                      match latency with Some l -> Json.Int l | None -> Json.Null );
+                    ("wall_s", Json.Float wall) ] ) ] ) ]
+  in
+  let baseline = row 0.06 in
+  let check_run name fresh ok_expected failing =
+    let vs = Gate.check ~baseline ~fresh () in
+    Alcotest.(check int) (name ^ ": every field gated") 5 (List.length vs);
+    Alcotest.(check (list string)) (name ^ ": failing metrics") failing
+      (List.filter_map (fun v -> if v.Gate.ok then None else Some v.Gate.metric) vs);
+    Alcotest.(check bool) (name ^ ": all_ok") ok_expected (Gate.all_ok vs)
+  in
+  check_run "identical" baseline true [];
+  check_run "slower wall within margin" (row 1.1) true [];
+  check_run "wall past 2x + 1s" (row 1.2) false [ "detection.loop-check-9.wall_s" ];
+  check_run "one round later" (row ~rounds:4 ~latency:(Some 25_439_702) 0.06) false
+    [ "detection.loop-check-9.rounds"; "detection.loop-check-9.inputs";
+      "detection.loop-check-9.sim_latency_us" ];
+  check_run "missed" (row ~detected:false ~rounds:6 ~latency:None 0.06) false
+    [ "detection.loop-check-9.detected"; "detection.loop-check-9.rounds";
+      "detection.loop-check-9.inputs"; "detection.loop-check-9.sim_latency_us" ]
+
 let suite =
   [ ("gate: identical run passes", `Quick, gate_passes_identical_run);
     ("gate: drift within margin passes", `Quick, gate_passes_within_margin);
@@ -92,4 +126,5 @@ let suite =
     ("gate: lower throughput fails", `Quick, gate_fails_lower_throughput);
     ("gate: missing gated metric fails", `Quick, gate_fails_missing_metric);
     ("gate: fresh-only metrics ignored", `Quick, gate_ignores_fresh_only_metrics);
-    ("gate: descriptive fields ungated", `Quick, gate_ungated_names_pass_through) ]
+    ("gate: descriptive fields ungated", `Quick, gate_ungated_names_pass_through);
+    ("gate: time to first detection", `Quick, gate_detection_family) ]

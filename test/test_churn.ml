@@ -191,7 +191,11 @@ let default_path_pinned () =
   check Alcotest.int "every round Ok" rounds summary.Dice.Orchestrator.ok_rounds;
   List.iteri
     (fun i (r, x_ref) ->
-      let x = Dice.Orchestrator.round_exploration_exn r in
+      let x =
+        match Dice.Orchestrator.round_exploration r with
+        | Some x -> x
+        | None -> Alcotest.failf "round %d failed" i
+      in
       check Alcotest.int
         (Printf.sprintf "round %d: same node" i)
         x_ref.Dice.Explorer.x_node x.Dice.Explorer.x_node;

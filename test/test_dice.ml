@@ -418,6 +418,30 @@ let inject_validation () =
 (* End-to-end detections (fast parameters)                             *)
 (* ------------------------------------------------------------------ *)
 
+(* [run ~until] ends on the detecting round: [first_detection] must
+   name the last round run, whose exploration is returned.  [None] when
+   the cap — two passes over the explorer nodes — ran out first. *)
+let detecting_round ?params ?nodes ~build ~gt cls =
+  let n =
+    match nodes with
+    | Some l -> List.length l
+    | None -> Topology.Graph.size build.Topology.Build.graph
+  in
+  let s =
+    Dice.Orchestrator.run ?params ?nodes ~until:cls ~build ~gt ~rounds:(2 * n) ()
+  in
+  match List.find_opt (fun (c, _, _) -> c = cls) s.Dice.Orchestrator.first_detection with
+  | None -> None
+  | Some (_, _, r) ->
+      let rounds = s.Dice.Orchestrator.rounds in
+      check Alcotest.int "detecting round is the last one run" (List.length rounds) r;
+      Dice.Orchestrator.round_exploration (List.nth rounds (r - 1))
+
+let has_property name (x : Dice.Explorer.exploration) =
+  List.exists
+    (fun (f : Dice.Fault.t) -> String.equal f.Dice.Fault.f_property name)
+    x.Dice.Explorer.x_faults
+
 let detects_hijack () =
   let params =
     { Topology.Generate.default_params with n_tier1 = 1; n_transit = 2; n_stub = 3 }
@@ -429,9 +453,8 @@ let detects_hijack () =
   let gt = Dice.Checks.ground_truth_of_graph graph in
   Dice.Inject.apply build (Dice.Inject.Prefix_hijack { at = 5; victim = 4 });
   Topology.Build.run_for build (Netsim.Time.span_sec 30.);
-  let _, hit =
-    Dice.Orchestrator.run_until_detection ~params:fast_params ~build ~gt
-      ~expect:Dice.Fault.Operator_mistake ()
+  let hit =
+    detecting_round ~params:fast_params ~build ~gt Dice.Fault.Operator_mistake
   in
   Alcotest.(check bool) "hijack detected" true (hit <> None)
 
@@ -450,34 +473,25 @@ let detects_crash_bug () =
   let gt = Dice.Checks.ground_truth_of_graph graph in
   let poison = Bgp.Community.make 64111 1 in
   Dice.Inject.apply build (Dice.Inject.Crash_bug { at = 1; community = poison });
-  let _, hit =
-    Dice.Orchestrator.run_until_detection ~params:fast_params ~build ~gt ~nodes:[ 1 ]
-      ~expect:Dice.Fault.Programming_error ()
-  in
-  match hit with
-  | Some round ->
-      Alcotest.(check bool) "crash property named" true
-        (List.exists
-           (fun (f : Dice.Fault.t) ->
-             String.equal f.Dice.Fault.f_property "handler-crash")
-           (Dice.Orchestrator.round_exploration_exn round).Dice.Explorer.x_faults)
+  match
+    detecting_round ~params:fast_params ~build ~gt ~nodes:[ 1 ]
+      Dice.Fault.Programming_error
+  with
+  | Some x ->
+      Alcotest.(check bool) "crash property named" true (has_property "handler-crash" x)
   | None -> Alcotest.fail "crash bug not detected"
 
 let detects_loop_bug () =
   let graph, build = detects_build_fresh () in
   let gt = Dice.Checks.ground_truth_of_graph graph in
   Dice.Inject.apply build (Dice.Inject.Loop_check_bug { at = 1 });
-  let _, hit =
-    Dice.Orchestrator.run_until_detection ~params:fast_params ~build ~gt ~nodes:[ 1 ]
-      ~expect:Dice.Fault.Programming_error ()
-  in
-  match hit with
-  | Some round ->
+  match
+    detecting_round ~params:fast_params ~build ~gt ~nodes:[ 1 ]
+      Dice.Fault.Programming_error
+  with
+  | Some x ->
       Alcotest.(check bool) "loop property named" true
-        (List.exists
-           (fun (f : Dice.Fault.t) ->
-             String.equal f.Dice.Fault.f_property "no-own-as-in-path")
-           (Dice.Orchestrator.round_exploration_exn round).Dice.Explorer.x_faults)
+        (has_property "no-own-as-in-path" x)
   | None -> Alcotest.fail "loop bug not detected"
 
 let detects_dispute_wheel () =
@@ -490,9 +504,9 @@ let detects_dispute_wheel () =
     (Dice.Inject.Policy_dispute
        { cycle = Topology.Gadget.wheel; victim = Topology.Gadget.victim });
   Topology.Build.run_for build (Netsim.Time.span_sec 5.);
-  let _, hit =
-    Dice.Orchestrator.run_until_detection ~params:fast_params ~build ~gt
-      ~nodes:Topology.Gadget.wheel ~expect:Dice.Fault.Policy_conflict ()
+  let hit =
+    detecting_round ~params:fast_params ~build ~gt ~nodes:Topology.Gadget.wheel
+      Dice.Fault.Policy_conflict
   in
   Alcotest.(check bool) "oscillation detected" true (hit <> None)
 
@@ -506,6 +520,76 @@ let no_false_positives_on_healthy_system () =
     (List.map
        (fun (f : Dice.Fault.t) -> Format.asprintf "%a" Dice.Fault.pp f)
        summary.Dice.Orchestrator.faults)
+
+(* The stop rule is a cut of the one loop, nothing more: on fresh,
+   identically seeded deployments, [run ~until:c ~rounds:k] is the
+   prefix of [run ~rounds:k] up to and including the first round that
+   reports [c]. *)
+let stop_rule_is_a_prefix () =
+  let deploy ~seed inject =
+    let params =
+      { Topology.Generate.default_params with n_tier1 = 1; n_transit = 3; n_stub = 5 }
+    in
+    let graph = Topology.Generate.generate ~params (Netsim.Rng.create seed) in
+    let build = Topology.Build.deploy graph in
+    Topology.Build.start_all build;
+    assert (Topology.Build.converge build);
+    Option.iter (Dice.Inject.apply build) inject;
+    Topology.Build.run_for build (Netsim.Time.span_sec 10.);
+    (build, Dice.Checks.ground_truth_of_graph graph)
+  in
+  let round_view (r : Dice.Orchestrator.round) =
+    ( r.Dice.Orchestrator.rd_node,
+      Format.asprintf "%a" Dice.Orchestrator.pp_outcome r.Dice.Orchestrator.rd_outcome,
+      match Dice.Orchestrator.round_exploration r with
+      | None -> (0, [])
+      | Some x ->
+          ( x.Dice.Explorer.x_inputs,
+            List.map (Format.asprintf "%a" Dice.Fault.pp) x.Dice.Explorer.x_faults ) )
+  in
+  let rounds_t =
+    Alcotest.(list (triple int string (pair int (list string))))
+  in
+  let detection cls (s : Dice.Orchestrator.summary) =
+    List.find_opt (fun (c, _, _) -> c = cls) s.Dice.Orchestrator.first_detection
+    |> Option.map (fun (_, t, r) -> (Netsim.Time.to_us t, r))
+  in
+  let compare_runs ~name ~seed ~inject ~cls ~k ~expect_rounds =
+    let build, gt = deploy ~seed inject in
+    let stopped = Dice.Orchestrator.run ~until:cls ~build ~gt ~rounds:k () in
+    let build, gt = deploy ~seed inject in
+    let full = Dice.Orchestrator.run ~build ~gt ~rounds:k () in
+    let n = List.length stopped.Dice.Orchestrator.rounds in
+    check Alcotest.int (name ^ ": rounds run") expect_rounds n;
+    check rounds_t (name ^ ": prefix of the full run")
+      (List.map round_view (List.filteri (fun i _ -> i < n) full.Dice.Orchestrator.rounds))
+      (List.map round_view stopped.Dice.Orchestrator.rounds);
+    check
+      Alcotest.(option (pair int int))
+      (name ^ ": first detection") (detection cls full) (detection cls stopped)
+  in
+  compare_runs ~name:"loop-check" ~seed:13
+    ~inject:(Some (Dice.Inject.Loop_check_bug { at = 2 }))
+    ~cls:Dice.Fault.Programming_error ~k:9 ~expect_rounds:3;
+  compare_runs ~name:"healthy" ~seed:13 ~inject:None ~cls:Dice.Fault.Programming_error
+    ~k:9 ~expect_rounds:9
+
+(* An empty explorer list cannot be scheduled: refuse it up front
+   instead of dividing by zero in the round-robin. *)
+let run_rejects_empty_node_list () =
+  let graph, build = detects_build_fresh () in
+  let gt = Dice.Checks.ground_truth_of_graph graph in
+  Alcotest.check_raises "rounds over no nodes"
+    (Invalid_argument "Orchestrator.run: empty node list") (fun () ->
+      ignore (Dice.Orchestrator.run ~build ~gt ~nodes:[] ~rounds:1 ()));
+  Alcotest.check_raises "until over no nodes"
+    (Invalid_argument "Orchestrator.run: empty node list") (fun () ->
+      ignore
+        (Dice.Orchestrator.run ~build ~gt ~nodes:[] ~until:Dice.Fault.Operator_mistake
+           ~rounds:1 ()));
+  check Alcotest.int "zero rounds over no nodes is empty" 0
+    (List.length
+       (Dice.Orchestrator.run ~build ~gt ~nodes:[] ~rounds:0 ()).Dice.Orchestrator.rounds)
 
 let exploration_metrics_consistent () =
   let graph, build = detects_build_fresh () in
@@ -538,4 +622,6 @@ let suite =
     ("e2e: detects loop-check bug", `Slow, detects_loop_bug);
     ("e2e: detects dispute wheel", `Slow, detects_dispute_wheel);
     ("e2e: no false positives when healthy", `Slow, no_false_positives_on_healthy_system);
+    ("orchestrator: until is a prefix of the full run", `Slow, stop_rule_is_a_prefix);
+    ("orchestrator: empty node list rejected", `Quick, run_rejects_empty_node_list);
     ("explorer: metrics consistency", `Quick, exploration_metrics_consistent) ]

@@ -180,17 +180,12 @@ let dice_detects_sparrow_crash () =
   let gt = Dice.Checks.ground_truth_of_graph graph in
   Dice.Inject.apply build
     (Dice.Inject.Crash_bug { at = 1; community = Bgp.Community.make 64998 7 });
-  let _, hit =
-    Dice.Orchestrator.run_until_detection ~build ~gt ~nodes:[ 1 ]
-      ~expect:Dice.Fault.Programming_error ()
-  in
-  match hit with
-  | Some round ->
+  match
+    Test_dice.detecting_round ~build ~gt ~nodes:[ 1 ] Dice.Fault.Programming_error
+  with
+  | Some x ->
       Alcotest.(check bool) "sparrow crash found by exploration" true
-        (List.exists
-           (fun (f : Dice.Fault.t) ->
-             String.equal f.Dice.Fault.f_property "handler-crash")
-           (Dice.Orchestrator.round_exploration_exn round).Dice.Explorer.x_faults)
+        (Test_dice.has_property "handler-crash" x)
   | None -> Alcotest.fail "sparrow crash bug not detected"
 
 (* Differential property: Sparrow's independently written selection
