@@ -101,6 +101,24 @@ let loc_get prefix t = Prefix.Map.find_opt prefix t.loc
 let loc_prefixes t = Prefix.Map.fold (fun p _ acc -> p :: acc) t.loc [] |> List.rev
 let loc_cardinal t = Prefix.Map.cardinal t.loc
 
+let loc_event prefix = function
+  | Some r ->
+      Printf.sprintf "%s via %s" (Prefix.to_string prefix)
+        (Ipv4.to_string r.source.peer_addr)
+  | None -> Printf.sprintf "%s unreachable" (Prefix.to_string prefix)
+
+let parse_loc_event detail =
+  match String.index_opt detail ' ' with
+  | None -> None
+  | Some i ->
+      let prefix = String.sub detail 0 i in
+      let state = String.sub detail (i + 1) (String.length detail - i - 1) in
+      if
+        String.equal state "unreachable"
+        || (String.length state > 4 && String.equal (String.sub state 0 4) "via ")
+      then Some (prefix, state)
+      else None
+
 let adj_out_set peer prefix attrs t =
   { t with adj_out = update_peer_map peer (Prefix.Map.add prefix attrs) t.adj_out }
 

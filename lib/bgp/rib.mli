@@ -75,6 +75,17 @@ val loc_get : Prefix.t -> t -> route option
 val loc_prefixes : t -> Prefix.t list
 val loc_cardinal : t -> int
 
+val loc_event : Prefix.t -> route option -> string
+(** The detail of a ["loc-rib"] trace event, one format for every
+    speaker implementation: ["<prefix> via <peer>"] for a new best
+    route (peer [0.0.0.0] when it is local), ["<prefix> unreachable"]
+    when the prefix left the Loc-RIB. *)
+
+val parse_loc_event : string -> (string * string) option
+(** Inverse of {!loc_event}: [(prefix, state)] with [state] either
+    ["via <peer>"] or ["unreachable"]; [None] for a detail of any other
+    shape. *)
+
 (* --- Adj-RIB-Out --- *)
 
 val adj_out_set : Ipv4.t -> Prefix.t -> Attr.t -> t -> t

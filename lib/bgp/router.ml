@@ -88,11 +88,7 @@ let set_session t peer fsm =
 
 let is_ibgp t (n : Config.neighbor) = n.Config.remote_as = t.cfg.Config.asn
 
-let trace t kind detail =
-  match Netsim.Network.trace t.net with
-  | Some tr ->
-      Netsim.Trace.emit tr ~at:(Netsim.Engine.now t.eng) ~node:t.node ~kind detail
-  | None -> ()
+let trace t kind f = Netsim.Network.emit_lazy t.net ~node:t.node ~kind f
 
 (* ------------------------------------------------------------------ *)
 (* Export path                                                         *)
@@ -252,14 +248,9 @@ let run_decision t prefixes =
       in
       if not same then begin
         (match best with
-        | Some r ->
-            t.st <- { t.st with rib = Rib.loc_set prefix r t.st.rib };
-            trace t "loc-rib"
-              (Printf.sprintf "%s via %s" (Prefix.to_string prefix)
-                 (Ipv4.to_string r.Rib.source.Rib.peer_addr))
-        | None ->
-            t.st <- { t.st with rib = Rib.loc_del prefix t.st.rib };
-            trace t "loc-rib" (Printf.sprintf "%s unreachable" (Prefix.to_string prefix)));
+        | Some r -> t.st <- { t.st with rib = Rib.loc_set prefix r t.st.rib }
+        | None -> t.st <- { t.st with rib = Rib.loc_del prefix t.st.rib });
+        trace t "loc-rib" (fun () -> Rib.loc_event prefix best);
         changed := prefix :: !changed
       end)
     prefixes;
@@ -336,10 +327,10 @@ let rec drive t (n : Config.neighbor) event =
   let after, actions = Fsm.handle (fsm_config t n) before event in
   set_session t peer after;
   if before.Fsm.state <> after.Fsm.state then
-    trace t "fsm"
-      (Printf.sprintf "%s: %s -> %s" (Ipv4.to_string peer)
-         (Fsm.state_to_string before.Fsm.state)
-         (Fsm.state_to_string after.Fsm.state));
+    trace t "fsm" (fun () ->
+        Printf.sprintf "%s: %s -> %s" (Ipv4.to_string peer)
+          (Fsm.state_to_string before.Fsm.state)
+          (Fsm.state_to_string after.Fsm.state));
   List.iter (do_action t n) actions;
   rearm_timers t n before after
 
@@ -356,7 +347,7 @@ and do_action t (n : Config.neighbor) action =
                drive t n Fsm.Tcp_established))
   | Fsm.Session_up ->
       Netsim.Stats.incr t.stats "session_up";
-      trace t "session" (Printf.sprintf "up %s" (Ipv4.to_string peer));
+      trace t "session" (fun () -> "up " ^ Ipv4.to_string peer);
       (* Advertise our Loc-RIB to the fresh peer. *)
       let announce =
         Prefix.Map.fold
@@ -371,7 +362,8 @@ and do_action t (n : Config.neighbor) action =
       if announce <> [] then flush_exports t peer ~announce ~withdraw:[]
   | Fsm.Session_down reason ->
       Netsim.Stats.incr t.stats "session_down";
-      trace t "session" (Printf.sprintf "down %s: %s" (Ipv4.to_string peer) reason);
+      trace t "session" (fun () ->
+          Printf.sprintf "down %s: %s" (Ipv4.to_string peer) reason);
       let lost = Rib.prefixes_from_peer peer t.st.rib in
       t.st <- { t.st with rib = Rib.drop_peer peer t.st.rib };
       run_decision t lost;
@@ -483,7 +475,7 @@ let process_raw t ~from_node raw =
       in
       let reject (e : Wire.error) =
         Netsim.Stats.incr t.stats "rx_malformed";
-        trace t "decode-error" (Format.asprintf "%a" Wire.pp_error e);
+        trace t "decode-error" (fun () -> Format.asprintf "%a" Wire.pp_error e);
         send_msg t peer
           (Msg.Notification { code = e.Wire.code; subcode = e.Wire.subcode; data = "" });
         drive t n Fsm.Manual_stop
@@ -499,7 +491,8 @@ let process_raw t ~from_node raw =
             (* RFC 7606: the attributes are unusable but the prefixes
                are known — withdraw them all and keep the session. *)
             Netsim.Stats.incr t.stats "rx_treat_as_withdraw";
-            trace t "treat-as-withdraw" (Format.asprintf "%a" Wire.pp_error err);
+            trace t "treat-as-withdraw" (fun () ->
+                Format.asprintf "%a" Wire.pp_error err);
             process_update t n
               { Msg.withdrawn = withdrawn @ nlri; attrs = None; nlri = [] };
             reset_hold_timer t n

@@ -39,6 +39,23 @@ let peer_of t addr = List.assoc_opt addr t.peers
 let established_peers t =
   List.filter_map (fun (a, p) -> if p.p_phase = Up then Some a else None) t.peers
 
+let trace t kind f = Netsim.Network.emit_lazy t.net ~node:t.node ~kind f
+
+(* Sparrow keeps its own address as a local route's via; the Rib view
+   uses [Rib.local_source], as Router does. *)
+let source_of t via =
+  if Ipv4.equal via (address t) then Rib.local_source
+  else
+    let remote_as =
+      match peer_of t via with
+      | Some p -> p.p_cfg.Config.remote_as
+      | None -> 0
+    in
+    { Rib.peer_addr = via; peer_as = remote_as; peer_bgp_id = via;
+      ebgp = remote_as <> t.cfg.Config.asn; igp_metric = 0 }
+
+let route_of t (attrs, via) = { Rib.attrs; source = source_of t via }
+
 let send t dst_addr msg =
   Netsim.Stats.incr t.stats ("tx_" ^ String.lowercase_ascii (Msg.kind msg));
   Netsim.Network.send t.net ~src:t.node ~dst:(Router.node_of_addr dst_addr)
@@ -153,6 +170,7 @@ let reselect t prefix =
     (match after with
     | Some chosen -> t.loc <- Prefix_trie.add prefix chosen t.loc
     | None -> t.loc <- Prefix_trie.remove prefix t.loc);
+    trace t "loc-rib" (fun () -> Rib.loc_event prefix (Option.map (route_of t) after));
     List.iter (fun entry -> push_export t entry prefix) t.peers
   end
 
@@ -226,7 +244,7 @@ let rec arm_hold t (p : peer) =
            (fun () ->
              if p.p_phase <> Down then begin
                Netsim.Stats.incr t.stats "hold_expired";
-               session_down t p.p_cfg.Config.addr p
+               session_down t p.p_cfg.Config.addr p ~reason:"hold timer expired"
              end))
   end
 
@@ -245,6 +263,7 @@ and session_up t addr (p : peer) =
     cancel_opt p.p_retry;
     p.p_retry <- None;
     Netsim.Stats.incr t.stats "session_up";
+    trace t "session" (fun () -> "up " ^ Ipv4.to_string addr);
     full_table_to t addr;
     (* Periodic keepalives so FSM-based peers do not expire their hold
        timers. *)
@@ -259,8 +278,10 @@ and session_up t addr (p : peer) =
     end
   end
 
-and session_down t addr (p : peer) =
+and session_down t addr (p : peer) ~reason =
   Netsim.Stats.incr t.stats "session_down";
+  trace t "session" (fun () ->
+      Printf.sprintf "down %s: %s" (Ipv4.to_string addr) reason);
   p.p_phase <- Down;
   p.p_sent_open <- false;
   p.p_got_open <- false;
@@ -287,8 +308,7 @@ and session_down t addr (p : peer) =
     in
     p.p_retry <-
       Some (Netsim.Engine.schedule t.eng ~after:(Netsim.Time.span_sec 15.) retry)
-  end;
-  ignore addr
+  end
 
 let handle_msg t addr (p : peer) = function
   | Msg.Open o ->
@@ -296,7 +316,7 @@ let handle_msg t addr (p : peer) = function
         send t addr
           (Msg.Notification
              { code = Msg.Error.open_message; subcode = Msg.Error.bad_peer_as; data = "" });
-        session_down t addr p
+        session_down t addr p ~reason:"bad peer AS"
       end
       else begin
         p.p_got_open <- true;
@@ -308,7 +328,7 @@ let handle_msg t addr (p : peer) = function
       (* Lenient: Sparrow processes UPDATEs as soon as the greeting
          completed, and silently ignores truly early ones. *)
       if p.p_phase <> Down then handle_update t p u
-  | Msg.Notification _ -> session_down t addr p
+  | Msg.Notification _ -> session_down t addr p ~reason:"notification received"
 
 let process_raw t ~from_node raw =
   let addr = Router.addr_of_node from_node in
@@ -324,7 +344,7 @@ let process_raw t ~from_node raw =
         Netsim.Stats.incr t.stats "rx_malformed";
         send t addr
           (Msg.Notification { code = e.Wire.code; subcode = e.Wire.subcode; data = "" });
-        session_down t addr p
+        session_down t addr p ~reason:"malformed message"
       in
       match Wire.decode_graceful raw with
       | Wire.Msg msg ->
@@ -378,17 +398,6 @@ let create ?(liveness_timers = true) ?(bugs = Router.no_bugs) ~net ~node cfg =
 (* Rib view and speaker wrapping                                       *)
 (* ------------------------------------------------------------------ *)
 
-let source_of t via =
-  if Ipv4.equal via (address t) then Rib.local_source
-  else
-    let remote_as =
-      match peer_of t via with
-      | Some p -> p.p_cfg.Config.remote_as
-      | None -> 0
-    in
-    { Rib.peer_addr = via; peer_as = remote_as; peer_bgp_id = via;
-      ebgp = remote_as <> t.cfg.Config.asn; igp_metric = 0 }
-
 let rib_view t =
   let adj_in =
     List.fold_left
@@ -406,8 +415,7 @@ let rib_view t =
   in
   let loc =
     Prefix_trie.fold
-      (fun prefix (attrs, via) acc ->
-        Prefix.Map.add prefix { Rib.attrs; source = source_of t via } acc)
+      (fun prefix chosen acc -> Prefix.Map.add prefix (route_of t chosen) acc)
       t.loc Prefix.Map.empty
   in
   let adj_out =

@@ -37,21 +37,6 @@ type t = {
   tl_last_us : int;
 }
 
-(* A loc-rib trace detail is exactly "<prefix> via <peer>" or
-   "<prefix> unreachable" (see Bgp.Router); anything else is some other
-   trace kind's payload and is ignored. *)
-let parse_locrib detail =
-  match String.index_opt detail ' ' with
-  | None -> None
-  | Some i ->
-      let prefix = String.sub detail 0 i in
-      let state = String.sub detail (i + 1) (String.length detail - i - 1) in
-      if
-        String.equal state "unreachable"
-        || (String.length state > 4 && String.equal (String.sub state 0 4) "via ")
-      then Some (prefix, state)
-      else None
-
 type builder = {
   mutable b_records : int;
   b_spans : (int, span) Hashtbl.t;
@@ -110,7 +95,7 @@ let add b (event : Sink.event) =
   | Sink.Trace { t_us; node; kind; detail } ->
       see_time b t_us;
       if String.equal kind "loc-rib" then (
-        match parse_locrib detail with
+        match Bgp.Rib.parse_loc_event detail with
         | Some (prefix, state) ->
             b.b_flips <-
               { fp_t_us = t_us; fp_node = node; fp_prefix = prefix;

@@ -42,7 +42,7 @@ type flip = {
   fp_t_us : int;
   fp_node : int;
   fp_prefix : string;
-  fp_state : string;  (** ["via <peer>"] or ["unreachable"] *)
+  fp_state : string;  (** ["via <peer>"] or ["unreachable"] ({!Bgp.Rib.loc_event}) *)
 }
 
 type t = {
@@ -64,9 +64,5 @@ val of_file : string -> (t, string list) result
 (** Stream a JSONL artifact via {!Telemetry.Sink.fold_file} without
     loading it whole.  Malformed lines are fatal: every one is
     reported as ["line N: msg"]. *)
-
-val parse_locrib : string -> (string * string) option
-(** [(prefix, state)] from a loc-rib trace detail, [None] for payloads
-    of any other shape. *)
 
 val duration_us : t -> int

@@ -123,7 +123,10 @@ let decision_matches_spec =
                    (Bgp.Prefix.to_string prefix)))
         prefixes)
 
-let convergence ?(budget = 200_000) ?(sample_every = 100) shadow =
+(* Events between loc-rib fingerprint samples. *)
+let sample_every = 100
+
+let convergence ?(budget = 200_000) shadow =
   let eng = shadow.Snapshot.Store.sh_engine in
   let seen = Hashtbl.create 64 in
   let last = ref None in
@@ -181,7 +184,3 @@ let standard_suite gt =
       scope = Per_input; run = no_own_as_in_path };
     { name = "decision-process-spec"; fault_class = Fault.Programming_error;
       scope = Per_input; run = decision_matches_spec } ]
-
-let convergence_checker =
-  { name = "convergence"; fault_class = Fault.Policy_conflict; scope = Per_input;
-    run = (fun shadow -> convergence shadow) }

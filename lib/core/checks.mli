@@ -38,9 +38,10 @@ val decision_matches_spec : Snapshot.Store.shadow -> verdict list
     process over the same candidates (programming-error class: catches
     the inverted-MED bug). *)
 
-val convergence : ?budget:int -> ?sample_every:int -> Snapshot.Store.shadow -> verdict list
-(** Runs the shadow.  If it fails to quiesce within [budget] events and
-    the global RIB fingerprint revisits an earlier value, the system is
+val convergence : ?budget:int -> Snapshot.Store.shadow -> verdict list
+(** Runs the shadow, sampling the global RIB fingerprint every 100
+    events.  If it fails to quiesce within [budget] events and the
+    fingerprint revisits an earlier value, the system is
     oscillating (policy-conflict class); non-quiescence without a
     revisit is reported as divergence. *)
 
@@ -60,5 +61,3 @@ val standard_suite : ground_truth -> checker list
     separately because it advances shadow time itself).
     [origin_authenticity] and other unfilterable state properties carry
     [Baseline] scope. *)
-
-val convergence_checker : checker

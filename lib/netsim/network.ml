@@ -63,7 +63,6 @@ let net_metrics label =
 
 type 'msg t = {
   eng : Engine.t;
-  tr : Trace.t option;
   metrics : net_metrics option;
   node_tbl : (int, 'msg node) Hashtbl.t;
   chan_tbl : (int * int, 'msg channel) Hashtbl.t;
@@ -79,10 +78,9 @@ type 'msg t = {
   mutable dropped : int;
 }
 
-let create ?trace ?label eng =
+let create ?label eng =
   {
     eng;
-    tr = trace;
     metrics = Option.map net_metrics label;
     node_tbl = Hashtbl.create 64;
     chan_tbl = Hashtbl.create 256;
@@ -99,7 +97,6 @@ let create ?trace ?label eng =
   }
 
 let engine t = t.eng
-let trace t = t.tr
 
 let bump t f = match t.metrics with Some m -> f m | None -> ()
 
@@ -129,17 +126,13 @@ let connect_sym t a b link =
   connect t a b link;
   connect t b a link
 
-let emit ?level t ~node ~kind detail =
-  match t.tr with
-  | Some tr -> Trace.emit ?level tr ~at:(Engine.now t.eng) ~node ~kind detail
-  | None -> ()
-
-(* Per-message events are chatty; the thunk keeps the sprintf off the
-   hot path when the trace is filtered and no telemetry sink is up. *)
-let emit_lazy ?level t ~node ~kind f =
-  match t.tr with
-  | Some tr -> Trace.emit_lazy ?level tr ~at:(Engine.now t.eng) ~node ~kind f
-  | None -> ()
+(* Only a labeled network ([metrics] set) has events, and only while a
+   sink listens: shadow clones and unobserved runs never build a detail
+   string. *)
+let emit_lazy t ~node ~kind f =
+  if Option.is_some t.metrics && Telemetry.enabled () then
+    Telemetry.trace_event ~t_us:(Time.to_us (Engine.now t.eng)) ~node ~kind
+      ~detail:(f ())
 
 let downtime_us t since =
   Time.to_us (Engine.now t.eng) - Time.to_us since
@@ -167,7 +160,7 @@ let set_node_down t id =
     n.nd_up <- false;
     n.nd_down_since <- Some (Engine.now t.eng);
     bump t (fun m -> Telemetry.Metrics.incr m.nm_node_downs);
-    emit t ~node:id ~kind:"churn" "node down"
+    emit_lazy t ~node:id ~kind:"churn" (fun () -> "node down")
   end
 
 let set_node_up t id =
@@ -181,15 +174,15 @@ let set_node_up t id =
             Telemetry.Histogram.observe m.nm_node_downtime
               (float_of_int (downtime_us t since)))
     | None -> ());
-    emit t ~node:id ~kind:"churn" "node up"
+    emit_lazy t ~node:id ~kind:"churn" (fun () -> "node up")
   end
 
 let drop t ~src env =
   t.dropped <- t.dropped + 1;
   bump t (fun m -> Telemetry.Metrics.incr m.nm_dropped);
   match env with
-  | Data _ -> emit t ~node:src ~kind:"drop" "message lost to churn"
-  | Control _ -> emit t ~node:src ~kind:"drop" "marker lost to churn"
+  | Data _ -> emit_lazy t ~node:src ~kind:"drop" (fun () -> "message lost to churn")
+  | Control _ -> emit_lazy t ~node:src ~kind:"drop" (fun () -> "marker lost to churn")
 
 let deliver t ~src ~dst env =
   t.flying <- t.flying - 1;
@@ -208,7 +201,7 @@ let deliver t ~src ~dst env =
         t.delivered <- t.delivered + 1;
         bump t (fun mt -> Telemetry.Metrics.incr mt.nm_delivered);
         (match t.tap with Some f -> f ~dst ~src m | None -> ());
-        emit_lazy ~level:Trace.Debug t ~node:dst ~kind:"deliver" (fun () ->
+        emit_lazy t ~node:dst ~kind:"deliver" (fun () ->
             Printf.sprintf "from %d" src);
         match t.crash_policy with
         | Propagate -> dst_node.handler ~src m
@@ -226,8 +219,8 @@ let deliver t ~src ~dst env =
                     cr_exn = detail }
                   :: t.crash_log;
                 bump t (fun mt -> Telemetry.Metrics.incr mt.nm_handler_crashes);
-                emit t ~node:dst ~kind:"crash"
-                  (Printf.sprintf "handler died on message from %d: %s" src detail);
+                emit_lazy t ~node:dst ~kind:"crash" (fun () ->
+                    Printf.sprintf "handler died on message from %d: %s" src detail);
                 set_node_down t dst;
                 match restart_after with
                 | Some d ->
@@ -319,7 +312,7 @@ let heal t =
 let send t ~src ~dst msg =
   t.sent <- t.sent + 1;
   bump t (fun m -> Telemetry.Metrics.incr m.nm_sent);
-  emit_lazy ~level:Trace.Debug t ~node:src ~kind:"send" (fun () ->
+  emit_lazy t ~node:src ~kind:"send" (fun () ->
       Printf.sprintf "to %d" dst);
   (* The wire transform only sees application data — control markers
      belong to the snapshot algorithm and must stay intact. *)

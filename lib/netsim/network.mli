@@ -50,16 +50,23 @@ type crash = {
 
 type 'msg t
 
-(** [create ?trace ?label eng] builds an empty network.
+(** [create ?label eng] builds an empty network.
     [label] opts this network into the global telemetry registry:
     counters [net.<label>.sent/delivered/dropped/node_downs/link_downs]
     and downtime histograms [net.<label>.node_downtime_us] /
-    [net.<label>.link_downtime_us].  Leave it unset for throwaway
-    networks (shadow replays) so they do not pollute the live run's
-    accounting. *)
-val create : ?trace:Trace.t -> ?label:string -> Engine.t -> 'msg t
+    [net.<label>.link_downtime_us], and its events ({!emit_lazy}:
+    send, deliver, drop, churn, crash, and the speakers' own) reach
+    the telemetry sink.  Leave it unset for throwaway networks (shadow
+    replays) so they do not pollute the live run's accounting or
+    timeline. *)
+val create : ?label:string -> Engine.t -> 'msg t
 val engine : 'msg t -> Engine.t
-val trace : 'msg t -> Trace.t option
+
+val emit_lazy : 'msg t -> node:int -> kind:string -> (unit -> string) -> unit
+(** Record a [trace] event at the current simulated time through
+    {!Telemetry.trace_event}.  Only a labeled network emits, and only
+    while {!Telemetry.enabled}; otherwise the detail thunk never runs,
+    so call sites pay nothing for events nobody reads. *)
 
 val add_node : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
 (** @raise Invalid_argument if the node already exists. *)

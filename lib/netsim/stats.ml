@@ -1,65 +1,15 @@
-(* Thin shim over the telemetry subsystem: counters stay local refs
-   (they are per-component, single-domain), but distributions are
-   [Telemetry.Histogram]s so there is exactly one quantile
-   implementation in the tree. *)
+type t = (string, int ref) Hashtbl.t
 
-type t = {
-  counters : (string, int ref) Hashtbl.t;
-  dists : (string, Telemetry.Histogram.t) Hashtbl.t;
-}
-
-let create () = { counters = Hashtbl.create 16; dists = Hashtbl.create 16 }
+let create () = Hashtbl.create 16
 
 let counter t name =
-  match Hashtbl.find_opt t.counters name with
+  match Hashtbl.find_opt t name with
   | Some r -> r
   | None ->
       let r = ref 0 in
-      Hashtbl.add t.counters name r;
+      Hashtbl.add t name r;
       r
 
 let incr t name = Stdlib.incr (counter t name)
 let add t name n = counter t name := !(counter t name) + n
-let get t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
-let dist t name =
-  match Hashtbl.find_opt t.dists name with
-  | Some d -> d
-  | None ->
-      let d = Telemetry.Histogram.create name in
-      Hashtbl.add t.dists name d;
-      d
-
-let observe t name v = Telemetry.Histogram.observe (dist t name) v
-
-let count t name =
-  match Hashtbl.find_opt t.dists name with
-  | Some d -> Telemetry.Histogram.count d
-  | None -> 0
-
-let with_dist t name f =
-  match Hashtbl.find_opt t.dists name with
-  | Some d when Telemetry.Histogram.count d > 0 -> f d
-  | Some _ | None -> nan
-
-let mean t name = with_dist t name Telemetry.Histogram.mean
-let min_value t name = with_dist t name Telemetry.Histogram.min_value
-let max_value t name = with_dist t name Telemetry.Histogram.max_value
-let percentile t name p = with_dist t name (fun d -> Telemetry.Histogram.percentile d p)
-
-let counters t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let merge_into ~dst src =
-  Hashtbl.iter (fun k r -> add dst k !r) src.counters;
-  Hashtbl.iter
-    (fun k d -> List.iter (observe dst k) (Telemetry.Histogram.samples d))
-    src.dists
-
-let clear t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.dists
-
-let pp ppf t =
-  List.iter (fun (k, v) -> Format.fprintf ppf "%s=%d@ " k v) (counters t)
+let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0

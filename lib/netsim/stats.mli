@@ -1,4 +1,6 @@
-(** Counters and simple distributions for experiment reporting. *)
+(** Named per-component counters (a speaker's [tx_update],
+    [session_down], ...).  Single-domain; process-wide accounting
+    lives in {!Telemetry.Metrics}. *)
 
 type t
 
@@ -8,26 +10,3 @@ val incr : t -> string -> unit
 val add : t -> string -> int -> unit
 val get : t -> string -> int
 (** 0 for a counter never touched. *)
-
-val observe : t -> string -> float -> unit
-(** Record one sample of the named distribution. *)
-
-val count : t -> string -> int
-val mean : t -> string -> float
-val min_value : t -> string -> float
-val max_value : t -> string -> float
-val percentile : t -> string -> float -> float
-(** [percentile t name 0.99]; nearest-rank on the recorded samples,
-    delegated to {!Telemetry.Histogram.percentile} (one quantile
-    implementation in the tree): [p = 0.] is exactly the minimum,
-    [p = 1.] exactly the maximum.  Distribution queries return [nan]
-    when no sample was recorded — test with [Float.is_nan].
-    @raise Invalid_argument if [p] is outside [\[0, 1\]] or NaN (and
-    samples exist). *)
-
-val counters : t -> (string * int) list
-(** Sorted by name. *)
-
-val merge_into : dst:t -> t -> unit
-val clear : t -> unit
-val pp : Format.formatter -> t -> unit

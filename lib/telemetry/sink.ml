@@ -23,7 +23,6 @@ type event =
 
 type t =
   | Noop
-  | Memory of { mutable buf : (int * event) list; m_lock : Mutex.t; mutable m_seq : int }
   | Jsonl of { oc : out_channel; j_lock : Mutex.t; mutable j_seq : int }
   | Ring of {
       r_buf : (int * event) Queue.t;
@@ -34,18 +33,22 @@ type t =
   | Tee of t * t
 
 let noop = Noop
-let memory () = Memory { buf = []; m_lock = Mutex.create (); m_seq = 0 }
 let jsonl oc = Jsonl { oc; j_lock = Mutex.create (); j_seq = 0 }
+
+let make_ring r_cap =
+  Ring { r_buf = Queue.create (); r_cap; r_lock = Mutex.create (); r_seq = 0 }
+
+let memory () = make_ring max_int
 
 let ring ~capacity =
   if capacity <= 0 then invalid_arg "Sink.ring: capacity must be positive";
-  Ring { r_buf = Queue.create (); r_cap = capacity; r_lock = Mutex.create (); r_seq = 0 }
+  make_ring capacity
 
 let tee a b = Tee (a, b)
 
 let rec is_noop = function
   | Noop -> true
-  | Memory _ | Jsonl _ | Ring _ -> false
+  | Jsonl _ | Ring _ -> false
   | Tee (a, b) -> is_noop a && is_noop b
 
 (* ------------------------------------------------------------------ *)
@@ -174,12 +177,6 @@ let of_json json =
 let rec emit t event =
   match t with
   | Noop -> ()
-  | Memory m ->
-      Mutex.lock m.m_lock;
-      let seq = m.m_seq in
-      m.m_seq <- seq + 1;
-      m.buf <- (seq, event) :: m.buf;
-      Mutex.unlock m.m_lock
   | Jsonl j ->
       Mutex.lock j.j_lock;
       let seq = j.j_seq in
@@ -201,11 +198,6 @@ let rec emit t event =
       emit b event
 
 let rec events = function
-  | Memory m ->
-      Mutex.lock m.m_lock;
-      let all = m.buf in
-      Mutex.unlock m.m_lock;
-      List.rev all
   | Ring r ->
       Mutex.lock r.r_lock;
       let all = List.of_seq (Queue.to_seq r.r_buf) in
@@ -222,7 +214,7 @@ let rec flush = function
   | Tee (a, b) ->
       flush a;
       flush b
-  | Noop | Memory _ | Ring _ -> ()
+  | Noop | Ring _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Streaming reader                                                    *)

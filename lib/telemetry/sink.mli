@@ -4,7 +4,7 @@
     faults, simulator trace records, end-of-run metric values — is one
     {!event}.  A {!t} receives events: [Noop] discards them (the
     default; recording must be near-zero-cost when nobody listens),
-    [Memory] buffers them for tests, [Jsonl] writes one JSON object
+    {!memory} and {!ring} buffer them, [Jsonl] writes one JSON object
     per line in the [dice-telemetry/1] schema.
 
     Sinks are domain-safe: a mutex serialises emission, and the
@@ -50,6 +50,8 @@ type t
 
 val noop : t
 val memory : unit -> t
+(** Buffers every event (an unbounded {!ring}), for tests and whole-run
+    analysis. *)
 
 val jsonl : out_channel -> t
 (** The caller owns the channel; {!flush} before closing it. *)

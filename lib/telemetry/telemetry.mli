@@ -94,8 +94,9 @@ val fault :
     time when it differs). *)
 
 val trace_event : t_us:int -> node:int -> kind:string -> detail:string -> unit
-(** Simulator trace record ([Netsim.Trace] routes through this so sim
-    events and spans land in one timeline). *)
+(** Simulator trace record: a labeled [Netsim.Network]'s send,
+    deliver, churn and crash events and its speakers' session and
+    loc-rib changes, in one timeline with the spans. *)
 
 val sys_event :
   ?t_us:int -> kind:string -> nodes:int list -> detail:string -> unit -> unit

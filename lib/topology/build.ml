@@ -3,15 +3,13 @@ type t = {
   engine : Netsim.Engine.t;
   net : string Netsim.Network.t;
   speakers : (int * Bgp.Speaker.t) list;
-  trace : Netsim.Trace.t;
 }
 
 let deploy ?(seed = 42) ?(config_of = Gao_rexford.config_of)
     ?(bugs_of = fun _ -> Bgp.Router.no_bugs) ?(links_of = Generate.link_model)
     ?(sparrow_nodes = []) graph =
   let engine = Netsim.Engine.create ~seed () in
-  let trace = Netsim.Trace.create () in
-  let net = Netsim.Network.create ~trace ~label:"live" engine in
+  let net = Netsim.Network.create ~label:"live" engine in
   let link_rng = Netsim.Rng.split (Netsim.Engine.rng engine) in
   List.iter
     (fun id -> Netsim.Network.add_node net id (fun ~src:_ _ -> ()))
@@ -34,7 +32,7 @@ let deploy ?(seed = 42) ?(config_of = Gao_rexford.config_of)
         (id, sp))
       (Graph.node_ids graph)
   in
-  { graph; engine; net; speakers; trace }
+  { graph; engine; net; speakers }
 
 let speaker t id =
   match List.assoc_opt id t.speakers with

@@ -11,7 +11,6 @@ type t = {
   engine : Netsim.Engine.t;
   net : string Netsim.Network.t;
   speakers : (int * Bgp.Speaker.t) list;  (** sorted by node id *)
-  trace : Netsim.Trace.t;
 }
 
 val deploy :

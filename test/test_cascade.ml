@@ -375,6 +375,52 @@ let seq_and_pooled_reports_identical () =
       let pooled = report_with (Some pool) in
       check Alcotest.string "byte-identical reports" seq pooled)
 
+(* ------------------------------------------------------------------ *)
+(* Heterogeneous deployments                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Final loc-rib state per prefix at [node], read from the flip stream
+   of a converged 0 - 1 - 2 line (node 1 a customer of 0, 2 of 1). *)
+let line_final_states ~sparrow_nodes ~node =
+  let graph =
+    Topology.Graph.make
+      ~nodes:
+        [ (0, Topology.Graph.Tier1); (1, Topology.Graph.Transit);
+          (2, Topology.Graph.Transit) ]
+      ~edges:
+        [ { Topology.Graph.a = 1; b = 0; rel = Topology.Graph.Customer_provider };
+          { Topology.Graph.a = 2; b = 1; rel = Topology.Graph.Customer_provider } ]
+  in
+  let sink = Telemetry.Sink.memory () in
+  Telemetry.set_sink sink;
+  let tl =
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_sink Telemetry.Sink.noop)
+      (fun () ->
+        let build = Topology.Build.deploy ~sparrow_nodes graph in
+        Topology.Build.start_all build;
+        assert (Topology.Build.converge build);
+        Cascade.Timeline.of_events (Telemetry.Sink.events sink))
+  in
+  List.fold_left
+    (fun acc (f : Cascade.Timeline.flip) ->
+      if f.fp_node <> node then acc
+      else (f.fp_prefix, f.fp_state) :: List.remove_assoc f.fp_prefix acc)
+    [] tl.Cascade.Timeline.tl_flips
+  |> List.sort compare
+
+(* A Sparrow node between two Routers reports its loc-rib changes in
+   the same format a Router in its place does, so the stitcher sees
+   it. *)
+let sparrow_flips_match_router () =
+  let sparrow = line_final_states ~sparrow_nodes:[ 1 ] ~node:1 in
+  check Alcotest.int "three prefixes at the Sparrow node" 3 (List.length sparrow);
+  check
+    Alcotest.(list (pair string string))
+    "same final states as a Router"
+    (line_final_states ~sparrow_nodes:[] ~node:1)
+    sparrow
+
 let suite =
   [ ("spectrum: regular beat vs burst", `Quick, spectrum_regular_beat);
     ("graph: cycle requires a revisit", `Quick, graph_cycle_requires_revisit);
@@ -389,6 +435,7 @@ let suite =
     ("online: one report per root", `Quick, online_monitor_reports_once);
     ("report: round-trip + validation", `Quick, report_roundtrip_and_validation);
     ("scenario: legacy entries decode", `Quick, legacy_scenario_decodes_without_cascade);
+    ("sparrow: loc-rib flips like a Router", `Quick, sparrow_flips_match_router);
     ("gadget: dispute oscillates", `Slow, oscillation_gadget_detects);
     ("gadget: dispute-free is clean", `Slow, dispute_free_gadget_is_clean);
     ("gadget: seq == pooled report", `Slow, seq_and_pooled_reports_identical) ]

@@ -56,14 +56,54 @@ let percentile_edges () =
 let percentile_empty_is_nan () =
   let h = Telemetry.Histogram.create "e" in
   check Alcotest.bool "empty histogram percentile is NaN" true
-    (Float.is_nan (Telemetry.Histogram.percentile h 0.5));
-  (* The same contract surfaces through the Netsim.Stats shim. *)
-  let s = Netsim.Stats.create () in
-  check Alcotest.bool "stats shim: no samples -> NaN" true
-    (Float.is_nan (Netsim.Stats.percentile s "missing" 0.5));
-  Netsim.Stats.observe s "d" 7.;
-  check (Alcotest.float 0.) "stats shim: p=0 is min" 7.
-    (Netsim.Stats.percentile s "d" 0.)
+    (Float.is_nan (Telemetry.Histogram.percentile h 0.5))
+
+(* ------------------------------------------------------------------ *)
+(* Simulator events: free when nobody listens                          *)
+(* ------------------------------------------------------------------ *)
+
+let trace_details sink =
+  List.filter_map
+    (function _, Telemetry.Sink.Trace { detail; _ } -> Some detail | _ -> None)
+    (Telemetry.Sink.events sink)
+
+let event_thunks_run_only_when_listened () =
+  let eng = Netsim.Engine.create () in
+  let live = Netsim.Network.create ~label:"live" eng in
+  let unlabeled = Netsim.Network.create eng in
+  let runs = ref 0 in
+  let emit net =
+    Netsim.Network.emit_lazy net ~node:0 ~kind:"probe" (fun () ->
+        incr runs;
+        "detail")
+  in
+  Telemetry.set_sink Telemetry.Sink.noop;
+  emit live;
+  check Alcotest.int "noop sink: the thunk never runs" 0 !runs;
+  with_memory_sink (fun sink ->
+      emit live;
+      emit live;
+      emit unlabeled;
+      check Alcotest.int "memory sink: once per labeled event" 2 !runs;
+      check
+        Alcotest.(list string)
+        "only the labeled network's events" [ "detail"; "detail" ]
+        (trace_details sink))
+
+(* Shadows run on unlabeled networks, so a replay adds nothing to the
+   live timeline even while a sink listens. *)
+let shadow_replay_adds_no_events () =
+  let build = Test_snapshot.deploy_line 3 in
+  let snap = Test_snapshot.take build (Test_snapshot.make_cut build) 0 in
+  with_memory_sink (fun sink ->
+      let shadow = Snapshot.Store.spawn snap in
+      let sp = Snapshot.Store.speaker shadow 2 in
+      let cfg = sp.Bgp.Speaker.sp_config () in
+      sp.Bgp.Speaker.sp_set_config { cfg with Bgp.Config.networks = [] };
+      check Alcotest.bool "shadow quiesces" true (Snapshot.Store.run_to_quiescence shadow);
+      check Alcotest.bool "the withdrawal travelled" true
+        (Netsim.Network.messages_delivered shadow.Snapshot.Store.sh_net > 0);
+      check Alcotest.(list string) "no trace events" [] (trace_details sink))
 
 (* ------------------------------------------------------------------ *)
 (* JSONL codec                                                         *)
@@ -384,6 +424,10 @@ let suite =
       percentile_edges;
     Alcotest.test_case "histogram: empty distributions are NaN" `Quick
       percentile_empty_is_nan;
+    Alcotest.test_case "events: detail thunks run only for a listening sink" `Quick
+      event_thunks_run_only_when_listened;
+    Alcotest.test_case "events: a shadow replay adds none" `Quick
+      shadow_replay_adds_no_events;
     Alcotest.test_case "jsonl: every event round-trips" `Quick jsonl_roundtrip;
     Alcotest.test_case "jsonl: parser rejects garbage" `Quick
       json_parser_rejects_garbage;
