@@ -1,16 +1,23 @@
 type ground_truth = { owner_of : Bgp.Prefix.t -> int option }
 
+(* [prefix_of_node] maps node ids one-to-one onto /24s, so at most one
+   registered prefix contains a route's address: the trie's longest
+   match finds it, and [subsumes] turns away routes shorter than the
+   /24.  That is the answer of a first-match scan over the nodes; the
+   first registration of a prefix wins, as it did in the scan. *)
 let ground_truth_of_graph graph =
-  let owned =
-    List.map
-      (fun id -> (Topology.Gao_rexford.prefix_of_node id, Topology.Gao_rexford.asn_of_node id))
-      (Topology.Graph.node_ids graph)
+  let registry =
+    List.fold_left
+      (fun trie id ->
+        let owned = Topology.Gao_rexford.prefix_of_node id in
+        if Option.is_some (Bgp.Prefix_trie.find owned trie) then trie
+        else Bgp.Prefix_trie.add owned (Topology.Gao_rexford.asn_of_node id) trie)
+      Bgp.Prefix_trie.empty (Topology.Graph.node_ids graph)
   in
   let owner_of p =
-    List.find_map
-      (fun (owned_prefix, asn) ->
-        if Bgp.Prefix.subsumes owned_prefix p then Some asn else None)
-      owned
+    match Bgp.Prefix_trie.longest_match (Bgp.Prefix.addr p) registry with
+    | Some (owned, asn) when Bgp.Prefix.subsumes owned p -> Some asn
+    | Some _ | None -> None
   in
   { owner_of }
 
@@ -33,95 +40,89 @@ let origin_asn (sp : Bgp.Speaker.t) (route : Bgp.Rib.route) =
   | Some a -> a
   | None -> (sp.Bgp.Speaker.sp_config ()).Bgp.Config.asn
 
-let per_router_check property f (shadow : Snapshot.Store.shadow) =
-  List.map
-    (fun (id, sp) ->
-      match f id sp with
-      | [] -> ok id property
-      | evidence -> bad id property (String.concat "; " evidence))
-    shadow.Snapshot.Store.sh_speakers
+let verdict_of property id = function
+  | [] -> ok id property
+  | evidence -> bad id property (String.concat "; " evidence)
 
-let origin_authenticity gt =
-  per_router_check "origin-authenticity" (fun _ sp ->
-      Bgp.Prefix.Map.fold
-        (fun prefix route acc ->
-          match gt.owner_of prefix with
-          | None -> acc
-          | Some owner ->
-              let origin = origin_asn sp route in
-              if origin = owner then acc
-              else
-                Printf.sprintf "%s originated by AS%d, owner is AS%d"
-                  (Bgp.Prefix.to_string prefix) origin owner
-                :: acc)
-        (Bgp.Speaker.loc_rib sp) [])
+let origin_authenticity gt id sp =
+  verdict_of "origin-authenticity" id
+    (Bgp.Prefix.Map.fold
+       (fun prefix route acc ->
+         match gt.owner_of prefix with
+         | None -> acc
+         | Some owner ->
+             let origin = origin_asn sp route in
+             if origin = owner then acc
+             else
+               Printf.sprintf "%s originated by AS%d, owner is AS%d"
+                 (Bgp.Prefix.to_string prefix) origin owner
+               :: acc)
+       (Bgp.Speaker.loc_rib sp) [])
 
-let no_martians =
-  per_router_check "no-martians" (fun _ sp ->
-      Bgp.Prefix.Map.fold
-        (fun prefix _ acc ->
-          if Bgp.Prefix.is_martian prefix then
-            Printf.sprintf "martian %s selected" (Bgp.Prefix.to_string prefix) :: acc
-          else acc)
-        (Bgp.Speaker.loc_rib sp) [])
+let no_martians id sp =
+  verdict_of "no-martians" id
+    (Bgp.Prefix.Map.fold
+       (fun prefix _ acc ->
+         if Bgp.Prefix.is_martian prefix then
+           Printf.sprintf "martian %s selected" (Bgp.Prefix.to_string prefix) :: acc
+         else acc)
+       (Bgp.Speaker.loc_rib sp) [])
 
-let no_own_as_in_path =
-  per_router_check "no-own-as-in-path" (fun _ sp ->
-      let own = (sp.Bgp.Speaker.sp_config ()).Bgp.Config.asn in
-      Bgp.Prefix.Map.fold
-        (fun prefix route acc ->
-          if Bgp.As_path.contains own route.Bgp.Rib.attrs.Bgp.Attr.as_path then
-            Printf.sprintf "%s selected with own AS%d in path %s"
-              (Bgp.Prefix.to_string prefix) own
-              (Bgp.As_path.to_string route.Bgp.Rib.attrs.Bgp.Attr.as_path)
-            :: acc
-          else acc)
-        (Bgp.Speaker.loc_rib sp) [])
+let no_own_as_in_path id sp =
+  let own = (sp.Bgp.Speaker.sp_config ()).Bgp.Config.asn in
+  verdict_of "no-own-as-in-path" id
+    (Bgp.Prefix.Map.fold
+       (fun prefix route acc ->
+         if Bgp.As_path.contains own route.Bgp.Rib.attrs.Bgp.Attr.as_path then
+           Printf.sprintf "%s selected with own AS%d in path %s"
+             (Bgp.Prefix.to_string prefix) own
+             (Bgp.As_path.to_string route.Bgp.Rib.attrs.Bgp.Attr.as_path)
+           :: acc
+         else acc)
+       (Bgp.Speaker.loc_rib sp) [])
 
 (* Reference selection: same candidate construction as the speaker's
    own decision pass, but with specification semantics (loop check on,
    MED compared per RFC). *)
-let decision_matches_spec =
-  per_router_check "decision-process-spec" (fun id sp ->
-      let cfg = sp.Bgp.Speaker.sp_config () in
-      let dcfg : Bgp.Decision.config =
-        { always_compare_med = cfg.Bgp.Config.always_compare_med }
-      in
-      let rib = sp.Bgp.Speaker.sp_rib () in
-      let local_route prefix =
-        if List.exists (Bgp.Prefix.equal prefix) cfg.Bgp.Config.networks then
-          Some
-            { Bgp.Rib.attrs =
-                Bgp.Attr.make ~origin:Bgp.Attr.Igp
-                  ~next_hop:(Bgp.Router.addr_of_node id) ();
-              source = Bgp.Rib.local_source }
-        else None
-      in
-      let prefixes =
-        List.sort_uniq Bgp.Prefix.compare
-          (Bgp.Rib.loc_prefixes rib @ cfg.Bgp.Config.networks)
-      in
-      List.filter_map
-        (fun prefix ->
-          let candidates =
-            Bgp.Rib.candidates prefix rib
-            |> List.filter (Bgp.Decision.acceptable ~local_as:cfg.Bgp.Config.asn)
-          in
-          let candidates =
-            match local_route prefix with
-            | Some r -> r :: candidates
-            | None -> candidates
-          in
-          let reference = Bgp.Decision.best dcfg candidates in
-          let actual = Bgp.Rib.loc_get prefix rib in
-          match (reference, actual) with
-          | None, None -> None
-          | Some a, Some b when a = b -> None
-          | _ ->
-              Some
-                (Printf.sprintf "%s: selection disagrees with the decision-process spec"
-                   (Bgp.Prefix.to_string prefix)))
-        prefixes)
+let decision_matches_spec id sp =
+  let cfg = sp.Bgp.Speaker.sp_config () in
+  let dcfg : Bgp.Decision.config =
+    { always_compare_med = cfg.Bgp.Config.always_compare_med }
+  in
+  let rib = sp.Bgp.Speaker.sp_rib () in
+  let local_route prefix =
+    if List.exists (Bgp.Prefix.equal prefix) cfg.Bgp.Config.networks then
+      Some
+        { Bgp.Rib.attrs =
+            Bgp.Attr.make ~origin:Bgp.Attr.Igp ~next_hop:(Bgp.Router.addr_of_node id) ();
+          source = Bgp.Rib.local_source }
+    else None
+  in
+  let prefixes =
+    List.sort_uniq Bgp.Prefix.compare (Bgp.Rib.loc_prefixes rib @ cfg.Bgp.Config.networks)
+  in
+  verdict_of "decision-process-spec" id
+    (List.filter_map
+       (fun prefix ->
+         let candidates =
+           Bgp.Rib.candidates prefix rib
+           |> List.filter (Bgp.Decision.acceptable ~local_as:cfg.Bgp.Config.asn)
+         in
+         let candidates =
+           match local_route prefix with
+           | Some r -> r :: candidates
+           | None -> candidates
+         in
+         let reference = Bgp.Decision.best dcfg candidates in
+         let actual = Bgp.Rib.loc_get prefix rib in
+         match (reference, actual) with
+         | None, None -> None
+         | Some a, Some b when a = b -> None
+         | _ ->
+             Some
+               (Printf.sprintf "%s: selection disagrees with the decision-process spec"
+                  (Bgp.Prefix.to_string prefix)))
+       prefixes)
 
 (* Events between loc-rib fingerprint samples. *)
 let sample_every = 100
@@ -133,13 +134,31 @@ let convergence ?(budget = 200_000) shadow =
   (* A revisit means the global state left a fingerprint and came back
      to it (A -> B -> A); consecutive identical samples are just an
      idle network, not oscillation. *)
-  let sample () =
-    let fp = Snapshot.Store.loc_rib_fingerprint shadow in
+  let digest ribs =
+    let fp = Snapshot.Store.fingerprint_of_loc_ribs ribs in
     let changed = !last <> Some fp in
     let known = Hashtbl.mem seen fp in
     Hashtbl.replace seen fp ();
     last := Some fp;
     changed && known
+  in
+  (* A revisit needs three samples, so the first two are held as
+     Loc-RIB pointers and digested, in order, only when a third is
+     taken; a shadow that quiesces sooner digests nothing. *)
+  let held = ref (Some []) in
+  let sample () =
+    let ribs = Snapshot.Store.loc_ribs shadow in
+    match !held with
+    | Some older when List.length older < 2 ->
+        held := Some (ribs :: older);
+        false
+    | Some older ->
+        held := None;
+        let revisited =
+          List.fold_left (fun r s -> digest s || r) false (List.rev older)
+        in
+        digest ribs || revisited
+    | None -> digest ribs
   in
   let rec go events revisited =
     if Netsim.Engine.pending eng = 0 then `Quiesced
@@ -167,8 +186,15 @@ type checker = {
   name : string;
   fault_class : Fault.fault_class;
   scope : scope;
+  check : int -> Bgp.Speaker.t -> verdict;
   run : Snapshot.Store.shadow -> verdict list;
 }
+
+let checker name fault_class scope check =
+  { name; fault_class; scope; check;
+    run =
+      (fun shadow ->
+        List.map (fun (id, sp) -> check id sp) shadow.Snapshot.Store.sh_speakers) }
 
 (* Origin authenticity is a *state* property: no import filter can
    reject a forged origin without a global registry, so running it
@@ -176,11 +202,54 @@ type checker = {
    It runs once per snapshot, against the unperturbed clone, where a
    violation means the hijack actually happened. *)
 let standard_suite gt =
-  [ { name = "origin-authenticity"; fault_class = Fault.Operator_mistake;
-      scope = Baseline; run = origin_authenticity gt };
-    { name = "no-martians"; fault_class = Fault.Operator_mistake;
-      scope = Per_input; run = no_martians };
-    { name = "no-own-as-in-path"; fault_class = Fault.Programming_error;
-      scope = Per_input; run = no_own_as_in_path };
-    { name = "decision-process-spec"; fault_class = Fault.Programming_error;
-      scope = Per_input; run = decision_matches_spec } ]
+  [ checker "origin-authenticity" Fault.Operator_mistake Baseline (origin_authenticity gt);
+    checker "no-martians" Fault.Operator_mistake Per_input no_martians;
+    checker "no-own-as-in-path" Fault.Programming_error Per_input no_own_as_in_path;
+    checker "decision-process-spec" Fault.Programming_error Per_input
+      decision_matches_spec ]
+
+(* One speaker's recorded inputs and its verdicts, one per memo checker
+   in checker order.  The values are immutable and the map is never
+   written after [record] returns, so pool domains share it unlocked. *)
+type entry = { e_config : Bgp.Config.t; e_rib : Bgp.Rib.t; e_verdicts : verdict array }
+
+module Int_map = Map.Make (Int)
+
+type memo = { m_checkers : checker list; m_entries : entry Int_map.t }
+
+let unrecorded checkers = { m_checkers = checkers; m_entries = Int_map.empty }
+
+let check_speaker checkers id sp =
+  Array.of_list (List.map (fun c -> c.check id sp) checkers)
+
+let record checkers shadow =
+  { m_checkers = checkers;
+    m_entries =
+      List.fold_left
+        (fun acc (id, (sp : Bgp.Speaker.t)) ->
+          Int_map.add id
+            { e_config = sp.Bgp.Speaker.sp_config ();
+              e_rib = sp.Bgp.Speaker.sp_rib ();
+              e_verdicts = check_speaker checkers id sp }
+            acc)
+        Int_map.empty shadow.Snapshot.Store.sh_speakers }
+
+let recorded m id (sp : Bgp.Speaker.t) =
+  match Int_map.find_opt id m.m_entries with
+  | Some e
+    when sp.Bgp.Speaker.sp_config () == e.e_config && sp.Bgp.Speaker.sp_rib () == e.e_rib ->
+      Some e.e_verdicts
+  | Some _ | None -> None
+
+let reuses m id sp = Option.is_some (recorded m id sp)
+
+let run_memo m shadow =
+  let rows =
+    List.map
+      (fun (id, sp) ->
+        match recorded m id sp with
+        | Some verdicts -> verdicts
+        | None -> check_speaker m.m_checkers id sp)
+      shadow.Snapshot.Store.sh_speakers
+  in
+  List.mapi (fun i c -> (c, List.map (fun row -> row.(i)) rows)) m.m_checkers

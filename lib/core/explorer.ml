@@ -118,34 +118,50 @@ let verdicts_to_results ~self ~now ?input ~checker_class verdicts : Fault.t list
         (faults, d :: digests))
     ([], []) verdicts
 
+let scoped scope suite =
+  List.filter (fun (c : Checks.checker) -> c.Checks.scope = scope) suite
+
+(* [verdicts_to_results] over (class, verdicts) groups, in group then
+   verdict order. *)
+let results_of ~self ~now ?input groups =
+  let faults, digests =
+    List.split
+      (List.map
+         (fun (checker_class, verdicts) ->
+           let faults, digests =
+             verdicts_to_results ~self ~now ?input ~checker_class verdicts
+           in
+           (List.rev faults, List.rev digests))
+         groups)
+  in
+  (List.concat faults, List.concat digests)
+
+(* The unperturbed clone of the snapshot, quiesced: spawned once per
+   cut for the baseline checks and, when exploring, the verdict memo. *)
+let pristine ~params ~bugs_of snapshot =
+  let sh = Snapshot.Store.spawn ~bugs_of snapshot in
+  ignore (Snapshot.Store.run_to_quiescence ~max_events:params.shadow_budget sh);
+  sh
+
 (* Baseline (state) properties: checked once per exploration against
-   the unperturbed clone of the snapshot, after it quiesces.  Hoisted
-   out of the per-peer loop — every peer saw the same snapshot, so the
-   per-peer recomputation was pure waste. *)
-let baseline_results ~params ~bugs_of ~baseline ~snapshot ~node ~now =
-  match baseline with
-  | [] -> ([], [])
-  | checkers ->
-      let pristine = Snapshot.Store.spawn ~bugs_of snapshot in
-      ignore
-        (Snapshot.Store.run_to_quiescence ~max_events:params.shadow_budget pristine);
-      List.fold_left
-        (fun (faults_acc, digests_acc) (c : Checks.checker) ->
-          let faults, digests =
-            verdicts_to_results ~self:node ~now ~checker_class:c.Checks.fault_class
-              (c.Checks.run pristine)
-          in
-          (faults_acc @ List.rev faults, digests_acc @ List.rev digests))
-        ([], []) checkers
+   the pristine clone.  Hoisted out of the per-peer loop — every peer
+   saw the same snapshot, so the per-peer recomputation was pure
+   waste. *)
+let baseline_results ~baseline ~node ~now pristine =
+  results_of ~self:node ~now
+    (List.map
+       (fun (c : Checks.checker) -> (c.Checks.fault_class, c.Checks.run pristine))
+       baseline)
 
 (* Replay one raw byte string over its own fresh clone and run the
-   per-input property checkers.  Self-contained and free of shared
-   mutable state, so it is the unit of parallelism: the shadow owns its
-   engine, network and speakers, and everything reachable from
-   [snapshot] / [per_input] is immutable.  [crash_property] classifies
+   per-input property checkers, reusing [memo]'s verdicts for every
+   speaker the replay left as it was.  Self-contained and free of
+   shared mutable state, so it is the unit of parallelism: the shadow
+   owns its engine, network and speakers, and everything reachable
+   from [snapshot] / [memo] is immutable.  [crash_property] classifies
    a [Crash] escaping the shadow: "handler-crash" for concretized
    concolic inputs, "codec-crash" for mangled wire bytes. *)
-let replay_raw ~params ~bugs_of ~per_input ~snapshot ~node ~peer_addr ~now ?input
+let replay_raw ~params ~bugs_of ~memo ~snapshot ~node ~peer_addr ~now ?input
     ~crash_property raw =
   Telemetry.with_span "shadow_replay" (fun _sp ->
   let t0 = Unix.gettimeofday () in
@@ -170,27 +186,17 @@ let replay_raw ~params ~bugs_of ~per_input ~snapshot ~node ~peer_addr ~now ?inpu
       []
     end
   in
-  let verdicts =
-    List.concat_map
-      (fun (c : Checks.checker) ->
-        List.map (fun v -> (c.Checks.fault_class, v)) (c.Checks.run shadow))
-      per_input
-    @ List.map (fun v -> (Fault.Policy_conflict, v)) conv_verdicts
-  in
   let faults, digests =
-    List.fold_left
-      (fun (faults_acc, digests_acc) (cls, v) ->
-        let faults, digests =
-          verdicts_to_results ~self:node ~now ?input ~checker_class:cls [ v ]
-        in
-        (faults_acc @ faults, digests_acc @ digests))
-      (crash_faults, []) verdicts
+    results_of ~self:node ~now ?input
+      (List.map
+         (fun ((c : Checks.checker), verdicts) -> (c.Checks.fault_class, verdicts))
+         (Checks.run_memo memo shadow)
+      @ [ (Fault.Policy_conflict, conv_verdicts) ])
   in
-  (faults, digests, Unix.gettimeofday () -. t0))
+  (crash_faults @ faults, digests, Unix.gettimeofday () -. t0))
 
-let replay_input ~params ~bugs_of ~per_input ~view ~snapshot ~node ~peer_addr ~now
-    input =
-  replay_raw ~params ~bugs_of ~per_input ~snapshot ~node ~peer_addr ~now ~input
+let replay_input ~params ~bugs_of ~memo ~view ~snapshot ~node ~peer_addr ~now input =
+  replay_raw ~params ~bugs_of ~memo ~snapshot ~node ~peer_addr ~now ~input
     ~crash_property:"handler-crash"
     (Sym_handler.concretize view input)
 
@@ -203,7 +209,7 @@ type peer_result = {
   pr_work_seconds : float;  (* summed task time, incl. concolic derivation *)
 }
 
-let explore_peer ~params ~pool ~bugs_of ~suite ~build ~snapshot ~node ~peer_addr =
+let explore_peer ~params ~pool ~bugs_of ~memo ~build ~snapshot ~node ~peer_addr =
   Telemetry.with_span "peer"
     ~attrs:[ ("node", Telemetry.Json.Int node);
              ("peer", Telemetry.Json.String (Bgp.Ipv4.to_string peer_addr)) ]
@@ -246,9 +252,6 @@ let explore_peer ~params ~pool ~bugs_of ~suite ~build ~snapshot ~node ~peer_addr
       result.Concolic.Engine.runs
     @ Sym_handler.fuzz_inputs view rng params.fuzz_extra
   in
-  let per_input =
-    List.filter (fun (c : Checks.checker) -> c.Checks.scope = Checks.Per_input) suite
-  in
   (* Mangled exploration seeds: concretize derived inputs to wire bytes
      and corrupt them with the adversary's byte-level corpus, cycling
      through the fault kinds so each one is exercised.  Deterministic:
@@ -276,10 +279,10 @@ let explore_peer ~params ~pool ~bugs_of ~suite ~build ~snapshot ~node ~peer_addr
   in
   let replay = function
     | `Input input ->
-        replay_input ~params ~bugs_of ~per_input ~view ~snapshot ~node ~peer_addr
-          ~now input
+        replay_input ~params ~bugs_of ~memo ~view ~snapshot ~node ~peer_addr ~now
+          input
     | `Mangled raw ->
-        replay_raw ~params ~bugs_of ~per_input ~snapshot ~node ~peer_addr ~now
+        replay_raw ~params ~bugs_of ~memo ~snapshot ~node ~peer_addr ~now
           ~crash_property:"codec-crash" raw
   in
   let replayed =
@@ -370,18 +373,19 @@ let explore_node ?(params = default_params) ?pool ~build ~cut ~gt ~node () =
     in
     let bugs_of = bugs_of_build build in
     let suite = Checks.standard_suite gt in
-    let baseline =
-      List.filter (fun (c : Checks.checker) -> c.Checks.scope = Checks.Baseline) suite
-    in
     let cfg = (Topology.Build.speaker build node).Bgp.Speaker.sp_config () in
     let peers =
       List.filteri (fun i _ -> i < params.peers_per_node) cfg.Bgp.Config.neighbors
     in
+    let pristine = pristine ~params ~bugs_of snapshot in
     let base_faults, base_digests =
-      baseline_results ~params ~bugs_of ~baseline ~snapshot ~node ~now
+      baseline_results ~baseline:(scoped Checks.Baseline suite) ~node ~now pristine
     in
+    (* Every replay of this cut starts from the same snapshot, so it
+       shares the pristine clone's per-input verdicts. *)
+    let memo = Checks.record (scoped Checks.Per_input suite) pristine in
     let explore (n : Bgp.Config.neighbor) =
-      explore_peer ~params ~pool ~bugs_of ~suite ~build ~snapshot ~node
+      explore_peer ~params ~pool ~bugs_of ~memo ~build ~snapshot ~node
         ~peer_addr:n.Bgp.Config.addr
     in
     (* Sessions fan out across the same pool; nested per-input jobs are
@@ -459,11 +463,9 @@ let replay_direct ?(params = default_params) ~build ~cut ~gt ~node
   let now = Netsim.Engine.now build.Topology.Build.engine in
   let bugs_of = bugs_of_build build in
   let suite = Checks.standard_suite gt in
-  let baseline =
-    List.filter (fun (c : Checks.checker) -> c.Checks.scope = Checks.Baseline) suite
-  in
   let base_faults, _ =
-    baseline_results ~params ~bugs_of ~baseline ~snapshot ~node ~now
+    baseline_results ~baseline:(scoped Checks.Baseline suite) ~node ~now
+      (pristine ~params ~bugs_of snapshot)
   in
   (* The exploration path checks convergence on every shadow replay; a
      direct repro must too, or minimized policy-conflict scenarios
@@ -488,20 +490,18 @@ let replay_direct ?(params = default_params) ~build ~cut ~gt ~node
         match List.nth_opt cfg.Bgp.Config.neighbors peer_index with
         | None -> []
         | Some (peer : Bgp.Config.neighbor) ->
-            let per_input =
-              List.filter
-                (fun (c : Checks.checker) -> c.Checks.scope = Checks.Per_input)
-                suite
-            in
             let probe = Snapshot.Store.spawn ~bugs_of snapshot in
             let view =
               Sym_handler.view_of_speaker
                 (Snapshot.Store.speaker probe node)
                 ~peer:peer.Bgp.Config.addr
             in
+            (* One replay: recording verdicts would cost the very sweep
+               it saves, so every speaker is checked. *)
             let faults, _digests, _dt =
-              replay_input ~params ~bugs_of ~per_input ~view ~snapshot ~node
-                ~peer_addr:peer.Bgp.Config.addr ~now input
+              replay_input ~params ~bugs_of
+                ~memo:(Checks.unrecorded (scoped Checks.Per_input suite))
+                ~view ~snapshot ~node ~peer_addr:peer.Bgp.Config.addr ~now input
             in
             faults)
   in

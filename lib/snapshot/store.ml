@@ -70,13 +70,16 @@ let run_to_quiescence ?(max_events = 100_000) sh =
   in
   go ()
 
+let loc_ribs sh =
+  List.map (fun (id, sp) -> (id, Bgp.Speaker.loc_rib sp)) sh.sh_speakers
+
 (* Full-content digest: [Hashtbl.hash] samples only a prefix of large
    structures, which would let distinct global states collide (or
    changed states alias) and confuse the oscillation detector. *)
-let loc_rib_fingerprint sh =
+let fingerprint_of_loc_ribs ribs =
   let b = Buffer.create 4096 in
   List.iter
-    (fun (id, sp) ->
+    (fun (id, loc) ->
       Buffer.add_string b (string_of_int id);
       Buffer.add_char b ':';
       Bgp.Prefix.Map.iter
@@ -89,7 +92,9 @@ let loc_rib_fingerprint sh =
           Buffer.add_string b
             (Bgp.As_path.to_string route.Bgp.Rib.attrs.Bgp.Attr.as_path);
           Buffer.add_string b "];")
-        (Bgp.Speaker.loc_rib sp);
+        loc;
       Buffer.add_char b '\n')
-    sh.sh_speakers;
+    ribs;
   Hashtbl.hash (Digest.string (Buffer.contents b))
+
+let loc_rib_fingerprint sh = fingerprint_of_loc_ribs (loc_ribs sh)

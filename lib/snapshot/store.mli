@@ -38,6 +38,16 @@ val run_to_quiescence : ?max_events:int -> shadow -> bool
     hit ([false]).  Shadow speakers have no liveness timers, so
     quiescence is reachable. *)
 
+val loc_ribs : shadow -> (int * Bgp.Rib.route Bgp.Prefix.Map.t) list
+(** Every speaker's current Loc-RIB, in [sh_speakers] order.  The maps
+    are persistent values, so a list taken now still describes this
+    moment after the shadow runs on; holding one costs pointers, not a
+    copy. *)
+
+val fingerprint_of_loc_ribs : (int * Bgp.Rib.route Bgp.Prefix.Map.t) list -> int
+(** Full-content hash of a {!loc_ribs} sample: every route's prefix,
+    peer and AS path. *)
+
 val loc_rib_fingerprint : shadow -> int
-(** Hash of every speaker's Loc-RIB — used by isolation and oscillation
-    checks. *)
+(** [fingerprint_of_loc_ribs (loc_ribs sh)] — used by isolation and
+    oscillation checks. *)

@@ -352,7 +352,60 @@ let ground_truth_subsumption () =
     (Some (Topology.Gao_rexford.asn_of_node 2))
     (gt.Dice.Checks.owner_of sub);
   check (Alcotest.option Alcotest.int) "unowned space" None
-    (gt.Dice.Checks.owner_of (p "8.8.8.0/24"))
+    (gt.Dice.Checks.owner_of (p "8.8.8.0/24"));
+  (* Covering an owned /24 is not owning it. *)
+  check (Alcotest.option Alcotest.int) "shorter than the owned /24" None
+    (gt.Dice.Checks.owner_of
+       (Bgp.Prefix.make (Bgp.Prefix.addr (Topology.Gao_rexford.prefix_of_node 2)) 23));
+  check (Alcotest.option Alcotest.int) "martian space" None
+    (gt.Dice.Checks.owner_of (p "127.0.0.0/8"))
+
+(* The registry as it was before the trie: the first node, in id order,
+   whose /24 subsumes the prefix. *)
+let owner_by_scan graph prefix =
+  List.find_map
+    (fun id ->
+      if Bgp.Prefix.subsumes (Topology.Gao_rexford.prefix_of_node id) prefix then
+        Some (Topology.Gao_rexford.asn_of_node id)
+      else None)
+    (Topology.Graph.node_ids graph)
+
+(* Prefixes of every length 0-32 inside owned /24s, in 192.x.y.0/24
+   space nobody owns, in martian space and anywhere at all, over the
+   demo27, gadget and random graphs. *)
+let registry_trie_matches_scan =
+  let graphs =
+    [| ("demo27", Topology.Demo27.graph);
+       ("bad-gadget", Topology.Gadget.bad_gadget ());
+       ("embedded-gadget", Topology.Gadget.embedded ());
+       ("random", fst (Lazy.force lazy_build));
+       ("gr250", Topology.Gao_rexford.scale_graph ~nodes:250 ~seed:42) |]
+  in
+  let gts = Array.map (fun (_, g) -> Dice.Checks.ground_truth_of_graph g) graphs in
+  let gen =
+    let open QCheck.Gen in
+    let* g = int_bound (Array.length graphs - 1) in
+    let* addr =
+      oneof
+        [ map3 (fun b c d -> Bgp.Ipv4.of_octets 192 b c d) (int_bound 1) (int_bound 255)
+            (int_bound 255);
+          map3 (fun b c d -> Bgp.Ipv4.of_octets 192 b c d) (int_bound 255)
+            (int_bound 255) (int_bound 255);
+          map3
+            (fun a b c -> Bgp.Ipv4.of_octets a b c 0)
+            (oneofl [ 0; 10; 127; 169; 172; 224; 240; 255 ])
+            (int_bound 255) (int_bound 255);
+          map (fun x -> Bgp.Ipv4.of_int32_exn x) (int_bound 0xFFFF_FFFF) ]
+    in
+    let* len = int_range 0 32 in
+    return (g, Bgp.Prefix.make addr len)
+  in
+  QCheck.Test.make ~count:2_000 ~name:"checks: registry trie agrees with the first-match scan"
+    (QCheck.make
+       ~print:(fun (g, pfx) -> fst graphs.(g) ^ " " ^ Bgp.Prefix.to_string pfx)
+       gen)
+    (fun (g, pfx) ->
+      gts.(g).Dice.Checks.owner_of pfx = owner_by_scan (snd graphs.(g)) pfx)
 
 let checks_clean_on_healthy_system () =
   let graph, build = Lazy.force lazy_build in
@@ -613,6 +666,7 @@ let suite =
     ("sym-handler: malformed attribute length", `Quick, concretize_malformed_length);
     ("sym-handler: outcome paths", `Quick, handler_outcomes);
     ("checks: ground truth subsumption", `Quick, ground_truth_subsumption);
+    qtest registry_trie_matches_scan;
     ("checks: healthy system is clean", `Quick, checks_clean_on_healthy_system);
     ("privacy: digest opacity and aggregation", `Quick, privacy_digest_opacity);
     ("fault: dedupe", `Quick, fault_dedupe);

@@ -15,6 +15,7 @@ let () =
       ("concolic", Test_concolic.suite);
       ("snapshot", Test_snapshot.suite);
       ("dice", Test_dice.suite);
+      ("checks", Test_checks.suite);
       ("parallel", Test_parallel.suite);
       ("churn", Test_churn.suite);
       ("mangler", Test_mangler.suite);
