@@ -16,6 +16,18 @@ type peer = {
   mutable p_retry : Netsim.Engine.timer option; (* re-greet loop *)
 }
 
+(* What [rib_view] reads, compared by identity: every table is
+   persistent, so a change replaces it.  The peer list is fixed by the
+   configuration the speaker was created with, so [i_cfg] also stands
+   for the peers' addresses and session configs. *)
+type inputs = {
+  i_cfg : Config.t;
+  i_loc : (Attr.t * Ipv4.t) Prefix_trie.t;
+  i_tables : (Attr.t Prefix_trie.t * Attr.t Prefix_trie.t) list;  (* p_in, p_out *)
+}
+
+type view = { v_inputs : inputs; v_rib : Rib.t }
+
 type t = {
   node : int;
   mutable cfg : Config.t;
@@ -27,6 +39,11 @@ type t = {
   stats : Netsim.Stats.t;
   mutable bugs : Router.bugs;
   liveness : bool;
+  mutable last_view : view option;  (* this instance's latest view *)
+  shared_views : view option Atomic.t;
+      (* one per live node, shared by all its clones, across domains *)
+  mutable restored : inputs option;
+      (* a clone's state as restored from its capture; [None] live *)
 }
 
 let node t = t.node
@@ -374,7 +391,7 @@ let inject_update t ~from u =
 
 let start t = List.iter (fun (_, p) -> greet t p) t.peers
 
-let create ?(liveness_timers = true) ?(bugs = Router.no_bugs) ~net ~node cfg =
+let make ~shared_views ~liveness_timers ~bugs ~net ~node cfg =
   let t =
     { node; cfg; net; eng = Netsim.Network.engine net;
       peers =
@@ -388,17 +405,23 @@ let create ?(liveness_timers = true) ?(bugs = Router.no_bugs) ~net ~node cfg =
       loc = Prefix_trie.empty;
       stats = Netsim.Stats.create ();
       bugs;
-      liveness = liveness_timers }
+      liveness = liveness_timers;
+      last_view = None;
+      shared_views;
+      restored = None }
   in
   Netsim.Network.set_handler net node (fun ~src raw -> process_raw t ~from_node:src raw);
   List.iter (fun prefix -> reselect t prefix) cfg.Config.networks;
   t
 
+let create ?(liveness_timers = true) ?(bugs = Router.no_bugs) ~net ~node cfg =
+  make ~shared_views:(Atomic.make None) ~liveness_timers ~bugs ~net ~node cfg
+
 (* ------------------------------------------------------------------ *)
 (* Rib view and speaker wrapping                                       *)
 (* ------------------------------------------------------------------ *)
 
-let rib_view t =
+let build_view t =
   let adj_in =
     List.fold_left
       (fun acc (addr, p) ->
@@ -431,6 +454,43 @@ let rib_view t =
   in
   Rib.make ~adj_in ~loc ~adj_out
 
+let inputs t =
+  { i_cfg = t.cfg; i_loc = t.loc;
+    i_tables = List.map (fun (_, p) -> (p.p_in, p.p_out)) t.peers }
+
+let rec same_tables tables peers =
+  match (tables, peers) with
+  | [], [] -> true
+  | (p_in, p_out) :: tables, (_, p) :: peers ->
+      p_in == p.p_in && p_out == p.p_out && same_tables tables peers
+  | _ :: _, [] | [], _ :: _ -> false
+
+let unchanged t i = i.i_cfg == t.cfg && i.i_loc == t.loc && same_tables i.i_tables t.peers
+
+(* The view is rebuilt only when one of its inputs was replaced, so an
+   unchanged speaker returns the very same [Rib.t] — which is what the
+   verdict memo keys on.  Views of a clone's restored state go into the
+   cell it shares with the live node and every other clone of it, so
+   the pristine clones of two cuts of an unchanged node agree; a view
+   of any other state stays with its instance, so shadows do not evict
+   the pristine one. *)
+let rib_view t =
+  match t.last_view with
+  | Some v when unchanged t v.v_inputs -> v.v_rib
+  | Some _ | None ->
+      let v =
+        match Atomic.get t.shared_views with
+        | Some v when unchanged t v.v_inputs -> v
+        | Some _ | None ->
+            let v = { v_inputs = inputs t; v_rib = build_view t } in
+            (match t.restored with
+            | Some i when unchanged t i -> Atomic.set t.shared_views (Some v)
+            | Some _ | None -> ());
+            v
+      in
+      t.last_view <- Some v;
+      v.v_rib
+
 type image = {
   im_cfg : Config.t;
   im_loc : (Attr.t * Ipv4.t) Prefix_trie.t;
@@ -458,9 +518,11 @@ let restore_image t image =
       | None -> ())
     image.im_peers
 
-let route_count t =
-  Prefix_trie.cardinal t.loc
-  + List.fold_left (fun acc (_, p) -> acc + Prefix_trie.cardinal p.p_in) 0 t.peers
+let route_count image =
+  Prefix_trie.cardinal image.im_loc
+  + List.fold_left
+      (fun acc (_, _, p_in, _) -> acc + Prefix_trie.cardinal p_in)
+      0 image.im_peers
 
 let rec speaker t =
   { Speaker.sp_node = t.node;
@@ -482,12 +544,17 @@ let rec speaker t =
 
 and capture t =
   let image = capture_image t in
-  { Speaker.cap_node = t.node;
+  let node = t.node and shared_views = t.shared_views in
+  { Speaker.cap_node = node;
     cap_impl = "sparrow";
-    cap_config = t.cfg;
-    cap_route_count = lazy (route_count t);
+    cap_config = image.im_cfg;
+    cap_bugs = t.bugs;
+    cap_route_count = lazy (route_count image);
     cap_respawn =
       (fun ~net ~bugs ->
-        let clone = create ~liveness_timers:false ~bugs ~net ~node:t.node t.cfg in
+        let clone =
+          make ~shared_views ~liveness_timers:false ~bugs ~net ~node image.im_cfg
+        in
         restore_image clone image;
+        clone.restored <- Some (inputs clone);
         speaker clone) }

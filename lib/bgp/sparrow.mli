@@ -31,7 +31,9 @@ val start : t -> unit
 val node : t -> int
 val config : t -> Config.t
 val rib_view : t -> Rib.t
-(** Materialize the Rib-shaped view of the current state. *)
+(** The Rib-shaped view of the current state.  It is rebuilt only after
+    a table changed: until then every call, on this speaker or on a
+    clone of the same captured state, returns the same value. *)
 
 val established_peers : t -> Ipv4.t list
 val process_raw : t -> from_node:int -> string -> unit

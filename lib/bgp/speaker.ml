@@ -18,6 +18,7 @@ and capture = {
   cap_node : int;
   cap_impl : string;
   cap_config : Config.t;
+  cap_bugs : Router.bugs;
   cap_route_count : int Lazy.t;
   cap_respawn : net:string Netsim.Network.t -> bugs:Router.bugs -> t;
 }
@@ -47,6 +48,7 @@ and capture_router r =
   { cap_node = Router.node r;
     cap_impl = "bird-like";
     cap_config = cfg;
+    cap_bugs = Router.bugs r;
     cap_route_count = lazy (Rib.loc_cardinal rib + Rib.total_adj_in rib);
     cap_respawn =
       (fun ~net ~bugs ->

@@ -17,7 +17,10 @@ type t = {
   sp_config : unit -> Config.t;
   sp_set_config : Config.t -> unit;
   sp_rib : unit -> Rib.t;
-      (** RIB-shaped view of current routing state (copies allowed) *)
+      (** RIB-shaped view of current routing state.  Copies are allowed,
+          but the verdict memo reuses a speaker's checks only while this
+          returns the very same value, so an unchanged state should
+          return the same copy. *)
   sp_bugs : unit -> Router.bugs;
   sp_set_bugs : Router.bugs -> unit;
   sp_start : unit -> unit;
@@ -32,6 +35,9 @@ and capture = {
   cap_node : int;
   cap_impl : string;
   cap_config : Config.t;
+  cap_bugs : Router.bugs;
+      (** the seeded-bug flags at capture time: a clone runs the code
+          the captured node ran unless its spawner overrides them *)
   cap_route_count : int Lazy.t;  (** Loc-RIB + Adj-RIB-In entries (computed on demand: counting is O(n), capturing must stay O(1)) *)
   cap_respawn : net:string Netsim.Network.t -> bugs:Router.bugs -> t;
       (** Recreate this speaker (same implementation, same state) on an

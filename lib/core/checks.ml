@@ -1,4 +1,23 @@
-type ground_truth = { owner_of : Bgp.Prefix.t -> int option }
+type verdict = {
+  v_node : int;
+  v_property : string;
+  v_ok : bool;
+  v_evidence : string;
+}
+
+(* One speaker's checked config and RIB, and its verdicts, one per
+   [standard_suite] checker in suite order. *)
+type entry = { e_config : Bgp.Config.t; e_rib : Bgp.Rib.t; e_verdicts : verdict array }
+
+module Int_map = Map.Make (Int)
+
+(* At most one entry per node.  The map is immutable: [record] swaps in
+   a new one before replays fan out, and pool domains read it
+   unlocked.  Entries are pure, so when two writers race the last one
+   may win. *)
+type memo = entry Int_map.t Atomic.t
+
+type ground_truth = { owner_of : Bgp.Prefix.t -> int option; memo : memo }
 
 (* [prefix_of_node] maps node ids one-to-one onto /24s, so at most one
    registered prefix contains a route's address: the trie's longest
@@ -19,14 +38,7 @@ let ground_truth_of_graph graph =
     | Some (owned, asn) when Bgp.Prefix.subsumes owned p -> Some asn
     | Some _ | None -> None
   in
-  { owner_of }
-
-type verdict = {
-  v_node : int;
-  v_property : string;
-  v_ok : bool;
-  v_evidence : string;
-}
+  { owner_of; memo = Atomic.make Int_map.empty }
 
 let ok node property = { v_node = node; v_property = property; v_ok = true; v_evidence = "" }
 
@@ -208,48 +220,49 @@ let standard_suite gt =
     checker "decision-process-spec" Fault.Programming_error Per_input
       decision_matches_spec ]
 
-(* One speaker's recorded inputs and its verdicts, one per memo checker
-   in checker order.  The values are immutable and the map is never
-   written after [record] returns, so pool domains share it unlocked. *)
-type entry = { e_config : Bgp.Config.t; e_rib : Bgp.Rib.t; e_verdicts : verdict array }
-
-module Int_map = Map.Make (Int)
-
-type memo = { m_checkers : checker list; m_entries : entry Int_map.t }
-
-let unrecorded checkers = { m_checkers = checkers; m_entries = Int_map.empty }
-
-let check_speaker checkers id sp =
-  Array.of_list (List.map (fun c -> c.check id sp) checkers)
-
-let record checkers shadow =
-  { m_checkers = checkers;
-    m_entries =
-      List.fold_left
-        (fun acc (id, (sp : Bgp.Speaker.t)) ->
-          Int_map.add id
-            { e_config = sp.Bgp.Speaker.sp_config ();
-              e_rib = sp.Bgp.Speaker.sp_rib ();
-              e_verdicts = check_speaker checkers id sp }
-            acc)
-        Int_map.empty shadow.Snapshot.Store.sh_speakers }
-
-let recorded m id (sp : Bgp.Speaker.t) =
-  match Int_map.find_opt id m.m_entries with
+(* The entry of [sp], if its config and RIB are still the checked ones. *)
+let recorded entries id (sp : Bgp.Speaker.t) =
+  match Int_map.find_opt id entries with
   | Some e
     when sp.Bgp.Speaker.sp_config () == e.e_config && sp.Bgp.Speaker.sp_rib () == e.e_rib ->
-      Some e.e_verdicts
+      Some e
   | Some _ | None -> None
 
-let reuses m id sp = Option.is_some (recorded m id sp)
+let reuses gt id sp = Option.is_some (recorded (Atomic.get gt.memo) id sp)
 
-let run_memo m shadow =
-  let rows =
-    List.map
-      (fun (id, sp) ->
-        match recorded m id sp with
-        | Some verdicts -> verdicts
-        | None -> check_speaker m.m_checkers id sp)
-      shadow.Snapshot.Store.sh_speakers
+let record gt shadow =
+  let suite = standard_suite gt in
+  let entries, changed =
+    List.fold_left
+      (fun (entries, changed) (id, (sp : Bgp.Speaker.t)) ->
+        if Option.is_some (recorded entries id sp) then (entries, changed)
+        else
+          let e =
+            { e_config = sp.Bgp.Speaker.sp_config ();
+              e_rib = sp.Bgp.Speaker.sp_rib ();
+              e_verdicts = Array.of_list (List.map (fun c -> c.check id sp) suite) }
+          in
+          (Int_map.add id e entries, id :: changed))
+      (Atomic.get gt.memo, []) shadow.Snapshot.Store.sh_speakers
   in
-  List.mapi (fun i c -> (c, List.map (fun row -> row.(i)) rows)) m.m_checkers
+  Atomic.set gt.memo entries;
+  List.rev changed
+
+let run_memo gt scope shadow =
+  let entries = Atomic.get gt.memo in
+  let rows =
+    List.map (fun (id, sp) -> (id, sp, recorded entries id sp)) shadow.Snapshot.Store.sh_speakers
+  in
+  List.concat
+    (List.mapi
+       (fun i c ->
+         if c.scope <> scope then []
+         else
+           [ ( c,
+               List.map
+                 (fun (id, sp, hit) ->
+                   match hit with
+                   | Some e -> e.e_verdicts.(i)
+                   | None -> c.check id sp)
+                 rows ) ])
+       (standard_suite gt))

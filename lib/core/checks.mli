@@ -5,14 +5,18 @@
     full evidence only for its own node and converts remote verdicts
     into {!Privacy} digests. *)
 
+type memo
+(** The per-speaker verdict memo (below), carried across cuts. *)
+
 type ground_truth = {
   owner_of : Bgp.Prefix.t -> int option;
       (** ASN authorized to originate the (covering) prefix *)
+  memo : memo;
 }
 
 val ground_truth_of_graph : Topology.Graph.t -> ground_truth
 (** Registry semantics: node [i]'s /24 (and anything it subsumes) may
-    only be originated by AS [asn_of_node i]. *)
+    only be originated by AS [asn_of_node i].  The memo starts empty. *)
 
 type verdict = {
   v_node : int;
@@ -20,33 +24,6 @@ type verdict = {
   v_ok : bool;
   v_evidence : string;  (** never shared across domains directly *)
 }
-
-(** {1 Per-speaker checkers}
-
-    Each checker below is one function from a node id and its speaker
-    to that speaker's verdict.  {b Purity contract:} a per-speaker
-    verdict is a pure function of the node id, [sp_config ()] and
-    [sp_rib ()], both immutable values.  A checker reads nothing else
-    (no engine, no network, no other speaker), so a verdict computed
-    once for a given (id, config, rib) holds wherever those three
-    recur — which is what {!run_memo} relies on. *)
-
-val origin_authenticity : ground_truth -> int -> Bgp.Speaker.t -> verdict
-(** Detects prefix hijacks: a selected route whose origin AS is not the
-    prefix owner (operator-mistake class). *)
-
-val no_martians : int -> Bgp.Speaker.t -> verdict
-(** No selected route for martian address space or bogus netmask
-    (operator-mistake class). *)
-
-val no_own_as_in_path : int -> Bgp.Speaker.t -> verdict
-(** AS-path loop detection must hold (programming-error class:
-    catches the loop-check bypass bug). *)
-
-val decision_matches_spec : int -> Bgp.Speaker.t -> verdict
-(** The selected route must equal a reference run of the decision
-    process over the same candidates (programming-error class: catches
-    the inverted-MED bug). *)
 
 val convergence : ?budget:int -> Snapshot.Store.shadow -> verdict list
 (** Runs the shadow, sampling the global Loc-RIB state every 100
@@ -75,35 +52,50 @@ type checker = {
 }
 
 val standard_suite : ground_truth -> checker list
-(** Everything above except [convergence] (which the explorer invokes
-    separately because it advances shadow time itself).
-    [origin_authenticity] and other unfilterable state properties carry
-    [Baseline] scope. *)
+(** Every per-speaker checker, in this order:
+    - origin authenticity ([Baseline], operator mistake): a selected
+      route whose origin AS is not the prefix owner — a hijack;
+    - no martians ([Per_input], operator mistake): no selected route
+      for martian space or a bogus netmask;
+    - no own AS in path ([Per_input], programming error): catches the
+      loop-check bypass bug;
+    - decision process spec ([Per_input], programming error): the
+      selected route equals a reference run of the decision process
+      over the same candidates; catches the inverted-MED bug.
+
+    {!convergence} is not among them: the explorer invokes it
+    separately because it advances shadow time itself.
+
+    {b Purity contract:} each [check] is a pure function of the node
+    id, [sp_config ()] and [sp_rib ()] (both immutable values) and of
+    the ground truth.  A checker reads nothing else — no engine, no
+    network, no other speaker — so a verdict computed once for an (id,
+    config, rib) holds wherever those three recur, which is what the
+    memo relies on. *)
 
 (** {1 Verdict memo}
 
-    Most shadows touch a handful of speakers; the rest keep the very
-    Loc-RIB they were cloned with.  A memo records, for one clone, each
-    speaker's config, RIB and verdicts; a later clone of the same
-    snapshot reuses the verdicts of every speaker whose [sp_config ()]
-    and [sp_rib ()] are physically equal ([==]) to the recorded ones
-    and checks the others.  Identity is exactly the verdict's input, so
-    reuse never changes a verdict.  A speaker whose [sp_rib] builds a
-    fresh view on every call (Sparrow) never matches and is always
+    Between two cuts of a healthy deployment almost nothing changes,
+    and most shadows touch a handful of speakers.  The ground truth's
+    memo holds, per node id, the config and RIB it last checked and
+    that speaker's verdicts for the whole {!standard_suite}; a speaker
+    whose [sp_config ()] and [sp_rib ()] are physically equal ([==]) to
+    its entry reuses them.  Identity is exactly the verdicts' input,
+    so reuse never changes a verdict.  The memo lives as long as the
+    ground truth, across cuts, and keeps one entry per node, sharing
+    the RIB it was given. *)
+
+val record : ground_truth -> Snapshot.Store.shadow -> int list
+(** Check every speaker of the shadow that the memo cannot reuse and
+    make it that node's entry; returns those node ids, in
+    [sh_speakers] order.  The explorer records the pristine clone of
+    each cut before its replays fan out, never during them. *)
+
+val reuses : ground_truth -> int -> Bgp.Speaker.t -> bool
+(** Would {!run_memo} reuse the memo's verdicts for this speaker? *)
+
+val run_memo : ground_truth -> scope -> Snapshot.Store.shadow -> (checker * verdict list) list
+(** For each {!standard_suite} checker of [scope], in order, its
+    verdicts over [sh_speakers] in order — equal to [c.run shadow].
+    Reads the memo and never writes it: speakers it cannot reuse are
     checked. *)
-
-type memo
-
-val unrecorded : checker list -> memo
-(** Nothing recorded: {!run_memo} checks every speaker. *)
-
-val record : checker list -> Snapshot.Store.shadow -> memo
-(** Check every speaker of the shadow and record the results.  The memo
-    is read-only afterwards and safe to share across domains. *)
-
-val reuses : memo -> int -> Bgp.Speaker.t -> bool
-(** Would {!run_memo} reuse the recorded verdicts of this speaker? *)
-
-val run_memo : memo -> Snapshot.Store.shadow -> (checker * verdict list) list
-(** For each memo checker, in order, its verdicts over [sh_speakers] in
-    order — equal to [List.map (fun c -> (c, c.run shadow)) checkers]. *)

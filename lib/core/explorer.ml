@@ -76,20 +76,6 @@ let take_snapshot ?deadline ~build ~cut ~node () =
           ("stalled", Telemetry.Json.Int (List.length (Snapshot.Cut.stalled_of r))) ];
       r)
 
-(* Live bug flags per node, so clones run the same (buggy) code.
-   Captured once per exploration into a hash table: the lookup sits
-   inside every shadow spawn, and the captured records are immutable,
-   so sharing them across pool domains is safe. *)
-let bugs_of_build build =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (id, (sp : Bgp.Speaker.t)) -> Hashtbl.replace tbl id (sp.Bgp.Speaker.sp_bugs ()))
-    build.Topology.Build.speakers;
-  fun id ->
-    match Hashtbl.find_opt tbl id with
-    | Some bugs -> bugs
-    | None -> Bgp.Router.no_bugs
-
 let verdicts_to_results ~self ~now ?input ~checker_class verdicts : Fault.t list * Privacy.digest list =
   List.fold_left
     (fun (faults, digests) (v : Checks.verdict) ->
@@ -118,9 +104,6 @@ let verdicts_to_results ~self ~now ?input ~checker_class verdicts : Fault.t list
         (faults, d :: digests))
     ([], []) verdicts
 
-let scoped scope suite =
-  List.filter (fun (c : Checks.checker) -> c.Checks.scope = scope) suite
-
 (* [verdicts_to_results] over (class, verdicts) groups, in group then
    verdict order. *)
 let results_of ~self ~now ?input groups =
@@ -138,34 +121,38 @@ let results_of ~self ~now ?input groups =
 
 (* The unperturbed clone of the snapshot, quiesced: spawned once per
    cut for the baseline checks and, when exploring, the verdict memo. *)
-let pristine ~params ~bugs_of snapshot =
-  let sh = Snapshot.Store.spawn ~bugs_of snapshot in
+let pristine ~params snapshot =
+  let sh = Snapshot.Store.spawn snapshot in
   ignore (Snapshot.Store.run_to_quiescence ~max_events:params.shadow_budget sh);
   sh
+
+(* [Checks.run_memo] as (class, verdicts) groups for [results_of]. *)
+let memo_groups ~gt scope shadow =
+  List.map
+    (fun ((c : Checks.checker), verdicts) -> (c.Checks.fault_class, verdicts))
+    (Checks.run_memo gt scope shadow)
 
 (* Baseline (state) properties: checked once per exploration against
    the pristine clone.  Hoisted out of the per-peer loop — every peer
    saw the same snapshot, so the per-peer recomputation was pure
    waste. *)
-let baseline_results ~baseline ~node ~now pristine =
-  results_of ~self:node ~now
-    (List.map
-       (fun (c : Checks.checker) -> (c.Checks.fault_class, c.Checks.run pristine))
-       baseline)
+let baseline_results ~gt ~node ~now pristine =
+  results_of ~self:node ~now (memo_groups ~gt Checks.Baseline pristine)
 
 (* Replay one raw byte string over its own fresh clone and run the
-   per-input property checkers, reusing [memo]'s verdicts for every
+   per-input property checkers, reusing the memo's verdicts for every
    speaker the replay left as it was.  Self-contained and free of
    shared mutable state, so it is the unit of parallelism: the shadow
-   owns its engine, network and speakers, and everything reachable
-   from [snapshot] / [memo] is immutable.  [crash_property] classifies
-   a [Crash] escaping the shadow: "handler-crash" for concretized
-   concolic inputs, "codec-crash" for mangled wire bytes. *)
-let replay_raw ~params ~bugs_of ~memo ~snapshot ~node ~peer_addr ~now ?input
+   owns its engine, network and speakers, everything reachable from
+   [snapshot] is immutable, and the memo is only read.
+   [crash_property] classifies a [Crash] escaping the shadow:
+   "handler-crash" for concretized concolic inputs, "codec-crash" for
+   mangled wire bytes. *)
+let replay_raw ~params ~gt ~snapshot ~node ~peer_addr ~now ?input
     ~crash_property raw =
   Telemetry.with_span "shadow_replay" (fun _sp ->
   let t0 = Unix.gettimeofday () in
-  let shadow = Snapshot.Store.spawn ~bugs_of snapshot in
+  let shadow = Snapshot.Store.spawn snapshot in
   let target = Snapshot.Store.speaker shadow node in
   let crash_faults =
     match
@@ -188,15 +175,12 @@ let replay_raw ~params ~bugs_of ~memo ~snapshot ~node ~peer_addr ~now ?input
   in
   let faults, digests =
     results_of ~self:node ~now ?input
-      (List.map
-         (fun ((c : Checks.checker), verdicts) -> (c.Checks.fault_class, verdicts))
-         (Checks.run_memo memo shadow)
-      @ [ (Fault.Policy_conflict, conv_verdicts) ])
+      (memo_groups ~gt Checks.Per_input shadow @ [ (Fault.Policy_conflict, conv_verdicts) ])
   in
   (crash_faults @ faults, digests, Unix.gettimeofday () -. t0))
 
-let replay_input ~params ~bugs_of ~memo ~view ~snapshot ~node ~peer_addr ~now input =
-  replay_raw ~params ~bugs_of ~memo ~snapshot ~node ~peer_addr ~now ~input
+let replay_input ~params ~gt ~view ~snapshot ~node ~peer_addr ~now input =
+  replay_raw ~params ~gt ~snapshot ~node ~peer_addr ~now ~input
     ~crash_property:"handler-crash"
     (Sym_handler.concretize view input)
 
@@ -209,7 +193,7 @@ type peer_result = {
   pr_work_seconds : float;  (* summed task time, incl. concolic derivation *)
 }
 
-let explore_peer ~params ~pool ~bugs_of ~memo ~build ~snapshot ~node ~peer_addr =
+let explore_peer ~params ~pool ~gt ~build ~snapshot ~node ~peer_addr =
   Telemetry.with_span "peer"
     ~attrs:[ ("node", Telemetry.Json.Int node);
              ("peer", Telemetry.Json.String (Bgp.Ipv4.to_string peer_addr)) ]
@@ -217,7 +201,7 @@ let explore_peer ~params ~pool ~bugs_of ~memo ~build ~snapshot ~node ~peer_addr 
   let t0 = Unix.gettimeofday () in
   let now = Netsim.Engine.now build.Topology.Build.engine in
   (* Probe clone: gives the instrumented handler a consistent view. *)
-  let probe = Snapshot.Store.spawn ~bugs_of snapshot in
+  let probe = Snapshot.Store.spawn snapshot in
   let probe_speaker = Snapshot.Store.speaker probe node in
   let view = Sym_handler.view_of_speaker probe_speaker ~peer:peer_addr in
   (* Step 2: derive inputs by concolic execution. *)
@@ -279,10 +263,9 @@ let explore_peer ~params ~pool ~bugs_of ~memo ~build ~snapshot ~node ~peer_addr 
   in
   let replay = function
     | `Input input ->
-        replay_input ~params ~bugs_of ~memo ~view ~snapshot ~node ~peer_addr ~now
-          input
+        replay_input ~params ~gt ~view ~snapshot ~node ~peer_addr ~now input
     | `Mangled raw ->
-        replay_raw ~params ~bugs_of ~memo ~snapshot ~node ~peer_addr ~now
+        replay_raw ~params ~gt ~snapshot ~node ~peer_addr ~now
           ~crash_property:"codec-crash" raw
   in
   let replayed =
@@ -371,21 +354,20 @@ let explore_node ?(params = default_params) ?pool ~build ~cut ~gt ~node () =
       Netsim.Time.diff snapshot.Snapshot.Cut.completed_at
         snapshot.Snapshot.Cut.started_at
     in
-    let bugs_of = bugs_of_build build in
-    let suite = Checks.standard_suite gt in
     let cfg = (Topology.Build.speaker build node).Bgp.Speaker.sp_config () in
     let peers =
       List.filteri (fun i _ -> i < params.peers_per_node) cfg.Bgp.Config.neighbors
     in
-    let pristine = pristine ~params ~bugs_of snapshot in
-    let base_faults, base_digests =
-      baseline_results ~baseline:(scoped Checks.Baseline suite) ~node ~now pristine
-    in
     (* Every replay of this cut starts from the same snapshot, so it
-       shares the pristine clone's per-input verdicts. *)
-    let memo = Checks.record (scoped Checks.Per_input suite) pristine in
+       shares the pristine clone's verdicts; the memo carries them
+       across cuts, so only the speakers that changed since the last
+       cut are checked here.  Recorded before the replays fan out,
+       which only read it. *)
+    let pristine = pristine ~params snapshot in
+    ignore (Checks.record gt pristine);
+    let base_faults, base_digests = baseline_results ~gt ~node ~now pristine in
     let explore (n : Bgp.Config.neighbor) =
-      explore_peer ~params ~pool ~bugs_of ~memo ~build ~snapshot ~node
+      explore_peer ~params ~pool ~gt ~build ~snapshot ~node
         ~peer_addr:n.Bgp.Config.addr
     in
     (* Sessions fan out across the same pool; nested per-input jobs are
@@ -461,19 +443,16 @@ let replay_direct ?(params = default_params) ~build ~cut ~gt ~node
   in
   let snapshot = Snapshot.Cut.snapshot_of cut_result in
   let now = Netsim.Engine.now build.Topology.Build.engine in
-  let bugs_of = bugs_of_build build in
-  let suite = Checks.standard_suite gt in
-  let base_faults, _ =
-    baseline_results ~baseline:(scoped Checks.Baseline suite) ~node ~now
-      (pristine ~params ~bugs_of snapshot)
-  in
+  (* The checks read the memo and never write it: one replay would pay
+     for a recording sweep it cannot amortize. *)
+  let base_faults, _ = baseline_results ~gt ~node ~now (pristine ~params snapshot) in
   (* The exploration path checks convergence on every shadow replay; a
      direct repro must too, or minimized policy-conflict scenarios
      would stop detecting. *)
   let conv_faults =
     if not params.check_convergence then []
     else begin
-      let probe = Snapshot.Store.spawn ~bugs_of snapshot in
+      let probe = Snapshot.Store.spawn snapshot in
       let verdicts = Checks.convergence ~budget:params.shadow_budget probe in
       let faults, _ =
         verdicts_to_results ~self:node ~now ~checker_class:Fault.Policy_conflict
@@ -490,18 +469,14 @@ let replay_direct ?(params = default_params) ~build ~cut ~gt ~node
         match List.nth_opt cfg.Bgp.Config.neighbors peer_index with
         | None -> []
         | Some (peer : Bgp.Config.neighbor) ->
-            let probe = Snapshot.Store.spawn ~bugs_of snapshot in
+            let probe = Snapshot.Store.spawn snapshot in
             let view =
               Sym_handler.view_of_speaker
                 (Snapshot.Store.speaker probe node)
                 ~peer:peer.Bgp.Config.addr
             in
-            (* One replay: recording verdicts would cost the very sweep
-               it saves, so every speaker is checked. *)
             let faults, _digests, _dt =
-              replay_input ~params ~bugs_of
-                ~memo:(Checks.unrecorded (scoped Checks.Per_input suite))
-                ~view ~snapshot ~node ~peer_addr:peer.Bgp.Config.addr ~now input
+              replay_input ~params ~gt ~view ~snapshot ~node ~peer_addr:peer.Bgp.Config.addr ~now input
             in
             faults)
   in

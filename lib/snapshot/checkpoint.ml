@@ -9,7 +9,9 @@ let take ~at speaker =
     taken_at = at;
     image = Bgp.Speaker.capture speaker }
 
-let respawn t ~net ~bugs = t.image.Bgp.Speaker.cap_respawn ~net ~bugs
+let respawn ?bugs t ~net =
+  t.image.Bgp.Speaker.cap_respawn ~net
+    ~bugs:(Option.value bugs ~default:t.image.Bgp.Speaker.cap_bugs)
 
 let route_count t = Lazy.force t.image.Bgp.Speaker.cap_route_count
 let impl t = t.image.Bgp.Speaker.cap_impl

@@ -6,7 +6,7 @@ type shadow = {
   sh_from : int;
 }
 
-let spawn ?(bugs_of = fun _ -> Bgp.Router.no_bugs) ?(deliver_in_flight = true)
+let spawn ?bugs_of ?(deliver_in_flight = true)
     (snap : Cut.snapshot) =
   let engine = Netsim.Engine.create ~seed:(0xD1CE + snap.Cut.snap_id) () in
   let net = Netsim.Network.create engine in
@@ -29,7 +29,8 @@ let spawn ?(bugs_of = fun _ -> Bgp.Router.no_bugs) ?(deliver_in_flight = true)
     snap.Cut.channels;
   let speakers =
     List.map
-      (fun (id, cp) -> (id, Checkpoint.respawn cp ~net ~bugs:(bugs_of id)))
+      (fun (id, cp) ->
+        (id, Checkpoint.respawn ?bugs:(Option.map (fun f -> f id) bugs_of) cp ~net))
       snap.Cut.checkpoints
   in
   if deliver_in_flight then

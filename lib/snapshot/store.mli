@@ -24,10 +24,11 @@ val spawn :
   ?deliver_in_flight:bool ->
   Cut.snapshot ->
   shadow
-(** Rebuilds every checkpointed node with its captured configuration
-    and state on an isolated network (ideal links), then re-injects the
-    snapshot's in-flight channel messages ([deliver_in_flight]
-    defaults to [true]). *)
+(** Rebuilds every checkpointed node with its captured configuration,
+    state and bug flags on an isolated network (ideal links), then
+    re-injects the snapshot's in-flight channel messages
+    ([deliver_in_flight] defaults to [true]).  [bugs_of] overrides the
+    captured bug flags per node. *)
 
 val speaker : shadow -> int -> Bgp.Speaker.t
 val run : shadow -> Netsim.Time.span -> unit

@@ -1,6 +1,6 @@
-(* Checking only what a shadow changed: the per-speaker verdict memo
-   and the deferred convergence digests, each against the full path it
-   replaces. *)
+(* Checking only what changed: the per-speaker verdict memo, within a
+   cut and across cuts, and the deferred convergence digests, each
+   against the full path it replaces. *)
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -20,23 +20,22 @@ let random_graph ~seed ~transit ~stub =
   in
   Topology.Generate.generate ~params (Netsim.Rng.create seed)
 
-(* A cut from [node], as a clone maker: every call spawns a fresh
-   shadow of the same snapshot, running the live nodes' bug flags as
-   the explorer's clones do. *)
-let snapshot build ~node =
-  let cut =
-    Snapshot.Cut.create
-      ~speakers:(fun id -> Topology.Build.speaker build id)
-      build.Topology.Build.net
-  in
-  let snap = Snapshot.Cut.snapshot_of (Dice.Explorer.take_snapshot ~build ~cut ~node ()) in
-  let bugs_of id = (Topology.Build.speaker build id).Bgp.Speaker.sp_bugs () in
-  fun () -> Snapshot.Store.spawn ~bugs_of snap
+let make_cut build =
+  Snapshot.Cut.create
+    ~speakers:(fun id -> Topology.Build.speaker build id)
+    build.Topology.Build.net
 
-let per_input graph =
+(* A cut from [node], as a clone maker: every call spawns a fresh
+   shadow of the same snapshot. *)
+let snapshot ?bugs_of build ~node =
+  let cut = make_cut build in
+  let snap = Snapshot.Cut.snapshot_of (Dice.Explorer.take_snapshot ~build ~cut ~node ()) in
+  fun () -> Snapshot.Store.spawn ?bugs_of snap
+
+let scoped gt scope =
   List.filter
-    (fun (c : Dice.Checks.checker) -> c.Dice.Checks.scope = Dice.Checks.Per_input)
-    (Dice.Checks.standard_suite (Dice.Checks.ground_truth_of_graph graph))
+    (fun (c : Dice.Checks.checker) -> c.Dice.Checks.scope = scope)
+    (Dice.Checks.standard_suite gt)
 
 (* The explorer's pristine clone: spawned and run to quiescence. *)
 let pristine clone =
@@ -171,50 +170,214 @@ let deploy_case c =
   end;
   (graph, build, nth c.node)
 
-(* Differential: for every replayed input, the memo's verdicts equal
-   the full [checker.run] sweep over the same shadow, checker by
-   checker and speaker by speaker, on healthy and faulty deployments.
-   The explorer turns that list into faults and digests by a rule the
-   memo does not touch, so equal verdicts mean equal faults and
-   digests, in order. *)
+(* [run_memo] over one shadow against the full sweep, in order. *)
+let agrees_with_full gt scope sh =
+  let memoized = suite_view (Dice.Checks.run_memo gt scope sh) in
+  let full = suite_view (full_sweep (scoped gt scope) sh) in
+  memoized = full
+  || QCheck.Test.fail_reportf "memo and full checking disagree:@.%s@.vs@.%s"
+       (String.concat "\n" (List.concat_map snd memoized))
+       (String.concat "\n" (List.concat_map snd full))
+
+(* One cut as the explorer checks it: the pristine clone recorded into
+   [gt]'s memo and its baseline and per-input verdicts, then every
+   input's shadow, each against the full sweep.  The explorer turns
+   these lists into faults and digests by a rule the memo does not
+   touch, so equal verdicts mean equal faults and digests, in order. *)
+let cut_agrees gt clone ~node inputs =
+  let p = pristine clone in
+  ignore (Dice.Checks.record gt p);
+  agrees_with_full gt Dice.Checks.Baseline p
+  && agrees_with_full gt Dice.Checks.Per_input p
+  && List.for_all
+       (fun input ->
+         let sh = subject clone ~node input in
+         ignore (Dice.Checks.convergence ~budget:5_000 sh);
+         agrees_with_full gt Dice.Checks.Per_input sh)
+       inputs
+
+(* Differential on one cut, on healthy and faulty deployments. *)
 let memo_matches_full_checking =
   QCheck.Test.make ~count:50 ~name:"checks: memo verdicts equal full checking"
     (QCheck.make ~print:print_case gen_case)
     (fun c ->
       let graph, build, node = deploy_case c in
-      let clone = snapshot build ~node in
-      let checkers = per_input graph in
-      let memo = Dice.Checks.record checkers (pristine clone) in
-      List.for_all
-        (fun input ->
-          let sh = subject clone ~node input in
-          ignore (Dice.Checks.convergence ~budget:5_000 sh);
-          let full = full_sweep checkers sh in
-          let memoized = Dice.Checks.run_memo memo sh in
-          if suite_view memoized = suite_view full then true
-          else
-            QCheck.Test.fail_reportf "memo and full checking disagree:@.%s@.vs@.%s"
-              (String.concat "\n" (List.concat_map snd (suite_view memoized)))
-              (String.concat "\n" (List.concat_map snd (suite_view full))))
+      cut_agrees (Dice.Checks.ground_truth_of_graph graph) (snapshot build ~node) ~node
         c.inputs)
 
-(* The memo must actually be hit: a withdrawal of space nobody holds
-   changes no Loc-RIB, so every Router speaker but the one that
-   received it keeps the pristine RIB and reuses its verdicts.  An
-   always-miss memo would still be correct, only as slow as before. *)
+(* What the live deployment goes through between two cuts. *)
+type between =
+  | Quiet
+  | Flap of int  (** a session of this node index's, down past the hold time *)
+  | Fault of int * int  (** (kind, node index), as {!inject_of} *)
+  | Hijack of int * int  (** (hijacker, victim) node indices *)
+  | Reconfig of int  (** an equal but fresh config at this node index *)
+
+let print_between = function
+  | Quiet -> "quiet"
+  | Flap i -> Printf.sprintf "flap@%d" i
+  | Fault (k, i) -> Printf.sprintf "fault%d@%d" k i
+  | Hijack (i, j) -> Printf.sprintf "hijack@%d of %d" i j
+  | Reconfig i -> Printf.sprintf "reconfig@%d" i
+
+let gen_between =
+  let open QCheck.Gen in
+  let idx = int_bound 16 in
+  frequency
+    [ (1, return Quiet);
+      (2, map (fun i -> Flap i) idx);
+      (2, map2 (fun k i -> Fault (k, i)) (int_bound 2) idx);
+      (2, map2 (fun i j -> Hijack (i, j)) idx idx);
+      (1, map (fun i -> Reconfig i) idx) ]
+
+let sec = Netsim.Time.span_sec
+
+let apply_between build step =
+  let ids = Topology.Graph.node_ids build.Topology.Build.graph in
+  let nth i = List.nth ids (i mod List.length ids) in
+  let speaker i = Topology.Build.speaker build (nth i) in
+  match step with
+  | Quiet -> Topology.Build.run_for build (sec 5.)
+  | Flap i ->
+      (* Down for longer than the 90 s hold time, then back up well
+         before the next cut. *)
+      let a = nth i in
+      let b =
+        Bgp.Router.node_of_addr
+          (List.hd ((speaker i).Bgp.Speaker.sp_config ()).Bgp.Config.neighbors)
+            .Bgp.Config.addr
+      in
+      ignore
+        (Netsim.Churn.apply build.Topology.Build.net
+           (Netsim.Churn.flap ~a ~b ~from_:(sec 0.5) ~every:(sec 200.) ~down_for:(sec 95.)
+              ~times:1));
+      Topology.Build.run_for build (sec 130.)
+  | Fault (kind, i) ->
+      Dice.Inject.apply build (inject_of kind (nth i));
+      Topology.Build.run_for build (sec 10.)
+  | Hijack (i, j) ->
+      if nth i <> nth j then
+        Dice.Inject.apply build (Dice.Inject.Prefix_hijack { at = nth i; victim = nth j });
+      Topology.Build.run_for build (sec 10.)
+  | Reconfig i ->
+      let sp = speaker i in
+      let cfg = sp.Bgp.Speaker.sp_config () in
+      sp.Bgp.Speaker.sp_set_config { cfg with Bgp.Config.hold_time = cfg.Bgp.Config.hold_time };
+      Topology.Build.run_for build (sec 5.)
+
+(* Differential across cuts: one ground truth carries its memo through
+   a sequence of cuts with live churn, injected faults and config
+   changes between them; every cut's verdicts equal the full sweep. *)
+let carried_memo_matches_full_checking =
+  QCheck.Test.make ~count:25 ~name:"checks: memo carried across cuts equals full checking"
+    (QCheck.make
+       ~print:(fun (c, steps) ->
+         print_case c ^ " then [" ^ String.concat "; " (List.map print_between steps) ^ "]")
+       QCheck.Gen.(pair gen_case (list_size (int_range 1 3) gen_between)))
+    (fun (c, steps) ->
+      let graph, build, node = deploy_case c in
+      let gt = Dice.Checks.ground_truth_of_graph graph in
+      cut_agrees gt (snapshot build ~node) ~node c.inputs
+      && List.for_all
+           (fun step ->
+             apply_between build step;
+             cut_agrees gt (snapshot build ~node) ~node c.inputs)
+           steps)
+
+(* End to end, across cuts: twin deployments (same graph and seeds, so
+   the same live history) go through the same churn, faults and config
+   changes.  One explorer carries its ground truth from cut to cut; the
+   other starts every cut with a fresh one, whose empty memo has every
+   speaker checked.  Each cut's faults and digests agree, in order. *)
+let carried_explorer_equals_fresh ~sparrow_nodes () =
+  let graph = random_graph ~seed:7 ~transit:2 ~stub:4 in
+  let ids = Topology.Graph.node_ids graph in
+  let twin () =
+    let build = deploy ~sparrow_nodes graph in
+    (build, make_cut build)
+  in
+  let (a, cut_a), (b, cut_b) = (twin (), twin ()) in
+  let carried = Dice.Checks.ground_truth_of_graph graph in
+  let params =
+    { Dice.Explorer.default_params with
+      Dice.Explorer.limits =
+        { Concolic.Engine.max_inputs = 8; max_branches = 16; solver_nodes = 20_000 };
+      fuzz_extra = 2 }
+  in
+  let fault_strings (x : Dice.Explorer.exploration) =
+    List.map (Format.asprintf "%a" Dice.Fault.pp) x.Dice.Explorer.x_faults
+  in
+  List.iteri
+    (fun k step ->
+      apply_between a step;
+      apply_between b step;
+      let node = List.nth ids (k mod List.length ids) in
+      let xa = Dice.Explorer.explore_node ~params ~build:a ~cut:cut_a ~gt:carried ~node () in
+      let xb =
+        Dice.Explorer.explore_node ~params ~build:b ~cut:cut_b
+          ~gt:(Dice.Checks.ground_truth_of_graph graph) ~node ()
+      in
+      let what = Printf.sprintf "cut %d (%s)" k (print_between step) in
+      check Alcotest.(list string) (what ^ ": faults") (fault_strings xb) (fault_strings xa);
+      Alcotest.(check bool) (what ^ ": digests") true
+        (xa.Dice.Explorer.x_digests = xb.Dice.Explorer.x_digests))
+    [ Quiet; Flap 1; Fault (0, 2); Hijack (3, 1); Reconfig 4; Fault (2, 5); Quiet ]
+
+(* A hijack injected between two cuts is flagged by the second cut's
+   baseline, although the first cut recorded the hijacker's verdicts
+   clean: the new config re-records it. *)
+let hijack_between_cuts () =
+  let graph = random_graph ~seed:5 ~transit:2 ~stub:3 in
+  let build = deploy graph in
+  let gt = Dice.Checks.ground_truth_of_graph graph in
+  let cut = make_cut build in
+  let origin_faults () =
+    let x = Dice.Explorer.explore_node ~build ~cut ~gt ~node:1 () in
+    List.filter
+      (fun (f : Dice.Fault.t) -> f.Dice.Fault.f_property = "origin-authenticity")
+      x.Dice.Explorer.x_faults
+  in
+  check Alcotest.int "first cut: no hijack" 0 (List.length (origin_faults ()));
+  Dice.Inject.apply build (Dice.Inject.Prefix_hijack { at = 4; victim = 2 });
+  Topology.Build.run_for build (sec 10.);
+  Alcotest.(check bool) "second cut: hijack flagged" true (origin_faults () <> [])
+
+(* A round with no live change re-records nothing: after one
+   exploration, the next cut's pristine clone reuses every speaker's
+   entry, Sparrow nodes included.  An always-miss memo would still be
+   correct, only as slow as a fresh sweep per cut. *)
+let quiet_round_rerecords_nothing () =
+  let graph = Topology.Gadget.embedded () in
+  let build = deploy ~sparrow_nodes:[ 0; 2; 5; 8 ] graph in
+  let gt = Dice.Checks.ground_truth_of_graph graph in
+  let cut = make_cut build in
+  ignore (Dice.Explorer.explore_node ~build ~cut ~gt ~node:1 ());
+  Topology.Build.run_for build (sec 10.);
+  let p = pristine (snapshot build ~node:3) in
+  check Alcotest.(list int) "re-recorded" [] (Dice.Checks.record gt p);
+  List.iter
+    (fun (id, sp) ->
+      Alcotest.(check bool) (Printf.sprintf "node %d reuses" id) true
+        (Dice.Checks.reuses gt id sp))
+    p.Snapshot.Store.sh_speakers
+
+(* The memo must actually be hit inside a cut too: a withdrawal of
+   space nobody holds changes no Loc-RIB, so every Router speaker but
+   the one that received it keeps the pristine RIB and reuses its
+   verdicts. *)
 let untouched_router_hits () =
   let graph = random_graph ~seed:5 ~transit:2 ~stub:3 in
   let build = deploy graph in
   let node = 1 in
   let clone = snapshot build ~node in
-  let checkers = per_input graph in
-  let memo = Dice.Checks.record checkers (pristine clone) in
+  let gt = Dice.Checks.ground_truth_of_graph graph in
+  ignore (Dice.Checks.record gt (pristine clone));
   let quiet = pristine clone in
   List.iter
     (fun (id, sp) ->
       Alcotest.(check bool)
         (Printf.sprintf "quiesced clone: node %d reuses" id)
-        true (Dice.Checks.reuses memo id sp))
+        true (Dice.Checks.reuses gt id sp))
     quiet.Snapshot.Store.sh_speakers;
   let sh =
     subject clone ~node
@@ -226,33 +389,116 @@ let untouched_router_hits () =
       if id <> node then
         Alcotest.(check bool)
           (Printf.sprintf "untouched node %d reuses" id)
-          true (Dice.Checks.reuses memo id sp))
+          true (Dice.Checks.reuses gt id sp))
     sh.Snapshot.Store.sh_speakers;
   check suite_t "verdicts equal full checking"
-    (suite_view (full_sweep checkers sh))
-    (suite_view (Dice.Checks.run_memo memo sh))
+    (suite_view (full_sweep (scoped gt Dice.Checks.Per_input) sh))
+    (suite_view (Dice.Checks.run_memo gt Dice.Checks.Per_input sh))
 
-(* Sparrow's [sp_rib] builds a fresh view on every call, so its nodes
-   never match the record: they are always checked, with the same
-   verdicts the full sweep gives. *)
-let sparrow_always_checked () =
+(* Sparrow's view is cached until a table changes, so a second clone of
+   the same snapshot returns the RIB the first one was recorded with:
+   Sparrow speakers hit like Router ones, with the same verdicts the
+   full sweep gives. *)
+let sparrow_hits () =
   let graph = Topology.Gadget.embedded () in
-  let sparrow_nodes = [ 0; 2; 5; 8 ] in
-  let build = deploy ~sparrow_nodes graph in
+  let build = deploy ~sparrow_nodes:[ 0; 2; 5; 8 ] graph in
   let clone = snapshot build ~node:1 in
-  let checkers = per_input graph in
-  let memo = Dice.Checks.record checkers (pristine clone) in
+  let gt = Dice.Checks.ground_truth_of_graph graph in
+  ignore (Dice.Checks.record gt (pristine clone));
   let sh = pristine clone in
   List.iter
     (fun (id, sp) ->
       Alcotest.(check bool)
         (Printf.sprintf "node %d (%s) reuses" id sp.Bgp.Speaker.sp_impl)
-        (not (List.mem id sparrow_nodes))
-        (Dice.Checks.reuses memo id sp))
+        true (Dice.Checks.reuses gt id sp))
     sh.Snapshot.Store.sh_speakers;
-  check suite_t "verdicts equal full checking"
-    (suite_view (full_sweep checkers sh))
-    (suite_view (Dice.Checks.run_memo memo sh))
+  List.iter
+    (fun scope ->
+      check suite_t "verdicts equal full checking"
+        (suite_view (full_sweep (scoped gt scope) sh))
+        (suite_view (Dice.Checks.run_memo gt scope sh)))
+    [ Dice.Checks.Baseline; Dice.Checks.Per_input ]
+
+(* A changed Sparrow table never returns a stale view: an announcement
+   and then its withdrawal each show in the next view, on a live node
+   and on a clone. *)
+let sparrow_view_follows_tables () =
+  let graph = Topology.Gadget.embedded () in
+  let build = deploy ~sparrow_nodes:[ 0; 2; 5; 8 ] graph in
+  let prefix = Bgp.Prefix.of_string_exn "8.8.9.0/24" in
+  let follows what (sp : Bgp.Speaker.t) =
+    let peer = List.hd (sp.Bgp.Speaker.sp_config ()).Bgp.Config.neighbors in
+    let from = peer.Bgp.Config.addr in
+    let held () = Bgp.Rib.adj_in_get from prefix (sp.Bgp.Speaker.sp_rib ()) <> None in
+    let before = sp.Bgp.Speaker.sp_rib () in
+    Alcotest.(check bool) (what ^ ": unchanged view is reused") true
+      (sp.Bgp.Speaker.sp_rib () == before);
+    Alcotest.(check bool) (what ^ ": not held before") false (held ());
+    sp.Bgp.Speaker.sp_inject_update ~from
+      { Bgp.Msg.withdrawn = [];
+        attrs =
+          Some
+            (Bgp.Attr.make ~origin:Bgp.Attr.Igp ~next_hop:from
+               ~as_path:(Bgp.As_path.prepend peer.Bgp.Config.remote_as Bgp.As_path.empty)
+               ());
+        nlri = [ prefix ] };
+    Alcotest.(check bool) (what ^ ": announced") true (held ());
+    Alcotest.(check bool) (what ^ ": selected") true
+      (Bgp.Prefix.Map.mem prefix (Bgp.Speaker.loc_rib sp));
+    sp.Bgp.Speaker.sp_inject_update ~from
+      { Bgp.Msg.withdrawn = [ prefix ]; attrs = None; nlri = [] };
+    Alcotest.(check bool) (what ^ ": withdrawn") false (held ());
+    Alcotest.(check bool) (what ^ ": deselected") false
+      (Bgp.Prefix.Map.mem prefix (Bgp.Speaker.loc_rib sp))
+  in
+  let clone = snapshot build ~node:0 in
+  let sh = pristine clone in
+  follows "clone" (Snapshot.Store.speaker sh 2);
+  (* The clone's changes stay with it: a second clone still starts from
+     the captured tables. *)
+  let again = Snapshot.Store.speaker (pristine clone) 2 in
+  Alcotest.(check bool) "second clone: not held" true
+    (Bgp.Rib.adj_in_get
+       (List.hd (again.Bgp.Speaker.sp_config ()).Bgp.Config.neighbors).Bgp.Config.addr
+       prefix (again.Bgp.Speaker.sp_rib ())
+    = None);
+  follows "live" (Topology.Build.speaker build 2)
+
+(* A clone runs the code its live node ran at the cut: spawned without
+   [bugs_of], a loop-check bypass at the explored node still lets a
+   looped path in, and only an explicit override removes it. *)
+let clones_keep_bug_flags () =
+  let graph = random_graph ~seed:5 ~transit:2 ~stub:3 in
+  let loop_check =
+    List.find
+      (fun (c : Dice.Checks.checker) -> c.Dice.Checks.name = "no-own-as-in-path")
+      (Dice.Checks.standard_suite (Dice.Checks.ground_truth_of_graph graph))
+  in
+  List.iter
+    (fun sparrow_nodes ->
+      let build = deploy ~sparrow_nodes graph in
+      let node = 1 in
+      Dice.Inject.apply build (Dice.Inject.Loop_check_bug { at = node });
+      let clone = snapshot build ~node in
+      let looped =
+        [ ("nlri_a", 8); ("nlri_b", 8); ("nlri_c", 9); ("nlri_len", 24); ("path_len", 3);
+          ("contains_self", 1); ("origin_as", Topology.Gao_rexford.asn_of_node 4) ]
+      in
+      let loop_ok sh =
+        ignore (Dice.Checks.convergence ~budget:5_000 sh);
+        List.for_all
+          (fun (v : Dice.Checks.verdict) -> v.Dice.Checks.v_ok)
+          (loop_check.Dice.Checks.run sh)
+      in
+      let impl = if sparrow_nodes = [] then "router" else "sparrow" in
+      let sh = subject clone ~node looped in
+      Alcotest.(check bool) (impl ^ ": captured flag") true
+        ((Snapshot.Store.speaker sh node).Bgp.Speaker.sp_bugs ()).Bgp.Router.skip_loop_check;
+      Alcotest.(check bool) (impl ^ ": looped path selected") false (loop_ok sh);
+      let fixed = snapshot ~bugs_of:(fun _ -> Bgp.Router.no_bugs) build ~node in
+      Alcotest.(check bool) (impl ^ ": override removes the bug") true
+        (loop_ok (subject fixed ~node looped)))
+    [ []; [ 1 ] ]
 
 (* ------------------------------------------------------------------ *)
 (* Deferred convergence digests                                        *)
@@ -381,8 +627,18 @@ let deferred_digest_dispute () =
 
 let suite =
   [ qtest memo_matches_full_checking;
+    qtest carried_memo_matches_full_checking;
+    ("checks: carried explorer equals a fresh one per cut", `Quick,
+      carried_explorer_equals_fresh ~sparrow_nodes:[]);
+    ("checks: mixed deployment, carried explorer equals fresh", `Quick,
+      carried_explorer_equals_fresh ~sparrow_nodes:[ 0; 3; 5 ]);
+    ("checks: a hijack between cuts is flagged", `Quick, hijack_between_cuts);
+    ("checks: a quiet round re-records nothing", `Quick, quiet_round_rerecords_nothing);
     ("checks: untouched Router speakers reuse verdicts", `Quick, untouched_router_hits);
-    ("checks: Sparrow speakers are always checked", `Quick, sparrow_always_checked);
+    ("checks: Sparrow speakers reuse verdicts", `Quick, sparrow_hits);
+    ("checks: a changed Sparrow table gets a new view", `Quick,
+      sparrow_view_follows_tables);
+    ("checks: clones keep the live bug flags", `Quick, clones_keep_bug_flags);
     ("checks: deferred digests on clean shadows", `Quick, deferred_digest_clean);
     ("checks: deferred digests, quiesced after two samples", `Quick,
       deferred_digest_two_samples);
