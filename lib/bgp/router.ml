@@ -565,3 +565,17 @@ let set_config t cfg =
   update_exports t all_prefixes
 
 let restore t st = t.st <- st
+
+(* Maps go in as key-ordered bindings: a balanced tree's shape depends
+   on its insertion history, so equal maps need not marshal alike. *)
+let digest t =
+  let rib = t.st.rib in
+  let tables m = Ipv4.Map.bindings (Ipv4.Map.map Prefix.Map.bindings m) in
+  Digest.string
+    (Marshal.to_string
+       ( (t.cfg, t.bug_flags, t.auto_restart, t.liveness_timers, t.connect_delay),
+         Prefix.Map.bindings rib.Rib.loc,
+         tables rib.Rib.adj_in,
+         tables rib.Rib.adj_out,
+         Ipv4.Map.bindings t.st.sessions )
+       [ Marshal.No_sharing ])

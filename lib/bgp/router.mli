@@ -77,6 +77,14 @@ val restore : t -> state -> unit
 (** Restore routing state (used when cloning snapshots).  Timers are
     not restored; callers on shadow clones drive the router manually. *)
 
+val digest : t -> Digest.t
+(** A digest of everything the router reads to decide an event: its
+    configuration, bug flags and construction options, the Loc-RIB, the
+    Adj-RIBs-In and -Out, and every session's FSM.  Left out: [stats]
+    (counters nothing decides on), the RIB's candidate index (a function
+    of the Adj-RIBs-In) and the timer handles (a live timer is an event
+    in the engine queue). *)
+
 val rib : t -> Rib.t
 val loc_rib : t -> Rib.route Prefix.Map.t
 val session_state : t -> Ipv4.t -> Fsm.state option

@@ -524,6 +524,18 @@ let route_count image =
       (fun acc (_, _, p_in, _) -> acc + Prefix_trie.cardinal p_in)
       0 image.im_peers
 
+(* Peers are listed in configuration order, which never changes; the
+   tries are canonical, so they marshal alike exactly when equal. *)
+let digest t =
+  Digest.string
+    (Marshal.to_string
+       ( (t.cfg, t.bugs, t.liveness),
+         t.loc,
+         List.map
+           (fun (a, p) -> (a, p.p_phase, p.p_sent_open, p.p_got_open, p.p_in, p.p_out))
+           t.peers )
+       [ Marshal.No_sharing ])
+
 let rec speaker t =
   { Speaker.sp_node = t.node;
     sp_impl = "sparrow";
@@ -540,6 +552,7 @@ let rec speaker t =
     sp_process_raw = (fun ~from_node raw -> process_raw t ~from_node raw);
     sp_inject_update = (fun ~from u -> inject_update t ~from u);
     sp_stats = (fun () -> t.stats);
+    sp_digest = (fun () -> digest t);
     sp_capture = (fun () -> capture t) }
 
 and capture t =

@@ -11,6 +11,7 @@ type t = {
   sp_process_raw : from_node:int -> string -> unit;
   sp_inject_update : from:Ipv4.t -> Msg.update -> unit;
   sp_stats : unit -> Netsim.Stats.t;
+  sp_digest : unit -> Digest.t;
   sp_capture : unit -> capture;
 }
 
@@ -39,6 +40,7 @@ let rec of_router r =
     sp_process_raw = (fun ~from_node raw -> Router.process_raw r ~from_node raw);
     sp_inject_update = (fun ~from u -> Router.inject_update r ~from u);
     sp_stats = (fun () -> Router.stats r);
+    sp_digest = (fun () -> Router.digest r);
     sp_capture = (fun () -> capture_router r) }
 
 and capture_router r =

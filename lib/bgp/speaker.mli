@@ -28,6 +28,12 @@ type t = {
   sp_process_raw : from_node:int -> string -> unit;
   sp_inject_update : from:Ipv4.t -> Msg.update -> unit;
   sp_stats : unit -> Netsim.Stats.t;
+  sp_digest : unit -> Digest.t;
+      (** A digest of everything the speaker reads to decide an event:
+          configuration, bug flags, RIBs and session state.  Counters,
+          caches and timer handles are left out (a live timer is an
+          event in the engine queue).  Two moments of one speaker with
+          equal digests behave alike from then on. *)
   sp_capture : unit -> capture;
 }
 

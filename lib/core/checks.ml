@@ -136,61 +136,15 @@ let decision_matches_spec id sp =
                   (Bgp.Prefix.to_string prefix)))
        prefixes)
 
-(* Events between loc-rib fingerprint samples. *)
-let sample_every = 100
-
-let convergence ?(budget = 200_000) shadow =
-  let eng = shadow.Snapshot.Store.sh_engine in
-  let seen = Hashtbl.create 64 in
-  let last = ref None in
-  (* A revisit means the global state left a fingerprint and came back
-     to it (A -> B -> A); consecutive identical samples are just an
-     idle network, not oscillation. *)
-  let digest ribs =
-    let fp = Snapshot.Store.fingerprint_of_loc_ribs ribs in
-    let changed = !last <> Some fp in
-    let known = Hashtbl.mem seen fp in
-    Hashtbl.replace seen fp ();
-    last := Some fp;
-    changed && known
+let convergence ?budget shadow =
+  let v =
+    match Snapshot.Store.settle ?budget shadow with
+    | Snapshot.Store.Quiesced -> ok
+    | Snapshot.Store.Oscillating ->
+        fun id p -> bad id p "routing oscillation (state revisited)"
+    | Snapshot.Store.Diverging -> fun id p -> bad id p "no quiescence within event budget"
   in
-  (* A revisit needs three samples, so the first two are held as
-     Loc-RIB pointers and digested, in order, only when a third is
-     taken; a shadow that quiesces sooner digests nothing. *)
-  let held = ref (Some []) in
-  let sample () =
-    let ribs = Snapshot.Store.loc_ribs shadow in
-    match !held with
-    | Some older when List.length older < 2 ->
-        held := Some (ribs :: older);
-        false
-    | Some older ->
-        held := None;
-        let revisited =
-          List.fold_left (fun r s -> digest s || r) false (List.rev older)
-        in
-        digest ribs || revisited
-    | None -> digest ribs
-  in
-  let rec go events revisited =
-    if Netsim.Engine.pending eng = 0 then `Quiesced
-    else if events >= budget then if revisited then `Oscillating else `Diverging
-    else begin
-      let revisited =
-        if events mod sample_every = 0 then revisited || sample () else revisited
-      in
-      ignore (Netsim.Engine.step eng);
-      go (events + 1) revisited
-    end
-  in
-  let result = go 0 false in
-  List.map
-    (fun (id, _) ->
-      match result with
-      | `Quiesced -> ok id "convergence"
-      | `Oscillating -> bad id "convergence" "routing oscillation (state revisited)"
-      | `Diverging -> bad id "convergence" "no quiescence within event budget")
-    shadow.Snapshot.Store.sh_speakers
+  List.map (fun (id, _) -> v id "convergence") shadow.Snapshot.Store.sh_speakers
 
 type scope = Baseline | Per_input
 

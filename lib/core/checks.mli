@@ -26,17 +26,10 @@ type verdict = {
 }
 
 val convergence : ?budget:int -> Snapshot.Store.shadow -> verdict list
-(** Runs the shadow, sampling the global Loc-RIB state every 100
-    events.  If it fails to quiesce within [budget] events and the
-    state revisits an earlier one (A -> B -> A: changed since the last
-    sample, seen before), the system is oscillating (policy-conflict
-    class); non-quiescence without a revisit is reported as divergence.
-
-    A revisit needs three samples, so the first two are kept as
-    {!Snapshot.Store.loc_ribs} pointers and fingerprinted only once a
-    third is taken; a shadow that quiesces before its third sample
-    computes no fingerprint at all.  The verdict is the one an eager
-    fingerprint of every sample would give. *)
+(** {!Snapshot.Store.settle}s the shadow and gives every speaker the
+    outcome: [Quiesced] passes, [Oscillating] is a routing oscillation
+    (policy-conflict class) and [Diverging] is reported as
+    non-quiescence within [budget] events. *)
 
 type scope =
   | Baseline  (** state property: checked once per snapshot, pre-input *)

@@ -443,24 +443,25 @@ let replay_direct ?(params = default_params) ~build ~cut ~gt ~node
   in
   let snapshot = Snapshot.Cut.snapshot_of cut_result in
   let now = Netsim.Engine.now build.Topology.Build.engine in
-  (* The checks read the memo and never write it: one replay would pay
-     for a recording sweep it cannot amortize. *)
-  let base_faults, _ = baseline_results ~gt ~node ~now (pristine ~params snapshot) in
   (* The exploration path checks convergence on every shadow replay; a
      direct repro must too, or minimized policy-conflict scenarios
-     would stop detecting. *)
-  let conv_faults =
-    if not params.check_convergence then []
+     would stop detecting.  The convergence run steps the same engine
+     to the same end as [pristine], so one shadow serves both. *)
+  let shadow, conv_faults =
+    if not params.check_convergence then (pristine ~params snapshot, [])
     else begin
-      let probe = Snapshot.Store.spawn snapshot in
-      let verdicts = Checks.convergence ~budget:params.shadow_budget probe in
+      let shadow = Snapshot.Store.spawn snapshot in
+      let verdicts = Checks.convergence ~budget:params.shadow_budget shadow in
       let faults, _ =
         verdicts_to_results ~self:node ~now ~checker_class:Fault.Policy_conflict
           verdicts
       in
-      faults
+      (shadow, faults)
     end
   in
+  (* The checks read the memo and never write it: one replay would pay
+     for a recording sweep it cannot amortize. *)
+  let base_faults, _ = baseline_results ~gt ~node ~now shadow in
   let input_faults =
     match input with
     | None -> []

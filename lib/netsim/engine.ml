@@ -35,6 +35,7 @@ let cancel = function
 let is_cancelled timer = timer.state = Cancelled
 
 let pending t = !(t.live)
+let queued t = Pqueue.length t.queue
 
 (* The stepping path is allocation-free: [min_prio]/[pop_value] avoid
    the [Some (prio, value)] wrapping of [Pqueue.pop], and the batched

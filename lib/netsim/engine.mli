@@ -32,6 +32,10 @@ val is_cancelled : timer -> bool
 val pending : t -> int
 (** Number of live (not cancelled, not fired) events. *)
 
+val queued : t -> int
+(** Number of queue slots: the live events plus the cancelled ones not
+    yet reached. *)
+
 val step : t -> bool
 (** Execute the next event.  Returns [false] when the queue is empty. *)
 

@@ -13,6 +13,18 @@ type crash = {
   cr_exn : string;
 }
 
+(* The envelopes a channel has scheduled for delivery and not yet
+   delivered, oldest first, each with its network-wide send order and
+   arrival instant. *)
+type 'msg flight =
+  | Landed
+  | Flight of {
+      seq : int;
+      at : Time.t;
+      env : 'msg envelope;
+      mutable next : 'msg flight;
+    }
+
 type 'msg channel = {
   link : Link.t;
   chan_rng : Rng.t;
@@ -23,6 +35,10 @@ type 'msg channel = {
      oldest first. *)
   mutable ch_held : 'msg envelope list;
   mutable ch_down_since : Time.t option;
+  (* The engine event only says "deliver the next one", so the channel
+     holds everything a delivery depends on. *)
+  mutable ch_first : 'msg flight;
+  mutable ch_last : 'msg flight;
 }
 
 type 'msg node = {
@@ -67,7 +83,7 @@ type 'msg t = {
   node_tbl : (int, 'msg node) Hashtbl.t;
   chan_tbl : (int * int, 'msg channel) Hashtbl.t;
   net_rng : Rng.t;
-  mutable control_handler : self:int -> src:int -> control -> unit;
+  mutable control_handler : (self:int -> src:int -> control -> unit) option;
   mutable tap : (dst:int -> src:int -> 'msg -> unit) option;
   mutable transform : (src:int -> dst:int -> 'msg -> 'msg list) option;
   mutable crash_policy : crash_policy;
@@ -76,6 +92,7 @@ type 'msg t = {
   mutable delivered : int;
   mutable flying : int;
   mutable dropped : int;
+  mutable next_seq : int;
 }
 
 let create ?label eng =
@@ -85,7 +102,7 @@ let create ?label eng =
     node_tbl = Hashtbl.create 64;
     chan_tbl = Hashtbl.create 256;
     net_rng = Rng.split (Engine.rng eng);
-    control_handler = (fun ~self:_ ~src:_ _ -> ());
+    control_handler = None;
     tap = None;
     transform = None;
     crash_policy = Propagate;
@@ -94,6 +111,7 @@ let create ?label eng =
     delivered = 0;
     flying = 0;
     dropped = 0;
+    next_seq = 0;
   }
 
 let engine t = t.eng
@@ -120,7 +138,7 @@ let connect t a b link =
   Hashtbl.add t.chan_tbl (a, b)
     { link; chan_rng = Rng.split t.net_rng; last_delivery = Time.zero;
       ch_up = true; ch_policy = Drop_while_down; ch_held = [];
-      ch_down_since = None }
+      ch_down_since = None; ch_first = Landed; ch_last = Landed }
 
 let connect_sym t a b link =
   connect t a b link;
@@ -184,9 +202,16 @@ let drop t ~src env =
   | Data _ -> emit_lazy t ~node:src ~kind:"drop" (fun () -> "message lost to churn")
   | Control _ -> emit_lazy t ~node:src ~kind:"drop" (fun () -> "marker lost to churn")
 
-let deliver t ~src ~dst env =
+let deliver t ~src ~dst ch =
+  let env =
+    match ch.ch_first with
+    | Flight f ->
+        ch.ch_first <- f.next;
+        if f.next == Landed then ch.ch_last <- Landed;
+        f.env
+    | Landed -> invalid_arg "Network: delivery on an empty channel"
+  in
   t.flying <- t.flying - 1;
-  let ch = chan_of t src dst in
   let dst_node = node_of t dst in
   if not dst_node.nd_up then drop t ~src env
   else if not ch.ch_up then
@@ -196,7 +221,10 @@ let deliver t ~src ~dst env =
     | Queue_while_down -> ch.ch_held <- ch.ch_held @ [ env ])
   else
     match env with
-    | Control c -> t.control_handler ~self:dst ~src c
+    | Control c -> (
+        match t.control_handler with
+        | Some f -> f ~self:dst ~src c
+        | None -> ())
     | Data m -> (
         t.delivered <- t.delivered + 1;
         bump t (fun mt -> Telemetry.Metrics.incr mt.nm_delivered);
@@ -236,7 +264,13 @@ let schedule_delivery t ~src ~dst ch env =
   in
   ch.last_delivery <- arrival;
   t.flying <- t.flying + 1;
-  ignore (Engine.at t.eng arrival (fun () -> deliver t ~src ~dst env))
+  let f = Flight { seq = t.next_seq; at = arrival; env; next = Landed } in
+  (match ch.ch_last with
+  | Flight last -> last.next <- f
+  | Landed -> ch.ch_first <- f);
+  ch.ch_last <- f;
+  t.next_seq <- t.next_seq + 1;
+  ignore (Engine.at t.eng arrival (fun () -> deliver t ~src ~dst ch))
 
 let transmit t ~src ~dst env =
   match Hashtbl.find_opt t.chan_tbl (src, dst) with
@@ -322,7 +356,7 @@ let send t ~src ~dst msg =
 
 let send_control t ~src ~dst c = transmit t ~src ~dst (Control c)
 
-let set_control_handler t f = t.control_handler <- f
+let set_control_handler t f = t.control_handler <- Some f
 let set_delivery_tap t tap = t.tap <- tap
 let set_transform t f = t.transform <- f
 let set_crash_policy t p = t.crash_policy <- p
@@ -349,3 +383,54 @@ let messages_sent t = t.sent
 let messages_delivered t = t.delivered
 let in_flight t = t.flying
 let messages_dropped t = t.dropped
+
+(* Deliveries on one channel fire in send order (arrivals are clamped to
+   the FIFO floor, and the engine breaks time ties by insertion), so the
+   engine queue is the channels' flights merged by (arrival, send
+   order).  The sort keeps that merge order and drops the absolute
+   values: two moments whose queues differ only by a shift in time and
+   in send count behave alike. *)
+let digest t =
+  let draws (l : Link.t) = l.Link.jitter > 0 || l.Link.loss > 0. in
+  if
+    Engine.queued t.eng <> t.flying
+    || Option.is_some t.tap || Option.is_some t.transform
+    || Option.is_some t.control_handler
+  then None
+  else
+    let chans =
+      List.sort
+        (fun (a, _) (b, _) -> compare a b)
+        (Hashtbl.fold (fun k ch acc -> (k, ch) :: acc) t.chan_tbl [])
+    in
+    if List.exists (fun (_, ch) -> draws ch.link) chans then None
+    else begin
+      let now = Time.to_us (Engine.now t.eng) in
+      let rec flights_of k acc = function
+        | Landed -> acc
+        | Flight f -> flights_of k ((Time.to_us f.at, f.seq, k, f.env) :: acc) f.next
+      in
+      let flights =
+        List.fold_left (fun acc (k, ch) -> flights_of k acc ch.ch_first) [] chans
+        |> List.sort (fun (a, s, _, _) (b, s', _, _) ->
+               let c = Int.compare a b in
+               if c <> 0 then c else Int.compare s s')
+        |> List.map (fun (at, _, k, env) -> (at - now, k, env))
+      in
+      let channels =
+        List.map
+          (fun (k, ch) ->
+            ( k, ch.ch_up, ch.ch_policy, ch.ch_held,
+              max 0 (Time.to_us ch.last_delivery - now) ))
+          chans
+      in
+      let nodes =
+        List.sort compare
+          (Hashtbl.fold (fun id n acc -> (id, n.nd_up) :: acc) t.node_tbl [])
+      in
+      Some
+        (Digest.string
+           (Marshal.to_string
+              (flights, channels, nodes, t.crash_policy)
+              [ Marshal.No_sharing ]))
+    end

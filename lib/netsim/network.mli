@@ -153,6 +153,23 @@ val neighbors_out : 'msg t -> int -> int list
 val neighbors_in : 'msg t -> int -> int list
 val channels : 'msg t -> (int * int) list
 
+val digest : string t -> Digest.t option
+(** A digest of everything that decides what the network does next,
+    for telling whether a run has come back to an earlier moment: every
+    in-flight envelope in delivery order with its arrival time relative
+    to now, each channel's up state, link policy, held-back envelopes
+    and FIFO floor (relative, and only while it lies ahead), each node's
+    up state, and the crash policy.  The counters ([messages_sent] and
+    the like), the crash log, the down-since stamps and the telemetry
+    metrics are left out: nothing reads them to decide an event.
+
+    [None] when the network cannot be described that way: the engine
+    queue holds something other than this network's deliveries (a
+    timer, a cancelled slot), a tap, transform or control handler is
+    installed, or some link draws jitter or loss from its generator.
+    Node handlers are taken to be the speakers', which describe
+    themselves. *)
+
 val messages_sent : 'msg t -> int
 (** Data messages ever submitted to [send]. *)
 

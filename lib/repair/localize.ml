@@ -97,16 +97,25 @@ let compare_witness a b =
     if c <> 0 then c
     else Option.compare Bgp.Attr.compare a.w_out b.w_out
 
-let dedupe_witnesses ws =
-  let sorted = List.sort compare_witness ws in
-  let rec uniq = function
-    | a :: (b :: _ as rest) ->
-        if compare_witness a b = 0 then uniq rest else a :: uniq rest
-    | l -> l
-  in
-  List.filteri (fun i _ -> i < 8) (uniq sorted)
+(* Witness equality is structural: [Attr.compare] is [Stdlib.compare],
+   so [compare_witness] returns 0 exactly on equal witnesses.  The hash
+   reads the whole witness, since [Hashtbl.hash] would stop short of
+   long AS paths and chain the witnesses that differ only there. *)
+module Witness_set = Hashtbl.Make (struct
+  type t = witness
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 64 256
+end)
 
 let take n l = List.filteri (fun i _ -> i < n) l
+
+(* Only the distinct witnesses are sorted: the list may hold each one
+   many times over. *)
+let dedupe_witnesses ws =
+  let set = Witness_set.create 64 in
+  List.iter (fun w -> Witness_set.replace set w ()) ws;
+  take 8 (List.sort compare_witness (Witness_set.fold (fun w () l -> w :: l) set []))
 
 let run ?(negative = []) ?(max_suspects = default_max_suspects) ~target
     scenario =
@@ -122,7 +131,11 @@ let run ?(negative = []) ?(max_suspects = default_max_suspects) ~target
         ref []
       in
       let lock = Mutex.create () in
-      let witnesses : ((int * string) * witness) list ref = ref [] in
+      (* The distinct witnesses of each (node, map): a dispute replay
+         evaluates the same few routes tens of thousands of times. *)
+      let witnesses : (int * string, unit Witness_set.t) Hashtbl.t =
+        Hashtbl.create 16
+      in
       let on_deployed (build : Topology.Build.t) =
         let cfgs =
           List.map
@@ -162,11 +175,18 @@ let run ?(negative = []) ?(max_suspects = default_max_suspects) ~target
       in
       let tracer (s : P.cov_site) prefix attrs_in out =
         if List.exists (Bgp.Prefix.equal prefix) !contested then begin
+          let key = (s.P.cs_node, s.P.cs_map) in
           Mutex.lock lock;
-          witnesses :=
-            ( (s.P.cs_node, s.P.cs_map),
-              { w_prefix = prefix; w_attrs_in = attrs_in; w_out = out } )
-            :: !witnesses;
+          let set =
+            match Hashtbl.find_opt witnesses key with
+            | Some set -> set
+            | None ->
+                let set = Witness_set.create 64 in
+                Hashtbl.add witnesses key set;
+                set
+          in
+          Witness_set.replace set
+            { w_prefix = prefix; w_attrs_in = attrs_in; w_out = out } ();
           Mutex.unlock lock
         end
       in
@@ -213,17 +233,10 @@ let run ?(negative = []) ?(max_suspects = default_max_suspects) ~target
           (* Policy suspects: group witnesses by the entry that decided
              them; a fallthrough (no deciding entry) has no config text
              to symbolize and is dropped. *)
-          let by_map = Hashtbl.create 16 in
-          List.iter
-            (fun (key, w) ->
-              let l =
-                match Hashtbl.find_opt by_map key with Some l -> l | None -> []
-              in
-              Hashtbl.replace by_map key (w :: l))
-            !witnesses;
           let policy_suspects =
             Hashtbl.fold
-              (fun (node, map_name) ws acc ->
+              (fun (node, map_name) set acc ->
+                let ws = Witness_set.fold (fun w () ws -> w :: ws) set [] in
                 match
                   Option.bind
                     (List.assoc_opt node !configs)
@@ -289,7 +302,7 @@ let run ?(negative = []) ?(max_suspects = default_max_suspects) ~target
                             su_map = map }
                           :: acc)
                       by_seq acc)
-              by_map []
+              witnesses []
           in
           let network_suspects =
             List.map

@@ -37,6 +37,13 @@ type witness = {
 (** One observed evaluation of a contested prefix that the suspect
     entry decided. *)
 
+val compare_witness : witness -> witness -> int
+(** By prefix text, then input attributes, then output. *)
+
+val dedupe_witnesses : witness list -> witness list
+(** The first 8 distinct witnesses in {!compare_witness} order, as a
+    suspect carries them. *)
+
 type suspect = {
   su_site : site;
   su_score : int;

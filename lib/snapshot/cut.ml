@@ -40,7 +40,8 @@ type t = {
   net : string Netsim.Network.t;
   speakers : int -> Bgp.Speaker.t;
   active_tbl : (int, active_snap) Hashtbl.t;
-  mutable done_list : result list;
+  mutable n_completed : int;
+  mutable n_aborted : int;
   mutable next_id : int;
 }
 
@@ -83,10 +84,12 @@ let settle t a result =
   (match a.a_timer with Some tm -> Netsim.Engine.cancel tm | None -> ());
   a.a_timer <- None;
   Hashtbl.remove t.active_tbl a.a_id;
-  t.done_list <- result :: t.done_list;
   (match result with
-  | Complete _ -> Telemetry.Metrics.incr (Lazy.force m_complete)
+  | Complete _ ->
+      t.n_completed <- t.n_completed + 1;
+      Telemetry.Metrics.incr (Lazy.force m_complete)
   | Partial (_, stalled) ->
+      t.n_aborted <- t.n_aborted + 1;
       Telemetry.Metrics.incr (Lazy.force m_partial);
       Telemetry.Metrics.add (Lazy.force m_stalled) (List.length stalled));
   a.a_on_result result
@@ -155,7 +158,8 @@ let on_delivery t ~dst ~src msg =
 
 let create ~speakers net =
   let t =
-    { net; speakers; active_tbl = Hashtbl.create 4; done_list = []; next_id = 0 }
+    { net; speakers; active_tbl = Hashtbl.create 4; n_completed = 0; n_aborted = 0;
+      next_id = 0 }
   in
   Netsim.Network.set_control_handler net (fun ~self ~src control ->
       match control with
@@ -197,11 +201,5 @@ let initiate ?deadline t ~initiator ~on_result =
   id
 
 let active t = Hashtbl.length t.active_tbl
-let results t = List.rev t.done_list
-
-let completed t =
-  List.filter_map (function Complete s -> Some s | Partial _ -> None) (results t)
-
-let aborted t =
-  List.filter_map (function Partial (s, st) -> Some (s, st) | Complete _ -> None)
-    (results t)
+let completed t = t.n_completed
+let aborted t = t.n_aborted

@@ -66,11 +66,10 @@ val initiate :
 val active : t -> int
 (** Number of snapshots still collecting. *)
 
-val results : t -> result list
-(** Every settled cut, oldest first. *)
+val completed : t -> int
+(** How many cuts settled [Complete].  Settled cuts are not kept: each
+    one reaches its [on_result] and nothing else, so a long online run
+    does not hold every snapshot it ever took. *)
 
-val completed : t -> snapshot list
-(** The [Complete] subset of {!results}. *)
-
-val aborted : t -> (snapshot * (int * int) list) list
-(** The [Partial] subset of {!results}. *)
+val aborted : t -> int
+(** How many cuts settled [Partial]. *)

@@ -34,11 +34,6 @@ val speaker : shadow -> int -> Bgp.Speaker.t
 val run : shadow -> Netsim.Time.span -> unit
 (** Advance the shadow's virtual time. *)
 
-val run_to_quiescence : ?max_events:int -> shadow -> bool
-(** Run until the shadow's queue drains ([true]) or the event budget is
-    hit ([false]).  Shadow speakers have no liveness timers, so
-    quiescence is reachable. *)
-
 val loc_ribs : shadow -> (int * Bgp.Rib.route Bgp.Prefix.Map.t) list
 (** Every speaker's current Loc-RIB, in [sh_speakers] order.  The maps
     are persistent values, so a list taken now still describes this
@@ -52,3 +47,39 @@ val fingerprint_of_loc_ribs : (int * Bgp.Rib.route Bgp.Prefix.Map.t) list -> int
 val loc_rib_fingerprint : shadow -> int
 (** [fingerprint_of_loc_ribs (loc_ribs sh)] — used by isolation and
     oscillation checks. *)
+
+val digest : shadow -> Digest.t option
+(** The full state: {!Netsim.Network.digest} of the shadow's network
+    and every speaker's [sp_digest], in [sh_speakers] order.  Absolute
+    time and event counts are not in it, so two moments of one shadow
+    with equal digests behave alike from then on.  [None] when the
+    network cannot be described (a timer or a cancelled slot is
+    queued). *)
+
+type settled =
+  | Quiesced  (** the event queue drained *)
+  | Oscillating  (** the budget state, reached after a Loc-RIB revisit *)
+  | Diverging  (** the budget state, with no revisit seen *)
+
+val settle : ?budget:int -> shadow -> settled
+(** Steps the shadow until it quiesces or [budget] events (default
+    200,000) have been stepped, sampling the global Loc-RIB state every
+    100 events.  A revisit (A -> B -> A: changed since the last sample,
+    seen before) makes a budget run [Oscillating]; without one it is
+    [Diverging].  A revisit needs three samples, so the first two are
+    kept as {!loc_ribs} pointers and fingerprinted only once a third is
+    taken; a shadow that quiesces before its third sample computes no
+    fingerprint at all.
+
+    From the first revisit on, the {!digest} is also taken each time the
+    clock has moved on since the last one (at most [budget / 100]
+    times).  When a digest recurs, the run is periodic from the first
+    sighting, so it steps only as far into the next period as the budget
+    would have reached, and stops there: the verdict, the end state (up
+    to the clock and the counters) and every route evaluation on the way
+    are those of the run to the budget. *)
+
+val run_to_quiescence : ?max_events:int -> shadow -> bool
+(** [settle ~budget:max_events sh = Quiesced] (default budget 100,000).
+    Shadow speakers have no liveness timers, so quiescence is
+    reachable. *)

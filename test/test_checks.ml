@@ -1,6 +1,7 @@
 (* Checking only what changed: the per-speaker verdict memo, within a
-   cut and across cuts, and the deferred convergence digests, each
-   against the full path it replaces. *)
+   cut and across cuts, the deferred convergence digests and the stop
+   at a full-state recurrence, each against the full path it
+   replaces. *)
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -504,9 +505,10 @@ let clones_keep_bug_flags () =
 (* Deferred convergence digests                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The convergence loop as it was before digests were deferred: a
-   fingerprint of every sample, taken when sampled.  Also returns the
-   events it stepped. *)
+(* The convergence loop as it was before digests were deferred and
+   before runs stopped at a recurrence: a fingerprint of every sample,
+   taken when sampled, and every run stepped to quiescence or the
+   budget.  Also returns the events it stepped. *)
 let eager_convergence ~budget shadow =
   let eng = shadow.Snapshot.Store.sh_engine in
   let seen = Hashtbl.create 64 in
@@ -544,19 +546,26 @@ let eager_convergence ~budget shadow =
       shadow.Snapshot.Store.sh_speakers,
     events )
 
-(* Both loops over two identical clones: equal verdicts, and the same
-   number of events stepped (same engine clock and queue after). *)
+(* What a run leaves behind that a later step or check can read: the
+   pending events, the Loc-RIB fingerprint and the full-state digest.
+   The clock is not among them: a run that stops at a recurrence ends
+   earlier in virtual time, in the state the budget run ends in. *)
+let end_state (sh : Snapshot.Store.shadow) =
+  ( Netsim.Engine.pending sh.Snapshot.Store.sh_engine,
+    Snapshot.Store.loc_rib_fingerprint sh,
+    Option.map Digest.to_hex (Snapshot.Store.digest sh) )
+
+let end_state_t = Alcotest.(triple int int (option string))
+
+(* Both loops over two identical clones: equal verdicts and the same
+   end state. *)
 let agrees ~budget make =
   let deferred = make () and eager = make () in
   let got = Dice.Checks.convergence ~budget deferred in
   let want, events = eager_convergence ~budget eager in
   check Alcotest.(list string) "verdicts" (List.map verdict_string want)
     (List.map verdict_string got);
-  let clock (sh : Snapshot.Store.shadow) =
-    ( Netsim.Time.to_us (Netsim.Engine.now sh.Snapshot.Store.sh_engine),
-      Netsim.Engine.pending sh.Snapshot.Store.sh_engine )
-  in
-  check Alcotest.(pair int int) "engine state after" (clock eager) (clock deferred);
+  check end_state_t "state after" (end_state eager) (end_state deferred);
   (want, events)
 
 let deferred_digest_clean () =
@@ -625,6 +634,150 @@ let deferred_digest_dispute () =
         (List.mem "routing oscillation (state revisited)" (evidence budget)))
     [ 1_000; 3_000 ]
 
+(* ------------------------------------------------------------------ *)
+(* Stopping at a full-state recurrence                                 *)
+(* ------------------------------------------------------------------ *)
+
+type shape = Gadget | Dispute | Clean
+
+type run_case = {
+  shape : shape;
+  embedded : bool;  (** the 12-node gadget instead of the 4-node one *)
+  r_seed : int;
+  r_mixed : bool;
+  r_node : int;  (** index into the node ids *)
+  r_input : (string * int) list option;  (** delivered before the run *)
+  budget : int;
+}
+
+let gen_run_case =
+  let open QCheck.Gen in
+  let* shape = frequencyl [ (1, Gadget); (2, Dispute); (1, Clean) ] in
+  let* embedded = bool in
+  let* r_seed = int_bound 10_000 in
+  let* r_mixed = bool in
+  let* r_node = int_bound 16 in
+  let* r_input = opt (gen_input (List.init 12 Fun.id)) in
+  let* budget = int_range 150 6_000 in
+  return { shape; embedded; r_seed; r_mixed; r_node; r_input; budget }
+
+let print_run_case c =
+  Printf.sprintf "%s embedded=%b seed=%d mixed=%b node=%d input=%s budget=%d"
+    (match c.shape with Gadget -> "gadget" | Dispute -> "dispute" | Clean -> "clean")
+    c.embedded c.r_seed c.r_mixed c.r_node
+    (match c.r_input with
+    | None -> "-"
+    | Some i -> String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) i))
+    c.budget
+
+(* The deployment of a case and a clone maker for its cut. *)
+let run_case_clone c =
+  let graph =
+    match c.shape with
+    | Gadget | Dispute ->
+        if c.embedded then Topology.Gadget.embedded () else Topology.Gadget.bad_gadget ()
+    | Clean -> random_graph ~seed:c.r_seed ~transit:2 ~stub:3
+  in
+  let ids = Topology.Graph.node_ids graph in
+  let sparrow_nodes =
+    if c.r_mixed then List.filter (fun id -> (id + c.r_seed) mod 2 = 0) ids else []
+  in
+  let build = deploy ~sparrow_nodes graph in
+  if c.shape = Dispute then begin
+    Dice.Inject.apply build
+      (Dice.Inject.Policy_dispute
+         { cycle = Topology.Gadget.wheel; victim = Topology.Gadget.victim });
+    Topology.Build.run_for build (Netsim.Time.span_sec 5.)
+  end;
+  let node = List.nth ids (c.r_node mod List.length ids) in
+  let clone = snapshot build ~node in
+  match c.r_input with
+  | None -> clone
+  | Some input -> fun () -> subject clone ~node input
+
+(* The settling loop against one that steps to the budget with the
+   same Loc-RIB samples: same verdict, Loc-RIB fingerprint and full
+   digest at the end. *)
+let early_stop_matches_budget_run =
+  QCheck.Test.make ~count:30 ~name:"checks: stopping at a recurrence equals the budget run"
+    (QCheck.make ~print:print_run_case gen_run_case)
+    (fun c ->
+      let make = run_case_clone c in
+      let early = make () and full = make () in
+      let got = List.map verdict_string (Dice.Checks.convergence ~budget:c.budget early) in
+      let want, _ = eager_convergence ~budget:c.budget full in
+      let want = List.map verdict_string want in
+      (got = want && end_state early = end_state full)
+      || QCheck.Test.fail_reportf "verdicts %s vs %s" (String.concat "; " got)
+           (String.concat "; " want))
+
+(* The oscillating 12-node gadget stops long before a 30,000-event
+   budget: the recurrence is found and the budget state reached within
+   a few thousand events of virtual time. *)
+let dispute_stops_early () =
+  let make =
+    run_case_clone
+      { shape = Dispute; embedded = true; r_seed = 0; r_mixed = false; r_node = 1;
+        r_input = None; budget = 0 }
+  in
+  let sh = make () in
+  let us (sh : Snapshot.Store.shadow) = Netsim.Time.to_us (Netsim.Engine.now sh.Snapshot.Store.sh_engine) in
+  check Alcotest.bool "oscillating" true
+    (Snapshot.Store.settle ~budget:30_000 sh = Snapshot.Store.Oscillating);
+  let full = make () in
+  ignore (eager_convergence ~budget:30_000 full);
+  check Alcotest.bool
+    (Printf.sprintf "stopped early (%d us against %d us)" (us sh) (us full))
+    true
+    (us sh * 5 < us full);
+  check end_state_t "budget state" (end_state full) (end_state sh)
+
+let hex_digest sh = Option.map Digest.to_hex (Snapshot.Store.digest sh)
+
+(* Two spawns of one snapshot describe the same state, until their
+   in-flight envelopes differ in content; a queued timer makes a
+   shadow indescribable. *)
+let shadow_digest_pins () =
+  let graph = random_graph ~seed:7 ~transit:2 ~stub:3 in
+  let build = deploy graph in
+  let clone = snapshot build ~node:1 in
+  let sh = clone () and other = clone () in
+  check Alcotest.(option string) "two spawns, one state" (hex_digest sh) (hex_digest other);
+  check Alcotest.bool "described" true (Option.is_some (hex_digest sh));
+  let src, dst = List.hd (Netsim.Network.channels other.Snapshot.Store.sh_net) in
+  Netsim.Network.send sh.Snapshot.Store.sh_net ~src ~dst "one";
+  Netsim.Network.send other.Snapshot.Store.sh_net ~src ~dst "two";
+  check Alcotest.bool "different envelopes in flight" false (hex_digest sh = hex_digest other);
+  ignore
+    (Netsim.Engine.schedule sh.Snapshot.Store.sh_engine ~after:(Netsim.Time.span_sec 1.)
+       (fun () -> ()));
+  check Alcotest.(option string) "a queued timer" None (hex_digest sh)
+
+(* A speaker and its respawn from a capture describe the same state;
+   one delivered UPDATE changes the description. *)
+let speaker_digest_pins () =
+  let graph = random_graph ~seed:7 ~transit:2 ~stub:3 in
+  let ids = Topology.Graph.node_ids graph in
+  let build = deploy ~sparrow_nodes:(List.filter (fun id -> id mod 2 = 0) ids) graph in
+  List.iter
+    (fun node ->
+      let clone = snapshot build ~node in
+      let sh = clone () and other = clone () in
+      let sp = Snapshot.Store.speaker sh node in
+      let cap = Bgp.Speaker.capture sp in
+      let respawn = cap.Bgp.Speaker.cap_respawn ~net:other.Snapshot.Store.sh_net ~bugs:cap.Bgp.Speaker.cap_bugs in
+      let before = sp.Bgp.Speaker.sp_digest () in
+      check Alcotest.string (Printf.sprintf "%s respawn" sp.Bgp.Speaker.sp_impl)
+        (Digest.to_hex before) (Digest.to_hex (respawn.Bgp.Speaker.sp_digest ()));
+      let announced =
+        subject (fun () -> sh) ~node
+          [ ("nlri_a", 8); ("nlri_b", 8); ("nlri_c", node); ("nlri_len", 24); ("path_len", 1) ]
+      in
+      let after = (Snapshot.Store.speaker announced node).Bgp.Speaker.sp_digest () in
+      check Alcotest.bool (Printf.sprintf "%s after an UPDATE" sp.Bgp.Speaker.sp_impl)
+        false (Digest.equal before after))
+    [ List.nth ids 1; List.nth ids 2 ]
+
 let suite =
   [ qtest memo_matches_full_checking;
     qtest carried_memo_matches_full_checking;
@@ -642,4 +795,8 @@ let suite =
     ("checks: deferred digests on clean shadows", `Quick, deferred_digest_clean);
     ("checks: deferred digests, quiesced after two samples", `Quick,
       deferred_digest_two_samples);
-    ("checks: deferred digests on dispute-wheel shadows", `Quick, deferred_digest_dispute) ]
+    ("checks: deferred digests on dispute-wheel shadows", `Quick, deferred_digest_dispute);
+    qtest early_stop_matches_budget_run;
+    ("checks: an oscillating gadget stops early", `Quick, dispute_stops_early);
+    ("checks: shadow digests follow the flights", `Quick, shadow_digest_pins);
+    ("checks: speaker digests follow the state", `Quick, speaker_digest_pins) ]

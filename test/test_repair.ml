@@ -341,6 +341,51 @@ let repair_match_is_deciding =
               symbolic = concrete)
         seqs)
 
+(* The sort-everything dedupe that [Localize.dedupe_witnesses]
+   replaced: sort every traced witness, drop adjacent equals, keep the
+   first 8. *)
+let reference_dedupe ws =
+  let sorted = List.sort Repair.Localize.compare_witness ws in
+  let rec uniq = function
+    | a :: (b :: _ as rest) ->
+        if Repair.Localize.compare_witness a b = 0 then uniq rest else a :: uniq rest
+    | l -> l
+  in
+  List.filteri (fun i _ -> i < 8) (uniq sorted)
+
+(* Witnesses drawn from a small space, so a list repeats each many
+   times; every draw builds a fresh record, so equal witnesses are
+   never physically shared. *)
+let gen_witness =
+  let open QCheck.Gen in
+  let* prefix = oneofl [ "192.0.0.0/24"; "192.0.1.0/24"; "10.0.0.0/8"; "192.0.0.0/16" ] in
+  let* path = list_size (int_bound 3) (int_range 1 5) in
+  let* local_pref = opt (oneofl [ 100; 200 ]) in
+  let* med = opt (int_bound 2) in
+  let* communities = list_size (int_bound 1) (int_bound 2) in
+  let* out = bool in
+  let attrs =
+    Bgp.Attr.make
+      ~as_path:(List.fold_right Bgp.As_path.prepend path Bgp.As_path.empty)
+      ~local_pref ~med
+      ~communities:(List.map (fun v -> Bgp.Community.make 65000 v) communities)
+      ~next_hop:(Bgp.Router.addr_of_node 1) ()
+  in
+  return
+    { Repair.Localize.w_prefix = p prefix;
+      w_attrs_in = attrs;
+      w_out = (if out then Some { attrs with Bgp.Attr.local_pref = Some 300 } else None) }
+
+let dedupe_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"localize: witness dedupe equals the sort-everything dedupe"
+    (QCheck.make
+       ~print:(fun ws -> Printf.sprintf "%d witnesses" (List.length ws))
+       QCheck.Gen.(list_size (int_bound 400) gen_witness))
+    (fun ws ->
+      let got = Repair.Localize.dedupe_witnesses ws and want = reference_dedupe ws in
+      List.length got = List.length want
+      && List.for_all2 (fun a b -> Repair.Localize.compare_witness a b = 0) got want)
+
 let suite =
   [ ("localize: hijack names the network statement", `Quick,
      localize_finds_mutated_site);
@@ -356,4 +401,5 @@ let suite =
      unrepairable_class_rejected);
     ("auto: repair hook runs after filing", `Slow,
      auto_triage_repairs_after_filing);
-    QCheck_alcotest.to_alcotest repair_match_is_deciding ]
+    QCheck_alcotest.to_alcotest repair_match_is_deciding;
+    QCheck_alcotest.to_alcotest dedupe_matches_reference ]

@@ -79,7 +79,7 @@ let concurrent_cuts () =
   ignore (Snapshot.Cut.initiate cut ~initiator:2 ~on_result:(fun _ -> done2 := true));
   Topology.Build.run_for build (Netsim.Time.span_sec 10.);
   Alcotest.(check bool) "both complete" true (!done1 && !done2);
-  check Alcotest.int "two snapshots recorded" 2 (List.length (Snapshot.Cut.completed cut))
+  check Alcotest.int "two snapshots recorded" 2 (Snapshot.Cut.completed cut)
 
 let cut_captures_in_flight () =
   (* Stimulate traffic, then snapshot while UPDATEs are mid-flight: the
@@ -211,8 +211,7 @@ let cut_aborts_on_dead_peer () =
       Alcotest.(check bool) "stalled channels named" true
         (List.mem (2, 1) stalled && List.mem (2, 3) stalled);
       check Alcotest.int "controller idle after abort" 0 (Snapshot.Cut.active cut);
-      check Alcotest.int "recorded as aborted" 1
-        (List.length (Snapshot.Cut.aborted cut))
+      check Alcotest.int "recorded as aborted" 1 (Snapshot.Cut.aborted cut)
 
 let partial_cut_spawns_shadow () =
   (* A partial snapshot must still be explorable: spawn it, replay, and
