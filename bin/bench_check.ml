@@ -12,7 +12,7 @@ let run baseline_path fresh_path =
   in
   let baseline = load "baseline" baseline_path in
   let fresh = load "fresh" fresh_path in
-  let verdicts = Benchgate.Gate.check ~baseline ~fresh () in
+  let verdicts = Benchgate.Gate.check ~baseline ~fresh in
   if verdicts = [] then die "bench_check: no gated metrics in %s" baseline_path;
   List.iter (fun v -> Format.printf "%a@." Benchgate.Gate.pp_verdict v) verdicts;
   let failed = List.filter (fun v -> not v.Benchgate.Gate.ok) verdicts in

@@ -14,10 +14,9 @@
    nonzero when it finds anything, so CI can archive the corpus.
 
    Usage: fuzz_config [BUDGET [SEED [CORPUS_DIR]]] [flags]
-   Defaults: budget 150 mutants, seed 1, corpus dir "confuzz-corpus". *)
-
-let defaults =
-  { Confuzz.Cli.cl_budget = 150; cl_seed = 1; cl_corpus = "confuzz-corpus" }
+   Defaults: budget 150 mutants, seed 1, corpus dir "confuzz-corpus".
+   Exit 0 on a clean run, 1 when findings were filed, 124 on a usage
+   error. *)
 
 let scenario_of ~seed stack =
   let dr_node =
@@ -35,34 +34,7 @@ let scenario_of ~seed stack =
       dp_cascade = false;
       dp_mode = Triage.Scenario.Direct { dr_node; dr_peer = 0; dr_input = None } }
 
-let () =
-  let report_path = ref "confuzz-report.json" in
-  let compare_random = ref false in
-  let max_stack = ref Confuzz.Loop.default_params.Confuzz.Loop.p_max_stack in
-  let minimize_tests = ref 200 in
-  let { Confuzz.Cli.cl_budget = budget; cl_seed = seed; cl_corpus = corpus_dir } =
-    Confuzz.Cli.parse ~prog:"fuzz_config" ~defaults
-      ~specs:
-        [ Confuzz.Cli.Str
-            ( "--report",
-              (fun s -> report_path := s),
-              "write the dice-confuzz-cov/1 coverage report here (default \
-               confuzz-report.json)" );
-          Confuzz.Cli.Flag
-            ( "--compare-random",
-              (fun () -> compare_random := true),
-              "also run an unguided arm under the same seed and budget, \
-               recorded in the report" );
-          Confuzz.Cli.Int
-            ( "--max-stack",
-              (fun n -> max_stack := n),
-              "mutations per mutant cap (default 4)" );
-          Confuzz.Cli.Int
-            ( "--minimize-tests",
-              (fun n -> minimize_tests := n),
-              "replay budget when minimizing each finding (default 200)" ) ]
-      Sys.argv
-  in
+let run budget seed corpus_dir report_path compare_random max_stack minimize_tests =
   let graph = Topology.Gadget.embedded () in
   let ctx = Confuzz.Mutation.ctx_of_graph graph in
   let run_mutant stack =
@@ -74,21 +46,20 @@ let () =
         { Confuzz.Loop.p_budget = budget;
           p_seed = seed;
           p_guided = guided;
-          p_max_stack = !max_stack }
+          p_max_stack = max_stack }
       ~ctx ~run_mutant ()
   in
-  (* The unguided comparison arm runs first so the final metric state
-     in the report belongs to the guided campaign. *)
-  let random = if !compare_random then Some (arm false) else None in
+  let random = if compare_random then Some (arm false) else None in
   let guided = arm true in
-  Telemetry.Artifact.write_json ~path:!report_path
+  Telemetry.Artifact.write_json ~path:report_path
     (Confuzz.Report.to_json ~guided ?random ());
   Format.printf "%t%!" (fun ppf ->
       Confuzz.Report.pp_summary ppf ~guided ?random ());
-  Printf.printf "fuzz_config: wrote coverage report to %s\n%!" !report_path;
+  Printf.printf "fuzz_config: wrote coverage report to %s\n%!" report_path;
   match guided.Confuzz.Loop.rs_findings with
   | [] ->
-      Printf.printf "fuzz_config: %d mutant(s), no faults found\n" budget
+      Printf.printf "fuzz_config: %d mutant(s), no faults found\n" budget;
+      0
   | findings ->
       List.iter
         (fun (f : Confuzz.Loop.finding) ->
@@ -102,7 +73,7 @@ let () =
           | [] -> ()
           | sg :: _ ->
               let r =
-                Triage.Minimize.run ~max_tests:!minimize_tests ~target:sg
+                Triage.Minimize.run ~max_tests:minimize_tests ~target:sg
                   scenario
               in
               let entry =
@@ -120,4 +91,55 @@ let () =
         "fuzz_config: %d finding(s) filed into %s/ (dice-corpus/1; replay \
          with `dice_triage replay %s`)\n"
         (List.length findings) corpus_dir corpus_dir;
-      exit 1
+      1
+
+open Cmdliner
+
+(* Each knob is accepted positionally ([BUDGET [SEED [CORPUS_DIR]]]) or
+   as a flag; the flag wins when both are given. *)
+let knob i kind ~flag ~docv ~doc default =
+  let names = [ flag ] in
+  let positional = Arg.(value & pos i (some kind) None & info [] ~docv ~doc) in
+  let named = Arg.(value & opt (some kind) None & info names ~docv ~doc) in
+  let pick p f =
+    match (f, p) with Some v, _ | None, Some v -> v | None, None -> default
+  in
+  Term.(const pick $ positional $ named)
+
+let report_path =
+  let doc = "Write the dice-confuzz-cov/1 coverage report to $(docv)." in
+  Arg.(value & opt string "confuzz-report.json" & info [ "report" ] ~docv:"FILE" ~doc)
+
+let compare_random =
+  let doc =
+    "Also run an unguided arm under the same seed and budget, recorded in the report."
+  in
+  Arg.(value & flag & info [ "compare-random" ] ~doc)
+
+let max_stack =
+  let doc = "Mutations per mutant cap." in
+  Arg.(
+    value
+    & opt int Confuzz.Loop.default_params.Confuzz.Loop.p_max_stack
+    & info [ "max-stack" ] ~docv:"N" ~doc)
+
+let minimize_tests =
+  let doc = "Replay budget when minimizing each finding." in
+  Arg.(value & opt int 200 & info [ "minimize-tests" ] ~docv:"N" ~doc)
+
+let cmd =
+  let doc = "coverage-guided configuration fuzzer" in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"when findings were filed into the corpus." :: Cmd.Exit.defaults
+  in
+  Cmd.v
+    (Cmd.info "fuzz_config" ~doc ~exits)
+    Term.(
+      const run
+      $ knob 0 Arg.int ~flag:"budget" ~docv:"BUDGET" ~doc:"Mutant runs per arm." 150
+      $ knob 1 Arg.int ~flag:"seed" ~docv:"SEED" ~doc:"RNG seed." 1
+      $ knob 2 Arg.string ~flag:"corpus" ~docv:"CORPUS_DIR"
+          ~doc:"Corpus directory for minimized findings." "confuzz-corpus"
+      $ report_path $ compare_random $ max_stack $ minimize_tests)
+
+let () = exit (Cmd.eval' cmd)

@@ -15,8 +15,9 @@
    [dice_triage replay CORPUS_DIR] reproduces them; the process exits
    nonzero so CI can archive the corpus.
 
-   Usage: fuzz_wire [CASES] [SEED] [CORPUS_DIR]   (also --budget/--seed/--corpus)
-   Defaults: 10000 cases, seed 1, corpus dir "fuzz-corpus". *)
+   Usage: fuzz_wire [CASES [SEED [CORPUS_DIR]]]   (also --budget/--seed/--corpus)
+   Defaults: 10000 cases, seed 1, corpus dir "fuzz-corpus".  Exit 0 when
+   decoding is total, 1 when failures were filed, 124 on a usage error. *)
 
 let hex s =
   String.concat ""
@@ -76,13 +77,7 @@ let mangled_case rng =
   let kind = List.nth kinds (Netsim.Rng.int rng (List.length kinds)) in
   Netsim.Mangler.mutate rng kind raw
 
-let () =
-  let { Confuzz.Cli.cl_budget = cases; cl_seed = seed; cl_corpus = corpus_dir } =
-    Confuzz.Cli.parse ~prog:"fuzz_wire"
-      ~defaults:
-        { Confuzz.Cli.cl_budget = 10000; cl_seed = 1; cl_corpus = "fuzz-corpus" }
-      Sys.argv
-  in
+let run cases seed corpus_dir =
   let rng = Netsim.Rng.create seed in
   for _ = 1 to cases do
     classify (random_bytes rng);
@@ -91,7 +86,8 @@ let () =
   match !failures with
   | [] ->
       Printf.printf "fuzz_wire: %d raw + %d mangled cases, decode total, 0 failures\n"
-        cases cases
+        cases cases;
+      0
   | fs ->
       List.iter
         (fun (why, buf) ->
@@ -119,4 +115,35 @@ let () =
         "fuzz_wire: %d failing buffer(s) filed into %s/ (dice-corpus/1; replay \
          with `dice_triage replay %s`)\n"
         (List.length fs) corpus_dir corpus_dir;
-      exit 1
+      1
+
+open Cmdliner
+
+(* Each knob is accepted positionally ([CASES [SEED [CORPUS_DIR]]], the
+   form CI uses) or as a flag; the flag wins when both are given. *)
+let knob i kind ~flag ~docv ~doc default =
+  let names = [ flag ] in
+  let positional = Arg.(value & pos i (some kind) None & info [] ~docv ~doc) in
+  let named = Arg.(value & opt (some kind) None & info names ~docv ~doc) in
+  let pick p f =
+    match (f, p) with Some v, _ | None, Some v -> v | None, None -> default
+  in
+  Term.(const pick $ positional $ named)
+
+let cmd =
+  let doc = "differential fuzzer for the BGP wire codec" in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"when failing buffers were found and filed."
+    :: Cmd.Exit.defaults
+  in
+  Cmd.v
+    (Cmd.info "fuzz_wire" ~doc ~exits)
+    Term.(
+      const run
+      $ knob 0 Arg.int ~flag:"budget" ~docv:"CASES"
+          ~doc:"Cases per corpus (raw and mangled)." 10000
+      $ knob 1 Arg.int ~flag:"seed" ~docv:"SEED" ~doc:"RNG seed." 1
+      $ knob 2 Arg.string ~flag:"corpus" ~docv:"CORPUS_DIR"
+          ~doc:"Corpus directory for minimized failures." "fuzz-corpus")
+
+let () = exit (Cmd.eval' cmd)

@@ -3,6 +3,10 @@ module Json = Telemetry.Json
 type direction = Lower_is_better | Higher_is_better
 type matcher = Prefix of string | Suffix of string
 
+(* [ratio] is the allowed multiplicative drift ([fresh <= base * ratio]
+   for lower-is-better, [fresh >= base / ratio] for higher); [slack] is
+   absolute grace on top, so near-zero baselines don't gate on
+   measurement dust. *)
 type rule = {
   sel : matcher;
   dir : direction;
@@ -20,7 +24,7 @@ type rule = {
    from its wall time: detected, rounds, inputs and simulated latency
    may not get worse at all, wall time gets the deploy margin.  Suffix
    rules come first so they beat the family catch-alls. *)
-let default_rules =
+let rules =
   [ { sel = Suffix ".detected"; dir = Higher_is_better; ratio = 1.0; slack = 0. };
     { sel = Suffix ".rounds"; dir = Lower_is_better; ratio = 1.0; slack = 0. };
     { sel = Suffix ".inputs"; dir = Lower_is_better; ratio = 1.0; slack = 0. };
@@ -54,7 +58,7 @@ let matches metric = function
   | Prefix p -> String.starts_with ~prefix:p metric
   | Suffix s -> String.ends_with ~suffix:s metric
 
-let rule_for rules metric = List.find_opt (fun r -> matches metric r.sel) rules
+let rule_for metric = List.find_opt (fun r -> matches metric r.sel) rules
 
 let number = function
   | Json.Int i -> Some (float_of_int i)
@@ -98,11 +102,11 @@ let judge (rule : rule) ~base ~fresh =
       let limit = Float.max 0. ((base /. rule.ratio) -. rule.slack) in
       (limit, (match fresh with Some f -> f >= limit | None -> false))
 
-let check ?(rules = default_rules) ~baseline ~fresh () =
+let check ~baseline ~fresh =
   let fresh_metrics = metrics fresh in
   List.filter_map
     (fun (metric, base) ->
-      match rule_for rules metric with
+      match rule_for metric with
       | None -> None
       | Some rule ->
           let fresh = List.assoc_opt metric fresh_metrics in

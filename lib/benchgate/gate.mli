@@ -15,29 +15,6 @@ type direction =
   | Lower_is_better  (** latencies, allocation, memory *)
   | Higher_is_better  (** throughputs *)
 
-type matcher =
-  | Prefix of string  (** metric path starts with... *)
-  | Suffix of string  (** metric path ends with... *)
-
-type rule = {
-  sel : matcher;
-  dir : direction;
-  ratio : float;
-      (** allowed multiplicative drift: [fresh <= base * ratio] for
-          lower-is-better, [fresh >= base / ratio] for higher. *)
-  slack : float;
-      (** absolute grace added on top of the ratio, so near-zero
-          baselines don't gate on measurement dust. *)
-}
-
-val default_rules : rule list
-(** First match wins.  Covers [micro_ns_per_op.*],
-    [micro_minor_words_per_op.*], the [detection.*] per-row metrics
-    (detected, rounds, inputs and simulated latency exactly, wall
-    time with a margin) and the [scale.*] per-config metrics; workload
-    descriptors (node counts, route totals) match no rule and are not
-    gated. *)
-
 type verdict = {
   metric : string;
   base : float;
@@ -47,18 +24,17 @@ type verdict = {
   ok : bool;
 }
 
-val metrics : Telemetry.Json.t -> (string * float) list
-(** Flattens the gated families of a BENCH.json document into
-    dot-joined [path, value] pairs, e.g.
-    ["micro_ns_per_op.dice/wire/decode-update"],
-    ["detection.hijack-9.rounds"] or ["scale.lite.shadows_per_s"];
-    booleans count as 1 and 0. *)
-
-val check :
-  ?rules:rule list -> baseline:Telemetry.Json.t -> fresh:Telemetry.Json.t ->
-  unit -> verdict list
+val check : baseline:Telemetry.Json.t -> fresh:Telemetry.Json.t -> verdict list
 (** One verdict per baseline metric that matches a rule, in baseline
-    order. *)
+    order.  A metric is a dot-joined path into the gated families,
+    e.g. ["micro_ns_per_op.dice/wire/decode-update"],
+    ["detection.hijack-9.rounds"] or ["scale.lite.shadows_per_s"];
+    booleans count as 1 and 0.  The first matching rule decides.
+    Rules cover [micro_ns_per_op.*], [micro_minor_words_per_op.*], the
+    [detection.*] per-row metrics (detected, rounds, inputs and
+    simulated latency exactly, wall time with a margin) and the
+    [scale.*] per-config metrics; workload descriptors (node counts,
+    route totals) match no rule and are not gated. *)
 
 val all_ok : verdict list -> bool
 

@@ -2,7 +2,6 @@ type segment = Seq of int list | Set of int list
 type t = segment list
 
 let empty = []
-let is_empty t = t = []
 
 let length t =
   let seg = function Seq l -> List.length l | Set _ -> 1 in
@@ -32,9 +31,6 @@ let neighbor_as = function
   | (Seq [] | Set []) :: _ | [] -> None
 
 let as_list t = List.concat_map (function Seq l | Set l -> l) t
-
-let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
 
 let to_string t =
   let seg = function

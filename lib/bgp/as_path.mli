@@ -9,7 +9,6 @@ type t = segment list
     segment. *)
 
 val empty : t
-val is_empty : t -> bool
 
 val length : t -> int
 (** Decision-process length: each ASN in a [Seq] counts 1, each [Set]
@@ -35,7 +34,5 @@ val neighbor_as : t -> int option
 val as_list : t -> int list
 (** All ASNs in order of appearance (sets flattened). *)
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

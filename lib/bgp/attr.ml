@@ -32,7 +32,6 @@ let make ?(origin = Igp) ?(as_path = As_path.empty) ?(med = None) ?(local_pref =
 
 let with_local_pref lp t = { t with local_pref = Some lp }
 let with_med med t = { t with med }
-let prepend_as asn t = { t with as_path = As_path.prepend asn t.as_path }
 
 let add_community c t =
   if List.exists (Community.equal c) t.communities then t

@@ -42,7 +42,6 @@ val make :
 
 val with_local_pref : int -> t -> t
 val with_med : int option -> t -> t
-val prepend_as : int -> t -> t
 val add_community : Community.t -> t -> t
 val remove_community : Community.t -> t -> t
 val has_community : Community.t -> t -> bool

@@ -27,8 +27,6 @@ type point = { pt_site : Policy.cov_site; pt_seq : int; pt_what : Policy.cov_poi
 val id_of : point -> string
 (** Stable id, e.g. ["n4/FROM-PEER/e10/m0=T"]. *)
 
-val compare_point : point -> point -> int
-
 val enable : unit -> unit
 (** Install the observer.  Idempotent. *)
 
@@ -50,10 +48,7 @@ val covered : unit -> int
 
 val hits : point -> int
 val uncovered : unit -> point list
-(** Registered points never hit, sorted by {!compare_point}. *)
-
-val snapshot : unit -> (point * int) list
-(** Every registered point with its hit count, sorted. *)
+(** Registered points never hit, sorted. *)
 
 val site : node:int -> string option -> Policy.cov_site option
 (** The [?site] argument for a policy evaluation: [Some] only when

@@ -38,4 +38,3 @@ let to_string t =
 
 let compare = Int.compare
 let equal = Int.equal
-let pp ppf t = Format.pp_print_string ppf (to_string t)

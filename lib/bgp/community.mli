@@ -24,4 +24,3 @@ val of_string : string -> (t, string) result
 val to_string : t -> string
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -49,7 +49,6 @@ module Error = struct
   let attribute_length = 5
   let invalid_origin = 6
   let invalid_next_hop = 8
-  let optional_attribute = 9
   let invalid_network_field = 10
   let malformed_as_path = 11
 

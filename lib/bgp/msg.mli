@@ -54,7 +54,6 @@ module Error : sig
   val attribute_length : int
   val invalid_origin : int
   val invalid_next_hop : int
-  val optional_attribute : int
   val invalid_network_field : int
   val malformed_as_path : int
 

@@ -65,7 +65,6 @@ val normalize : t -> t
 (** Sort entries by sequence number. *)
 
 val matches_route : match_clause -> Prefix.t -> Attr.t -> bool
-val apply_set : set_clause -> Attr.t -> Attr.t
 
 (** {1 Clause coverage instrumentation}
 

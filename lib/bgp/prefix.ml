@@ -40,8 +40,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let default = make Ipv4.any 0
-
 let is_martian t =
   Ipv4.is_martian t.addr
   || (t.len < 8 && t.len > 0)

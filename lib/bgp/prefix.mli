@@ -28,8 +28,6 @@ val compare : t -> t -> int
 (** Total order: by address, then by length (shorter first). *)
 
 val equal : t -> t -> bool
-val default : t
-(** 0.0.0.0/0 *)
 
 val is_martian : t -> bool
 (** Covers martian address space, or is a /0 .. /7 "bogus netmask"

@@ -5,8 +5,6 @@ type 'a t = Empty | Node of { value : 'a option; zero : 'a t; one : 'a t }
 
 let empty = Empty
 
-let is_empty = function Empty -> true | Node _ -> false
-
 let node value zero one =
   match (value, zero, one) with
   | None, Empty, Empty -> Empty
@@ -87,8 +85,6 @@ let fold f t init =
         go (depth + 1) (bits lor (1 lsl (31 - depth))) one acc
   in
   go 0 0 t init
-
-let bindings t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
 
 let covered prefix t =
   (* Walk down to the subtree rooted at [prefix], then enumerate it. *)

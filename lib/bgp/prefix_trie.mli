@@ -7,7 +7,6 @@
 type 'a t
 
 val empty : 'a t
-val is_empty : 'a t -> bool
 val cardinal : 'a t -> int
 val add : Prefix.t -> 'a -> 'a t -> 'a t
 (** Replaces an existing binding for the exact prefix. *)
@@ -26,5 +25,4 @@ val covered : Prefix.t -> 'a t -> (Prefix.t * 'a) list
 val fold : (Prefix.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 (** In prefix order. *)
 
-val bindings : 'a t -> (Prefix.t * 'a) list
 val of_list : (Prefix.t * 'a) list -> 'a t

@@ -59,7 +59,6 @@ let adj_in_del peer prefix t =
     cands = cands_del peer prefix t.cands }
 
 let adj_in_get peer prefix t = Prefix.Map.find_opt prefix (peer_map peer t.adj_in)
-let adj_in_peer peer t = peer_map peer t.adj_in
 
 (* The incremental-decision entry point: apply the route (or its
    absence) and report whether the prefix's candidate set actually
@@ -89,8 +88,6 @@ let candidates prefix t =
   match Prefix_trie.find prefix t.cands with
   | None -> []
   | Some pm -> Ipv4.Map.fold (fun _ r acc -> r :: acc) pm []
-
-let has_candidates prefix t = Prefix_trie.find prefix t.cands <> None
 
 let prefixes_from_peer peer t =
   Prefix.Map.fold (fun p _ acc -> p :: acc) (peer_map peer t.adj_in) [] |> List.rev
@@ -126,7 +123,6 @@ let adj_out_del peer prefix t =
   { t with adj_out = update_peer_map peer (Prefix.Map.remove prefix) t.adj_out }
 
 let adj_out_get peer prefix t = Prefix.Map.find_opt prefix (peer_map peer t.adj_out)
-let adj_out_peer peer t = peer_map peer t.adj_out
 
 let make ~adj_in ~loc ~adj_out =
   let cands =
@@ -139,12 +135,3 @@ let make ~adj_in ~loc ~adj_out =
 
 let total_adj_in t =
   Ipv4.Map.fold (fun _ pm acc -> acc + Prefix.Map.cardinal pm) t.adj_in 0
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Prefix.Map.iter
-    (fun p r ->
-      Format.fprintf ppf "%a via %a [%a]@ " Prefix.pp p Ipv4.pp r.source.peer_addr
-        As_path.pp r.attrs.Attr.as_path)
-    t.loc;
-  Format.fprintf ppf "@]"

@@ -45,7 +45,6 @@ val make :
 val adj_in_set : Ipv4.t -> Prefix.t -> route -> t -> t
 val adj_in_del : Ipv4.t -> Prefix.t -> t -> t
 val adj_in_get : Ipv4.t -> Prefix.t -> t -> route option
-val adj_in_peer : Ipv4.t -> t -> route Prefix.Map.t
 
 val adj_in_update : Ipv4.t -> Prefix.t -> route option -> t -> t * bool
 (** [adj_in_update peer prefix route t] sets ([Some]) or deletes
@@ -62,8 +61,6 @@ val candidates : Prefix.t -> t -> route list
 (** All Adj-RIB-In entries for the prefix, over all peers.  One trie
     walk plus a fold over the (typically small) per-prefix peer map —
     independent of table size and peer count. *)
-
-val has_candidates : Prefix.t -> t -> bool
 
 val prefixes_from_peer : Ipv4.t -> t -> Prefix.t list
 
@@ -91,7 +88,5 @@ val parse_loc_event : string -> (string * string) option
 val adj_out_set : Ipv4.t -> Prefix.t -> Attr.t -> t -> t
 val adj_out_del : Ipv4.t -> Prefix.t -> t -> t
 val adj_out_get : Ipv4.t -> Prefix.t -> t -> Attr.t option
-val adj_out_peer : Ipv4.t -> t -> Attr.t Prefix.Map.t
 
 val total_adj_in : t -> int
-val pp : Format.formatter -> t -> unit

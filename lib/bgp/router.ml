@@ -32,8 +32,10 @@ type t = {
   mutable bug_flags : bugs;
   auto_restart : bool;
   liveness_timers : bool;
-  connect_delay : Netsim.Time.span;
 }
+
+(* Simulated TCP handshake time before a started session connects. *)
+let connect_delay = Netsim.Time.span_ms 50
 
 let addr_of_node n =
   if n < 0 || n > 0x00FF_FFFE then invalid_arg "Router.addr_of_node: node out of range";
@@ -343,7 +345,7 @@ and do_action t (n : Config.neighbor) action =
       cancel_timer tm.connect;
       tm.connect <-
         Some
-          (Netsim.Engine.schedule t.eng ~after:t.connect_delay (fun () ->
+          (Netsim.Engine.schedule t.eng ~after:connect_delay (fun () ->
                drive t n Fsm.Tcp_established))
   | Fsm.Session_up ->
       Netsim.Stats.incr t.stats "session_up";
@@ -510,14 +512,13 @@ let inject_update t ~from u =
   | None -> invalid_arg "Router.inject_update: unknown peer"
   | Some n -> process_update t n u
 
-let create ?(auto_restart = true) ?(liveness_timers = true)
-    ?(connect_delay = Netsim.Time.span_ms 50) ?(bugs = no_bugs) ~net ~node
-    (cfg : Config.t) =
+let create ?(auto_restart = true) ?(liveness_timers = true) ?(bugs = no_bugs) ~net
+    ~node (cfg : Config.t) =
   let t =
     { node; cfg; net; eng = Netsim.Network.engine net;
       st = { rib = Rib.empty; sessions = Ipv4.Map.empty };
       timers = Hashtbl.create 8; stats = Netsim.Stats.create ();
-      bug_flags = bugs; auto_restart; liveness_timers; connect_delay }
+      bug_flags = bugs; auto_restart; liveness_timers }
   in
   Netsim.Network.set_handler net node (fun ~src raw -> process_raw t ~from_node:src raw);
   (* Install locally-originated networks. *)
@@ -531,11 +532,6 @@ let stop_session t peer =
   match Config.find_neighbor t.cfg peer with
   | Some n -> drive t n Fsm.Manual_stop
   | None -> invalid_arg "Router.stop_session: unknown peer"
-
-let start_session t peer =
-  match Config.find_neighbor t.cfg peer with
-  | Some n -> drive t n Fsm.Manual_start
-  | None -> invalid_arg "Router.start_session: unknown peer"
 
 let set_config t cfg =
   t.cfg <- cfg;
@@ -573,7 +569,7 @@ let digest t =
   let tables m = Ipv4.Map.bindings (Ipv4.Map.map Prefix.Map.bindings m) in
   Digest.string
     (Marshal.to_string
-       ( (t.cfg, t.bug_flags, t.auto_restart, t.liveness_timers, t.connect_delay),
+       ( (t.cfg, t.bug_flags, t.auto_restart, t.liveness_timers),
          Prefix.Map.bindings rib.Rib.loc,
          tables rib.Rib.adj_in,
          tables rib.Rib.adj_out,

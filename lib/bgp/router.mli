@@ -43,7 +43,6 @@ val node_of_addr : Ipv4.t -> int
 val create :
   ?auto_restart:bool ->
   ?liveness_timers:bool ->
-  ?connect_delay:Netsim.Time.span ->
   ?bugs:bugs ->
   net:string Netsim.Network.t ->
   node:int ->
@@ -60,10 +59,8 @@ val start : t -> unit
 (** Manual-start every configured session. *)
 
 val stop_session : t -> Ipv4.t -> unit
-val start_session : t -> Ipv4.t -> unit
 
 val node : t -> int
-val address : t -> Ipv4.t
 val config : t -> Config.t
 val set_config : t -> Config.t -> unit
 (** Replace the configuration (operator action).  Re-evaluates local

@@ -46,9 +46,6 @@ type t = {
       (* a clone's state as restored from its capture; [None] live *)
 }
 
-let node t = t.node
-let config t = t.cfg
-let stats t = t.stats
 let address t = Router.addr_of_node t.node
 
 let peer_of t addr = List.assoc_opt addr t.peers
@@ -414,8 +411,9 @@ let make ~shared_views ~liveness_timers ~bugs ~net ~node cfg =
   List.iter (fun prefix -> reselect t prefix) cfg.Config.networks;
   t
 
-let create ?(liveness_timers = true) ?(bugs = Router.no_bugs) ~net ~node cfg =
-  make ~shared_views:(Atomic.make None) ~liveness_timers ~bugs ~net ~node cfg
+let create ~net ~node cfg =
+  make ~shared_views:(Atomic.make None) ~liveness_timers:true ~bugs:Router.no_bugs ~net
+    ~node cfg
 
 (* ------------------------------------------------------------------ *)
 (* Rib view and speaker wrapping                                       *)

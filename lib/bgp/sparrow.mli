@@ -19,25 +19,14 @@
 
 type t
 
-val create :
-  ?liveness_timers:bool ->
-  ?bugs:Router.bugs ->
-  net:string Netsim.Network.t ->
-  node:int ->
-  Config.t ->
-  t
+val create : net:string Netsim.Network.t -> node:int -> Config.t -> t
+(** A live speaker: liveness timers on, no seeded bugs. *)
 
-val start : t -> unit
-val node : t -> int
-val config : t -> Config.t
 val rib_view : t -> Rib.t
 (** The Rib-shaped view of the current state.  It is rebuilt only after
     a table changed: until then every call, on this speaker or on a
     clone of the same captured state, returns the same value. *)
 
-val established_peers : t -> Ipv4.t list
-val process_raw : t -> from_node:int -> string -> unit
 val inject_update : t -> from:Ipv4.t -> Msg.update -> unit
-val stats : t -> Netsim.Stats.t
 
 val speaker : t -> Speaker.t

@@ -42,10 +42,4 @@ val is_codec_crash : error -> bool
     exception (reserved code 0) — a programming error in the codec
     itself, as opposed to malformed input detected by it. *)
 
-val header_length : int
-(** 19 *)
-
-val max_length : int
-(** 4096 *)
-
 val pp_error : Format.formatter -> error -> unit

@@ -103,7 +103,7 @@ let replay_of_records records =
 
 (* --- the driver ------------------------------------------------------- *)
 
-let drive ?runner ?pool ?(log = ignore) ?crash_after ?corpus_dir ~dir ~writer
+let drive ?runner ?(log = ignore) ?crash_after ?corpus_dir ~dir ~writer
     ~spec ~replay ~warnings () =
   let runner = Option.value ~default:Triage.Scenario.run runner in
   let corpus_dir =
@@ -147,21 +147,18 @@ let drive ?runner ?pool ?(log = ignore) ?crash_after ?corpus_dir ~dir ~writer
   let step = ref 0 and cursor = ref 0 in
   let completed = ref 0 and executed = ref 0 and replayed = ref 0 in
   let live_finals = ref 0 in
-  let owned_pool = ref None in
+  let pool = ref None in
   let worker () =
-    match pool with
+    match !pool with
     | Some p -> p
-    | None -> (
-        match !owned_pool with
-        | Some p -> p
-        | None ->
-            (* Two domains: a spawned worker runs the job while the
-               caller keeps the watchdog clock.  A 1-domain pool would
-               execute the job on the awaiting caller itself, and no
-               timeout could ever fire. *)
-            let p = Parallel.Pool.create ~domains:2 () in
-            owned_pool := Some p;
-            p)
+    | None ->
+        (* Two domains: a spawned worker runs the job while the caller
+           keeps the watchdog clock.  A 1-domain pool would execute the
+           job on the awaiting caller itself, and no timeout could ever
+           fire. *)
+        let p = Parallel.Pool.create ~domains:2 () in
+        pool := Some p;
+        p
   in
   let t_start = Unix.gettimeofday () in
   let out_of_time () =
@@ -211,9 +208,8 @@ let drive ?runner ?pool ?(log = ignore) ?crash_after ?corpus_dir ~dir ~writer
         (* The worker domain is wedged on the abandoned job; drop the
            pool so later jobs get a fresh worker instead of queueing
            behind it.  OCaml domains cannot be killed, so the wedged
-           pool is leaked on purpose (a user-supplied pool is the
-           caller's to manage and is kept as-is). *)
-        if Option.is_none pool then owned_pool := None;
+           pool is leaked on purpose. *)
+        pool := None;
         (Journal.Hung, [], [], wall)
     | Some (Error e) -> (Journal.Failed e, [], [], wall)
     | Some (Ok (o, roots)) -> (
@@ -398,7 +394,7 @@ let drive ?runner ?pool ?(log = ignore) ?crash_after ?corpus_dir ~dir ~writer
   (* Any pool still held here is healthy by construction: a hang
      replaces it with [None] at the verdict.  Wedged pools stay
      leaked. *)
-  (match !owned_pool with
+  (match !pool with
   | Some p -> Parallel.Pool.shutdown p
   | None -> ());
   { r_report = report; r_total = total; r_completed = !completed;
@@ -407,7 +403,7 @@ let drive ?runner ?pool ?(log = ignore) ?crash_after ?corpus_dir ~dir ~writer
 
 (* --- entry points ----------------------------------------------------- *)
 
-let start ?runner ?pool ?log ?crash_after ?corpus_dir ~dir spec =
+let start ?runner ?log ?crash_after ?corpus_dir ~dir spec =
   if Sys.file_exists (journal_file dir) then
     Error
       (Printf.sprintf "%s already contains a campaign journal; use resume" dir)
@@ -433,11 +429,11 @@ let start ?runner ?pool ?log ?crash_after ?corpus_dir ~dir spec =
                  { job = j.j_id; template = j.j_template; seed = j.j_seed }))
           jobs;
         Ok
-          (drive ?runner ?pool ?log ?crash_after ?corpus_dir ~dir ~writer ~spec
+          (drive ?runner ?log ?crash_after ?corpus_dir ~dir ~writer ~spec
              ~replay:(empty_replay ()) ~warnings:[] ()))
   end
 
-let resume ?runner ?pool ?log ?crash_after ?corpus_dir ~dir () =
+let resume ?runner ?log ?crash_after ?corpus_dir ~dir () =
   let* spec = Spec.load (spec_file dir) in
   let* records, warnings, committed = Journal.read (journal_file dir) in
   let* () =
@@ -461,7 +457,7 @@ let resume ?runner ?pool ?log ?crash_after ?corpus_dir ~dir () =
   let writer = Journal.open_writer ~truncate_at:committed (journal_file dir) in
   Fun.protect ~finally:(fun () -> Journal.close writer) (fun () ->
       Ok
-        (drive ?runner ?pool ?log ?crash_after ?corpus_dir ~dir ~writer ~spec
+        (drive ?runner ?log ?crash_after ?corpus_dir ~dir ~writer ~spec
            ~replay ~warnings ()))
 
 let print_start ~dir (spec : Spec.t) =

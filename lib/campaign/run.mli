@@ -47,7 +47,6 @@ type result_t = {
 
 val start :
   ?runner:(Triage.Scenario.t -> Triage.Scenario.outcome) ->
-  ?pool:Parallel.Pool.t ->
   ?log:(string -> unit) ->
   ?crash_after:int ->
   ?corpus_dir:string ->
@@ -59,16 +58,14 @@ val start :
     Fails if [dir] already holds a journal — use {!resume}.
 
     [runner] replaces {!Triage.Scenario.run} (tests inject hangs and
-    crashes with it); [pool] supplies the worker pool (owned by the
-    caller; otherwise a 1-domain pool is created, and leaked rather
-    than joined if a job hung); [crash_after n] simulates a [kill -9]
-    by [Unix._exit 137] immediately after the [n]-th live final
+    crashes with it).  Jobs run on a 2-domain worker pool, which is
+    leaked rather than joined if a job hung.  [crash_after n]
+    simulates a [kill -9] by [Unix._exit 137] immediately after the [n]-th live final
     verdict reaches the journal — the deterministic half of the CI
     kill-and-resume smoke. *)
 
 val resume :
   ?runner:(Triage.Scenario.t -> Triage.Scenario.outcome) ->
-  ?pool:Parallel.Pool.t ->
   ?log:(string -> unit) ->
   ?crash_after:int ->
   ?corpus_dir:string ->

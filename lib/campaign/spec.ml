@@ -23,10 +23,10 @@ type t = {
    programmatic caller passing [checkpoint_every <= 0] would otherwise
    divide by zero at the driver's checkpoint cadence, and negative
    [retries] would silently shrink max_attempts below one. *)
-let make ?(scenario_budget_s = 60.) ?budget_s ?(retries = 1) ?(max_strikes = 2)
-    ?(backoff = 2) ?(checkpoint_every = 8) ~name templates =
+let make ?(scenario_budget_s = 60.) ?(retries = 1) ?(max_strikes = 2) ?(backoff = 2)
+    ?(checkpoint_every = 8) ~name templates =
   { c_name = name; c_templates = templates;
-    c_scenario_budget_s = scenario_budget_s; c_budget_s = budget_s;
+    c_scenario_budget_s = scenario_budget_s; c_budget_s = None;
     c_retries = max 0 retries; c_max_strikes = max 1 max_strikes;
     c_backoff = max 1 backoff; c_checkpoint_every = max 1 checkpoint_every }
 

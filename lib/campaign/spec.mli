@@ -48,9 +48,8 @@ type t = {
   c_checkpoint_every : int;  (** journal checkpoint cadence, in verdicts *)
 }
 
-val make : ?scenario_budget_s:float -> ?budget_s:float -> ?retries:int ->
-  ?max_strikes:int -> ?backoff:int -> ?checkpoint_every:int ->
-  name:string -> template list -> t
+val make : ?scenario_budget_s:float -> ?retries:int -> ?max_strikes:int ->
+  ?backoff:int -> ?checkpoint_every:int -> name:string -> template list -> t
 (** Defaults: 60 s watchdog, no campaign budget, 1 retry, 2 strikes,
     backoff 2, checkpoint every 8 verdicts.  Knobs are clamped to the
     bounds {!validate} enforces ([retries >= 0]; [max_strikes],

@@ -56,6 +56,5 @@ val cyclic_states : t -> bool array
 
 val find_state : t -> state -> int option
 
-val fault_key : Timeline.fault -> string
 val state_label : state -> string
 val edge_kind_to_string : edge_kind -> string

@@ -1,26 +1,8 @@
-type t = {
-  o_ring : Telemetry.Sink.t;
-  o_prev : Telemetry.Sink.t;
-  o_params : Detect.params;
-  o_seen : (string, unit) Hashtbl.t;
-  mutable o_installed : bool;
-}
-
-let default_capacity = 8192
-
-let install ?(capacity = default_capacity) ?(params = Detect.default_params) () =
-  let prev = Telemetry.sink () in
-  let ring = Telemetry.Sink.ring ~capacity in
-  (* Tee so the run's own sink (artifact, memory, ...) keeps seeing
-     everything; with no sink installed the ring alone turns recording
-     on, which is the monitor's whole point. *)
-  Telemetry.set_sink (Telemetry.Sink.tee prev ring);
-  { o_ring = ring; o_prev = prev; o_params = params;
-    o_seen = Hashtbl.create 4; o_installed = true }
+type t = { o_ring : Telemetry.Sink.t; o_seen : (string, unit) Hashtbl.t }
 
 let probe t =
   let timeline = Timeline.of_events (Telemetry.Sink.events t.o_ring) in
-  let cascades = Detect.detect ~params:t.o_params timeline in
+  let cascades = Detect.detect timeline in
   (* Fresh roots only: the window keeps sliding, so the same cascade
      re-detects on every probe — report each root once per monitor. *)
   List.filter_map
@@ -33,12 +15,13 @@ let probe t =
       end)
     cascades
 
-let uninstall t =
-  if t.o_installed then begin
-    t.o_installed <- false;
-    Telemetry.set_sink t.o_prev
-  end
-
-let with_monitor ?capacity ?params f =
-  let t = install ?capacity ?params () in
-  Fun.protect ~finally:(fun () -> uninstall t) (fun () -> f t)
+let with_monitor ?(capacity = 8192) f =
+  let prev = Telemetry.sink () in
+  let ring = Telemetry.Sink.ring ~capacity in
+  (* Tee so the run's own sink (artifact, memory, ...) keeps seeing
+     everything; with no sink installed the ring alone turns recording
+     on, which is the monitor's whole point. *)
+  Telemetry.set_sink (Telemetry.Sink.tee prev ring);
+  Fun.protect
+    ~finally:(fun () -> Telemetry.set_sink prev)
+    (fun () -> f { o_ring = ring; o_seen = Hashtbl.create 4 })

@@ -1,9 +1,9 @@
 (** Online cascade monitoring over a bounded window of recent
     telemetry.
 
-    [install] tees the current sink with a bounded ring (capacity in
-    events, oldest dropped); [probe] re-analyzes the window and
-    returns the {e newly seen} cascades as {!Dice.Fault.Cascade}
+    [with_monitor] tees the current sink with a bounded ring
+    ([capacity] events, default 8192, oldest dropped); [probe]
+    re-analyzes the window and returns the {e newly seen} cascades as {!Dice.Fault.Cascade}
     faults — wire it to {!Dice.Orchestrator.run}'s [?probe] and
     [?on_cascade] to get cascade detection while the deployment is
     still running:
@@ -17,15 +17,10 @@
 
     Each cascade root is reported once per monitor; the window keeps
     sliding underneath, so re-detections of the same root are
-    swallowed.  [uninstall] restores the previous sink (idempotent;
-    [with_monitor] does it on exception too). *)
+    swallowed.  [with_monitor] restores the previous sink when its body
+    returns or raises. *)
 
 type t
 
-val default_capacity : int
-(** 8192 events. *)
-
-val install : ?capacity:int -> ?params:Detect.params -> unit -> t
 val probe : t -> Dice.Fault.t list
-val uninstall : t -> unit
-val with_monitor : ?capacity:int -> ?params:Detect.params -> (t -> 'a) -> 'a
+val with_monitor : ?capacity:int -> (t -> 'a) -> 'a

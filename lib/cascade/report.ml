@@ -2,10 +2,10 @@ module Json = Telemetry.Json
 
 let version = "dice-cascade/1"
 
-let cascade_to_json ?graph (c : Detect.cascade) =
+let cascade_to_json (c : Detect.cascade) =
   let node = match c.Detect.c_nodes with n :: _ -> n | [] -> -1 in
   let signature =
-    Dice.Signature.make ?graph ~node ~property:(Detect.kind_to_string c.Detect.c_kind)
+    Dice.Signature.make ~node ~property:(Detect.kind_to_string c.Detect.c_kind)
       Dice.Fault.Cascade c.Detect.c_detail
   in
   Json.Obj
@@ -24,7 +24,7 @@ let cascade_to_json ?graph (c : Detect.cascade) =
    no sequence numbers, no span ids — and the cascade list arrives in
    canonical order, so a pooled and a sequential run of the same
    deployment serialize to the same bytes. *)
-let to_json ?graph ~timeline ~propagation cascades =
+let to_json ~timeline ~propagation cascades =
   let tl = (timeline : Timeline.t) in
   Json.Obj
     [ ("schema", Json.String version);
@@ -43,7 +43,7 @@ let to_json ?graph ~timeline ~propagation cascades =
          [ ("vertices", Json.Int (Graph.vertex_count propagation));
            ("edges", Json.Int (Graph.edge_count propagation));
            ("cycles", Json.Int (List.length (Graph.sccs propagation))) ]);
-      ("cascades", Json.List (List.map (cascade_to_json ?graph) cascades)) ]
+      ("cascades", Json.List (List.map cascade_to_json cascades)) ]
 
 module A = Telemetry.Artifact
 

@@ -14,18 +14,8 @@ val version : string
 (** ["dice-cascade/1"]. *)
 
 val to_json :
-  ?graph:Topology.Graph.t ->
-  timeline:Timeline.t ->
-  propagation:Graph.t ->
-  Detect.cascade list ->
-  Telemetry.Json.t
-(** [graph], when given, canonicalizes node roles in the embedded
-    signatures (as {!Dice.Signature.make} does). *)
+  timeline:Timeline.t -> propagation:Graph.t -> Detect.cascade list -> Telemetry.Json.t
 
 val validate : Telemetry.Json.t -> (unit, string) result
-
-val to_dot : Graph.t -> string
-(** Graphviz rendering: one box per state (cycle members filled),
-    edges colored by inference rule. *)
 
 val write_dot : path:string -> Graph.t -> unit

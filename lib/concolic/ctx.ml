@@ -41,9 +41,5 @@ let input_update base overrides =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let input_equal a b =
-  let norm i = List.sort (fun (x, _) (y, _) -> String.compare x y) i in
-  norm a = norm b
-
 let input_to_string i =
   String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) i)

@@ -32,5 +32,4 @@ val input : t -> input
 val input_update : input -> (string * int) list -> input
 (** Right-biased merge, result sorted by field name. *)
 
-val input_equal : input -> input -> bool
 val input_to_string : input -> string

@@ -20,8 +20,6 @@ let lift2 conc_op sym_op a b =
   { conc; sym }
 
 let add = lift2 ( + ) (fun a b -> Expr.Add (a, b))
-let sub = lift2 ( - ) (fun a b -> Expr.Sub (a, b))
-let mul = lift2 ( * ) (fun a b -> Expr.Mul (a, b))
 let band = lift2 ( land ) (fun a b -> Expr.Band (a, b))
 let eq = lift2 (fun x y -> b2i (x = y)) (fun a b -> Expr.Eq (a, b))
 let ne = lift2 (fun x y -> b2i (x <> y)) (fun a b -> Expr.Not (Expr.Eq (a, b)))
@@ -32,14 +30,5 @@ let ge = lift2 (fun x y -> b2i (x >= y)) (fun a b -> Expr.Le (b, a))
 let conj = lift2 (fun x y -> b2i (x <> 0 && y <> 0)) (fun a b -> Expr.And (a, b))
 let disj = lift2 (fun x y -> b2i (x <> 0 || y <> 0)) (fun a b -> Expr.Or (a, b))
 
-let neg a =
-  { conc = b2i (a.conc = 0);
-    sym =
-      (match a.sym with
-      | Expr.Const _ -> Expr.Const (b2i (a.conc = 0))
-      | s -> Expr.negate s) }
-
 let eq_const a n = eq a (concrete n)
 let in_range a ~lo ~hi = conj (ge a (concrete lo)) (le a (concrete hi))
-
-let pp ppf t = Format.fprintf ppf "%d{%a}" t.conc Expr.pp t.sym

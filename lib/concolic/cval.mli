@@ -21,8 +21,6 @@ val truthy : t -> bool
 
 (* Arithmetic *)
 val add : t -> t -> t
-val sub : t -> t -> t
-val mul : t -> t -> t
 val band : t -> t -> t
 
 (* Comparisons (results are 0/1 booleans) *)
@@ -36,8 +34,6 @@ val ge : t -> t -> t
 (* Boolean connectives *)
 val conj : t -> t -> t
 val disj : t -> t -> t
-val neg : t -> t
 
 val eq_const : t -> int -> t
 val in_range : t -> lo:int -> hi:int -> t
-val pp : Format.formatter -> t -> unit

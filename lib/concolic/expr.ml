@@ -36,7 +36,6 @@ type t =
   | Or of t * t
   | Not of t
 
-let const n = Const n
 let tru = Const 1
 let fls = Const 0
 
@@ -83,16 +82,6 @@ let negate = function
   | Le (a, b) -> Lt (b, a)
   | Const n -> Const (b2i (n = 0))
   | e -> Not e
-
-let rec size = function
-  | Const _ | Var _ -> 1
-  | Add (a, b) | Sub (a, b) | Mul (a, b) | Band (a, b)
-  | Eq (a, b) | Lt (a, b) | Le (a, b) | And (a, b) | Or (a, b) ->
-      1 + size a + size b
-  | Not a -> 1 + size a
-
-let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
 
 let rec pp ppf = function
   | Const n -> Format.pp_print_int ppf n

@@ -31,7 +31,6 @@ type t =
   | Or of t * t
   | Not of t
 
-val const : int -> t
 val tru : t
 val fls : t
 
@@ -46,8 +45,4 @@ val negate : t -> t
 (** Logical negation, pushing through comparisons where cheap
     ([negate (Lt a b)] is [Le b a]). *)
 
-val size : t -> int
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

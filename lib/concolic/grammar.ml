@@ -14,8 +14,6 @@ let both a b = map2 (fun x y -> (x, y)) a b
 
 let range lo hi rng = Netsim.Rng.int_in rng lo hi
 
-let int_range lo hi t f = map2 (fun a n -> f a n) t (range lo hi)
-
 let choose = function
   | [] -> invalid_arg "Grammar.choose: empty"
   | ps -> fun rng -> (List.nth ps (Netsim.Rng.int rng (List.length ps))) rng

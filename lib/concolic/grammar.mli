@@ -11,12 +11,8 @@ val run : 'a t -> Netsim.Rng.t -> 'a
 
 val pure : 'a -> 'a t
 val map : ('a -> 'b) -> 'a t -> 'b t
-val map2 : ('a -> 'b -> 'c) -> 'a t -> 'b t -> 'c t
 val bind : 'a t -> ('a -> 'b t) -> 'b t
 val both : 'a t -> 'b t -> ('a * 'b) t
-
-val int_range : int -> int -> 'a t -> ('a -> int -> 'b) -> 'b t
-(** Awkward shape avoided below; prefer [range]. *)
 
 val range : int -> int -> int t
 (** Uniform in [\[lo, hi\]]. *)

@@ -29,5 +29,3 @@ let band a b =
   else if is_point a && a.lo >= 0 && b.lo >= 0 then { lo = 0; hi = min b.hi a.lo }
   else if a.lo >= 0 && b.lo >= 0 then { lo = 0; hi = min a.hi b.hi }
   else { lo = min a.lo b.lo; hi = max a.hi b.hi }
-
-let pp ppf t = Format.fprintf ppf "[%d,%d]" t.lo t.hi

@@ -20,5 +20,3 @@ val mul : t -> t -> t
 val band : t -> t -> t
 (** Conservative: exact for non-negative point masks, otherwise the
     full [0, max] envelope. *)
-
-val pp : Format.formatter -> t -> unit

@@ -466,12 +466,4 @@ let _ = ignore top
    fire while the side conditions still hold.  Just a named spelling of
    [solve (negate detection :: constraints)], so it shares the memo
    cache with every other query. *)
-let solve_negated ?max_nodes ~detection constraints =
-  solve ?max_nodes (Expr.negate detection :: constraints)
-
-let pp_model ppf m =
-  Format.fprintf ppf "@[<h>";
-  List.iter
-    (fun ((v : Expr.var), x) -> Format.fprintf ppf "%s=%d@ " v.Expr.v_name x)
-    m;
-  Format.fprintf ppf "@]"
+let solve_negated ~detection constraints = solve (Expr.negate detection :: constraints)

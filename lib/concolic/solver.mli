@@ -43,8 +43,7 @@ val solve : ?max_nodes:int -> Expr.t list -> outcome
     (which changes [Unknown] answers).  The solver is deterministic,
     so serving a cached outcome is indistinguishable from re-solving. *)
 
-val solve_negated :
-  ?max_nodes:int -> detection:Expr.t -> Expr.t list -> outcome
+val solve_negated : detection:Expr.t -> Expr.t list -> outcome
 (** The repair engine's query: a model under which [detection] is
     false (the fault's detection predicate cannot fire) while every
     side [constraint] still holds.  Equivalent to
@@ -62,4 +61,3 @@ val check : model -> Expr.t list -> bool
     default to their domain minimum)? *)
 
 val model_value : model -> Expr.var -> int option
-val pp_model : Format.formatter -> model -> unit

@@ -25,8 +25,7 @@ let to_json ~guided ?random () =
   J.Obj
     [ ("schema", J.String version);
       ("guided", arm_to_json guided);
-      ("random", (match random with Some r -> arm_to_json r | None -> J.Null));
-      ("metrics", J.Obj (Telemetry.Metrics.filtered ~prefix:"confuzz." ())) ]
+      ("random", (match random with Some r -> arm_to_json r | None -> J.Null)) ]
 
 module A = Telemetry.Artifact
 
@@ -49,15 +48,9 @@ let validate json =
   let* () = A.check_schema version json in
   let* guided = A.field "guided" json in
   let* () = Result.map_error (( ^ ) "guided: ") (validate_arm guided) in
-  let* () =
-    match A.opt_field "random" json with
-    | None -> Ok ()
-    | Some arm -> Result.map_error (( ^ ) "random: ") (validate_arm arm)
-  in
-  let* metrics = A.field "metrics" json in
-  match metrics with
-  | J.Obj _ -> Ok ()
-  | _ -> Error "field \"metrics\": expected object"
+  match A.opt_field "random" json with
+  | None -> Ok ()
+  | Some arm -> Result.map_error (( ^ ) "random: ") (validate_arm arm)
 
 let pp_arm ppf name (r : Loop.result) =
   Format.fprintf ppf "%s: coverage %d/%d -> %d/%d, %d finding(s) in %d round(s)@ "

@@ -9,18 +9,17 @@
 val version : string
 (** ["dice-confuzz-cov/1"], the report's ["schema"] member. *)
 
-val arm_to_json : Loop.result -> Telemetry.Json.t
-(** One campaign arm: budget/seed/guided, universe, baseline and final
-    coverage, the per-round cumulative coverage curve, kept-stack and
-    finding counts, and the uncovered point ids. *)
-
 val to_json : guided:Loop.result -> ?random:Loop.result -> unit -> Telemetry.Json.t
-(** Full report: schema tag, both arms, and the
-    [confuzz.*] metric snapshot ({!Telemetry.Metrics.filtered}). *)
+(** Full report: the schema tag and both arms.  Each arm says what was
+    covered (universe, covered, per-round curve, kept stacks, findings,
+    uncovered point ids), never how often a point was hit, so the bytes
+    follow coverage rather than how many events the shadows stepped. *)
 
 val validate : Telemetry.Json.t -> (unit, string) result
 (** Schema tag, both arms' counters, curve and uncovered list, and
-    coverage within the universe. *)
+    coverage within the universe.  Other members are ignored, so a
+    report that still carries the former [metrics] snapshot stays
+    valid. *)
 
 val pp_summary :
   Format.formatter -> guided:Loop.result -> ?random:Loop.result -> unit -> unit

@@ -482,28 +482,3 @@ let replay_direct ?(params = default_params) ~build ~cut ~gt ~node
             faults)
   in
   Fault.dedupe (base_faults @ conv_faults @ input_faults)
-
-let coverage x =
-  ( List.length x.x_snapshot.Snapshot.Cut.checkpoints,
-    List.length x.x_snapshot.Snapshot.Cut.channels )
-
-let pp_exploration ppf x =
-  Format.fprintf ppf
-    "@[<v>node %d: %d inputs, %d paths, %d shadow runs, %d crashes, snapshot %dus, %.2fs wall"
-    x.x_node x.x_inputs x.x_distinct_paths x.x_shadow_runs x.x_crashes
-    x.x_snapshot_span x.x_wall_seconds;
-  if x.x_mangled > 0 then Format.fprintf ppf " (%d mangled)" x.x_mangled;
-  if x.x_partial then begin
-    let nodes, chans = coverage x in
-    Format.fprintf ppf
-      " [PARTIAL cut: %d nodes checkpointed, %d/%d channels closed]" nodes
-      (chans - List.length x.x_stalled)
-      chans
-  end;
-  if x.x_domains > 1 then
-    Format.fprintf ppf " (pool: %d domains, %.2fs work, %.2fx speedup)" x.x_domains
-      x.x_work_seconds
-      (if x.x_wall_seconds > 0. then x.x_work_seconds /. x.x_wall_seconds else 1.);
-  Format.fprintf ppf "@ ";
-  List.iter (fun f -> Format.fprintf ppf "  %a@ " Fault.pp f) x.x_faults;
-  Format.fprintf ppf "@]"

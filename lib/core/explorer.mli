@@ -101,9 +101,3 @@ val replay_direct :
     deduplicated faults.  No concolic derivation, no fuzzing, no
     parallel fan-out: the cheap acceptance test the minimizer runs
     after every shrink step. *)
-
-val coverage : exploration -> int * int
-(** [(nodes checkpointed, channels in the cut)] — how much of the
-    deployment the snapshot actually covered. *)
-
-val pp_exploration : Format.formatter -> exploration -> unit

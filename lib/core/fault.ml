@@ -93,8 +93,6 @@ let normalize_detail s =
 let root t =
   Printf.sprintf "%s|%s|%d" (class_to_string t.f_class) t.f_property t.f_node
 
-let same_root a b = String.equal (root a) (root b)
-
 (* Deduplicate by root, keeping the representative with the earliest
    [f_detected_at] (first occurrence wins a tie); output order is the
    order in which each root first appears in the input. *)

@@ -43,10 +43,6 @@ val root : t -> string
     the same root cause iff they name the same violated property at the
     same node. *)
 
-val same_root : t -> t -> bool
-(** [root] equality — used to deduplicate reports across explored
-    inputs. *)
-
 val dedupe : t list -> t list
 (** One representative per {!root}: the {e earliest} [f_detected_at]
     (first occurrence wins ties), in first-appearance order. *)

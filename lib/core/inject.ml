@@ -25,14 +25,6 @@ let fault_class = function
   | Policy_dispute _ -> Fault.Policy_conflict
   | Loop_check_bug _ | Inverted_med_bug _ | Crash_bug _ -> Fault.Programming_error
 
-let target_node = function
-  | Prefix_hijack { at; _ }
-  | Bogus_netmask { at }
-  | Loop_check_bug { at }
-  | Inverted_med_bug { at }
-  | Crash_bug { at; _ } -> at
-  | Policy_dispute { cycle; _ } -> ( match cycle with n :: _ -> n | [] -> 0)
-
 let set_bug build at f =
   let sp = Topology.Build.speaker build at in
   sp.Bgp.Speaker.sp_set_bugs (f (sp.Bgp.Speaker.sp_bugs ()))

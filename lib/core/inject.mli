@@ -19,7 +19,6 @@ type scenario =
 
 val describe : scenario -> string
 val fault_class : scenario -> Fault.fault_class
-val target_node : scenario -> int
 
 val apply : Topology.Build.t -> scenario -> unit
 (** Mutates configurations / bug flags on the live deployment.

@@ -54,9 +54,6 @@ type supervisor = {
           observation, not preemption) *)
 }
 
-val default_supervisor : supervisor
-(** 3 strikes, 2-round base backoff, no wall budget. *)
-
 type summary = {
   rounds : round list;
   faults : Fault.t list;  (** deduplicated across rounds *)

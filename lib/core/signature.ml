@@ -32,8 +32,8 @@ let make ?graph ?role ~node ~property cls detail =
     sg_node = node;
     sg_detail = Fault.normalize_detail detail }
 
-let of_fault ?graph ?role (f : Fault.t) =
-  make ?graph ?role ~node:f.Fault.f_node ~property:f.Fault.f_property
+let of_fault ?graph (f : Fault.t) =
+  make ?graph ~node:f.Fault.f_node ~property:f.Fault.f_property
     f.Fault.f_class f.Fault.f_detail
 
 let to_string t =
@@ -56,12 +56,5 @@ let of_string s =
 
 let equal a b = String.equal (to_string a) (to_string b)
 let compare a b = String.compare (to_string a) (to_string b)
-
-let root t =
-  Printf.sprintf "%s|%s|%d"
-    (Fault.class_to_string t.sg_class)
-    t.sg_property t.sg_node
-
-let matches_fault t (f : Fault.t) = String.equal (root t) (Fault.root f)
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -38,19 +38,11 @@ val make :
 (** [make cls detail] normalizes [detail] and derives the role from
     [graph] (explicit [role] wins). *)
 
-val of_fault : ?graph:Topology.Graph.t -> ?role:string -> Fault.t -> t
+val of_fault : ?graph:Topology.Graph.t -> Fault.t -> t
 
 val to_string : t -> string
 val of_string : string -> (t, string) result
 val equal : t -> t -> bool
 val compare : t -> t -> int
-
-val root : t -> string
-(** The coarser ["class|property|node"] key — equal to {!Fault.root} of
-    any fault the signature was derived from. *)
-
-val matches_fault : t -> Fault.t -> bool
-(** Root-level match: same class, property and node (detail and role
-    ignored) — the deduplication relation. *)
 
 val pp : Format.formatter -> t -> unit

@@ -27,8 +27,6 @@ let create ?(max_strikes = 3) ?(backoff = 2) n =
     t_backoff = max 1 backoff;
     t_events = [] }
 
-let slots t = Array.length t.t_health
-
 let quarantined t ~slot ~step = t.t_health.(slot).h_until > step
 
 let release_due t ~step =
@@ -65,5 +63,3 @@ let record t ~slot ~step ~ok =
       Some q
     end
   end
-
-let quarantines t = List.rev t.t_events

@@ -28,8 +28,6 @@ val create : ?max_strikes:int -> ?backoff:int -> int -> t
     [backoff * 2^(previous quarantines)] steps (base [backoff]
     default 2).  Values [< 1] are clamped to [1]. *)
 
-val slots : t -> int
-
 val quarantined : t -> slot:int -> step:int -> bool
 (** Is [slot] parked at [step]?  Pure — never mutates. *)
 
@@ -43,6 +41,3 @@ val record : t -> slot:int -> step:int -> ok:bool -> quarantine option
     slot's strikes; a failure increments them and, at [max_strikes],
     starts a quarantine (strikes reset, backoff doubles for next
     time) returned as [Some q]. *)
-
-val quarantines : t -> quarantine list
-(** Every quarantine recorded so far, in trigger order. *)

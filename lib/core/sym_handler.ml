@@ -57,10 +57,6 @@ let make_view ~node ~cfg ~bugs ~loc_rib ~peer =
         sh_asn_lo = lo;
         sh_asn_hi = hi }
 
-let view_of_router router ~peer =
-  make_view ~node:(Bgp.Router.node router) ~cfg:(Bgp.Router.config router)
-    ~bugs:(Bgp.Router.bugs router) ~loc_rib:(Bgp.Router.loc_rib router) ~peer
-
 let view_of_speaker (sp : Bgp.Speaker.t) ~peer =
   make_view ~node:sp.Bgp.Speaker.sp_node
     ~cfg:(sp.Bgp.Speaker.sp_config ())

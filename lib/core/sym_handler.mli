@@ -20,9 +20,6 @@ type view = {
   sh_asn_hi : int;
 }
 
-val view_of_router : Bgp.Router.t -> peer:Bgp.Ipv4.t -> view
-(** @raise Invalid_argument if [peer] is not a configured neighbor. *)
-
 val view_of_speaker : Bgp.Speaker.t -> peer:Bgp.Ipv4.t -> view
 (** Implementation-agnostic variant (works for any {!Bgp.Speaker}). *)
 

@@ -17,12 +17,3 @@ val eval :
   Bgp.Policy.t ->
   Sym_route.t ->
   result
-
-val match_clause :
-  Concolic.Ctx.t ->
-  own_asn:int ->
-  universe:Bgp.Community.t list ->
-  Bgp.Policy.match_clause ->
-  Sym_route.t ->
-  Concolic.Cval.t
-(** The concolic truth value of one match clause (exposed for tests). *)

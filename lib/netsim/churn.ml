@@ -88,9 +88,6 @@ let event_nodes = function
   | Partition (xs, ys) -> xs @ ys
   | Heal -> []
 
-let involved_nodes sched =
-  List.sort_uniq Int.compare (List.concat_map (fun e -> event_nodes e.ev) sched)
-
 let restrict ~nodes sched =
   let keep n = List.mem n nodes in
   List.filter_map
@@ -107,14 +104,6 @@ let restrict ~nodes sched =
           | xs', ys' -> Some { e with ev = Partition (xs', ys') })
       | Heal -> Some e)
     sched
-
-let event_equal a b =
-  match (a, b) with
-  | Partition (xs, ys), Partition (xs', ys') ->
-      List.equal Int.equal xs xs' && List.equal Int.equal ys ys'
-  | _ -> a = b
-
-let entry_equal a b = a.at = b.at && event_equal a.ev b.ev
 
 let pp_event ppf = function
   | Node_down n -> Format.fprintf ppf "node %d down" n
@@ -142,7 +131,7 @@ let event_kind = function
   | Partition _ -> "churn.partition"
   | Heal -> "churn.heal"
 
-let apply_event ?policy net ev =
+let apply_event net ev =
   Telemetry.Metrics.incr (Lazy.force events_applied);
   Telemetry.sys_event ~kind:(event_kind ev) ~nodes:(event_nodes ev)
     ~detail:(Format.asprintf "%a" pp_event ev) ();
@@ -153,22 +142,20 @@ let apply_event ?policy net ev =
       if Network.has_node net a && Network.has_node net b then begin
         (* Link events are symmetric: physical failures take out both
            directions of the adjacency. *)
-        (try Network.set_link_down ?policy net a b with Invalid_argument _ -> ());
-        try Network.set_link_down ?policy net b a with Invalid_argument _ -> ()
+        (try Network.set_link_down net a b with Invalid_argument _ -> ());
+        try Network.set_link_down net b a with Invalid_argument _ -> ()
       end
   | Link_up (a, b) ->
       if Network.has_node net a && Network.has_node net b then begin
         (try Network.set_link_up net a b with Invalid_argument _ -> ());
         try Network.set_link_up net b a with Invalid_argument _ -> ()
       end
-  | Partition (xs, ys) -> Network.partition ?policy net xs ys
+  | Partition (xs, ys) -> Network.partition net xs ys
   | Heal -> Network.heal net
 
-let apply ?policy net sched =
+let apply net sched =
   let eng = Network.engine net in
   List.map
     (fun { at; ev } ->
-      Engine.schedule eng ~after:at (fun () -> apply_event ?policy net ev))
+      Engine.schedule eng ~after:at (fun () -> apply_event net ev))
     (sort sched)
-
-let cancel timers = List.iter Engine.cancel timers

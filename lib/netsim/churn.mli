@@ -51,17 +51,11 @@ val random :
 
 (** {1 Inspection} *)
 
-val sort : schedule -> schedule
-(** Stable sort by offset. *)
-
 val node_crashes : schedule -> int
 (** Number of [Node_down] entries. *)
 
 val link_downs : schedule -> int
 (** Number of [Link_down] (or [Partition]) entries. *)
-
-val involved_nodes : schedule -> int list
-(** Sorted ids of every node any entry references. *)
 
 val restrict : nodes:int list -> schedule -> schedule
 (** Drop entries that reference nodes outside [nodes]; partitions are
@@ -69,18 +63,12 @@ val restrict : nodes:int list -> schedule -> schedule
     Used by the triage minimizer so a pruned topology carries a pruned
     schedule instead of silently-skipped events. *)
 
-val event_equal : event -> event -> bool
-val entry_equal : entry -> entry -> bool
-
-val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> schedule -> unit
 
 (** {1 Execution} *)
 
-val apply : ?policy:Network.link_policy -> 'msg Network.t -> schedule -> Engine.timer list
+val apply : 'msg Network.t -> schedule -> Engine.timer list
 (** Arm one engine timer per entry (offsets measured from "now").
     Events naming unknown nodes or channels are skipped silently, so a
     schedule can be generated from a topology superset.  Returns the
-    timers so a caller may {!cancel} the remainder early. *)
-
-val cancel : Engine.timer list -> unit
+    timers so a caller may cancel the remainder early. *)

@@ -32,8 +32,6 @@ let cancel = function
       decr timer.live
   | { state = Cancelled | Fired; _ } -> ()
 
-let is_cancelled timer = timer.state = Cancelled
-
 let pending t = !(t.live)
 let queued t = Pqueue.length t.queue
 

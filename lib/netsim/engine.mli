@@ -27,8 +27,6 @@ val at : t -> Time.t -> (unit -> unit) -> timer
 val cancel : timer -> unit
 (** Idempotent; cancelling a fired timer is a no-op. *)
 
-val is_cancelled : timer -> bool
-
 val pending : t -> int
 (** Number of live (not cancelled, not fired) events. *)
 

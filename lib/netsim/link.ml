@@ -34,6 +34,3 @@ let delay t rng =
     else acc
   in
   base + retries 0 0
-
-let pp ppf t =
-  Format.fprintf ppf "link(lat=%dus jit=%dus loss=%.2f)" t.latency t.jitter t.loss

@@ -45,5 +45,3 @@ val ideal : t
 val delay : t -> Rng.t -> Time.span
 (** Sample a delivery delay (includes simulated retransmissions, capped
     at [max_retries]). *)
-
-val pp : Format.formatter -> t -> unit

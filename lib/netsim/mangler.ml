@@ -189,11 +189,9 @@ type schedule = entry list
 
 let entry ~at ev = { at; ev }
 
-let window ?kinds ~rate ~from_ ~until_ () =
+let window ~rate ~from_ ~until_ =
   if until_ <= from_ then invalid_arg "Mangler.window: empty window";
-  List.concat
-    [ (match kinds with Some ks -> [ { at = from_; ev = Set_kinds ks } ] | None -> []);
-      [ { at = from_; ev = Set_rate rate }; { at = until_; ev = Set_rate 0. } ] ]
+  [ { at = from_; ev = Set_rate rate }; { at = until_; ev = Set_rate 0. } ]
 
 let sort sched = List.stable_sort (fun x y -> Int.compare x.at y.at) sched
 
@@ -213,19 +211,3 @@ let apply t net sched =
     (sort sched)
 
 let cancel timers = List.iter Engine.cancel timers
-
-let pp_event ppf = function
-  | Set_rate r -> Format.fprintf ppf "mangle rate -> %.3f" r
-  | Set_kinds ks ->
-      Format.fprintf ppf "kinds -> {%s}" (String.concat "," (List.map kind_name ks))
-  | Set_links None -> Format.fprintf ppf "links -> all"
-  | Set_links (Some ls) ->
-      Format.fprintf ppf "links -> {%s}"
-        (String.concat ","
-           (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) ls))
-
-let pp ppf sched =
-  List.iter
-    (fun { at; ev } ->
-      Format.fprintf ppf "  t+%.1fs %a@." (float_of_int at /. 1e6) pp_event ev)
-    sched

@@ -71,10 +71,8 @@ val remove : string Network.t -> unit
 val transform : t -> src:int -> dst:int -> string -> string list
 (** The raw transform, exposed for tests. *)
 
-val set_rate : t -> float -> unit
 val rate : t -> float
 val set_kinds : t -> kind list -> unit
-val set_links : t -> (int * int) list option -> unit
 
 val totals : unit -> int * int * int * int
 (** [(mangled, dropped, duplicated, passed)] from the registry. *)
@@ -97,15 +95,12 @@ type schedule = entry list
 
 val entry : at:Time.span -> event -> entry
 
-val window :
-  ?kinds:kind list -> rate:float -> from_:Time.span -> until_:Time.span -> unit -> schedule
-(** Mangle at [rate] (optionally restricted to [kinds]) between [from_]
-    and [until_], then fall back to silence. *)
+val window : rate:float -> from_:Time.span -> until_:Time.span -> schedule
+(** Mangle at [rate] between [from_] and [until_], then fall back to
+    silence. *)
 
 val apply : t -> 'msg Network.t -> schedule -> Engine.timer list
 (** Arm the schedule on the network's engine; returns the timers for
     {!cancel}. *)
 
 val cancel : Engine.timer list -> unit
-
-val pp : Format.formatter -> schedule -> unit

@@ -320,21 +320,13 @@ let set_link_up t a b =
     List.iter (fun env -> schedule_delivery t ~src:a ~dst:b ch env) held
   end
 
-let set_link_down_sym ?policy t a b =
-  set_link_down ?policy t a b;
-  set_link_down ?policy t b a
-
-let set_link_up_sym t a b =
-  set_link_up t a b;
-  set_link_up t b a
-
-let partition ?policy t xs ys =
+let partition t xs ys =
   List.iter
     (fun a ->
       List.iter
         (fun b ->
-          if Hashtbl.mem t.chan_tbl (a, b) then set_link_down ?policy t a b;
-          if Hashtbl.mem t.chan_tbl (b, a) then set_link_down ?policy t b a)
+          if Hashtbl.mem t.chan_tbl (a, b) then set_link_down t a b;
+          if Hashtbl.mem t.chan_tbl (b, a) then set_link_down t b a)
         ys)
     xs
 
@@ -360,11 +352,7 @@ let set_control_handler t f = t.control_handler <- Some f
 let set_delivery_tap t tap = t.tap <- tap
 let set_transform t f = t.transform <- f
 let set_crash_policy t p = t.crash_policy <- p
-let crash_policy t = t.crash_policy
 let crashes t = List.rev t.crash_log
-
-let nodes t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.node_tbl [] |> List.sort Int.compare
 
 let has_node t id = Hashtbl.mem t.node_tbl id
 

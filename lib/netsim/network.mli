@@ -101,8 +101,6 @@ val set_transform : 'msg t -> (src:int -> dst:int -> 'msg -> 'msg list) option -
 val set_crash_policy : 'msg t -> crash_policy -> unit
 (** Default {!Propagate}. *)
 
-val crash_policy : 'msg t -> crash_policy
-
 val crashes : 'msg t -> crash list
 (** Handler deaths absorbed so far, oldest first. *)
 
@@ -130,12 +128,9 @@ val set_link_up : 'msg t -> int -> int -> unit
 (** Restore a link; under [Queue_while_down] the held-back messages are
     redelivered in their original order. *)
 
-val set_link_down_sym : ?policy:link_policy -> 'msg t -> int -> int -> unit
-val set_link_up_sym : 'msg t -> int -> int -> unit
-
 val link_is_up : 'msg t -> int -> int -> bool
 
-val partition : ?policy:link_policy -> 'msg t -> int list -> int list -> unit
+val partition : 'msg t -> int list -> int list -> unit
 (** [partition t xs ys] takes down every channel (in both directions)
     between a node of [xs] and a node of [ys].  Pairs with no channel
     are skipped. *)
@@ -144,9 +139,6 @@ val heal : 'msg t -> unit
 (** Bring every down link (not node) back up. *)
 
 (** {1 Introspection} *)
-
-val nodes : 'msg t -> int list
-(** Sorted. *)
 
 val has_node : 'msg t -> int -> bool
 val neighbors_out : 'msg t -> int -> int list

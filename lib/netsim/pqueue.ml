@@ -232,16 +232,3 @@ let pop t =
   else
     let prio = min_prio t in
     Some (prio, pop_value t)
-
-let peek_prio t = if is_empty t then None else Some (min_prio t)
-
-let clear t =
-  t.root <- t.sentinel;
-  t.last <- t.sentinel;
-  t.heap_n <- 0;
-  t.free <- [];
-  t.free_n <- 0;
-  t.r_val <- [||];
-  t.r_prio <- [||];
-  t.r_head <- 0;
-  t.r_len <- 0

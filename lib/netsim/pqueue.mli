@@ -30,6 +30,3 @@ val pop_value : 'a t -> 'a
 
 val pop : 'a t -> (int * 'a) option
 (** Removes and returns the minimum entry as [(prio, value)]. *)
-
-val peek_prio : 'a t -> int option
-val clear : 'a t -> unit

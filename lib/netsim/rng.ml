@@ -14,8 +14,6 @@ let next t =
   mix64 t.state
 
 let split t = { state = next t }
-let copy t = { state = t.state }
-let bits64 t = next t
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

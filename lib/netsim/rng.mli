@@ -12,17 +12,11 @@ val create : int -> t
 val split : t -> t
 (** [split t] derives an independent generator and advances [t]. *)
 
-val copy : t -> t
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
-
-val bits64 : t -> int64
-val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
 
 val bool : t -> bool
 

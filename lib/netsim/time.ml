@@ -10,13 +10,11 @@ let to_us t = t
 let of_ms n = of_us (n * 1_000)
 let of_sec s = of_us (int_of_float (s *. 1e6))
 let to_sec t = float_of_int t /. 1e6
-let span_us n = n
 let span_ms n = n * 1_000
 let span_sec s = int_of_float (s *. 1e6)
 let add t d = max 0 (t + d)
 let diff a b = a - b
 let compare = Int.compare
-let equal = Int.equal
 let ( <= ) (a : t) (b : t) = Stdlib.( <= ) a b
 let ( < ) (a : t) (b : t) = Stdlib.( < ) a b
 

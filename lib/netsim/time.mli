@@ -20,7 +20,6 @@ val of_ms : int -> t
 val of_sec : float -> t
 val to_sec : t -> float
 
-val span_us : int -> span
 val span_ms : int -> span
 val span_sec : float -> span
 
@@ -31,7 +30,6 @@ val diff : t -> t -> span
 (** [diff a b] is [a - b] in microseconds (may be negative). *)
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val ( < ) : t -> t -> bool
 val pp : Format.formatter -> t -> unit

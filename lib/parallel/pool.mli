@@ -24,13 +24,11 @@ type t
 
 type 'a task
 
-val default_domains : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 val create : ?domains:int -> unit -> t
 (** [create ~domains ()] spawns [domains - 1] worker domains
-    ([domains] defaults to {!default_domains}; values [< 1] are
-    clamped to [1], giving a purely sequential pool). *)
+    ([domains] defaults to [Domain.recommended_domain_count ()];
+    values [< 1] are clamped to [1], giving a purely sequential
+    pool). *)
 
 val size : t -> int
 

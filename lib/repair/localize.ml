@@ -87,7 +87,7 @@ let prefs_set_by (e : P.entry) =
     (function P.Set_local_pref v -> Some v | _ -> None)
     e.P.sets
 
-let default_max_suspects = 16
+let max_suspects = 16
 
 let compare_witness a b =
   let c = String.compare (Bgp.Prefix.to_string a.w_prefix) (Bgp.Prefix.to_string b.w_prefix) in
@@ -117,8 +117,7 @@ let dedupe_witnesses ws =
   List.iter (fun w -> Witness_set.replace set w ()) ws;
   take 8 (List.sort compare_witness (Witness_set.fold (fun w () l -> w :: l) set []))
 
-let run ?(negative = []) ?(max_suspects = default_max_suspects) ~target
-    scenario =
+let run ?(negative = []) ~target scenario =
   match scenario with
   | Scenario.Wire _ -> Error "wire scenarios have no configuration to repair"
   | Scenario.Deploy d ->

@@ -69,7 +69,6 @@ type evidence = {
 
 val run :
   ?negative:string list ->
-  ?max_suspects:int ->
   target:Dice.Signature.t ->
   Triage.Scenario.t ->
   (evidence, string) result
@@ -77,8 +76,8 @@ val run :
     suspect list for [target].  [negative] is a list of
     {!Bgp.Clause_cov} point ids known uncovered in this repro (e.g.
     from a fuzzing campaign's coverage report): any site whose action
-    point is among them is excluded.  [max_suspects] caps the ranking
-    (default 16).
+    point is among them is excluded.  The ranking keeps the top 16
+    suspects.
 
     Errors: wire scenarios, replays that fail to set up, and replays
     that do not reproduce [target].  Side effects: the process-global

@@ -37,10 +37,6 @@ type t = {
       (** in slot order — also the search's preferred repair order *)
 }
 
-val var_name : site:Localize.site -> string -> string
-(** ["rep.<site-id>.<slot-id>"] — interned, so repeated repairs of the
-    same entry reuse the same solver variables. *)
-
 val lift :
   site:Localize.site ->
   seq:int ->

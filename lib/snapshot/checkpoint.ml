@@ -14,9 +14,3 @@ let respawn ?bugs t ~net =
     ~bugs:(Option.value bugs ~default:t.image.Bgp.Speaker.cap_bugs)
 
 let route_count t = Lazy.force t.image.Bgp.Speaker.cap_route_count
-let impl t = t.image.Bgp.Speaker.cap_impl
-let config t = t.image.Bgp.Speaker.cap_config
-
-let pp ppf t =
-  Format.fprintf ppf "checkpoint(node=%d impl=%s at=%a routes=%d)" t.node (impl t)
-    Netsim.Time.pp t.taken_at (route_count t)

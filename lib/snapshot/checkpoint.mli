@@ -23,7 +23,3 @@ val respawn :
 val route_count : t -> int
 (** Loc-RIB + Adj-RIB-In entries — the "state size" metric used by the
     overhead experiments. *)
-
-val impl : t -> string
-val config : t -> Bgp.Config.t
-val pp : Format.formatter -> t -> unit

@@ -54,10 +54,6 @@ let speaker sh id =
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Store.speaker: node %d not in shadow" id)
 
-let run sh span =
-  Netsim.Engine.run ~until:(Netsim.Time.add (Netsim.Engine.now sh.sh_engine) span)
-    sh.sh_engine
-
 let loc_ribs sh =
   List.map (fun (id, sp) -> (id, Bgp.Speaker.loc_rib sp)) sh.sh_speakers
 

@@ -31,22 +31,10 @@ val spawn :
     captured bug flags per node. *)
 
 val speaker : shadow -> int -> Bgp.Speaker.t
-val run : shadow -> Netsim.Time.span -> unit
-(** Advance the shadow's virtual time. *)
-
-val loc_ribs : shadow -> (int * Bgp.Rib.route Bgp.Prefix.Map.t) list
-(** Every speaker's current Loc-RIB, in [sh_speakers] order.  The maps
-    are persistent values, so a list taken now still describes this
-    moment after the shadow runs on; holding one costs pointers, not a
-    copy. *)
-
-val fingerprint_of_loc_ribs : (int * Bgp.Rib.route Bgp.Prefix.Map.t) list -> int
-(** Full-content hash of a {!loc_ribs} sample: every route's prefix,
-    peer and AS path. *)
 
 val loc_rib_fingerprint : shadow -> int
-(** [fingerprint_of_loc_ribs (loc_ribs sh)] — used by isolation and
-    oscillation checks. *)
+(** Full-content hash of every speaker's Loc-RIB (each route's prefix,
+    peer and AS path) — used by isolation and oscillation checks. *)
 
 val digest : shadow -> Digest.t option
 (** The full state: {!Netsim.Network.digest} of the shadow's network
@@ -67,7 +55,7 @@ val settle : ?budget:int -> shadow -> settled
     100 events.  A revisit (A -> B -> A: changed since the last sample,
     seen before) makes a budget run [Oscillating]; without one it is
     [Diverging].  A revisit needs three samples, so the first two are
-    kept as {!loc_ribs} pointers and fingerprinted only once a third is
+    kept as Loc-RIB map pointers and fingerprinted only once a third is
     taken; a shadow that quiesces before its third sample computes no
     fingerprint at all.
 

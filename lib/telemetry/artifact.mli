@@ -49,7 +49,6 @@ val as_float : Json.t -> (float, string) result
 (** Accepts [Int] as well as [Float]. *)
 
 val as_string : Json.t -> (string, string) result
-val as_bool : Json.t -> (bool, string) result
 val as_list : Json.t -> (Json.t list, string) result
 
 val map_result : ('a -> ('b, string) result) -> 'a list -> ('b list, string) result

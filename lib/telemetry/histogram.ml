@@ -30,8 +30,6 @@ let create ?(buckets = default_buckets) name =
     rev_samples = [];
     lock = Mutex.create () }
 
-let name t = t.h_name
-
 let bucket_index le v =
   (* First bucket whose upper bound admits [v]; length le = overflow. *)
   let n = Array.length le in
@@ -94,17 +92,6 @@ let buckets t =
         Array.to_list (Array.mapi (fun i le -> (le, t.counts.(i))) t.le)
       in
       bounded @ [ (infinity, t.counts.(Array.length t.le)) ])
-
-let samples t = locked t (fun () -> List.rev t.rev_samples)
-
-let clear t =
-  locked t (fun () ->
-      Array.fill t.counts 0 (Array.length t.counts) 0;
-      t.n <- 0;
-      t.total <- 0.;
-      t.lo <- infinity;
-      t.hi <- neg_infinity;
-      t.rev_samples <- [])
 
 let pp ppf t =
   let n = count t in

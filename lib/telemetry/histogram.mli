@@ -13,28 +13,20 @@
 
 type t
 
-val default_buckets : float array
-(** Decades from [1.0] to [1e9] — a sensible default for microsecond
-    durations and event counts. *)
-
 val create : ?buckets:float array -> string -> t
 (** [create name] makes an empty histogram.  [buckets] must be strictly
     increasing (checked); values above the last bound land in the
     overflow bucket.
     @raise Invalid_argument if [buckets] is empty or not increasing. *)
 
-val name : t -> string
 val observe : t -> float -> unit
 val count : t -> int
 val sum : t -> float
 
-val mean : t -> float
-(** [nan] when no sample was recorded — as are {!min_value},
-    {!max_value} and {!percentile}.  Callers must test with
-    [Float.is_nan], never with [=]. *)
-
 val min_value : t -> float
 val max_value : t -> float
+(** [nan] when no sample was recorded, as is {!percentile}.  Callers
+    must test with [Float.is_nan], never with [=]. *)
 
 val percentile : t -> float -> float
 (** [percentile t p] is the nearest-rank percentile of the recorded
@@ -43,18 +35,9 @@ val percentile : t -> float -> float
     (no off-by-one at either edge).  [nan] on an empty histogram.
     @raise Invalid_argument if [p] is outside [\[0, 1\]] or NaN. *)
 
-val percentile_of_sorted : float array -> float -> float
-(** The underlying nearest-rank formula on an already-sorted array;
-    exposed so other sample stores (e.g. [Netsim.Stats]) share one
-    implementation.  Same edge behaviour as {!percentile}. *)
-
 val buckets : t -> (float * int) list
 (** [(upper_bound, count)] per bucket in increasing bound order; the
     final entry is [(infinity, overflow_count)].  A value [v] is
     counted in the first bucket with [v <= upper_bound]. *)
 
-val samples : t -> float list
-(** Recorded samples, oldest first. *)
-
-val clear : t -> unit
 val pp : Format.formatter -> t -> unit

@@ -55,15 +55,6 @@ let entries () =
   Mutex.unlock registry_lock;
   List.sort (fun (a, _) (b, _) -> String.compare a b) all
 
-let reset_all () =
-  List.iter
-    (fun (_, m) ->
-      match m with
-      | Counter c -> reset c
-      | Gauge g -> set g 0
-      | Hist h -> Histogram.clear h)
-    (entries ())
-
 let float_or_null f = if Float.is_finite f then Json.Float f else Json.Null
 
 let hist_json h =
@@ -102,9 +93,6 @@ let snapshot () =
       in
       (name, v))
     (entries ())
-
-let filtered ~prefix () =
-  List.filter (fun (name, _) -> String.starts_with ~prefix name) (snapshot ())
 
 let pp_report ppf () =
   List.iter

@@ -26,15 +26,9 @@ val reset : counter -> unit
 
 val gauge : string -> gauge
 val set : gauge -> int -> unit
-val gauge_value : gauge -> int
 
 val histogram : ?buckets:float array -> string -> Histogram.t
 (** Find-or-register; [buckets] only applies on first registration. *)
-
-val reset_all : unit -> unit
-(** Zero every counter and gauge and clear every histogram; the
-    registry keeps its entries.  For tests and benchmark sections that
-    need isolated accounting. *)
 
 val snapshot : unit -> (string * Json.t) list
 (** One [(name, value)] pair per registered metric, sorted by name.
@@ -43,10 +37,6 @@ val snapshot : unit -> (string * Json.t) list
     [{"kind": "histogram", "count": n, "sum": s, "min": .., "max": ..,
     "p50": .., "p99": .., "buckets": [{"le": b, "n": c}, ...]}] with
     [null] for the undefined fields of an empty histogram. *)
-
-val filtered : prefix:string -> unit -> (string * Json.t) list
-(** {!snapshot} restricted to metric names starting with [prefix]
-    (e.g. [~prefix:"confuzz.cov."] for the clause-coverage bitmap). *)
 
 val pp_report : Format.formatter -> unit -> unit
 (** Human-readable dump of the registry, one metric per line, sorted;

@@ -206,16 +206,6 @@ let rec events = function
   | Tee (a, b) -> ( match events a with [] -> events b | evs -> evs)
   | Noop | Jsonl _ -> []
 
-let rec flush = function
-  | Jsonl j ->
-      Mutex.lock j.j_lock;
-      Stdlib.flush j.oc;
-      Mutex.unlock j.j_lock
-  | Tee (a, b) ->
-      flush a;
-      flush b
-  | Noop | Ring _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Streaming reader                                                    *)
 (* ------------------------------------------------------------------ *)

@@ -54,7 +54,7 @@ val memory : unit -> t
     analysis. *)
 
 val jsonl : out_channel -> t
-(** The caller owns the channel; {!flush} before closing it. *)
+(** The caller owns the channel and closes it. *)
 
 val ring : capacity:int -> t
 (** A bounded [memory]: keeps the most recent [capacity] events,
@@ -72,8 +72,6 @@ val events : t -> (int * event) list
 (** Buffered [(seq, event)] pairs in ascending [seq] order; [[]] for
     non-buffering sinks ([Noop], [Jsonl]).  For a tee, the first
     buffering branch wins. *)
-
-val flush : t -> unit
 
 val to_json : seq:int -> event -> Json.t
 val of_json : Json.t -> (int * event, string) result

@@ -11,7 +11,7 @@
     {!set_clock} — the orchestrator and the demo wire it to
     [Netsim.Engine.now], so a given seed yields the same timestamps on
     every host.  Wall-clock time appears only in the run-header
-    attributes written by {!run_header}.
+    attributes {!with_jsonl} writes on the first line.
 
     {b Domain safety.}  The span context is domain-local
     ([Domain.DLS]); spans recorded from pool workers keep their causal
@@ -24,9 +24,6 @@ module Metrics = Metrics
 module Sink = Sink
 module Schema = Schema
 module Artifact = Artifact
-
-val schema_version : string
-(** ["dice-telemetry/1"]. *)
 
 (** {1 Sink management} *)
 
@@ -45,8 +42,6 @@ val current_clock : unit -> unit -> int
     simulation (which installs its own clock) and re-install it after,
     so an outer run's timeline survives inner headless replays (the
     triage minimizer does this). *)
-
-val now_us : unit -> int
 
 (** {1 Spans} *)
 
@@ -75,10 +70,6 @@ val with_path : int list -> (unit -> 'a) -> 'a
 
 (** {1 Events} *)
 
-val run_header : ?attrs:(string * Json.t) list -> unit -> unit
-(** Emit the artifact's first line: schema id, caller attributes, and
-    a [wall_unix] timestamp (the only wall-clock value in the file). *)
-
 val fault :
   ?t_us:int ->
   fault_class:string ->
@@ -105,10 +96,6 @@ val sys_event :
     [unquarantine]).  First-class so the cascade stitcher sees them
     without reverse-engineering trace details.  [t_us] defaults to the
     clock. *)
-
-val metrics_snapshot : unit -> unit
-(** Emit one [metric] event per registered metric — call once at end
-    of run before closing the sink. *)
 
 (** {1 Exporter conveniences} *)
 

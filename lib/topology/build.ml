@@ -5,9 +5,7 @@ type t = {
   speakers : (int * Bgp.Speaker.t) list;
 }
 
-let deploy ?(seed = 42) ?(config_of = Gao_rexford.config_of)
-    ?(bugs_of = fun _ -> Bgp.Router.no_bugs) ?(links_of = Generate.link_model)
-    ?(sparrow_nodes = []) graph =
+let deploy ?(seed = 42) ?(sparrow_nodes = []) graph =
   let engine = Netsim.Engine.create ~seed () in
   let net = Netsim.Network.create ~label:"live" engine in
   let link_rng = Netsim.Rng.split (Netsim.Engine.rng engine) in
@@ -16,18 +14,16 @@ let deploy ?(seed = 42) ?(config_of = Gao_rexford.config_of)
     (Graph.node_ids graph);
   List.iter
     (fun (e : Graph.edge) ->
-      Netsim.Network.connect_sym net e.a e.b (links_of link_rng graph e.a e.b))
+      Netsim.Network.connect_sym net e.a e.b (Generate.link_model link_rng graph e.a e.b))
     graph.Graph.edges;
   let speakers =
     List.map
       (fun id ->
-        let cfg = config_of graph id in
+        let cfg = Gao_rexford.config_of graph id in
         let sp =
           if List.mem id sparrow_nodes then
-            Bgp.Sparrow.speaker (Bgp.Sparrow.create ~bugs:(bugs_of id) ~net ~node:id cfg)
-          else
-            Bgp.Speaker.of_router
-              (Bgp.Router.create ~bugs:(bugs_of id) ~net ~node:id cfg)
+            Bgp.Sparrow.speaker (Bgp.Sparrow.create ~net ~node:id cfg)
+          else Bgp.Speaker.of_router (Bgp.Router.create ~net ~node:id cfg)
         in
         (id, sp))
       (Graph.node_ids graph)
@@ -68,7 +64,9 @@ let total_updates_sent t =
 (* Quiescence = selections stable over a whole window AND no UPDATE
    traffic during it; comparing snapshots alone can alias when an
    oscillation's period lines up with the window. *)
-let converge ?(window = Netsim.Time.span_sec 30.) ?(timeout = Netsim.Time.span_sec 600.) t =
+let converge t =
+  let window = Netsim.Time.span_sec 30. in
+  let timeout = Netsim.Time.span_sec 600. in
   let deadline = Netsim.Time.add (Netsim.Engine.now t.engine) timeout in
   let rec go previous sent_before =
     if Netsim.Time.(deadline <= Netsim.Engine.now t.engine) then false

@@ -13,15 +13,9 @@ type t = {
   speakers : (int * Bgp.Speaker.t) list;  (** sorted by node id *)
 }
 
-val deploy :
-  ?seed:int ->
-  ?config_of:(Graph.t -> int -> Bgp.Config.t) ->
-  ?bugs_of:(int -> Bgp.Router.bugs) ->
-  ?links_of:(Netsim.Rng.t -> Graph.t -> int -> int -> Netsim.Link.t) ->
-  ?sparrow_nodes:int list ->
-  Graph.t ->
-  t
-(** Defaults: Gao–Rexford configs, no bugs, [Generate.link_model],
+val deploy : ?seed:int -> ?sparrow_nodes:int list -> Graph.t -> t
+(** Every node gets its {!Gao_rexford.config_of} configuration, no bug
+    flags and {!Generate.link_model} links.  Defaults: seed 42,
     homogeneous bird-like deployment. *)
 
 val speaker : t -> int -> Bgp.Speaker.t
@@ -29,11 +23,10 @@ val start_all : t -> unit
 
 val run_for : t -> Netsim.Time.span -> unit
 
-val converge : ?window:Netsim.Time.span -> ?timeout:Netsim.Time.span -> t -> bool
+val converge : t -> bool
 (** Advance the simulation until every speaker's Loc-RIB is unchanged
-    and no UPDATE was sent over a whole [window] (default 30 s), or
-    [timeout] (default 600 s) of simulated time elapses.  Returns
-    whether quiescence was reached. *)
+    and no UPDATE was sent over a whole 30 s window, or 600 s of
+    simulated time elapse.  Returns whether quiescence was reached. *)
 
 val total_updates_sent : t -> int
 

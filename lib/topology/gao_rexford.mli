@@ -27,23 +27,8 @@ val community_peer : Bgp.Community.t
 val community_provider : Bgp.Community.t
 (** 65000:300 *)
 
-val local_pref_customer : int
-val local_pref_peer : int
-val local_pref_provider : int
-
-val martian_filter : Bgp.Policy.entry list
-(** Deny entries for martian space and bogus netmasks, prepended to
-    every generated import map (entries 1-4). *)
-
-val import_map_name : Graph.role -> string
-val export_map_name : Graph.role -> string
-
 val import_map : Graph.role -> Bgp.Policy.t
 (** Martian filter + relationship tagging + Gao-Rexford preference. *)
-
-val export_map : Graph.role -> Bgp.Policy.t
-(** To customers: everything; to peers/providers: own and
-    customer-learned routes only. *)
 
 val config_of : Graph.t -> int -> Bgp.Config.t
 (** The full configuration for one node: neighbors with role-specific
@@ -59,7 +44,6 @@ val tiering : nodes:int -> int * int * int
     topology: ~2% tier-1 (min 3), ~18% transit, the rest stubs.
     @raise Invalid_argument when [nodes < 5]. *)
 
-val scale_params : nodes:int -> Generate.params
 val scale_graph : nodes:int -> seed:int -> Graph.t
 (** The canonical [nodes]-router Gao-Rexford benchmark topology for a
     seed; shared by [dice_demo --topo gao-rexford:N], the [bench scale]

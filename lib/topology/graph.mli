@@ -30,7 +30,6 @@ val providers_of : t -> int -> int list
 val customers_of : t -> int -> int list
 val peers_of : t -> int -> int list
 val neighbors : t -> int -> int list
-val edge_between : t -> int -> int -> edge option
 
 (** Relationship of [neighbor] as seen from [self]. *)
 type role = Customer | Provider | Peer

@@ -84,8 +84,3 @@ let load path =
       (match parse text with
       | Ok g -> Ok g
       | Error e -> Error (Format.asprintf "%s: %a" path pp_parse_error e))
-
-let save path g =
-  let oc = open_out path in
-  output_string oc (render g);
-  close_out oc

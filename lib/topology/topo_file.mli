@@ -21,6 +21,3 @@ val render : Graph.t -> string
 
 val load : string -> (Graph.t, string) result
 (** Read and parse a file path. *)
-
-val save : string -> Graph.t -> unit
-val pp_parse_error : Format.formatter -> parse_error -> unit

@@ -38,8 +38,6 @@ type entry = {
           the replaced scenario). *)
 }
 
-val env_fingerprint : unit -> (string * string) list
-
 val filename_of : Dice.Signature.t -> string
 (** [md5_hex (Signature.to_string sg) ^ ".json"] — stable across runs
     and hosts. *)
@@ -65,9 +63,6 @@ val find : dir:string -> Dice.Signature.t -> entry option
 val remove : dir:string -> Dice.Signature.t -> bool
 
 (** {1 Repair record} *)
-
-val repair_schema_version : string
-(** ["dice-repair/1"]. *)
 
 type repair_status = [ `None | `Candidate | `Verified ]
 

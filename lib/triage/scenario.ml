@@ -692,5 +692,3 @@ let of_string s =
   of_json j
 
 let equal a b = String.equal (to_string a) (to_string b)
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -175,4 +175,3 @@ val of_string : string -> (t, string) result
     with [equal t t']. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

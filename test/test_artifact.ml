@@ -126,7 +126,17 @@ let dispatches_every_schema () =
   in
   A.write_json ~path:(file "confuzz.json")
     (Confuzz.Report.to_json ~guided:arm ~random:arm ());
-  accepts "confuzz report" (file "confuzz.json")
+  accepts "confuzz report" (file "confuzz.json");
+  (* A report from before its registry snapshot was dropped still
+     carries a [metrics] member, and stays valid. *)
+  Out_channel.with_open_bin (file "confuzz-metrics.json") (fun oc ->
+      output_string oc
+        "{\"schema\":\"dice-confuzz-cov/1\",\"guided\":{\"budget\":2,\"seed\":1,\
+         \"guided\":true,\"universe\":3,\"baseline_covered\":1,\"covered\":2,\
+         \"curve\":[2,2],\"kept\":1,\"findings\":0,\"uncovered\":[\"n0/M/e1/act\"]},\
+         \"random\":null,\"metrics\":{\"confuzz.cov.n0/M/e1/m0=T\":\
+         {\"kind\":\"counter\",\"value\":3}}}\n");
+  accepts "confuzz report with a metrics member" (file "confuzz-metrics.json")
 
 let rejects_unknown_and_invalid () =
   Test_campaign.with_temp_dir @@ fun dir ->

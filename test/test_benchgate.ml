@@ -17,7 +17,7 @@ let doc ~decode ~shadows ?(extra = []) () =
 
 let baseline = doc ~decode:800. ~shadows:3. ()
 
-let verdicts fresh = Gate.check ~baseline ~fresh ()
+let verdicts fresh = Gate.check ~baseline ~fresh
 
 let find metric vs =
   match List.find_opt (fun v -> v.Gate.metric = metric) vs with
@@ -83,7 +83,7 @@ let gate_ungated_names_pass_through () =
       [ ("scale", Json.Obj [ ("lite", Json.Obj [ ("routes", Json.Int 10) ]) ]) ]
   in
   Alcotest.(check int) "descriptive fields have no rule" 0
-    (List.length (Gate.check ~baseline ~fresh ()))
+    (List.length (Gate.check ~baseline ~fresh))
 
 (* Time to first detection: the deterministic fields gate exactly, so a
    later or missed detection fails; wall time rides the deploy margin. *)
@@ -103,7 +103,7 @@ let gate_detection_family () =
   in
   let baseline = row 0.06 in
   let check_run name fresh ok_expected failing =
-    let vs = Gate.check ~baseline ~fresh () in
+    let vs = Gate.check ~baseline ~fresh in
     Alcotest.(check int) (name ^ ": every field gated") 5 (List.length vs);
     Alcotest.(check (list string)) (name ^ ": failing metrics") failing
       (List.filter_map (fun v -> if v.Gate.ok then None else Some v.Gate.metric) vs);

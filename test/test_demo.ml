@@ -4,22 +4,25 @@
 
 let check = Alcotest.check
 
-let demo =
+(* The built [bin/NAME.exe]. *)
+let exe name =
   Filename.concat
     (Filename.dirname Sys.executable_name)
     (Filename.concat Filename.parent_dir_name
-       (Filename.concat "bin" "dice_demo.exe"))
+       (Filename.concat "bin" (name ^ ".exe")))
 
-(* Run the demo with its output captured under [dir]; return its exit
-   code, stdout and stderr. *)
-let run_demo dir args =
+(* Run [bin/NAME.exe] with its output captured under [dir]; return its
+   exit code, stdout and stderr. *)
+let run_exe name dir args =
   let out = Filename.concat dir "stdout" and err = Filename.concat dir "stderr" in
   let code =
     Sys.command
-      (String.concat " " (List.map Filename.quote (demo :: args))
+      (String.concat " " (List.map Filename.quote (exe name :: args))
       ^ " >" ^ Filename.quote out ^ " 2>" ^ Filename.quote err)
   in
   (code, Test_campaign.read_file out, Test_campaign.read_file err)
+
+let run_demo = run_exe "dice_demo"
 
 let contains s sub =
   let n = String.length s and m = String.length sub in

@@ -29,4 +29,5 @@ let () =
       ("campaign", Test_campaign.suite);
       ("repair", Test_repair.suite);
       ("artifact", Test_artifact.suite);
-      ("demo", Test_demo.suite) ]
+      ("demo", Test_demo.suite);
+      ("fuzz-cli", Test_fuzz_cli.suite) ]

@@ -101,7 +101,9 @@ let schedule_window () =
   let net = Netsim.Network.create eng in
   Netsim.Network.add_node net 0 (fun ~src:_ (_ : string) -> ());
   let t = Netsim.Mangler.create ~seed:4 () in
-  let sched = Netsim.Mangler.window ~rate:0.25 ~from_:(span_sec 5.) ~until_:(span_sec 10.) () in
+  let sched =
+    Netsim.Mangler.window ~rate:0.25 ~from_:(span_sec 5.) ~until_:(span_sec 10.)
+  in
   let timers = Netsim.Mangler.apply t net sched in
   Netsim.Engine.run ~until:(Netsim.Time.of_sec 7.) eng;
   check (Alcotest.float 1e-9) "window open" 0.25 (Netsim.Mangler.rate t);
