@@ -22,9 +22,11 @@ let explore_with ~domains ~build ~gt ~node =
       ~speakers:(fun id -> Topology.Build.speaker build id)
       build.Topology.Build.net
   in
-  let params = { Dice.Explorer.default_params with Dice.Explorer.domains } in
   let t0 = Unix.gettimeofday () in
-  let x = Dice.Explorer.explore_node ~params ~build ~cut ~gt ~node () in
+  let x =
+    Parallel.Pool.with_pool ~domains (fun pool ->
+        Dice.Explorer.explore_node ~pool ~build ~cut ~gt ~node ())
+  in
   let wall = Unix.gettimeofday () -. t0 in
   { xr_domains = domains;
     xr_wall = wall;

@@ -221,15 +221,7 @@ let run_config c =
       ("lpm_ns", f rib.lpm_ns);
       ("peak_rss_mb", f rss) ]
 
-let run ?(config = "lite") () =
-  let c =
-    match List.find_opt (fun c -> c.c_name = config) configs with
-    | Some c -> c
-    | None ->
-        Printf.eprintf "unknown scale config %S; available: %s\n" config
-          (String.concat " " (List.map (fun c -> c.c_name) configs));
-        exit 1
-  in
+let run c =
   let result = run_config c in
   (* Fresh micro numbers ride along so bench_check gates one file. *)
   let micro = Micro.results () in

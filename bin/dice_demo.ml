@@ -332,11 +332,13 @@ let run topo nodes seed (fault, inject) rounds churn adversary mangle_rate
         summary := Some s;
         s
       in
-      let on_cascade f = Format.printf "cascade detected: %a@." Dice.Fault.pp f in
+      let on_fault f =
+        if f.Dice.Fault.f_class = Dice.Fault.Cascade then
+          Format.printf "cascade detected: %a@." Dice.Fault.pp f;
+        Option.iter (fun c -> Triage.Auto.hook c f) collector
+      in
       let o =
-        S.run_observed ~on_deployed:(print_plan ~corpus_dir ~rounds d)
-          ?on_fault:(Option.map Triage.Auto.hook collector)
-          ?on_cascade:(if cascade then Some on_cascade else None)
+        S.run_observed ~on_deployed:(print_plan ~corpus_dir ~rounds d) ~on_fault
           ~around_explore scenario
       in
       match (o.S.o_error, !summary) with

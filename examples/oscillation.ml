@@ -19,7 +19,11 @@ let () =
       Sys.argv;
     match !named with
     | Some p -> p
-    | None -> Filename.temp_file "oscillation" ".jsonl"
+    | None ->
+        (* No file named: the artifact is scratch, gone when we exit. *)
+        let p = Filename.temp_file "oscillation" ".jsonl" in
+        at_exit (fun () -> if Sys.file_exists p then Sys.remove p);
+        p
   in
   let graph = Topology.Gadget.bad_gadget () in
   Printf.printf "deploying %s\n%!" (Topology.Render.summary_line graph);

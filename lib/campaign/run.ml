@@ -176,7 +176,7 @@ let drive ?runner ?(log = ignore) ?crash_after ?corpus_dir ~dir ~writer
     Journal.append writer (Journal.Started { job = job.j_id; attempt });
     let body () =
       match
-        Cascade.Online.with_monitor ~capacity:65536 (fun mon ->
+        Cascade.Online.with_monitor (fun mon ->
             let o = runner job.j_scenario in
             let roots =
               List.sort_uniq String.compare

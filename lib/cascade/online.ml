@@ -15,7 +15,11 @@ let probe t =
       end)
     cascades
 
-let with_monitor ?(capacity = 8192) f =
+(* Wide enough for a whole small deployment's replay: the loc-rib flips
+   and supervisor decisions of every round stay in view. *)
+let capacity = 65536
+
+let with_monitor f =
   let prev = Telemetry.sink () in
   let ring = Telemetry.Sink.ring ~capacity in
   (* Tee so the run's own sink (artifact, memory, ...) keeps seeing

@@ -6,7 +6,6 @@ type params = {
   peers_per_node : int;
   shadow_budget : int;
   check_convergence : bool;
-  domains : int;
   snapshot_deadline : Netsim.Time.span option;
 }
 
@@ -19,7 +18,6 @@ let default_params =
     peers_per_node = 1;
     shadow_budget = 30_000;
     check_convergence = true;
-    domains = 1;
     snapshot_deadline = None }
 
 type exploration = {
@@ -336,97 +334,90 @@ let record_clause_coverage () =
   end
 
 let explore_node ?(params = default_params) ?pool ~build ~cut ~gt ~node () =
-  let go pool =
-    Telemetry.with_span "explore"
-      ~attrs:[ ("node", Telemetry.Json.Int node) ]
-    @@ fun xsp ->
-    (* Step 1: consistent snapshot.  Under churn the cut may abort at
-       its deadline; we then explore the nodes we did checkpoint (the
-       initiator is always among them) and report the gap honestly. *)
-    let cut_result =
-      take_snapshot ?deadline:params.snapshot_deadline ~build ~cut ~node ()
-    in
-    let snapshot = Snapshot.Cut.snapshot_of cut_result in
-    let stalled = Snapshot.Cut.stalled_of cut_result in
-    let t0 = Unix.gettimeofday () in
-    let now = Netsim.Engine.now build.Topology.Build.engine in
-    let span =
-      Netsim.Time.diff snapshot.Snapshot.Cut.completed_at
-        snapshot.Snapshot.Cut.started_at
-    in
-    let cfg = (Topology.Build.speaker build node).Bgp.Speaker.sp_config () in
-    let peers =
-      List.filteri (fun i _ -> i < params.peers_per_node) cfg.Bgp.Config.neighbors
-    in
-    (* Every replay of this cut starts from the same snapshot, so it
-       shares the pristine clone's verdicts; the memo carries them
-       across cuts, so only the speakers that changed since the last
-       cut are checked here.  Recorded before the replays fan out,
-       which only read it. *)
-    let pristine = pristine ~params snapshot in
-    ignore (Checks.record gt pristine);
-    let base_faults, base_digests = baseline_results ~gt ~node ~now pristine in
-    let explore (n : Bgp.Config.neighbor) =
-      explore_peer ~params ~pool ~gt ~build ~snapshot ~node
-        ~peer_addr:n.Bgp.Config.addr
-    in
-    (* Sessions fan out across the same pool; nested per-input jobs are
-       safe because Pool.await helps drain the queue. *)
-    let merged =
-      match pool with
-      | Some p when Parallel.Pool.size p > 1 && List.length peers > 1 ->
-          let path = Telemetry.span_path () in
-          Parallel.Pool.map_list p
-            (fun peer -> Telemetry.with_path path (fun () -> explore peer))
-            peers
-      | Some _ | None -> List.map explore peers
-    in
-    let faults = base_faults @ List.concat_map (fun pr -> pr.pr_faults) merged in
-    let digests = base_digests @ List.concat_map (fun pr -> pr.pr_digests) merged in
-    let sum f = List.fold_left (fun acc pr -> acc + f pr) 0 merged in
-    let inputs = sum (fun pr -> pr.pr_result.Concolic.Engine.inputs_executed) in
-    let paths = sum (fun pr -> pr.pr_result.Concolic.Engine.distinct_paths) in
-    let crashes = sum (fun pr -> List.length pr.pr_result.Concolic.Engine.crashes) in
-    let shadows = sum (fun pr -> pr.pr_shadow_runs) in
-    let mangled = sum (fun pr -> pr.pr_mangled) in
-    let work =
-      List.fold_left (fun acc pr -> acc +. pr.pr_work_seconds) 0. merged
-    in
-    let deduped = Fault.dedupe faults in
-    Telemetry.Metrics.add (Lazy.force m_inputs) inputs;
-    Telemetry.Metrics.add (Lazy.force m_shadow_runs) shadows;
-    Telemetry.Metrics.add (Lazy.force m_mangled) mangled;
-    Telemetry.Metrics.add (Lazy.force m_crashes) crashes;
-    Telemetry.Metrics.add (Lazy.force m_faults) (List.length deduped);
-    Telemetry.Histogram.observe
-      (Lazy.force m_snapshot_span)
-      (float_of_int span);
-    record_clause_coverage ();
-    Telemetry.add_attr xsp
-      [ ("inputs", Telemetry.Json.Int inputs);
-        ("faults", Telemetry.Json.Int (List.length deduped));
-        ("partial", Telemetry.Json.Bool (stalled <> [])) ];
-    { x_node = node;
-      x_snapshot = snapshot;
-      x_partial = stalled <> [];
-      x_stalled = stalled;
-      x_faults = deduped;
-      x_digests = digests;
-      x_inputs = inputs;
-      x_shadow_runs = shadows;
-      x_mangled = mangled;
-      x_distinct_paths = paths;
-      x_crashes = crashes;
-      x_snapshot_span = span;
-      x_wall_seconds = Unix.gettimeofday () -. t0;
-      x_work_seconds = work;
-      x_domains = (match pool with Some p -> Parallel.Pool.size p | None -> 1) }
+  Telemetry.with_span "explore"
+    ~attrs:[ ("node", Telemetry.Json.Int node) ]
+  @@ fun xsp ->
+  (* Step 1: consistent snapshot.  Under churn the cut may abort at
+     its deadline; we then explore the nodes we did checkpoint (the
+     initiator is always among them) and report the gap honestly. *)
+  let cut_result =
+    take_snapshot ?deadline:params.snapshot_deadline ~build ~cut ~node ()
   in
-  match pool with
-  | Some _ -> go pool
-  | None when params.domains > 1 ->
-      Parallel.Pool.with_pool ~domains:params.domains (fun p -> go (Some p))
-  | None -> go None
+  let snapshot = Snapshot.Cut.snapshot_of cut_result in
+  let stalled = Snapshot.Cut.stalled_of cut_result in
+  let t0 = Unix.gettimeofday () in
+  let now = Netsim.Engine.now build.Topology.Build.engine in
+  let span =
+    Netsim.Time.diff snapshot.Snapshot.Cut.completed_at
+      snapshot.Snapshot.Cut.started_at
+  in
+  let cfg = (Topology.Build.speaker build node).Bgp.Speaker.sp_config () in
+  let peers =
+    List.filteri (fun i _ -> i < params.peers_per_node) cfg.Bgp.Config.neighbors
+  in
+  (* Every replay of this cut starts from the same snapshot, so it
+     shares the pristine clone's verdicts; the memo carries them
+     across cuts, so only the speakers that changed since the last
+     cut are checked here.  Recorded before the replays fan out,
+     which only read it. *)
+  let pristine = pristine ~params snapshot in
+  ignore (Checks.record gt pristine);
+  let base_faults, base_digests = baseline_results ~gt ~node ~now pristine in
+  let explore (n : Bgp.Config.neighbor) =
+    explore_peer ~params ~pool ~gt ~build ~snapshot ~node
+      ~peer_addr:n.Bgp.Config.addr
+  in
+  (* Sessions fan out across the same pool; nested per-input jobs are
+     safe because Pool.await helps drain the queue. *)
+  let merged =
+    match pool with
+    | Some p when Parallel.Pool.size p > 1 && List.length peers > 1 ->
+        let path = Telemetry.span_path () in
+        Parallel.Pool.map_list p
+          (fun peer -> Telemetry.with_path path (fun () -> explore peer))
+          peers
+    | Some _ | None -> List.map explore peers
+  in
+  let faults = base_faults @ List.concat_map (fun pr -> pr.pr_faults) merged in
+  let digests = base_digests @ List.concat_map (fun pr -> pr.pr_digests) merged in
+  let sum f = List.fold_left (fun acc pr -> acc + f pr) 0 merged in
+  let inputs = sum (fun pr -> pr.pr_result.Concolic.Engine.inputs_executed) in
+  let paths = sum (fun pr -> pr.pr_result.Concolic.Engine.distinct_paths) in
+  let crashes = sum (fun pr -> List.length pr.pr_result.Concolic.Engine.crashes) in
+  let shadows = sum (fun pr -> pr.pr_shadow_runs) in
+  let mangled = sum (fun pr -> pr.pr_mangled) in
+  let work =
+    List.fold_left (fun acc pr -> acc +. pr.pr_work_seconds) 0. merged
+  in
+  let deduped = Fault.dedupe faults in
+  Telemetry.Metrics.add (Lazy.force m_inputs) inputs;
+  Telemetry.Metrics.add (Lazy.force m_shadow_runs) shadows;
+  Telemetry.Metrics.add (Lazy.force m_mangled) mangled;
+  Telemetry.Metrics.add (Lazy.force m_crashes) crashes;
+  Telemetry.Metrics.add (Lazy.force m_faults) (List.length deduped);
+  Telemetry.Histogram.observe
+    (Lazy.force m_snapshot_span)
+    (float_of_int span);
+  record_clause_coverage ();
+  Telemetry.add_attr xsp
+    [ ("inputs", Telemetry.Json.Int inputs);
+      ("faults", Telemetry.Json.Int (List.length deduped));
+      ("partial", Telemetry.Json.Bool (stalled <> [])) ];
+  { x_node = node;
+    x_snapshot = snapshot;
+    x_partial = stalled <> [];
+    x_stalled = stalled;
+    x_faults = deduped;
+    x_digests = digests;
+    x_inputs = inputs;
+    x_shadow_runs = shadows;
+    x_mangled = mangled;
+    x_distinct_paths = paths;
+    x_crashes = crashes;
+    x_snapshot_span = span;
+    x_wall_seconds = Unix.gettimeofday () -. t0;
+    x_work_seconds = work;
+    x_domains = (match pool with Some p -> Parallel.Pool.size p | None -> 1) }
 
 (* Headless single-shot replay for the triage minimizer: one snapshot,
    the baseline (state) checkers, and optionally one recorded concolic

@@ -8,10 +8,11 @@
     4. aggregate remote verdicts only as privacy-preserving digests.
 
     Step 3 is embarrassingly parallel — each clone owns its engine,
-    network and speakers — and fans out across a [Parallel.Pool] when
-    [domains > 1] (or when a pool is passed in).  Results are merged in
-    input order, so the reported faults, digests and dedup are
-    identical to the sequential run. *)
+    network and speakers — and fans out across the caller's
+    [Parallel.Pool] when one is passed in ([?pool], the only
+    parallelism knob).  Results are merged in input order, so the
+    reported faults, digests and dedup are identical to the sequential
+    run. *)
 
 type params = {
   limits : Concolic.Engine.limits;
@@ -25,9 +26,6 @@ type params = {
   peers_per_node : int;  (** explore the first k sessions of the node *)
   shadow_budget : int;  (** event budget per shadow run *)
   check_convergence : bool;
-  domains : int;
-      (** parallelism for shadow replay; 1 (the default) is strictly
-          sequential and allocates no pool *)
   snapshot_deadline : Netsim.Time.span option;
       (** abort the cut into a [Partial] after this much simulated time;
           [None] (the default) waits the full 120 s horizon and fails if
@@ -79,9 +77,10 @@ val explore_node :
   node:int ->
   unit ->
   exploration
-(** [pool] overrides [params.domains]: when given, replays are fanned
-    out over it (and the caller is responsible for its lifetime); when
-    absent and [params.domains > 1], a pool is created for this call. *)
+(** [pool], when given, fans the replays (and, for
+    [peers_per_node > 1], the per-session explorations) out over the
+    caller's pool, whose lifetime the caller owns; without it the
+    exploration is strictly sequential. *)
 
 val replay_direct :
   ?params:params ->

@@ -24,15 +24,6 @@ type quarantine_event = {
   q_until_round : int;  (** first round index the node is eligible again *)
 }
 
-type supervisor = {
-  max_strikes : int;
-  backoff_rounds : int;
-  round_wall_budget : float option;
-}
-
-let default_supervisor =
-  { max_strikes = 3; backoff_rounds = 2; round_wall_budget = None }
-
 type summary = {
   rounds : round list;
   faults : Fault.t list;
@@ -180,7 +171,7 @@ let install_clock build =
    containment, and the live system advances by [interval] afterwards
    whatever the outcome — a crashing explorer must not stall the
    deployment or the remaining rounds. *)
-let one_round ~params ~pool ~supervisor ~build ~cut ~gt ~interval ~index node =
+let one_round ~params ~pool ~build ~cut ~gt ~interval ~index node =
   Telemetry.with_span "round"
     ~attrs:[ ("index", Telemetry.Json.Int index);
              ("node", Telemetry.Json.Int node) ]
@@ -194,17 +185,7 @@ let one_round ~params ~pool ~supervisor ~build ~cut ~gt ~interval ~index node =
             ( x,
               Printf.sprintf "partial cut: %d channel(s) never closed"
                 (List.length x.Explorer.x_stalled) )
-        else (
-          match supervisor.round_wall_budget with
-          | Some budget when x.Explorer.x_wall_seconds > budget ->
-              (* Domains cannot be killed, so the budget is enforced by
-                 observation: the round still yields its results but is
-                 flagged as over budget. *)
-              Degraded
-                ( x,
-                  Printf.sprintf "wall budget exceeded: %.2fs > %.2fs"
-                    x.Explorer.x_wall_seconds budget )
-          | Some _ | None -> Ok x)
+        else Ok x
     | exception e ->
         Failed
           { ei_exn = Printexc.to_string e;
@@ -218,21 +199,18 @@ let one_round ~params ~pool ~supervisor ~build ~cut ~gt ~interval ~index node =
     rd_outcome = outcome }
 
 (* The strike/backoff policy itself lives in {!Supervise} (the campaign
-   driver reuses it for scenario templates); the orchestrator keeps the
-   node mapping and the telemetry side effects. *)
+   driver reuses it for scenario templates, with its own strikes); the
+   orchestrator takes its defaults and keeps the node mapping and the
+   telemetry side effects. *)
 type sched = {
   s_nodes : int array;
   s_strikes : Supervise.t;
   mutable s_events : quarantine_event list;
 }
 
-let sched_make sup nodes =
+let sched_make nodes =
   let s_nodes = Array.of_list nodes in
-  { s_nodes;
-    s_strikes =
-      Supervise.create ~max_strikes:sup.max_strikes
-        ~backoff:sup.backoff_rounds (Array.length s_nodes);
-    s_events = [] }
+  { s_nodes; s_strikes = Supervise.create (Array.length s_nodes); s_events = [] }
 
 (* Quarantine expirations become first-class telemetry records the
    moment they take effect — the cascade stitcher pairs them with the
@@ -300,28 +278,6 @@ let make_notifier on_fault =
             end)
           faults
 
-(* [?on_cascade] is the cascade analogue of [?on_fault]: it fires once
-   per newly-seen {!Fault.Cascade} root, whether the cascade came from
-   the per-round [?probe] or from an exploration.  The detector itself
-   lives in [lib/cascade]; the orchestrator only provides the poll
-   point, so the core does not depend on the analysis layer. *)
-let make_cascade_notifier on_cascade =
-  match on_cascade with
-  | None -> fun _ -> ()
-  | Some f ->
-      let seen = Hashtbl.create 4 in
-      fun faults ->
-        List.iter
-          (fun (fault : Fault.t) ->
-            if fault.Fault.f_class = Fault.Cascade then begin
-              let k = Fault.root fault in
-              if not (Hashtbl.mem seen k) then begin
-                Hashtbl.add seen k ();
-                f fault
-              end
-            end)
-          faults
-
 (* The [?until] stop rule: a round stops the run when its exploration
    or probe reported the class — or, for programming errors, when a
    live crash was absorbed during it.  Without [until] the rule is a
@@ -339,14 +295,12 @@ let stop_rule until build =
         seen := n;
         has explored || has probed || (grew && cls = Fault.Programming_error)
 
-let run ?params ?pool ?(interval = Netsim.Time.span_sec 5.) ?nodes
-    ?(supervisor = default_supervisor) ?on_fault ?probe ?on_cascade ?until ~build ~gt
-    ~rounds () =
+let run ?params ?pool ?(interval = Netsim.Time.span_sec 5.) ?nodes ?on_fault ?probe
+    ?until ~build ~gt ~rounds () =
   let node_ids = node_list nodes build in
   if rounds > 0 && node_ids = [] then invalid_arg "Orchestrator.run: empty node list";
   install_clock build;
   let notify = make_notifier on_fault in
-  let notify_cascade = make_cascade_notifier on_cascade in
   let probed = ref [] in
   let poll () =
     match probe with
@@ -355,11 +309,10 @@ let run ?params ?pool ?(interval = Netsim.Time.span_sec 5.) ?nodes
         let pf = p () in
         probed := !probed @ pf;
         notify pf;
-        notify_cascade pf;
         pf
   in
   let stop = stop_rule until build in
-  let sched = sched_make supervisor node_ids in
+  let sched = sched_make node_ids in
   let cut = make_cut build in
   let rec go i acc =
     if i >= rounds then List.rev acc
@@ -367,15 +320,13 @@ let run ?params ?pool ?(interval = Netsim.Time.span_sec 5.) ?nodes
       sched_release sched i;
       let slot = sched_pick sched i in
       let r =
-        one_round ~params ~pool ~supervisor ~build ~cut ~gt ~interval ~index:i
-          sched.s_nodes.(slot)
+        one_round ~params ~pool ~build ~cut ~gt ~interval ~index:i sched.s_nodes.(slot)
       in
       sched_record sched ~round_index:i ~slot r.rd_outcome;
       let explored =
         match round_exploration r with
         | Some x ->
             notify x.Explorer.x_faults;
-            notify_cascade x.Explorer.x_faults;
             x.Explorer.x_faults
         | None -> []
       in

@@ -8,24 +8,24 @@
     loop of the paper.
 
     {b Supervision.} On a churning deployment a round can go wrong —
-    the cut aborts into a partial snapshot, the exploration takes too
-    long, or it raises.  Each round therefore runs under exception
-    containment and produces a {!round_outcome} instead of
-    propagating: [Ok] for a clean round, [Degraded] when the round
-    produced results from a partial cut or blew its wall budget, and
+    the cut aborts into a partial snapshot, or the exploration raises.
+    Each round therefore runs under exception containment and produces
+    a {!round_outcome} instead of propagating: [Ok] for a clean round,
+    [Degraded] when the round produced results from a partial cut, and
     [Failed] when the exploration raised (the live system still
     advances by [interval] so later rounds see fresh state).  A node
-    whose rounds fail {!supervisor.max_strikes} times consecutively is
-    quarantined — skipped by the scheduler — for
-    [backoff_rounds * 2^(previous quarantines)] rounds. *)
+    whose rounds fail 3 times consecutively is quarantined — skipped by
+    the scheduler — for [2 * 2^(previous quarantines)] rounds
+    ({!Supervise.create}'s defaults).  No outcome depends on host
+    speed, so a run's rounds replay identically anywhere. *)
 
 type exn_info = { ei_exn : string; ei_backtrace : string }
 
 type round_outcome =
   | Ok of Explorer.exploration
   | Degraded of Explorer.exploration * string
-      (** results were produced but coverage or budget suffered; the
-          string says why *)
+      (** results were produced from a partial cut; the string says
+          why *)
   | Failed of exn_info
 
 type round = {
@@ -43,15 +43,6 @@ type quarantine_event = {
   q_round : int;  (** round index whose failure triggered it *)
   q_strikes : int;
   q_until_round : int;  (** first round index the node is eligible again *)
-}
-
-type supervisor = {
-  max_strikes : int;  (** consecutive failures before quarantine *)
-  backoff_rounds : int;  (** base quarantine length; doubles each time *)
-  round_wall_budget : float option;
-      (** host seconds per round; an over-budget round is flagged
-          [Degraded] (domains cannot be killed, so enforcement is by
-          observation, not preemption) *)
 }
 
 type summary = {
@@ -83,10 +74,8 @@ val run :
   ?pool:Parallel.Pool.t ->
   ?interval:Netsim.Time.span ->
   ?nodes:int list ->
-  ?supervisor:supervisor ->
   ?on_fault:(Fault.t -> unit) ->
   ?probe:(unit -> Fault.t list) ->
-  ?on_cascade:(Fault.t -> unit) ->
   ?until:Fault.fault_class ->
   build:Topology.Build.t ->
   gt:Checks.ground_truth ->
@@ -103,13 +92,11 @@ val run :
     end of run) — the hook the triage layer uses to auto-minimize and
     file detections without the core depending on it.  [probe] is
     polled after every round; any faults it returns join the summary's
-    fault list and signatures and flow through the notification hooks
-    — the cascade monitor ([Cascade.Online]) plugs in here, analysing
-    its ring of recent telemetry without the core depending on the
-    analysis layer.  [on_cascade] fires once per newly-seen
-    {!Fault.Cascade} root (from probe or exploration).  Rounds never
-    propagate exploration exceptions — see the supervision notes
-    above.
+    fault list and signatures and flow through [on_fault] — the cascade
+    monitor ([Cascade.Online]) plugs in here, analysing its ring of
+    recent telemetry without the core depending on the analysis layer.
+    Rounds never propagate exploration exceptions — see the supervision
+    notes above.
 
     [until] stops the run early, after the first round whose
     exploration or [probe] reports a fault of that class; for

@@ -131,7 +131,7 @@ let metrics_snapshot () =
 let with_jsonl ?attrs path f =
   let oc = open_out path in
   let previous = sink () in
-  set_sink (Sink.jsonl oc);
+  set_sink (Sink.tee previous (Sink.jsonl oc));
   run_header ?attrs ();
   let finish () =
     metrics_snapshot ();

@@ -101,9 +101,10 @@ val sys_event :
 
 val with_jsonl :
   ?attrs:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
-(** [with_jsonl path f]: open [path], install a JSONL sink, emit the
-    run header, run [f], then append a metrics snapshot, restore the
-    previous sink and close the file (also on exception). *)
+(** [with_jsonl path f]: open [path], tee a JSONL sink onto the
+    installed one (so an outer monitor keeps seeing every event), emit
+    the run header, run [f], then append a metrics snapshot, restore
+    the previous sink and close the file (also on exception). *)
 
 val report : Format.formatter -> unit -> unit
 (** Human-readable end-of-run report over the metrics registry. *)

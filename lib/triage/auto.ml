@@ -32,6 +32,16 @@ let attempt_repair t (entry : Corpus.entry) sg =
       | None -> entry
       | Some record -> Corpus.set_repair ~dir:t.corpus_dir entry record)
 
+(* The confirm, minimize and repair replays are the collector's own
+   work, not the live run's: they record into a noop sink, so the
+   caller's artifact and cascade window see the same events whether or
+   not a corpus is being filed.  (Each replay still runs its own
+   cascade monitor, which tees onto the noop.) *)
+let quietly f =
+  let saved = Telemetry.sink () in
+  Telemetry.set_sink Telemetry.Sink.noop;
+  Fun.protect ~finally:(fun () -> Telemetry.set_sink saved) f
+
 let file_fault t (f : Dice.Fault.t) =
   let sg = Dice.Signature.of_fault ~graph:t.graph f in
   let key = Dice.Signature.to_string sg in
@@ -39,6 +49,7 @@ let file_fault t (f : Dice.Fault.t) =
   else begin
     t.seen <- key :: t.seen;
     let filed =
+      quietly @@ fun () ->
       (* Confirm the scenario reproduces the signature headlessly before
          spending the minimization budget; a non-reproducing detection
          (which a fully seeded scenario should never yield) is recorded

@@ -5,9 +5,10 @@
     detected fault is (1) fingerprinted against the deployment graph,
     (2) confirmed by one headless replay of the scenario, (3) shrunk by
     {!Minimize.run} using the detection's own concolic input as a hint,
-    and (4) filed into the corpus — all while the live run keeps going
-    (nested replays save/restore the telemetry clock, see
-    {!Scenario.run}). *)
+    and (4) filed into the corpus — all while the live run keeps going.
+    Nested replays save/restore the telemetry clock (see
+    {!Scenario.run}) and record into a noop sink, so the live run's
+    artifact and cascade window see only the live run. *)
 
 type filed = {
   fd_fault : Dice.Fault.t;

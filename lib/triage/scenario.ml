@@ -192,8 +192,8 @@ let explorer_params (e : exploration) churned =
           if churned then Some (Netsim.Time.span_sec 30.) else None) }
 
 let run_deploy ?(on_deployed = fun (_ : Topology.Build.t) -> ())
-    ?on_fault ?on_cascade ?until ?(around_explore = fun _ explore -> explore ())
-    ?(on_finished = fun (_ : Topology.Build.t) (_ : Dice.Fault.t list) -> ()) d
+    ?on_fault ?until ?(around_explore = fun _ explore -> explore ())
+    ?(on_finished = fun (_ : Topology.Build.t) (_ : Dice.Fault.t list) -> ()) ?probe d
     =
   let graph = graph_of d in
   let build = Topology.Build.deploy ~seed:d.dp_seed graph in
@@ -263,22 +263,15 @@ let run_deploy ?(on_deployed = fun (_ : Topology.Build.t) -> ())
           if e.ex_rounds > 0 then e.ex_rounds
           else match nodes with None -> Topology.Graph.size graph | Some l -> List.length l
         in
-        let orchestrate ?probe () =
-          Dice.Orchestrator.run ~params ?nodes ?on_fault ?probe ?on_cascade ?until
-            ~build ~gt ~rounds ()
-        in
         let explore () =
-          if not (d.dp_cascade && on_cascade <> None) then orchestrate ()
-          else
-            (* Live cascade detection: the monitor tees whatever sink is
-               current (an [around_explore] artifact included) with its
-               own bounded ring, polled after every round, so cascades
-               surface while the deployment is still oscillating. *)
-            Cascade.Online.with_monitor @@ fun mon ->
-            orchestrate ~probe:(fun () -> Cascade.Online.probe mon) ()
+          Dice.Orchestrator.run ~params ?nodes ?on_fault ?probe ?until ~build ~gt
+            ~rounds ()
         in
         (around_explore build explore).Dice.Orchestrator.faults
   in
+  (* One last look at the cascade window: the only probe in [Direct]
+     mode, and what the final round left behind in [Explore] mode. *)
+  let faults = match probe with None -> faults | Some p -> faults @ p () in
   (* The network is still alive here: [on_finished] can read RIBs and
      speaker configs for the final state the checkers judged. *)
   on_finished build faults;
@@ -286,24 +279,12 @@ let run_deploy ?(on_deployed = fun (_ : Topology.Build.t) -> ())
     o_faults = faults;
     o_error = None }
 
-(* A replayed cascade scenario re-runs the whole-timeline detector over
-   the replay's own telemetry: a ring wide enough for the full
-   deployment captures the loc-rib flips and supervisor decisions, and
-   any cascade found joins the outcome like a live detection — so
-   [detects] and the corpus replayer treat cascade signatures like any
-   other.  A live run ([on_cascade] given) probes per round instead. *)
-let with_whole_run_cascade d run =
-  Cascade.Online.with_monitor ~capacity:65536 @@ fun mon ->
-  let o = run () in
-  let cascade_faults = Cascade.Online.probe mon in
-  let graph = graph_of d in
-  { o with
-    o_faults = o.o_faults @ cascade_faults;
-    o_signatures =
-      o.o_signatures @ List.map (Dice.Signature.of_fault ~graph) cascade_faults }
-
-let run_observed ?on_deployed ?on_fault ?on_cascade ?until ?around_explore
-    ?on_finished t =
+(* A cascade scenario runs the detector over its own telemetry: one
+   monitor around the whole deployment, probed after every round and
+   once at the end, whether the run is live or a replay.  Each cascade
+   found joins the outcome like any other detection, so [detects] and
+   the corpus replayer treat cascade signatures like any other. *)
+let run_observed ?on_deployed ?on_fault ?until ?around_explore ?on_finished t =
   (* A nested deployment installs its own telemetry clock; restore the
      caller's so an outer live run's timeline survives the replay. *)
   let saved_clock = Telemetry.current_clock () in
@@ -313,12 +294,14 @@ let run_observed ?on_deployed ?on_fault ?on_cascade ?until ?around_explore
       match t with
       | Wire bytes -> run_wire bytes
       | Deploy d -> (
-          let run () =
-            run_deploy ?on_deployed ?on_fault ?on_cascade ?until ?around_explore
-              ?on_finished d
+          let run ?probe () =
+            run_deploy ?on_deployed ?on_fault ?until ?around_explore ?on_finished
+              ?probe d
           in
           try
-            if d.dp_cascade && on_cascade = None then with_whole_run_cascade d run
+            if d.dp_cascade then
+              Cascade.Online.with_monitor @@ fun mon ->
+              run ~probe:(fun () -> Cascade.Online.probe mon) ()
             else run ()
           with e ->
             (* A scenario that cannot even be set up (pruned-away inject

@@ -128,7 +128,6 @@ val run : t -> outcome
 val run_observed :
   ?on_deployed:(Topology.Build.t -> unit) ->
   ?on_fault:(Dice.Fault.t -> unit) ->
-  ?on_cascade:(Dice.Fault.t -> unit) ->
   ?until:Dice.Fault.fault_class ->
   ?around_explore:
     (Topology.Build.t ->
@@ -145,21 +144,24 @@ val run_observed :
     collection with the network still alive, so RIBs and final configs
     are readable.
 
-    In [Explore] mode, [on_fault], [on_cascade] and [until] are passed
-    to {!Dice.Orchestrator.run}.  [until] cuts the exploration short
+    In [Explore] mode, [on_fault] and [until] are passed to
+    {!Dice.Orchestrator.run}.  [until] cuts the exploration short
     after the first round that reports its class, so the outcome's
     signatures are those of the rounds that ran; [Direct] mode ignores
     it.  [around_explore build explore] wraps the exploration once
     every schedule is armed — the point to install a telemetry
     artifact; its result is the run's summary.
-    Given [on_cascade], a [dp_cascade] scenario detects cascades live:
-    a bounded monitor installed inside [around_explore] and probed
-    after every round, instead of the replay's whole-run monitor
-    probed once at the end.
+
+    A [dp_cascade] scenario runs one {!Cascade.Online} monitor around
+    the whole replay, deployment included.  In [Explore] mode it is the
+    orchestrator's [probe], so every cascade it reports after a round
+    reaches [on_fault] as it surfaces; both modes probe it once more at
+    the end.  A live run and its headless replay therefore detect
+    cascades the same way.
 
     Hook exceptions propagate into [o_error] like any setup failure.
-    Apart from that cascade monitor, the hooks never change what the
-    run detects; only [until] does, by running fewer rounds. *)
+    The hooks never change what the run detects; only [until] does, by
+    running fewer rounds. *)
 
 val detects : t -> Dice.Signature.t -> bool
 (** [detects t sg] — does one replay of [t] report [sg]?  The

@@ -262,7 +262,18 @@ let online_monitor_reports_once () =
   (* The window still holds the same evidence: the root was already
      reported, so the next probe must swallow it. *)
   check Alcotest.int "same root reported once" 0
-    (List.length (Cascade.Online.probe mon))
+    (List.length (Cascade.Online.probe mon));
+  (* An artifact opened inside the monitor tees onto it: the monitor
+     keeps seeing what the artifact records. *)
+  let path = Filename.temp_file "online-test" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Telemetry.with_jsonl path (fun () ->
+          List.iter (Telemetry.Sink.emit (Telemetry.sink ()))
+            (train ~t0:100_000 ~node:5 ~prefix:"10.5.0.0/24" 10)));
+  check Alcotest.bool "sees events under an artifact" true
+    (Cascade.Online.probe mon <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
@@ -305,6 +316,51 @@ let legacy_scenario_decodes_without_cascade () =
   | Ok (Triage.Scenario.Deploy d) ->
       check Alcotest.bool "defaults to false" false d.Triage.Scenario.dp_cascade
   | Ok (Triage.Scenario.Wire _) -> Alcotest.fail "decoded as wire"
+
+(* A live cascade scenario and its headless replay run the same
+   monitor: every cascade [on_fault] sees while the rounds run is in
+   the outcome, and the replay reports the same signatures. *)
+let live_cascades_are_the_replays () =
+  let scenario =
+    Triage.Scenario.Deploy
+      { Triage.Scenario.dp_topo = Triage.Scenario.Bad_gadget;
+        dp_keep = None;
+        dp_seed = 42;
+        dp_inject =
+          Some
+            (Dice.Inject.Policy_dispute
+               { cycle = Topology.Gadget.wheel; victim = Topology.Gadget.victim });
+        dp_settle_sec = 10.;
+        dp_churn = [];
+        dp_mangle = None;
+        dp_confuzz = [];
+        dp_cascade = true;
+        dp_mode =
+          Triage.Scenario.Explore
+            { Triage.Scenario.default_exploration with Triage.Scenario.ex_rounds = 3 } }
+  in
+  let seen = ref [] in
+  let on_fault (f : Dice.Fault.t) =
+    if f.Dice.Fault.f_class = Dice.Fault.Cascade then seen := f :: !seen
+  in
+  let live = Triage.Scenario.run_observed ~on_fault scenario in
+  let replay = Triage.Scenario.run scenario in
+  let sigs (o : Triage.Scenario.outcome) =
+    check Alcotest.(option string) "no setup error" None o.Triage.Scenario.o_error;
+    List.sort String.compare
+      (List.map Dice.Signature.to_string o.Triage.Scenario.o_signatures)
+  in
+  check Alcotest.bool "on_fault saw a cascade during the rounds" true (!seen <> []);
+  List.iter
+    (fun f ->
+      check Alcotest.bool
+        ("in the outcome: " ^ Dice.Fault.root f)
+        true
+        (List.exists
+           (fun g -> Dice.Fault.root g = Dice.Fault.root f)
+           live.Triage.Scenario.o_faults))
+    !seen;
+  check Alcotest.(list string) "live and replay signatures" (sigs replay) (sigs live)
 
 (* ------------------------------------------------------------------ *)
 (* The live gadget                                                     *)
@@ -435,6 +491,7 @@ let suite =
     ("online: one report per root", `Quick, online_monitor_reports_once);
     ("report: round-trip + validation", `Quick, report_roundtrip_and_validation);
     ("scenario: legacy entries decode", `Quick, legacy_scenario_decodes_without_cascade);
+    ("scenario: live cascades are the replay's", `Quick, live_cascades_are_the_replays);
     ("sparrow: loc-rib flips like a Router", `Quick, sparrow_flips_match_router);
     ("gadget: dispute oscillates", `Slow, oscillation_gadget_detects);
     ("gadget: dispute-free is clean", `Slow, dispute_free_gadget_is_clean);

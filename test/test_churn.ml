@@ -99,15 +99,12 @@ let quarantine_after_strikes () =
   Topology.Build.start_all build;
   assert (Topology.Build.converge build);
   let gt = Dice.Checks.ground_truth_of_graph graph in
-  (* Node 999 does not exist: every round on it fails, so two strikes
-     quarantine it and the scheduler falls back to node 0. *)
-  let supervisor =
-    { Dice.Orchestrator.max_strikes = 2; backoff_rounds = 1;
-      round_wall_budget = None }
-  in
+  (* Node 999 does not exist: every round on it fails, so the
+     orchestrator's constant three strikes quarantine it and the
+     scheduler falls back to node 0. *)
   let summary =
-    Dice.Orchestrator.run ~params:fast_params ~supervisor ~build ~gt
-      ~nodes:[ 0; 999 ] ~rounds:8 ()
+    Dice.Orchestrator.run ~params:fast_params ~build ~gt ~nodes:[ 0; 999 ]
+      ~rounds:8 ()
   in
   check Alcotest.int "all rounds ran" 8 (List.length summary.Dice.Orchestrator.rounds);
   Alcotest.(check bool) "failures recorded, not raised" true
@@ -119,7 +116,7 @@ let quarantine_after_strikes () =
   | q :: _ ->
       check Alcotest.int "quarantined the failing node" 999
         q.Dice.Orchestrator.q_node;
-      check Alcotest.int "after max_strikes failures" 2
+      check Alcotest.int "after three consecutive failures" 3
         q.Dice.Orchestrator.q_strikes;
       Alcotest.(check bool) "backoff extends past the trigger round" true
         (q.Dice.Orchestrator.q_until_round > q.Dice.Orchestrator.q_round));

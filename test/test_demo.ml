@@ -63,7 +63,30 @@ let bad_flags_exit_cleanly () =
   check Alcotest.bool "-f dispute: no uncaught exception" false
     (contains err "uncaught exception")
 
+(* Auto-triage's confirm/minimize/repair replays are not the live run:
+   filing a corpus must leave the live run's artifact as it was. *)
+let corpus_filing_leaves_artifact_alone () =
+  Test_campaign.with_temp_dir @@ fun dir ->
+  let counts name extra =
+    let path = Filename.concat dir (name ^ ".jsonl") in
+    let code, _, err =
+      run_demo dir ([ "-f"; "hijack"; "--rounds"; "1"; "--telemetry"; path ] @ extra)
+    in
+    check Alcotest.int (name ^ ": exit 0 (stderr: " ^ err ^ ")") 0 code;
+    match Telemetry.Schema.validate_file path with
+    | Error msgs -> Alcotest.failf "%s: invalid: %s" name (String.concat "; " msgs)
+    | Ok v -> Telemetry.Schema.(v.v_spans, v.v_faults, v.v_traces)
+  in
+  let plain = counts "plain" [] in
+  let filed = counts "filed" [ "--corpus"; Filename.concat dir "corpus" ] in
+  let triple = Alcotest.(triple int int int) in
+  check triple "spans, faults, traces" plain filed;
+  check Alcotest.bool "entries filed" true
+    (Triage.Corpus.load ~dir:(Filename.concat dir "corpus") <> [])
+
 let suite =
   [ ("dice_demo: confuzz repros replay confirmed", `Quick, confuzz_repros_replay);
+    ("dice_demo: corpus filing leaves the telemetry artifact alone", `Quick,
+     corpus_filing_leaves_artifact_alone);
     ("dice_demo: bad flags and setup failures exit cleanly", `Quick,
      bad_flags_exit_cleanly) ]

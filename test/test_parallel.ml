@@ -228,7 +228,7 @@ let fault_strings x =
        (fun (f : Dice.Fault.t) -> Format.asprintf "%a" Dice.Fault.pp f)
        x.Dice.Explorer.x_faults)
 
-let explore_gadget ~domains =
+let explore_gadget ?pool () =
   (* Quiescent gadget deployment with a seeded crash bug: exploration
      finds real faults, and the live system does not drift between the
      sequential and the parallel run. *)
@@ -250,14 +250,13 @@ let explore_gadget ~domains =
       Dice.Explorer.limits =
         { Concolic.Engine.max_inputs = 16; max_branches = 24; solver_nodes = 8_000 };
       fuzz_extra = 4;
-      shadow_budget = 15_000;
-      domains }
+      shadow_budget = 15_000 }
   in
-  Dice.Explorer.explore_node ~params ~build ~cut ~gt ~node ()
+  Dice.Explorer.explore_node ~params ?pool ~build ~cut ~gt ~node ()
 
 let explore_node_parallel_deterministic () =
-  let seq = explore_gadget ~domains:1 in
-  let par = explore_gadget ~domains:4 in
+  let seq = explore_gadget () in
+  let par = Parallel.Pool.with_pool ~domains:4 (fun pool -> explore_gadget ~pool ()) in
   check Alcotest.int "reported pool size" 4 par.Dice.Explorer.x_domains;
   Alcotest.(check bool) "exploration found faults" true
     (seq.Dice.Explorer.x_faults <> []);

@@ -93,7 +93,7 @@ let signature_roundtrip () =
 (* Same detections, same fingerprints, whether the exploration runs
    sequentially or fanned out over a domain pool. *)
 let signature_stability_across_domains () =
-  let run_with domains =
+  let run_with ?pool () =
     let params =
       { Topology.Generate.default_params with n_tier1 = 1; n_transit = 2; n_stub = 3 }
     in
@@ -109,17 +109,16 @@ let signature_stability_across_domains () =
         Dice.Explorer.limits =
           { Concolic.Engine.max_inputs = 24; max_branches = 32; solver_nodes = 10_000 };
         fuzz_extra = 6;
-        shadow_budget = 15_000;
-        domains }
+        shadow_budget = 15_000 }
     in
-    let summary = Dice.Orchestrator.run ~params ~build ~gt ~rounds:6 () in
+    let summary = Dice.Orchestrator.run ~params ?pool ~build ~gt ~rounds:6 () in
     List.sort_uniq String.compare
       (List.map
          (fun (sg, _) -> Triage.Signature.to_string sg)
          summary.Dice.Orchestrator.signatures)
   in
-  let seq = run_with 1 in
-  let pooled = run_with 2 in
+  let seq = run_with () in
+  let pooled = Parallel.Pool.with_pool ~domains:2 (fun pool -> run_with ~pool ()) in
   Alcotest.(check bool) "sequential run detects something" true (seq <> []);
   Alcotest.(check (list string)) "identical signature sets" seq pooled
 
