@@ -86,6 +86,34 @@ let fold f t init =
   in
   go 0 0 t init
 
+(* [fold]'s walk over two tries at once.  A subtree the two share is
+   skipped whole, so the cost is the changed bindings times the depth;
+   where one side is empty, the other is enumerated. *)
+let fold_diff f a b init =
+  let report depth bits va vb acc =
+    match (va, vb) with
+    | None, None -> acc
+    | Some x, Some y when x == y -> acc
+    | _ -> f (Prefix.make (Ipv4.of_int32_exn bits) depth) va vb acc
+  in
+  let rec go depth bits a b acc =
+    if a == b then acc
+    else
+      let va, za, oa =
+        match a with
+        | Empty -> (None, Empty, Empty)
+        | Node { value; zero; one } -> (value, zero, one)
+      and vb, zb, ob =
+        match b with
+        | Empty -> (None, Empty, Empty)
+        | Node { value; zero; one } -> (value, zero, one)
+      in
+      let acc = report depth bits va vb acc in
+      let acc = go (depth + 1) bits za zb acc in
+      go (depth + 1) (bits lor (1 lsl (31 - depth))) oa ob acc
+  in
+  go 0 0 a b init
+
 let covered prefix t =
   (* Walk down to the subtree rooted at [prefix], then enumerate it. *)
   let a = Prefix.addr prefix and n = Prefix.len prefix in

@@ -25,4 +25,11 @@ val covered : Prefix.t -> 'a t -> (Prefix.t * 'a) list
 val fold : (Prefix.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 (** In prefix order. *)
 
+val fold_diff :
+  (Prefix.t -> 'a option -> 'a option -> 'b -> 'b) -> 'a t -> 'a t -> 'b -> 'b
+(** [fold_diff f a b acc] calls [f prefix (find prefix a) (find prefix b)]
+    for every prefix whose two bindings are not physically equal ([==]),
+    in prefix order.  It skips every subtree the two tries share, so it
+    costs O(changed bindings x 32) on two versions of one trie. *)
+
 val of_list : (Prefix.t * 'a) list -> 'a t

@@ -98,6 +98,39 @@ let loc_get prefix t = Prefix.Map.find_opt prefix t.loc
 let loc_prefixes t = Prefix.Map.fold (fun p _ acc -> p :: acc) t.loc [] |> List.rev
 let loc_cardinal t = Prefix.Map.cardinal t.loc
 
+(* Two sorted prefix lists merged into one, without duplicates. *)
+let rec merge_sorted a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: a', y :: b' ->
+      let c = Prefix.compare x y in
+      if c < 0 then x :: merge_sorted a' b
+      else if c > 0 then y :: merge_sorted a b'
+      else x :: merge_sorted a' b'
+
+(* [Prefix.Map] exposes no sharing, so the Loc-RIBs are walked in step,
+   in prefix order, unless they are one map. *)
+let loc_changes old_loc new_loc =
+  let rec go a b acc =
+    match (a, b) with
+    | Seq.Nil, Seq.Nil -> List.rev acc
+    | Seq.Cons ((p, _), a), Seq.Nil -> go (a ()) Seq.Nil (p :: acc)
+    | Seq.Nil, Seq.Cons ((p, _), b) -> go Seq.Nil (b ()) (p :: acc)
+    | Seq.Cons ((pa, ra), a'), Seq.Cons ((pb, rb), b') ->
+        let c = Prefix.compare pa pb in
+        if c < 0 then go (a' ()) b (pa :: acc)
+        else if c > 0 then go a (b' ()) (pb :: acc)
+        else go (a' ()) (b' ()) (if ra == rb then acc else pa :: acc)
+  in
+  if old_loc == new_loc then []
+  else go (Prefix.Map.to_seq old_loc ()) (Prefix.Map.to_seq new_loc ()) []
+
+let changed_prefixes old_rib new_rib =
+  let cands =
+    Prefix_trie.fold_diff (fun p _ _ acc -> p :: acc) old_rib.cands new_rib.cands []
+  in
+  merge_sorted (loc_changes old_rib.loc new_rib.loc) (List.rev cands)
+
 let loc_event prefix = function
   | Some r ->
       Printf.sprintf "%s via %s" (Prefix.to_string prefix)

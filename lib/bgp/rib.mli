@@ -72,6 +72,13 @@ val loc_get : Prefix.t -> t -> route option
 val loc_prefixes : t -> Prefix.t list
 val loc_cardinal : t -> int
 
+val changed_prefixes : t -> t -> Prefix.t list
+(** [changed_prefixes old new]: the prefixes whose Loc-RIB entry or
+    candidate set is not physically equal ([==]) in the two RIBs, in
+    prefix order.  Candidate sets are compared by a walk that skips
+    what the two tries share; the Loc-RIBs by a walk over both maps,
+    skipped when they are one map. *)
+
 val loc_event : Prefix.t -> route option -> string
 (** The detail of a ["loc-rib"] trace event, one format for every
     speaker implementation: ["<prefix> via <peer>"] for a new best

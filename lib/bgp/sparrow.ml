@@ -18,12 +18,13 @@ type peer = {
 
 (* What [rib_view] reads, compared by identity: every table is
    persistent, so a change replaces it.  The peer list is fixed by the
-   configuration the speaker was created with, so [i_cfg] also stands
-   for the peers' addresses and session configs. *)
+   configuration the speaker was created with, so with the peers'
+   addresses [i_cfg] also stands for their session configs. *)
 type inputs = {
   i_cfg : Config.t;
   i_loc : (Attr.t * Ipv4.t) Prefix_trie.t;
-  i_tables : (Attr.t Prefix_trie.t * Attr.t Prefix_trie.t) list;  (* p_in, p_out *)
+  i_tables : (Ipv4.t * Attr.t Prefix_trie.t * Attr.t Prefix_trie.t) list;
+      (* per peer: address, p_in, p_out *)
 }
 
 type view = { v_inputs : inputs; v_rib : Rib.t }
@@ -454,33 +455,74 @@ let build_view t =
 
 let inputs t =
   { i_cfg = t.cfg; i_loc = t.loc;
-    i_tables = List.map (fun (_, p) -> (p.p_in, p.p_out)) t.peers }
+    i_tables = List.map (fun (a, p) -> (a, p.p_in, p.p_out)) t.peers }
 
 let rec same_tables tables peers =
   match (tables, peers) with
   | [], [] -> true
-  | (p_in, p_out) :: tables, (_, p) :: peers ->
+  | (_, p_in, p_out) :: tables, (_, p) :: peers ->
       p_in == p.p_in && p_out == p.p_out && same_tables tables peers
   | _ :: _, [] | [], _ :: _ -> false
 
 let unchanged t i = i.i_cfg == t.cfg && i.i_loc == t.loc && same_tables i.i_tables t.peers
 
+(* [v]'s config and peers are the speaker's, so only tables differ. *)
+let patchable t v =
+  v.v_inputs.i_cfg == t.cfg
+  && List.compare_lengths v.v_inputs.i_tables t.peers = 0
+  && List.for_all2 (fun (a, _, _) (b, _) -> Ipv4.equal a b) v.v_inputs.i_tables t.peers
+
+(* The view of the current state built from [v] (see [patchable]) by
+   applying what changed in each table since, through [Rib]'s mutators:
+   the result shares every untouched binding with [v]'s, so the verdict
+   memo re-checks only the prefixes that changed. *)
+let patch_view t v =
+  let apply set del prefix _ now rib =
+    match now with Some x -> set prefix x rib | None -> del prefix rib
+  in
+  let rib =
+    Prefix_trie.fold_diff
+      (apply (fun prefix chosen -> Rib.loc_set prefix (route_of t chosen)) Rib.loc_del)
+      v.v_inputs.i_loc t.loc v.v_rib
+  in
+  List.fold_left2
+    (fun rib (addr, p_in, p_out) (_, p) ->
+      let source = source_of t addr in
+      let rib =
+        Prefix_trie.fold_diff
+          (apply
+             (fun prefix attrs -> Rib.adj_in_set addr prefix { Rib.attrs; source })
+             (Rib.adj_in_del addr))
+          p_in p.p_in rib
+      in
+      Prefix_trie.fold_diff
+        (apply (Rib.adj_out_set addr) (Rib.adj_out_del addr))
+        p_out p.p_out rib)
+    rib v.v_inputs.i_tables t.peers
+
 (* The view is rebuilt only when one of its inputs was replaced, so an
    unchanged speaker returns the very same [Rib.t] — which is what the
-   verdict memo keys on.  Views of a clone's restored state go into the
-   cell it shares with the live node and every other clone of it, so
-   the pristine clones of two cuts of an unchanged node agree; a view
-   of any other state stays with its instance, so shadows do not evict
-   the pristine one. *)
+   verdict memo keys on.  A rebuild patches this instance's latest
+   view, or else the shared one, where [patchable].  Views of a clone's
+   restored state go into the cell it shares with the live node and
+   every other clone of it, so the pristine clones of two cuts of an
+   unchanged node agree; a view of any other state stays with its
+   instance, so shadows do not evict the pristine one. *)
 let rib_view t =
   match t.last_view with
   | Some v when unchanged t v.v_inputs -> v.v_rib
-  | Some _ | None ->
+  | last ->
       let v =
         match Atomic.get t.shared_views with
         | Some v when unchanged t v.v_inputs -> v
-        | Some _ | None ->
-            let v = { v_inputs = inputs t; v_rib = build_view t } in
+        | shared ->
+            let rib =
+              match (last, shared) with
+              | Some v, _ when patchable t v -> patch_view t v
+              | _, Some v when patchable t v -> patch_view t v
+              | _ -> build_view t
+            in
+            let v = { v_inputs = inputs t; v_rib = rib } in
             (match t.restored with
             | Some i when unchanged t i -> Atomic.set t.shared_views (Some v)
             | Some _ | None -> ());

@@ -25,7 +25,14 @@ val create : net:string Netsim.Network.t -> node:int -> Config.t -> t
 val rib_view : t -> Rib.t
 (** The Rib-shaped view of the current state.  It is rebuilt only after
     a table changed: until then every call, on this speaker or on a
-    clone of the same captured state, returns the same value. *)
+    clone of the same captured state, returns the same value.  A
+    rebuild under an unchanged config and peer list patches the
+    previous view, so it shares every binding that did not change. *)
+
+val build_view : t -> Rib.t
+(** The view built from scratch, every table converted afresh.
+    {!rib_view} returns a view with the same bindings, built by patching
+    an earlier view where the config and peers allow it. *)
 
 val inject_update : t -> from:Ipv4.t -> Msg.update -> unit
 

@@ -5,9 +5,17 @@ type verdict = {
   v_evidence : string;
 }
 
-(* One speaker's checked config and RIB, and its verdicts, one per
-   [standard_suite] checker in suite order. *)
-type entry = { e_config : Bgp.Config.t; e_rib : Bgp.Rib.t; e_verdicts : verdict array }
+(* One speaker's checked config and RIB, and its verdicts: the
+   baseline one, and the per-input ones in suite order together with
+   each per-prefix property's failing prefixes and their evidence
+   (empty maps on a healthy speaker). *)
+type entry = {
+  e_config : Bgp.Config.t;
+  e_rib : Bgp.Rib.t;
+  e_failing : string Bgp.Prefix.Map.t list;
+  e_baseline : verdict;
+  e_per_input : verdict list;
+}
 
 module Int_map = Map.Make (Int)
 
@@ -71,70 +79,97 @@ let origin_authenticity gt id sp =
                :: acc)
        (Bgp.Speaker.loc_rib sp) [])
 
-let no_martians id sp =
-  verdict_of "no-martians" id
-    (Bgp.Prefix.Map.fold
-       (fun prefix _ acc ->
-         if Bgp.Prefix.is_martian prefix then
-           Printf.sprintf "martian %s selected" (Bgp.Prefix.to_string prefix) :: acc
-         else acc)
-       (Bgp.Speaker.loc_rib sp) [])
+(* The three per-input properties, prefix by prefix.  A prefix's
+   evidence is a function of the node id, the config, [loc[p]] and
+   [cands[p]] alone: [None] where the property holds or does not
+   apply. *)
+type per_prefix = {
+  pp_name : string;
+  pp_class : Fault.fault_class;
+  pp_evidence : int -> Bgp.Config.t -> Bgp.Rib.t -> Bgp.Prefix.t -> string option;
+  pp_ascending : bool;  (** evidence in ascending prefix order, else descending *)
+}
 
-let no_own_as_in_path id sp =
-  let own = (sp.Bgp.Speaker.sp_config ()).Bgp.Config.asn in
-  verdict_of "no-own-as-in-path" id
-    (Bgp.Prefix.Map.fold
-       (fun prefix route acc ->
-         if Bgp.As_path.contains own route.Bgp.Rib.attrs.Bgp.Attr.as_path then
-           Printf.sprintf "%s selected with own AS%d in path %s"
-             (Bgp.Prefix.to_string prefix) own
-             (Bgp.As_path.to_string route.Bgp.Rib.attrs.Bgp.Attr.as_path)
-           :: acc
-         else acc)
-       (Bgp.Speaker.loc_rib sp) [])
+let martian_evidence _id _cfg rib prefix =
+  match Bgp.Rib.loc_get prefix rib with
+  | Some _ when Bgp.Prefix.is_martian prefix ->
+      Some (Printf.sprintf "martian %s selected" (Bgp.Prefix.to_string prefix))
+  | Some _ | None -> None
+
+let own_as_evidence _id cfg rib prefix =
+  let own = cfg.Bgp.Config.asn in
+  match Bgp.Rib.loc_get prefix rib with
+  | Some route when Bgp.As_path.contains own route.Bgp.Rib.attrs.Bgp.Attr.as_path ->
+      Some
+        (Printf.sprintf "%s selected with own AS%d in path %s" (Bgp.Prefix.to_string prefix)
+           own
+           (Bgp.As_path.to_string route.Bgp.Rib.attrs.Bgp.Attr.as_path))
+  | Some _ | None -> None
 
 (* Reference selection: same candidate construction as the speaker's
    own decision pass, but with specification semantics (loop check on,
-   MED compared per RFC). *)
-let decision_matches_spec id sp =
-  let cfg = sp.Bgp.Speaker.sp_config () in
-  let dcfg : Bgp.Decision.config =
-    { always_compare_med = cfg.Bgp.Config.always_compare_med }
-  in
-  let rib = sp.Bgp.Speaker.sp_rib () in
-  let local_route prefix =
-    if List.exists (Bgp.Prefix.equal prefix) cfg.Bgp.Config.networks then
-      Some
+   MED compared per RFC).  It applies to the selected prefixes and the
+   configured networks; a prefix with candidates but neither is not
+   checked. *)
+let spec_evidence id cfg rib prefix =
+  let networked = List.exists (Bgp.Prefix.equal prefix) cfg.Bgp.Config.networks in
+  let actual = Bgp.Rib.loc_get prefix rib in
+  if Option.is_none actual && not networked then None
+  else
+    let dcfg : Bgp.Decision.config =
+      { always_compare_med = cfg.Bgp.Config.always_compare_med }
+    in
+    let candidates =
+      Bgp.Rib.candidates prefix rib
+      |> List.filter (Bgp.Decision.acceptable ~local_as:cfg.Bgp.Config.asn)
+    in
+    let candidates =
+      if networked then
         { Bgp.Rib.attrs =
             Bgp.Attr.make ~origin:Bgp.Attr.Igp ~next_hop:(Bgp.Router.addr_of_node id) ();
           source = Bgp.Rib.local_source }
-    else None
-  in
-  let prefixes =
-    List.sort_uniq Bgp.Prefix.compare (Bgp.Rib.loc_prefixes rib @ cfg.Bgp.Config.networks)
-  in
-  verdict_of "decision-process-spec" id
-    (List.filter_map
-       (fun prefix ->
-         let candidates =
-           Bgp.Rib.candidates prefix rib
-           |> List.filter (Bgp.Decision.acceptable ~local_as:cfg.Bgp.Config.asn)
-         in
-         let candidates =
-           match local_route prefix with
-           | Some r -> r :: candidates
-           | None -> candidates
-         in
-         let reference = Bgp.Decision.best dcfg candidates in
-         let actual = Bgp.Rib.loc_get prefix rib in
-         match (reference, actual) with
-         | None, None -> None
-         | Some a, Some b when a = b -> None
-         | _ ->
-             Some
-               (Printf.sprintf "%s: selection disagrees with the decision-process spec"
-                  (Bgp.Prefix.to_string prefix)))
-       prefixes)
+        :: candidates
+      else candidates
+    in
+    match (Bgp.Decision.best dcfg candidates, actual) with
+    | None, None -> None
+    | Some a, Some b when a = b -> None
+    | _ ->
+        Some
+          (Printf.sprintf "%s: selection disagrees with the decision-process spec"
+             (Bgp.Prefix.to_string prefix))
+
+let per_prefix =
+  [ { pp_name = "no-martians"; pp_class = Fault.Operator_mistake;
+      pp_evidence = martian_evidence; pp_ascending = false };
+    { pp_name = "no-own-as-in-path"; pp_class = Fault.Programming_error;
+      pp_evidence = own_as_evidence; pp_ascending = false };
+    { pp_name = "decision-process-spec"; pp_class = Fault.Programming_error;
+      pp_evidence = spec_evidence; pp_ascending = true } ]
+
+(* The one evaluation of a per-prefix property: [failing] (each failing
+   prefix's evidence) brought up to date on [prefixes]. *)
+let evaluate pp id cfg rib prefixes failing =
+  List.fold_left
+    (fun failing prefix ->
+      match pp.pp_evidence id cfg rib prefix with
+      | Some evidence -> Bgp.Prefix.Map.add prefix evidence failing
+      | None -> Bgp.Prefix.Map.remove prefix failing)
+    failing prefixes
+
+(* Every prefix a per-prefix property can fail on. *)
+let checked_prefixes cfg rib =
+  List.sort_uniq Bgp.Prefix.compare (Bgp.Rib.loc_prefixes rib @ cfg.Bgp.Config.networks)
+
+let render pp id failing =
+  let evidence = Bgp.Prefix.Map.fold (fun _ e acc -> e :: acc) failing [] in
+  verdict_of pp.pp_name id (if pp.pp_ascending then List.rev evidence else evidence)
+
+let rendered id failing = List.map2 (fun pp f -> render pp id f) per_prefix failing
+
+let check_whole pp id (sp : Bgp.Speaker.t) =
+  let cfg = sp.Bgp.Speaker.sp_config () and rib = sp.Bgp.Speaker.sp_rib () in
+  render pp id (evaluate pp id cfg rib (checked_prefixes cfg rib) Bgp.Prefix.Map.empty)
 
 let convergence ?budget shadow =
   let v =
@@ -167,36 +202,57 @@ let checker name fault_class scope check =
    against explorer-synthesized announcements would flag every node.
    It runs once per snapshot, against the unperturbed clone, where a
    violation means the hijack actually happened. *)
-let standard_suite gt =
-  [ checker "origin-authenticity" Fault.Operator_mistake Baseline (origin_authenticity gt);
-    checker "no-martians" Fault.Operator_mistake Per_input no_martians;
-    checker "no-own-as-in-path" Fault.Programming_error Per_input no_own_as_in_path;
-    checker "decision-process-spec" Fault.Programming_error Per_input
-      decision_matches_spec ]
+let baseline gt =
+  checker "origin-authenticity" Fault.Operator_mistake Baseline (origin_authenticity gt)
 
-(* The entry of [sp], if its config and RIB are still the checked ones. *)
-let recorded entries id (sp : Bgp.Speaker.t) =
+let per_input =
+  List.map (fun pp -> checker pp.pp_name pp.pp_class Per_input (check_whole pp)) per_prefix
+
+let standard_suite gt = baseline gt :: per_input
+
+(* Is [e] the entry of [sp]'s current config and RIB? *)
+let current (sp : Bgp.Speaker.t) e =
+  sp.Bgp.Speaker.sp_config () == e.e_config && sp.Bgp.Speaker.sp_rib () == e.e_rib
+
+let recorded entries id sp =
   match Int_map.find_opt id entries with
-  | Some e
-    when sp.Bgp.Speaker.sp_config () == e.e_config && sp.Bgp.Speaker.sp_rib () == e.e_rib ->
-      Some e
+  | Some e when current sp e -> Some e
   | Some _ | None -> None
 
 let reuses gt id sp = Option.is_some (recorded (Atomic.get gt.memo) id sp)
 
+(* The per-prefix properties' failing prefixes for [sp], from its
+   previous entry when only its RIB changed: only the prefixes whose
+   Loc-RIB entry or candidates differ are evaluated again. *)
+let failing_of prior id (sp : Bgp.Speaker.t) =
+  let cfg = sp.Bgp.Speaker.sp_config () and rib = sp.Bgp.Speaker.sp_rib () in
+  match prior with
+  | Some e when e.e_config == cfg ->
+      let changed = Bgp.Rib.changed_prefixes e.e_rib rib in
+      List.map2
+        (fun pp failing -> evaluate pp id cfg rib changed failing)
+        per_prefix e.e_failing
+  | Some _ | None ->
+      let prefixes = checked_prefixes cfg rib in
+      List.map (fun pp -> evaluate pp id cfg rib prefixes Bgp.Prefix.Map.empty) per_prefix
+
 let record gt shadow =
-  let suite = standard_suite gt in
   let entries, changed =
     List.fold_left
       (fun (entries, changed) (id, (sp : Bgp.Speaker.t)) ->
-        if Option.is_some (recorded entries id sp) then (entries, changed)
-        else
-          let e =
-            { e_config = sp.Bgp.Speaker.sp_config ();
-              e_rib = sp.Bgp.Speaker.sp_rib ();
-              e_verdicts = Array.of_list (List.map (fun c -> c.check id sp) suite) }
-          in
-          (Int_map.add id e entries, id :: changed))
+        let prior = Int_map.find_opt id entries in
+        match prior with
+        | Some e when current sp e -> (entries, changed)
+        | Some _ | None ->
+            let failing = failing_of prior id sp in
+            let e =
+              { e_config = sp.Bgp.Speaker.sp_config ();
+                e_rib = sp.Bgp.Speaker.sp_rib ();
+                e_failing = failing;
+                e_baseline = origin_authenticity gt id sp;
+                e_per_input = rendered id failing }
+            in
+            (Int_map.add id e entries, id :: changed))
       (Atomic.get gt.memo, []) shadow.Snapshot.Store.sh_speakers
   in
   Atomic.set gt.memo entries;
@@ -204,19 +260,24 @@ let record gt shadow =
 
 let run_memo gt scope shadow =
   let entries = Atomic.get gt.memo in
-  let rows =
-    List.map (fun (id, sp) -> (id, sp, recorded entries id sp)) shadow.Snapshot.Store.sh_speakers
-  in
-  List.concat
-    (List.mapi
-       (fun i c ->
-         if c.scope <> scope then []
-         else
-           [ ( c,
-               List.map
-                 (fun (id, sp, hit) ->
-                   match hit with
-                   | Some e -> e.e_verdicts.(i)
-                   | None -> c.check id sp)
-                 rows ) ])
-       (standard_suite gt))
+  let speakers = shadow.Snapshot.Store.sh_speakers in
+  match scope with
+  | Baseline ->
+      let c = baseline gt in
+      [ ( c,
+          List.map
+            (fun (id, sp) ->
+              match recorded entries id sp with
+              | Some e -> e.e_baseline
+              | None -> c.check id sp)
+            speakers ) ]
+  | Per_input ->
+      let rows =
+        List.map
+          (fun (id, sp) ->
+            match recorded entries id sp with
+            | Some e -> e.e_per_input
+            | None -> rendered id (failing_of (Int_map.find_opt id entries) id sp))
+          speakers
+      in
+      List.mapi (fun i c -> (c, List.map (fun row -> List.nth row i) rows)) per_input

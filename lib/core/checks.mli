@@ -64,23 +64,37 @@ val standard_suite : ground_truth -> checker list
     the ground truth.  A checker reads nothing else — no engine, no
     network, no other speaker — so a verdict computed once for an (id,
     config, rib) holds wherever those three recur, which is what the
-    memo relies on. *)
+    memo relies on.  The three [Per_input] checkers hold it per
+    prefix: the evidence against a prefix [p] is a pure function of
+    the node id, the config, [loc[p]] and [cands[p]].  No-martians and
+    no-own-AS apply to each Loc-RIB prefix, the decision-process spec
+    to each prefix of the Loc-RIB and the configured networks; a
+    verdict joins its failing prefixes' evidence with ["; "]
+    (descending prefix order for the first two, ascending for the
+    spec). *)
 
 (** {1 Verdict memo}
 
     Between two cuts of a healthy deployment almost nothing changes,
     and most shadows touch a handful of speakers.  The ground truth's
-    memo holds, per node id, the config and RIB it last checked and
-    that speaker's verdicts for the whole {!standard_suite}; a speaker
-    whose [sp_config ()] and [sp_rib ()] are physically equal ([==]) to
-    its entry reuses them.  Identity is exactly the verdicts' input,
-    so reuse never changes a verdict.  The memo lives as long as the
-    ground truth, across cuts, and keeps one entry per node, sharing
-    the RIB it was given. *)
+    memo holds, per node id, the config and RIB it last checked, that
+    speaker's verdicts for the whole {!standard_suite} and, per
+    [Per_input] checker, the evidence of each failing prefix (nothing
+    on a healthy speaker).  A speaker whose [sp_config ()] and
+    [sp_rib ()] are physically equal ([==]) to its entry reuses the
+    verdicts.  One whose config is still the entry's but whose RIB is
+    not re-evaluates only {!Bgp.Rib.changed_prefixes} between the two
+    RIBs, starting from the entry's failing prefixes; any other is
+    checked whole.  Both follow from the purity contract, so reuse
+    never changes a verdict.  The memo lives as long as the ground
+    truth, across cuts, and keeps one entry per node, sharing the RIB
+    it was given. *)
 
 val record : ground_truth -> Snapshot.Store.shadow -> int list
-(** Check every speaker of the shadow that the memo cannot reuse and
-    make it that node's entry; returns those node ids, in
+(** Check every speaker of the shadow that the memo cannot reuse (the
+    [Per_input] checkers on the changed prefixes where the config
+    allows, as {!run_memo}) and make it that node's entry; returns
+    those node ids, in
     [sh_speakers] order.  The explorer records the pristine clone of
     each cut before its replays fan out, never during them. *)
 
@@ -91,4 +105,4 @@ val run_memo : ground_truth -> scope -> Snapshot.Store.shadow -> (checker * verd
 (** For each {!standard_suite} checker of [scope], in order, its
     verdicts over [sh_speakers] in order — equal to [c.run shadow].
     Reads the memo and never writes it: speakers it cannot reuse are
-    checked. *)
+    checked, on their changed prefixes where the config allows. *)

@@ -74,9 +74,96 @@ let suite_view results =
 
 let suite_t = Alcotest.(list (pair string (list string)))
 
-(* The path the memo replaces: every checker over every speaker. *)
-let full_sweep checkers sh =
-  List.map (fun (c : Dice.Checks.checker) -> (c, c.Dice.Checks.run sh)) checkers
+(* The three per-input checkers as they were before verdicts were kept
+   per prefix: each folds over the whole Loc-RIB.  [check] now renders
+   the per-prefix evaluation the memo uses, so these copies are the
+   independent reference for the memo differentials. *)
+let ok node property =
+  { Dice.Checks.v_node = node; v_property = property; v_ok = true; v_evidence = "" }
+
+let bad node property evidence =
+  { Dice.Checks.v_node = node; v_property = property; v_ok = false; v_evidence = evidence }
+
+let verdict_of property id = function
+  | [] -> ok id property
+  | evidence -> bad id property (String.concat "; " evidence)
+
+let no_martians id sp =
+  verdict_of "no-martians" id
+    (Bgp.Prefix.Map.fold
+       (fun prefix _ acc ->
+         if Bgp.Prefix.is_martian prefix then
+           Printf.sprintf "martian %s selected" (Bgp.Prefix.to_string prefix) :: acc
+         else acc)
+       (Bgp.Speaker.loc_rib sp) [])
+
+let no_own_as_in_path id sp =
+  let own = (sp.Bgp.Speaker.sp_config ()).Bgp.Config.asn in
+  verdict_of "no-own-as-in-path" id
+    (Bgp.Prefix.Map.fold
+       (fun prefix route acc ->
+         if Bgp.As_path.contains own route.Bgp.Rib.attrs.Bgp.Attr.as_path then
+           Printf.sprintf "%s selected with own AS%d in path %s"
+             (Bgp.Prefix.to_string prefix) own
+             (Bgp.As_path.to_string route.Bgp.Rib.attrs.Bgp.Attr.as_path)
+           :: acc
+         else acc)
+       (Bgp.Speaker.loc_rib sp) [])
+
+let decision_matches_spec id sp =
+  let cfg = sp.Bgp.Speaker.sp_config () in
+  let dcfg : Bgp.Decision.config =
+    { always_compare_med = cfg.Bgp.Config.always_compare_med }
+  in
+  let rib = sp.Bgp.Speaker.sp_rib () in
+  let local_route prefix =
+    if List.exists (Bgp.Prefix.equal prefix) cfg.Bgp.Config.networks then
+      Some
+        { Bgp.Rib.attrs =
+            Bgp.Attr.make ~origin:Bgp.Attr.Igp ~next_hop:(Bgp.Router.addr_of_node id) ();
+          source = Bgp.Rib.local_source }
+    else None
+  in
+  let prefixes =
+    List.sort_uniq Bgp.Prefix.compare (Bgp.Rib.loc_prefixes rib @ cfg.Bgp.Config.networks)
+  in
+  verdict_of "decision-process-spec" id
+    (List.filter_map
+       (fun prefix ->
+         let candidates =
+           Bgp.Rib.candidates prefix rib
+           |> List.filter (Bgp.Decision.acceptable ~local_as:cfg.Bgp.Config.asn)
+         in
+         let candidates =
+           match local_route prefix with
+           | Some r -> r :: candidates
+           | None -> candidates
+         in
+         let reference = Bgp.Decision.best dcfg candidates in
+         let actual = Bgp.Rib.loc_get prefix rib in
+         match (reference, actual) with
+         | None, None -> None
+         | Some a, Some b when a = b -> None
+         | _ ->
+             Some
+               (Printf.sprintf "%s: selection disagrees with the decision-process spec"
+                  (Bgp.Prefix.to_string prefix)))
+       prefixes)
+
+let reference (c : Dice.Checks.checker) =
+  match c.Dice.Checks.name with
+  | "no-martians" -> no_martians
+  | "no-own-as-in-path" -> no_own_as_in_path
+  | "decision-process-spec" -> decision_matches_spec
+  | _ -> c.Dice.Checks.check
+
+(* The path the memo replaces: every checker over every speaker, the
+   per-input ones by the whole-RIB reference. *)
+let full_sweep checkers (sh : Snapshot.Store.shadow) =
+  List.map
+    (fun (c : Dice.Checks.checker) ->
+      (c, List.map (fun (id, sp) -> reference c id sp) sh.Snapshot.Store.sh_speakers))
+    checkers
 
 (* Announcements of owned /24s (and of space inside or around them),
    withdrawals, foreign origins, looped paths and stray prefixes.  The
@@ -175,7 +262,13 @@ let deploy_case c =
 let agrees_with_full gt scope sh =
   let memoized = suite_view (Dice.Checks.run_memo gt scope sh) in
   let full = suite_view (full_sweep (scoped gt scope) sh) in
-  memoized = full
+  let run =
+    suite_view
+      (List.map
+         (fun (c : Dice.Checks.checker) -> (c, c.Dice.Checks.run sh))
+         (scoped gt scope))
+  in
+  (memoized = full && run = full)
   || QCheck.Test.fail_reportf "memo and full checking disagree:@.%s@.vs@.%s"
        (String.concat "\n" (List.concat_map snd memoized))
        (String.concat "\n" (List.concat_map snd full))
@@ -464,6 +557,228 @@ let sparrow_view_follows_tables () =
        prefix (again.Bgp.Speaker.sp_rib ())
     = None);
   follows "live" (Topology.Build.speaker build 2)
+
+(* [sh] with node [id]'s speaker reporting [rib] in place of its own. *)
+let with_rib (sh : Snapshot.Store.shadow) id rib =
+  { sh with
+    Snapshot.Store.sh_speakers =
+      List.map
+        (fun (i, (sp : Bgp.Speaker.t)) ->
+          if i = id then (i, { sp with Bgp.Speaker.sp_rib = (fun () -> rib) }) else (i, sp))
+        sh.Snapshot.Store.sh_speakers }
+
+let verdict_at gt sh name id =
+  Dice.Checks.run_memo gt Dice.Checks.Per_input sh
+  |> List.find (fun ((c : Dice.Checks.checker), _) -> c.Dice.Checks.name = name)
+  |> snd
+  |> List.find (fun (v : Dice.Checks.verdict) -> v.Dice.Checks.v_node = id)
+
+(* A RIB that differs from its memo entry by one Loc-RIB binding alone,
+   its candidates untouched, is checked on that prefix.  A correct
+   speaker never changes a selection without its candidates, but the
+   checker does not trust the speaker. *)
+let loc_only_change_flagged () =
+  let graph = random_graph ~seed:5 ~transit:2 ~stub:3 in
+  let build = deploy graph in
+  let node = 1 in
+  let gt = Dice.Checks.ground_truth_of_graph graph in
+  let p = pristine (snapshot build ~node) in
+  ignore (Dice.Checks.record gt p);
+  let sp = Snapshot.Store.speaker p node in
+  let own = (sp.Bgp.Speaker.sp_config ()).Bgp.Config.asn in
+  let rib = sp.Bgp.Speaker.sp_rib () in
+  let prefix, route =
+    List.find
+      (fun (_, r) -> not (Bgp.Rib.is_local r))
+      (Bgp.Prefix.Map.bindings rib.Bgp.Rib.loc)
+  in
+  let looped =
+    { route with
+      Bgp.Rib.attrs =
+        { route.Bgp.Rib.attrs with
+          Bgp.Attr.as_path = Bgp.As_path.prepend own route.Bgp.Rib.attrs.Bgp.Attr.as_path } }
+  in
+  let martian = Bgp.Prefix.of_string_exn "127.0.0.0/8" in
+  List.iter
+    (fun (what, property, rib') ->
+      Alcotest.(check bool) (what ^ ": candidates shared") true
+        (rib'.Bgp.Rib.cands == rib.Bgp.Rib.cands);
+      let sh = with_rib p node rib' in
+      let v = verdict_at gt sh property node in
+      Alcotest.(check bool) (what ^ ": flagged") false v.Dice.Checks.v_ok;
+      check suite_t (what ^ ": verdicts equal full checking")
+        (suite_view (full_sweep (scoped gt Dice.Checks.Per_input) sh))
+        (suite_view (Dice.Checks.run_memo gt Dice.Checks.Per_input sh)))
+    [ ("own AS", "no-own-as-in-path", Bgp.Rib.loc_set prefix looped rib);
+      ("martian", "no-martians", Bgp.Rib.loc_set martian route rib) ]
+
+(* One new candidate that the spec prefers, at a node whose inverted MED
+   comparison keeps the old selection: only the prefix's candidate set
+   changed, and the decision-process spec must fail there.  MED is
+   compared across neighbour ASes ([always_compare_med]), so the
+   routes from the tier-1 node's two customer sessions tie up to the
+   MED. *)
+let candidates_only_change_flagged () =
+  let graph = random_graph ~seed:5 ~transit:2 ~stub:3 in
+  let build = deploy graph in
+  let node = 0 in
+  Dice.Inject.apply build (Dice.Inject.Inverted_med_bug { at = node });
+  let live = Topology.Build.speaker build node in
+  let cfg = live.Bgp.Speaker.sp_config () in
+  live.Bgp.Speaker.sp_set_config { cfg with Bgp.Config.always_compare_med = true };
+  Topology.Build.run_for build (sec 10.);
+  let gt = Dice.Checks.ground_truth_of_graph graph in
+  let announce med =
+    [ ("nlri_a", 8); ("nlri_b", 8); ("nlri_c", 9); ("nlri_len", 24); ("path_len", 2);
+      ("med", med) ]
+  in
+  let sh = subject ~session:0 (snapshot build ~node) ~node (announce 100) in
+  ignore (Dice.Checks.record gt sh);
+  let sp = Snapshot.Store.speaker sh node in
+  let before = sp.Bgp.Speaker.sp_rib () in
+  let second = subject ~session:1 (fun () -> sh) ~node (announce 50) in
+  let after = sp.Bgp.Speaker.sp_rib () in
+  let prefix = Bgp.Prefix.of_string_exn "8.8.9.0/24" in
+  Alcotest.(check bool) "selection kept" true
+    (after.Bgp.Rib.loc == before.Bgp.Rib.loc && Bgp.Rib.loc_get prefix after <> None);
+  check Alcotest.int "two candidates" 2 (List.length (Bgp.Rib.candidates prefix after));
+  let v = verdict_at gt second "decision-process-spec" node in
+  Alcotest.(check bool) "spec violated" false v.Dice.Checks.v_ok;
+  check Alcotest.string "evidence"
+    "8.8.9.0/24: selection disagrees with the decision-process spec" v.Dice.Checks.v_evidence
+
+(* A Sparrow speaker at node 0 with sessions up to peers 1-3 (OPEN and
+   KEEPALIVE delivered by hand), so its Adj-RIB-Out follows its
+   selection. *)
+let sparrow_in_session () =
+  let eng = Netsim.Engine.create () in
+  let net = Netsim.Network.create eng in
+  List.iter (fun id -> Netsim.Network.add_node net id (fun ~src:_ _ -> ())) [ 0; 1; 2; 3 ];
+  List.iter (fun i -> Netsim.Network.connect_sym net 0 i Netsim.Link.ideal) [ 1; 2; 3 ];
+  let cfg =
+    Bgp.Config.make ~asn:65100 ~router_id:(Bgp.Router.addr_of_node 0)
+      ~networks:[ Bgp.Prefix.of_string_exn "10.0.0.0/24" ]
+      ~neighbors:
+        (List.map
+           (fun i -> Bgp.Config.neighbor (Bgp.Router.addr_of_node i) ~remote_as:(64000 + i))
+           [ 1; 2; 3 ])
+      ()
+  in
+  let s = Bgp.Sparrow.create ~net ~node:0 cfg in
+  let sp = Bgp.Sparrow.speaker s in
+  List.iter
+    (fun i ->
+      let deliver msg = sp.Bgp.Speaker.sp_process_raw ~from_node:i (Bgp.Wire.encode msg) in
+      deliver
+        (Bgp.Msg.Open
+           { version = 4; my_as = 64000 + i; hold_time = 90;
+             bgp_id = Bgp.Router.addr_of_node i });
+      deliver Bgp.Msg.keepalive)
+    [ 1; 2; 3 ];
+  (s, sp)
+
+type view_event =
+  | Announce of int * int * int list * int  (** peer, prefix index, path, MED *)
+  | Withdraw of int * int
+  | Refresh  (** an equal but fresh config *)
+
+let view_prefixes =
+  Array.map Bgp.Prefix.of_string_exn
+    [| "10.0.0.0/24"; "10.0.0.0/16"; "192.0.2.0/24"; "198.51.100.0/24"; "203.0.113.0/24" |]
+
+let print_view_event = function
+  | Announce (peer, i, path, med) ->
+      Printf.sprintf "announce %d %d [%s] med %d" peer i
+        (String.concat " " (List.map string_of_int path)) med
+  | Withdraw (peer, i) -> Printf.sprintf "withdraw %d %d" peer i
+  | Refresh -> "refresh"
+
+let gen_view_event =
+  let open QCheck.Gen in
+  let peer = int_range 1 3 and prefix = int_bound (Array.length view_prefixes - 1) in
+  frequency
+    [ (6,
+       let* peer = peer in
+       let* i = prefix in
+       let* path =
+         list_size (int_range 1 3) (oneofl [ 64001; 64002; 64003; 64050; 65100 ])
+       in
+       let* med = int_bound 2 in
+       return (Announce (peer, i, (64000 + peer) :: path, med)));
+      (3, map2 (fun peer i -> Withdraw (peer, i)) peer prefix);
+      (1, return Refresh) ]
+
+(* A view's bindings, independent of how its maps were built. *)
+let view_bindings (rib : Bgp.Rib.t) =
+  ( Bgp.Prefix.Map.bindings rib.Bgp.Rib.loc,
+    List.rev
+      (Bgp.Prefix_trie.fold
+         (fun p pm acc -> (p, Bgp.Ipv4.Map.bindings pm) :: acc)
+         rib.Bgp.Rib.cands []),
+    List.map
+      (fun (a, pm) -> (a, Bgp.Prefix.Map.bindings pm))
+      (Bgp.Ipv4.Map.bindings rib.Bgp.Rib.adj_in),
+    List.map
+      (fun (a, pm) -> (a, Bgp.Prefix.Map.bindings pm))
+      (Bgp.Ipv4.Map.bindings rib.Bgp.Rib.adj_out) )
+
+(* Views patched after every UPDATE equal one built from scratch. *)
+let sparrow_patched_view_equals_built =
+  QCheck.Test.make ~count:200 ~name:"checks: a patched Sparrow view equals a built one"
+    (QCheck.make
+       ~print:(fun evs -> String.concat "; " (List.map print_view_event evs))
+       QCheck.Gen.(list_size (int_range 1 15) gen_view_event))
+    (fun events ->
+      let s, sp = sparrow_in_session () in
+      List.iter
+        (fun ev ->
+          (match ev with
+          | Announce (peer, i, path, med) ->
+              let from = Bgp.Router.addr_of_node peer in
+              Bgp.Sparrow.inject_update s ~from
+                { Bgp.Msg.withdrawn = [];
+                  attrs =
+                    Some
+                      (Bgp.Attr.make ~origin:Bgp.Attr.Igp ~as_path:[ Bgp.As_path.Seq path ]
+                         ~med:(Some med) ~next_hop:from ());
+                  nlri = [ view_prefixes.(i) ] }
+          | Withdraw (peer, i) ->
+              Bgp.Sparrow.inject_update s ~from:(Bgp.Router.addr_of_node peer)
+                { Bgp.Msg.withdrawn = [ view_prefixes.(i) ]; attrs = None; nlri = [] }
+          | Refresh ->
+              let cfg = sp.Bgp.Speaker.sp_config () in
+              sp.Bgp.Speaker.sp_set_config
+                { cfg with Bgp.Config.hold_time = cfg.Bgp.Config.hold_time });
+          ignore (Bgp.Sparrow.rib_view s))
+        events;
+      view_bindings (Bgp.Sparrow.rib_view s) = view_bindings (Bgp.Sparrow.build_view s))
+
+(* One UPDATE to a Sparrow clone changes, between the pristine view and
+   the next, only the prefixes it touched: an announcement of new space
+   and the withdrawal of a route the peer had sent. *)
+let sparrow_update_changes_only_touched () =
+  let graph = Topology.Gadget.embedded () in
+  let build = deploy ~sparrow_nodes:[ 0; 2; 5; 8 ] graph in
+  let sh = pristine (snapshot build ~node:0) in
+  let sp = Snapshot.Store.speaker sh 2 in
+  let peer = List.hd (sp.Bgp.Speaker.sp_config ()).Bgp.Config.neighbors in
+  let from = peer.Bgp.Config.addr in
+  let before = sp.Bgp.Speaker.sp_rib () in
+  let withdrawn = List.hd (Bgp.Rib.prefixes_from_peer from before) in
+  let announced = Bgp.Prefix.of_string_exn "8.8.9.0/24" in
+  sp.Bgp.Speaker.sp_inject_update ~from
+    { Bgp.Msg.withdrawn = [ withdrawn ];
+      attrs =
+        Some
+          (Bgp.Attr.make ~origin:Bgp.Attr.Igp ~next_hop:from
+             ~as_path:(Bgp.As_path.prepend peer.Bgp.Config.remote_as Bgp.As_path.empty)
+             ());
+      nlri = [ announced ] };
+  check Alcotest.(list string) "changed prefixes"
+    (List.map Bgp.Prefix.to_string
+       (List.sort Bgp.Prefix.compare [ withdrawn; announced ]))
+    (List.map Bgp.Prefix.to_string
+       (Bgp.Rib.changed_prefixes before (sp.Bgp.Speaker.sp_rib ())))
 
 (* A clone runs the code its live node ran at the cut: spawned without
    [bugs_of], a loop-check bypass at the explored node still lets a
@@ -791,6 +1106,11 @@ let suite =
     ("checks: Sparrow speakers reuse verdicts", `Quick, sparrow_hits);
     ("checks: a changed Sparrow table gets a new view", `Quick,
       sparrow_view_follows_tables);
+    ("checks: a Loc-RIB change alone is checked", `Quick, loc_only_change_flagged);
+    ("checks: a candidate change alone is checked", `Quick, candidates_only_change_flagged);
+    qtest sparrow_patched_view_equals_built;
+    ("checks: one UPDATE changes only the Sparrow prefixes it touched", `Quick,
+      sparrow_update_changes_only_touched);
     ("checks: clones keep the live bug flags", `Quick, clones_keep_bug_flags);
     ("checks: deferred digests on clean shadows", `Quick, deferred_digest_clean);
     ("checks: deferred digests, quiesced after two samples", `Quick,

@@ -150,6 +150,102 @@ let trie_persistent () =
   check Alcotest.int "original untouched" 1 (Bgp.Prefix_trie.cardinal t1);
   check Alcotest.int "new has both" 2 (Bgp.Prefix_trie.cardinal t2)
 
+(* --- the sharing-aware diff against a naive comparison --- *)
+
+(* An edit of a trie.  [Fresh] binds a newly allocated string, equal to
+   an older one when the numbers match; [Same] binds again the very
+   value already bound, which changes nothing. *)
+type edit = Fresh of Bgp.Prefix.t * int | Same of Bgp.Prefix.t | Remove of Bgp.Prefix.t
+
+let apply_edit t = function
+  | Fresh (p, v) -> Bgp.Prefix_trie.add p (string_of_int v) t
+  | Same p -> (
+      match Bgp.Prefix_trie.find p t with
+      | Some v -> Bgp.Prefix_trie.add p v t
+      | None -> t)
+  | Remove p -> Bgp.Prefix_trie.remove p t
+
+let print_edit = function
+  | Fresh (p, v) -> Printf.sprintf "add %s %d" (Bgp.Prefix.to_string p) v
+  | Same p -> "same " ^ Bgp.Prefix.to_string p
+  | Remove p -> "remove " ^ Bgp.Prefix.to_string p
+
+(* Nested and neighbouring prefixes, so edits collide and share paths. *)
+let diff_prefix_gen =
+  QCheck.Gen.(
+    oneof
+      [ oneofl
+          (List.map Bgp.Prefix.of_string_exn
+             [ "0.0.0.0/0"; "10.0.0.0/8"; "10.0.0.0/16"; "10.128.0.0/9"; "10.1.2.0/24";
+               "192.0.2.0/24"; "192.0.2.128/25"; "255.255.255.255/32" ]);
+        prefix_gen ])
+
+let edit_gen =
+  QCheck.Gen.(
+    let* p = diff_prefix_gen in
+    frequency
+      [ (3, map (fun v -> Fresh (p, v)) (int_bound 3)); (2, return (Same p));
+        (2, return (Remove p)) ])
+
+let trie_bindings t = List.rev (Bgp.Prefix_trie.fold (fun p v acc -> (p, v) :: acc) t [])
+
+(* Every prefix bound in either trie whose two bindings are not one
+   physical value, from the two tries' full enumerations. *)
+let naive_diff a b =
+  let ba = trie_bindings a and bb = trie_bindings b in
+  List.sort_uniq Bgp.Prefix.compare (List.map fst ba @ List.map fst bb)
+  |> List.filter_map (fun p ->
+         let find l = List.assoc_opt p l in
+         match (find ba, find bb) with
+         | Some x, Some y when x == y -> None
+         | va, vb -> Some (p, va, vb))
+
+let same_binding x y =
+  match (x, y) with
+  | None, None -> true
+  | Some x, Some y -> x == y
+  | Some _, None | None, Some _ -> false
+
+let trie_fold_diff_model =
+  QCheck.Test.make ~name:"trie: fold_diff equals a naive comparison" ~count:500
+    (QCheck.make
+       ~print:(fun (base, ea, eb) ->
+         let edits l = String.concat "; " (List.map print_edit l) in
+         Printf.sprintf "base [%s] a [%s] b [%s]" (edits base) (edits ea) (edits eb))
+       QCheck.Gen.(
+         triple
+           (list_size (int_bound 20) edit_gen)
+           (list_size (int_bound 6) edit_gen)
+           (list_size (int_bound 6) edit_gen)))
+    (fun (base, ea, eb) ->
+      let base = List.fold_left apply_edit Bgp.Prefix_trie.empty base in
+      let a = List.fold_left apply_edit base ea and b = List.fold_left apply_edit base eb in
+      let got =
+        List.rev (Bgp.Prefix_trie.fold_diff (fun p x y acc -> (p, x, y) :: acc) a b [])
+      in
+      let want = naive_diff a b in
+      List.compare_lengths got want = 0
+      && List.for_all2
+           (fun (p, x, y) (q, x', y') ->
+             Bgp.Prefix.equal p q && same_binding x x' && same_binding y y')
+           got want)
+
+let trie_fold_diff_sharing () =
+  let p = Bgp.Prefix.of_string_exn "10.0.0.0/8" in
+  let base =
+    Bgp.Prefix_trie.of_list [ (p, "x"); (Bgp.Prefix.of_string_exn "11.0.0.0/8", "y") ]
+  in
+  let diff a b =
+    Bgp.Prefix_trie.fold_diff (fun p _ _ acc -> Bgp.Prefix.to_string p :: acc) a b []
+  in
+  check Alcotest.(list string) "itself" [] (diff base base);
+  check Alcotest.(list string) "the same value again" []
+    (diff base (apply_edit base (Same p)));
+  check Alcotest.(list string) "an equal but fresh value" [ "10.0.0.0/8" ]
+    (diff base (Bgp.Prefix_trie.add p (String.concat "" [ "x" ]) base));
+  check Alcotest.(list string) "removed" [ "10.0.0.0/8" ]
+    (diff base (apply_edit base (Remove p)))
+
 let suite =
   [ ("ipv4: parse/print", `Quick, ipv4_parse);
     ("ipv4: bit indexing", `Quick, ipv4_bits);
@@ -161,4 +257,7 @@ let suite =
     ("trie: basics", `Quick, trie_basics);
     qtest trie_model;
     qtest trie_lpm_model;
-    ("trie: persistence", `Quick, trie_persistent) ]
+    ("trie: persistence", `Quick, trie_persistent);
+    qtest trie_fold_diff_model;
+    ("trie: fold_diff skips shared values, reports fresh ones", `Quick,
+      trie_fold_diff_sharing) ]

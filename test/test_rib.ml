@@ -137,6 +137,108 @@ let adj_in_model =
         [ "10.0.0.2"; "10.0.0.3"; "10.0.0.4" ]
       && Bgp.Rib.total_adj_in rib = List.length model)
 
+(* --- the sharing-aware diff of two RIBs --- *)
+
+let peers = [| "10.0.0.2"; "10.0.0.3"; "10.0.0.4" |]
+
+let prefixes =
+  Array.map p
+    [| "10.0.0.0/8"; "10.0.0.0/16"; "192.0.2.0/24"; "198.51.100.0/24"; "203.0.113.0/24" |]
+
+(* Edits of a RIB by peer and prefix index; routes are allocated afresh
+   from their AS, so equal ones recur.  [Loc_same] and [Adj_in_same]
+   set again the very route already there, which changes nothing. *)
+type rib_edit =
+  | Adj_in of int * int * int
+  | Adj_in_same of int * int
+  | Adj_in_del of int * int
+  | Loc of int * int * int
+  | Loc_same of int
+  | Loc_del of int
+
+let apply_rib_edit rib = function
+  | Adj_in (pe, pr, asn) ->
+      Bgp.Rib.adj_in_set (addr peers.(pe)) prefixes.(pr) (route peers.(pe) [ asn ]) rib
+  | Adj_in_same (pe, pr) -> (
+      match Bgp.Rib.adj_in_get (addr peers.(pe)) prefixes.(pr) rib with
+      | Some r -> Bgp.Rib.adj_in_set (addr peers.(pe)) prefixes.(pr) r rib
+      | None -> rib)
+  | Adj_in_del (pe, pr) -> Bgp.Rib.adj_in_del (addr peers.(pe)) prefixes.(pr) rib
+  | Loc (pe, pr, asn) -> Bgp.Rib.loc_set prefixes.(pr) (route peers.(pe) [ asn ]) rib
+  | Loc_same pr -> (
+      match Bgp.Rib.loc_get prefixes.(pr) rib with
+      | Some r -> Bgp.Rib.loc_set prefixes.(pr) r rib
+      | None -> rib)
+  | Loc_del pr -> Bgp.Rib.loc_del prefixes.(pr) rib
+
+let print_rib_edit = function
+  | Adj_in (pe, pr, asn) -> Printf.sprintf "in %d %d AS%d" pe pr asn
+  | Adj_in_same (pe, pr) -> Printf.sprintf "in-same %d %d" pe pr
+  | Adj_in_del (pe, pr) -> Printf.sprintf "in-del %d %d" pe pr
+  | Loc (pe, pr, asn) -> Printf.sprintf "loc %d %d AS%d" pe pr asn
+  | Loc_same pr -> Printf.sprintf "loc-same %d" pr
+  | Loc_del pr -> Printf.sprintf "loc-del %d" pr
+
+let rib_edit_gen =
+  let open QCheck.Gen in
+  let pe = int_bound (Array.length peers - 1)
+  and pr = int_bound (Array.length prefixes - 1) in
+  let asn = int_range 65001 65002 in
+  frequency
+    [ (3, map3 (fun a b c -> Adj_in (a, b, c)) pe pr asn);
+      (1, map2 (fun a b -> Adj_in_same (a, b)) pe pr);
+      (1, map2 (fun a b -> Adj_in_del (a, b)) pe pr);
+      (3, map3 (fun a b c -> Loc (a, b, c)) pe pr asn);
+      (1, map (fun b -> Loc_same b) pr);
+      (1, map (fun b -> Loc_del b) pr) ]
+
+(* Two RIBs derived from one base: every prefix whose Loc-RIB entry or
+   candidates differ is reported, no prefix whose two bindings are
+   both physically shared is, and the list is in prefix order. *)
+let changed_prefixes_model =
+  QCheck.Test.make ~name:"rib: changed_prefixes covers every change and no shared binding"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (base, ea, eb) ->
+         let edits l = String.concat "; " (List.map print_rib_edit l) in
+         Printf.sprintf "base [%s] a [%s] b [%s]" (edits base) (edits ea) (edits eb))
+       QCheck.Gen.(
+         triple
+           (list_size (int_bound 25) rib_edit_gen)
+           (list_size (int_bound 5) rib_edit_gen)
+           (list_size (int_bound 5) rib_edit_gen)))
+    (fun (base, ea, eb) ->
+      let base = List.fold_left apply_rib_edit Bgp.Rib.empty base in
+      let a = List.fold_left apply_rib_edit base ea
+      and b = List.fold_left apply_rib_edit base eb in
+      let changed = Bgp.Rib.changed_prefixes a b in
+      let reported q = List.exists (Bgp.Prefix.equal q) changed in
+      let shared x y =
+        match (x, y) with
+        | None, None -> true
+        | Some x, Some y -> x == y
+        | Some _, None | None, Some _ -> false
+      in
+      let rec ascending = function
+        | x :: (y :: _ as rest) -> Bgp.Prefix.compare x y < 0 && ascending rest
+        | [ _ ] | [] -> true
+      in
+      ascending changed
+      && Array.for_all
+           (fun q ->
+             let differs =
+               Bgp.Rib.loc_get q a <> Bgp.Rib.loc_get q b
+               || Bgp.Rib.candidates q a <> Bgp.Rib.candidates q b
+             in
+             let untouched =
+               shared (Bgp.Rib.loc_get q a) (Bgp.Rib.loc_get q b)
+               && shared
+                    (Bgp.Prefix_trie.find q a.Bgp.Rib.cands)
+                    (Bgp.Prefix_trie.find q b.Bgp.Rib.cands)
+             in
+             ((not differs) || reported q) && not (untouched && reported q))
+           prefixes)
+
 let suite =
   [ ("rib: adj-in roundtrip", `Quick, adj_in_roundtrip);
     ("rib: candidates across peers", `Quick, candidates_across_peers);
@@ -145,4 +247,5 @@ let suite =
     ("rib: per-peer prefixes sorted", `Quick, prefixes_from_peer_sorted);
     ("rib: persistence", `Quick, persistence);
     ("rib: local route detection", `Quick, local_route_detection);
-    qtest adj_in_model ]
+    qtest adj_in_model;
+    qtest changed_prefixes_model ]
