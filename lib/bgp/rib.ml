@@ -14,21 +14,18 @@ type route = { attrs : Attr.t; source : source }
 
 let is_local r = Ipv4.equal r.source.peer_addr Ipv4.any
 
-(* [cands] mirrors [adj_in] transposed: for each prefix, the candidate
-   routes keyed by advertising peer.  It is what makes the decision
-   process incremental — looking up a prefix's candidate set is one trie
-   walk instead of a fold over every peer's Adj-RIB-In — and is
-   maintained by the same mutators, so the two views cannot drift. *)
+(* [cands] is the Adj-RIB-In, held once, by prefix: for each prefix,
+   the candidate routes keyed by advertising peer.  Looking up a
+   prefix's candidate set — what the incremental decision process does
+   per dirty prefix — is one trie walk; the per-peer views
+   ([prefixes_from_peer], [drop_peer]) are one walk of the trie. *)
 type t = {
-  adj_in : route Prefix.Map.t Ipv4.Map.t;
   cands : route Ipv4.Map.t Prefix_trie.t;
   loc : route Prefix.Map.t;
   adj_out : Attr.t Prefix.Map.t Ipv4.Map.t;
 }
 
-let empty =
-  { adj_in = Ipv4.Map.empty; cands = Prefix_trie.empty; loc = Prefix.Map.empty;
-    adj_out = Ipv4.Map.empty }
+let empty = { cands = Prefix_trie.empty; loc = Prefix.Map.empty; adj_out = Ipv4.Map.empty }
 
 let peer_map peer m = Option.value (Ipv4.Map.find_opt peer m) ~default:Prefix.Map.empty
 
@@ -36,29 +33,22 @@ let update_peer_map peer f m =
   let pm = f (peer_map peer m) in
   if Prefix.Map.is_empty pm then Ipv4.Map.remove peer m else Ipv4.Map.add peer pm m
 
-let cands_add peer prefix route cands =
-  let pm = Option.value (Prefix_trie.find prefix cands) ~default:Ipv4.Map.empty in
-  Prefix_trie.add prefix (Ipv4.Map.add peer route pm) cands
-
-let cands_del peer prefix cands =
-  match Prefix_trie.find prefix cands with
-  | None -> cands
-  | Some pm ->
-      let pm = Ipv4.Map.remove peer pm in
-      if Ipv4.Map.is_empty pm then Prefix_trie.remove prefix cands
-      else Prefix_trie.add prefix pm cands
-
 let adj_in_set peer prefix route t =
-  { t with
-    adj_in = update_peer_map peer (Prefix.Map.add prefix route) t.adj_in;
-    cands = cands_add peer prefix route t.cands }
+  let pm = Option.value (Prefix_trie.find prefix t.cands) ~default:Ipv4.Map.empty in
+  { t with cands = Prefix_trie.add prefix (Ipv4.Map.add peer route pm) t.cands }
+
+let without_peer peer prefix pm cands =
+  let pm = Ipv4.Map.remove peer pm in
+  if Ipv4.Map.is_empty pm then Prefix_trie.remove prefix cands
+  else Prefix_trie.add prefix pm cands
 
 let adj_in_del peer prefix t =
-  { t with
-    adj_in = update_peer_map peer (Prefix.Map.remove prefix) t.adj_in;
-    cands = cands_del peer prefix t.cands }
+  match Prefix_trie.find prefix t.cands with
+  | Some pm when Ipv4.Map.mem peer pm -> { t with cands = without_peer peer prefix pm t.cands }
+  | Some _ | None -> t
 
-let adj_in_get peer prefix t = Prefix.Map.find_opt prefix (peer_map peer t.adj_in)
+let adj_in_get peer prefix t =
+  Option.bind (Prefix_trie.find prefix t.cands) (Ipv4.Map.find_opt peer)
 
 (* The incremental-decision entry point: apply the route (or its
    absence) and report whether the prefix's candidate set actually
@@ -75,14 +65,12 @@ let adj_in_update peer prefix route t =
 
 let drop_peer peer t =
   let cands =
-    Prefix.Map.fold
-      (fun prefix _ cands -> cands_del peer prefix cands)
-      (peer_map peer t.adj_in) t.cands
+    Prefix_trie.fold
+      (fun prefix pm cands ->
+        if Ipv4.Map.mem peer pm then without_peer peer prefix pm cands else cands)
+      t.cands t.cands
   in
-  { t with
-    adj_in = Ipv4.Map.remove peer t.adj_in;
-    cands;
-    adj_out = Ipv4.Map.remove peer t.adj_out }
+  { t with cands; adj_out = Ipv4.Map.remove peer t.adj_out }
 
 let candidates prefix t =
   match Prefix_trie.find prefix t.cands with
@@ -90,7 +78,10 @@ let candidates prefix t =
   | Some pm -> Ipv4.Map.fold (fun _ r acc -> r :: acc) pm []
 
 let prefixes_from_peer peer t =
-  Prefix.Map.fold (fun p _ acc -> p :: acc) (peer_map peer t.adj_in) [] |> List.rev
+  Prefix_trie.fold
+    (fun p pm acc -> if Ipv4.Map.mem peer pm then p :: acc else acc)
+    t.cands []
+  |> List.rev
 
 let loc_set prefix route t = { t with loc = Prefix.Map.add prefix route t.loc }
 let loc_del prefix t = { t with loc = Prefix.Map.remove prefix t.loc }
@@ -157,14 +148,4 @@ let adj_out_del peer prefix t =
 
 let adj_out_get peer prefix t = Prefix.Map.find_opt prefix (peer_map peer t.adj_out)
 
-let make ~adj_in ~loc ~adj_out =
-  let cands =
-    Ipv4.Map.fold
-      (fun peer pm cands ->
-        Prefix.Map.fold (fun prefix r cands -> cands_add peer prefix r cands) pm cands)
-      adj_in Prefix_trie.empty
-  in
-  { adj_in; cands; loc; adj_out }
-
-let total_adj_in t =
-  Ipv4.Map.fold (fun _ pm acc -> acc + Prefix.Map.cardinal pm) t.adj_in 0
+let total_adj_in t = Prefix_trie.fold (fun _ pm acc -> acc + Ipv4.Map.cardinal pm) t.cands 0

@@ -19,26 +19,16 @@ type route = { attrs : Attr.t; source : source }
 val is_local : route -> bool
 
 type t = private {
-  adj_in : route Prefix.Map.t Ipv4.Map.t;  (** keyed by peer address *)
   cands : route Ipv4.Map.t Prefix_trie.t;
-      (** [adj_in] transposed: candidate routes per prefix, keyed by
-          peer.  Maintained by the mutators below; what makes
-          {!candidates} — and hence incremental re-decision — one trie
-          walk instead of a fold over every peer's table. *)
+      (** The Adj-RIB-In, by prefix: the candidate routes of each
+          prefix, keyed by advertising peer.  What makes {!candidates}
+          — and hence incremental re-decision — one trie walk; the
+          per-peer views are derived from it. *)
   loc : route Prefix.Map.t;  (** selected best per prefix *)
   adj_out : Attr.t Prefix.Map.t Ipv4.Map.t;  (** last advertised, per peer *)
 }
 
 val empty : t
-
-val make :
-  adj_in:route Prefix.Map.t Ipv4.Map.t ->
-  loc:route Prefix.Map.t ->
-  adj_out:Attr.t Prefix.Map.t Ipv4.Map.t ->
-  t
-(** Build a RIB from explicit tables, reconstructing the candidate
-    index (for codecs and alternate implementations that assemble the
-    record wholesale). *)
 
 (* --- Adj-RIB-In --- *)
 
@@ -55,7 +45,8 @@ val adj_in_update : Ipv4.t -> Prefix.t -> route option -> t -> t * bool
     no-ops. *)
 
 val drop_peer : Ipv4.t -> t -> t
-(** Remove a peer's Adj-RIB-In and Adj-RIB-Out (session down). *)
+(** Remove a peer's Adj-RIB-In and Adj-RIB-Out (session down): one walk
+    of the candidate trie. *)
 
 val candidates : Prefix.t -> t -> route list
 (** All Adj-RIB-In entries for the prefix, over all peers.  One trie
@@ -63,6 +54,8 @@ val candidates : Prefix.t -> t -> route list
     independent of table size and peer count. *)
 
 val prefixes_from_peer : Ipv4.t -> t -> Prefix.t list
+(** The prefixes the peer advertised, in ascending order: one walk of
+    the candidate trie. *)
 
 (* --- Loc-RIB --- *)
 

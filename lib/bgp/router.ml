@@ -536,27 +536,31 @@ let stop_session t peer =
 let set_config t cfg =
   t.cfg <- cfg;
   (* Operator action: recompute everything our neighbors see. *)
+  let cands = t.st.rib.Rib.cands in
   let all_prefixes =
     List.sort_uniq Prefix.compare
       (cfg.Config.networks @ Rib.loc_prefixes t.st.rib
-      @ Ipv4.Map.fold
-          (fun _ pm acc -> Prefix.Map.fold (fun p _ acc -> p :: acc) pm acc)
-          t.st.rib.Rib.adj_in [])
+      @ Prefix_trie.fold (fun p _ acc -> p :: acc) cands [])
   in
-  (* Re-apply import policies to Adj-RIB-In under the new config. *)
-  Ipv4.Map.iter
-    (fun peer pm ->
-      match Config.find_neighbor cfg peer with
-      | None -> t.st <- { t.st with rib = Rib.drop_peer peer t.st.rib }
-      | Some n ->
-          Prefix.Map.iter
-            (fun prefix (r : Rib.route) ->
-              match import_route t n prefix r.Rib.attrs with
-              | Some route ->
-                  t.st <- { t.st with rib = Rib.adj_in_set peer prefix route t.st.rib }
-              | None -> t.st <- { t.st with rib = Rib.adj_in_del peer prefix t.st.rib })
-            pm)
-    t.st.rib.Rib.adj_in;
+  (* Re-apply import policies to Adj-RIB-In under the new config; the
+     peers that left it are dropped afterwards, once each. *)
+  let gone =
+    Prefix_trie.fold
+      (fun prefix pm gone ->
+        Ipv4.Map.fold
+          (fun peer (r : Rib.route) gone ->
+            match Config.find_neighbor cfg peer with
+            | None -> Ipv4.Set.add peer gone
+            | Some n ->
+                (match import_route t n prefix r.Rib.attrs with
+                | Some route ->
+                    t.st <- { t.st with rib = Rib.adj_in_set peer prefix route t.st.rib }
+                | None -> t.st <- { t.st with rib = Rib.adj_in_del peer prefix t.st.rib });
+                gone)
+          pm gone)
+      cands Ipv4.Set.empty
+  in
+  Ipv4.Set.iter (fun peer -> t.st <- { t.st with rib = Rib.drop_peer peer t.st.rib }) gone;
   run_decision t all_prefixes;
   update_exports t all_prefixes
 
@@ -566,12 +570,13 @@ let restore t st = t.st <- st
    on its insertion history, so equal maps need not marshal alike. *)
 let digest t =
   let rib = t.st.rib in
-  let tables m = Ipv4.Map.bindings (Ipv4.Map.map Prefix.Map.bindings m) in
   Digest.string
     (Marshal.to_string
        ( (t.cfg, t.bug_flags, t.auto_restart, t.liveness_timers),
          Prefix.Map.bindings rib.Rib.loc,
-         tables rib.Rib.adj_in,
-         tables rib.Rib.adj_out,
+         Prefix_trie.fold
+           (fun p pm acc -> (p, Ipv4.Map.bindings pm) :: acc)
+           rib.Rib.cands [],
+         Ipv4.Map.bindings (Ipv4.Map.map Prefix.Map.bindings rib.Rib.adj_out),
          Ipv4.Map.bindings t.st.sessions )
        [ Marshal.No_sharing ])

@@ -421,37 +421,21 @@ let create ~net ~node cfg =
 (* ------------------------------------------------------------------ *)
 
 let build_view t =
-  let adj_in =
-    List.fold_left
-      (fun acc (addr, p) ->
-        let pm =
-          Prefix_trie.fold
-            (fun prefix attrs pm ->
-              Prefix.Map.add prefix
-                { Rib.attrs; source = source_of t addr }
-                pm)
-            p.p_in Prefix.Map.empty
-        in
-        if Prefix.Map.is_empty pm then acc else Ipv4.Map.add addr pm acc)
-      Ipv4.Map.empty t.peers
-  in
-  let loc =
+  let rib =
     Prefix_trie.fold
-      (fun prefix chosen acc -> Prefix.Map.add prefix (route_of t chosen) acc)
-      t.loc Prefix.Map.empty
+      (fun prefix chosen rib -> Rib.loc_set prefix (route_of t chosen) rib)
+      t.loc Rib.empty
   in
-  let adj_out =
-    List.fold_left
-      (fun acc (addr, p) ->
-        let pm =
-          Prefix_trie.fold
-            (fun prefix attrs pm -> Prefix.Map.add prefix attrs pm)
-            p.p_out Prefix.Map.empty
-        in
-        if Prefix.Map.is_empty pm then acc else Ipv4.Map.add addr pm acc)
-      Ipv4.Map.empty t.peers
-  in
-  Rib.make ~adj_in ~loc ~adj_out
+  List.fold_left
+    (fun rib (addr, p) ->
+      let source = source_of t addr in
+      let rib =
+        Prefix_trie.fold
+          (fun prefix attrs rib -> Rib.adj_in_set addr prefix { Rib.attrs; source } rib)
+          p.p_in rib
+      in
+      Prefix_trie.fold (Rib.adj_out_set addr) p.p_out rib)
+    rib t.peers
 
 let inputs t =
   { i_cfg = t.cfg; i_loc = t.loc;

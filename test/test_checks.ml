@@ -717,9 +717,6 @@ let view_bindings (rib : Bgp.Rib.t) =
          rib.Bgp.Rib.cands []),
     List.map
       (fun (a, pm) -> (a, Bgp.Prefix.Map.bindings pm))
-      (Bgp.Ipv4.Map.bindings rib.Bgp.Rib.adj_in),
-    List.map
-      (fun (a, pm) -> (a, Bgp.Prefix.Map.bindings pm))
       (Bgp.Ipv4.Map.bindings rib.Bgp.Rib.adj_out) )
 
 (* Views patched after every UPDATE equal one built from scratch. *)

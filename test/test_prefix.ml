@@ -69,7 +69,7 @@ let prefix_subsume_mem =
       Bgp.Prefix.subsumes p q
       = (Bgp.Prefix.len q >= Bgp.Prefix.len p && Bgp.Prefix.mem (Bgp.Prefix.addr q) p))
 
-(* --- trie vs a reference association list --- *)
+(* --- trie vs a reference map --- *)
 
 let trie_basics () =
   let open Bgp.Prefix_trie in
@@ -98,20 +98,22 @@ let trie_basics () =
   check Alcotest.int "covered count" 2
     (List.length (covered (p "0.0.0.0/0") t))
 
+(* The reference is a [Prefix.Map] built by [Map.add], so the last
+   binding of a prefix wins, as in [Prefix_trie.of_list]. *)
+let model_of bindings =
+  List.fold_left (fun m (p, v) -> Bgp.Prefix.Map.add p v m) Bgp.Prefix.Map.empty bindings
+
 let trie_model =
   QCheck.Test.make ~name:"trie: behaves like an association list" ~count:300
     (QCheck.list (QCheck.pair arb_prefix QCheck.small_int))
     (fun bindings ->
-      let t = Bgp.Prefix_trie.of_list bindings in
-      (* Reference: last binding per prefix wins. *)
-      let ref_find p =
-        List.fold_left
-          (fun acc (q, v) -> if Bgp.Prefix.equal p q then Some v else acc)
-          None bindings
-      in
+      let t = Bgp.Prefix_trie.of_list bindings and model = model_of bindings in
       List.for_all
-        (fun (p, _) -> Bgp.Prefix_trie.find p t = ref_find p)
-        bindings)
+        (fun (p, _) -> Bgp.Prefix_trie.find p t = Bgp.Prefix.Map.find_opt p model)
+        bindings
+      (* [fold] walks in ascending prefix order, the order of the Map. *)
+      && List.rev (Bgp.Prefix_trie.fold (fun p v acc -> (p, v) :: acc) t [])
+         = Bgp.Prefix.Map.bindings model)
 
 let trie_lpm_model =
   QCheck.Test.make ~name:"trie: longest match equals naive scan" ~count:300
@@ -119,24 +121,16 @@ let trie_lpm_model =
        (QCheck.list (QCheck.pair arb_prefix QCheck.small_int))
        (QCheck.map (fun x -> Bgp.Ipv4.of_int32_exn (abs x land 0xFFFF_FFFF)) QCheck.int))
     (fun (bindings, addr) ->
-      (* Dedup so "last wins" cannot differ between trie and scan. *)
-      let bindings =
-        List.fold_left
-          (fun acc (p, v) ->
-            if List.exists (fun (q, _) -> Bgp.Prefix.equal p q) acc then acc
-            else (p, v) :: acc)
-          [] bindings
-      in
-      let t = Bgp.Prefix_trie.of_list bindings in
+      let t = Bgp.Prefix_trie.of_list bindings and model = model_of bindings in
+      (* The longest of the address's 33 masked prefixes that is bound. *)
       let naive =
         List.fold_left
-          (fun acc (p, v) ->
-            if Bgp.Prefix.mem addr p then
-              match acc with
-              | Some (q, _) when Bgp.Prefix.len q >= Bgp.Prefix.len p -> acc
-              | _ -> Some (p, v)
-            else acc)
-          None bindings
+          (fun acc len ->
+            let p = Bgp.Prefix.make addr len in
+            match Bgp.Prefix.Map.find_opt p model with
+            | Some v -> Some (p, v)
+            | None -> acc)
+          None (List.init 33 Fun.id)
       in
       match (Bgp.Prefix_trie.longest_match addr t, naive) with
       | None, None -> true

@@ -94,22 +94,37 @@ let local_route_detection () =
   Alcotest.(check bool) "learned is not local" false
     (Bgp.Rib.is_local (route "10.0.0.2" [ 1 ]))
 
-(* Model-based: a random sequence of adj-in set/del operations behaves
-   like an association list keyed by (peer, prefix). *)
+(* Model-based: a random sequence of adj-in set/del and peer drops
+   behaves like an association list keyed by (peer, prefix), and the
+   views derived from the candidate trie agree with it.  Nested
+   prefixes put trie order to the test. *)
+type adj_in_op = Set of string * string | Del of string * string | Drop of string
+
+let model_peers = [ "10.0.0.2"; "10.0.0.3"; "10.0.0.4" ]
+
+let model_prefixes =
+  [ "10.0.0.0/8"; "10.0.0.0/16"; "10.128.0.0/9"; "192.0.2.0/24"; "198.51.100.0/24";
+    "203.0.113.0/24" ]
+
 let arb_ops =
   let open QCheck.Gen in
-  let peer = oneofl [ "10.0.0.2"; "10.0.0.3"; "10.0.0.4" ] in
-  let prefix = oneofl [ "192.0.2.0/24"; "198.51.100.0/24"; "203.0.113.0/24" ] in
+  let peer = oneofl model_peers in
+  let prefix = oneofl model_prefixes in
   let op =
-    let* pe = peer in
-    let* pr = prefix in
-    let* set = bool in
-    return (pe, pr, set)
+    frequency
+      [ (5, map2 (fun pe pr -> Set (pe, pr)) peer prefix);
+        (3, map2 (fun pe pr -> Del (pe, pr)) peer prefix);
+        (1, map (fun pe -> Drop pe) peer) ]
   in
   QCheck.make
     ~print:(fun ops ->
       String.concat ";"
-        (List.map (fun (pe, pr, s) -> Printf.sprintf "%s %s %s" (if s then "set" else "del") pe pr) ops))
+        (List.map
+           (function
+             | Set (pe, pr) -> Printf.sprintf "set %s %s" pe pr
+             | Del (pe, pr) -> Printf.sprintf "del %s %s" pe pr
+             | Drop pe -> Printf.sprintf "drop %s" pe)
+           ops))
     (list_size (int_bound 40) op)
 
 let adj_in_model =
@@ -118,14 +133,17 @@ let adj_in_model =
     (fun ops ->
       let rib, model =
         List.fold_left
-          (fun (rib, model) (pe, pr, set) ->
-            let peer = addr pe and prefix = p pr in
-            if set then
-              let r = route pe [ 65000 ] in
-              ( Bgp.Rib.adj_in_set peer prefix r rib,
-                ((pe, pr), r) :: List.remove_assoc (pe, pr) model )
-            else
-              (Bgp.Rib.adj_in_del peer prefix rib, List.remove_assoc (pe, pr) model))
+          (fun (rib, model) op ->
+            match op with
+            | Set (pe, pr) ->
+                let r = route pe [ 65000 ] in
+                ( Bgp.Rib.adj_in_set (addr pe) (p pr) r rib,
+                  ((pe, pr), r) :: List.remove_assoc (pe, pr) model )
+            | Del (pe, pr) ->
+                (Bgp.Rib.adj_in_del (addr pe) (p pr) rib, List.remove_assoc (pe, pr) model)
+            | Drop pe ->
+                ( Bgp.Rib.drop_peer (addr pe) rib,
+                  List.filter (fun ((pe', _), _) -> pe' <> pe) model ))
           (Bgp.Rib.empty, []) ops
       in
       List.for_all
@@ -133,8 +151,13 @@ let adj_in_model =
           List.for_all
             (fun pr ->
               Bgp.Rib.adj_in_get (addr pe) (p pr) rib = List.assoc_opt (pe, pr) model)
-            [ "192.0.2.0/24"; "198.51.100.0/24"; "203.0.113.0/24" ])
-        [ "10.0.0.2"; "10.0.0.3"; "10.0.0.4" ]
+            model_prefixes
+          && Bgp.Rib.prefixes_from_peer (addr pe) rib
+             = List.sort Bgp.Prefix.compare
+                 (List.filter_map
+                    (fun ((pe', pr), _) -> if pe' = pe then Some (p pr) else None)
+                    model))
+        model_peers
       && Bgp.Rib.total_adj_in rib = List.length model)
 
 (* --- the sharing-aware diff of two RIBs --- *)

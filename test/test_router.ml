@@ -65,6 +65,28 @@ let withdrawal_propagates () =
   check (Alcotest.option Alcotest.reject) "r0 lost the prefix" None
     (Option.map ignore (Bgp.Prefix.Map.find_opt (p "192.0.2.0/24") (Bgp.Router.loc_rib r0)))
 
+(* A config without a neighbor drops that peer's routes at once, and
+   re-imports every other peer's. *)
+let removed_neighbor_dropped () =
+  let _, _, routers = chain 3 in
+  let r1 = List.nth routers 1 in
+  let gone = Bgp.Router.addr_of_node 2 in
+  let cfg = Bgp.Router.config r1 in
+  Bgp.Router.set_config r1
+    { cfg with
+      Bgp.Config.neighbors =
+        List.filter
+          (fun (n : Bgp.Config.neighbor) -> not (Bgp.Ipv4.equal n.Bgp.Config.addr gone))
+          cfg.Bgp.Config.neighbors };
+  let rib = Bgp.Router.rib r1 in
+  check Alcotest.int "no route from the removed peer" 0
+    (List.length (Bgp.Rib.prefixes_from_peer gone rib));
+  Alcotest.(check bool) "its prefix left the Loc-RIB" false
+    (Bgp.Prefix.Map.mem (p "192.0.2.0/24") (Bgp.Router.loc_rib r1));
+  Alcotest.(check bool) "the other peer's route stays" true
+    (Bgp.Prefix.Map.mem (p "192.0.0.0/24") (Bgp.Router.loc_rib r1));
+  check Alcotest.int "one route received in all" 1 (Bgp.Rib.total_adj_in rib)
+
 let session_down_flushes_routes () =
   let eng, _, routers = chain 3 in
   let r1 = List.nth routers 1 in
@@ -269,6 +291,7 @@ let stuck_open_times_out () =
 let suite =
   [ ("router: chain convergence", `Quick, chain_converges);
     ("router: withdrawal propagates", `Quick, withdrawal_propagates);
+    ("router: removed neighbor dropped", `Quick, removed_neighbor_dropped);
     ("router: session down flushes", `Quick, session_down_flushes_routes);
     ("router: auto restart", `Quick, session_restarts_automatically);
     ("router: no-export respected", `Quick, no_export_respected);
