@@ -77,7 +77,7 @@ let bench_policy =
   Test.make ~name:"policy/gao-rexford-import"
     (Staged.stage (fun () -> Bgp.Policy.apply gao_policy p policy_attrs))
 
-let checkpoint_router =
+let checkpoint_build =
   let graph =
     Topology.Generate.generate
       ~params:{ Topology.Generate.default_params with n_tier1 = 1; n_transit = 2; n_stub = 3 }
@@ -86,11 +86,40 @@ let checkpoint_router =
   let build = Topology.Build.deploy graph in
   Topology.Build.start_all build;
   assert (Topology.Build.converge build);
-  Topology.Build.speaker build 1
+  build
+
+let checkpoint_router = Topology.Build.speaker checkpoint_build 1
 
 let bench_checkpoint =
   Test.make ~name:"snapshot/checkpoint-take"
     (Staged.stage (fun () -> Snapshot.Checkpoint.take ~at:Netsim.Time.zero checkpoint_router))
+
+(* A cut of the converged 6-router deployment above, with one UPDATE in
+   flight on its first channel: a withdrawal of a prefix nobody holds,
+   so quiescing the shadow delivers it to one speaker and stops. *)
+let spawn_snapshot =
+  let build = checkpoint_build in
+  let cut =
+    Snapshot.Cut.create ~speakers:(Topology.Build.speaker build) build.Topology.Build.net
+  in
+  let snap = Dice.Explorer.take_snapshot ~build ~cut ~node:0 () |> Snapshot.Cut.snapshot_of in
+  let raw =
+    Bgp.Wire.encode
+      (Bgp.Msg.Update
+         { withdrawn = [ Bgp.Prefix.of_string_exn "203.0.113.0/24" ]; attrs = None; nlri = [] })
+  in
+  let channels =
+    List.mapi
+      (fun i (c : Snapshot.Cut.channel_record) ->
+        if i = 0 then { c with Snapshot.Cut.ch_messages = [ raw ] } else c)
+      snap.Snapshot.Cut.channels
+  in
+  { snap with Snapshot.Cut.channels }
+
+let bench_spawn =
+  Test.make ~name:"snapshot/spawn"
+    (Staged.stage (fun () ->
+         Snapshot.Store.run_to_quiescence (Snapshot.Store.spawn spawn_snapshot)))
 
 let solver_constraints =
   let x = Concolic.Expr.var "bench_x" ~lo:0 ~hi:65535 in
@@ -126,7 +155,7 @@ let bench_engine_events =
 let tests =
   Test.make_grouped ~name:"dice"
     [ bench_wire_encode; bench_wire_decode; bench_trie_lpm; bench_decision;
-      bench_policy; bench_checkpoint; bench_solver; bench_solver_memo;
+      bench_policy; bench_checkpoint; bench_spawn; bench_solver; bench_solver_memo;
       bench_engine_events ]
 
 (* Toolkit's [minor_allocated] reads [Gc.quick_stat], whose

@@ -512,18 +512,26 @@ let inject_update t ~from u =
   | None -> invalid_arg "Router.inject_update: unknown peer"
   | Some n -> process_update t n u
 
-let create ?(auto_restart = true) ?(liveness_timers = true) ?(bugs = no_bugs) ~net
-    ~node (cfg : Config.t) =
+let make ~auto_restart ~liveness_timers ~bugs ~net ~node cfg st =
   let t =
-    { node; cfg; net; eng = Netsim.Network.engine net;
-      st = { rib = Rib.empty; sessions = Ipv4.Map.empty };
+    { node; cfg; net; eng = Netsim.Network.engine net; st;
       timers = Hashtbl.create 8; stats = Netsim.Stats.create ();
       bug_flags = bugs; auto_restart; liveness_timers }
   in
   Netsim.Network.set_handler net node (fun ~src raw -> process_raw t ~from_node:src raw);
+  t
+
+let create ?(bugs = no_bugs) ~net ~node (cfg : Config.t) =
+  let t =
+    make ~auto_restart:true ~liveness_timers:true ~bugs ~net ~node cfg
+      { rib = Rib.empty; sessions = Ipv4.Map.empty }
+  in
   (* Install locally-originated networks. *)
   run_decision t cfg.Config.networks;
   t
+
+let respawn ~bugs ~net ~node cfg st =
+  make ~auto_restart:false ~liveness_timers:false ~bugs ~net ~node cfg st
 
 let start t =
   List.iter (fun n -> drive t n Fsm.Manual_start) t.cfg.Config.neighbors
@@ -568,15 +576,22 @@ let restore t st = t.st <- st
 
 (* Maps go in as key-ordered bindings: a balanced tree's shape depends
    on its insertion history, so equal maps need not marshal alike. *)
-let digest t =
-  let rib = t.st.rib in
+let digest_of ~cfg ~bugs ~auto_restart ~liveness_timers st =
+  let rib = st.rib in
   Digest.string
     (Marshal.to_string
-       ( (t.cfg, t.bug_flags, t.auto_restart, t.liveness_timers),
+       ( (cfg, bugs, auto_restart, liveness_timers),
          Prefix.Map.bindings rib.Rib.loc,
          Prefix_trie.fold
            (fun p pm acc -> (p, Ipv4.Map.bindings pm) :: acc)
            rib.Rib.cands [],
          Ipv4.Map.bindings (Ipv4.Map.map Prefix.Map.bindings rib.Rib.adj_out),
-         Ipv4.Map.bindings t.st.sessions )
+         Ipv4.Map.bindings st.sessions )
        [ Marshal.No_sharing ])
+
+let digest t =
+  digest_of ~cfg:t.cfg ~bugs:t.bug_flags ~auto_restart:t.auto_restart
+    ~liveness_timers:t.liveness_timers t.st
+
+let respawn_digest ~bugs cfg st =
+  digest_of ~cfg ~bugs ~auto_restart:false ~liveness_timers:false st

@@ -41,8 +41,6 @@ val addr_of_node : int -> Ipv4.t
 val node_of_addr : Ipv4.t -> int
 
 val create :
-  ?auto_restart:bool ->
-  ?liveness_timers:bool ->
   ?bugs:bugs ->
   net:string Netsim.Network.t ->
   node:int ->
@@ -50,10 +48,15 @@ val create :
   t
 (** Registers the message handler on network node [node] (which must
     already exist).  Local networks are installed into the Loc-RIB
-    immediately; sessions stay Idle until [start].
-    [liveness_timers:false] disables hold and keepalive timers — used
-    by shadow clones, whose virtual time only advances while routing
-    work remains, so liveness machinery would fire spuriously. *)
+    immediately; sessions stay Idle until [start]. *)
+
+val respawn :
+  bugs:bugs -> net:string Netsim.Network.t -> node:int -> Config.t -> state -> t
+(** A shadow clone in state [state], its handler registered on [node]:
+    no hold, keepalive or restart timers (a shadow's virtual time only
+    advances while routing work remains, so liveness machinery would
+    fire spuriously), and no decision run — [state] already holds its
+    outcome. *)
 
 val start : t -> unit
 (** Manual-start every configured session. *)
@@ -81,6 +84,10 @@ val digest : t -> Digest.t
     (counters nothing decides on), the RIB's candidate index (a function
     of the Adj-RIBs-In) and the timer handles (a live timer is an event
     in the engine queue). *)
+
+val respawn_digest : bugs:bugs -> Config.t -> state -> Digest.t
+(** [digest (respawn ~bugs ~net ~node cfg state)], without making the
+    clone. *)
 
 val rib : t -> Rib.t
 val loc_rib : t -> Rib.route Prefix.Map.t

@@ -389,8 +389,9 @@ let inject_update t ~from u =
 
 let start t = List.iter (fun (_, p) -> greet t p) t.peers
 
-let make ~shared_views ~liveness_timers ~bugs ~net ~node cfg =
-  let t =
+(* A speaker with no routes and every session down, not yet on the
+   network. *)
+let alloc ~shared_views ~liveness_timers ~bugs ~net ~node cfg =
     { node; cfg; net; eng = Netsim.Network.engine net;
       peers =
         List.map
@@ -407,14 +408,18 @@ let make ~shared_views ~liveness_timers ~bugs ~net ~node cfg =
       last_view = None;
       shared_views;
       restored = None }
-  in
-  Netsim.Network.set_handler net node (fun ~src raw -> process_raw t ~from_node:src raw);
-  List.iter (fun prefix -> reselect t prefix) cfg.Config.networks;
-  t
+
+let attach t =
+  Netsim.Network.set_handler t.net t.node (fun ~src raw -> process_raw t ~from_node:src raw)
 
 let create ~net ~node cfg =
-  make ~shared_views:(Atomic.make None) ~liveness_timers:true ~bugs:Router.no_bugs ~net
-    ~node cfg
+  let t =
+    alloc ~shared_views:(Atomic.make None) ~liveness_timers:true ~bugs:Router.no_bugs ~net
+      ~node cfg
+  in
+  attach t;
+  List.iter (fun prefix -> reselect t prefix) cfg.Config.networks;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Rib view and speaker wrapping                                       *)
@@ -542,12 +547,6 @@ let restore_image t image =
       | None -> ())
     image.im_peers
 
-let route_count image =
-  Prefix_trie.cardinal image.im_loc
-  + List.fold_left
-      (fun acc (_, _, p_in, _) -> acc + Prefix_trie.cardinal p_in)
-      0 image.im_peers
-
 (* Peers are listed in configuration order, which never changes; the
    tries are canonical, so they marshal alike exactly when equal. *)
 let digest t =
@@ -579,19 +578,28 @@ let rec speaker t =
     sp_digest = (fun () -> digest t);
     sp_capture = (fun () -> capture t) }
 
+(* The clone of a capture is a shadow speaker restored from its image:
+   there is no local network to install, the image holds the outcome. *)
 and capture t =
   let image = capture_image t in
-  let node = t.node and shared_views = t.shared_views in
+  let node = t.node and shared_views = t.shared_views and cap_bugs = t.bugs in
+  let restored ~net ~bugs =
+    let clone = alloc ~shared_views ~liveness_timers:false ~bugs ~net ~node image.im_cfg in
+    restore_image clone image;
+    clone.restored <- Some (inputs clone);
+    clone
+  in
+  (* An unattached clone on the live speaker's network answers for one
+     that was never respawned: it only reads its tables. *)
+  let detached () = restored ~net:t.net ~bugs:cap_bugs in
   { Speaker.cap_node = node;
     cap_impl = "sparrow";
     cap_config = image.im_cfg;
-    cap_bugs = t.bugs;
-    cap_route_count = lazy (route_count image);
+    cap_bugs;
+    cap_rib = Speaker.once (fun () -> rib_view (detached ()));
+    cap_digest = Speaker.once (fun () -> digest (detached ()));
     cap_respawn =
       (fun ~net ~bugs ->
-        let clone =
-          make ~shared_views ~liveness_timers:false ~bugs ~net ~node image.im_cfg
-        in
-        restore_image clone image;
-        clone.restored <- Some (inputs clone);
+        let clone = restored ~net ~bugs in
+        attach clone;
         speaker clone) }

@@ -20,12 +20,24 @@ and capture = {
   cap_impl : string;
   cap_config : Config.t;
   cap_bugs : Router.bugs;
-  cap_route_count : int Lazy.t;
+  cap_rib : unit -> Rib.t;
+  cap_digest : unit -> Digest.t;
   cap_respawn : net:string Netsim.Network.t -> bugs:Router.bugs -> t;
 }
 
 let loc_rib t = (t.sp_rib ()).Rib.loc
 let capture t = t.sp_capture ()
+
+(* Racing domains may each compute the value; all of them return the
+   one that was stored first. *)
+let once f =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some v -> v
+    | None ->
+        ignore (Atomic.compare_and_set cell None (Some (f ())));
+        Option.get (Atomic.get cell)
 
 let rec of_router r =
   { sp_node = Router.node r;
@@ -46,17 +58,12 @@ let rec of_router r =
 and capture_router r =
   let st = Router.state r in
   let cfg = Router.config r in
-  let rib = st.Router.rib in
+  let rib = st.Router.rib and bugs = Router.bugs r in
   { cap_node = Router.node r;
     cap_impl = "bird-like";
     cap_config = cfg;
-    cap_bugs = Router.bugs r;
-    cap_route_count = lazy (Rib.loc_cardinal rib + Rib.total_adj_in rib);
+    cap_bugs = bugs;
+    cap_rib = (fun () -> rib);
+    cap_digest = once (fun () -> Router.respawn_digest ~bugs cfg st);
     cap_respawn =
-      (fun ~net ~bugs ->
-        let clone =
-          Router.create ~auto_restart:false ~liveness_timers:false ~bugs ~net
-            ~node:(Router.node r) cfg
-        in
-        Router.restore clone st;
-        of_router clone) }
+      (fun ~net ~bugs -> of_router (Router.respawn ~bugs ~net ~node:(Router.node r) cfg st)) }

@@ -44,7 +44,14 @@ and capture = {
   cap_bugs : Router.bugs;
       (** the seeded-bug flags at capture time: a clone runs the code
           the captured node ran unless its spawner overrides them *)
-  cap_route_count : int Lazy.t;  (** Loc-RIB + Adj-RIB-In entries (computed on demand: counting is O(n), capturing must stay O(1)) *)
+  cap_rib : unit -> Rib.t;
+      (** what a respawn's [sp_rib] returns before it handles anything:
+          the captured RIB, or Sparrow's view of the captured tables,
+          shared with the live node and its clones *)
+  cap_digest : unit -> Digest.t;
+      (** a respawn's [sp_digest] under [cap_bugs], before it handles
+          anything; computed on the first call and kept, safely across
+          domains *)
   cap_respawn : net:string Netsim.Network.t -> bugs:Router.bugs -> t;
       (** Recreate this speaker (same implementation, same state) on an
           isolated network whose node ids match the original. *)
@@ -52,6 +59,11 @@ and capture = {
 
 val loc_rib : t -> Rib.route Prefix.Map.t
 val capture : t -> capture
+
+val once : (unit -> 'a) -> unit -> 'a
+(** [once f] calls [f] on its first call and returns that value from
+    then on.  Domains that race on the first call may each run [f], but
+    all of them get the value stored first. *)
 
 val of_router : Router.t -> t
 (** Wrap the reference implementation.  Respawned clones run with

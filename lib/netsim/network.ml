@@ -77,9 +77,59 @@ let net_metrics label =
     nm_link_downtime =
       Telemetry.Metrics.histogram ~buckets:downtime_buckets (name "link_downtime_us") }
 
+(* Who is connected to whom, with every node's sorted successors and
+   predecessors so a neighbor query costs its degree.  A live network
+   grows its own.  A frozen one is a copy that nothing writes again: it
+   is shared, read-only, by every network made over it, on any domain,
+   so its sorted lists are filled in when it is made. *)
+type topology = {
+  out_adj : (int, int list) Hashtbl.t;  (* every node, even a sink *)
+  in_adj : (int, int list) Hashtbl.t;
+  mutable node_list : int list option;  (* sorted; [None] until asked *)
+  mutable chan_list : (int * int) list option;  (* sorted; [None] until asked *)
+}
+
+let empty_topology () =
+  { out_adj = Hashtbl.create 64; in_adj = Hashtbl.create 64; node_list = None;
+    chan_list = None }
+
+let rec insert_sorted (x : int) = function
+  | y :: rest when y < x -> y :: insert_sorted x rest
+  | l -> x :: l
+
+let adjacent tbl id = Option.value (Hashtbl.find_opt tbl id) ~default:[]
+
+let node_list tp =
+  match tp.node_list with
+  | Some l -> l
+  | None ->
+      let l = List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) tp.out_adj []) in
+      tp.node_list <- Some l;
+      l
+
+let chan_list tp =
+  match tp.chan_list with
+  | Some l -> l
+  | None ->
+      let l =
+        List.concat_map
+          (fun a -> List.map (fun b -> (a, b)) (adjacent tp.out_adj a))
+          (node_list tp)
+      in
+      tp.chan_list <- Some l;
+      l
+
 type 'msg t = {
   eng : Engine.t;
   metrics : net_metrics option;
+  topo : topology;
+  frozen : bool;
+      (* [topo] is shared and fixed: node and channel records are made
+         on first use rather than by [add_node] and [connect] *)
+  first_handler : int -> src:int -> 'msg -> unit;
+      (* a frozen network's node handler until [set_handler] *)
+  mutable fixed : topology option;
+      (* a live network's [topology], until [add_node] or [connect] *)
   node_tbl : (int, 'msg node) Hashtbl.t;
   chan_tbl : (int * int, 'msg channel) Hashtbl.t;
   net_rng : Rng.t;
@@ -95,10 +145,14 @@ type 'msg t = {
   mutable next_seq : int;
 }
 
-let create ?label eng =
+let make ?label ~topo ~frozen ~first_handler eng =
   {
     eng;
     metrics = Option.map net_metrics label;
+    topo;
+    frozen;
+    first_handler;
+    fixed = None;
     node_tbl = Hashtbl.create 64;
     chan_tbl = Hashtbl.create 256;
     net_rng = Rng.split (Engine.rng eng);
@@ -114,31 +168,66 @@ let create ?label eng =
     next_seq = 0;
   }
 
+let create ?label eng =
+  make ?label ~topo:(empty_topology ()) ~frozen:false
+    ~first_handler:(fun _ ~src:_ _ -> ()) eng
+
+(* The record tables start as large as a live network's.  A table
+   grown from a smaller start keeps longer chains, and every delivery
+   walks one with structural key comparisons: that cost more than the
+   allocation it saved. *)
+let over eng topo first_handler = make ~topo ~frozen:true ~first_handler eng
+
 let engine t = t.eng
 
 let bump t f = match t.metrics with Some m -> f m | None -> ()
 
-let add_node t id handler =
-  if Hashtbl.mem t.node_tbl id then
-    invalid_arg (Printf.sprintf "Network.add_node: node %d exists" id);
-  Hashtbl.add t.node_tbl id { handler; nd_up = true; nd_down_since = None }
+let has_node t id = Hashtbl.mem t.topo.out_adj id
+let has_channel t a b = List.mem b (adjacent t.topo.out_adj a)
 
-let set_handler t id handler =
-  match Hashtbl.find_opt t.node_tbl id with
-  | Some n -> n.handler <- handler
-  | None -> invalid_arg (Printf.sprintf "Network.set_handler: no node %d" id)
+let refuse_frozen t what =
+  if t.frozen then invalid_arg (Printf.sprintf "Network.%s: frozen topology" what)
+
+let add_node t id handler =
+  refuse_frozen t "add_node";
+  if has_node t id then
+    invalid_arg (Printf.sprintf "Network.add_node: node %d exists" id);
+  Hashtbl.add t.node_tbl id { handler; nd_up = true; nd_down_since = None };
+  Hashtbl.add t.topo.out_adj id [];
+  Hashtbl.add t.topo.in_adj id [];
+  t.topo.node_list <- None;
+  t.fixed <- None
+
+let new_channel link rng =
+  { link; chan_rng = rng; last_delivery = Time.zero; ch_up = true;
+    ch_policy = Drop_while_down; ch_held = []; ch_down_since = None;
+    ch_first = Landed; ch_last = Landed }
 
 let connect t a b link =
-  if not (Hashtbl.mem t.node_tbl a) then
-    invalid_arg (Printf.sprintf "Network.connect: no node %d" a);
-  if not (Hashtbl.mem t.node_tbl b) then
-    invalid_arg (Printf.sprintf "Network.connect: no node %d" b);
+  refuse_frozen t "connect";
+  if not (has_node t a) then invalid_arg (Printf.sprintf "Network.connect: no node %d" a);
+  if not (has_node t b) then invalid_arg (Printf.sprintf "Network.connect: no node %d" b);
   if Hashtbl.mem t.chan_tbl (a, b) then
     invalid_arg (Printf.sprintf "Network.connect: channel %d->%d exists" a b);
-  Hashtbl.add t.chan_tbl (a, b)
-    { link; chan_rng = Rng.split t.net_rng; last_delivery = Time.zero;
-      ch_up = true; ch_policy = Drop_while_down; ch_held = [];
-      ch_down_since = None; ch_first = Landed; ch_last = Landed }
+  Hashtbl.add t.chan_tbl (a, b) (new_channel link (Rng.split t.net_rng));
+  Hashtbl.replace t.topo.out_adj a (insert_sorted b (adjacent t.topo.out_adj a));
+  Hashtbl.replace t.topo.in_adj b (insert_sorted a (adjacent t.topo.in_adj b));
+  t.topo.chan_list <- None;
+  t.fixed <- None
+
+let topology t =
+  match t.fixed with
+  | Some tp -> tp
+  | None when t.frozen -> t.topo
+  | None ->
+      (* The adjacency lists are immutable, so copying the tables that
+         hold them is enough. *)
+      let tp =
+        { out_adj = Hashtbl.copy t.topo.out_adj; in_adj = Hashtbl.copy t.topo.in_adj;
+          node_list = Some (node_list t.topo); chan_list = Some (chan_list t.topo) }
+      in
+      t.fixed <- Some tp;
+      tp
 
 let connect_sym t a b link =
   connect t a b link;
@@ -159,15 +248,46 @@ let downtime_us t since =
 (* Failure state                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* A frozen network makes a record on its first use: a node's with its
+   first handler, a channel's with an ideal link, which draws nothing
+   from a generator and so can share the network's. *)
+let first_node t id =
+  if t.frozen && has_node t id then begin
+    let n = { handler = t.first_handler id; nd_up = true; nd_down_since = None } in
+    Hashtbl.add t.node_tbl id n;
+    Some n
+  end
+  else None
+
+let first_chan t a b =
+  if t.frozen && has_channel t a b then begin
+    let ch = new_channel Link.ideal t.net_rng in
+    Hashtbl.add t.chan_tbl (a, b) ch;
+    Some ch
+  end
+  else None
+
+(* The lookups stay small enough to inline into the delivery path. *)
+let node_opt t id =
+  match Hashtbl.find_opt t.node_tbl id with Some _ as n -> n | None -> first_node t id
+
+let chan_opt t a b =
+  match Hashtbl.find_opt t.chan_tbl (a, b) with Some _ as ch -> ch | None -> first_chan t a b
+
 let node_of t id =
-  match Hashtbl.find_opt t.node_tbl id with
+  match node_opt t id with
   | Some n -> n
   | None -> invalid_arg (Printf.sprintf "Network: no node %d" id)
 
 let chan_of t a b =
-  match Hashtbl.find_opt t.chan_tbl (a, b) with
+  match chan_opt t a b with
   | Some ch -> ch
   | None -> invalid_arg (Printf.sprintf "Network: no channel %d->%d" a b)
+
+let set_handler t id handler =
+  match node_opt t id with
+  | Some n -> n.handler <- handler
+  | None -> invalid_arg (Printf.sprintf "Network.set_handler: no node %d" id)
 
 let node_is_up t id = (node_of t id).nd_up
 let link_is_up t a b = (chan_of t a b).ch_up
@@ -273,7 +393,7 @@ let schedule_delivery t ~src ~dst ch env =
   ignore (Engine.at t.eng arrival (fun () -> deliver t ~src ~dst ch))
 
 let transmit t ~src ~dst env =
-  match Hashtbl.find_opt t.chan_tbl (src, dst) with
+  match chan_opt t src dst with
   | None -> invalid_arg (Printf.sprintf "Network.send: no channel %d->%d" src dst)
   | Some ch ->
       (* A down node is silent: its timers may still fire, but nothing it
@@ -325,14 +445,15 @@ let partition t xs ys =
     (fun a ->
       List.iter
         (fun b ->
-          if Hashtbl.mem t.chan_tbl (a, b) then set_link_down t a b;
-          if Hashtbl.mem t.chan_tbl (b, a) then set_link_down t b a)
+          if has_channel t a b then set_link_down t a b;
+          if has_channel t b a then set_link_down t b a)
         ys)
     xs
 
 let heal t =
   (* [set_link_up] only mutates channel records, never the table
-     structure, so iterating directly is safe. *)
+     structure, so iterating directly is safe; a channel with no record
+     yet is up. *)
   Hashtbl.iter (fun (a, b) ch -> if not ch.ch_up then set_link_up t a b) t.chan_tbl
 
 let send t ~src ~dst msg =
@@ -354,18 +475,9 @@ let set_transform t f = t.transform <- f
 let set_crash_policy t p = t.crash_policy <- p
 let crashes t = List.rev t.crash_log
 
-let has_node t id = Hashtbl.mem t.node_tbl id
-
-let neighbors_out t id =
-  Hashtbl.fold (fun (a, b) _ acc -> if a = id then b :: acc else acc) t.chan_tbl []
-  |> List.sort Int.compare
-
-let neighbors_in t id =
-  Hashtbl.fold (fun (a, b) _ acc -> if b = id then a :: acc else acc) t.chan_tbl []
-  |> List.sort Int.compare
-
-let channels t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.chan_tbl [] |> List.sort compare
+let neighbors_out t id = adjacent t.topo.out_adj id
+let neighbors_in t id = adjacent t.topo.in_adj id
+let channels t = chan_list t.topo
 
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered
@@ -386,10 +498,13 @@ let digest t =
     || Option.is_some t.control_handler
   then None
   else
+    (* A channel or node with no record yet (frozen networks) is
+       described as a new one. *)
+    let blank = new_channel Link.ideal t.net_rng in
     let chans =
-      List.sort
-        (fun (a, _) (b, _) -> compare a b)
-        (Hashtbl.fold (fun k ch acc -> (k, ch) :: acc) t.chan_tbl [])
+      List.map
+        (fun k -> (k, Option.value (Hashtbl.find_opt t.chan_tbl k) ~default:blank))
+        (channels t)
     in
     if List.exists (fun (_, ch) -> draws ch.link) chans then None
     else begin
@@ -413,8 +528,10 @@ let digest t =
           chans
       in
       let nodes =
-        List.sort compare
-          (Hashtbl.fold (fun id n acc -> (id, n.nd_up) :: acc) t.node_tbl [])
+        List.map
+          (fun id ->
+            (id, match Hashtbl.find_opt t.node_tbl id with Some n -> n.nd_up | None -> true))
+          (node_list t.topo)
       in
       Some
         (Digest.string

@@ -50,6 +50,26 @@ type crash = {
 
 type 'msg t
 
+type topology
+(** A node and channel set fixed once, with every node's sorted
+    successors and predecessors.  It is immutable, so any number of
+    networks, on any domains, can be made {!over} one. *)
+
+val topology : 'msg t -> topology
+(** The network's nodes and channels as they are now.  Later
+    {!add_node} and {!connect} calls do not change the value returned;
+    until one happens, every call returns the same value. *)
+
+val over : Engine.t -> topology -> (int -> src:int -> 'msg -> unit) -> 'msg t
+(** A network whose nodes and channels are [topology]'s, every link
+    {!Link.ideal}, unlabeled.  It costs what it touches: a channel's
+    record is made on its first send, a node's on its first delivery or
+    {!set_handler}, and until [set_handler] replaces it node [id]'s
+    handler is [first id].  {!add_node} and {!connect} raise
+    [Invalid_argument].  It answers every query, {!digest} included,
+    as a network built by [add_node] and [connect] with ideal links
+    would. *)
+
 (** [create ?label eng] builds an empty network.
     [label] opts this network into the global telemetry registry:
     counters [net.<label>.sent/delivered/dropped/node_downs/link_downs]
@@ -141,9 +161,15 @@ val heal : 'msg t -> unit
 (** {1 Introspection} *)
 
 val has_node : 'msg t -> int -> bool
+
 val neighbors_out : 'msg t -> int -> int list
+(** Ascending; costs the node's degree. *)
+
 val neighbors_in : 'msg t -> int -> int list
+(** Ascending; costs the node's degree. *)
+
 val channels : 'msg t -> (int * int) list
+(** Ascending; sorted once per change of the channel set. *)
 
 val digest : string t -> Digest.t option
 (** A digest of everything that decides what the network does next,

@@ -13,4 +13,6 @@ let respawn ?bugs t ~net =
   t.image.Bgp.Speaker.cap_respawn ~net
     ~bugs:(Option.value bugs ~default:t.image.Bgp.Speaker.cap_bugs)
 
-let route_count t = Lazy.force t.image.Bgp.Speaker.cap_route_count
+let route_count t =
+  let rib = t.image.Bgp.Speaker.cap_rib () in
+  Bgp.Rib.loc_cardinal rib + Bgp.Rib.total_adj_in rib

@@ -7,6 +7,7 @@ type snapshot = {
   completed_at : Netsim.Time.t;
   checkpoints : (int * Checkpoint.t) list;
   channels : channel_record list;
+  topology : Netsim.Network.topology;
   control_messages : int;
 }
 
@@ -26,12 +27,15 @@ type active_snap = {
   a_started : Netsim.Time.t;
   a_checkpoints : (int, Checkpoint.t) Hashtbl.t;
   a_channels : (int * int, chan_status) Hashtbl.t;
-  a_markers_seen : (int * int, unit) Hashtbl.t;
   mutable a_markers_sent : int;
   (* The channel set pinned at initiation time: completion accounting is
      judged against this, so channels appearing later cannot corrupt it
-     and channels that stall show up in the Partial result. *)
+     and channels that stall show up in the Partial result.  [a_missing]
+     holds the expected channels whose marker has not arrived: the cut
+     is done when it is empty. *)
   a_expected : (int * int) list;
+  a_missing : (int * int, unit) Hashtbl.t;
+  a_topology : Netsim.Network.topology;  (* the network at initiation *)
   mutable a_timer : Netsim.Engine.timer option;
   a_on_result : result -> unit;
 }
@@ -52,9 +56,10 @@ let build_snapshot t a =
     Hashtbl.fold (fun node cp acc -> (node, cp) :: acc) a.a_checkpoints []
     |> List.sort (fun (x, _) (y, _) -> Int.compare x y)
   in
-  (* One record per expected channel: gathered messages where we have
-     them, empty otherwise — so a shadow spawned from a partial cut
-     still knows the full channel structure. *)
+  (* One record per expected channel, in [a_expected]'s ascending
+     order: gathered messages where we have them, empty otherwise — so
+     a shadow spawned from a partial cut still knows the full channel
+     structure. *)
   let channels =
     List.map
       (fun (f, d) ->
@@ -66,7 +71,6 @@ let build_snapshot t a =
         in
         { ch_from = f; ch_to = d; ch_messages = msgs })
       a.a_expected
-    |> List.sort compare
   in
   { snap_id = a.a_id;
     initiator = a.a_initiator;
@@ -74,6 +78,7 @@ let build_snapshot t a =
     completed_at = now t;
     checkpoints;
     channels;
+    topology = a.a_topology;
     control_messages = a.a_markers_sent }
 
 let m_complete = lazy (Telemetry.Metrics.counter "cut.complete")
@@ -98,9 +103,7 @@ let finish t a = settle t a (Complete (build_snapshot t a))
 
 let abort t a =
   if Hashtbl.mem t.active_tbl a.a_id then begin
-    let stalled =
-      List.filter (fun c -> not (Hashtbl.mem a.a_markers_seen c)) a.a_expected
-    in
+    let stalled = List.filter (Hashtbl.mem a.a_missing) a.a_expected in
     settle t a (Partial (build_snapshot t a, stalled))
   end
 
@@ -124,29 +127,23 @@ let engage t a node ~closed_from =
         (Netsim.Network.Marker { snapshot = a.a_id; initiator = a.a_initiator }))
     (Netsim.Network.neighbors_out t.net node)
 
-let check_done t a =
-  let closed =
-    List.for_all (fun c -> Hashtbl.mem a.a_markers_seen c) a.a_expected
-  in
-  if closed then finish t a
+let check_done t a = if Hashtbl.length a.a_missing = 0 then finish t a
 
-let on_marker t ~self ~src ~snapshot ~initiator =
+(* A second marker on one channel finds its node engaged and the
+   channel closed, so handling it again changes nothing. *)
+let on_marker t ~self ~src ~snapshot =
   match Hashtbl.find_opt t.active_tbl snapshot with
   | None -> () (* marker of an already-finished snapshot: stale, ignore *)
   | Some a ->
-      if Hashtbl.mem a.a_markers_seen (src, self) then ()
-      else begin
-        Hashtbl.replace a.a_markers_seen (src, self) ();
-        (if not (Hashtbl.mem a.a_checkpoints self) then
-           engage t a self ~closed_from:(Some src)
-         else
-           match Hashtbl.find_opt a.a_channels (src, self) with
-           | Some (Recording r) ->
-               Hashtbl.replace a.a_channels (src, self) (Closed (List.rev !r))
-           | Some (Closed _) | None -> ());
-        ignore initiator;
-        check_done t a
-      end
+      Hashtbl.remove a.a_missing (src, self);
+      (if not (Hashtbl.mem a.a_checkpoints self) then
+         engage t a self ~closed_from:(Some src)
+       else
+         match Hashtbl.find_opt a.a_channels (src, self) with
+         | Some (Recording r) ->
+             Hashtbl.replace a.a_channels (src, self) (Closed (List.rev !r))
+         | Some (Closed _) | None -> ());
+      check_done t a
 
 let on_delivery t ~dst ~src msg =
   Hashtbl.iter
@@ -163,19 +160,21 @@ let create ~speakers net =
   in
   Netsim.Network.set_control_handler net (fun ~self ~src control ->
       match control with
-      | Netsim.Network.Marker { snapshot; initiator } ->
-          on_marker t ~self ~src ~snapshot ~initiator);
+      | Netsim.Network.Marker { snapshot; initiator = _ } -> on_marker t ~self ~src ~snapshot);
   Netsim.Network.set_delivery_tap net (Some (fun ~dst ~src msg -> on_delivery t ~dst ~src msg));
   t
 
 let initiate ?deadline t ~initiator ~on_result =
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
+  let expected = Netsim.Network.channels t.net in
+  let missing = Hashtbl.create (List.length expected) in
+  List.iter (fun c -> Hashtbl.replace missing c ()) expected;
   let a =
     { a_id = id; a_initiator = initiator; a_started = now t;
       a_checkpoints = Hashtbl.create 32; a_channels = Hashtbl.create 64;
-      a_markers_seen = Hashtbl.create 64; a_markers_sent = 0;
-      a_expected = Netsim.Network.channels t.net;
+      a_markers_sent = 0; a_expected = expected; a_missing = missing;
+      a_topology = Netsim.Network.topology t.net;
       a_timer = None;
       a_on_result = on_result }
   in

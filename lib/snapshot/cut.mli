@@ -32,7 +32,12 @@ type snapshot = {
   checkpoints : (int * Checkpoint.t) list;  (** sorted by node *)
   channels : channel_record list;
       (** one record per channel expected at initiation (empty messages
-          for channels the sweep never reached) *)
+          for channels the sweep never reached), ascending *)
+  topology : Netsim.Network.topology;
+      (** the network's nodes and channels at initiation, shared by
+          every shadow spawned from the snapshot; a node the cut did not
+          checkpoint is a black hole in them.  Nodes and channels added
+          during the cut are not in it. *)
   control_messages : int;  (** markers sent — the overhead metric *)
 }
 

@@ -2,37 +2,90 @@ type shadow = {
   sh_engine : Netsim.Engine.t;
   sh_net : string Netsim.Network.t;
   sh_speakers : (int * Bgp.Speaker.t) list;
-  sh_by_id : (int, Bgp.Speaker.t) Hashtbl.t;
+  sh_touch : int -> Bgp.Speaker.t;
   sh_from : int;
 }
 
-let spawn ?bugs_of ?(deliver_in_flight = true)
-    (snap : Cut.snapshot) =
+(* One checkpointed node of a shadow: its capture until something needs
+   the speaker itself, then the speaker respawned from it. *)
+type slot = {
+  id : int;
+  cp : Checkpoint.t;
+  bugs : Bgp.Router.bugs;
+  net : string Netsim.Network.t;
+  mutable live : Bgp.Speaker.t option;
+}
+
+let touch s =
+  match s.live with
+  | Some sp -> sp
+  | None ->
+      let sp = Checkpoint.respawn ~bugs:s.bugs s.cp ~net:s.net in
+      s.live <- Some sp;
+      sp
+
+(* The speaker a shadow lists for [s].  Until [s] is touched it answers
+   its config, RIB, bug flags and digest from the capture, as a fresh
+   respawn would; anything else respawns it first and then forwards. *)
+let proxy s =
+  let cap = s.cp.Checkpoint.image in
+  { Bgp.Speaker.sp_node = s.id;
+    sp_impl = cap.Bgp.Speaker.cap_impl;
+    sp_config =
+      (fun () -> match s.live with Some sp -> sp.sp_config () | None -> cap.cap_config);
+    sp_set_config = (fun cfg -> (touch s).sp_set_config cfg);
+    sp_rib = (fun () -> match s.live with Some sp -> sp.sp_rib () | None -> cap.cap_rib ());
+    sp_bugs = (fun () -> match s.live with Some sp -> sp.sp_bugs () | None -> s.bugs);
+    sp_set_bugs = (fun bugs -> (touch s).sp_set_bugs bugs);
+    sp_start = (fun () -> (touch s).sp_start ());
+    sp_established = (fun () -> (touch s).sp_established ());
+    sp_process_raw = (fun ~from_node raw -> (touch s).sp_process_raw ~from_node raw);
+    sp_inject_update = (fun ~from u -> (touch s).sp_inject_update ~from u);
+    sp_stats = (fun () -> (touch s).sp_stats ());
+    sp_digest =
+      (fun () -> match s.live with Some sp -> sp.sp_digest () | None -> cap.cap_digest ());
+    sp_capture = (fun () -> (touch s).sp_capture ()) }
+
+(* [slots] ascend by id, as the snapshot's checkpoints do. *)
+let find slots id =
+  let rec go lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let s = slots.(mid) in
+      if s.id = id then Some s else if s.id < id then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length slots)
+
+let spawn ?bugs_of ?(deliver_in_flight = true) (snap : Cut.snapshot) =
   let engine = Netsim.Engine.create ~seed:(0xD1CE + snap.Cut.snap_id) () in
-  let net = Netsim.Network.create engine in
-  (* A partial cut's channel list can reference nodes the sweep never
-     checkpointed; give those black-hole stand-ins so checkpointed
-     speakers can still talk toward them. *)
-  let nodes =
-    List.sort_uniq Int.compare
-      (List.map fst snap.Cut.checkpoints
-      @ List.concat_map
-          (fun (c : Cut.channel_record) -> [ c.Cut.ch_from; c.Cut.ch_to ])
-          snap.Cut.channels)
+  let slots = ref [||] in
+  (* Ideal links: shadow exploration cares about ordering and content,
+     not latency.  A node's first delivery respawns its speaker, which
+     takes over as the node's handler; the black-hole stand-ins of a
+     partial cut drop what they get. *)
+  let net =
+    Netsim.Network.over engine snap.Cut.topology (fun id ->
+        match find !slots id with
+        | Some s -> fun ~src raw -> (touch s).sp_process_raw ~from_node:src raw
+        | None -> fun ~src:_ _ -> ())
   in
-  List.iter (fun id -> Netsim.Network.add_node net id (fun ~src:_ _ -> ())) nodes;
-  (* Recreate exactly the channels the snapshot saw, with ideal links:
-     shadow exploration cares about ordering and content, not latency. *)
-  List.iter
-    (fun (c : Cut.channel_record) ->
-      Netsim.Network.connect net c.Cut.ch_from c.Cut.ch_to Netsim.Link.ideal)
-    snap.Cut.channels;
-  let speakers =
-    List.map
-      (fun (id, cp) ->
-        (id, Checkpoint.respawn ?bugs:(Option.map (fun f -> f id) bugs_of) cp ~net))
-      snap.Cut.checkpoints
-  in
+  slots :=
+    Array.of_list
+      (List.map
+         (fun (id, (cp : Checkpoint.t)) ->
+           let bugs =
+             match bugs_of with
+             | Some f -> f id
+             | None -> cp.Checkpoint.image.Bgp.Speaker.cap_bugs
+           in
+           { id; cp; bugs; net; live = None })
+         snap.Cut.checkpoints);
+  (* A node told to run other code than it ran at the cut is no longer
+     its capture. *)
+  Array.iter
+    (fun s -> if s.bugs <> s.cp.Checkpoint.image.Bgp.Speaker.cap_bugs then ignore (touch s))
+    !slots;
   if deliver_in_flight then
     List.iter
       (fun (c : Cut.channel_record) ->
@@ -41,18 +94,18 @@ let spawn ?bugs_of ?(deliver_in_flight = true)
             Netsim.Network.send net ~src:c.Cut.ch_from ~dst:c.Cut.ch_to msg)
           c.Cut.ch_messages)
       snap.Cut.channels;
-  let by_id = Hashtbl.create (List.length speakers) in
-  List.iter (fun (id, sp) -> Hashtbl.replace by_id id sp) speakers;
+  let slots = !slots in
   { sh_engine = engine;
     sh_net = net;
-    sh_speakers = speakers;
-    sh_by_id = by_id;
+    sh_speakers = Array.fold_right (fun s acc -> (s.id, proxy s) :: acc) slots [];
+    sh_touch =
+      (fun id ->
+        match find slots id with
+        | Some s -> touch s
+        | None -> invalid_arg (Printf.sprintf "Store.speaker: node %d not in shadow" id));
     sh_from = snap.Cut.snap_id }
 
-let speaker sh id =
-  match Hashtbl.find_opt sh.sh_by_id id with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Store.speaker: node %d not in shadow" id)
+let speaker sh id = sh.sh_touch id
 
 let loc_ribs sh =
   List.map (fun (id, sp) -> (id, Bgp.Speaker.loc_rib sp)) sh.sh_speakers

@@ -2,20 +2,25 @@
 
     A shadow owns a fresh event engine and network — nothing it does
     can reach the live system (Figure 2, steps 3-5: "explore input k
-    over cloned snapshot k").  Cloning is cheap because checkpoints are
-    persistent values; the expensive parts (fresh speaker shells,
-    re-delivery of in-flight messages) are proportional to topology
-    size, not RIB size.  Each node is respawned with its original
-    implementation, so heterogeneous deployments clone
-    heterogeneously. *)
+    over cloned snapshot k").  A shadow costs what it touches, not what
+    the snapshot holds.  Its network is made over the snapshot's frozen
+    topology, shared by every shadow of it, and makes a channel's record
+    on the channel's first send and a node's on its first delivery.  Its
+    speakers stay checkpoints until touched: an untouched node answers
+    its config, RIB, bug flags and digest from its capture, and is
+    respawned — with its original implementation, so heterogeneous
+    deployments clone heterogeneously — when a message reaches it,
+    {!speaker} asks for it, or anything would change its state.  So a
+    shadow respawns the speakers its messages reach and the one it is
+    asked for, whatever the size of the topology. *)
 
 type shadow = {
   sh_engine : Netsim.Engine.t;
   sh_net : string Netsim.Network.t;
-  sh_speakers : (int * Bgp.Speaker.t) list;  (** sorted by node id *)
-  sh_by_id : (int, Bgp.Speaker.t) Hashtbl.t;
-      (** O(1) index behind {!speaker}; [speaker] sits in the explorer's
-          per-input hot loop, where the assoc-list scan was O(nodes) *)
+  sh_speakers : (int * Bgp.Speaker.t) list;
+      (** sorted by node id; an untouched entry stands for its
+          checkpoint, as above *)
+  sh_touch : int -> Bgp.Speaker.t;  (** behind {!speaker} *)
   sh_from : int;  (** snapshot id this shadow was cloned from *)
 }
 
@@ -24,13 +29,17 @@ val spawn :
   ?deliver_in_flight:bool ->
   Cut.snapshot ->
   shadow
-(** Rebuilds every checkpointed node with its captured configuration,
-    state and bug flags on an isolated network (ideal links), then
-    re-injects the snapshot's in-flight channel messages
+(** A shadow of every checkpointed node with its captured configuration,
+    state and bug flags, on an isolated network (ideal links), with the
+    snapshot's in-flight channel messages re-sent in channel order
     ([deliver_in_flight] defaults to [true]).  [bugs_of] overrides the
-    captured bug flags per node. *)
+    captured bug flags per node; a node whose override differs from its
+    captured flags is respawned here.  A node of the snapshot's
+    topology with no checkpoint (a partial cut) is a black hole. *)
 
 val speaker : shadow -> int -> Bgp.Speaker.t
+(** Node [id]'s speaker, respawned from its checkpoint if untouched.
+    @raise Invalid_argument if [id] has no checkpoint. *)
 
 val loc_rib_fingerprint : shadow -> int
 (** Full-content hash of every speaker's Loc-RIB (each route's prefix,

@@ -1090,6 +1090,161 @@ let speaker_digest_pins () =
         false (Digest.equal before after))
     [ List.nth ids 1; List.nth ids 2 ]
 
+(* ------------------------------------------------------------------ *)
+(* Lazy shadows against eager ones                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [Store.spawn] as it was before shadows cost what they touch: every
+   node added and every channel connected up front, every speaker
+   respawned at once, then the in-flight messages re-sent. *)
+let eager_spawn ?bugs_of (snap : Snapshot.Cut.snapshot) =
+  let engine = Netsim.Engine.create ~seed:(0xD1CE + snap.Snapshot.Cut.snap_id) () in
+  let net = Netsim.Network.create engine in
+  let nodes =
+    List.sort_uniq Int.compare
+      (List.map fst snap.Snapshot.Cut.checkpoints
+      @ List.concat_map
+          (fun (c : Snapshot.Cut.channel_record) -> [ c.Snapshot.Cut.ch_from; c.Snapshot.Cut.ch_to ])
+          snap.Snapshot.Cut.channels)
+  in
+  List.iter (fun id -> Netsim.Network.add_node net id (fun ~src:_ _ -> ())) nodes;
+  List.iter
+    (fun (c : Snapshot.Cut.channel_record) ->
+      Netsim.Network.connect net c.Snapshot.Cut.ch_from c.Snapshot.Cut.ch_to Netsim.Link.ideal)
+    snap.Snapshot.Cut.channels;
+  let speakers =
+    List.map
+      (fun (id, cp) ->
+        (id, Snapshot.Checkpoint.respawn ?bugs:(Option.map (fun f -> f id) bugs_of) cp ~net))
+      snap.Snapshot.Cut.checkpoints
+  in
+  List.iter
+    (fun (c : Snapshot.Cut.channel_record) ->
+      List.iter
+        (fun msg -> Netsim.Network.send net ~src:c.Snapshot.Cut.ch_from ~dst:c.Snapshot.Cut.ch_to msg)
+        c.Snapshot.Cut.ch_messages)
+    snap.Snapshot.Cut.channels;
+  { Snapshot.Store.sh_engine = engine;
+    sh_net = net;
+    sh_speakers = speakers;
+    sh_touch = (fun id -> List.assoc id speakers);
+    sh_from = snap.Snapshot.Cut.snap_id }
+
+type lazy_case = {
+  l_seed : int;
+  l_transit : int;
+  l_stub : int;
+  l_mixed : bool;
+  l_node : int;  (** index of the explored node, the cut's initiator *)
+  l_load : int option;  (** index of a node that withdraws its networks at the cut *)
+  l_victim : int option;  (** index of a node down at the cut: a partial cut *)
+  l_override : bool;  (** [bugs_of] gives the explored node a loop-check bypass *)
+  l_input : (string * int) list option;
+}
+
+let gen_lazy_case =
+  let open QCheck.Gen in
+  let* l_seed = int_bound 10_000 in
+  let* l_transit = int_range 1 3 in
+  let* l_stub = int_range 2 4 in
+  let* l_mixed = bool in
+  let* l_node = int_bound 16 in
+  let* l_load = opt (int_bound 16) in
+  let* l_victim = frequency [ (2, return None); (1, map Option.some (int_bound 16)) ] in
+  let* l_override = frequencyl [ (3, false); (1, true) ] in
+  let* l_input = opt (gen_input (List.init (1 + l_transit + l_stub) Fun.id)) in
+  return { l_seed; l_transit; l_stub; l_mixed; l_node; l_load; l_victim; l_override; l_input }
+
+let print_lazy_case c =
+  let opt = function Some i -> string_of_int i | None -> "-" in
+  Printf.sprintf "seed=%d transit=%d stub=%d mixed=%b node=%d load=%s victim=%s override=%b input=%s"
+    c.l_seed c.l_transit c.l_stub c.l_mixed c.l_node (opt c.l_load) (opt c.l_victim)
+    c.l_override
+    (match c.l_input with
+    | None -> "-"
+    | Some i -> String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) i))
+
+(* A shadow spawned lazily and one spawned eagerly, from one cut and
+   given the same input, deliver the same messages in the same order
+   and end alike: the digest before the input, the verdicts of every
+   checker and of convergence, the pending events, the Loc-RIB
+   fingerprint and the digest after. *)
+let lazy_shadow_equals_eager =
+  QCheck.Test.make ~count:40 ~name:"store: a lazy shadow equals an eager one"
+    (QCheck.make ~print:print_lazy_case gen_lazy_case)
+    (fun c ->
+      let graph = random_graph ~seed:c.l_seed ~transit:c.l_transit ~stub:c.l_stub in
+      let ids = Topology.Graph.node_ids graph in
+      let nth i = List.nth ids (i mod List.length ids) in
+      let sparrow_nodes =
+        if c.l_mixed then List.filter (fun id -> (id + c.l_seed) mod 2 = 0) ids else []
+      in
+      let build = deploy ~sparrow_nodes graph in
+      let node = nth c.l_node in
+      Option.iter
+        (fun i ->
+          let sp = Topology.Build.speaker build (nth i) in
+          sp.Bgp.Speaker.sp_set_config
+            { (sp.Bgp.Speaker.sp_config ()) with Bgp.Config.networks = [] })
+        c.l_load;
+      let deadline =
+        match c.l_victim with
+        | Some i when nth i <> node ->
+            Netsim.Network.set_node_down build.Topology.Build.net (nth i);
+            Some (Netsim.Time.span_sec 5.)
+        | Some _ | None -> None
+      in
+      let snap =
+        Snapshot.Cut.snapshot_of
+          (Dice.Explorer.take_snapshot ?deadline ~build ~cut:(make_cut build) ~node ())
+      in
+      let bugs_of =
+        if c.l_override then
+          Some
+            (fun id ->
+              if id = node then { Bgp.Router.no_bugs with Bgp.Router.skip_loop_check = true }
+              else (Topology.Build.speaker build id).Bgp.Speaker.sp_bugs ())
+        else None
+      in
+      let given spawn =
+        let sh = spawn ?bugs_of snap in
+        let before = hex_digest sh in
+        (match c.l_input with
+        | Some input -> ignore (subject (fun () -> sh) ~node input)
+        | None -> ());
+        (sh, before)
+      in
+      let delivered spawn =
+        let sh, _ = given spawn in
+        let got = ref [] in
+        Netsim.Network.set_delivery_tap sh.Snapshot.Store.sh_net
+          (Some (fun ~dst ~src msg -> got := (src, dst, msg) :: !got));
+        ignore (Snapshot.Store.run_to_quiescence ~max_events:5_000 sh);
+        List.rev !got
+      in
+      let outcome spawn =
+        let sh, before = given spawn in
+        let gt = Dice.Checks.ground_truth_of_graph graph in
+        let verdicts =
+          Dice.Checks.convergence ~budget:5_000 sh
+          @ List.concat_map
+              (fun (ch : Dice.Checks.checker) -> ch.Dice.Checks.run sh)
+              (Dice.Checks.standard_suite gt)
+        in
+        ( before,
+          List.map verdict_string verdicts,
+          end_state sh )
+      in
+      let lazy_ ?bugs_of snap = Snapshot.Store.spawn ?bugs_of snap in
+      let d_lazy = delivered lazy_ and d_eager = delivered eager_spawn in
+      let ((b_lazy, v_lazy, e_lazy) as o_lazy) = outcome lazy_ in
+      let ((b_eager, v_eager, e_eager) as o_eager) = outcome eager_spawn in
+      (d_lazy = d_eager && o_lazy = o_eager)
+      || QCheck.Test.fail_reportf
+           "lazy and eager agree on: deliveries %b (%d, %d), first digest %b, verdicts %b, end state %b"
+           (d_lazy = d_eager) (List.length d_lazy) (List.length d_eager) (b_lazy = b_eager)
+           (v_lazy = v_eager) (e_lazy = e_eager))
+
 let suite =
   [ qtest memo_matches_full_checking;
     qtest carried_memo_matches_full_checking;
@@ -1116,4 +1271,5 @@ let suite =
     qtest early_stop_matches_budget_run;
     ("checks: an oscillating gadget stops early", `Quick, dispute_stops_early);
     ("checks: shadow digests follow the flights", `Quick, shadow_digest_pins);
-    ("checks: speaker digests follow the state", `Quick, speaker_digest_pins) ]
+    ("checks: speaker digests follow the state", `Quick, speaker_digest_pins);
+    qtest lazy_shadow_equals_eager ]

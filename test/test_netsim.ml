@@ -227,6 +227,80 @@ let network_counts () =
   check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "channels"
     [ (0, 1); (1, 0) ] (Netsim.Network.channels net)
 
+(* Adjacency kept as channels connect, against the fold over every
+   channel it replaced.  A network made over its topology answers alike
+   even after the live one grows, and after the same sends its digest
+   is that of a network connected channel by channel. *)
+type net_op = Add of int | Connect of int * int
+
+let gen_net_ops =
+  QCheck.Gen.(
+    list_size (int_range 0 60)
+      (frequency
+         [ (1, map (fun id -> Add id) (int_bound 9));
+           (3, map2 (fun a b -> Connect (a, b)) (int_bound 9) (int_bound 9)) ]))
+
+let print_net_ops ops =
+  String.concat " "
+    (List.map
+       (function Add id -> Printf.sprintf "+%d" id | Connect (a, b) -> Printf.sprintf "%d>%d" a b)
+       ops)
+
+let network_adjacency =
+  QCheck.Test.make ~name:"network: adjacency equals the fold over channels" ~count:200
+    (QCheck.pair (QCheck.make ~print:print_net_ops gen_net_ops) QCheck.small_int)
+    (fun (ops, seed) ->
+      let net = Netsim.Network.create (Netsim.Engine.create ()) in
+      let nodes = ref [] and chans = ref [] in
+      let fold pick id = List.sort Int.compare (List.filter_map (pick id) !chans) in
+      let fold_in = fold (fun id (a, b) -> if b = id then Some a else None) in
+      let fold_out = fold (fun id (a, b) -> if a = id then Some b else None) in
+      let agree net =
+        Netsim.Network.channels net = List.sort compare !chans
+        && List.for_all
+             (fun id ->
+               Netsim.Network.has_node net id
+               && Netsim.Network.neighbors_in net id = fold_in id
+               && Netsim.Network.neighbors_out net id = fold_out id)
+             !nodes
+      in
+      let applied =
+        List.for_all
+          (fun op ->
+            (match op with
+            | Add id -> (
+                match Netsim.Network.add_node net id (fun ~src:_ _ -> ()) with
+                | () -> nodes := id :: !nodes
+                | exception Invalid_argument _ -> ())
+            | Connect (a, b) -> (
+                match Netsim.Network.connect net a b Netsim.Link.ideal with
+                | () -> chans := (a, b) :: !chans
+                | exception Invalid_argument _ -> ()));
+            agree net)
+          ops
+      in
+      let topology = Netsim.Network.topology net in
+      (try
+         Netsim.Network.add_node net 10 (fun ~src:_ _ -> ());
+         Netsim.Network.connect net 10 (List.hd !nodes) Netsim.Link.ideal
+       with Failure _ | Invalid_argument _ -> ());
+      let eng = Netsim.Engine.create ~seed () in
+      let frozen = Netsim.Network.over eng topology (fun _ ~src:_ _ -> ()) in
+      let rng = Netsim.Rng.create seed in
+      let sends =
+        if !chans = [] then []
+        else List.init 5 (fun i -> (Netsim.Rng.pick rng !chans, string_of_int i))
+      in
+      let send net = List.iter (fun ((src, dst), m) -> Netsim.Network.send net ~src ~dst m) sends in
+      let eager = Netsim.Network.create (Netsim.Engine.create ~seed ()) in
+      List.iter (fun id -> Netsim.Network.add_node eager id (fun ~src:_ _ -> ())) !nodes;
+      List.iter (fun (a, b) -> Netsim.Network.connect eager a b Netsim.Link.ideal) (List.rev !chans);
+      send eager;
+      send frozen;
+      applied && agree frozen
+      && Netsim.Network.digest eager = Netsim.Network.digest frozen
+      && Netsim.Network.in_flight frozen = List.length sends)
+
 let network_tap_and_control () =
   let eng = Netsim.Engine.create () in
   let net = Netsim.Network.create eng in
@@ -424,6 +498,7 @@ let suite =
     ("stats: counters", `Quick, stats_basics);
     qtest network_fifo;
     ("network: counters and channels", `Quick, network_counts);
+    qtest network_adjacency;
     ("network: tap and control plane", `Quick, network_tap_and_control);
     ("churn: node down drops and silences", `Quick, node_down_drops);
     ("churn: node fails mid-flight", `Quick, node_down_mid_flight);

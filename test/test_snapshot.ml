@@ -258,6 +258,225 @@ let cut_deadline_property =
           in
           ok_kind && Snapshot.Cut.active cut = 0)
 
+(* --- the counting cut against a rescanning one --- *)
+
+(* What a settled cut says: Complete or Partial with its stalled
+   channels, its start and end, each checkpoint's node, instant and
+   state digest, each channel's recorded messages and the markers sent. *)
+type cut_view = {
+  v_complete : bool;
+  v_stalled : (int * int) list;
+  v_started : int;
+  v_completed : int;
+  v_checkpoints : (int * int * string) list;
+  v_channels : (int * int * string list) list;
+  v_markers : int;
+}
+
+let checkpoint_view node (cp : Snapshot.Checkpoint.t) =
+  ( node,
+    Netsim.Time.to_us cp.Snapshot.Checkpoint.taken_at,
+    Digest.to_hex (cp.Snapshot.Checkpoint.image.Bgp.Speaker.cap_digest ()) )
+
+let view_of_result r =
+  let s = Snapshot.Cut.snapshot_of r in
+  { v_complete = (match r with Snapshot.Cut.Complete _ -> true | Snapshot.Cut.Partial _ -> false);
+    v_stalled = Snapshot.Cut.stalled_of r;
+    v_started = Netsim.Time.to_us s.Snapshot.Cut.started_at;
+    v_completed = Netsim.Time.to_us s.Snapshot.Cut.completed_at;
+    v_checkpoints =
+      List.map (fun (node, cp) -> checkpoint_view node cp) s.Snapshot.Cut.checkpoints;
+    v_channels =
+      List.map
+        (fun (c : Snapshot.Cut.channel_record) ->
+          (c.Snapshot.Cut.ch_from, c.Snapshot.Cut.ch_to, c.Snapshot.Cut.ch_messages))
+        s.Snapshot.Cut.channels;
+    v_markers = s.Snapshot.Cut.control_messages }
+
+(* The marker algorithm as it was before completion was counted: after
+   every marker it rescans the channels expected at initiation. *)
+let rescanning_cut ?deadline net ~speakers ~initiator ~on_result =
+  let eng = Netsim.Network.engine net in
+  let now () = Netsim.Engine.now eng in
+  let checkpoints = Hashtbl.create 16 and chans = Hashtbl.create 16 in
+  let seen = Hashtbl.create 16 in
+  let expected = Netsim.Network.channels net in
+  let started = now () and sent = ref 0 and active = ref true and timer = ref None in
+  let settle complete stalled =
+    active := false;
+    Option.iter Netsim.Engine.cancel !timer;
+    on_result
+      { v_complete = complete;
+        v_stalled = stalled;
+        v_started = Netsim.Time.to_us started;
+        v_completed = Netsim.Time.to_us (now ());
+        v_checkpoints =
+          List.sort compare
+            (Hashtbl.fold (fun node cp acc -> checkpoint_view node cp :: acc) checkpoints []);
+        v_channels =
+          List.map
+            (fun (a, b) ->
+              ( a, b,
+                match Hashtbl.find_opt chans (a, b) with
+                | Some (`Recording r) -> List.rev !r
+                | Some (`Closed m) -> m
+                | None -> [] ))
+            expected;
+        v_markers = !sent }
+  in
+  let engage node ~closed_from =
+    Hashtbl.replace checkpoints node (Snapshot.Checkpoint.take ~at:(now ()) (speakers node));
+    List.iter
+      (fun src ->
+        Hashtbl.replace chans (src, node)
+          (if closed_from = Some src then `Closed [] else `Recording (ref [])))
+      (Netsim.Network.neighbors_in net node);
+    List.iter
+      (fun dst ->
+        incr sent;
+        Netsim.Network.send_control net ~src:node ~dst
+          (Netsim.Network.Marker { snapshot = 0; initiator }))
+      (Netsim.Network.neighbors_out net node)
+  in
+  let check_done () =
+    if !active && List.for_all (Hashtbl.mem seen) expected then settle true []
+  in
+  Netsim.Network.set_control_handler net (fun ~self ~src _ ->
+      if !active && not (Hashtbl.mem seen (src, self)) then begin
+        Hashtbl.replace seen (src, self) ();
+        (if not (Hashtbl.mem checkpoints self) then engage self ~closed_from:(Some src)
+         else
+           match Hashtbl.find_opt chans (src, self) with
+           | Some (`Recording r) -> Hashtbl.replace chans (src, self) (`Closed (List.rev !r))
+           | Some (`Closed _) | None -> ());
+        check_done ()
+      end);
+  Netsim.Network.set_delivery_tap net
+    (Some
+       (fun ~dst ~src msg ->
+         if !active then
+           match Hashtbl.find_opt chans (src, dst) with
+           | Some (`Recording r) -> r := msg :: !r
+           | Some (`Closed _) | None -> ()));
+  Option.iter
+    (fun d ->
+      timer :=
+        Some
+          (Netsim.Engine.schedule eng ~after:d (fun () ->
+               if !active then
+                 settle false (List.filter (fun c -> not (Hashtbl.mem seen c)) expected))))
+    deadline;
+  engage initiator ~closed_from:None;
+  check_done ()
+
+type cut_case = {
+  c_seed : int;
+  c_transit : int;
+  c_stub : int;
+  c_mixed : bool;
+  c_warmup_ms : int;  (** run before the cut: sessions and UPDATEs in flight *)
+  c_withdraw : int;  (** index of a node that flaps its networks at the cut *)
+  c_initiator : int;  (** index into the node ids *)
+  c_victim : int option;  (** index of a node taken down first *)
+  c_deadline_ms : int option;
+}
+
+let gen_cut_case =
+  let open QCheck.Gen in
+  let* c_seed = int_bound 10_000 in
+  let* c_transit = int_range 1 3 in
+  let* c_stub = int_range 2 4 in
+  let* c_mixed = bool in
+  let* c_warmup_ms = int_range 0 5_000 in
+  let* c_withdraw = int_bound 16 in
+  let* c_initiator = int_bound 16 in
+  let* c_victim = frequency [ (2, return None); (1, map Option.some (int_bound 16)) ] in
+  let* c_deadline_ms =
+    match c_victim with
+    | Some _ -> map Option.some (int_range 100 5_000)
+    | None -> frequency [ (2, return None); (1, map Option.some (int_range 100 5_000)) ]
+  in
+  return
+    { c_seed; c_transit; c_stub; c_mixed; c_warmup_ms; c_withdraw; c_initiator; c_victim;
+      c_deadline_ms }
+
+let print_cut_case c =
+  let opt = function Some i -> string_of_int i | None -> "-" in
+  Printf.sprintf
+    "seed=%d transit=%d stub=%d mixed=%b warmup=%dms withdraw=%d initiator=%d victim=%s deadline=%sms"
+    c.c_seed c.c_transit c.c_stub c.c_mixed c.c_warmup_ms c.c_withdraw c.c_initiator
+    (opt c.c_victim) (opt c.c_deadline_ms)
+
+(* Two identical deployments, each cut once from the same moment: the
+   counting cut on one, the rescanning one on the other.  Neither cut
+   touches the live routing, so both systems run alike throughout. *)
+let counting_cut_equals_rescanning =
+  QCheck.Test.make ~count:40 ~name:"cut: counting completion equals rescanning"
+    (QCheck.make ~print:print_cut_case gen_cut_case)
+    (fun c ->
+      let graph =
+        Topology.Generate.generate
+          ~params:
+            { Topology.Generate.default_params with
+              n_tier1 = 1; n_transit = c.c_transit; n_stub = c.c_stub }
+          (Netsim.Rng.create c.c_seed)
+      in
+      let ids = Topology.Graph.node_ids graph in
+      let nth i = List.nth ids (i mod List.length ids) in
+      let sparrow_nodes = if c.c_mixed then List.filter (fun id -> id mod 2 = 0) ids else [] in
+      let live () =
+        let build = Topology.Build.deploy ~sparrow_nodes graph in
+        Topology.Build.start_all build;
+        Topology.Build.run_for build (Netsim.Time.span_ms c.c_warmup_ms);
+        (* Withdrawn and announced again at once: two UPDATEs in flight
+           on each of the node's channels. *)
+        let sp = Topology.Build.speaker build (nth c.c_withdraw) in
+        let cfg = sp.Bgp.Speaker.sp_config () in
+        sp.Bgp.Speaker.sp_set_config { cfg with Bgp.Config.networks = [] };
+        sp.Bgp.Speaker.sp_set_config cfg;
+        Option.iter
+          (fun v -> Netsim.Network.set_node_down build.Topology.Build.net (nth v))
+          c.c_victim;
+        build
+      in
+      let deadline = Option.map Netsim.Time.span_ms c.c_deadline_ms in
+      let initiator = nth c.c_initiator in
+      let settle build result =
+        let rec go n =
+          match !result with
+          | Some v -> v
+          | None ->
+              if n = 0 then QCheck.Test.fail_report "cut did not settle"
+              else begin
+                ignore (Netsim.Engine.step build.Topology.Build.engine);
+                go (n - 1)
+              end
+        in
+        go 1_000_000
+      in
+      let counted =
+        let build = live () in
+        let result = ref None in
+        ignore
+          (Snapshot.Cut.initiate ?deadline (make_cut build) ~initiator
+             ~on_result:(fun r -> result := Some (view_of_result r)));
+        settle build result
+      in
+      let rescanned =
+        let build = live () in
+        let result = ref None in
+        rescanning_cut ?deadline build.Topology.Build.net
+          ~speakers:(Topology.Build.speaker build) ~initiator
+          ~on_result:(fun v -> result := Some v);
+        settle build result
+      in
+      counted = rescanned
+      || QCheck.Test.fail_reportf "counted %s, %d markers, stalled %d; rescanned %s, %d, %d"
+           (if counted.v_complete then "complete" else "partial")
+           counted.v_markers (List.length counted.v_stalled)
+           (if rescanned.v_complete then "complete" else "partial")
+           rescanned.v_markers (List.length rescanned.v_stalled))
+
 let suite =
   [ ("checkpoint: captures state immutably", `Quick, checkpoint_captures_state);
     ("cut: completes over all nodes", `Quick, cut_completes_with_all_nodes);
@@ -266,6 +485,7 @@ let suite =
     ("cut: aborts on dead peer, names stalled channels", `Quick, cut_aborts_on_dead_peer);
     ("cut: partial snapshot still spawns a shadow", `Quick, partial_cut_spawns_shadow);
     QCheck_alcotest.to_alcotest cut_deadline_property;
+    QCheck_alcotest.to_alcotest counting_cut_equals_rescanning;
     ("store: shadow isolation", `Quick, shadow_isolation);
     ("store: clones are independent", `Quick, clones_are_independent);
     ("checkpoint: O(1) cost", `Quick, checkpoint_cost_constant) ]

@@ -111,7 +111,7 @@ let sparrow_capture_respawn () =
   let capture = Bgp.Speaker.capture sp1 in
   check Alcotest.string "impl recorded" "sparrow" capture.Bgp.Speaker.cap_impl;
   Alcotest.(check bool) "route count positive" true
-    (Lazy.force capture.Bgp.Speaker.cap_route_count > 0);
+    (Snapshot.Checkpoint.route_count (Snapshot.Checkpoint.take ~at:Netsim.Time.zero sp1) > 0);
   (* Respawn on an isolated net and compare Loc-RIBs. *)
   let eng = Netsim.Engine.create () in
   let net = Netsim.Network.create eng in
