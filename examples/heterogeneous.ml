@@ -6,7 +6,8 @@
 
    The scenario seeds a crash bug in a *sparrow* node's community
    handler; DiCE's concolic exploration of that node derives the
-   poisonous community and reports the programming error. *)
+   poisonous community and reports the programming error.  Exits 1
+   if the crash goes undetected or a fault shows up elsewhere. *)
 
 let () =
   let graph = Topology.Demo27.graph in
@@ -67,4 +68,5 @@ let () =
       sweep.Dice.Orchestrator.faults
   in
   Printf.printf "sweep over 4 healthy nodes (mixed impls): %d faults elsewhere\n"
-    (List.length other_faults)
+    (List.length other_faults);
+  if detected = None || other_faults <> [] then exit 1

@@ -70,7 +70,8 @@ let drop_peer peer t =
         if Ipv4.Map.mem peer pm then without_peer peer prefix pm cands else cands)
       t.cands t.cands
   in
-  { t with cands; adj_out = Ipv4.Map.remove peer t.adj_out }
+  let adj_out = Ipv4.Map.remove peer t.adj_out in
+  if cands == t.cands && adj_out == t.adj_out then t else { t with cands; adj_out }
 
 let candidates prefix t =
   match Prefix_trie.find prefix t.cands with

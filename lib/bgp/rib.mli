@@ -46,7 +46,7 @@ val adj_in_update : Ipv4.t -> Prefix.t -> route option -> t -> t * bool
 
 val drop_peer : Ipv4.t -> t -> t
 (** Remove a peer's Adj-RIB-In and Adj-RIB-Out (session down): one walk
-    of the candidate trie. *)
+    of the candidate trie.  A peer with neither leaves [t] as it was. *)
 
 val candidates : Prefix.t -> t -> route list
 (** All Adj-RIB-In entries for the prefix, over all peers.  One trie

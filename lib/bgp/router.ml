@@ -30,8 +30,9 @@ type t = {
   timers : (Ipv4.t, peer_timers) Hashtbl.t;
   stats : Netsim.Stats.t;
   mutable bug_flags : bugs;
-  auto_restart : bool;
-  liveness_timers : bool;
+  liveness : bool;
+      (* hold and keepalive timers, and a restart after a session
+         drops: on for a live router, off for a shadow clone *)
 }
 
 (* Simulated TCP handshake time before a started session connects. *)
@@ -369,7 +370,7 @@ and do_action t (n : Config.neighbor) action =
       let lost = Rib.prefixes_from_peer peer t.st.rib in
       t.st <- { t.st with rib = Rib.drop_peer peer t.st.rib };
       run_decision t lost;
-      if t.auto_restart then begin
+      if t.liveness then begin
         let tm = timers_of t peer in
         cancel_timer tm.restart;
         tm.restart <-
@@ -380,7 +381,7 @@ and do_action t (n : Config.neighbor) action =
   | Fsm.Deliver_update u -> process_update t n u
 
 and rearm_timers t (n : Config.neighbor) before after =
-  if not t.liveness_timers then ()
+  if not t.liveness then ()
   else begin
   let peer = n.Config.addr in
   let tm = timers_of t peer in
@@ -437,7 +438,7 @@ and rearm_timers t (n : Config.neighbor) before after =
   end
 
 let reset_hold_timer t (n : Config.neighbor) =
-  if not t.liveness_timers then ()
+  if not t.liveness then ()
   else
   let peer = n.Config.addr in
   let st = session t peer in
@@ -512,18 +513,18 @@ let inject_update t ~from u =
   | None -> invalid_arg "Router.inject_update: unknown peer"
   | Some n -> process_update t n u
 
-let make ~auto_restart ~liveness_timers ~bugs ~net ~node cfg st =
+let make ~liveness ~bugs ~net ~node cfg st =
   let t =
     { node; cfg; net; eng = Netsim.Network.engine net; st;
       timers = Hashtbl.create 8; stats = Netsim.Stats.create ();
-      bug_flags = bugs; auto_restart; liveness_timers }
+      bug_flags = bugs; liveness }
   in
   Netsim.Network.set_handler net node (fun ~src raw -> process_raw t ~from_node:src raw);
   t
 
 let create ?(bugs = no_bugs) ~net ~node (cfg : Config.t) =
   let t =
-    make ~auto_restart:true ~liveness_timers:true ~bugs ~net ~node cfg
+    make ~liveness:true ~bugs ~net ~node cfg
       { rib = Rib.empty; sessions = Ipv4.Map.empty }
   in
   (* Install locally-originated networks. *)
@@ -531,7 +532,7 @@ let create ?(bugs = no_bugs) ~net ~node (cfg : Config.t) =
   t
 
 let respawn ~bugs ~net ~node cfg st =
-  make ~auto_restart:false ~liveness_timers:false ~bugs ~net ~node cfg st
+  make ~liveness:false ~bugs ~net ~node cfg st
 
 let start t =
   List.iter (fun n -> drive t n Fsm.Manual_start) t.cfg.Config.neighbors
@@ -576,11 +577,11 @@ let restore t st = t.st <- st
 
 (* Maps go in as key-ordered bindings: a balanced tree's shape depends
    on its insertion history, so equal maps need not marshal alike. *)
-let digest_of ~cfg ~bugs ~auto_restart ~liveness_timers st =
+let digest_of ~cfg ~bugs ~liveness st =
   let rib = st.rib in
   Digest.string
     (Marshal.to_string
-       ( (cfg, bugs, auto_restart, liveness_timers),
+       ( (cfg, bugs, liveness),
          Prefix.Map.bindings rib.Rib.loc,
          Prefix_trie.fold
            (fun p pm acc -> (p, Ipv4.Map.bindings pm) :: acc)
@@ -590,8 +591,7 @@ let digest_of ~cfg ~bugs ~auto_restart ~liveness_timers st =
        [ Marshal.No_sharing ])
 
 let digest t =
-  digest_of ~cfg:t.cfg ~bugs:t.bug_flags ~auto_restart:t.auto_restart
-    ~liveness_timers:t.liveness_timers t.st
+  digest_of ~cfg:t.cfg ~bugs:t.bug_flags ~liveness:t.liveness t.st
 
 let respawn_digest ~bugs cfg st =
-  digest_of ~cfg ~bugs ~auto_restart:false ~liveness_timers:false st
+  digest_of ~cfg ~bugs ~liveness:false st

@@ -79,11 +79,11 @@ val restore : t -> state -> unit
 
 val digest : t -> Digest.t
 (** A digest of everything the router reads to decide an event: its
-    configuration, bug flags and construction options, the Loc-RIB, the
-    Adj-RIBs-In and -Out, and every session's FSM.  Left out: [stats]
-    (counters nothing decides on), the RIB's candidate index (a function
-    of the Adj-RIBs-In) and the timer handles (a live timer is an event
-    in the engine queue). *)
+    configuration, bug flags, whether it runs liveness timers (a live
+    router) or not (a {!respawn}), the Loc-RIB, the Adj-RIBs-In and
+    -Out, and every session's FSM.  Left out: [stats] (counters nothing
+    decides on) and the timer handles (a live timer is an event in the
+    engine queue). *)
 
 val respawn_digest : bugs:bugs -> Config.t -> state -> Digest.t
 (** [digest (respawn ~bugs ~net ~node cfg state)], without making the

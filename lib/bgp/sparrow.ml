@@ -16,35 +16,19 @@ type peer = {
   mutable p_retry : Netsim.Engine.timer option; (* re-greet loop *)
 }
 
-(* What [rib_view] reads, compared by identity: every table is
-   persistent, so a change replaces it.  The peer list is fixed by the
-   configuration the speaker was created with, so with the peers'
-   addresses [i_cfg] also stands for their session configs. *)
-type inputs = {
-  i_cfg : Config.t;
-  i_loc : (Attr.t * Ipv4.t) Prefix_trie.t;
-  i_tables : (Ipv4.t * Attr.t Prefix_trie.t * Attr.t Prefix_trie.t) list;
-      (* per peer: address, p_in, p_out *)
-}
-
-type view = { v_inputs : inputs; v_rib : Rib.t }
-
 type t = {
   node : int;
   mutable cfg : Config.t;
   net : string Netsim.Network.t;
   eng : Netsim.Engine.t;
-  mutable peers : (Ipv4.t * peer) list;
+  peers : (Ipv4.t * peer) list;
   (* loc: best attrs + the peer it came from (own address for local). *)
   mutable loc : (Attr.t * Ipv4.t) Prefix_trie.t;
+  mutable view : Rib.t;
+      (* [loc] and every peer's tables as a [Rib.t], written with them *)
   stats : Netsim.Stats.t;
   mutable bugs : Router.bugs;
   liveness : bool;
-  mutable last_view : view option;  (* this instance's latest view *)
-  shared_views : view option Atomic.t;
-      (* one per live node, shared by all its clones, across domains *)
-  mutable restored : inputs option;
-      (* a clone's state as restored from its capture; [None] live *)
 }
 
 let address t = Router.addr_of_node t.node
@@ -70,6 +54,37 @@ let source_of t via =
       ebgp = remote_as <> t.cfg.Config.asn; igp_metric = 0 }
 
 let route_of t (attrs, via) = { Rib.attrs; source = source_of t via }
+
+(* Every table write goes through these, which make the same write to
+   [view]; a write of nothing leaves [view] as it was. *)
+let set_loc t prefix = function
+  | Some chosen ->
+      t.loc <- Prefix_trie.add prefix chosen t.loc;
+      t.view <- Rib.loc_set prefix (route_of t chosen) t.view
+  | None ->
+      t.loc <- Prefix_trie.remove prefix t.loc;
+      t.view <- Rib.loc_del prefix t.view
+
+let set_in t (p : peer) prefix route =
+  let addr = p.p_cfg.Config.addr in
+  if not (Option.equal Attr.equal route (Prefix_trie.find prefix p.p_in)) then
+    match route with
+    | Some attrs ->
+        p.p_in <- Prefix_trie.add prefix attrs p.p_in;
+        t.view <- Rib.adj_in_set addr prefix { Rib.attrs; source = source_of t addr } t.view
+    | None ->
+        p.p_in <- Prefix_trie.remove prefix p.p_in;
+        t.view <- Rib.adj_in_del addr prefix t.view
+
+let set_out t (p : peer) prefix route =
+  let addr = p.p_cfg.Config.addr in
+  match route with
+  | Some attrs ->
+      p.p_out <- Prefix_trie.add prefix attrs p.p_out;
+      t.view <- Rib.adj_out_set addr prefix attrs t.view
+  | None ->
+      p.p_out <- Prefix_trie.remove prefix p.p_out;
+      t.view <- Rib.adj_out_del addr prefix t.view
 
 let send t dst_addr msg =
   Netsim.Stats.incr t.stats ("tx_" ^ String.lowercase_ascii (Msg.kind msg));
@@ -170,11 +185,11 @@ let push_export t (_addr, p) prefix =
     match (wanted, current) with
     | None, None -> ()
     | None, Some _ ->
-        p.p_out <- Prefix_trie.remove prefix p.p_out;
+        set_out t p prefix None;
         send t p.p_cfg.Config.addr (Msg.update ~withdrawn:[ prefix ] ())
     | Some a, Some b when Attr.equal a b -> ()
     | Some a, (Some _ | None) ->
-        p.p_out <- Prefix_trie.add prefix a p.p_out;
+        set_out t p prefix (Some a);
         send t p.p_cfg.Config.addr (Msg.update ~attrs:(Some a) ~nlri:[ prefix ] ())
   end
 
@@ -182,9 +197,7 @@ let reselect t prefix =
   let before = Prefix_trie.find prefix t.loc in
   let after = select t prefix in
   if before <> after then begin
-    (match after with
-    | Some chosen -> t.loc <- Prefix_trie.add prefix chosen t.loc
-    | None -> t.loc <- Prefix_trie.remove prefix t.loc);
+    set_loc t prefix after;
     trace t "loc-rib" (fun () -> Rib.loc_event prefix (Option.map (route_of t) after));
     List.iter (fun entry -> push_export t entry prefix) t.peers
   end
@@ -211,7 +224,7 @@ let handle_update t (p : peer) (u : Msg.update) =
   Netsim.Stats.incr t.stats "rx_update";
   List.iter
     (fun prefix ->
-      p.p_in <- Prefix_trie.remove prefix p.p_in;
+      set_in t p prefix None;
       reselect t prefix)
     u.Msg.withdrawn;
   match (u.Msg.attrs, u.Msg.nlri) with
@@ -221,14 +234,11 @@ let handle_update t (p : peer) (u : Msg.update) =
       let attrs = if ebgp then { attrs with Attr.local_pref = None } else attrs in
       List.iter
         (fun prefix ->
-          (match
-             Policy.apply
+          set_in t p prefix
+            (Policy.apply
                ?site:(Clause_cov.site ~node:t.node p.p_cfg.Config.import_map)
                (Config.import_policy t.cfg p.p_cfg)
-               prefix attrs
-           with
-          | Some imported -> p.p_in <- Prefix_trie.add prefix imported p.p_in
-          | None -> p.p_in <- Prefix_trie.remove prefix p.p_in);
+               prefix attrs);
           reselect t prefix)
         nlri
   | _, _ -> ()
@@ -305,6 +315,7 @@ and session_down t addr (p : peer) ~reason =
   let lost = Prefix_trie.fold (fun prefix _ acc -> prefix :: acc) p.p_in [] in
   p.p_in <- Prefix_trie.empty;
   p.p_out <- Prefix_trie.empty;
+  t.view <- Rib.drop_peer addr t.view;
   List.iter (reselect t) lost;
   (* Reactive retry: keep re-greeting until the peer answers (it may be
      down for a while).  One loop per peer; a fresh session_down resets
@@ -389,36 +400,48 @@ let inject_update t ~from u =
 
 let start t = List.iter (fun (_, p) -> greet t p) t.peers
 
-(* A speaker with no routes and every session down, not yet on the
-   network. *)
-let alloc ~shared_views ~liveness_timers ~bugs ~net ~node cfg =
-    { node; cfg; net; eng = Netsim.Network.engine net;
-      peers =
-        List.map
-          (fun (n : Config.neighbor) ->
-            ( n.Config.addr,
-              { p_cfg = n; p_phase = Down; p_sent_open = false; p_got_open = false;
-                p_in = Prefix_trie.empty; p_out = Prefix_trie.empty;
-                p_hold = None; p_retry = None } ))
-          cfg.Config.neighbors;
-      loc = Prefix_trie.empty;
-      stats = Netsim.Stats.create ();
-      bugs;
-      liveness = liveness_timers;
-      last_view = None;
-      shared_views;
-      restored = None }
+(* One row of a captured peer table: the session's config, phase and
+   tables.  Timers are not captured, and a restored session that is
+   not down has both sent and received its OPEN. *)
+type row = Config.neighbor * phase * Attr.t Prefix_trie.t * Attr.t Prefix_trie.t
+
+let peer_of_row ((n, phase, p_in, p_out) : row) =
+  let greeted = phase <> Down in
+  ( n.Config.addr,
+    { p_cfg = n; p_phase = phase; p_sent_open = greeted; p_got_open = greeted;
+      p_in; p_out; p_hold = None; p_retry = None } )
+
+type image = {
+  im_cfg : Config.t;
+  im_loc : (Attr.t * Ipv4.t) Prefix_trie.t;
+  im_view : Rib.t;
+  im_peers : row list;
+}
+
+(* A speaker in the state [image] holds, not yet on the network. *)
+let of_image ~liveness ~bugs ~net ~node image =
+  { node; cfg = image.im_cfg; net; eng = Netsim.Network.engine net;
+    peers = List.map peer_of_row image.im_peers;
+    loc = image.im_loc;
+    view = image.im_view;
+    stats = Netsim.Stats.create ();
+    bugs;
+    liveness }
 
 let attach t =
   Netsim.Network.set_handler t.net t.node (fun ~src raw -> process_raw t ~from_node:src raw)
 
 let create ~net ~node cfg =
   let t =
-    alloc ~shared_views:(Atomic.make None) ~liveness_timers:true ~bugs:Router.no_bugs ~net
-      ~node cfg
+    of_image ~liveness:true ~bugs:Router.no_bugs ~net ~node
+      { im_cfg = cfg; im_loc = Prefix_trie.empty; im_view = Rib.empty;
+        im_peers =
+          List.map
+            (fun n -> (n, Down, Prefix_trie.empty, Prefix_trie.empty))
+            cfg.Config.neighbors }
   in
   attach t;
-  List.iter (fun prefix -> reselect t prefix) cfg.Config.networks;
+  List.iter (reselect t) cfg.Config.networks;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -442,132 +465,42 @@ let build_view t =
       Prefix_trie.fold (Rib.adj_out_set addr) p.p_out rib)
     rib t.peers
 
-let inputs t =
-  { i_cfg = t.cfg; i_loc = t.loc;
-    i_tables = List.map (fun (a, p) -> (a, p.p_in, p.p_out)) t.peers }
+let rib_view t = t.view
 
-let rec same_tables tables peers =
-  match (tables, peers) with
-  | [], [] -> true
-  | (_, p_in, p_out) :: tables, (_, p) :: peers ->
-      p_in == p.p_in && p_out == p.p_out && same_tables tables peers
-  | _ :: _, [] | [], _ :: _ -> false
-
-let unchanged t i = i.i_cfg == t.cfg && i.i_loc == t.loc && same_tables i.i_tables t.peers
-
-(* [v]'s config and peers are the speaker's, so only tables differ. *)
-let patchable t v =
-  v.v_inputs.i_cfg == t.cfg
-  && List.compare_lengths v.v_inputs.i_tables t.peers = 0
-  && List.for_all2 (fun (a, _, _) (b, _) -> Ipv4.equal a b) v.v_inputs.i_tables t.peers
-
-(* The view of the current state built from [v] (see [patchable]) by
-   applying what changed in each table since, through [Rib]'s mutators:
-   the result shares every untouched binding with [v]'s, so the verdict
-   memo re-checks only the prefixes that changed. *)
-let patch_view t v =
-  let apply set del prefix _ now rib =
-    match now with Some x -> set prefix x rib | None -> del prefix rib
+(* Held routes are not run through the maps again (see [speaker] in
+   the interface).  The view is rebuilt, since a new AS number changes
+   which sessions are eBGP, and every network of either config is
+   reselected, so a dropped one is withdrawn. *)
+let set_config t cfg =
+  let dropped =
+    List.filter
+      (fun prefix -> not (List.exists (Prefix.equal prefix) cfg.Config.networks))
+      t.cfg.Config.networks
   in
-  let rib =
-    Prefix_trie.fold_diff
-      (apply (fun prefix chosen -> Rib.loc_set prefix (route_of t chosen)) Rib.loc_del)
-      v.v_inputs.i_loc t.loc v.v_rib
-  in
-  List.fold_left2
-    (fun rib (addr, p_in, p_out) (_, p) ->
-      let source = source_of t addr in
-      let rib =
-        Prefix_trie.fold_diff
-          (apply
-             (fun prefix attrs -> Rib.adj_in_set addr prefix { Rib.attrs; source })
-             (Rib.adj_in_del addr))
-          p_in p.p_in rib
-      in
-      Prefix_trie.fold_diff
-        (apply (Rib.adj_out_set addr) (Rib.adj_out_del addr))
-        p_out p.p_out rib)
-    rib v.v_inputs.i_tables t.peers
-
-(* The view is rebuilt only when one of its inputs was replaced, so an
-   unchanged speaker returns the very same [Rib.t] — which is what the
-   verdict memo keys on.  A rebuild patches this instance's latest
-   view, or else the shared one, where [patchable].  Views of a clone's
-   restored state go into the cell it shares with the live node and
-   every other clone of it, so the pristine clones of two cuts of an
-   unchanged node agree; a view of any other state stays with its
-   instance, so shadows do not evict the pristine one. *)
-let rib_view t =
-  match t.last_view with
-  | Some v when unchanged t v.v_inputs -> v.v_rib
-  | last ->
-      let v =
-        match Atomic.get t.shared_views with
-        | Some v when unchanged t v.v_inputs -> v
-        | shared ->
-            let rib =
-              match (last, shared) with
-              | Some v, _ when patchable t v -> patch_view t v
-              | _, Some v when patchable t v -> patch_view t v
-              | _ -> build_view t
-            in
-            let v = { v_inputs = inputs t; v_rib = rib } in
-            (match t.restored with
-            | Some i when unchanged t i -> Atomic.set t.shared_views (Some v)
-            | Some _ | None -> ());
-            v
-      in
-      t.last_view <- Some v;
-      v.v_rib
-
-type image = {
-  im_cfg : Config.t;
-  im_loc : (Attr.t * Ipv4.t) Prefix_trie.t;
-  im_peers : (Ipv4.t * phase * Attr.t Prefix_trie.t * Attr.t Prefix_trie.t) list;
-}
-
-let capture_image t =
-  { im_cfg = t.cfg;
-    im_loc = t.loc;
-    im_peers =
-      List.map (fun (a, p) -> (a, p.p_phase, p.p_in, p.p_out)) t.peers }
-
-let restore_image t image =
-  t.cfg <- image.im_cfg;
-  t.loc <- image.im_loc;
-  List.iter
-    (fun (a, phase, p_in, p_out) ->
-      match peer_of t a with
-      | Some p ->
-          p.p_phase <- phase;
-          p.p_sent_open <- phase <> Down;
-          p.p_got_open <- phase <> Down;
-          p.p_in <- p_in;
-          p.p_out <- p_out
-      | None -> ())
-    image.im_peers
+  t.cfg <- cfg;
+  t.view <- build_view t;
+  List.iter (reselect t) (cfg.Config.networks @ dropped)
 
 (* Peers are listed in configuration order, which never changes; the
    tries are canonical, so they marshal alike exactly when equal. *)
-let digest t =
+let digest_of ~cfg ~bugs ~liveness ~loc peers =
   Digest.string
     (Marshal.to_string
-       ( (t.cfg, t.bugs, t.liveness),
-         t.loc,
+       ( (cfg, bugs, liveness),
+         loc,
          List.map
            (fun (a, p) -> (a, p.p_phase, p.p_sent_open, p.p_got_open, p.p_in, p.p_out))
-           t.peers )
+           peers )
        [ Marshal.No_sharing ])
+
+let digest t = digest_of ~cfg:t.cfg ~bugs:t.bugs ~liveness:t.liveness ~loc:t.loc t.peers
 
 let rec speaker t =
   { Speaker.sp_node = t.node;
     sp_impl = "sparrow";
     sp_config = (fun () -> t.cfg);
-    sp_set_config =
-      (fun cfg ->
-        t.cfg <- cfg;
-        List.iter (reselect t) cfg.Config.networks);
-    sp_rib = (fun () -> rib_view t);
+    sp_set_config = set_config t;
+    sp_rib = (fun () -> t.view);
     sp_bugs = (fun () -> t.bugs);
     sp_set_bugs = (fun b -> t.bugs <- b);
     sp_start = (fun () -> start t);
@@ -578,28 +511,25 @@ let rec speaker t =
     sp_digest = (fun () -> digest t);
     sp_capture = (fun () -> capture t) }
 
-(* The clone of a capture is a shadow speaker restored from its image:
-   there is no local network to install, the image holds the outcome. *)
+(* A respawn is a shadow speaker made from the image: there is no
+   local network to install, the image holds the outcome. *)
 and capture t =
-  let image = capture_image t in
-  let node = t.node and shared_views = t.shared_views and cap_bugs = t.bugs in
-  let restored ~net ~bugs =
-    let clone = alloc ~shared_views ~liveness_timers:false ~bugs ~net ~node image.im_cfg in
-    restore_image clone image;
-    clone.restored <- Some (inputs clone);
-    clone
+  let image =
+    { im_cfg = t.cfg; im_loc = t.loc; im_view = t.view;
+      im_peers = List.map (fun (_, p) -> (p.p_cfg, p.p_phase, p.p_in, p.p_out)) t.peers }
   in
-  (* An unattached clone on the live speaker's network answers for one
-     that was never respawned: it only reads its tables. *)
-  let detached () = restored ~net:t.net ~bugs:cap_bugs in
+  let node = t.node and cap_bugs = t.bugs in
   { Speaker.cap_node = node;
     cap_impl = "sparrow";
     cap_config = image.im_cfg;
     cap_bugs;
-    cap_rib = Speaker.once (fun () -> rib_view (detached ()));
-    cap_digest = Speaker.once (fun () -> digest (detached ()));
+    cap_rib = image.im_view;
+    cap_digest =
+      Speaker.once (fun () ->
+          digest_of ~cfg:image.im_cfg ~bugs:cap_bugs ~liveness:false ~loc:image.im_loc
+            (List.map peer_of_row image.im_peers));
     cap_respawn =
       (fun ~net ~bugs ->
-        let clone = restored ~net ~bugs in
+        let clone = of_image ~liveness:false ~bugs ~net ~node image in
         attach clone;
         speaker clone) }

@@ -23,17 +23,26 @@ val create : net:string Netsim.Network.t -> node:int -> Config.t -> t
 (** A live speaker: liveness timers on, no seeded bugs. *)
 
 val rib_view : t -> Rib.t
-(** The Rib-shaped view of the current state.  It is rebuilt only after
-    a table changed: until then every call, on this speaker or on a
-    clone of the same captured state, returns the same value.  A
-    rebuild under an unchanged config and peer list patches the
-    previous view, so it shares every binding that did not change. *)
+(** The Rib-shaped view of the current state.  It is kept in step with
+    the tables: each table write makes the same write to it, and a
+    write that changes nothing leaves it physically the same.  So it
+    shares every binding that did not change, and an unchanged speaker
+    returns the very same value.  A capture carries it, so a respawn
+    starts from the live node's view. *)
 
 val build_view : t -> Rib.t
-(** The view built from scratch, every table converted afresh.
-    {!rib_view} returns a view with the same bindings, built by patching
-    an earlier view where the config and peers allow it. *)
+(** The view built from scratch, every table converted afresh: what
+    {!rib_view} is rebuilt to after a config change, and the reference
+    it is tested against. *)
 
 val inject_update : t -> from:Ipv4.t -> Msg.update -> unit
 
 val speaker : t -> Speaker.t
+(** The speaker interface.  [sp_set_config] reselects every network of
+    the old and the new config, so a dropped network is withdrawn, but
+    each session keeps the neighbor config it was created with and its
+    held routes are not run through the maps again: a changed import or
+    export map applies to routes received or selected from then on.
+    Neither implementation keeps routes as received, before import:
+    {!Router.set_config} runs the stored, already imported routes
+    through the import maps again. *)

@@ -20,7 +20,7 @@ and capture = {
   cap_impl : string;
   cap_config : Config.t;
   cap_bugs : Router.bugs;
-  cap_rib : unit -> Rib.t;
+  cap_rib : Rib.t;
   cap_digest : unit -> Digest.t;
   cap_respawn : net:string Netsim.Network.t -> bugs:Router.bugs -> t;
 }
@@ -63,7 +63,7 @@ and capture_router r =
     cap_impl = "bird-like";
     cap_config = cfg;
     cap_bugs = bugs;
-    cap_rib = (fun () -> rib);
+    cap_rib = rib;
     cap_digest = once (fun () -> Router.respawn_digest ~bugs cfg st);
     cap_respawn =
       (fun ~net ~bugs -> of_router (Router.respawn ~bugs ~net ~node:(Router.node r) cfg st)) }

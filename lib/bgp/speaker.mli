@@ -44,10 +44,9 @@ and capture = {
   cap_bugs : Router.bugs;
       (** the seeded-bug flags at capture time: a clone runs the code
           the captured node ran unless its spawner overrides them *)
-  cap_rib : unit -> Rib.t;
+  cap_rib : Rib.t;
       (** what a respawn's [sp_rib] returns before it handles anything:
-          the captured RIB, or Sparrow's view of the captured tables,
-          shared with the live node and its clones *)
+          the live node's [sp_rib] at capture time *)
   cap_digest : unit -> Digest.t;
       (** a respawn's [sp_digest] under [cap_bugs], before it handles
           anything; computed on the first call and kept, safely across

@@ -182,6 +182,12 @@ let replay_input ~params ~gt ~view ~snapshot ~node ~peer_addr ~now input =
     ~crash_property:"handler-crash"
     (Sym_handler.concretize view input)
 
+(* The instrumented handler's view of [node]'s session with [peer], read
+   from the node's checkpoint: the snapshot's consistent state. *)
+let view_at (snapshot : Snapshot.Cut.snapshot) ~node ~peer =
+  let cp = List.assoc node snapshot.Snapshot.Cut.checkpoints in
+  Sym_handler.view_of_capture cp.Snapshot.Checkpoint.image ~peer
+
 type peer_result = {
   pr_faults : Fault.t list;  (* deduped, canonical input order *)
   pr_digests : Privacy.digest list;
@@ -198,10 +204,7 @@ let explore_peer ~params ~pool ~gt ~build ~snapshot ~node ~peer_addr =
     (fun sp ->
   let t0 = Unix.gettimeofday () in
   let now = Netsim.Engine.now build.Topology.Build.engine in
-  (* Probe clone: gives the instrumented handler a consistent view. *)
-  let probe = Snapshot.Store.spawn snapshot in
-  let probe_speaker = Snapshot.Store.speaker probe node in
-  let view = Sym_handler.view_of_speaker probe_speaker ~peer:peer_addr in
+  let view = view_at snapshot ~node ~peer:peer_addr in
   (* Step 2: derive inputs by concolic execution. *)
   let result =
     Concolic.Engine.explore ~limits:params.limits ~seeds:(Sym_handler.seeds view)
@@ -461,12 +464,7 @@ let replay_direct ?(params = default_params) ~build ~cut ~gt ~node
         match List.nth_opt cfg.Bgp.Config.neighbors peer_index with
         | None -> []
         | Some (peer : Bgp.Config.neighbor) ->
-            let probe = Snapshot.Store.spawn snapshot in
-            let view =
-              Sym_handler.view_of_speaker
-                (Snapshot.Store.speaker probe node)
-                ~peer:peer.Bgp.Config.addr
-            in
+            let view = view_at snapshot ~node ~peer:peer.Bgp.Config.addr in
             let faults, _digests, _dt =
               replay_input ~params ~gt ~view ~snapshot ~node ~peer_addr:peer.Bgp.Config.addr ~now input
             in

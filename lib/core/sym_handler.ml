@@ -63,6 +63,10 @@ let view_of_speaker (sp : Bgp.Speaker.t) ~peer =
     ~bugs:(sp.Bgp.Speaker.sp_bugs ())
     ~loc_rib:(Bgp.Speaker.loc_rib sp) ~peer
 
+let view_of_capture (cap : Bgp.Speaker.capture) ~peer =
+  make_view ~node:cap.Bgp.Speaker.cap_node ~cfg:cap.Bgp.Speaker.cap_config
+    ~bugs:cap.Bgp.Speaker.cap_bugs ~loc_rib:cap.Bgp.Speaker.cap_rib.Bgp.Rib.loc ~peer
+
 type outcome =
   | Malformed
   | Withdrawal of { had_route : bool }

@@ -21,7 +21,11 @@ type view = {
 }
 
 val view_of_speaker : Bgp.Speaker.t -> peer:Bgp.Ipv4.t -> view
-(** Implementation-agnostic variant (works for any {!Bgp.Speaker}). *)
+(** The view of a speaker's current state, whatever its implementation. *)
+
+val view_of_capture : Bgp.Speaker.capture -> peer:Bgp.Ipv4.t -> view
+(** The view of a captured state, under the captured bug flags: what
+    {!view_of_speaker} gives on a fresh respawn of it. *)
 
 type outcome =
   | Malformed  (** would be rejected by the codec with a NOTIFICATION *)

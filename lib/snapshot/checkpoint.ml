@@ -14,5 +14,5 @@ let respawn ?bugs t ~net =
     ~bugs:(Option.value bugs ~default:t.image.Bgp.Speaker.cap_bugs)
 
 let route_count t =
-  let rib = t.image.Bgp.Speaker.cap_rib () in
+  let rib = t.image.Bgp.Speaker.cap_rib in
   Bgp.Rib.loc_cardinal rib + Bgp.Rib.total_adj_in rib

@@ -34,7 +34,7 @@ let proxy s =
     sp_config =
       (fun () -> match s.live with Some sp -> sp.sp_config () | None -> cap.cap_config);
     sp_set_config = (fun cfg -> (touch s).sp_set_config cfg);
-    sp_rib = (fun () -> match s.live with Some sp -> sp.sp_rib () | None -> cap.cap_rib ());
+    sp_rib = (fun () -> match s.live with Some sp -> sp.sp_rib () | None -> cap.cap_rib);
     sp_bugs = (fun () -> match s.live with Some sp -> sp.sp_bugs () | None -> s.bugs);
     sp_set_bugs = (fun bugs -> (touch s).sp_set_bugs bugs);
     sp_start = (fun () -> (touch s).sp_start ());

@@ -489,8 +489,9 @@ let untouched_router_hits () =
     (suite_view (full_sweep (scoped gt Dice.Checks.Per_input) sh))
     (suite_view (Dice.Checks.run_memo gt Dice.Checks.Per_input sh))
 
-(* Sparrow's view is cached until a table changes, so a second clone of
-   the same snapshot returns the RIB the first one was recorded with:
+(* Sparrow's view changes only with its tables, and a clone starts from
+   the captured one, so a second clone of the same snapshot returns the
+   RIB the first one was recorded with:
    Sparrow speakers hit like Router ones, with the same verdicts the
    full sweep gives. *)
 let sparrow_hits () =
@@ -647,14 +648,25 @@ let candidates_only_change_flagged () =
   check Alcotest.string "evidence"
     "8.8.9.0/24: selection disagrees with the decision-process spec" v.Dice.Checks.v_evidence
 
-(* A Sparrow speaker at node 0 with sessions up to peers 1-3 (OPEN and
-   KEEPALIVE delivered by hand), so its Adj-RIB-Out follows its
-   selection. *)
-let sparrow_in_session () =
+(* Node 0 of a star of four, where a speaker's sends go nowhere. *)
+let star_net () =
   let eng = Netsim.Engine.create () in
   let net = Netsim.Network.create eng in
   List.iter (fun id -> Netsim.Network.add_node net id (fun ~src:_ _ -> ())) [ 0; 1; 2; 3 ];
   List.iter (fun i -> Netsim.Network.connect_sym net 0 i Netsim.Link.ideal) [ 1; 2; 3 ];
+  net
+
+(* A peer's OPEN and KEEPALIVE, delivered by hand. *)
+let greet_from (sp : Bgp.Speaker.t) i =
+  let deliver msg = sp.Bgp.Speaker.sp_process_raw ~from_node:i (Bgp.Wire.encode msg) in
+  deliver
+    (Bgp.Msg.Open
+       { version = 4; my_as = 64000 + i; hold_time = 90; bgp_id = Bgp.Router.addr_of_node i });
+  deliver Bgp.Msg.keepalive
+
+(* A Sparrow speaker at node 0 with sessions up to peers 1-3, so its
+   Adj-RIB-Out follows its selection. *)
+let sparrow_in_session () =
   let cfg =
     Bgp.Config.make ~asn:65100 ~router_id:(Bgp.Router.addr_of_node 0)
       ~networks:[ Bgp.Prefix.of_string_exn "10.0.0.0/24" ]
@@ -664,23 +676,19 @@ let sparrow_in_session () =
            [ 1; 2; 3 ])
       ()
   in
-  let s = Bgp.Sparrow.create ~net ~node:0 cfg in
+  let s = Bgp.Sparrow.create ~net:(star_net ()) ~node:0 cfg in
   let sp = Bgp.Sparrow.speaker s in
-  List.iter
-    (fun i ->
-      let deliver msg = sp.Bgp.Speaker.sp_process_raw ~from_node:i (Bgp.Wire.encode msg) in
-      deliver
-        (Bgp.Msg.Open
-           { version = 4; my_as = 64000 + i; hold_time = 90;
-             bgp_id = Bgp.Router.addr_of_node i });
-      deliver Bgp.Msg.keepalive)
-    [ 1; 2; 3 ];
+  List.iter (greet_from sp) [ 1; 2; 3 ];
   (s, sp)
 
 type view_event =
   | Announce of int * int * int list * int  (** peer, prefix index, path, MED *)
   | Withdraw of int * int
+  | Notify of int  (** the peer tears its session down *)
+  | Reopen of int  (** the peer greets again *)
+  | Networks of int list  (** a config that originates these prefix indices *)
   | Refresh  (** an equal but fresh config *)
+  | Respawn  (** capture the speaker and go on with its respawn *)
 
 let view_prefixes =
   Array.map Bgp.Prefix.of_string_exn
@@ -691,7 +699,11 @@ let print_view_event = function
       Printf.sprintf "announce %d %d [%s] med %d" peer i
         (String.concat " " (List.map string_of_int path)) med
   | Withdraw (peer, i) -> Printf.sprintf "withdraw %d %d" peer i
+  | Notify peer -> Printf.sprintf "notify %d" peer
+  | Reopen peer -> Printf.sprintf "reopen %d" peer
+  | Networks is -> Printf.sprintf "networks [%s]" (String.concat " " (List.map string_of_int is))
   | Refresh -> "refresh"
+  | Respawn -> "respawn"
 
 let gen_view_event =
   let open QCheck.Gen in
@@ -706,7 +718,11 @@ let gen_view_event =
        let* med = int_bound 2 in
        return (Announce (peer, i, (64000 + peer) :: path, med)));
       (3, map2 (fun peer i -> Withdraw (peer, i)) peer prefix);
-      (1, return Refresh) ]
+      (1, map (fun peer -> Notify peer) peer);
+      (1, map (fun peer -> Reopen peer) peer);
+      (1, map (fun is -> Networks (List.sort_uniq compare is)) (list_size (int_bound 2) prefix));
+      (1, return Refresh);
+      (1, return Respawn) ]
 
 (* A view's bindings, independent of how its maps were built. *)
 let view_bindings (rib : Bgp.Rib.t) =
@@ -719,36 +735,69 @@ let view_bindings (rib : Bgp.Rib.t) =
       (fun (a, pm) -> (a, Bgp.Prefix.Map.bindings pm))
       (Bgp.Ipv4.Map.bindings rib.Bgp.Rib.adj_out) )
 
-(* Views patched after every UPDATE equal one built from scratch. *)
-let sparrow_patched_view_equals_built =
-  QCheck.Test.make ~count:200 ~name:"checks: a patched Sparrow view equals a built one"
+(* The view Sparrow keeps equals one built from scratch after every
+   event, on the live speaker and on a respawn that saw the same events
+   since its capture; a withdrawal of a prefix the peer does not hold
+   leaves it physically the same. *)
+let sparrow_kept_view_equals_built =
+  QCheck.Test.make ~count:200 ~name:"checks: a kept Sparrow view equals a built one"
     (QCheck.make
        ~print:(fun evs -> String.concat "; " (List.map print_view_event evs))
        QCheck.Gen.(list_size (int_range 1 15) gen_view_event))
     (fun events ->
-      let s, sp = sparrow_in_session () in
-      List.iter
+      let s, live = sparrow_in_session () in
+      let clone = ref None in
+      let apply ev (sp : Bgp.Speaker.t) =
+        match ev with
+        | Announce (peer, i, path, med) ->
+            let from = Bgp.Router.addr_of_node peer in
+            sp.Bgp.Speaker.sp_inject_update ~from
+              { Bgp.Msg.withdrawn = [];
+                attrs =
+                  Some
+                    (Bgp.Attr.make ~origin:Bgp.Attr.Igp ~as_path:[ Bgp.As_path.Seq path ]
+                       ~med:(Some med) ~next_hop:from ());
+                nlri = [ view_prefixes.(i) ] }
+        | Withdraw (peer, i) ->
+            let from = Bgp.Router.addr_of_node peer and prefix = view_prefixes.(i) in
+            let before = sp.Bgp.Speaker.sp_rib () in
+            sp.Bgp.Speaker.sp_inject_update ~from
+              { Bgp.Msg.withdrawn = [ prefix ]; attrs = None; nlri = [] };
+            if Bgp.Rib.adj_in_get from prefix before = None && sp.Bgp.Speaker.sp_rib () != before
+            then QCheck.Test.fail_report "withdrawing an unheld prefix replaced the view"
+        | Notify peer ->
+            sp.Bgp.Speaker.sp_process_raw ~from_node:peer
+              (Bgp.Wire.encode
+                 (Bgp.Msg.Notification { code = 6; subcode = 2; data = "" }))
+        | Reopen peer -> greet_from sp peer
+        | Networks is ->
+            let cfg = sp.Bgp.Speaker.sp_config () in
+            sp.Bgp.Speaker.sp_set_config
+              { cfg with Bgp.Config.networks = List.map (Array.get view_prefixes) is }
+        | Refresh ->
+            let cfg = sp.Bgp.Speaker.sp_config () in
+            sp.Bgp.Speaker.sp_set_config
+              { cfg with Bgp.Config.hold_time = cfg.Bgp.Config.hold_time }
+        | Respawn -> ()
+      in
+      List.for_all
         (fun ev ->
-          (match ev with
-          | Announce (peer, i, path, med) ->
-              let from = Bgp.Router.addr_of_node peer in
-              Bgp.Sparrow.inject_update s ~from
-                { Bgp.Msg.withdrawn = [];
-                  attrs =
-                    Some
-                      (Bgp.Attr.make ~origin:Bgp.Attr.Igp ~as_path:[ Bgp.As_path.Seq path ]
-                         ~med:(Some med) ~next_hop:from ());
-                  nlri = [ view_prefixes.(i) ] }
-          | Withdraw (peer, i) ->
-              Bgp.Sparrow.inject_update s ~from:(Bgp.Router.addr_of_node peer)
-                { Bgp.Msg.withdrawn = [ view_prefixes.(i) ]; attrs = None; nlri = [] }
-          | Refresh ->
-              let cfg = sp.Bgp.Speaker.sp_config () in
-              sp.Bgp.Speaker.sp_set_config
-                { cfg with Bgp.Config.hold_time = cfg.Bgp.Config.hold_time });
-          ignore (Bgp.Sparrow.rib_view s))
-        events;
-      view_bindings (Bgp.Sparrow.rib_view s) = view_bindings (Bgp.Sparrow.build_view s))
+          apply ev live;
+          Option.iter (apply ev) !clone;
+          (if ev = Respawn then
+             let from = Option.value !clone ~default:live in
+             let cap = Bgp.Speaker.capture from in
+             let sp =
+               cap.Bgp.Speaker.cap_respawn ~net:(star_net ()) ~bugs:cap.Bgp.Speaker.cap_bugs
+             in
+             if sp.Bgp.Speaker.sp_rib () != from.Bgp.Speaker.sp_rib () then
+               QCheck.Test.fail_report "a respawn does not start from the captured view";
+             clone := Some sp);
+          let built = view_bindings (Bgp.Sparrow.build_view s) in
+          List.for_all
+            (fun (sp : Bgp.Speaker.t) -> view_bindings (sp.Bgp.Speaker.sp_rib ()) = built)
+            (live :: Option.to_list !clone))
+        events)
 
 (* One UPDATE to a Sparrow clone changes, between the pristine view and
    the next, only the prefixes it touched: an announcement of new space
@@ -1260,7 +1309,7 @@ let suite =
       sparrow_view_follows_tables);
     ("checks: a Loc-RIB change alone is checked", `Quick, loc_only_change_flagged);
     ("checks: a candidate change alone is checked", `Quick, candidates_only_change_flagged);
-    qtest sparrow_patched_view_equals_built;
+    qtest sparrow_kept_view_equals_built;
     ("checks: one UPDATE changes only the Sparrow prefixes it touched", `Quick,
       sparrow_update_changes_only_touched);
     ("checks: clones keep the live bug flags", `Quick, clones_keep_bug_flags);

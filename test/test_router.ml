@@ -100,7 +100,7 @@ let session_restarts_automatically () =
   let eng, _, routers = chain 2 in
   let r0 = List.hd routers and r1 = List.nth routers 1 in
   Bgp.Router.stop_session r0 (Bgp.Router.addr_of_node 1);
-  (* auto_restart kicks in after its idle delay *)
+  (* a live router restarts a dropped session after an idle delay *)
   Netsim.Engine.run ~until:(Netsim.Time.add (Netsim.Engine.now eng) (Netsim.Time.span_sec 60.)) eng;
   check (Alcotest.list Alcotest.int) "session back up" [ 0 ]
     (List.map Bgp.Router.node_of_addr (Bgp.Router.established_peers r1));

@@ -50,6 +50,24 @@ let mixed_withdrawal_propagates () =
   Alcotest.(check bool) "withdrawal crossed a sparrow hop" false
     (Bgp.Prefix.Map.mem (Topology.Gao_rexford.prefix_of_node 4) (Bgp.Speaker.loc_rib sp0))
 
+(* The network dropped at a Sparrow node: Sparrow must reselect the
+   networks its old config had, not only the new config's. *)
+let mixed_withdrawal_from_sparrow () =
+  let _, build = deploy_line ~sparrow_nodes:[ 1 ] 3 in
+  assert (Topology.Build.converge build);
+  let sp1 = Topology.Build.speaker build 1 in
+  let cfg = sp1.Bgp.Speaker.sp_config () in
+  sp1.Bgp.Speaker.sp_set_config { cfg with Bgp.Config.networks = [] };
+  assert (Topology.Build.converge build);
+  let dropped = Topology.Gao_rexford.prefix_of_node 1 in
+  List.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d withdrew %s" id (Bgp.Prefix.to_string dropped))
+        false
+        (Bgp.Prefix.Map.mem dropped (Bgp.Speaker.loc_rib (Topology.Build.speaker build id))))
+    [ 0; 1; 2 ]
+
 let mixed_demo27_converges () =
   let graph = Topology.Demo27.graph in
   (* Run every third AS on Sparrow. *)
@@ -122,6 +140,40 @@ let sparrow_capture_respawn () =
   Alcotest.(check bool) "same Loc-RIB" true
     (Bgp.Prefix.Map.bindings (Bgp.Speaker.loc_rib clone)
     = Bgp.Prefix.Map.bindings (Bgp.Speaker.loc_rib sp1))
+
+(* What a capture answers without a respawn is what a respawn answers
+   before it handles anything, for either implementation. *)
+let capture_reads_as_respawn () =
+  let _, build = deploy_line ~sparrow_nodes:[ 1 ] 3 in
+  assert (Topology.Build.converge build);
+  List.iter
+    (fun id ->
+      let sp = Topology.Build.speaker build id in
+      let what = Printf.sprintf "node %d (%s)" id sp.Bgp.Speaker.sp_impl in
+      let cap = Bgp.Speaker.capture sp in
+      let rib = cap.Bgp.Speaker.cap_rib in
+      Alcotest.(check bool) (what ^ ": tables non-empty") true
+        (Bgp.Rib.loc_cardinal rib > 0 && Bgp.Rib.total_adj_in rib > 0
+        && not (Bgp.Ipv4.Map.is_empty rib.Bgp.Rib.adj_out));
+      let eng = Netsim.Engine.create () in
+      let net = Netsim.Network.create eng in
+      List.iter (fun n -> Netsim.Network.add_node net n (fun ~src:_ _ -> ())) [ 0; 1; 2 ];
+      let respawn = cap.Bgp.Speaker.cap_respawn ~net ~bugs:cap.Bgp.Speaker.cap_bugs in
+      Alcotest.(check bool) (what ^ ": cap_rib is the respawn's sp_rib") true
+        (rib == respawn.Bgp.Speaker.sp_rib ());
+      check Alcotest.string (what ^ ": cap_digest is the respawn's sp_digest")
+        (Digest.to_hex (respawn.Bgp.Speaker.sp_digest ()))
+        (Digest.to_hex (cap.Bgp.Speaker.cap_digest ()));
+      List.iter
+        (fun (n : Bgp.Config.neighbor) ->
+          let peer = n.Bgp.Config.addr in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: view of the capture, peer %s" what (Bgp.Ipv4.to_string peer))
+            true
+            (Dice.Sym_handler.view_of_capture cap ~peer
+            = Dice.Sym_handler.view_of_speaker respawn ~peer))
+        cap.Bgp.Speaker.cap_config.Bgp.Config.neighbors)
+    [ 0; 1 ]
 
 let sparrow_decision_matches_spec () =
   (* The independently written decision logic agrees with the reference
@@ -315,10 +367,12 @@ let suite =
   [ ("sparrow: pair converges", `Quick, sparrow_pair_converges);
     ("mixed: chain converges", `Quick, mixed_chain_converges);
     ("mixed: withdrawal crosses implementations", `Quick, mixed_withdrawal_propagates);
+    ("mixed: a network dropped at sparrow is withdrawn", `Quick, mixed_withdrawal_from_sparrow);
     ("mixed: 27-AS demo converges", `Slow, mixed_demo27_converges);
     ("sparrow: malformed attrs treated as withdraw", `Quick, sparrow_treats_malformed_as_withdraw);
     ("sparrow: corrupt header drops session", `Quick, sparrow_corrupt_header_drops_session);
     ("sparrow: capture/respawn", `Quick, sparrow_capture_respawn);
+    ("mixed: a capture reads as its respawn", `Quick, capture_reads_as_respawn);
     ("mixed: checks clean when healthy", `Slow, sparrow_decision_matches_spec);
     ("mixed: shadows preserve implementations", `Quick, heterogeneous_shadow_preserves_impls);
     ("mixed: DiCE finds a sparrow crash bug", `Slow, dice_detects_sparrow_crash);
