@@ -4,7 +4,7 @@
      dune exec bench/main.exe                         # everything cheap
      dune exec bench/main.exe -- f1 t3                # selected sections
      dune exec bench/main.exe -- micro                # micro-benchmarks only
-     dune exec bench/main.exe -- par                  # parallel exploration
+     dune exec bench/main.exe -- par                  # exploration + BENCH.json
      dune exec bench/main.exe -- scale --config lite  # scale workload
 
    The scale section is opt-in (never part of the default run): lite is

@@ -1,36 +1,29 @@
-(* The [par] section: sequential vs multi-domain exploration on the
-   27-node demo topology, plus a machine-readable BENCH.json that
-   seeds the perf trajectory (micro ns/op, exploration throughput,
-   parallel speedup, solver-cache effectiveness).
+(* The [par] section: exploration on the 27-node demo topology, plus a
+   machine-readable BENCH.json that seeds the perf trajectory (micro
+   ns/op, exploration throughput, solver-cache effectiveness).
 
-   Determinism is asserted, not assumed: every domain count must
-   report the same faults, inputs and distinct paths. *)
+   Determinism is asserted, not assumed: a second exploration of the
+   same node must report the warm-up's faults, inputs and distinct
+   paths. *)
 
 type xrun = {
-  xr_domains : int;
   xr_wall : float;
-  xr_work : float;
   xr_inputs : int;
   xr_shadow_runs : int;
   xr_paths : int;
   xr_faults : int;
 }
 
-let explore_with ~domains ~build ~gt ~node =
+let explore ~build ~gt ~node =
   let cut =
     Snapshot.Cut.create
       ~speakers:(fun id -> Topology.Build.speaker build id)
       build.Topology.Build.net
   in
   let t0 = Unix.gettimeofday () in
-  let x =
-    Parallel.Pool.with_pool ~domains (fun pool ->
-        Dice.Explorer.explore_node ~pool ~build ~cut ~gt ~node ())
-  in
+  let x = Dice.Explorer.explore_node ~build ~cut ~gt ~node () in
   let wall = Unix.gettimeofday () -. t0 in
-  { xr_domains = domains;
-    xr_wall = wall;
-    xr_work = x.Dice.Explorer.x_work_seconds;
+  { xr_wall = wall;
     xr_inputs = x.Dice.Explorer.x_inputs;
     xr_shadow_runs = x.Dice.Explorer.x_shadow_runs;
     xr_paths = x.Dice.Explorer.x_distinct_paths;
@@ -48,33 +41,28 @@ let micro_fields micro =
   ( Json.Obj (List.filter_map (field (fun ns _ -> ns)) micro),
     Json.Obj (List.filter_map (field (fun _ words -> words)) micro) )
 
-let write_bench_json ~path ~micro ~runs ~seq_wall ~cache_hits ~cache_misses
+let write_bench_json ~path ~micro ~run ~cache_hits ~cache_misses
     ~(orch : Dice.Orchestrator.summary) ~(adv : Dice.Orchestrator.summary)
     ~adv_counts:(mangled, dropped, duplicated, crashes) =
   let micro_ns, micro_words = micro_fields micro in
   let xrun r =
     Json.Obj
-      [ ("domains", Json.Int r.xr_domains);
-        ("wall_s", Json.Float (Benchio.round2 r.xr_wall));
-        ("work_s", Json.Float (Benchio.round2 r.xr_work));
+      [ ("wall_s", Json.Float (Benchio.round2 r.xr_wall));
         ("inputs", Json.Int r.xr_inputs);
         ("shadow_runs", Json.Int r.xr_shadow_runs);
         ("distinct_paths", Json.Int r.xr_paths);
         ("faults", Json.Int r.xr_faults);
         ("shadows_per_s",
-         Json.Float (Benchio.round2 (float_of_int r.xr_shadow_runs /. r.xr_wall)));
-        ("speedup_vs_seq", Json.Float (Benchio.round2 (seq_wall /. r.xr_wall))) ]
+         Json.Float (Benchio.round2 (float_of_int r.xr_shadow_runs /. r.xr_wall))) ]
   in
   Benchio.update ~path
     [ ("schema", Json.String "dice-bench/1");
-      (* Interpreting speedup needs the hardware context: on a 1-core
-         host the fan-out cannot beat sequential no matter how parallel
-         it is. *)
+      (* The hardware context the timings were taken on. *)
       ("host_cores", Json.Int (Domain.recommended_domain_count ()));
       ("topology", Json.Obj [ ("name", Json.String "demo27"); ("nodes", Json.Int 27) ]);
       ("micro_ns_per_op", micro_ns);
       ("micro_minor_words_per_op", micro_words);
-      ("exploration", Json.List (List.map xrun runs));
+      ("exploration", Json.List [ xrun run ]);
       ("solver_cache",
        Json.Obj
          [ ("hits", Json.Int cache_hits);
@@ -113,7 +101,7 @@ let write_bench_json ~path ~micro ~runs ~seq_wall ~cache_hits ~cache_misses
            ("faults", Json.Int (List.length adv.Dice.Orchestrator.faults)) ]) ]
 
 let run () =
-  Tables.section "PAR: parallel exploration on the 27-node demo topology";
+  Tables.section "PAR: exploration on the 27-node demo topology";
   let graph = Topology.Demo27.graph in
   let build = Topology.Build.deploy graph in
   Topology.Build.start_all build;
@@ -124,44 +112,26 @@ let run () =
   Concolic.Solver.reset_stats ();
   (* Warm-up exploration: fills code caches and the solver memo table
      the way a long-running online tester would be running. *)
-  ignore (explore_with ~domains:1 ~build ~gt ~node);
-  let runs = List.map (fun d -> explore_with ~domains:d ~build ~gt ~node) [ 1; 2; 4 ] in
-  let seq = List.hd runs in
-  let rows =
-    List.map
-      (fun r ->
-        [ string_of_int r.xr_domains;
-          Printf.sprintf "%.3f" r.xr_wall;
-          Printf.sprintf "%.3f" r.xr_work;
-          string_of_int r.xr_shadow_runs;
-          Printf.sprintf "%.1f" (float_of_int r.xr_shadow_runs /. r.xr_wall);
-          Printf.sprintf "%.2fx" (seq.xr_wall /. r.xr_wall) ])
-      runs
-  in
+  let warm = explore ~build ~gt ~node in
+  let r = explore ~build ~gt ~node in
   Tables.print
-    ~title:"shadow-replay fan-out (same node, same snapshot state, one explore_node each)"
-    ~header:[ "domains"; "wall s"; "work s"; "shadows"; "shadows/s"; "speedup" ]
-    rows;
-  let cores = Domain.recommended_domain_count () in
-  if cores < 2 then
-    Tables.note
-      "NOTE: only %d core(s) available — wall-clock speedup is bounded by 1.0x here;\n\
-       the work/wall ratio on a multicore host is the number to watch.\n"
-      cores;
-  (* Determinism across domain counts is part of the contract. *)
-  List.iter
-    (fun r ->
-      if
-        r.xr_inputs <> seq.xr_inputs || r.xr_paths <> seq.xr_paths
-        || r.xr_faults <> seq.xr_faults
-      then
-        failwith
-          (Printf.sprintf
-             "par: domains=%d diverged from sequential (inputs %d/%d, paths %d/%d, faults %d/%d)"
-             r.xr_domains r.xr_inputs seq.xr_inputs r.xr_paths seq.xr_paths
-             r.xr_faults seq.xr_faults))
-    runs;
-  Tables.note "determinism: all domain counts agree on inputs/paths/faults\n";
+    ~title:"shadow replays (same node, same snapshot state, one explore_node)"
+    ~header:[ "wall s"; "shadows"; "shadows/s" ]
+    [ [ Printf.sprintf "%.3f" r.xr_wall;
+        string_of_int r.xr_shadow_runs;
+        Printf.sprintf "%.1f" (float_of_int r.xr_shadow_runs /. r.xr_wall) ] ];
+  (* Exploring the same state twice must find the same thing. *)
+  if
+    r.xr_inputs <> warm.xr_inputs || r.xr_paths <> warm.xr_paths
+    || r.xr_faults <> warm.xr_faults
+  then
+    failwith
+      (Printf.sprintf
+         "par: a second exploration diverged from the first (inputs %d/%d, \
+          paths %d/%d, faults %d/%d)"
+         r.xr_inputs warm.xr_inputs r.xr_paths warm.xr_paths r.xr_faults
+         warm.xr_faults);
+  Tables.note "determinism: both explorations agree on inputs/paths/faults\n";
   let solver_st = Concolic.Solver.stats () in
   let hits = solver_st.Concolic.Solver.cache_hits in
   let misses = solver_st.Concolic.Solver.cache_misses in
@@ -211,7 +181,6 @@ let run () =
     adv.Dice.Orchestrator.failed_rounds;
   Tables.note "collecting micro-benchmark baselines for BENCH.json...\n";
   let micro = Micro.results () in
-  write_bench_json ~path:"BENCH.json" ~micro ~runs ~seq_wall:seq.xr_wall
-    ~cache_hits:hits ~cache_misses:misses ~orch ~adv
-    ~adv_counts:(mangled, dropped, duplicated, crashes);
+  write_bench_json ~path:"BENCH.json" ~micro ~run:r ~cache_hits:hits
+    ~cache_misses:misses ~orch ~adv ~adv_counts:(mangled, dropped, duplicated, crashes);
   Tables.note "wrote BENCH.json\n"

@@ -542,7 +542,24 @@ let stop_session t peer =
   | Some n -> drive t n Fsm.Manual_stop
   | None -> invalid_arg "Router.stop_session: unknown peer"
 
+(* A neighbor the new config removes: its session stops as with
+   [stop_session], under the old config, and neither a timer nor an
+   FSM of it is left behind. *)
+let remove_neighbor t (n : Config.neighbor) =
+  let peer = n.Config.addr in
+  drive t n Fsm.Manual_stop;
+  (match Hashtbl.find_opt t.timers peer with
+  | Some tm ->
+      List.iter cancel_timer [ tm.hold; tm.keepalive; tm.connect; tm.restart ];
+      Hashtbl.remove t.timers peer
+  | None -> ());
+  t.st <- { t.st with sessions = Ipv4.Map.remove peer t.st.sessions }
+
 let set_config t cfg =
+  List.iter
+    (fun (n : Config.neighbor) ->
+      if Config.find_neighbor cfg n.Config.addr = None then remove_neighbor t n)
+    t.cfg.Config.neighbors;
   t.cfg <- cfg;
   (* Operator action: recompute everything our neighbors see. *)
   let cands = t.st.rib.Rib.cands in

@@ -67,7 +67,9 @@ val node : t -> int
 val config : t -> Config.t
 val set_config : t -> Config.t -> unit
 (** Replace the configuration (operator action).  Re-evaluates local
-    networks and re-announces exports under the new policies. *)
+    networks and re-announces exports under the new policies.  The
+    session of a neighbor the new config removes is stopped first, as
+    by {!stop_session}, and is not restarted. *)
 
 val set_bugs : t -> bugs -> unit
 val bugs : t -> bugs

@@ -21,7 +21,7 @@ type t = {
   mutable cfg : Config.t;
   net : string Netsim.Network.t;
   eng : Netsim.Engine.t;
-  peers : (Ipv4.t * peer) list;
+  mutable peers : (Ipv4.t * peer) list;
   (* loc: best attrs + the peer it came from (own address for local). *)
   mutable loc : (Attr.t * Ipv4.t) Prefix_trie.t;
   mutable view : Rib.t;
@@ -468,10 +468,24 @@ let build_view t =
 let rib_view t = t.view
 
 (* Held routes are not run through the maps again (see [speaker] in
-   the interface).  The view is rebuilt, since a new AS number changes
-   which sessions are eBGP, and every network of either config is
-   reselected, so a dropped one is withdrawn. *)
+   the interface).  A neighbor the new config removes is told Cease,
+   taken down under the old config and forgotten, its re-greet loop
+   stopped.  The view is rebuilt, since a new AS number changes which
+   sessions are eBGP, and every network of either config is reselected,
+   so a dropped one is withdrawn. *)
 let set_config t cfg =
+  let removed, kept =
+    List.partition (fun (addr, _) -> Config.find_neighbor cfg addr = None) t.peers
+  in
+  List.iter
+    (fun (addr, p) ->
+      if p.p_phase <> Down then
+        send t addr (Msg.Notification { code = Msg.Error.cease; subcode = 0; data = "" });
+      session_down t addr p ~reason:"neighbor removed";
+      cancel_opt p.p_retry;
+      p.p_retry <- None)
+    removed;
+  t.peers <- kept;
   let dropped =
     List.filter
       (fun prefix -> not (List.exists (Prefix.equal prefix) cfg.Config.networks))

@@ -39,8 +39,10 @@ val inject_update : t -> from:Ipv4.t -> Msg.update -> unit
 
 val speaker : t -> Speaker.t
 (** The speaker interface.  [sp_set_config] reselects every network of
-    the old and the new config, so a dropped network is withdrawn, but
-    each session keeps the neighbor config it was created with and its
+    the old and the new config, so a dropped network is withdrawn.  A
+    neighbor the new config removes is sent Cease and its session taken
+    down, so the routes learned from it are withdrawn; adding a neighbor
+    starts no session.  Each remaining session keeps the neighbor config it was created with and its
     held routes are not run through the maps again: a changed import or
     export map applies to routes received or selected from then on.
     Neither implementation keeps routes as received, before import:

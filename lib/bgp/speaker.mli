@@ -50,7 +50,7 @@ and capture = {
   cap_digest : unit -> Digest.t;
       (** a respawn's [sp_digest] under [cap_bugs], before it handles
           anything; computed on the first call and kept, safely across
-          domains *)
+          domains (a campaign job runs on a domain of its own) *)
   cap_respawn : net:string Netsim.Network.t -> bugs:Router.bugs -> t;
       (** Recreate this speaker (same implementation, same state) on an
           isolated network whose node ids match the original. *)

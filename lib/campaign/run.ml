@@ -147,19 +147,6 @@ let drive ?runner ?(log = ignore) ?crash_after ?corpus_dir ~dir ~writer
   let step = ref 0 and cursor = ref 0 in
   let completed = ref 0 and executed = ref 0 and replayed = ref 0 in
   let live_finals = ref 0 in
-  let pool = ref None in
-  let worker () =
-    match !pool with
-    | Some p -> p
-    | None ->
-        (* Two domains: a spawned worker runs the job while the caller
-           keeps the watchdog clock.  A 1-domain pool would execute the
-           job on the awaiting caller itself, and no timeout could ever
-           fire. *)
-        let p = Parallel.Pool.create ~domains:2 () in
-        pool := Some p;
-        p
-  in
   let t_start = Unix.gettimeofday () in
   let out_of_time () =
     match spec.Spec.c_budget_s with
@@ -195,21 +182,15 @@ let drive ?runner ?(log = ignore) ?crash_after ?corpus_dir ~dir ~writer
             ("seed", J.Int job.j_seed); ("attempt", J.Int attempt) ]
         (fun _ ->
           if spec.Spec.c_scenario_budget_s > 0. then
-            let task = Parallel.Pool.submit (worker ()) body in
-            (* [~help:false]: a helping await would steal the job off
-               the queue and run it inline, defeating the watchdog. *)
-            Parallel.Pool.await_timeout ~help:false task
+            Parallel.Pool.await_timeout (Parallel.Pool.submit body)
               ~timeout_s:spec.Spec.c_scenario_budget_s
           else Some (body ()))
     in
     let wall = Unix.gettimeofday () -. t0 in
     match res with
     | None ->
-        (* The worker domain is wedged on the abandoned job; drop the
-           pool so later jobs get a fresh worker instead of queueing
-           behind it.  OCaml domains cannot be killed, so the wedged
-           pool is leaked on purpose. *)
-        pool := None;
+        (* The worker domain is wedged on the abandoned job and leaked;
+           the next job runs on a fresh one. *)
         (Journal.Hung, [], [], wall)
     | Some (Error e) -> (Journal.Failed e, [], [], wall)
     | Some (Ok (o, roots)) -> (
@@ -391,12 +372,6 @@ let drive ?runner ?(log = ignore) ?crash_after ?corpus_dir ~dir ~writer
   (* Atomic: a campaign killed mid-write leaves the previous report or
      the new one, never a torn report.json. *)
   Telemetry.Artifact.write_json ~path:(report_file dir) report.Report.r_json;
-  (* Any pool still held here is healthy by construction: a hang
-     replaces it with [None] at the verdict.  Wedged pools stay
-     leaked. *)
-  (match !pool with
-  | Some p -> Parallel.Pool.shutdown p
-  | None -> ());
   { r_report = report; r_total = total; r_completed = !completed;
     r_executed = !executed; r_replayed = !replayed;
     r_filed = List.rev !filed_now; r_warnings = warnings }

@@ -58,8 +58,9 @@ val start :
     Fails if [dir] already holds a journal — use {!resume}.
 
     [runner] replaces {!Triage.Scenario.run} (tests inject hangs and
-    crashes with it).  Jobs run on a 2-domain worker pool, which is
-    leaked rather than joined if a job hung.  [crash_after n]
+    crashes with it).  Under a scenario budget each job runs on a
+    domain spawned for it, which is leaked rather than joined if the
+    job hung.  [crash_after n]
     simulates a [kill -9] by [Unix._exit 137] immediately after the [n]-th live final
     verdict reaches the journal — the deterministic half of the CI
     kill-and-resume smoke. *)

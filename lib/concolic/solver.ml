@@ -3,7 +3,7 @@ type model = (Expr.var * int) list
 type outcome = Sat of model | Unsat | Unknown
 
 (* Accounting lives in the global telemetry registry (registry
-   counters are atomics, so concurrent solves on pool worker domains
+   counters are atomics, so concurrent solves on several domains
    don't race).  [stats] reads them back for the bench harness. *)
 type stats = {
   solved_sat : int;

@@ -28,7 +28,7 @@ type stats = {
 val stats : unit -> stats
 (** Snapshot of the solver's accounting.  The live counters are
     [solver.*] entries in {!Telemetry.Metrics} (atomic, so concurrent
-    solves from [Parallel.Pool] workers don't race); this reads them
+    solves on several domains don't race); this reads them
     back for the benchmark harness. *)
 
 val reset_stats : unit -> unit

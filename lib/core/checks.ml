@@ -20,9 +20,9 @@ type entry = {
 module Int_map = Map.Make (Int)
 
 (* At most one entry per node.  The map is immutable: [record] swaps in
-   a new one before replays fan out, and pool domains read it
-   unlocked.  Entries are pure, so when two writers race the last one
-   may win. *)
+   a new one before the replays, which read it unlocked.  Entries are
+   pure, so when two writers race (a hung campaign job's domain beside
+   the next job) the last one may win. *)
 type memo = entry Int_map.t Atomic.t
 
 type ground_truth = { owner_of : Bgp.Prefix.t -> int option; memo : memo }

@@ -34,8 +34,6 @@ type exploration = {
   x_crashes : int;
   x_snapshot_span : Netsim.Time.span;
   x_wall_seconds : float;
-  x_work_seconds : float;
-  x_domains : int;
 }
 
 let take_snapshot ?deadline ~build ~cut ~node () =
@@ -140,16 +138,15 @@ let baseline_results ~gt ~node ~now pristine =
 (* Replay one raw byte string over its own fresh clone and run the
    per-input property checkers, reusing the memo's verdicts for every
    speaker the replay left as it was.  Self-contained and free of
-   shared mutable state, so it is the unit of parallelism: the shadow
-   owns its engine, network and speakers, everything reachable from
-   [snapshot] is immutable, and the memo is only read.
+   shared mutable state: the shadow owns its engine, network and
+   speakers, everything reachable from [snapshot] is immutable, and
+   the memo is only read.
    [crash_property] classifies a [Crash] escaping the shadow:
    "handler-crash" for concretized concolic inputs, "codec-crash" for
    mangled wire bytes. *)
 let replay_raw ~params ~gt ~snapshot ~node ~peer_addr ~now ?input
     ~crash_property raw =
   Telemetry.with_span "shadow_replay" (fun _sp ->
-  let t0 = Unix.gettimeofday () in
   let shadow = Snapshot.Store.spawn snapshot in
   let target = Snapshot.Store.speaker shadow node in
   let crash_faults =
@@ -175,7 +172,7 @@ let replay_raw ~params ~gt ~snapshot ~node ~peer_addr ~now ?input
     results_of ~self:node ~now ?input
       (memo_groups ~gt Checks.Per_input shadow @ [ (Fault.Policy_conflict, conv_verdicts) ])
   in
-  (crash_faults @ faults, digests, Unix.gettimeofday () -. t0))
+  (crash_faults @ faults, digests))
 
 let replay_input ~params ~gt ~view ~snapshot ~node ~peer_addr ~now input =
   replay_raw ~params ~gt ~snapshot ~node ~peer_addr ~now ~input
@@ -194,15 +191,13 @@ type peer_result = {
   pr_result : Sym_handler.outcome Concolic.Engine.result;
   pr_shadow_runs : int;
   pr_mangled : int;
-  pr_work_seconds : float;  (* summed task time, incl. concolic derivation *)
 }
 
-let explore_peer ~params ~pool ~gt ~build ~snapshot ~node ~peer_addr =
+let explore_peer ~params ~gt ~build ~snapshot ~node ~peer_addr =
   Telemetry.with_span "peer"
     ~attrs:[ ("node", Telemetry.Json.Int node);
              ("peer", Telemetry.Json.String (Bgp.Ipv4.to_string peer_addr)) ]
     (fun sp ->
-  let t0 = Unix.gettimeofday () in
   let now = Netsim.Engine.now build.Topology.Build.engine in
   let view = view_at snapshot ~node ~peer:peer_addr in
   (* Step 2: derive inputs by concolic execution. *)
@@ -227,10 +222,7 @@ let explore_peer ~params ~pool ~gt ~build ~snapshot ~node ~peer_addr =
         | Concolic.Engine.Value _ -> None)
       result.Concolic.Engine.runs
   in
-  let derive_seconds = Unix.gettimeofday () -. t0 in
-  (* Step 3: subject clones to each derived input.  Each replay is
-     independent; fan them out across the pool and merge in input
-     order, so faults and dedup are identical to the sequential run. *)
+  (* Step 3: subject clones to each derived input, in input order. *)
   let rng = Netsim.Rng.create (0xF0 + node) in
   let inputs =
     List.map (fun (r : _ Concolic.Engine.run) -> r.Concolic.Engine.run_input)
@@ -269,35 +261,9 @@ let explore_peer ~params ~pool ~gt ~build ~snapshot ~node ~peer_addr =
         replay_raw ~params ~gt ~snapshot ~node ~peer_addr ~now
           ~crash_property:"codec-crash" raw
   in
-  let replayed =
-    match pool with
-    | Some p when Parallel.Pool.size p > 1 ->
-        (* Pool tasks run on other domains, where the DLS span stack is
-           empty; re-establish this peer's span path around each replay
-           so its shadow_replay spans and faults keep their parent.
-
-           One job per replay is too fine: a shadow replay on a small
-           snapshot runs tens of microseconds, comparable to the
-           submit/await handshake, which is how domains=4 used to lose
-           to domains=1.  Aim for ~4 chunks per domain — enough slack
-           for load balancing, coarse enough that coordination is
-           noise. *)
-        let chunk =
-          max 1 (List.length tasks / (4 * Parallel.Pool.size p))
-        in
-        let path = Telemetry.span_path () in
-        Parallel.Pool.map_list ~chunk p
-          (fun task -> Telemetry.with_path path (fun () -> replay task))
-          tasks
-    | Some _ | None -> List.map replay tasks
-  in
-  let faults =
-    crash_faults @ List.concat_map (fun (faults, _, _) -> faults) replayed
-  in
-  let digests = List.concat_map (fun (_, digests, _) -> digests) replayed in
-  let work =
-    List.fold_left (fun acc (_, _, dt) -> acc +. dt) derive_seconds replayed
-  in
+  let replayed = List.map replay tasks in
+  let faults = crash_faults @ List.concat_map fst replayed in
+  let digests = List.concat_map snd replayed in
   Telemetry.add_attr sp
     [ ("inputs", Telemetry.Json.Int (List.length inputs));
       ("mangled", Telemetry.Json.Int (List.length mangled));
@@ -306,8 +272,7 @@ let explore_peer ~params ~pool ~gt ~build ~snapshot ~node ~peer_addr =
     pr_digests = digests;
     pr_result = result;
     pr_shadow_runs = List.length tasks;
-    pr_mangled = List.length mangled;
-    pr_work_seconds = work })
+    pr_mangled = List.length mangled })
 
 (* Exploration-level accounting; the per-round story lives in spans,
    these registry totals feed the end-of-run report and BENCH.json. *)
@@ -336,7 +301,7 @@ let record_clause_coverage () =
       (Bgp.Clause_cov.universe_size ())
   end
 
-let explore_node ?(params = default_params) ?pool ~build ~cut ~gt ~node () =
+let explore_node ?(params = default_params) ~build ~cut ~gt ~node () =
   Telemetry.with_span "explore"
     ~attrs:[ ("node", Telemetry.Json.Int node) ]
   @@ fun xsp ->
@@ -361,25 +326,17 @@ let explore_node ?(params = default_params) ?pool ~build ~cut ~gt ~node () =
   (* Every replay of this cut starts from the same snapshot, so it
      shares the pristine clone's verdicts; the memo carries them
      across cuts, so only the speakers that changed since the last
-     cut are checked here.  Recorded before the replays fan out,
-     which only read it. *)
+     cut are checked here.  Recorded before the replays, which only
+     read it. *)
   let pristine = pristine ~params snapshot in
   ignore (Checks.record gt pristine);
   let base_faults, base_digests = baseline_results ~gt ~node ~now pristine in
-  let explore (n : Bgp.Config.neighbor) =
-    explore_peer ~params ~pool ~gt ~build ~snapshot ~node
-      ~peer_addr:n.Bgp.Config.addr
-  in
-  (* Sessions fan out across the same pool; nested per-input jobs are
-     safe because Pool.await helps drain the queue. *)
   let merged =
-    match pool with
-    | Some p when Parallel.Pool.size p > 1 && List.length peers > 1 ->
-        let path = Telemetry.span_path () in
-        Parallel.Pool.map_list p
-          (fun peer -> Telemetry.with_path path (fun () -> explore peer))
-          peers
-    | Some _ | None -> List.map explore peers
+    List.map
+      (fun (n : Bgp.Config.neighbor) ->
+        explore_peer ~params ~gt ~build ~snapshot ~node
+          ~peer_addr:n.Bgp.Config.addr)
+      peers
   in
   let faults = base_faults @ List.concat_map (fun pr -> pr.pr_faults) merged in
   let digests = base_digests @ List.concat_map (fun pr -> pr.pr_digests) merged in
@@ -389,9 +346,6 @@ let explore_node ?(params = default_params) ?pool ~build ~cut ~gt ~node () =
   let crashes = sum (fun pr -> List.length pr.pr_result.Concolic.Engine.crashes) in
   let shadows = sum (fun pr -> pr.pr_shadow_runs) in
   let mangled = sum (fun pr -> pr.pr_mangled) in
-  let work =
-    List.fold_left (fun acc pr -> acc +. pr.pr_work_seconds) 0. merged
-  in
   let deduped = Fault.dedupe faults in
   Telemetry.Metrics.add (Lazy.force m_inputs) inputs;
   Telemetry.Metrics.add (Lazy.force m_shadow_runs) shadows;
@@ -418,9 +372,7 @@ let explore_node ?(params = default_params) ?pool ~build ~cut ~gt ~node () =
     x_distinct_paths = paths;
     x_crashes = crashes;
     x_snapshot_span = span;
-    x_wall_seconds = Unix.gettimeofday () -. t0;
-    x_work_seconds = work;
-    x_domains = (match pool with Some p -> Parallel.Pool.size p | None -> 1) }
+    x_wall_seconds = Unix.gettimeofday () -. t0 }
 
 (* Headless single-shot replay for the triage minimizer: one snapshot,
    the baseline (state) checkers, and optionally one recorded concolic
@@ -465,7 +417,7 @@ let replay_direct ?(params = default_params) ~build ~cut ~gt ~node
         | None -> []
         | Some (peer : Bgp.Config.neighbor) ->
             let view = view_at snapshot ~node ~peer:peer.Bgp.Config.addr in
-            let faults, _digests, _dt =
+            let faults, _digests =
               replay_input ~params ~gt ~view ~snapshot ~node ~peer_addr:peer.Bgp.Config.addr ~now input
             in
             faults)

@@ -7,12 +7,10 @@
        observe system-wide consequences through the property checkers;
     4. aggregate remote verdicts only as privacy-preserving digests.
 
-    Step 3 is embarrassingly parallel — each clone owns its engine,
-    network and speakers — and fans out across the caller's
-    [Parallel.Pool] when one is passed in ([?pool], the only
-    parallelism knob).  Results are merged in input order, so the
-    reported faults, digests and dedup are identical to the sequential
-    run. *)
+    Exploration is one sequential path: sessions in config order, and
+    within a session the replays in input order.  As in the paper,
+    parallelism is across nodes, each exploring its own snapshot, not
+    across the shadows of one exploration. *)
 
 type params = {
   limits : Concolic.Engine.limits;
@@ -49,10 +47,6 @@ type exploration = {
   x_crashes : int;
   x_snapshot_span : Netsim.Time.span;  (** sim time to collect the cut *)
   x_wall_seconds : float;  (** host time spent exploring (elapsed) *)
-  x_work_seconds : float;
-      (** summed task time across derivation and replays; work/wall is
-          the observed parallel speedup *)
-  x_domains : int;  (** pool size the exploration ran with *)
 }
 
 val take_snapshot :
@@ -70,17 +64,13 @@ val take_snapshot :
 
 val explore_node :
   ?params:params ->
-  ?pool:Parallel.Pool.t ->
   build:Topology.Build.t ->
   cut:Snapshot.Cut.t ->
   gt:Checks.ground_truth ->
   node:int ->
   unit ->
   exploration
-(** [pool], when given, fans the replays (and, for
-    [peers_per_node > 1], the per-session explorations) out over the
-    caller's pool, whose lifetime the caller owns; without it the
-    exploration is strictly sequential. *)
+(** Steps 1–4 from [node] over its first [peers_per_node] sessions. *)
 
 val replay_direct :
   ?params:params ->
@@ -97,6 +87,5 @@ val replay_direct :
     unperturbed clone, and — when [input] is given — subject one fresh
     clone to that single concolic input over session [peer_index]
     (default 0, out-of-range yields no input faults).  Returns the
-    deduplicated faults.  No concolic derivation, no fuzzing, no
-    parallel fan-out: the cheap acceptance test the minimizer runs
+    deduplicated faults.  No concolic derivation, no fuzzing: the cheap acceptance test the minimizer runs
     after every shrink step. *)

@@ -171,14 +171,14 @@ let install_clock build =
    containment, and the live system advances by [interval] afterwards
    whatever the outcome — a crashing explorer must not stall the
    deployment or the remaining rounds. *)
-let one_round ~params ~pool ~build ~cut ~gt ~interval ~index node =
+let one_round ~params ~build ~cut ~gt ~interval ~index node =
   Telemetry.with_span "round"
     ~attrs:[ ("index", Telemetry.Json.Int index);
              ("node", Telemetry.Json.Int node) ]
   @@ fun rsp ->
   let started_at = Netsim.Engine.now build.Topology.Build.engine in
   let outcome =
-    match Explorer.explore_node ?params ?pool ~build ~cut ~gt ~node () with
+    match Explorer.explore_node ?params ~build ~cut ~gt ~node () with
     | x ->
         if x.Explorer.x_partial then
           Degraded
@@ -295,7 +295,7 @@ let stop_rule until build =
         seen := n;
         has explored || has probed || (grew && cls = Fault.Programming_error)
 
-let run ?params ?pool ?(interval = Netsim.Time.span_sec 5.) ?nodes ?on_fault ?probe
+let run ?params ?(interval = Netsim.Time.span_sec 5.) ?nodes ?on_fault ?probe
     ?until ~build ~gt ~rounds () =
   let node_ids = node_list nodes build in
   if rounds > 0 && node_ids = [] then invalid_arg "Orchestrator.run: empty node list";
@@ -320,7 +320,7 @@ let run ?params ?pool ?(interval = Netsim.Time.span_sec 5.) ?nodes ?on_fault ?pr
       sched_release sched i;
       let slot = sched_pick sched i in
       let r =
-        one_round ~params ~pool ~build ~cut ~gt ~interval ~index:i sched.s_nodes.(slot)
+        one_round ~params ~build ~cut ~gt ~interval ~index:i sched.s_nodes.(slot)
       in
       sched_record sched ~round_index:i ~slot r.rd_outcome;
       let explored =

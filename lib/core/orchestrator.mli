@@ -71,7 +71,6 @@ type summary = {
 
 val run :
   ?params:Explorer.params ->
-  ?pool:Parallel.Pool.t ->
   ?interval:Netsim.Time.span ->
   ?nodes:int list ->
   ?on_fault:(Fault.t -> unit) ->
@@ -83,11 +82,7 @@ val run :
   unit ->
   summary
 (** [nodes] defaults to every node of the deployment; [interval]
-    (default 5 s simulated) separates successive snapshots.  [pool],
-    when given, parallelizes each round's shadow replays (and, for
-    [peers_per_node > 1], the per-session explorations) over the
-    caller's domain pool; the default path stays sequential and
-    deterministic.  [on_fault] fires once per newly-seen fault root as
+    (default 5 s simulated) separates successive snapshots.  [on_fault] fires once per newly-seen fault root as
     soon as the detecting round completes (live crash faults fire at
     end of run) — the hook the triage layer uses to auto-minimize and
     file detections without the core depending on it.  [probe] is

@@ -4,8 +4,8 @@
     class, violated property, canonicalized node role, node id, and the
     {!Fault.normalize_detail}-normalized detail — and by nothing about
     {e how} it was detected: no timestamps, no triggering input, no
-    exploration round.  Two runs of the same scenario (sequential or
-    pooled, original or delta-minimized) that surface the same root
+    exploration round.  Two runs of the same scenario (original or
+    delta-minimized) that surface the same root
     cause therefore produce equal signatures, which is what makes the
     triage corpus and the regression replayer possible.
 

@@ -1,201 +1,36 @@
-type job = Job : (unit -> unit) -> job
-
-type t = {
-  lock : Mutex.t;
-  nonempty : Condition.t;
-  jobs : job Queue.t;
-  mutable closed : bool;
-  mutable workers : unit Domain.t list;
-  n : int;
-}
-
-type 'a state =
-  | Pending
-  | Done of 'a
-  | Failed of exn * Printexc.raw_backtrace
-
 type 'a task = {
-  t_pool : t;
-  t_lock : Mutex.t;
-  t_cond : Condition.t;
-  mutable t_state : 'a state;
+  result : ('a, exn * Printexc.raw_backtrace) result option Atomic.t;
+  domain : unit Domain.t;
 }
 
-let default_domains () = Domain.recommended_domain_count ()
-
-let size pool = pool.n
-
-(* Registry metrics are process-global; lazy so the registry mutex is
-   only touched on first use, not at module load. *)
-let m_submitted = lazy (Telemetry.Metrics.counter "pool.jobs_submitted")
-let m_depth = lazy (Telemetry.Metrics.gauge "pool.queue_depth")
 let m_timeouts = lazy (Telemetry.Metrics.counter "pool.await_timeouts")
 
-(* Call with [pool.lock] held: the gauge mirrors the queue length. *)
-let note_depth pool =
-  Telemetry.Metrics.set (Lazy.force m_depth) (Queue.length pool.jobs)
-
-(* Take the next job, blocking until one arrives or the pool closes. *)
-let rec next_job pool =
-  match Queue.take_opt pool.jobs with
-  | Some j ->
-      note_depth pool;
-      Some j
-  | None ->
-      if pool.closed then None
-      else begin
-        Condition.wait pool.nonempty pool.lock;
-        next_job pool
-      end
-
-let rec worker_loop pool =
-  Mutex.lock pool.lock;
-  let j = next_job pool in
-  Mutex.unlock pool.lock;
-  match j with
-  | None -> ()
-  | Some (Job run) ->
-      run ();
-      worker_loop pool
-
-let create ?domains () =
-  let n = max 1 (Option.value domains ~default:(default_domains ())) in
-  let pool =
-    { lock = Mutex.create ();
-      nonempty = Condition.create ();
-      jobs = Queue.create ();
-      closed = false;
-      workers = [];
-      n }
-  in
-  pool.workers <- List.init (n - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool));
-  pool
-
-let submit pool f =
-  let task =
-    { t_pool = pool;
-      t_lock = Mutex.create ();
-      t_cond = Condition.create ();
-      t_state = Pending }
-  in
+let submit f =
+  let result = Atomic.make None in
   let run () =
-    let result =
-      match f () with
-      | v -> Done v
-      | exception e -> Failed (e, Printexc.get_raw_backtrace ())
-    in
-    Mutex.lock task.t_lock;
-    task.t_state <- result;
-    Condition.broadcast task.t_cond;
-    Mutex.unlock task.t_lock
+    Atomic.set result
+      (Some
+         (match f () with
+         | v -> Ok v
+         | exception e -> Error (e, Printexc.get_raw_backtrace ())))
   in
-  Mutex.lock pool.lock;
-  if pool.closed then begin
-    Mutex.unlock pool.lock;
-    invalid_arg "Pool.submit: pool is shut down"
-  end;
-  Queue.add (Job run) pool.jobs;
-  Telemetry.Metrics.incr (Lazy.force m_submitted);
-  note_depth pool;
-  Condition.signal pool.nonempty;
-  Mutex.unlock pool.lock;
-  task
+  { result; domain = Domain.spawn run }
 
-(* Run one queued job inline, if any; [false] means the queue was
-   empty at the time of the check. *)
-let try_help pool =
-  Mutex.lock pool.lock;
-  let j = Queue.take_opt pool.jobs in
-  if Option.is_some j then note_depth pool;
-  Mutex.unlock pool.lock;
-  match j with
-  | Some (Job run) ->
-      run ();
-      true
-  | None -> false
-
-let rec await task =
-  Mutex.lock task.t_lock;
-  match task.t_state with
-  | Done v ->
-      Mutex.unlock task.t_lock;
-      v
-  | Failed (e, bt) ->
-      Mutex.unlock task.t_lock;
-      Printexc.raise_with_backtrace e bt
-  | Pending ->
-      Mutex.unlock task.t_lock;
-      if try_help task.t_pool then await task
-      else begin
-        (* Queue empty: our job is either running on another domain or
-           just finished.  Block until its completion broadcast. *)
-        Mutex.lock task.t_lock;
-        (match task.t_state with
-        | Pending -> Condition.wait task.t_cond task.t_lock
-        | Done _ | Failed _ -> ());
-        Mutex.unlock task.t_lock;
-        await task
-      end
-
-let await_timeout ?(help = true) task ~timeout_s =
+let await_timeout task ~timeout_s =
   let deadline = Unix.gettimeofday () +. timeout_s in
-  (* The stdlib has no timed [Condition.wait], so once the queue is dry
-     we spin politely on the task state instead of blocking. *)
-  let rec loop () =
-    Mutex.lock task.t_lock;
-    let st = task.t_state in
-    Mutex.unlock task.t_lock;
-    match st with
-    | Done v -> Some v
-    | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-    | Pending ->
-        if Unix.gettimeofday () >= deadline then begin
-          Telemetry.Metrics.incr (Lazy.force m_timeouts);
-          None
-        end
-        else begin
-          if help then begin
-            if not (try_help task.t_pool) then Domain.cpu_relax ()
-          end
-          else Unix.sleepf 0.001;
-          loop ()
-        end
+  (* The stdlib has no timed [Domain.join], so poll the result cell. *)
+  let rec poll () =
+    match Atomic.get task.result with
+    | Some r -> (
+        Domain.join task.domain;
+        match r with
+        | Ok v -> Some v
+        | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+    | None when Unix.gettimeofday () >= deadline ->
+        Telemetry.Metrics.incr (Lazy.force m_timeouts);
+        None
+    | None ->
+        Unix.sleepf 0.001;
+        poll ()
   in
-  loop ()
-
-(* Split into contiguous runs of [size]; the last run may be short. *)
-let chunked size xs =
-  let rec go acc run k = function
-    | [] -> List.rev (List.rev run :: acc)
-    | x :: tl when k = size -> go (List.rev run :: acc) [ x ] 1 tl
-    | x :: tl -> go acc (x :: run) (k + 1) tl
-  in
-  match xs with [] -> [] | x :: tl -> go [] [ x ] 1 tl
-
-let map_list ?(chunk = 1) pool f xs =
-  if chunk <= 1 then
-    let tasks = List.map (fun x -> submit pool (fun () -> f x)) xs in
-    List.map await tasks
-  else
-    (* One job per contiguous chunk.  Inside a chunk, [f] runs
-       left-to-right on one domain; chunks are awaited in input order.
-       Both the result order and the which-exception-wins rule are
-       therefore the same as with [chunk = 1]: the earliest failing
-       element's exception is the one re-raised. *)
-    let tasks =
-      List.map (fun g -> submit pool (fun () -> List.map f g)) (chunked chunk xs)
-    in
-    List.concat_map await tasks
-
-let shutdown pool =
-  Mutex.lock pool.lock;
-  let workers = pool.workers in
-  pool.closed <- true;
-  pool.workers <- [];
-  Condition.broadcast pool.nonempty;
-  Mutex.unlock pool.lock;
-  List.iter Domain.join workers
-
-let with_pool ?domains f =
-  let pool = create ?domains () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+  poll ()

@@ -35,20 +35,6 @@ let stack_key : int list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
 
 let span_path () = List.rev (Domain.DLS.get stack_key)
 
-let with_path path f =
-  if not (enabled ()) then f ()
-  else begin
-    let saved = Domain.DLS.get stack_key in
-    Domain.DLS.set stack_key (List.rev path);
-    match f () with
-    | v ->
-        Domain.DLS.set stack_key saved;
-        v
-    | exception e ->
-        Domain.DLS.set stack_key saved;
-        raise e
-  end
-
 type span = No_span | Span of { id : int; mutable end_attrs : (string * Json.t) list }
 
 let add_attr sp attrs =

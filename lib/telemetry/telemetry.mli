@@ -14,9 +14,9 @@
     attributes {!with_jsonl} writes on the first line.
 
     {b Domain safety.}  The span context is domain-local
-    ([Domain.DLS]); spans recorded from pool workers keep their causal
-    parent when the submitting code wraps tasks with {!with_path}.
-    Sinks serialise emission internally. *)
+    ([Domain.DLS]): a span opened on another domain (a campaign job on
+    its watchdog's worker) starts a new root.  Sinks serialise emission
+    internally. *)
 
 module Json = Json
 module Histogram = Histogram
@@ -58,15 +58,6 @@ val with_span :
     this domain), runs [f], closes the span — also on exception, with
     an [error] attribute.  When disabled, [f] runs with no allocation
     beyond its closure. *)
-
-val span_path : unit -> int list
-(** Ids of the spans currently open on this domain, root first. *)
-
-val with_path : int list -> (unit -> 'a) -> 'a
-(** Run [f] under the given span path — the bridge for pool workers:
-    capture [span_path ()] before submitting a task, wrap the task
-    body with [with_path], and spans or faults recorded inside keep
-    their causal chain even though they execute on another domain. *)
 
 (** {1 Events} *)
 

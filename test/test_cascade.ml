@@ -368,7 +368,7 @@ let live_cascades_are_the_replays () =
 
 (* Deploy Griffin's bare BAD GADGET, optionally inject the dispute
    wheel, record telemetry into a ring, and analyze it. *)
-let run_gadget ?pool ~dispute () =
+let run_gadget ~dispute () =
   let graph = Topology.Gadget.bad_gadget () in
   let build = Topology.Build.deploy graph in
   Topology.Build.start_all build;
@@ -391,7 +391,7 @@ let run_gadget ?pool ~dispute () =
     (fun () ->
       Topology.Build.run_for build (Netsim.Time.span_sec 5.);
       let _summary =
-        Dice.Orchestrator.run ?pool ~nodes:Topology.Gadget.wheel ~build ~gt
+        Dice.Orchestrator.run ~nodes:Topology.Gadget.wheel ~build ~gt
           ~rounds:3 ()
       in
       Cascade.Timeline.of_events (Telemetry.Sink.events ring))
@@ -419,17 +419,15 @@ let dispute_free_gadget_is_clean () =
   let _propagation, cascades = Cascade.Detect.run tl in
   check Alcotest.int "no cascades without a dispute" 0 (List.length cascades)
 
-let seq_and_pooled_reports_identical () =
-  let report_with pool =
-    let tl = run_gadget ?pool ~dispute:true () in
+let run_twice_reports_identical () =
+  let report () =
+    let tl = run_gadget ~dispute:true () in
     let propagation, cascades = Cascade.Detect.run tl in
     Telemetry.Json.to_string
       (Cascade.Report.to_json ~timeline:tl ~propagation cascades)
   in
-  let seq = report_with None in
-  Parallel.Pool.with_pool ~domains:2 (fun pool ->
-      let pooled = report_with (Some pool) in
-      check Alcotest.string "byte-identical reports" seq pooled)
+  let first = report () in
+  check Alcotest.string "byte-identical reports" first (report ())
 
 (* ------------------------------------------------------------------ *)
 (* Heterogeneous deployments                                           *)
@@ -495,4 +493,4 @@ let suite =
     ("sparrow: loc-rib flips like a Router", `Quick, sparrow_flips_match_router);
     ("gadget: dispute oscillates", `Slow, oscillation_gadget_detects);
     ("gadget: dispute-free is clean", `Slow, dispute_free_gadget_is_clean);
-    ("gadget: seq == pooled report", `Slow, seq_and_pooled_reports_identical) ]
+    ("gadget: run-twice reports identical", `Slow, run_twice_reports_identical) ]

@@ -68,6 +68,43 @@ let mixed_withdrawal_from_sparrow () =
         (Bgp.Prefix.Map.mem dropped (Bgp.Speaker.loc_rib (Topology.Build.speaker build id))))
     [ 0; 1; 2 ]
 
+(* Node 1 of a 0 - 1 - 2 line drops neighbor 2 from its config and
+   the network runs on, past Router's restart delay and the hold time.
+   Returns node 1's established peers at once and after the run, and
+   whether nodes 0 and 1 still select node 2's prefix. *)
+let remove_neighbor_on_line ~sparrow_nodes =
+  let _, build = deploy_line ~sparrow_nodes 3 in
+  assert (Topology.Build.converge build);
+  let sp1 = Topology.Build.speaker build 1 in
+  let cfg = sp1.Bgp.Speaker.sp_config () in
+  let gone = Bgp.Router.addr_of_node 2 in
+  sp1.Bgp.Speaker.sp_set_config
+    { cfg with
+      Bgp.Config.neighbors =
+        List.filter
+          (fun (n : Bgp.Config.neighbor) -> not (Bgp.Ipv4.equal n.Bgp.Config.addr gone))
+          cfg.Bgp.Config.neighbors };
+  let established () =
+    List.map Bgp.Router.node_of_addr (sp1.Bgp.Speaker.sp_established ())
+  in
+  let at_once = established () in
+  Topology.Build.run_for build (Netsim.Time.span_sec 300.);
+  let far = Topology.Gao_rexford.prefix_of_node 2 in
+  ( at_once,
+    established (),
+    List.map
+      (fun id ->
+        Bgp.Prefix.Map.mem far (Bgp.Speaker.loc_rib (Topology.Build.speaker build id)))
+      [ 0; 1 ] )
+
+let neighbor_removal_matches_router () =
+  let expected = ([ 0 ], [ 0 ], [ false; false ]) in
+  let outcome = Alcotest.(triple (list int) (list int) (list bool)) in
+  check outcome "all Routers: session stopped, routes gone" expected
+    (remove_neighbor_on_line ~sparrow_nodes:[]);
+  check outcome "Sparrow at node 1: the same" expected
+    (remove_neighbor_on_line ~sparrow_nodes:[ 1 ])
+
 let mixed_demo27_converges () =
   let graph = Topology.Demo27.graph in
   (* Run every third AS on Sparrow. *)
@@ -368,6 +405,8 @@ let suite =
     ("mixed: chain converges", `Quick, mixed_chain_converges);
     ("mixed: withdrawal crosses implementations", `Quick, mixed_withdrawal_propagates);
     ("mixed: a network dropped at sparrow is withdrawn", `Quick, mixed_withdrawal_from_sparrow);
+    ("mixed: a neighbor removed at sparrow is dropped as at a Router", `Quick,
+     neighbor_removal_matches_router);
     ("mixed: 27-AS demo converges", `Slow, mixed_demo27_converges);
     ("sparrow: malformed attrs treated as withdraw", `Quick, sparrow_treats_malformed_as_withdraw);
     ("sparrow: corrupt header drops session", `Quick, sparrow_corrupt_header_drops_session);

@@ -228,46 +228,6 @@ let span_closes_on_exception () =
       check Alcotest.int "span started" 1 starts;
       check Alcotest.int "span closed despite raise" 1 ends)
 
-(* Spans recorded from pool workers (via with_path) carry the same
-   causal chain as a sequential run: equal (name, parent) multisets,
-   only the interleaving may differ. *)
-let spans_seq_eq_par () =
-  let work record =
-    Telemetry.with_span "batch" (fun _ ->
-        let path = Telemetry.span_path () in
-        record path (List.init 8 (fun i -> i)))
-  in
-  let seq_pairs =
-    with_memory_sink (fun sink ->
-        work (fun _path items ->
-            List.iter
-              (fun i ->
-                Telemetry.with_span "item" (fun sp ->
-                    Telemetry.add_attr sp [ ("i", Telemetry.Json.Int i) ]))
-              items);
-        span_names_and_parents sink)
-  in
-  let par_pairs =
-    with_memory_sink (fun sink ->
-        Parallel.Pool.with_pool ~domains:4 (fun pool ->
-            work (fun path items ->
-                ignore
-                  (Parallel.Pool.map_list pool
-                     (fun i ->
-                       Telemetry.with_path path (fun () ->
-                           Telemetry.with_span "item" (fun sp ->
-                               Telemetry.add_attr sp
-                                 [ ("i", Telemetry.Json.Int i) ])))
-                     items)));
-        span_names_and_parents sink)
-  in
-  let sort = List.sort compare in
-  check
-    Alcotest.(list (pair string string))
-    "same span causality, sequential or pooled" (sort seq_pairs)
-    (sort par_pairs);
-  check Alcotest.int "one batch + 8 items" 9 (List.length par_pairs)
-
 (* ------------------------------------------------------------------ *)
 (* Validator                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -434,8 +394,6 @@ let suite =
     Alcotest.test_case "spans: nesting and parents" `Quick span_nesting;
     Alcotest.test_case "spans: closed with error attr on raise" `Quick
       span_closes_on_exception;
-    Alcotest.test_case "spans: pool workers keep the causal chain" `Quick
-      spans_seq_eq_par;
     Alcotest.test_case "validator: accepts a well-formed artifact" `Quick
       validator_accepts_valid;
     Alcotest.test_case "validator: rejects broken artifacts" `Quick
