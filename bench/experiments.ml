@@ -462,7 +462,7 @@ let t4 () =
           ignore (Snapshot.Store.run_to_quiescence shadow);
           let via =
             match
-              Bgp.Prefix.Map.find_opt target
+              Bgp.Prefix_trie.find target
                 (Bgp.Speaker.loc_rib (Snapshot.Store.speaker shadow node))
             with
             | Some route ->
@@ -643,7 +643,7 @@ let t6 () =
     List.iter
       (fun (id, clone_sp) ->
         let live_sp = Topology.Build.speaker build id in
-        let keys m = List.map fst (Bgp.Prefix.Map.bindings (Bgp.Speaker.loc_rib m)) in
+        let keys m = List.map fst (Bgp.Prefix_trie.bindings (Bgp.Speaker.loc_rib m)) in
         if keys clone_sp <> keys live_sp then incr diffs)
       shadow.Snapshot.Store.sh_speakers;
     (Snapshot.Cut.in_flight_total snap, !diffs)

@@ -43,6 +43,53 @@ let bench_trie_lpm =
   let addr = Bgp.Ipv4.of_string_exn "100.3.7.9" in
   Test.make ~name:"trie/longest-match-10k" (Staged.stage (fun () -> Bgp.Prefix_trie.longest_match addr big_trie))
 
+(* A gr250-sized RIB: the 250 nodes' /24s, each with three candidate
+   routes and a selected one, as a converged Gao-Rexford node holds. *)
+let rib_route peer hops =
+  { Bgp.Rib.attrs =
+      Bgp.Attr.make ~origin:Bgp.Attr.Igp
+        ~as_path:[ Bgp.As_path.Seq (List.init hops (fun i -> 65000 + peer + i)) ]
+        ~next_hop:(Bgp.Router.addr_of_node peer) ();
+    source =
+      { Bgp.Rib.peer_addr = Bgp.Router.addr_of_node peer;
+        peer_as = 65000 + peer;
+        peer_bgp_id = Bgp.Router.addr_of_node peer;
+        ebgp = true;
+        igp_metric = 0 } }
+
+let rib_250 =
+  List.fold_left
+    (fun rib node ->
+      let prefix = Topology.Gao_rexford.prefix_of_node node in
+      let rib =
+        List.fold_left
+          (fun rib peer ->
+            Bgp.Rib.adj_in_set (Bgp.Router.addr_of_node peer) prefix
+              (rib_route peer (2 + ((node + peer) mod 4)))
+              rib)
+          rib [ 1; 2; 3 ]
+      in
+      Bgp.Rib.loc_set prefix (rib_route 1 (2 + ((node + 1) mod 4))) rib)
+    Bgp.Rib.empty (List.init 250 Fun.id)
+
+(* The Router's lookup of one prefix's candidate set on an UPDATE. *)
+let bench_trie_find =
+  let prefix = Topology.Gao_rexford.prefix_of_node 137 in
+  Test.make ~name:"trie/find-250"
+    (Staged.stage (fun () -> Bgp.Prefix_trie.find prefix rib_250.Bgp.Rib.cands))
+
+(* What a replay leaves at a touched speaker: one new candidate and a
+   new selection for one prefix, against the RIB it started from. *)
+let bench_changed_prefixes =
+  let prefix = Topology.Gao_rexford.prefix_of_node 137 in
+  let changed =
+    rib_250
+    |> Bgp.Rib.adj_in_set (Bgp.Router.addr_of_node 4) prefix (rib_route 4 1)
+    |> Bgp.Rib.loc_set prefix (rib_route 4 1)
+  in
+  Test.make ~name:"rib/changed-prefixes-1-of-250"
+    (Staged.stage (fun () -> Bgp.Rib.changed_prefixes rib_250 changed))
+
 let candidates =
   let route i =
     { Bgp.Rib.attrs =
@@ -154,7 +201,8 @@ let bench_engine_events =
 
 let tests =
   Test.make_grouped ~name:"dice"
-    [ bench_wire_encode; bench_wire_decode; bench_trie_lpm; bench_decision;
+    [ bench_wire_encode; bench_wire_decode; bench_trie_lpm; bench_trie_find;
+      bench_changed_prefixes; bench_decision;
       bench_policy; bench_checkpoint; bench_spawn; bench_solver; bench_solver_memo;
       bench_engine_events ]
 

@@ -46,6 +46,12 @@ let () =
       violated
   in
   List.iter (fun d -> Format.printf "  %a@." Dice.Privacy.pp_digest d) distinct_violated;
+  (* Every digest, in the order they arrived, pinned by one checksum. *)
+  Printf.printf "digest stream md5: %s\n"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "\n"
+             (List.map (Format.asprintf "%a" Dice.Privacy.pp_digest) x.Dice.Explorer.x_digests))));
   let agg = Dice.Privacy.aggregate x.Dice.Explorer.x_digests in
   Printf.printf "aggregate: %d digests, %d distinct violations -> system %s\n"
     agg.Dice.Privacy.total

@@ -50,7 +50,7 @@ let () =
     Topology.Build.run_for build (Netsim.Time.span_ms 100);
     let sp = Topology.Build.speaker build (List.hd Topology.Gadget.wheel) in
     let via =
-      match Bgp.Prefix.Map.find_opt p (Bgp.Speaker.loc_rib sp) with
+      match Bgp.Prefix_trie.find p (Bgp.Speaker.loc_rib sp) with
       | Some route when Bgp.Rib.is_local route -> -1
       | Some route -> Bgp.Router.node_of_addr route.Bgp.Rib.source.Bgp.Rib.peer_addr
       | None -> -3

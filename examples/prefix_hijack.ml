@@ -49,7 +49,7 @@ let () =
   let polluted =
     List.filter
       (fun (_, sp) ->
-        match Bgp.Prefix.Map.find_opt stolen (Bgp.Speaker.loc_rib sp) with
+        match Bgp.Prefix_trie.find stolen (Bgp.Speaker.loc_rib sp) with
         | Some route ->
             let origin =
               match Bgp.As_path.origin_as route.Bgp.Rib.attrs.Bgp.Attr.as_path with

@@ -85,7 +85,7 @@ let () =
   | None -> print_endline "inverted-MED bug NOT found (unexpected)");
 
   (* Sanity: what did the buggy router actually select? *)
-  (match Bgp.Prefix.Map.find_opt prefix (Bgp.Speaker.loc_rib sp0) with
+  (match Bgp.Prefix_trie.find prefix (Bgp.Speaker.loc_rib sp0) with
   | Some route ->
       Printf.printf "buggy router selected MED %s (spec says 10)\n"
         (match route.Bgp.Rib.attrs.Bgp.Attr.med with

@@ -21,11 +21,11 @@ let is_local r = Ipv4.equal r.source.peer_addr Ipv4.any
    ([prefixes_from_peer], [drop_peer]) are one walk of the trie. *)
 type t = {
   cands : route Ipv4.Map.t Prefix_trie.t;
-  loc : route Prefix.Map.t;
+  loc : route Prefix_trie.t;
   adj_out : Attr.t Prefix.Map.t Ipv4.Map.t;
 }
 
-let empty = { cands = Prefix_trie.empty; loc = Prefix.Map.empty; adj_out = Ipv4.Map.empty }
+let empty = { cands = Prefix_trie.empty; loc = Prefix_trie.empty; adj_out = Ipv4.Map.empty }
 
 let peer_map peer m = Option.value (Ipv4.Map.find_opt peer m) ~default:Prefix.Map.empty
 
@@ -84,44 +84,27 @@ let prefixes_from_peer peer t =
     t.cands []
   |> List.rev
 
-let loc_set prefix route t = { t with loc = Prefix.Map.add prefix route t.loc }
-let loc_del prefix t = { t with loc = Prefix.Map.remove prefix t.loc }
-let loc_get prefix t = Prefix.Map.find_opt prefix t.loc
-let loc_prefixes t = Prefix.Map.fold (fun p _ acc -> p :: acc) t.loc [] |> List.rev
-let loc_cardinal t = Prefix.Map.cardinal t.loc
+let loc_set prefix route t = { t with loc = Prefix_trie.add prefix route t.loc }
+let loc_del prefix t = { t with loc = Prefix_trie.remove prefix t.loc }
+let loc_get prefix t = Prefix_trie.find prefix t.loc
+let loc_prefixes t = List.rev (Prefix_trie.fold (fun p _ acc -> p :: acc) t.loc [])
+let loc_cardinal t = Prefix_trie.cardinal t.loc
 
-(* Two sorted prefix lists merged into one, without duplicates. *)
-let rec merge_sorted a b =
+(* Two prefix lists in descending order merged, without duplicates,
+   into one in ascending order. *)
+let rec merge_descending a b acc =
   match (a, b) with
-  | [], l | l, [] -> l
+  | [], [] -> acc
+  | x :: a', [] | [], x :: a' -> merge_descending a' [] (x :: acc)
   | x :: a', y :: b' ->
       let c = Prefix.compare x y in
-      if c < 0 then x :: merge_sorted a' b
-      else if c > 0 then y :: merge_sorted a b'
-      else x :: merge_sorted a' b'
-
-(* [Prefix.Map] exposes no sharing, so the Loc-RIBs are walked in step,
-   in prefix order, unless they are one map. *)
-let loc_changes old_loc new_loc =
-  let rec go a b acc =
-    match (a, b) with
-    | Seq.Nil, Seq.Nil -> List.rev acc
-    | Seq.Cons ((p, _), a), Seq.Nil -> go (a ()) Seq.Nil (p :: acc)
-    | Seq.Nil, Seq.Cons ((p, _), b) -> go Seq.Nil (b ()) (p :: acc)
-    | Seq.Cons ((pa, ra), a'), Seq.Cons ((pb, rb), b') ->
-        let c = Prefix.compare pa pb in
-        if c < 0 then go (a' ()) b (pa :: acc)
-        else if c > 0 then go a (b' ()) (pb :: acc)
-        else go (a' ()) (b' ()) (if ra == rb then acc else pa :: acc)
-  in
-  if old_loc == new_loc then []
-  else go (Prefix.Map.to_seq old_loc ()) (Prefix.Map.to_seq new_loc ()) []
+      if c > 0 then merge_descending a' b (x :: acc)
+      else if c < 0 then merge_descending a b' (y :: acc)
+      else merge_descending a' b' (x :: acc)
 
 let changed_prefixes old_rib new_rib =
-  let cands =
-    Prefix_trie.fold_diff (fun p _ _ acc -> p :: acc) old_rib.cands new_rib.cands []
-  in
-  merge_sorted (loc_changes old_rib.loc new_rib.loc) (List.rev cands)
+  let diff a b = Prefix_trie.fold_diff (fun p _ _ acc -> p :: acc) a b [] in
+  merge_descending (diff old_rib.loc new_rib.loc) (diff old_rib.cands new_rib.cands) []
 
 let loc_event prefix = function
   | Some r ->

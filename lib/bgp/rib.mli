@@ -24,7 +24,7 @@ type t = private {
           prefix, keyed by advertising peer.  What makes {!candidates}
           — and hence incremental re-decision — one trie walk; the
           per-peer views are derived from it. *)
-  loc : route Prefix.Map.t;  (** selected best per prefix *)
+  loc : route Prefix_trie.t;  (** the Loc-RIB: selected best per prefix *)
   adj_out : Attr.t Prefix.Map.t Ipv4.Map.t;  (** last advertised, per peer *)
 }
 
@@ -68,9 +68,9 @@ val loc_cardinal : t -> int
 val changed_prefixes : t -> t -> Prefix.t list
 (** [changed_prefixes old new]: the prefixes whose Loc-RIB entry or
     candidate set is not physically equal ([==]) in the two RIBs, in
-    prefix order.  Candidate sets are compared by a walk that skips
-    what the two tries share; the Loc-RIBs by a walk over both maps,
-    skipped when they are one map. *)
+    prefix order.  Both tables are compared by {!Prefix_trie.fold_diff},
+    which skips what two versions of a table share, so the cost follows
+    the changed prefixes, not the table size. *)
 
 val loc_event : Prefix.t -> route option -> string
 (** The detail of a ["loc-rib"] trace event, one format for every

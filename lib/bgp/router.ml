@@ -353,7 +353,7 @@ and do_action t (n : Config.neighbor) action =
       trace t "session" (fun () -> "up " ^ Ipv4.to_string peer);
       (* Advertise our Loc-RIB to the fresh peer. *)
       let announce =
-        Prefix.Map.fold
+        Prefix_trie.fold
           (fun prefix route acc ->
             match export_for t n prefix route with
             | Some attrs ->
@@ -599,7 +599,7 @@ let digest_of ~cfg ~bugs ~liveness st =
   Digest.string
     (Marshal.to_string
        ( (cfg, bugs, liveness),
-         Prefix.Map.bindings rib.Rib.loc,
+         Prefix_trie.bindings rib.Rib.loc,
          Prefix_trie.fold
            (fun p pm acc -> (p, Ipv4.Map.bindings pm) :: acc)
            rib.Rib.cands [],

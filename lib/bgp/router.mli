@@ -92,7 +92,7 @@ val respawn_digest : bugs:bugs -> Config.t -> state -> Digest.t
     clone. *)
 
 val rib : t -> Rib.t
-val loc_rib : t -> Rib.route Prefix.Map.t
+val loc_rib : t -> Rib.route Prefix_trie.t
 val session_state : t -> Ipv4.t -> Fsm.state option
 val established_peers : t -> Ipv4.t list
 val stats : t -> Netsim.Stats.t

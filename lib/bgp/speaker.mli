@@ -56,7 +56,7 @@ and capture = {
           isolated network whose node ids match the original. *)
 }
 
-val loc_rib : t -> Rib.route Prefix.Map.t
+val loc_rib : t -> Rib.route Prefix_trie.t
 val capture : t -> capture
 
 val once : (unit -> 'a) -> unit -> 'a

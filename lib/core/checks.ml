@@ -5,17 +5,18 @@ type verdict = {
   v_evidence : string;
 }
 
-(* One speaker's checked config and RIB, and its verdicts: the
-   baseline one, and the per-input ones in suite order together with
-   each per-prefix property's failing prefixes and their evidence
-   (empty maps on a healthy speaker). *)
-type entry = {
-  e_config : Bgp.Config.t;
-  e_rib : Bgp.Rib.t;
-  e_failing : string Bgp.Prefix.Map.t list;
-  e_baseline : verdict;
-  e_per_input : verdict list;
+(* One speaker's checked config and RIB and its per-input verdicts, in
+   suite order, together with each per-prefix property's failing
+   prefixes and their evidence (empty maps on a healthy speaker). *)
+type row = {
+  r_config : Bgp.Config.t;
+  r_rib : Bgp.Rib.t;
+  r_failing : string Bgp.Prefix.Map.t list;
+  r_verdicts : verdict list;
 }
+
+(* A memo entry: a row and the speaker's baseline verdict. *)
+type entry = { e_row : row; e_baseline : verdict }
 
 module Int_map = Map.Make (Int)
 
@@ -66,7 +67,7 @@ let verdict_of property id = function
 
 let origin_authenticity gt id sp =
   verdict_of "origin-authenticity" id
-    (Bgp.Prefix.Map.fold
+    (Bgp.Prefix_trie.fold
        (fun prefix route acc ->
          match gt.owner_of prefix with
          | None -> acc
@@ -171,15 +172,15 @@ let check_whole pp id (sp : Bgp.Speaker.t) =
   let cfg = sp.Bgp.Speaker.sp_config () and rib = sp.Bgp.Speaker.sp_rib () in
   render pp id (evaluate pp id cfg rib (checked_prefixes cfg rib) Bgp.Prefix.Map.empty)
 
+let convergence_verdict settled id =
+  match settled with
+  | Snapshot.Store.Quiesced -> ok id "convergence"
+  | Snapshot.Store.Oscillating -> bad id "convergence" "routing oscillation (state revisited)"
+  | Snapshot.Store.Diverging -> bad id "convergence" "no quiescence within event budget"
+
 let convergence ?budget shadow =
-  let v =
-    match Snapshot.Store.settle ?budget shadow with
-    | Snapshot.Store.Quiesced -> ok
-    | Snapshot.Store.Oscillating ->
-        fun id p -> bad id p "routing oscillation (state revisited)"
-    | Snapshot.Store.Diverging -> fun id p -> bad id p "no quiescence within event budget"
-  in
-  List.map (fun (id, _) -> v id "convergence") shadow.Snapshot.Store.sh_speakers
+  let v = convergence_verdict (Snapshot.Store.settle ?budget shadow) in
+  List.map (fun (id, _) -> v id) shadow.Snapshot.Store.sh_speakers
 
 type scope = Baseline | Per_input
 
@@ -210,47 +211,46 @@ let per_input =
 
 let standard_suite gt = baseline gt :: per_input
 
-(* Is [e] the entry of [sp]'s current config and RIB? *)
-let current (sp : Bgp.Speaker.t) e =
-  sp.Bgp.Speaker.sp_config () == e.e_config && sp.Bgp.Speaker.sp_rib () == e.e_rib
+(* Is [r] the row of [sp]'s current config and RIB? *)
+let current (sp : Bgp.Speaker.t) r =
+  sp.Bgp.Speaker.sp_config () == r.r_config && sp.Bgp.Speaker.sp_rib () == r.r_rib
 
 let recorded entries id sp =
   match Int_map.find_opt id entries with
-  | Some e when current sp e -> Some e
+  | Some e when current sp e.e_row -> Some e
   | Some _ | None -> None
 
 let reuses gt id sp = Option.is_some (recorded (Atomic.get gt.memo) id sp)
+let entry_row entries id = Option.map (fun e -> e.e_row) (Int_map.find_opt id entries)
 
-(* The per-prefix properties' failing prefixes for [sp], from its
-   previous entry when only its RIB changed: only the prefixes whose
-   Loc-RIB entry or candidates differ are evaluated again. *)
-let failing_of prior id (sp : Bgp.Speaker.t) =
-  let cfg = sp.Bgp.Speaker.sp_config () and rib = sp.Bgp.Speaker.sp_rib () in
-  match prior with
-  | Some e when e.e_config == cfg ->
-      let changed = Bgp.Rib.changed_prefixes e.e_rib rib in
-      List.map2
-        (fun pp failing -> evaluate pp id cfg rib changed failing)
-        per_prefix e.e_failing
-  | Some _ | None ->
-      let prefixes = checked_prefixes cfg rib in
-      List.map (fun pp -> evaluate pp id cfg rib prefixes Bgp.Prefix.Map.empty) per_prefix
+(* The row of [id] at [cfg] and [rib], from a [prior] row when only the
+   RIB changed: only the prefixes whose Loc-RIB entry or candidates
+   differ are evaluated again. *)
+let row_of prior id cfg rib =
+  let failing =
+    match prior with
+    | Some r when r.r_config == cfg ->
+        let changed = Bgp.Rib.changed_prefixes r.r_rib rib in
+        List.map2 (fun pp failing -> evaluate pp id cfg rib changed failing) per_prefix r.r_failing
+    | Some _ | None ->
+        let prefixes = checked_prefixes cfg rib in
+        List.map (fun pp -> evaluate pp id cfg rib prefixes Bgp.Prefix.Map.empty) per_prefix
+  in
+  { r_config = cfg; r_rib = rib; r_failing = failing; r_verdicts = rendered id failing }
+
+let speaker_row prior id (sp : Bgp.Speaker.t) =
+  row_of prior id (sp.Bgp.Speaker.sp_config ()) (sp.Bgp.Speaker.sp_rib ())
 
 let record gt shadow =
   let entries, changed =
     List.fold_left
       (fun (entries, changed) (id, (sp : Bgp.Speaker.t)) ->
-        let prior = Int_map.find_opt id entries in
+        let prior = entry_row entries id in
         match prior with
-        | Some e when current sp e -> (entries, changed)
+        | Some r when current sp r -> (entries, changed)
         | Some _ | None ->
-            let failing = failing_of prior id sp in
             let e =
-              { e_config = sp.Bgp.Speaker.sp_config ();
-                e_rib = sp.Bgp.Speaker.sp_rib ();
-                e_failing = failing;
-                e_baseline = origin_authenticity gt id sp;
-                e_per_input = rendered id failing }
+              { e_row = speaker_row prior id sp; e_baseline = origin_authenticity gt id sp }
             in
             (Int_map.add id e entries, id :: changed))
       (Atomic.get gt.memo, []) shadow.Snapshot.Store.sh_speakers
@@ -258,26 +258,67 @@ let record gt shadow =
   Atomic.set gt.memo entries;
   List.rev changed
 
-let run_memo gt scope shadow =
+let run_baseline gt shadow =
   let entries = Atomic.get gt.memo in
-  let speakers = shadow.Snapshot.Store.sh_speakers in
-  match scope with
-  | Baseline ->
-      let c = baseline gt in
-      [ ( c,
-          List.map
-            (fun (id, sp) ->
-              match recorded entries id sp with
-              | Some e -> e.e_baseline
-              | None -> c.check id sp)
-            speakers ) ]
-  | Per_input ->
-      let rows =
-        List.map
-          (fun (id, sp) ->
-            match recorded entries id sp with
-            | Some e -> e.e_per_input
-            | None -> rendered id (failing_of (Int_map.find_opt id entries) id sp))
-          speakers
-      in
-      List.mapi (fun i c -> (c, List.map (fun row -> List.nth row i) rows)) per_input
+  let c = baseline gt in
+  ( c,
+    List.map
+      (fun (id, sp) ->
+        match recorded entries id sp with Some e -> e.e_baseline | None -> c.check id sp)
+      shadow.Snapshot.Store.sh_speakers )
+
+(* Each checkpointed node's row at its capture, in checkpoint order:
+   ascending ids. *)
+type captured = (int * row) array
+
+let captured gt (snapshot : Snapshot.Cut.snapshot) =
+  let entries = Atomic.get gt.memo in
+  Array.of_list
+    (List.map
+       (fun (id, (cp : Snapshot.Checkpoint.t)) ->
+         let cap = cp.Snapshot.Checkpoint.image in
+         let cfg = cap.Bgp.Speaker.cap_config and rib = cap.Bgp.Speaker.cap_rib in
+         match entry_row entries id with
+         | Some r when r.r_config == cfg && r.r_rib == rib -> (id, r)
+         | prior -> (id, row_of prior id cfg rib))
+       snapshot.Snapshot.Cut.checkpoints)
+
+let nodes c = Array.map fst c
+
+(* The rows, one verdict per checker each, turned into one column per
+   checker. *)
+let columns c =
+  let columns =
+    Array.fold_right
+      (fun (_, r) columns -> List.map2 (fun v column -> v :: column) r.r_verdicts columns)
+      c
+      (List.map (fun _ -> []) per_input)
+  in
+  List.map2 (fun checker column -> (checker, Array.of_list column)) per_input columns
+
+let position (c : captured) id =
+  let rec go lo hi =
+    if lo >= hi then invalid_arg (Printf.sprintf "Checks.changed: node %d not in the cut" id);
+    let mid = (lo + hi) / 2 in
+    let x = fst c.(mid) in
+    if x = id then mid else if x < id then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length c)
+
+let changed c shadow =
+  let edits =
+    List.fold_right
+      (fun ((cp : Snapshot.Checkpoint.t), sp) edits ->
+        let id = cp.Snapshot.Checkpoint.node in
+        let i = position c id in
+        let r = snd c.(i) in
+        if current sp r then edits
+        else
+          List.map2
+            (fun (was, v) edits -> if v = was then edits else (i, v) :: edits)
+            (List.combine r.r_verdicts (speaker_row (Some r) id sp).r_verdicts)
+            edits)
+      (shadow.Snapshot.Store.sh_touched ())
+      (List.map (fun _ -> []) per_input)
+  in
+  List.combine per_input edits

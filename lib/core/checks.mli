@@ -25,11 +25,15 @@ type verdict = {
   v_evidence : string;  (** never shared across domains directly *)
 }
 
-val convergence : ?budget:int -> Snapshot.Store.shadow -> verdict list
-(** {!Snapshot.Store.settle}s the shadow and gives every speaker the
-    outcome: [Quiesced] passes, [Oscillating] is a routing oscillation
+val convergence_verdict : Snapshot.Store.settled -> int -> verdict
+(** A node's convergence verdict on a shadow that settled so:
+    [Quiesced] passes, [Oscillating] is a routing oscillation
     (policy-conflict class) and [Diverging] is reported as
-    non-quiescence within [budget] events. *)
+    non-quiescence within the event budget. *)
+
+val convergence : ?budget:int -> Snapshot.Store.shadow -> verdict list
+(** {!Snapshot.Store.settle}s the shadow and gives every speaker its
+    {!convergence_verdict}. *)
 
 type scope =
   | Baseline  (** state property: checked once per snapshot, pre-input *)
@@ -88,21 +92,52 @@ val standard_suite : ground_truth -> checker list
     checked whole.  Both follow from the purity contract, so reuse
     never changes a verdict.  The memo lives as long as the ground
     truth, across cuts, and keeps one entry per node, sharing the RIB
-    it was given. *)
+    it was given.  The explorer records each cut's pristine clone,
+    answers the baseline checks from the memo ({!run_baseline}), and
+    checks its replays through {!captured} below. *)
 
 val record : ground_truth -> Snapshot.Store.shadow -> int list
 (** Check every speaker of the shadow that the memo cannot reuse (the
     [Per_input] checkers on the changed prefixes where the config
-    allows, as {!run_memo}) and make it that node's entry; returns
-    those node ids, in
+    allows) and make it that node's entry; returns those node ids, in
     [sh_speakers] order.  The explorer records the pristine clone of
     each cut before its replays fan out, never during them. *)
 
 val reuses : ground_truth -> int -> Bgp.Speaker.t -> bool
-(** Would {!run_memo} reuse the memo's verdicts for this speaker? *)
+(** Is the memo's entry for this node that speaker's config and RIB? *)
 
-val run_memo : ground_truth -> scope -> Snapshot.Store.shadow -> (checker * verdict list) list
-(** For each {!standard_suite} checker of [scope], in order, its
-    verdicts over [sh_speakers] in order — equal to [c.run shadow].
-    Reads the memo and never writes it: speakers it cannot reuse are
-    checked, on their changed prefixes where the config allows. *)
+val run_baseline : ground_truth -> Snapshot.Store.shadow -> checker * verdict list
+(** The {!standard_suite}'s [Baseline] checker and its verdicts over
+    [sh_speakers] in order — equal to [c.run shadow].  Reads the memo
+    and never writes it: a speaker it cannot reuse is checked. *)
+
+(** {1 Verdicts at the capture}
+
+    A shadow's untouched speaker {e is} its checkpoint, so its verdicts
+    are the same in every replay of a cut.  {!captured} checks each
+    checkpointed node once per cut, at its captured config and RIB
+    (from the memo where the entry is that capture, else on the
+    prefixes changed since the entry); a replay then checks only the
+    speakers {!Snapshot.Store.shadow}'s [sh_touched] lists, each
+    against its capture, on the prefixes it changed ({!changed}).  A
+    node the pristine clone changed has a memo entry that is not its
+    capture, and is answered from the capture all the same. *)
+
+type captured
+
+val captured : ground_truth -> Snapshot.Cut.snapshot -> captured
+(** Reads the memo and never writes it. *)
+
+val nodes : captured -> int array
+(** The checkpointed node ids, ascending: the order of every column. *)
+
+val columns : captured -> (checker * verdict array) list
+(** Each [Per_input] checker of {!standard_suite}, in suite order, with
+    its verdict for each of {!nodes} at the capture: the checker's
+    [run] over an untouched shadow of the snapshot. *)
+
+val changed : captured -> Snapshot.Store.shadow -> (checker * (int * verdict) list) list
+(** For each of {!columns}, in order, the verdicts of a shadow of the
+    same snapshot that differ from the column, as (index into {!nodes},
+    verdict), ascending: only touched speakers can differ, so only they
+    are looked at. *)

@@ -72,48 +72,57 @@ let take_snapshot ?deadline ~build ~cut ~node () =
           ("stalled", Telemetry.Json.Int (List.length (Snapshot.Cut.stalled_of r))) ];
       r)
 
-let verdicts_to_results ~self ~now ?input ~checker_class verdicts : Fault.t list * Privacy.digest list =
-  List.fold_left
-    (fun (faults, digests) (v : Checks.verdict) ->
-      if v.Checks.v_node = self then
-        if v.Checks.v_ok then (faults, digests)
-        else
-          ( Fault.make ?input ~at:now ~node:v.Checks.v_node
-              ~property:v.Checks.v_property checker_class v.Checks.v_evidence
-            :: faults,
-            digests )
-      else
-        let d =
-          Privacy.digest ~node:v.Checks.v_node ~property:v.Checks.v_property
-            ~ok:v.Checks.v_ok ~evidence:v.Checks.v_evidence
-        in
-        let faults =
-          if v.Checks.v_ok then faults
-          else
-            (* Only the digest crossed the domain boundary: the report
-               carries no remote evidence. *)
-            Fault.make ?input ~at:now ~node:v.Checks.v_node
-              ~property:v.Checks.v_property checker_class
-              "remote check digest reported a violation"
-            :: faults
-        in
-        (faults, d :: digests))
-    ([], []) verdicts
+(* A verdict as the explorer reports it: a fault when it fails, with
+   its evidence only at the explorer's own node, and from any other
+   node the digest that crossed the domain boundary. *)
+let digest_of ~self (v : Checks.verdict) =
+  if v.Checks.v_node = self then None
+  else
+    Some
+      (Privacy.digest ~node:v.Checks.v_node ~property:v.Checks.v_property
+         ~ok:v.Checks.v_ok ~evidence:v.Checks.v_evidence)
 
-(* [verdicts_to_results] over (class, verdicts) groups, in group then
-   verdict order. *)
-let results_of ~self ~now ?input groups =
-  let faults, digests =
-    List.split
-      (List.map
-         (fun (checker_class, verdicts) ->
-           let faults, digests =
-             verdicts_to_results ~self ~now ?input ~checker_class verdicts
-           in
-           (List.rev faults, List.rev digests))
-         groups)
-  in
-  (List.concat faults, List.concat digests)
+let fault_of ~self ~now ?input checker_class (v : Checks.verdict) =
+  Fault.make ?input ~at:now ~node:v.Checks.v_node ~property:v.Checks.v_property
+    checker_class
+    (if v.Checks.v_node = self then v.Checks.v_evidence
+     else
+       (* Only the digest crossed the domain boundary: the report
+          carries no remote evidence. *)
+       "remote check digest reported a violation")
+
+let reported ~self v = (v, digest_of ~self v)
+
+(* One checker's verdicts over the nodes, as the explorer reports them:
+   each with its digest, and the failing ones, in node order. *)
+type column = {
+  c_class : Fault.fault_class;
+  c_rows : (Checks.verdict * Privacy.digest option) array;
+  c_failing : Checks.verdict list;
+}
+
+let failing rows =
+  Array.fold_right
+    (fun ((v : Checks.verdict), _) acc -> if v.Checks.v_ok then acc else v :: acc)
+    rows []
+
+let column ~self c_class verdicts =
+  let c_rows = Array.map (reported ~self) verdicts in
+  { c_class; c_rows; c_failing = failing c_rows }
+
+(* Columns as faults and as digests, each in column then node order.  A
+   fault is recorded when it is made, so faults are made in that order
+   too. *)
+let faults_of ~self ~now ?input columns =
+  List.concat_map (fun c -> List.map (fault_of ~self ~now ?input c.c_class) c.c_failing) columns
+
+let digests_of columns =
+  List.fold_right
+    (fun c digests ->
+      Array.fold_right
+        (fun (_, d) digests -> match d with Some d -> d :: digests | None -> digests)
+        c.c_rows digests)
+    columns []
 
 (* The unperturbed clone of the snapshot, quiesced: spawned once per
    cut for the baseline checks and, when exploring, the verdict memo. *)
@@ -122,32 +131,62 @@ let pristine ~params snapshot =
   ignore (Snapshot.Store.run_to_quiescence ~max_events:params.shadow_budget sh);
   sh
 
-(* [Checks.run_memo] as (class, verdicts) groups for [results_of]. *)
-let memo_groups ~gt scope shadow =
-  List.map
-    (fun ((c : Checks.checker), verdicts) -> (c.Checks.fault_class, verdicts))
-    (Checks.run_memo gt scope shadow)
-
 (* Baseline (state) properties: checked once per exploration against
    the pristine clone.  Hoisted out of the per-peer loop — every peer
    saw the same snapshot, so the per-peer recomputation was pure
    waste. *)
 let baseline_results ~gt ~node ~now pristine =
-  results_of ~self:node ~now (memo_groups ~gt Checks.Baseline pristine)
+  let (c : Checks.checker), verdicts = Checks.run_baseline gt pristine in
+  let columns = [ column ~self:node c.Checks.fault_class (Array.of_list verdicts) ] in
+  (faults_of ~self:node ~now columns, digests_of columns)
+
+type checked_cut = {
+  k_params : params;
+  k_snapshot : Snapshot.Cut.snapshot;
+  k_node : int;
+  k_captured : Checks.captured;
+  k_columns : column list;  (* the per-input checkers', as {!Checks.columns} *)
+  k_quiesced : column option;  (* convergence on a quiesced shadow, when checked *)
+  k_digests : Privacy.digest list;  (* of a replay that changed no verdict *)
+}
+
+let convergence_column ~self captured settled =
+  column ~self Fault.Policy_conflict
+    (Array.map (Checks.convergence_verdict settled) (Checks.nodes captured))
+
+let check_cut ?(params = default_params) ~gt ~node snapshot =
+  let captured = Checks.captured gt snapshot in
+  let k_columns =
+    List.map
+      (fun ((c : Checks.checker), verdicts) -> column ~self:node c.Checks.fault_class verdicts)
+      (Checks.columns captured)
+  and k_quiesced =
+    if params.check_convergence then
+      Some (convergence_column ~self:node captured Snapshot.Store.Quiesced)
+    else None
+  in
+  { k_params = params;
+    k_snapshot = snapshot;
+    k_node = node;
+    k_captured = captured;
+    k_columns;
+    k_quiesced;
+    k_digests = digests_of (k_columns @ Option.to_list k_quiesced) }
 
 (* Replay one raw byte string over its own fresh clone and run the
-   per-input property checkers, reusing the memo's verdicts for every
-   speaker the replay left as it was.  Self-contained and free of
-   shared mutable state: the shadow owns its engine, network and
-   speakers, everything reachable from [snapshot] is immutable, and
-   the memo is only read.
+   per-input property checkers, on the speakers the replay touched
+   alone: every other one still holds its capture, whose verdicts and
+   digests the cut already has.  Self-contained and free of shared
+   mutable state: the shadow owns its engine, network and speakers,
+   everything reachable from the snapshot is immutable, and the memo
+   is not read.
    [crash_property] classifies a [Crash] escaping the shadow:
    "handler-crash" for concretized concolic inputs, "codec-crash" for
    mangled wire bytes. *)
-let replay_raw ~params ~gt ~snapshot ~node ~peer_addr ~now ?input
-    ~crash_property raw =
+let replay k ~peer_addr ~now ?input ~crash_property raw =
   Telemetry.with_span "shadow_replay" (fun _sp ->
-  let shadow = Snapshot.Store.spawn snapshot in
+  let node = k.k_node and budget = k.k_params.shadow_budget in
+  let shadow = Snapshot.Store.spawn k.k_snapshot in
   let target = Snapshot.Store.speaker shadow node in
   let crash_faults =
     match
@@ -160,23 +199,41 @@ let replay_raw ~params ~gt ~snapshot ~node ~peer_addr ~now ?input
             Fault.Programming_error detail ]
   in
   (* Observe system-wide consequences. *)
-  let conv_verdicts =
-    if params.check_convergence then
-      Checks.convergence ~budget:params.shadow_budget shadow
+  let settled =
+    if k.k_params.check_convergence then Snapshot.Store.settle ~budget shadow
     else begin
-      ignore (Snapshot.Store.run_to_quiescence ~max_events:params.shadow_budget shadow);
-      []
+      ignore (Snapshot.Store.run_to_quiescence ~max_events:budget shadow);
+      Snapshot.Store.Quiesced
     end
   in
-  let faults, digests =
-    results_of ~self:node ~now ?input
-      (memo_groups ~gt Checks.Per_input shadow @ [ (Fault.Policy_conflict, conv_verdicts) ])
+  let per_input =
+    List.map2
+      (fun column (_, edits) ->
+        match edits with
+        | [] -> column
+        | edits ->
+            let rows = Array.copy column.c_rows in
+            List.iter (fun (i, v) -> rows.(i) <- reported ~self:node v) edits;
+            { column with c_rows = rows; c_failing = failing rows })
+      k.k_columns
+      (Checks.changed k.k_captured shadow)
   in
-  (crash_faults @ faults, digests))
+  let convergence =
+    match (k.k_quiesced, settled) with
+    | None, _ -> []
+    | Some quiesced, Snapshot.Store.Quiesced -> [ quiesced ]
+    | Some _, settled -> [ convergence_column ~self:node k.k_captured settled ]
+  in
+  let columns = per_input @ convergence in
+  let faults = faults_of ~self:node ~now ?input columns in
+  (* Most replays change no verdict: they share the cut's digests. *)
+  let unchanged =
+    settled = Snapshot.Store.Quiesced && List.for_all2 ( == ) per_input k.k_columns
+  in
+  (crash_faults @ faults, if unchanged then k.k_digests else digests_of columns))
 
-let replay_input ~params ~gt ~view ~snapshot ~node ~peer_addr ~now input =
-  replay_raw ~params ~gt ~snapshot ~node ~peer_addr ~now ~input
-    ~crash_property:"handler-crash"
+let replay_input k ~view ~peer_addr ~now input =
+  replay k ~peer_addr ~now ~input ~crash_property:"handler-crash"
     (Sym_handler.concretize view input)
 
 (* The instrumented handler's view of [node]'s session with [peer], read
@@ -193,13 +250,14 @@ type peer_result = {
   pr_mangled : int;
 }
 
-let explore_peer ~params ~gt ~build ~snapshot ~node ~peer_addr =
+let explore_peer k ~build ~peer_addr =
+  let params = k.k_params and node = k.k_node in
   Telemetry.with_span "peer"
     ~attrs:[ ("node", Telemetry.Json.Int node);
              ("peer", Telemetry.Json.String (Bgp.Ipv4.to_string peer_addr)) ]
     (fun sp ->
   let now = Netsim.Engine.now build.Topology.Build.engine in
-  let view = view_at snapshot ~node ~peer:peer_addr in
+  let view = view_at k.k_snapshot ~node ~peer:peer_addr in
   (* Step 2: derive inputs by concolic execution. *)
   let result =
     Concolic.Engine.explore ~limits:params.limits ~seeds:(Sym_handler.seeds view)
@@ -256,14 +314,12 @@ let explore_peer ~params ~gt ~build ~snapshot ~node ~peer_addr =
   in
   let replay = function
     | `Input input ->
-        replay_input ~params ~gt ~view ~snapshot ~node ~peer_addr ~now input
-    | `Mangled raw ->
-        replay_raw ~params ~gt ~snapshot ~node ~peer_addr ~now
-          ~crash_property:"codec-crash" raw
+        replay_input k ~view ~peer_addr ~now input
+    | `Mangled raw -> replay k ~peer_addr ~now ~crash_property:"codec-crash" raw
   in
   let replayed = List.map replay tasks in
   let faults = crash_faults @ List.concat_map fst replayed in
-  let digests = List.concat_map snd replayed in
+  let digests = List.concat (List.map snd replayed) in
   Telemetry.add_attr sp
     [ ("inputs", Telemetry.Json.Int (List.length inputs));
       ("mangled", Telemetry.Json.Int (List.length mangled));
@@ -323,23 +379,22 @@ let explore_node ?(params = default_params) ~build ~cut ~gt ~node () =
   let peers =
     List.filteri (fun i _ -> i < params.peers_per_node) cfg.Bgp.Config.neighbors
   in
-  (* Every replay of this cut starts from the same snapshot, so it
-     shares the pristine clone's verdicts; the memo carries them
-     across cuts, so only the speakers that changed since the last
-     cut are checked here.  Recorded before the replays, which only
-     read it. *)
+  (* The memo carries verdicts across cuts, so only the speakers that
+     changed since the last cut are checked here, on the pristine clone
+     and at their captures; every replay of this cut starts from those
+     captures and checks only the speakers it touches. *)
   let pristine = pristine ~params snapshot in
   ignore (Checks.record gt pristine);
   let base_faults, base_digests = baseline_results ~gt ~node ~now pristine in
+  let k = check_cut ~params ~gt ~node snapshot in
   let merged =
     List.map
       (fun (n : Bgp.Config.neighbor) ->
-        explore_peer ~params ~gt ~build ~snapshot ~node
-          ~peer_addr:n.Bgp.Config.addr)
+        explore_peer k ~build ~peer_addr:n.Bgp.Config.addr)
       peers
   in
   let faults = base_faults @ List.concat_map (fun pr -> pr.pr_faults) merged in
-  let digests = base_digests @ List.concat_map (fun pr -> pr.pr_digests) merged in
+  let digests = List.concat (base_digests :: List.map (fun pr -> pr.pr_digests) merged) in
   let sum f = List.fold_left (fun acc pr -> acc + f pr) 0 merged in
   let inputs = sum (fun pr -> pr.pr_result.Concolic.Engine.inputs_executed) in
   let paths = sum (fun pr -> pr.pr_result.Concolic.Engine.distinct_paths) in
@@ -398,11 +453,12 @@ let replay_direct ?(params = default_params) ~build ~cut ~gt ~node
     else begin
       let shadow = Snapshot.Store.spawn snapshot in
       let verdicts = Checks.convergence ~budget:params.shadow_budget shadow in
-      let faults, _ =
-        verdicts_to_results ~self:node ~now ~checker_class:Fault.Policy_conflict
-          verdicts
+      let faults =
+        faults_of ~self:node ~now
+          [ column ~self:node Fault.Policy_conflict (Array.of_list verdicts) ]
       in
-      (shadow, faults)
+      (* Last node first: the order the stored repair baselines list. *)
+      (shadow, List.rev faults)
     end
   in
   (* The checks read the memo and never write it: one replay would pay
@@ -418,7 +474,9 @@ let replay_direct ?(params = default_params) ~build ~cut ~gt ~node
         | Some (peer : Bgp.Config.neighbor) ->
             let view = view_at snapshot ~node ~peer:peer.Bgp.Config.addr in
             let faults, _digests =
-              replay_input ~params ~gt ~view ~snapshot ~node ~peer_addr:peer.Bgp.Config.addr ~now input
+              replay_input
+                (check_cut ~params ~gt ~node snapshot)
+                ~view ~peer_addr:peer.Bgp.Config.addr ~now input
             in
             faults)
   in

@@ -72,6 +72,37 @@ val explore_node :
   exploration
 (** Steps 1–4 from [node] over its first [peers_per_node] sessions. *)
 
+(** {1 The replays of one cut} *)
+
+type checked_cut
+(** A cut as its replays are checked: the snapshot, the exploring node,
+    and every checkpointed node's per-input and convergence verdicts at
+    its capture ({!Checks.captured}), each with the digest the
+    explorer would receive. *)
+
+val check_cut :
+  ?params:params -> gt:Checks.ground_truth -> node:int -> Snapshot.Cut.snapshot -> checked_cut
+(** Reads [gt]'s memo and never writes it; {!explore_node} records the
+    pristine clone into it first. *)
+
+val replay :
+  checked_cut ->
+  peer_addr:Bgp.Ipv4.t ->
+  now:Netsim.Time.t ->
+  ?input:Concolic.Ctx.input ->
+  crash_property:string ->
+  string ->
+  Fault.t list * Privacy.digest list
+(** Deliver the raw bytes to the node, as from [peer_addr], on a fresh
+    shadow of the cut, settle it, and report: a [Crash] of the handler
+    as a [crash_property] fault, then, checker by checker (the
+    per-input ones in suite order, then convergence) and node by node,
+    a fault for each failing verdict (with its evidence at the
+    exploring node only) and a digest of each other node's verdict.
+    Equal to running each per-input checker's [run] and
+    {!Checks.convergence} over [sh_speakers] of that shadow; only the
+    speakers the replay touched are checked. *)
+
 val replay_direct :
   ?params:params ->
   build:Topology.Build.t ->

@@ -16,9 +16,9 @@ type digest = private {
 val digest : node:int -> property:string -> ok:bool -> evidence:string -> digest
 
 val leaks_nothing : digest -> string -> bool
-(** [leaks_nothing d evidence] — the digest does not contain the
-    evidence text (sanity check used by tests; trivially true by
-    construction since the digest only stores a hash). *)
+(** [leaks_nothing d evidence] — the evidence text occurs in none of
+    the digest's fields (each rendered as text) and not in its
+    {!pp_digest} rendering. *)
 
 type aggregate = {
   total : int;

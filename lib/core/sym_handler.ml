@@ -6,7 +6,7 @@ type view = {
   sh_peer : Bgp.Config.neighbor;
   sh_bugs : Bgp.Router.bugs;
   sh_universe : Bgp.Community.t list;
-  sh_loc_rib : Bgp.Rib.route Bgp.Prefix.Map.t;
+  sh_loc_rib : Bgp.Rib.route Bgp.Prefix_trie.t;
   sh_asn_lo : int;
   sh_asn_hi : int;
 }
@@ -96,7 +96,7 @@ let concrete_prefix (sr : Sym_route.t) =
    branches per decision step — the paper's symbolic route-selection
    condition. *)
 let preferred_over_best view ctx (sr : Sym_route.t) =
-  match Bgp.Prefix.Map.find_opt (concrete_prefix sr) view.sh_loc_rib with
+  match Bgp.Prefix_trie.find (concrete_prefix sr) view.sh_loc_rib with
   | None -> true (* no competitor: new route is best *)
   | Some best when Bgp.Rib.is_local best ->
       (* Local routes hold administrative weight; nothing from a peer
@@ -150,7 +150,7 @@ let run view ctx =
      attribute-level validation below applies. *)
   if Ctx.branch ctx (Cval.eq_const sr.Sym_route.sr_withdraw 1) then
     Withdrawal
-      { had_route = Bgp.Prefix.Map.mem (concrete_prefix sr) view.sh_loc_rib }
+      { had_route = Bgp.Prefix_trie.mem (concrete_prefix sr) view.sh_loc_rib }
   (* 2. Wire-level validation (mirrors the codec). *)
   else if Ctx.branch ctx (Cval.ne sr.Sym_route.sr_malform (Cval.concrete 0)) then
     Malformed

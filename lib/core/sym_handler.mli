@@ -15,7 +15,7 @@ type view = {
   sh_peer : Bgp.Config.neighbor;  (** the session the input arrives on *)
   sh_bugs : Bgp.Router.bugs;
   sh_universe : Bgp.Community.t list;
-  sh_loc_rib : Bgp.Rib.route Bgp.Prefix.Map.t;  (** current best routes *)
+  sh_loc_rib : Bgp.Rib.route Bgp.Prefix_trie.t;  (** current best routes *)
   sh_asn_lo : int;
   sh_asn_hi : int;
 }

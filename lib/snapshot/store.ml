@@ -3,6 +3,7 @@ type shadow = {
   sh_net : string Netsim.Network.t;
   sh_speakers : (int * Bgp.Speaker.t) list;
   sh_touch : int -> Bgp.Speaker.t;
+  sh_touched : unit -> (Checkpoint.t * Bgp.Speaker.t) list;
   sh_from : int;
 }
 
@@ -14,6 +15,7 @@ type slot = {
   bugs : Bgp.Router.bugs;
   net : string Netsim.Network.t;
   mutable live : Bgp.Speaker.t option;
+  touched : slot list ref;  (* the shadow's respawned slots, latest first *)
 }
 
 let touch s =
@@ -22,6 +24,7 @@ let touch s =
   | None ->
       let sp = Checkpoint.respawn ~bugs:s.bugs s.cp ~net:s.net in
       s.live <- Some sp;
+      s.touched := s :: !(s.touched);
       sp
 
 (* The speaker a shadow lists for [s].  Until [s] is touched it answers
@@ -59,7 +62,7 @@ let find slots id =
 
 let spawn ?bugs_of ?(deliver_in_flight = true) (snap : Cut.snapshot) =
   let engine = Netsim.Engine.create ~seed:(0xD1CE + snap.Cut.snap_id) () in
-  let slots = ref [||] in
+  let slots = ref [||] and touched = ref [] in
   (* Ideal links: shadow exploration cares about ordering and content,
      not latency.  A node's first delivery respawns its speaker, which
      takes over as the node's handler; the black-hole stand-ins of a
@@ -79,7 +82,7 @@ let spawn ?bugs_of ?(deliver_in_flight = true) (snap : Cut.snapshot) =
              | Some f -> f id
              | None -> cp.Checkpoint.image.Bgp.Speaker.cap_bugs
            in
-           { id; cp; bugs; net; live = None })
+           { id; cp; bugs; net; live = None; touched })
          snap.Cut.checkpoints);
   (* A node told to run other code than it ran at the cut is no longer
      its capture. *)
@@ -103,38 +106,56 @@ let spawn ?bugs_of ?(deliver_in_flight = true) (snap : Cut.snapshot) =
         match find slots id with
         | Some s -> touch s
         | None -> invalid_arg (Printf.sprintf "Store.speaker: node %d not in shadow" id));
+    sh_touched =
+      (fun () ->
+        List.sort (fun a b -> Int.compare a.id b.id) !touched
+        |> List.map (fun s -> (s.cp, Option.get s.live)));
     sh_from = snap.Cut.snap_id }
 
 let speaker sh id = sh.sh_touch id
 
-let loc_ribs sh =
-  List.map (fun (id, sp) -> (id, Bgp.Speaker.loc_rib sp)) sh.sh_speakers
+(* One Loc-RIB entry's share of a fingerprint: 63 bits of the MD5 of
+   its rendering (node, prefix, peer and the full AS path), so equal
+   renderings give equal shares and any other pair collides with
+   probability about 2^-63.  [Hashtbl.hash] would sample only a bounded
+   part of its argument, and keep 30 bits. *)
+let entry_hash id prefix (route : Bgp.Rib.route) =
+  Digest.string
+    (Printf.sprintf "%d:%s>%s[%s]" id (Bgp.Prefix.to_string prefix)
+       (Bgp.Ipv4.to_string route.Bgp.Rib.source.Bgp.Rib.peer_addr)
+       (Bgp.As_path.to_string route.Bgp.Rib.attrs.Bgp.Attr.as_path))
+  |> fun d -> Int64.to_int (String.get_int64_le d 0)
 
-(* Full-content digest: [Hashtbl.hash] samples only a prefix of large
-   structures, which would let distinct global states collide (or
-   changed states alias) and confuse the oscillation detector. *)
-let fingerprint_of_loc_ribs ribs =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (id, loc) ->
-      Buffer.add_string b (string_of_int id);
-      Buffer.add_char b ':';
-      Bgp.Prefix.Map.iter
-        (fun p (route : Bgp.Rib.route) ->
-          Buffer.add_string b (Bgp.Prefix.to_string p);
-          Buffer.add_char b '>';
-          Buffer.add_string b
-            (Bgp.Ipv4.to_string route.Bgp.Rib.source.Bgp.Rib.peer_addr);
-          Buffer.add_char b '[';
-          Buffer.add_string b
-            (Bgp.As_path.to_string route.Bgp.Rib.attrs.Bgp.Attr.as_path);
-          Buffer.add_string b "];")
-        loc;
-      Buffer.add_char b '\n')
-    ribs;
-  Hashtbl.hash (Digest.string (Buffer.contents b))
+(* A fingerprint is the sum of its entries' shares (modulo 2^63), so it
+   can be taken relative to any other state by adding the shares of the
+   entries that differ. *)
+let loc_rib_fingerprint sh =
+  List.fold_left
+    (fun acc (id, sp) ->
+      Bgp.Prefix_trie.fold
+        (fun p r acc -> acc + entry_hash id p r)
+        (Bgp.Speaker.loc_rib sp) acc)
+    0 sh.sh_speakers
 
-let loc_rib_fingerprint sh = fingerprint_of_loc_ribs (loc_ribs sh)
+(* The touched speakers' Loc-RIBs, with their checkpoints. *)
+let touched_loc_ribs sh =
+  List.map (fun (cp, sp) -> (cp, Bgp.Speaker.loc_rib sp)) (sh.sh_touched ())
+
+(* An untouched speaker still holds its captured Loc-RIB and adds
+   nothing; a touched one adds the shares of the entries it changed
+   since. *)
+let fingerprint_of_touched locs =
+  List.fold_left
+    (fun acc ((cp : Checkpoint.t), loc) ->
+      let id = cp.Checkpoint.node in
+      Bgp.Prefix_trie.fold_diff
+        (fun p before after acc ->
+          let acc = match before with Some r -> acc - entry_hash id p r | None -> acc in
+          match after with Some r -> acc + entry_hash id p r | None -> acc)
+        cp.Checkpoint.image.Bgp.Speaker.cap_rib.Bgp.Rib.loc loc acc)
+    0 locs
+
+let fingerprint_since_capture sh = fingerprint_of_touched (touched_loc_ribs sh)
 
 let digest sh =
   Option.map
@@ -156,29 +177,29 @@ let settle ?(budget = 200_000) sh =
   (* A revisit means the global state left a fingerprint and came back
      to it (A -> B -> A); consecutive identical samples are just an
      idle network, not oscillation. *)
-  let visit ribs =
-    let fp = fingerprint_of_loc_ribs ribs in
+  let visit locs =
+    let fp = fingerprint_of_touched locs in
     let changed = !last <> Some fp in
     let known = Hashtbl.mem seen fp in
     Hashtbl.replace seen fp ();
     last := Some fp;
     changed && known
   in
-  (* A revisit needs three samples, so the first two are held as
-     Loc-RIB pointers and digested, in order, only when a third is
-     taken; a shadow that quiesces sooner digests nothing. *)
+  (* A revisit needs three samples, so the first two are held as the
+     touched speakers' Loc-RIBs and hashed, in order, only when a third
+     is taken; a shadow that quiesces sooner hashes nothing. *)
   let held = ref (Some []) in
   let revisits () =
-    let ribs = loc_ribs sh in
+    let locs = touched_loc_ribs sh in
     match !held with
     | Some older when List.length older < 2 ->
-        held := Some (ribs :: older);
+        held := Some (locs :: older);
         false
     | Some older ->
         held := None;
         let revisited = List.fold_left (fun r s -> visit s || r) false (List.rev older) in
-        visit ribs || revisited
-    | None -> visit ribs
+        visit locs || revisited
+    | None -> visit locs
   in
   (* From the first revisit on, the full state is digested each time
      the clock has moved on since the last digest.  The shadow is

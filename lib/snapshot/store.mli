@@ -21,6 +21,10 @@ type shadow = {
       (** sorted by node id; an untouched entry stands for its
           checkpoint, as above *)
   sh_touch : int -> Bgp.Speaker.t;  (** behind {!speaker} *)
+  sh_touched : unit -> (Checkpoint.t * Bgp.Speaker.t) list;
+      (** the respawned speakers, ascending by node id, each with the
+          checkpoint it was respawned from; every other entry of
+          [sh_speakers] is still its checkpoint *)
   sh_from : int;  (** snapshot id this shadow was cloned from *)
 }
 
@@ -43,7 +47,17 @@ val speaker : shadow -> int -> Bgp.Speaker.t
 
 val loc_rib_fingerprint : shadow -> int
 (** Full-content hash of every speaker's Loc-RIB (each route's prefix,
-    peer and AS path) — used by isolation and oscillation checks. *)
+    peer and AS path) — used by isolation and oscillation checks.  It
+    is a sum of 63-bit strong hashes, one per route, so two states
+    that render alike hash alike and two that do not collide with
+    probability about 2^-63. *)
+
+val fingerprint_since_capture : shadow -> int
+(** [loc_rib_fingerprint sh] less its value when [sh] was spawned,
+    computed from the touched speakers alone: each adds the hashes of
+    the Loc-RIB entries it changed since its checkpoint
+    ({!Bgp.Prefix_trie.fold_diff}), an untouched one nothing.  What
+    {!settle} samples. *)
 
 val digest : shadow -> Digest.t option
 (** The full state: {!Netsim.Network.digest} of the shadow's network
@@ -63,10 +77,13 @@ val settle : ?budget:int -> shadow -> settled
     200,000) have been stepped, sampling the global Loc-RIB state every
     100 events.  A revisit (A -> B -> A: changed since the last sample,
     seen before) makes a budget run [Oscillating]; without one it is
-    [Diverging].  A revisit needs three samples, so the first two are
-    kept as Loc-RIB map pointers and fingerprinted only once a third is
-    taken; a shadow that quiesces before its third sample computes no
-    fingerprint at all.
+    [Diverging].  A sample is {!fingerprint_since_capture}: it differs
+    from {!loc_rib_fingerprint} by a constant over one shadow, so it
+    revisits exactly when that does, and it costs what the shadow
+    changed, not the network's size.  A revisit needs three samples,
+    so the first two are held as the touched speakers' Loc-RIBs and
+    hashed only once a third is taken; a shadow that quiesces before
+    its third sample hashes nothing.
 
     From the first revisit on, the {!digest} is also taken each time the
     clock has moved on since the last one (at most [budget / 100]

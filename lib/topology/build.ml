@@ -44,7 +44,7 @@ let loc_rib_snapshot t =
   List.map
     (fun (id, sp) ->
       let entries =
-        Bgp.Prefix.Map.fold
+        Bgp.Prefix_trie.fold
           (fun p (route : Bgp.Rib.route) acc ->
             let via =
               if Bgp.Rib.is_local route then -1
@@ -82,7 +82,7 @@ let converge t =
 
 let total_loc_routes t =
   List.fold_left
-    (fun acc (_, sp) -> acc + Bgp.Prefix.Map.cardinal (Bgp.Speaker.loc_rib sp))
+    (fun acc (_, sp) -> acc + Bgp.Prefix_trie.cardinal (Bgp.Speaker.loc_rib sp))
     0 t.speakers
 
 let established_sessions t =

@@ -26,11 +26,14 @@ let make_cut build =
     ~speakers:(fun id -> Topology.Build.speaker build id)
     build.Topology.Build.net
 
+(* A cut from [node]. *)
+let cut_from build ~node =
+  Snapshot.Cut.snapshot_of (Dice.Explorer.take_snapshot ~build ~cut:(make_cut build) ~node ())
+
 (* A cut from [node], as a clone maker: every call spawns a fresh
    shadow of the same snapshot. *)
 let snapshot ?bugs_of build ~node =
-  let cut = make_cut build in
-  let snap = Snapshot.Cut.snapshot_of (Dice.Explorer.take_snapshot ~build ~cut ~node ()) in
+  let snap = cut_from build ~node in
   fun () -> Snapshot.Store.spawn ?bugs_of snap
 
 let scoped gt scope =
@@ -74,6 +77,18 @@ let suite_view results =
 
 let suite_t = Alcotest.(list (pair string (list string)))
 
+(* A shadow's per-input verdicts as a replay of its cut reads them: the
+   columns at the capture, with the verdicts its touched speakers
+   changed. *)
+let capture_view captured sh =
+  List.map2
+    (fun (c, column) (_, edits) ->
+      let column = Array.copy column in
+      List.iter (fun (i, v) -> column.(i) <- v) edits;
+      (c, Array.to_list column))
+    (Dice.Checks.columns captured)
+    (Dice.Checks.changed captured sh)
+
 (* The three per-input checkers as they were before verdicts were kept
    per prefix: each folds over the whole Loc-RIB.  [check] now renders
    the per-prefix evaluation the memo uses, so these copies are the
@@ -90,7 +105,7 @@ let verdict_of property id = function
 
 let no_martians id sp =
   verdict_of "no-martians" id
-    (Bgp.Prefix.Map.fold
+    (Bgp.Prefix_trie.fold
        (fun prefix _ acc ->
          if Bgp.Prefix.is_martian prefix then
            Printf.sprintf "martian %s selected" (Bgp.Prefix.to_string prefix) :: acc
@@ -100,7 +115,7 @@ let no_martians id sp =
 let no_own_as_in_path id sp =
   let own = (sp.Bgp.Speaker.sp_config ()).Bgp.Config.asn in
   verdict_of "no-own-as-in-path" id
-    (Bgp.Prefix.Map.fold
+    (Bgp.Prefix_trie.fold
        (fun prefix route acc ->
          if Bgp.As_path.contains own route.Bgp.Rib.attrs.Bgp.Attr.as_path then
            Printf.sprintf "%s selected with own AS%d in path %s"
@@ -258,9 +273,16 @@ let deploy_case c =
   end;
   (graph, build, nth c.node)
 
-(* [run_memo] over one shadow against the full sweep, in order. *)
-let agrees_with_full gt scope sh =
-  let memoized = suite_view (Dice.Checks.run_memo gt scope sh) in
+(* The memo's verdicts over one shadow, the baseline from the memo
+   itself and the per-input ones from the capture, against the full
+   sweep, in order. *)
+let agrees_with_full gt captured scope sh =
+  let memoized =
+    suite_view
+      (match scope with
+      | Dice.Checks.Baseline -> [ Dice.Checks.run_baseline gt sh ]
+      | Dice.Checks.Per_input -> capture_view captured sh)
+  in
   let full = suite_view (full_sweep (scoped gt scope) sh) in
   let run =
     suite_view
@@ -278,16 +300,18 @@ let agrees_with_full gt scope sh =
    input's shadow, each against the full sweep.  The explorer turns
    these lists into faults and digests by a rule the memo does not
    touch, so equal verdicts mean equal faults and digests, in order. *)
-let cut_agrees gt clone ~node inputs =
+let cut_agrees gt snap ~node inputs =
+  let clone () = Snapshot.Store.spawn snap in
   let p = pristine clone in
   ignore (Dice.Checks.record gt p);
-  agrees_with_full gt Dice.Checks.Baseline p
-  && agrees_with_full gt Dice.Checks.Per_input p
+  let captured = Dice.Checks.captured gt snap in
+  agrees_with_full gt captured Dice.Checks.Baseline p
+  && agrees_with_full gt captured Dice.Checks.Per_input p
   && List.for_all
        (fun input ->
          let sh = subject clone ~node input in
          ignore (Dice.Checks.convergence ~budget:5_000 sh);
-         agrees_with_full gt Dice.Checks.Per_input sh)
+         agrees_with_full gt captured Dice.Checks.Per_input sh)
        inputs
 
 (* Differential on one cut, on healthy and faulty deployments. *)
@@ -296,7 +320,7 @@ let memo_matches_full_checking =
     (QCheck.make ~print:print_case gen_case)
     (fun c ->
       let graph, build, node = deploy_case c in
-      cut_agrees (Dice.Checks.ground_truth_of_graph graph) (snapshot build ~node) ~node
+      cut_agrees (Dice.Checks.ground_truth_of_graph graph) (cut_from build ~node) ~node
         c.inputs)
 
 (* What the live deployment goes through between two cuts. *)
@@ -371,11 +395,11 @@ let carried_memo_matches_full_checking =
     (fun (c, steps) ->
       let graph, build, node = deploy_case c in
       let gt = Dice.Checks.ground_truth_of_graph graph in
-      cut_agrees gt (snapshot build ~node) ~node c.inputs
+      cut_agrees gt (cut_from build ~node) ~node c.inputs
       && List.for_all
            (fun step ->
              apply_between build step;
-             cut_agrees gt (snapshot build ~node) ~node c.inputs)
+             cut_agrees gt (cut_from build ~node) ~node c.inputs)
            steps)
 
 (* End to end, across cuts: twin deployments (same graph and seeds, so
@@ -463,7 +487,8 @@ let untouched_router_hits () =
   let graph = random_graph ~seed:5 ~transit:2 ~stub:3 in
   let build = deploy graph in
   let node = 1 in
-  let clone = snapshot build ~node in
+  let snap = cut_from build ~node in
+  let clone () = Snapshot.Store.spawn snap in
   let gt = Dice.Checks.ground_truth_of_graph graph in
   ignore (Dice.Checks.record gt (pristine clone));
   let quiet = pristine clone in
@@ -487,7 +512,7 @@ let untouched_router_hits () =
     sh.Snapshot.Store.sh_speakers;
   check suite_t "verdicts equal full checking"
     (suite_view (full_sweep (scoped gt Dice.Checks.Per_input) sh))
-    (suite_view (Dice.Checks.run_memo gt Dice.Checks.Per_input sh))
+    (suite_view (capture_view (Dice.Checks.captured gt snap) sh))
 
 (* Sparrow's view changes only with its tables, and a clone starts from
    the captured one, so a second clone of the same snapshot returns the
@@ -497,7 +522,8 @@ let untouched_router_hits () =
 let sparrow_hits () =
   let graph = Topology.Gadget.embedded () in
   let build = deploy ~sparrow_nodes:[ 0; 2; 5; 8 ] graph in
-  let clone = snapshot build ~node:1 in
+  let snap = cut_from build ~node:1 in
+  let clone () = Snapshot.Store.spawn snap in
   let gt = Dice.Checks.ground_truth_of_graph graph in
   ignore (Dice.Checks.record gt (pristine clone));
   let sh = pristine clone in
@@ -507,12 +533,12 @@ let sparrow_hits () =
         (Printf.sprintf "node %d (%s) reuses" id sp.Bgp.Speaker.sp_impl)
         true (Dice.Checks.reuses gt id sp))
     sh.Snapshot.Store.sh_speakers;
-  List.iter
-    (fun scope ->
-      check suite_t "verdicts equal full checking"
-        (suite_view (full_sweep (scoped gt scope) sh))
-        (suite_view (Dice.Checks.run_memo gt scope sh)))
-    [ Dice.Checks.Baseline; Dice.Checks.Per_input ]
+  check suite_t "baseline verdicts equal full checking"
+    (suite_view (full_sweep (scoped gt Dice.Checks.Baseline) sh))
+    (suite_view [ Dice.Checks.run_baseline gt sh ]);
+  check suite_t "per-input verdicts equal full checking"
+    (suite_view (full_sweep (scoped gt Dice.Checks.Per_input) sh))
+    (suite_view (capture_view (Dice.Checks.captured gt snap) sh))
 
 (* A changed Sparrow table never returns a stale view: an announcement
    and then its withdrawal each show in the next view, on a live node
@@ -539,12 +565,12 @@ let sparrow_view_follows_tables () =
         nlri = [ prefix ] };
     Alcotest.(check bool) (what ^ ": announced") true (held ());
     Alcotest.(check bool) (what ^ ": selected") true
-      (Bgp.Prefix.Map.mem prefix (Bgp.Speaker.loc_rib sp));
+      (Bgp.Prefix_trie.mem prefix (Bgp.Speaker.loc_rib sp));
     sp.Bgp.Speaker.sp_inject_update ~from
       { Bgp.Msg.withdrawn = [ prefix ]; attrs = None; nlri = [] };
     Alcotest.(check bool) (what ^ ": withdrawn") false (held ());
     Alcotest.(check bool) (what ^ ": deselected") false
-      (Bgp.Prefix.Map.mem prefix (Bgp.Speaker.loc_rib sp))
+      (Bgp.Prefix_trie.mem prefix (Bgp.Speaker.loc_rib sp))
   in
   let clone = snapshot build ~node:0 in
   let sh = pristine clone in
@@ -559,31 +585,53 @@ let sparrow_view_follows_tables () =
     = None);
   follows "live" (Topology.Build.speaker build 2)
 
-(* [sh] with node [id]'s speaker reporting [rib] in place of its own. *)
+(* [sh] with node [id]'s speaker reporting [rib] in place of its own,
+   among its speakers and, where [id] is touched, its touched ones. *)
 let with_rib (sh : Snapshot.Store.shadow) id rib =
+  let swap (sp : Bgp.Speaker.t) = { sp with Bgp.Speaker.sp_rib = (fun () -> rib) } in
   { sh with
     Snapshot.Store.sh_speakers =
       List.map
-        (fun (i, (sp : Bgp.Speaker.t)) ->
-          if i = id then (i, { sp with Bgp.Speaker.sp_rib = (fun () -> rib) }) else (i, sp))
-        sh.Snapshot.Store.sh_speakers }
+        (fun (i, sp) -> if i = id then (i, swap sp) else (i, sp))
+        sh.Snapshot.Store.sh_speakers;
+    sh_touched =
+      (fun () ->
+        List.map
+          (fun ((cp : Snapshot.Checkpoint.t), sp) ->
+            if cp.Snapshot.Checkpoint.node = id then (cp, swap sp) else (cp, sp))
+          (sh.Snapshot.Store.sh_touched ())) }
 
-let verdict_at gt sh name id =
-  Dice.Checks.run_memo gt Dice.Checks.Per_input sh
+(* [snap] with node [id] captured at [rib]. *)
+let captured_at (snap : Snapshot.Cut.snapshot) id rib =
+  { snap with
+    Snapshot.Cut.checkpoints =
+      List.map
+        (fun (i, (cp : Snapshot.Checkpoint.t)) ->
+          if i <> id then (i, cp)
+          else
+            ( i,
+              { cp with
+                Snapshot.Checkpoint.image =
+                  { cp.Snapshot.Checkpoint.image with Bgp.Speaker.cap_rib = rib } } ))
+        snap.Snapshot.Cut.checkpoints }
+
+let verdict_at captured sh name id =
+  capture_view captured sh
   |> List.find (fun ((c : Dice.Checks.checker), _) -> c.Dice.Checks.name = name)
   |> snd
   |> List.find (fun (v : Dice.Checks.verdict) -> v.Dice.Checks.v_node = id)
 
-(* A RIB that differs from its memo entry by one Loc-RIB binding alone,
-   its candidates untouched, is checked on that prefix.  A correct
-   speaker never changes a selection without its candidates, but the
-   checker does not trust the speaker. *)
+(* A touched speaker whose RIB differs from its capture by one Loc-RIB
+   binding alone, its candidates untouched, is checked on that prefix.
+   A correct speaker never changes a selection without its candidates,
+   but the checker does not trust the speaker. *)
 let loc_only_change_flagged () =
   let graph = random_graph ~seed:5 ~transit:2 ~stub:3 in
   let build = deploy graph in
   let node = 1 in
   let gt = Dice.Checks.ground_truth_of_graph graph in
-  let p = pristine (snapshot build ~node) in
+  let snap = cut_from build ~node in
+  let p = pristine (fun () -> Snapshot.Store.spawn snap) in
   ignore (Dice.Checks.record gt p);
   let sp = Snapshot.Store.speaker p node in
   let own = (sp.Bgp.Speaker.sp_config ()).Bgp.Config.asn in
@@ -591,7 +639,7 @@ let loc_only_change_flagged () =
   let prefix, route =
     List.find
       (fun (_, r) -> not (Bgp.Rib.is_local r))
-      (Bgp.Prefix.Map.bindings rib.Bgp.Rib.loc)
+      (Bgp.Prefix_trie.bindings rib.Bgp.Rib.loc)
   in
   let looped =
     { route with
@@ -600,22 +648,24 @@ let loc_only_change_flagged () =
           Bgp.Attr.as_path = Bgp.As_path.prepend own route.Bgp.Rib.attrs.Bgp.Attr.as_path } }
   in
   let martian = Bgp.Prefix.of_string_exn "127.0.0.0/8" in
+  let captured = Dice.Checks.captured gt (captured_at snap node rib) in
   List.iter
     (fun (what, property, rib') ->
       Alcotest.(check bool) (what ^ ": candidates shared") true
         (rib'.Bgp.Rib.cands == rib.Bgp.Rib.cands);
       let sh = with_rib p node rib' in
-      let v = verdict_at gt sh property node in
+      let v = verdict_at captured sh property node in
       Alcotest.(check bool) (what ^ ": flagged") false v.Dice.Checks.v_ok;
       check suite_t (what ^ ": verdicts equal full checking")
         (suite_view (full_sweep (scoped gt Dice.Checks.Per_input) sh))
-        (suite_view (Dice.Checks.run_memo gt Dice.Checks.Per_input sh)))
+        (suite_view (capture_view captured sh)))
     [ ("own AS", "no-own-as-in-path", Bgp.Rib.loc_set prefix looped rib);
       ("martian", "no-martians", Bgp.Rib.loc_set martian route rib) ]
 
 (* One new candidate that the spec prefers, at a node whose inverted MED
    comparison keeps the old selection: only the prefix's candidate set
-   changed, and the decision-process spec must fail there.  MED is
+   changed since the capture (taken after the first announcement), and
+   the decision-process spec must fail there.  MED is
    compared across neighbour ASes ([always_compare_med]), so the
    routes from the tier-1 node's two customer sessions tie up to the
    MED. *)
@@ -633,8 +683,8 @@ let candidates_only_change_flagged () =
     [ ("nlri_a", 8); ("nlri_b", 8); ("nlri_c", 9); ("nlri_len", 24); ("path_len", 2);
       ("med", med) ]
   in
-  let sh = subject ~session:0 (snapshot build ~node) ~node (announce 100) in
-  ignore (Dice.Checks.record gt sh);
+  let snap = cut_from build ~node in
+  let sh = subject ~session:0 (fun () -> Snapshot.Store.spawn snap) ~node (announce 100) in
   let sp = Snapshot.Store.speaker sh node in
   let before = sp.Bgp.Speaker.sp_rib () in
   let second = subject ~session:1 (fun () -> sh) ~node (announce 50) in
@@ -643,7 +693,12 @@ let candidates_only_change_flagged () =
   Alcotest.(check bool) "selection kept" true
     (after.Bgp.Rib.loc == before.Bgp.Rib.loc && Bgp.Rib.loc_get prefix after <> None);
   check Alcotest.int "two candidates" 2 (List.length (Bgp.Rib.candidates prefix after));
-  let v = verdict_at gt second "decision-process-spec" node in
+  let captured = Dice.Checks.captured gt (captured_at snap node before) in
+  Alcotest.(check bool) "config kept" true
+    (sp.Bgp.Speaker.sp_config ()
+    == (List.assoc node snap.Snapshot.Cut.checkpoints).Snapshot.Checkpoint.image
+         .Bgp.Speaker.cap_config);
+  let v = verdict_at captured second "decision-process-spec" node in
   Alcotest.(check bool) "spec violated" false v.Dice.Checks.v_ok;
   check Alcotest.string "evidence"
     "8.8.9.0/24: selection disagrees with the decision-process spec" v.Dice.Checks.v_evidence
@@ -726,7 +781,7 @@ let gen_view_event =
 
 (* A view's bindings, independent of how its maps were built. *)
 let view_bindings (rib : Bgp.Rib.t) =
-  ( Bgp.Prefix.Map.bindings rib.Bgp.Rib.loc,
+  ( Bgp.Prefix_trie.bindings rib.Bgp.Rib.loc,
     List.rev
       (Bgp.Prefix_trie.fold
          (fun p pm acc -> (p, Bgp.Ipv4.Map.bindings pm) :: acc)
@@ -1072,6 +1127,36 @@ let early_stop_matches_budget_run =
       || QCheck.Test.fail_reportf "verdicts %s vs %s" (String.concat "; " got)
            (String.concat "; " want))
 
+(* What [settle] samples, taken from the touched speakers, against the
+   full fingerprint less its value at the spawn, every few events of a
+   run (gadgets, dispute wheels and clean graphs, with and without an
+   input). *)
+let fingerprint_since_capture_is_relative =
+  QCheck.Test.make ~count:30 ~name:"checks: the relative fingerprint follows the full one"
+    (QCheck.make ~print:print_run_case gen_run_case)
+    (fun c ->
+      let clone = run_case_clone { c with r_input = None } in
+      let sh = clone () in
+      let base = Snapshot.Store.loc_rib_fingerprint sh in
+      (match c.r_input with
+      | None -> ()
+      | Some input ->
+          let ids = List.map fst sh.Snapshot.Store.sh_speakers in
+          ignore (subject (fun () -> sh) ~node:(List.nth ids (c.r_node mod List.length ids)) input));
+      let eng = sh.Snapshot.Store.sh_engine in
+      let rec go steps =
+        let want = Snapshot.Store.loc_rib_fingerprint sh - base in
+        let got = Snapshot.Store.fingerprint_since_capture sh in
+        if got <> want then QCheck.Test.fail_reportf "after %d events: %d vs %d" steps got want
+        else if steps >= c.budget || not (Netsim.Engine.step eng) then true
+        else begin
+          let rec more n = n = 0 || (Netsim.Engine.step eng && more (n - 1)) in
+          ignore (more 36);
+          go (steps + 37)
+        end
+      in
+      go 0)
+
 (* The oscillating 12-node gadget stops long before a 30,000-event
    budget: the recurrence is found and the budget state reached within
    a few thousand events of virtual time. *)
@@ -1177,6 +1262,9 @@ let eager_spawn ?bugs_of (snap : Snapshot.Cut.snapshot) =
     sh_net = net;
     sh_speakers = speakers;
     sh_touch = (fun id -> List.assoc id speakers);
+    sh_touched =
+      (fun () ->
+        List.map (fun (id, sp) -> (List.assoc id snap.Snapshot.Cut.checkpoints, sp)) speakers);
     sh_from = snap.Snapshot.Cut.snap_id }
 
 type lazy_case = {
@@ -1294,6 +1382,233 @@ let lazy_shadow_equals_eager =
            (d_lazy = d_eager) (List.length d_lazy) (List.length d_eager) (b_lazy = b_eager)
            (v_lazy = v_eager) (e_lazy = e_eager))
 
+(* ------------------------------------------------------------------ *)
+(* Replays checked on their touched speakers against a full sweep      *)
+(* ------------------------------------------------------------------ *)
+
+let now = Netsim.Time.zero
+
+(* One replay as the explorer reported every verdict before replays were
+   checked on their touched speakers: a fresh shadow gets the bytes,
+   settles, and every per-input checker's [run] and [convergence] go
+   over [sh_speakers]; the exploring node's failures carry their
+   evidence, every other node's verdict becomes a digest. *)
+let swept_replay gt snap ~node ~peer_addr ~budget raw =
+  let sh = Snapshot.Store.spawn snap in
+  let target = Snapshot.Store.speaker sh node in
+  let crash =
+    match target.Bgp.Speaker.sp_process_raw ~from_node:(Bgp.Router.node_of_addr peer_addr) raw with
+    | () -> []
+    | exception Bgp.Router.Crash detail ->
+        [ Dice.Fault.make ~at:now ~node ~property:"handler-crash" Dice.Fault.Programming_error
+            detail ]
+  in
+  let conv = Dice.Checks.convergence ~budget sh in
+  let groups =
+    List.map
+      (fun (c : Dice.Checks.checker) -> (c.Dice.Checks.fault_class, c.Dice.Checks.run sh))
+      (scoped gt Dice.Checks.Per_input)
+    @ [ (Dice.Fault.Policy_conflict, conv) ]
+  in
+  let faults, digests =
+    List.fold_left
+      (fun acc (cls, verdicts) ->
+        List.fold_left
+          (fun (faults, digests) (v : Dice.Checks.verdict) ->
+            let fault evidence =
+              Dice.Fault.make ~at:now ~node:v.Dice.Checks.v_node
+                ~property:v.Dice.Checks.v_property cls evidence
+            in
+            if v.Dice.Checks.v_node = node then
+              ((if v.Dice.Checks.v_ok then faults else fault v.Dice.Checks.v_evidence :: faults),
+               digests)
+            else
+              ( (if v.Dice.Checks.v_ok then faults
+                 else fault "remote check digest reported a violation" :: faults),
+                Dice.Privacy.digest ~node:v.Dice.Checks.v_node ~property:v.Dice.Checks.v_property
+                  ~ok:v.Dice.Checks.v_ok ~evidence:v.Dice.Checks.v_evidence
+                :: digests ))
+          acc verdicts)
+      ([], []) groups
+  in
+  (crash @ List.rev faults, List.rev digests, sh)
+
+let fault_strings faults = List.map (Format.asprintf "%a" Dice.Fault.pp) faults
+
+(* The wire bytes of [input] over the node's [session]-th session, as
+   the explorer concretizes them from the node's checkpoint. *)
+let session_view snap ~node session =
+  let cp = List.assoc node snap.Snapshot.Cut.checkpoints in
+  let neighbors = cp.Snapshot.Checkpoint.image.Bgp.Speaker.cap_config.Bgp.Config.neighbors in
+  let peer = List.nth neighbors (session mod List.length neighbors) in
+  (peer, Dice.Sym_handler.view_of_capture cp.Snapshot.Checkpoint.image ~peer:peer.Bgp.Config.addr)
+
+let input_bytes snap ~node ?(session = 0) input =
+  let peer, view = session_view snap ~node session in
+  ( peer.Bgp.Config.addr,
+    Dice.Sym_handler.concretize view (("neighbor_as", peer.Bgp.Config.remote_as) :: input) )
+
+let replay_faults k snap ~node input =
+  let peer_addr, raw = input_bytes snap ~node input in
+  fst (Dice.Explorer.replay k ~peer_addr ~now ~crash_property:"handler-crash" raw)
+
+(* [Explorer.replay] of each input against [swept_replay]; [on_swept]
+   sees each swept shadow, for the cases to show what they covered. *)
+let replays_agree ?(on_swept = fun _ -> ()) gt k snap ~node ~budget inputs =
+  List.for_all
+    (fun (session, input) ->
+      let peer_addr, raw = input_bytes snap ~node ~session input in
+      let faults, digests =
+        Dice.Explorer.replay k ~peer_addr ~now ~crash_property:"handler-crash" raw
+      in
+      let want_faults, want_digests, sh = swept_replay gt snap ~node ~peer_addr ~budget raw in
+      on_swept sh;
+      (faults = want_faults && digests = want_digests)
+      || QCheck.Test.fail_reportf "replay of [%s]: faults@.%s@.vs swept@.%s@.digests equal: %b"
+           (String.concat "," (List.map (fun (f, v) -> Printf.sprintf "%s=%d" f v) input))
+           (String.concat "\n" (fault_strings faults))
+           (String.concat "\n" (fault_strings want_faults))
+           (digests = want_digests))
+    inputs
+
+(* A withdrawal of space nobody holds: it touches the node it reaches
+   and changes nothing. *)
+let no_op_input =
+  [ ("withdraw", 1); ("nlri_a", 8); ("nlri_b", 8); ("nlri_c", 8); ("nlri_len", 24) ]
+
+(* Random deployments, healthy and faulty, Router-only and mixed, cut
+   right after a fault lands, so the pristine clone delivers UPDATEs in
+   flight. *)
+let replays_match_full_sweep =
+  QCheck.Test.make ~count:100 ~name:"checks: every replay's faults and digests equal a full sweep"
+    (QCheck.make ~print:print_case gen_case)
+    (fun c ->
+      let graph, build, node = deploy_case c in
+      let ids = Topology.Graph.node_ids graph in
+      Dice.Inject.apply build (inject_of c.seed (List.nth ids (c.seed mod List.length ids)));
+      let gt = Dice.Checks.ground_truth_of_graph graph in
+      let snap = cut_from build ~node in
+      let params = { Dice.Explorer.default_params with Dice.Explorer.shadow_budget = 5_000 } in
+      ignore (Dice.Checks.record gt (pristine (fun () -> Snapshot.Store.spawn snap)));
+      let k = Dice.Explorer.check_cut ~params ~gt ~node snap in
+      replays_agree gt k snap ~node ~budget:5_000
+        ((0, no_op_input) :: List.mapi (fun i input -> (i, input)) c.inputs))
+
+(* The cases a replay's check must get right beyond the random ones:
+   - a node whose memo entry is not its capture (the clone recorded
+     before the cut's replays selected a martian there) and that the
+     replay leaves untouched: it is reported at its capture;
+   - a touched node whose verdict the replay changes (a looped path
+     accepted past a disabled loop check), and a crashing input;
+   - oscillating shadows (BAD GADGET under a dispute wheel). *)
+let replay_check_cases () =
+  let graph = random_graph ~seed:5 ~transit:2 ~stub:3 in
+  let build = deploy graph in
+  let node = 0 in
+  let community = Bgp.Community.make 65000 666 in
+  Dice.Inject.apply build (Dice.Inject.Loop_check_bug { at = node });
+  Dice.Inject.apply build (Dice.Inject.Crash_bug { at = node; community });
+  let gt = Dice.Checks.ground_truth_of_graph graph in
+  let snap = cut_from build ~node in
+  let p = pristine (fun () -> Snapshot.Store.spawn snap) in
+  let other = List.find (fun id -> id <> node) (Topology.Graph.node_ids graph) in
+  let rib = (Snapshot.Store.speaker p other).Bgp.Speaker.sp_rib () in
+  let route = snd (List.hd (Bgp.Prefix_trie.bindings rib.Bgp.Rib.loc)) in
+  let recorded = with_rib p other (Bgp.Rib.loc_set (Bgp.Prefix.of_string_exn "127.0.0.0/8") route rib) in
+  ignore (Dice.Checks.record gt recorded);
+  let entry = List.assoc other recorded.Snapshot.Store.sh_speakers in
+  Alcotest.(check bool) "the memo entry is the martian RIB" true
+    (Dice.Checks.reuses gt other entry);
+  Alcotest.(check bool) "the memo entry fails where the capture passes" false
+    (no_martians other entry).Dice.Checks.v_ok;
+  let k = Dice.Explorer.check_cut ~gt ~node snap in
+  let touched = ref [] in
+  let on_swept (sh : Snapshot.Store.shadow) =
+    touched :=
+      List.map (fun ((cp : Snapshot.Checkpoint.t), _) -> cp.Snapshot.Checkpoint.node)
+        (sh.Snapshot.Store.sh_touched ())
+  in
+  Alcotest.(check bool) "no-op replay equals the sweep" true
+    (replays_agree ~on_swept gt k snap ~node ~budget:30_000 [ (0, no_op_input) ]);
+  Alcotest.(check bool) "the recorded node is untouched" false (List.mem other !touched);
+  let self_faults input =
+    List.filter_map
+      (fun (f : Dice.Fault.t) ->
+        if f.Dice.Fault.f_node = node then Some f.Dice.Fault.f_property else None)
+      (replay_faults k snap ~node input)
+  in
+  let looped =
+    [ ("nlri_a", 8); ("nlri_b", 8); ("nlri_c", 9); ("nlri_len", 24); ("path_len", 3);
+      ("contains_self", 1); ("origin_as", Topology.Gao_rexford.asn_of_node node) ]
+  in
+  Alcotest.(check bool) "looped replay equals the sweep" true
+    (replays_agree gt k snap ~node ~budget:30_000 [ (0, looped) ]);
+  Alcotest.(check bool) "the looped path is flagged at the node" true
+    (List.mem "no-own-as-in-path" (self_faults looped));
+  let crashing =
+    let rec index i = function
+      | c :: _ when Bgp.Community.equal c community -> i
+      | _ :: rest -> index (i + 1) rest
+      | [] -> Alcotest.fail "the crash community is not in the input space"
+    in
+    [ ("nlri_a", 8); ("nlri_b", 8); ("nlri_c", 10); ("nlri_len", 24); ("path_len", 2);
+      ("origin_as", Topology.Gao_rexford.asn_of_node 4);
+      ("community", index 1 (snd (session_view snap ~node 0)).Dice.Sym_handler.sh_universe) ]
+  in
+  Alcotest.(check bool) "crashing replay equals the sweep" true
+    (replays_agree gt k snap ~node ~budget:30_000 [ (0, crashing) ]);
+  Alcotest.(check bool) "the crash is reported" true
+    (List.mem "handler-crash" (self_faults crashing));
+  (* A remote verdict that a quiesced replay changes: a path through a
+     node whose loop check is off reaches it, so the digests of that
+     replay are not the cut's. *)
+  let remote_changed =
+    List.filter
+      (fun remote ->
+        let build = deploy graph in
+        Dice.Inject.apply build (Dice.Inject.Loop_check_bug { at = remote });
+        Topology.Build.run_for build (sec 10.);
+        let snap = cut_from build ~node in
+        ignore (Dice.Checks.record gt (pristine (fun () -> Snapshot.Store.spawn snap)));
+        let k = Dice.Explorer.check_cut ~gt ~node snap in
+        let through =
+          [ ("nlri_a", 8); ("nlri_b", 8); ("nlri_c", 11); ("nlri_len", 24); ("path_len", 2);
+            ("origin_as", Topology.Gao_rexford.asn_of_node remote) ]
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "replay through node %d equals the sweep" remote)
+          true
+          (replays_agree gt k snap ~node ~budget:30_000 [ (0, through) ]);
+        List.exists
+          (fun (f : Dice.Fault.t) ->
+            f.Dice.Fault.f_node = remote && f.Dice.Fault.f_property = "no-own-as-in-path")
+          (replay_faults k snap ~node through))
+      (List.filter (fun id -> id <> node) (Topology.Graph.node_ids graph))
+  in
+  Alcotest.(check bool) "some replay changes a remote verdict" true (remote_changed <> []);
+  let gadget = Topology.Gadget.bad_gadget () in
+  let build = deploy gadget in
+  Dice.Inject.apply build
+    (Dice.Inject.Policy_dispute { cycle = Topology.Gadget.wheel; victim = Topology.Gadget.victim });
+  Topology.Build.run_for build (Netsim.Time.span_sec 5.);
+  let gt = Dice.Checks.ground_truth_of_graph gadget in
+  let params = { Dice.Explorer.default_params with Dice.Explorer.shadow_budget = 3_000 } in
+  let oscillating =
+    List.filter
+      (fun node ->
+        let snap = cut_from build ~node in
+        ignore (Dice.Checks.record gt (pristine (fun () -> Snapshot.Store.spawn snap)));
+        let k = Dice.Explorer.check_cut ~params ~gt ~node snap in
+        Alcotest.(check bool) (Printf.sprintf "gadget node %d equals the sweep" node) true
+          (replays_agree gt k snap ~node ~budget:3_000 [ (0, no_op_input) ]);
+        List.exists
+          (fun (f : Dice.Fault.t) ->
+            f.Dice.Fault.f_detail = "routing oscillation (state revisited)")
+          (replay_faults k snap ~node no_op_input))
+      Topology.Gadget.wheel
+  in
+  Alcotest.(check bool) "some gadget replay oscillates" true (oscillating <> [])
+
 let suite =
   [ qtest memo_matches_full_checking;
     qtest carried_memo_matches_full_checking;
@@ -1319,6 +1634,10 @@ let suite =
     ("checks: deferred digests on dispute-wheel shadows", `Quick, deferred_digest_dispute);
     qtest early_stop_matches_budget_run;
     ("checks: an oscillating gadget stops early", `Quick, dispute_stops_early);
+    qtest fingerprint_since_capture_is_relative;
     ("checks: shadow digests follow the flights", `Quick, shadow_digest_pins);
     ("checks: speaker digests follow the state", `Quick, speaker_digest_pins);
-    qtest lazy_shadow_equals_eager ]
+    qtest lazy_shadow_equals_eager;
+    qtest replays_match_full_sweep;
+    ("checks: replays on a recorded, a changed, a crashing and an oscillating cut", `Quick,
+      replay_check_cases) ]

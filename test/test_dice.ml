@@ -432,6 +432,8 @@ let privacy_digest_opacity () =
   Alcotest.(check bool) "violated recorded" false d.Dice.Privacy.d_ok;
   Alcotest.(check bool) "contract" true
     (Dice.Privacy.leaks_nothing d "192.0.2.0/24 originated by AS1009");
+  Alcotest.(check bool) "text a field holds is seen" false
+    (Dice.Privacy.leaks_nothing d "origin-authenticity");
   let agg = Dice.Privacy.aggregate [ d ] in
   check
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))

@@ -240,6 +240,120 @@ let trie_fold_diff_sharing () =
   check Alcotest.(list string) "removed" [ "10.0.0.0/8" ]
     (diff base (apply_edit base (Remove p)))
 
+(* --- path compression: canonical shape, lookups and the diff on nested prefixes --- *)
+
+(* Prefixes of a handful of addresses, at every length from /0 to /32:
+   they nest, and two of them part at any bit, so tries built of them
+   split and merge their compressed nodes at every depth. *)
+let nested_prefix_gen =
+  QCheck.Gen.(
+    let* base =
+      oneofl [ 0x0A00_0000; 0x0A01_0203; 0x0A80_0000; 0xC000_0280; 0xFFFF_FFFF ]
+    in
+    let* flip = oneofl [ 0; 0; 1; 1 lsl 7; 1 lsl 15; 1 lsl 24; 1 lsl 31 ] in
+    map (fun len -> Bgp.Prefix.make (Bgp.Ipv4.of_int32_exn (base lxor flip)) len) (int_bound 32))
+
+let print_prefixes l = String.concat " " (List.map Bgp.Prefix.to_string l)
+
+(* The same bindings reached two ways: inserted in order, or inserted
+   in reverse among other prefixes that are then removed (and with
+   every binding first made with a stale value).  The tries are
+   structurally equal. *)
+let trie_canonical =
+  QCheck.Test.make ~name:"trie: equal bindings give equal tries, whatever the order" ~count:500
+    (QCheck.make
+       ~print:(fun (keep, noise) ->
+         Printf.sprintf "keep [%s] noise [%s]" (print_prefixes keep) (print_prefixes noise))
+       QCheck.Gen.(
+         pair (list_size (int_bound 25) nested_prefix_gen)
+           (list_size (int_bound 25) nested_prefix_gen)))
+    (fun (keep, noise) ->
+      let keep = List.sort_uniq Bgp.Prefix.compare keep in
+      let value p = Bgp.Prefix.len p in
+      let straight = Bgp.Prefix_trie.of_list (List.map (fun p -> (p, value p)) keep) in
+      let roundabout =
+        let t = List.fold_left (fun t p -> Bgp.Prefix_trie.add p (-1) t) Bgp.Prefix_trie.empty noise in
+        let t = List.fold_left (fun t p -> Bgp.Prefix_trie.add p (-2) t) t (List.rev keep) in
+        let t =
+          List.fold_left
+            (fun t p -> if List.mem p keep then t else Bgp.Prefix_trie.remove p t)
+            t (List.rev noise)
+        in
+        List.fold_left (fun t p -> Bgp.Prefix_trie.add p (value p) t) t keep
+      in
+      (straight = roundabout
+      && Bgp.Prefix_trie.bindings straight = List.map (fun p -> (p, value p)) keep
+      && Bgp.Prefix_trie.cardinal straight = List.length keep)
+      || QCheck.Test.fail_reportf "bindings %s vs %s"
+           (print_prefixes (List.map fst (Bgp.Prefix_trie.bindings straight)))
+           (print_prefixes (List.map fst (Bgp.Prefix_trie.bindings roundabout))))
+
+let trie_lookups_naive =
+  QCheck.Test.make ~name:"trie: longest_match and covered equal a naive scan" ~count:500
+    (QCheck.make
+       ~print:(fun (l, q, a) ->
+         Printf.sprintf "bound [%s] covering %s address %s" (print_prefixes l)
+           (Bgp.Prefix.to_string q) (Bgp.Ipv4.to_string a))
+       QCheck.Gen.(
+         triple
+           (list_size (int_bound 30) nested_prefix_gen)
+           nested_prefix_gen
+           (map (fun p -> Bgp.Prefix.addr p) nested_prefix_gen)))
+    (fun (l, q, addr) ->
+      let bound = List.sort_uniq Bgp.Prefix.compare l in
+      let t = Bgp.Prefix_trie.of_list (List.map (fun p -> (p, Bgp.Prefix.to_string p)) bound) in
+      let longest =
+        List.fold_left
+          (fun best p ->
+            if Bgp.Prefix.mem addr p then
+              match best with
+              | Some b when Bgp.Prefix.len b >= Bgp.Prefix.len p -> best
+              | Some _ | None -> Some p
+            else best)
+          None bound
+      in
+      Option.map fst (Bgp.Prefix_trie.longest_match addr t) = longest
+      && Bgp.Prefix_trie.covered q t
+         = List.filter_map
+             (fun p -> if Bgp.Prefix.subsumes q p then Some (p, Bgp.Prefix.to_string p) else None)
+             bound
+      && List.for_all (fun p -> Bgp.Prefix_trie.mem p t) bound
+      && Bgp.Prefix_trie.mem q t = List.mem q bound)
+
+(* The diff between versions whose edits split compressed paths (a
+   prefix between two bound ones, or parting from one below the root)
+   and merge them (a removal that leaves a branch with one side). *)
+let trie_fold_diff_nested =
+  QCheck.Test.make ~name:"trie: fold_diff after splits and merges equals a naive comparison"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (base, ea, eb) ->
+         let edits l = String.concat "; " (List.map print_edit l) in
+         Printf.sprintf "base [%s] a [%s] b [%s]" (edits base) (edits ea) (edits eb))
+       QCheck.Gen.(
+         let edit =
+           let* p = nested_prefix_gen in
+           frequency
+             [ (3, map (fun v -> Fresh (p, v)) (int_bound 3)); (1, return (Same p));
+               (3, return (Remove p)) ]
+         in
+         triple
+           (list_size (int_bound 30) (map (fun p -> Fresh (p, 0)) nested_prefix_gen))
+           (list_size (int_bound 10) edit)
+           (list_size (int_bound 10) edit)))
+    (fun (base, ea, eb) ->
+      let base = List.fold_left apply_edit Bgp.Prefix_trie.empty base in
+      let a = List.fold_left apply_edit base ea and b = List.fold_left apply_edit base eb in
+      let got =
+        List.rev (Bgp.Prefix_trie.fold_diff (fun p x y acc -> (p, x, y) :: acc) a b [])
+      in
+      let want = naive_diff a b in
+      List.compare_lengths got want = 0
+      && List.for_all2
+           (fun (p, x, y) (q, x', y') ->
+             Bgp.Prefix.equal p q && same_binding x x' && same_binding y y')
+           got want)
+
 let suite =
   [ ("ipv4: parse/print", `Quick, ipv4_parse);
     ("ipv4: bit indexing", `Quick, ipv4_bits);
@@ -254,4 +368,7 @@ let suite =
     ("trie: persistence", `Quick, trie_persistent);
     qtest trie_fold_diff_model;
     ("trie: fold_diff skips shared values, reports fresh ones", `Quick,
-      trie_fold_diff_sharing) ]
+      trie_fold_diff_sharing);
+    qtest trie_canonical;
+    qtest trie_lookups_naive;
+    qtest trie_fold_diff_nested ]

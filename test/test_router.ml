@@ -44,11 +44,11 @@ let chain_converges () =
       check Alcotest.int
         (Printf.sprintf "router %d sees all prefixes" i)
         4
-        (Bgp.Prefix.Map.cardinal (Bgp.Router.loc_rib r)))
+        (Bgp.Prefix_trie.cardinal (Bgp.Router.loc_rib r)))
     routers;
   (* path lengths grow with distance *)
   let r0 = List.hd routers in
-  match Bgp.Prefix.Map.find_opt (p "192.0.3.0/24") (Bgp.Router.loc_rib r0) with
+  match Bgp.Prefix_trie.find (p "192.0.3.0/24") (Bgp.Router.loc_rib r0) with
   | Some route ->
       check Alcotest.int "3 hops away" 3
         (Bgp.As_path.length route.Bgp.Rib.attrs.Bgp.Attr.as_path)
@@ -63,7 +63,7 @@ let withdrawal_propagates () =
   Netsim.Engine.run ~until:(Netsim.Time.add (Netsim.Engine.now eng) (Netsim.Time.span_sec 10.)) eng;
   let r0 = List.hd routers in
   check (Alcotest.option Alcotest.reject) "r0 lost the prefix" None
-    (Option.map ignore (Bgp.Prefix.Map.find_opt (p "192.0.2.0/24") (Bgp.Router.loc_rib r0)))
+    (Option.map ignore (Bgp.Prefix_trie.find (p "192.0.2.0/24") (Bgp.Router.loc_rib r0)))
 
 (* A config without a neighbor drops that peer's routes at once, and
    re-imports every other peer's. *)
@@ -82,9 +82,9 @@ let removed_neighbor_dropped () =
   check Alcotest.int "no route from the removed peer" 0
     (List.length (Bgp.Rib.prefixes_from_peer gone rib));
   Alcotest.(check bool) "its prefix left the Loc-RIB" false
-    (Bgp.Prefix.Map.mem (p "192.0.2.0/24") (Bgp.Router.loc_rib r1));
+    (Bgp.Prefix_trie.mem (p "192.0.2.0/24") (Bgp.Router.loc_rib r1));
   Alcotest.(check bool) "the other peer's route stays" true
-    (Bgp.Prefix.Map.mem (p "192.0.0.0/24") (Bgp.Router.loc_rib r1));
+    (Bgp.Prefix_trie.mem (p "192.0.0.0/24") (Bgp.Router.loc_rib r1));
   check Alcotest.int "one route received in all" 1 (Bgp.Rib.total_adj_in rib)
 
 let session_down_flushes_routes () =
@@ -94,7 +94,7 @@ let session_down_flushes_routes () =
   Netsim.Engine.run ~until:(Netsim.Time.add (Netsim.Engine.now eng) (Netsim.Time.span_sec 5.)) eng;
   let r0 = List.hd routers in
   check (Alcotest.option Alcotest.reject) "r0 lost routes behind the dead session" None
-    (Option.map ignore (Bgp.Prefix.Map.find_opt (p "192.0.2.0/24") (Bgp.Router.loc_rib r0)))
+    (Option.map ignore (Bgp.Prefix_trie.find (p "192.0.2.0/24") (Bgp.Router.loc_rib r0)))
 
 let session_restarts_automatically () =
   let eng, _, routers = chain 2 in
@@ -104,7 +104,7 @@ let session_restarts_automatically () =
   Netsim.Engine.run ~until:(Netsim.Time.add (Netsim.Engine.now eng) (Netsim.Time.span_sec 60.)) eng;
   check (Alcotest.list Alcotest.int) "session back up" [ 0 ]
     (List.map Bgp.Router.node_of_addr (Bgp.Router.established_peers r1));
-  check Alcotest.int "routes relearned" 2 (Bgp.Prefix.Map.cardinal (Bgp.Router.loc_rib r0))
+  check Alcotest.int "routes relearned" 2 (Bgp.Prefix_trie.cardinal (Bgp.Router.loc_rib r0))
 
 let no_export_respected () =
   let eng, _, routers = chain 3 in
@@ -125,9 +125,9 @@ let no_export_respected () =
   Netsim.Engine.run ~until:(Netsim.Time.add (Netsim.Engine.now eng) (Netsim.Time.span_sec 10.)) eng;
   let r1 = List.nth routers 1 and r0 = List.hd routers in
   Alcotest.(check bool) "r1 still has it" true
-    (Bgp.Prefix.Map.mem (p "192.0.2.0/24") (Bgp.Router.loc_rib r1));
+    (Bgp.Prefix_trie.mem (p "192.0.2.0/24") (Bgp.Router.loc_rib r1));
   Alcotest.(check bool) "r0 does not (no-export stopped it)" false
-    (Bgp.Prefix.Map.mem (p "192.0.2.0/24") (Bgp.Router.loc_rib r0))
+    (Bgp.Prefix_trie.mem (p "192.0.2.0/24") (Bgp.Router.loc_rib r0))
 
 let loop_prevention () =
   (* A triangle: routes must never be accepted back by their origin. *)
@@ -151,11 +151,11 @@ let loop_prevention () =
   Netsim.Engine.run ~until:(Netsim.Time.of_sec 30.) eng;
   List.iteri
     (fun i r ->
-      Bgp.Prefix.Map.iter
-        (fun _ (route : Bgp.Rib.route) ->
+      List.iter
+        (fun (_, (route : Bgp.Rib.route)) ->
           if Bgp.As_path.contains (1000 + i) route.Bgp.Rib.attrs.Bgp.Attr.as_path then
             Alcotest.failf "router %d accepted a looped path" i)
-        (Bgp.Router.loc_rib r))
+        (Bgp.Prefix_trie.bindings (Bgp.Router.loc_rib r)))
     routers
 
 (* A corrupted UPDATE that still frames correctly.  The bad byte is the
@@ -182,7 +182,7 @@ let malformed_update_treated_as_withdraw () =
   let r1 = List.nth routers 1 in
   (* r1 learned 192.0.0.0/24 from node 0 during convergence. *)
   Alcotest.(check bool) "prefix learned" true
-    (Bgp.Prefix.Map.mem (p "192.0.0.0/24") (Bgp.Router.loc_rib r1));
+    (Bgp.Prefix_trie.mem (p "192.0.0.0/24") (Bgp.Router.loc_rib r1));
   Bgp.Router.process_raw r1 ~from_node:0 (corrupt_origin_update ());
   (* Attribute error on an Established session: withdraw the NLRI,
      count it, keep the session up (treat-as-withdraw). *)
@@ -194,7 +194,7 @@ let malformed_update_treated_as_withdraw () =
   check Alcotest.int "not counted as malformed" 0
     (Netsim.Stats.get (Bgp.Router.stats r1) "rx_malformed");
   Alcotest.(check bool) "affected prefix withdrawn" false
-    (Bgp.Prefix.Map.mem (p "192.0.0.0/24") (Bgp.Router.loc_rib r1));
+    (Bgp.Prefix_trie.mem (p "192.0.0.0/24") (Bgp.Router.loc_rib r1));
   ignore eng
 
 let corrupt_header_resets_session () =
@@ -218,17 +218,17 @@ let state_is_persistent () =
   let _, _, routers = chain 3 in
   let r0 = List.hd routers in
   let before = Bgp.Router.state r0 in
-  let loc_before = Bgp.Prefix.Map.cardinal before.Bgp.Router.rib.Bgp.Rib.loc in
+  let loc_before = Bgp.Prefix_trie.cardinal before.Bgp.Router.rib.Bgp.Rib.loc in
   (* Mutate the router; the captured state must not change. *)
   Bgp.Router.inject_update r0 ~from:(Bgp.Router.addr_of_node 1)
     { Bgp.Msg.withdrawn = [ p "192.0.1.0/24"; p "192.0.2.0/24" ]; attrs = None; nlri = [] };
   Alcotest.(check bool) "live state changed" true
-    (Bgp.Prefix.Map.cardinal (Bgp.Router.rib r0).Bgp.Rib.loc < loc_before);
+    (Bgp.Prefix_trie.cardinal (Bgp.Router.rib r0).Bgp.Rib.loc < loc_before);
   check Alcotest.int "captured state unchanged" loc_before
-    (Bgp.Prefix.Map.cardinal before.Bgp.Router.rib.Bgp.Rib.loc);
+    (Bgp.Prefix_trie.cardinal before.Bgp.Router.rib.Bgp.Rib.loc);
   Bgp.Router.restore r0 before;
   check Alcotest.int "restore brings it back" loc_before
-    (Bgp.Prefix.Map.cardinal (Bgp.Router.rib r0).Bgp.Rib.loc)
+    (Bgp.Prefix_trie.cardinal (Bgp.Router.rib r0).Bgp.Rib.loc)
 
 let hold_timer_tears_down_dead_peer () =
   let eng, net, routers = chain 3 in
@@ -241,7 +241,7 @@ let hold_timer_tears_down_dead_peer () =
   Alcotest.(check bool) "r1 dropped the dead session" false
     (List.mem (Bgp.Router.addr_of_node 2) (Bgp.Router.established_peers r1));
   Alcotest.(check bool) "r0 lost routes behind the dead peer" false
-    (Bgp.Prefix.Map.mem (p "192.0.2.0/24") (Bgp.Router.loc_rib r0));
+    (Bgp.Prefix_trie.mem (p "192.0.2.0/24") (Bgp.Router.loc_rib r0));
   Alcotest.(check bool) "hold expiry recorded" true
     (Netsim.Stats.get (Bgp.Router.stats r1) "session_down" >= 1)
 
@@ -252,14 +252,14 @@ let dead_peer_recovers () =
   Netsim.Engine.run
     ~until:(Netsim.Time.add (Netsim.Engine.now eng) (Netsim.Time.span_sec 120.)) eng;
   Alcotest.(check bool) "prefix gone while down" false
-    (Bgp.Prefix.Map.mem (p "192.0.2.0/24") (Bgp.Router.loc_rib r0));
+    (Bgp.Prefix_trie.mem (p "192.0.2.0/24") (Bgp.Router.loc_rib r0));
   Netsim.Network.set_node_up net 2;
   Netsim.Engine.run
     ~until:(Netsim.Time.add (Netsim.Engine.now eng) (Netsim.Time.span_sec 300.)) eng;
   Alcotest.(check bool) "session re-established" true
     (List.mem (Bgp.Router.addr_of_node 2) (Bgp.Router.established_peers r1));
   Alcotest.(check bool) "routes relearned" true
-    (Bgp.Prefix.Map.mem (p "192.0.2.0/24") (Bgp.Router.loc_rib r0))
+    (Bgp.Prefix_trie.mem (p "192.0.2.0/24") (Bgp.Router.loc_rib r0))
 
 let stuck_open_times_out () =
   (* A peer that is down from the very start: the session attempt parks

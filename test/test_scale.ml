@@ -195,7 +195,7 @@ let incremental_matches_full =
       List.iter (apply_op r) ops;
       let rib = Router.rib r in
       let expected = full_recompute rib in
-      let got = Prefix.Map.bindings (Router.loc_rib r) in
+      let got = Prefix_trie.bindings (Router.loc_rib r) in
       List.length expected = List.length got
       && List.for_all2
            (fun (p, (want : Rib.route)) (q, (have : Rib.route)) ->

@@ -102,8 +102,8 @@ let cut_captures_in_flight () =
   List.iter
     (fun (id, shadow_speaker) ->
       let live_speaker = Topology.Build.speaker build id in
-      let live_has = Bgp.Prefix.Map.mem withdrawn_prefix (Bgp.Speaker.loc_rib live_speaker) in
-      let shadow_has = Bgp.Prefix.Map.mem withdrawn_prefix (Bgp.Speaker.loc_rib shadow_speaker) in
+      let live_has = Bgp.Prefix_trie.mem withdrawn_prefix (Bgp.Speaker.loc_rib live_speaker) in
+      let shadow_has = Bgp.Prefix_trie.mem withdrawn_prefix (Bgp.Speaker.loc_rib shadow_speaker) in
       check Alcotest.bool
         (Printf.sprintf "node %d: shadow agrees with eventual live state (in_flight=%d)" id in_flight)
         live_has shadow_has)
@@ -134,7 +134,7 @@ let shadow_isolation () =
     (Netsim.Network.messages_sent build.Topology.Build.net);
   (* And the clone did change. *)
   Alcotest.(check bool) "clone accepted the route" true
-    (Bgp.Prefix.Map.mem (Bgp.Prefix.of_string_exn "203.0.113.0/24") (Bgp.Speaker.loc_rib sp0))
+    (Bgp.Prefix_trie.mem (Bgp.Prefix.of_string_exn "203.0.113.0/24") (Bgp.Speaker.loc_rib sp0))
 
 let clones_are_independent () =
   let build = deploy_line 3 in
@@ -158,7 +158,7 @@ let clones_are_independent () =
   ignore (Snapshot.Store.run_to_quiescence s1);
   ignore (Snapshot.Store.run_to_quiescence s2);
   let has shadow prefix =
-    Bgp.Prefix.Map.mem (Bgp.Prefix.of_string_exn prefix)
+    Bgp.Prefix_trie.mem (Bgp.Prefix.of_string_exn prefix)
       (Bgp.Speaker.loc_rib (Snapshot.Store.speaker shadow 0))
   in
   Alcotest.(check bool) "s1 sees its input only" true

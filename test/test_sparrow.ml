@@ -48,7 +48,7 @@ let mixed_withdrawal_propagates () =
   assert (Topology.Build.converge build);
   let sp0 = Topology.Build.speaker build 0 in
   Alcotest.(check bool) "withdrawal crossed a sparrow hop" false
-    (Bgp.Prefix.Map.mem (Topology.Gao_rexford.prefix_of_node 4) (Bgp.Speaker.loc_rib sp0))
+    (Bgp.Prefix_trie.mem (Topology.Gao_rexford.prefix_of_node 4) (Bgp.Speaker.loc_rib sp0))
 
 (* The network dropped at a Sparrow node: Sparrow must reselect the
    networks its old config had, not only the new config's. *)
@@ -65,7 +65,7 @@ let mixed_withdrawal_from_sparrow () =
       Alcotest.(check bool)
         (Printf.sprintf "node %d withdrew %s" id (Bgp.Prefix.to_string dropped))
         false
-        (Bgp.Prefix.Map.mem dropped (Bgp.Speaker.loc_rib (Topology.Build.speaker build id))))
+        (Bgp.Prefix_trie.mem dropped (Bgp.Speaker.loc_rib (Topology.Build.speaker build id))))
     [ 0; 1; 2 ]
 
 (* Node 1 of a 0 - 1 - 2 line drops neighbor 2 from its config and
@@ -94,7 +94,7 @@ let remove_neighbor_on_line ~sparrow_nodes =
     established (),
     List.map
       (fun id ->
-        Bgp.Prefix.Map.mem far (Bgp.Speaker.loc_rib (Topology.Build.speaker build id)))
+        Bgp.Prefix_trie.mem far (Bgp.Speaker.loc_rib (Topology.Build.speaker build id)))
       [ 0; 1 ] )
 
 let neighbor_removal_matches_router () =
@@ -175,8 +175,8 @@ let sparrow_capture_respawn () =
   Netsim.Network.connect_sym net 1 2 Netsim.Link.ideal;
   let clone = capture.Bgp.Speaker.cap_respawn ~net ~bugs:Bgp.Router.no_bugs in
   Alcotest.(check bool) "same Loc-RIB" true
-    (Bgp.Prefix.Map.bindings (Bgp.Speaker.loc_rib clone)
-    = Bgp.Prefix.Map.bindings (Bgp.Speaker.loc_rib sp1))
+    (Bgp.Prefix_trie.bindings (Bgp.Speaker.loc_rib clone)
+    = Bgp.Prefix_trie.bindings (Bgp.Speaker.loc_rib sp1))
 
 (* What a capture answers without a respawn is what a respawn answers
    before it handles anything, for either implementation. *)
@@ -358,7 +358,7 @@ let sparrow_hold_reaps_dead_neighbor () =
   Alcotest.(check bool) "watchdog fired" true
     (Netsim.Stats.get (sp1.Bgp.Speaker.sp_stats ()) "hold_expired" >= 1);
   Alcotest.(check bool) "withdrawal propagated upstream" false
-    (Bgp.Prefix.Map.mem (Topology.Gao_rexford.prefix_of_node 2)
+    (Bgp.Prefix_trie.mem (Topology.Gao_rexford.prefix_of_node 2)
        (Bgp.Speaker.loc_rib sp0))
 
 let sparrow_reestablishes_after_recovery () =
@@ -377,7 +377,7 @@ let sparrow_reestablishes_after_recovery () =
     (List.mem 2
        (List.map Bgp.Router.node_of_addr (sp1.Bgp.Speaker.sp_established ())));
   Alcotest.(check bool) "routes relearned end to end" true
-    (Bgp.Prefix.Map.mem (Topology.Gao_rexford.prefix_of_node 2)
+    (Bgp.Prefix_trie.mem (Topology.Gao_rexford.prefix_of_node 2)
        (Bgp.Speaker.loc_rib sp0))
 
 let bird_reaps_dead_sparrow () =
@@ -392,7 +392,7 @@ let bird_reaps_dead_sparrow () =
     (List.mem 1
        (List.map Bgp.Router.node_of_addr (sp0.Bgp.Speaker.sp_established ())));
   Alcotest.(check bool) "routes behind it flushed" false
-    (Bgp.Prefix.Map.mem (Topology.Gao_rexford.prefix_of_node 2)
+    (Bgp.Prefix_trie.mem (Topology.Gao_rexford.prefix_of_node 2)
        (Bgp.Speaker.loc_rib sp0));
   Netsim.Network.set_node_up build.Topology.Build.net 1;
   Topology.Build.run_for build (Netsim.Time.span_sec 300.);

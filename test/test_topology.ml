@@ -167,8 +167,8 @@ let valley_free_selected_paths () =
   Alcotest.(check bool) "converges" true (Topology.Build.converge build);
   List.iter
     (fun (id, sp) ->
-      Bgp.Prefix.Map.iter
-        (fun _ (route : Bgp.Rib.route) ->
+      List.iter
+        (fun (_, (route : Bgp.Rib.route)) ->
           let nodes =
             id
             :: List.map Topology.Gao_rexford.node_of_asn
@@ -177,7 +177,7 @@ let valley_free_selected_paths () =
           if not (Topology.Gao_rexford.valley_free g nodes) then
             Alcotest.failf "node %d selected a valley path [%s]" id
               (String.concat ";" (List.map string_of_int nodes)))
-        (Bgp.Speaker.loc_rib sp))
+        (Bgp.Prefix_trie.bindings (Bgp.Speaker.loc_rib sp)))
     build.Topology.Build.speakers
 
 let topo_file_roundtrip () =
