@@ -190,6 +190,31 @@ let bench_solver_memo =
   Test.make ~name:"solver/memo-hit"
     (Staged.stage (fun () -> Concolic.Solver.solve solver_constraints))
 
+(* The longest path condition the demo27 handler records on node 3's
+   first session over its seed inputs: what the engine hashes once per
+   handler run to count distinct paths. *)
+let demo27_path =
+  let build = Topology.Build.deploy Topology.Demo27.graph in
+  Topology.Build.start_all build;
+  assert (Topology.Build.converge build);
+  let sp = Topology.Build.speaker build 3 in
+  let peer = List.hd (sp.Bgp.Speaker.sp_config ()).Bgp.Config.neighbors in
+  let view = Dice.Sym_handler.view_of_speaker sp ~peer:peer.Bgp.Config.addr in
+  let path_of input =
+    let ctx = Concolic.Ctx.create input in
+    (try ignore (Dice.Sym_handler.run view ctx) with Bgp.Router.Crash _ -> ());
+    Concolic.Ctx.path ctx
+  in
+  List.fold_left
+    (fun best input ->
+      let path = path_of input in
+      if List.length path > List.length best then path else best)
+    [] (Dice.Sym_handler.seeds view)
+
+let bench_path_signature =
+  Test.make ~name:"concolic/path-signature"
+    (Staged.stage (fun () -> Concolic.Engine.path_signature demo27_path))
+
 let bench_engine_events =
   Test.make ~name:"netsim/schedule-and-run-100"
     (Staged.stage (fun () ->
@@ -204,7 +229,7 @@ let tests =
     [ bench_wire_encode; bench_wire_decode; bench_trie_lpm; bench_trie_find;
       bench_changed_prefixes; bench_decision;
       bench_policy; bench_checkpoint; bench_spawn; bench_solver; bench_solver_memo;
-      bench_engine_events ]
+      bench_path_signature; bench_engine_events ]
 
 (* Toolkit's [minor_allocated] reads [Gc.quick_stat], whose
    [minor_words] field is only refreshed at collection boundaries on

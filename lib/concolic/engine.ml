@@ -1,10 +1,6 @@
 type 'a outcome = Value of 'a | Raised of exn
 
-type 'a run = {
-  run_input : Ctx.input;
-  run_path : (Expr.t * bool) list;
-  run_outcome : 'a outcome;
-}
+type 'a run = { run_input : Ctx.input; run_outcome : 'a outcome }
 
 type 'a result = {
   runs : 'a run list;
@@ -19,22 +15,13 @@ type limits = { max_inputs : int; max_branches : int; solver_nodes : int }
 
 let default_limits = { max_inputs = 200; max_branches = 64; solver_nodes = 20_000 }
 
-(* FNV-1a over the rendered path: [Hashtbl.hash] only samples a prefix
-   of large structures, which collapsed distinct paths sharing their
-   first branches. *)
+(* A structural fold over the whole path: [Hashtbl.hash] only samples a
+   prefix of large structures, which collapsed distinct paths sharing
+   their first branches. *)
 let path_signature path =
-  let h = ref 0x3f29ce484222325 in
-  let feed_char c =
-    h := (!h lxor Char.code c) * 0x100000001b3
-  in
-  let feed_string s = String.iter feed_char s in
-  List.iter
-    (fun (e, taken) ->
-      feed_char (if taken then 'T' else 'F');
-      feed_string (Expr.to_string e);
-      feed_char ';')
-    path;
-  !h land max_int
+  List.fold_left
+    (fun h (e, taken) -> Expr.hash ~seed:(Expr.mix h (if taken then 1 else 0)) e)
+    0x3f29ce484222325 path
 
 (* A worklist entry: the input to execute and the generation bound —
    the index of the first branch this child is allowed to negate, which
@@ -75,20 +62,23 @@ let explore ?(limits = default_limits) ~seeds program =
       incr executed;
       let path = Ctx.path ctx in
       Hashtbl.replace seen_paths (path_signature path) ();
-      runs := { run_input = p_input; run_path = path; run_outcome = outcome } :: !runs;
-      (* Generational expansion. *)
+      runs := { run_input = p_input; run_outcome = outcome } :: !runs;
+      (* Generational expansion.  Each branch's constraint as it was
+         taken is built once per run; flipping branch [i] asks for
+         [flipped :: held.(0) :: ... :: held.(i-1)], in path order. *)
       let arr = Array.of_list path in
       let upto = min (Array.length arr) limits.max_branches in
+      let held =
+        Array.init upto (fun j -> let e, taken = arr.(j) in if taken then e else Expr.negate e)
+      in
+      let rec prefix j acc = if j < 0 then acc else prefix (j - 1) (held.(j) :: acc) in
       for i = max 0 p_bound to upto - 1 do
-        let prefix = Array.to_list (Array.sub arr 0 i) in
         let cond, taken = arr.(i) in
         let flipped = if taken then Expr.negate cond else cond in
-        let constraints =
-          flipped
-          :: List.map (fun (e, tk) -> if tk then e else Expr.negate e) prefix
-        in
         incr solver_calls;
-        match Solver.solve ~max_nodes:limits.solver_nodes constraints with
+        match
+          Solver.solve ~max_nodes:limits.solver_nodes (flipped :: prefix (i - 1) [])
+        with
         | Solver.Sat model ->
             incr solver_sat;
             let overrides =

@@ -9,11 +9,10 @@
 
 type 'a outcome = Value of 'a | Raised of exn
 
-type 'a run = {
-  run_input : Ctx.input;
-  run_path : (Expr.t * bool) list;
-  run_outcome : 'a outcome;
-}
+type 'a run = { run_input : Ctx.input; run_outcome : 'a outcome }
+(** One execution of the program: its input and how it ended.  The
+    path condition is folded into [distinct_paths] and the run's
+    expansions as the run ends, and is not kept. *)
 
 type 'a result = {
   runs : 'a run list;  (** in execution order *)
@@ -38,4 +37,8 @@ val explore : ?limits:limits -> seeds:Ctx.input list -> (Ctx.t -> 'a) -> 'a resu
     [Out_of_memory], which are re-raised. *)
 
 val path_signature : (Expr.t * bool) list -> int
-(** Stable hash of a path (used for distinct-path counting). *)
+(** A structural hash of a path, each branch's direction and condition
+    in order ({!Expr.hash}, so keyed on variable ids and rendering
+    nothing): [distinct_paths] counts the distinct signatures of one
+    {!explore}.  Equal paths hash alike; within one process, so do
+    paths whose conditions are structurally equal. *)

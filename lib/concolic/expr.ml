@@ -4,8 +4,10 @@ let intern_table : (string * int * int, var) Hashtbl.t = Hashtbl.create 64
 let intern_lock = Mutex.create ()
 let next_id = ref 0
 
-(* The intern table is global; instrumented handlers may run on pool
-   worker domains, so interning must be serialized. *)
+(* The intern table is global, and a campaign job runs its handlers on
+   the watchdog's worker domain; a job abandoned at its deadline keeps
+   running there beside the next one, so interning must be
+   serialized. *)
 let var name ~lo ~hi =
   if lo > hi then invalid_arg "Expr.var: empty domain";
   let key = (name, lo, hi) in
@@ -82,6 +84,33 @@ let negate = function
   | Le (a, b) -> Lt (b, a)
   | Const n -> Const (b2i (n = 0))
   | e -> Not e
+
+(* One step of a multiplicative fold: xor in a word, multiply by an odd
+   constant, then fold the high bits back down so that every input bit
+   reaches the low ones. *)
+let mix h x =
+  let h = (h lxor x) * 0x2127599bf4325c37 in
+  h lxor (h lsr 29)
+
+(* Pre-order over tags, [v_id]s and constants: each tag fixes its
+   arity, so distinct trees feed distinct word sequences. *)
+let rec hash_from h = function
+  | Const n -> mix (mix h 1) n
+  | Var v -> mix (mix h 2) v.v_id
+  | Add (a, b) -> hash2 h 3 a b
+  | Sub (a, b) -> hash2 h 4 a b
+  | Mul (a, b) -> hash2 h 5 a b
+  | Band (a, b) -> hash2 h 6 a b
+  | Eq (a, b) -> hash2 h 7 a b
+  | Lt (a, b) -> hash2 h 8 a b
+  | Le (a, b) -> hash2 h 9 a b
+  | And (a, b) -> hash2 h 10 a b
+  | Or (a, b) -> hash2 h 11 a b
+  | Not a -> hash_from (mix h 12) a
+
+and hash2 h tag a b = hash_from (hash_from (mix h tag) a) b
+
+let hash ?(seed = 0x3f29ce484222325) e = hash_from seed e land max_int
 
 let rec pp ppf = function
   | Const n -> Format.pp_print_int ppf n

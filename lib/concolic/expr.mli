@@ -45,4 +45,18 @@ val negate : t -> t
 (** Logical negation, pushing through comparisons where cheap
     ([negate (Lt a b)] is [Le b a]). *)
 
+val mix : int -> int -> int
+(** [mix h x] folds the word [x] into the running hash [h]. *)
+
+val hash : ?seed:int -> t -> int
+(** A non-negative structural hash: a fold of {!mix} over the
+    expression's constructor tags, variable ids and constants in
+    pre-order, starting from [seed].  Structurally equal expressions
+    hash alike; the whole tree is read (unlike [Hashtbl.hash], which
+    samples a bounded prefix).  Folds from different seeds are
+    independent, so two of them make a wider key.  Variable ids are
+    handed out in interning order, so a hash is only meaningful within
+    one process. *)
+
 val to_string : t -> string
+(** For display only. *)

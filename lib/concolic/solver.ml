@@ -37,8 +37,6 @@ let reset_stats () = List.iter Telemetry.Metrics.reset (all_counters ())
 let neg_big = -(1 lsl 40)
 let pos_big = 1 lsl 40
 
-let top = Interval.make neg_big pos_big
-
 module Vmap = Map.Make (Int)
 
 type domains = Interval.t Vmap.t
@@ -285,60 +283,29 @@ let interesting_values constraints (v : Expr.var) (d : Interval.t) =
 (* memo key.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Structural rendering keyed on [v_id]: interning makes ids unique per
-   (name, lo, hi), so ids capture variable identity including domains
-   (Expr.to_string prints names only and could alias). *)
-let fingerprint ~max_nodes constraints =
-  let b = Buffer.create 256 in
-  let rec render (e : Expr.t) =
-    match e with
-    | Expr.Const n ->
-        Buffer.add_char b 'c';
-        Buffer.add_string b (string_of_int n)
-    | Expr.Var v ->
-        Buffer.add_char b 'v';
-        Buffer.add_string b (string_of_int v.Expr.v_id)
-    | Expr.Add (x, y) -> bin '+' x y
-    | Expr.Sub (x, y) -> bin '-' x y
-    | Expr.Mul (x, y) -> bin '*' x y
-    | Expr.Band (x, y) -> bin '&' x y
-    | Expr.Eq (x, y) -> bin '=' x y
-    | Expr.Lt (x, y) -> bin '<' x y
-    | Expr.Le (x, y) -> bin 'L' x y
-    | Expr.And (x, y) -> bin 'A' x y
-    | Expr.Or (x, y) -> bin 'O' x y
-    | Expr.Not x ->
-        Buffer.add_char b '!';
-        render x
-  and bin op x y =
-    Buffer.add_char b '(';
-    Buffer.add_char b op;
-    render x;
-    Buffer.add_char b ',';
-    render y;
-    Buffer.add_char b ')'
-  in
-  (* Conjunction order is irrelevant to the outcome: canonicalize by
-     sorting the rendered constraints so permuted sets share a key. *)
-  let rendered =
-    List.sort String.compare
-      (List.map
-         (fun c ->
-           Buffer.clear b;
-           render c;
-           Buffer.contents b)
-         constraints)
-  in
-  Buffer.clear b;
-  Buffer.add_string b (string_of_int max_nodes);
-  List.iter
-    (fun s ->
-      Buffer.add_char b ';';
-      Buffer.add_string b s)
-    rendered;
-  Digest.string (Buffer.contents b)
+(* Two independently seeded structural hashes ({!Expr.hash}) of each
+   conjunct, keyed on [v_id]: interning makes ids unique per (name, lo,
+   hi), so they capture variable identity including domains.  The
+   conjunction's order is irrelevant to the outcome, so the pairs are
+   sorted before they are folded, with the node budget, into a key of
+   about 124 bits: a collision would serve a wrong outcome.  The key
+   holds no expression. *)
+type key = { k_a : int; k_b : int }
 
-let cache : (string, outcome) Hashtbl.t = Hashtbl.create 1024
+let seed_a = 0x3f29ce484222325
+let seed_b = 0x1b873593cc9e2d51
+
+let fingerprint ~max_nodes constraints =
+  let by_hashes (a1, b1) (a2, b2) =
+    match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
+  in
+  List.fold_left
+    (fun k (a, b) -> { k_a = Expr.mix k.k_a a; k_b = Expr.mix k.k_b b })
+    { k_a = Expr.mix seed_a max_nodes; k_b = Expr.mix seed_b max_nodes }
+    (List.sort by_hashes
+       (List.map (fun c -> (Expr.hash ~seed:seed_a c, Expr.hash ~seed:seed_b c)) constraints))
+
+let cache : (key, outcome) Hashtbl.t = Hashtbl.create 1024
 let cache_lock = Mutex.create ()
 let cache_enabled = Atomic.make true
 let cache_capacity = 1 lsl 16
@@ -459,8 +426,6 @@ let solve ?(max_nodes = 20_000) constraints =
             let outcome = solve_uncached ~max_nodes constraints in
             cache_store key outcome;
             note ~cached:false outcome)
-
-let _ = ignore top
 
 (* The repair query: find values under which [detection] can no longer
    fire while the side conditions still hold.  Just a named spelling of

@@ -37,11 +37,13 @@ val solve : ?max_nodes:int -> Expr.t list -> outcome
 (** [max_nodes] bounds the search tree (default 20_000).
 
     Answers are memoized (when the cache is enabled, the default) on a
-    canonical fingerprint of the constraint set: structural rendering
-    of each conjunct keyed on interned variable ids, sorted so that
-    permutations of the same set share an entry, plus [max_nodes]
-    (which changes [Unknown] answers).  The solver is deterministic,
-    so serving a cached outcome is indistinguishable from re-solving. *)
+    canonical key of the constraint set: two independently seeded
+    {!Expr.hash}es of each conjunct (keyed on interned variable ids),
+    sorted so that permutations of the same set share an entry, folded
+    with [max_nodes] (which changes [Unknown] answers) into about 124
+    bits.  Nothing is rendered, and the cache holds no expression.
+    The solver is deterministic, so serving a cached outcome is
+    indistinguishable from re-solving. *)
 
 val solve_negated : detection:Expr.t -> Expr.t list -> outcome
 (** The repair engine's query: a model under which [detection] is

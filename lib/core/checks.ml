@@ -26,7 +26,11 @@ module Int_map = Map.Make (Int)
    the next job) the last one may win. *)
 type memo = entry Int_map.t Atomic.t
 
-type ground_truth = { owner_of : Bgp.Prefix.t -> int option; memo : memo }
+type ground_truth = {
+  owner_of : Bgp.Prefix.t -> int option;
+  memo : memo;
+  derivations : Sym_handler.memo;
+}
 
 (* [prefix_of_node] maps node ids one-to-one onto /24s, so at most one
    registered prefix contains a route's address: the trie's longest
@@ -47,7 +51,7 @@ let ground_truth_of_graph graph =
     | Some (owned, asn) when Bgp.Prefix.subsumes owned p -> Some asn
     | Some _ | None -> None
   in
-  { owner_of; memo = Atomic.make Int_map.empty }
+  { owner_of; memo = Atomic.make Int_map.empty; derivations = Sym_handler.memo () }
 
 let ok node property = { v_node = node; v_property = property; v_ok = true; v_evidence = "" }
 

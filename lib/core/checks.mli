@@ -12,11 +12,15 @@ type ground_truth = {
   owner_of : Bgp.Prefix.t -> int option;
       (** ASN authorized to originate the (covering) prefix *)
   memo : memo;
+  derivations : Sym_handler.memo;
+      (** each explored session's last concolic derivation
+          ({!Sym_handler.derive}), carried across cuts like [memo] *)
 }
 
 val ground_truth_of_graph : Topology.Graph.t -> ground_truth
 (** Registry semantics: node [i]'s /24 (and anything it subsumes) may
-    only be originated by AS [asn_of_node i].  The memo starts empty. *)
+    only be originated by AS [asn_of_node i].  Both memos start
+    empty. *)
 
 type verdict = {
   v_node : int;
@@ -94,7 +98,16 @@ val standard_suite : ground_truth -> checker list
     truth, across cuts, and keeps one entry per node, sharing the RIB
     it was given.  The explorer records each cut's pristine clone,
     answers the baseline checks from the memo ({!run_baseline}), and
-    checks its replays through {!captured} below. *)
+    checks its replays through {!captured} below.
+
+    Beside it, [derivations] carries the inputs: per (node, peer
+    address) the last view of that session the explorer derived and
+    its concolic result.  A session whose captured config and Loc-RIB
+    are physically the ones derived last, under the same bug flags and
+    limits, reuses the result instead of running the handler and the
+    solver again ({!Sym_handler.derive}); the result is a pure
+    function of the view, so reuse never changes an input, its order
+    or a path count. *)
 
 val record : ground_truth -> Snapshot.Store.shadow -> int list
 (** Check every speaker of the shadow that the memo cannot reuse (the

@@ -142,6 +142,7 @@ let baseline_results ~gt ~node ~now pristine =
 
 type checked_cut = {
   k_params : params;
+  k_derivations : Sym_handler.memo;
   k_snapshot : Snapshot.Cut.snapshot;
   k_node : int;
   k_captured : Checks.captured;
@@ -166,6 +167,7 @@ let check_cut ?(params = default_params) ~gt ~node snapshot =
     else None
   in
   { k_params = params;
+    k_derivations = gt.Checks.derivations;
     k_snapshot = snapshot;
     k_node = node;
     k_captured = captured;
@@ -258,11 +260,9 @@ let explore_peer k ~build ~peer_addr =
     (fun sp ->
   let now = Netsim.Engine.now build.Topology.Build.engine in
   let view = view_at k.k_snapshot ~node ~peer:peer_addr in
-  (* Step 2: derive inputs by concolic execution. *)
-  let result =
-    Concolic.Engine.explore ~limits:params.limits ~seeds:(Sym_handler.seeds view)
-      (Sym_handler.run view)
-  in
+  (* Step 2: derive inputs by concolic execution, or reuse the last
+     derivation of this session when its view has not changed. *)
+  let result, derivation = Sym_handler.derive k.k_derivations ~limits:params.limits view in
   (* Crashes in the instrumented mirror are programming-error faults. *)
   let crash_faults =
     List.filter_map
@@ -323,7 +323,9 @@ let explore_peer k ~build ~peer_addr =
   Telemetry.add_attr sp
     [ ("inputs", Telemetry.Json.Int (List.length inputs));
       ("mangled", Telemetry.Json.Int (List.length mangled));
-      ("paths", Telemetry.Json.Int result.Concolic.Engine.distinct_paths) ];
+      ("paths", Telemetry.Json.Int result.Concolic.Engine.distinct_paths);
+      ( "derivation",
+        Telemetry.Json.String (match derivation with `Memo -> "memo" | `Fresh -> "fresh") ) ];
   { pr_faults = Fault.dedupe faults;
     pr_digests = digests;
     pr_result = result;

@@ -70,7 +70,12 @@ val explore_node :
   node:int ->
   unit ->
   exploration
-(** Steps 1–4 from [node] over its first [peers_per_node] sessions. *)
+(** Steps 1–4 from [node] over its first [peers_per_node] sessions.
+    Step 2 reuses a session's derivation from [gt]'s derivation memo
+    when the session's view is the one derived last
+    ({!Sym_handler.derive}), and records a fresh one otherwise; each
+    [peer] span says which in its [derivation] attribute (["memo"] or
+    ["fresh"]). *)
 
 (** {1 The replays of one cut} *)
 
@@ -82,8 +87,8 @@ type checked_cut
 
 val check_cut :
   ?params:params -> gt:Checks.ground_truth -> node:int -> Snapshot.Cut.snapshot -> checked_cut
-(** Reads [gt]'s memo and never writes it; {!explore_node} records the
-    pristine clone into it first. *)
+(** Reads [gt]'s verdict memo and never writes it; {!explore_node}
+    records the pristine clone into it first. *)
 
 val replay :
   checked_cut ->

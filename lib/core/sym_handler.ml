@@ -330,3 +330,35 @@ let fuzz_inputs view rng n =
       ("med", pick (Grammar.range 0 300)) ]
   in
   List.init n (fun _ -> derive ())
+
+type derivation = outcome Concolic.Engine.result
+
+module Session_map = Map.Make (struct
+  type t = int * int
+
+  let compare (n1, p1) (n2, p2) =
+    match Int.compare n1 n2 with 0 -> Int.compare p1 p2 | c -> c
+end)
+
+(* The last view derived for each (node, peer address), with its limits
+   and result.  The map is immutable and swapped whole, like the verdict
+   memo's: entries are pure, so when two writers race (a hung campaign
+   job's domain beside the next job) the last one may win. *)
+type memo = (view * Concolic.Engine.limits * derivation) Session_map.t Atomic.t
+
+let memo () = Atomic.make Session_map.empty
+
+(* The rest of a view is a function of the node, the peer, the config
+   and the bug flags, so these four and the Loc-RIB decide it. *)
+let same_view a b =
+  a.sh_config == b.sh_config && a.sh_loc_rib == b.sh_loc_rib && a.sh_bugs = b.sh_bugs
+
+let derive memo ~limits view =
+  let key = (view.sh_node, Bgp.Ipv4.to_int view.sh_peer.Bgp.Config.addr) in
+  match Session_map.find_opt key (Atomic.get memo) with
+  | Some (seen, seen_limits, result) when same_view seen view && seen_limits = limits ->
+      (result, `Memo)
+  | Some _ | None ->
+      let result = Concolic.Engine.explore ~limits ~seeds:(seeds view) (run view) in
+      Atomic.set memo (Session_map.add key (view, limits, result) (Atomic.get memo));
+      (result, `Fresh)

@@ -56,3 +56,33 @@ val seeds : view -> Concolic.Ctx.input list
 val fuzz_inputs : view -> Netsim.Rng.t -> int -> Concolic.Ctx.input list
 (** Grammar-based fuzzing over the same field space: many valid
     inputs cheaply (paper insight (iii)). *)
+
+(** {1 Derivation memo}
+
+    {!derive} runs the handler under {!Concolic.Engine.explore}, seeded
+    with {!seeds}.  That is a pure function of the view and the limits:
+    the handler reads nothing else, the solver is deterministic and its
+    cache cannot change an answer, and no clause coverage is recorded
+    on this path.  Between two cuts of a steady deployment a session's
+    view is the same, with its config and Loc-RIB physically equal to
+    the last ones, so the memo keeps, per (node, peer address), the
+    last view derived, its limits and its result, and serves that
+    result while the config and Loc-RIB are [==] and the bug flags and
+    limits [=] to the entry's.  Any other view is derived afresh and
+    replaces the entry.  A result keeps its runs' inputs and outcomes,
+    not their paths. *)
+
+type derivation = outcome Concolic.Engine.result
+
+type memo
+(** One entry per (node, peer address); the explorer's lives in the
+    ground truth ({!Checks.ground_truth}), as long as it does. *)
+
+val memo : unit -> memo
+(** An empty memo. *)
+
+val derive :
+  memo -> limits:Concolic.Engine.limits -> view -> derivation * [ `Memo | `Fresh ]
+(** [Concolic.Engine.explore ~limits ~seeds:(seeds view) (run view)],
+    served from the memo when it holds this view, else derived and
+    recorded; the tag says which. *)

@@ -43,6 +43,109 @@ let var_interning () =
   let c = Expr.var "te_same" ~lo:0 ~hi:9 in
   Alcotest.(check bool) "different domain, different var" true (a.Expr.v_id <> c.Expr.v_id)
 
+(* Random expressions over a few variables (one domain per name),
+   deep enough to pass any bounded-prefix sampling. *)
+let gen_expr =
+  let open QCheck.Gen in
+  let xs = [| Expr.var "th_x" ~lo:0 ~hi:60; Expr.var "th_y" ~lo:0 ~hi:255;
+              Expr.var "th_z" ~lo:(-5) ~hi:5 |] in
+  sized_size (int_bound 6)
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [ map (fun i -> Expr.Var xs.(i)) (int_bound 2);
+               map (fun c -> Expr.Const c) (int_range (-3) 70) ]
+         in
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           frequency
+             [ (1, leaf);
+               (1, map (fun a -> Expr.Not a) sub);
+               ( 6,
+                 map3
+                   (fun k a b ->
+                     match k with
+                     | 0 -> Expr.Add (a, b) | 1 -> Expr.Sub (a, b) | 2 -> Expr.Mul (a, b)
+                     | 3 -> Expr.Band (a, b) | 4 -> Expr.Eq (a, b) | 5 -> Expr.Lt (a, b)
+                     | 6 -> Expr.Le (a, b) | 7 -> Expr.And (a, b) | _ -> Expr.Or (a, b))
+                   (int_bound 8) sub sub ) ])
+
+(* A physically fresh copy: structurally equal, sharing no node. *)
+let rec copy (e : Expr.t) : Expr.t =
+  match e with
+  | Expr.Const n -> Expr.Const n
+  | Expr.Var v -> Expr.Var v
+  | Expr.Add (a, b) -> Expr.Add (copy a, copy b)
+  | Expr.Sub (a, b) -> Expr.Sub (copy a, copy b)
+  | Expr.Mul (a, b) -> Expr.Mul (copy a, copy b)
+  | Expr.Band (a, b) -> Expr.Band (copy a, copy b)
+  | Expr.Eq (a, b) -> Expr.Eq (copy a, copy b)
+  | Expr.Lt (a, b) -> Expr.Lt (copy a, copy b)
+  | Expr.Le (a, b) -> Expr.Le (copy a, copy b)
+  | Expr.And (a, b) -> Expr.And (copy a, copy b)
+  | Expr.Or (a, b) -> Expr.Or (copy a, copy b)
+  | Expr.Not a -> Expr.Not (copy a)
+
+let expr_hash_structural =
+  QCheck.Test.make ~name:"expr: structurally equal expressions hash alike" ~count:300
+    (QCheck.make ~print:(fun (a, b) -> Expr.to_string a ^ " / " ^ Expr.to_string b)
+       QCheck.Gen.(pair gen_expr gen_expr))
+    (fun (a, b) ->
+      let a' = copy a in
+      Expr.hash a = Expr.hash a'
+      && Expr.hash ~seed:17 a = Expr.hash ~seed:17 a'
+      && Expr.hash a >= 0
+      (* the converse, up to a 62-bit collision *)
+      && (a = b) = (Expr.hash a = Expr.hash b))
+
+(* [Hashtbl.hash] reads a bounded prefix of a value; the structural hash
+   reads the whole tree. *)
+let expr_hash_reads_deep () =
+  let x = Expr.var "th_x" ~lo:0 ~hi:60 in
+  let rec chain n leaf = if n = 0 then leaf else Expr.Add (Expr.Var x, chain (n - 1) leaf) in
+  let a = chain 200 (Expr.Const 1) and b = chain 200 (Expr.Const 2) in
+  Alcotest.(check bool) "bounded sampling cannot tell them apart" true
+    (Hashtbl.hash a = Hashtbl.hash b);
+  Alcotest.(check bool) "the structural hash can" true (Expr.hash a <> Expr.hash b)
+
+(* The signature [Engine.path_signature] used before it hashed
+   structurally: byte-wise FNV-1a over the rendered path. *)
+let rendered_signature path =
+  let h = ref 0x3f29ce484222325 in
+  let feed_char c = h := (!h lxor Char.code c) * 0x100000001b3 in
+  List.iter
+    (fun (e, taken) ->
+      feed_char (if taken then 'T' else 'F');
+      String.iter feed_char (Expr.to_string e);
+      feed_char ';')
+    path;
+  !h land max_int
+
+let distinct signature paths =
+  let seen = Hashtbl.create 64 in
+  List.iter (fun path -> Hashtbl.replace seen (signature path) ()) paths;
+  Hashtbl.length seen
+
+(* Sweeps of paths drawn from a small pool of conditions, so that many
+   repeat: each sweep counts as many distinct paths under the
+   structural signature as under the rendered one, and as there are
+   structurally distinct paths. *)
+let path_signature_counts =
+  let gen =
+    let open QCheck.Gen in
+    let* pool = list_size (int_range 1 6) gen_expr in
+    let pool = Array.of_list pool in
+    let branch = pair (map (fun i -> pool.(i)) (int_bound (Array.length pool - 1))) bool in
+    list_size (int_range 1 80) (list_size (int_bound 4) branch)
+  in
+  QCheck.Test.make ~name:"engine: path signature counts paths as the rendered one did"
+    ~count:200
+    (QCheck.make ~print:(fun paths -> string_of_int (List.length paths) ^ " paths") gen)
+    (fun paths ->
+      let n = distinct Engine.path_signature paths in
+      n = distinct rendered_signature paths && n = List.length (List.sort_uniq compare paths))
+
 (* --- Interval --- *)
 
 let interval_ops () =
@@ -169,6 +272,21 @@ let solver_sat_sound =
           done;
           not !found)
 
+(* An answer served from the cache, also to a permutation of the set it
+   was solved for, still satisfies the set. *)
+let solver_cached_sat_sound =
+  QCheck.Test.make ~name:"solver: a cached SAT model satisfies its constraint set"
+    ~count:200 arb_constraint_set
+    (fun cs ->
+      ignore (Solver.solve cs);
+      let hits = (Solver.stats ()).Solver.cache_hits in
+      let served = [ Solver.solve cs; Solver.solve (List.rev cs) ] in
+      (Solver.stats ()).Solver.cache_hits = hits + 2
+      && List.for_all2
+           (fun outcome cs ->
+             match outcome with Solver.Sat m -> Solver.check m cs | Solver.Unsat | Solver.Unknown -> true)
+           served [ cs; List.rev cs ])
+
 (* --- Cval / Ctx --- *)
 
 let cval_concrete_folding () =
@@ -257,6 +375,9 @@ let suite =
     ("expr: negate flips truth", `Quick, expr_negate);
     ("expr: vars dedup", `Quick, expr_vars_dedup);
     ("expr: interning", `Quick, var_interning);
+    qtest expr_hash_structural;
+    ("expr: hash reads the whole tree", `Quick, expr_hash_reads_deep);
+    qtest path_signature_counts;
     ("interval: arithmetic", `Quick, interval_ops);
     qtest interval_band_sound;
     ("solver: linear system", `Quick, solve_simple);
@@ -264,6 +385,7 @@ let suite =
     ("solver: boolean structure", `Quick, solve_boolean_structure);
     ("solver: bitmask constraints", `Quick, solve_band);
     qtest solver_sat_sound;
+    qtest solver_cached_sat_sound;
     ("cval: concrete folding", `Quick, cval_concrete_folding);
     ("ctx: symbolic branches recorded", `Quick, ctx_records_symbolic_branches_only);
     ("ctx: field clipping and stability", `Quick, ctx_field_clipping);

@@ -659,6 +659,115 @@ let exploration_metrics_consistent () =
   check Alcotest.int "snapshot covered all nodes" 6
     (List.length x.Dice.Explorer.x_snapshot.Snapshot.Cut.checkpoints)
 
+(* ------------------------------------------------------------------ *)
+(* The derivation memo                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* An exploration and the [derivation] attribute of each of its [peer]
+   spans. *)
+let explore_tagged ~build ~cut ~gt ~node =
+  let sink = Telemetry.Sink.memory () in
+  Telemetry.set_sink sink;
+  let params = { fast_params with Dice.Explorer.peers_per_node = 3 } in
+  let x =
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_sink Telemetry.Sink.noop)
+      (fun () -> Dice.Explorer.explore_node ~params ~build ~cut ~gt ~node ())
+  in
+  let tags =
+    List.filter_map
+      (function
+        | _, Telemetry.Sink.Span_end { attrs; _ } -> (
+            match List.assoc_opt "derivation" attrs with
+            | Some (Telemetry.Json.String tag) -> Some tag
+            | Some _ | None -> None)
+        | _ -> None)
+      (Telemetry.Sink.events sink)
+  in
+  (x, tags)
+
+(* Everything an exploration reports but its snapshot and wall time. *)
+let same_exploration what (a : Dice.Explorer.exploration) (b : Dice.Explorer.exploration) =
+  let pp_faults x = List.map (Format.asprintf "%a" Dice.Fault.pp) x.Dice.Explorer.x_faults in
+  check Alcotest.(list string) (what ^ ": faults") (pp_faults b) (pp_faults a);
+  Alcotest.(check bool) (what ^ ": fault inputs") true
+    (a.Dice.Explorer.x_faults = b.Dice.Explorer.x_faults);
+  Alcotest.(check bool) (what ^ ": digests") true
+    (a.Dice.Explorer.x_digests = b.Dice.Explorer.x_digests);
+  List.iter
+    (fun (field, f) -> check Alcotest.int (what ^ ": " ^ field) (f b) (f a))
+    [ ("inputs", fun x -> x.Dice.Explorer.x_inputs);
+      ("paths", fun x -> x.Dice.Explorer.x_distinct_paths);
+      ("crashes", fun x -> x.Dice.Explorer.x_crashes);
+      ("shadow runs", fun x -> x.Dice.Explorer.x_shadow_runs) ]
+
+(* Two identical gadget deployments explore wheel node 1 over its three
+   sessions after the same changes: [a] always under one ground truth,
+   whose derivation memo is warm, [b] under a fresh one each time.  An
+   unchanged view is served from the memo; after a bug flag, a Loc-RIB
+   or a config changes at the node, every session derives afresh.
+   Either way [a] finds what [b] finds. *)
+let derivation_memo_differential () =
+  let deploy () =
+    let graph = Topology.Gadget.bad_gadget () in
+    let build = Topology.Build.deploy graph in
+    Topology.Build.start_all build;
+    assert (Topology.Build.converge build);
+    (graph, build, make_cut build)
+  in
+  let graph, build_a, cut_a = deploy () in
+  let _, build_b, cut_b = deploy () in
+  let gt_a = Dice.Checks.ground_truth_of_graph graph in
+  let node = 1 in
+  let step what ~expect change =
+    List.iter
+      (fun build ->
+        change build;
+        Topology.Build.run_for build (Netsim.Time.span_sec 5.))
+      [ build_a; build_b ];
+    let a, tags = explore_tagged ~build:build_a ~cut:cut_a ~gt:gt_a ~node in
+    let b, _ =
+      explore_tagged ~build:build_b ~cut:cut_b
+        ~gt:(Dice.Checks.ground_truth_of_graph graph) ~node
+    in
+    check Alcotest.(list string) (what ^ ": derivations") [ expect; expect; expect ] tags;
+    same_exploration what a b;
+    a
+  in
+  ignore (step "first cut" ~expect:"fresh" ignore);
+  ignore (step "unchanged" ~expect:"memo" ignore);
+  let poison = Bgp.Community.make 64111 1 in
+  let crashed =
+    step "crash bug" ~expect:"fresh" (fun build ->
+        Dice.Inject.apply build (Dice.Inject.Crash_bug { at = node; community = poison }))
+  in
+  Alcotest.(check bool) "crash bug detected" true (has_property "handler-crash" crashed);
+  ignore (step "crash bug, unchanged" ~expect:"memo" ignore);
+  (* A new route reaches the node: its Loc-RIB changes, its config does
+     not. *)
+  let fresh_prefix = Topology.Gao_rexford.prefix_of_node 40 in
+  ignore
+    (step "route change" ~expect:"fresh" (fun build ->
+         let sp = Topology.Build.speaker build Topology.Gadget.victim in
+         let cfg = sp.Bgp.Speaker.sp_config () in
+         sp.Bgp.Speaker.sp_set_config
+           { cfg with Bgp.Config.networks = cfg.Bgp.Config.networks @ [ fresh_prefix ] }));
+  Alcotest.(check bool) "the route reached the node" true
+    (Option.is_some
+       (Bgp.Prefix_trie.find fresh_prefix
+          (Bgp.Speaker.loc_rib (Topology.Build.speaker build_a node))));
+  (* A dispute wheel over a prefix nobody announces changes the node's
+     config and leaves its Loc-RIB as it was; then one over the
+     victim's prefix changes both. *)
+  let loc_rib () = Bgp.Speaker.loc_rib (Topology.Build.speaker build_a node) in
+  let before = loc_rib () in
+  let dispute victim build =
+    Dice.Inject.apply build (Dice.Inject.Policy_dispute { cycle = Topology.Gadget.wheel; victim })
+  in
+  ignore (step "config change" ~expect:"fresh" (dispute 41));
+  Alcotest.(check bool) "the Loc-RIB stayed as it was" true (loc_rib () == before);
+  ignore (step "policy dispute" ~expect:"fresh" (dispute Topology.Gadget.victim))
+
 let suite =
   [ qtest sym_policy_matches_concrete;
     ("sym-policy: rule bits past /24 decide", `Quick, sym_policy_bits_past_24);
@@ -680,4 +789,6 @@ let suite =
     ("e2e: no false positives when healthy", `Slow, no_false_positives_on_healthy_system);
     ("orchestrator: until is a prefix of the full run", `Slow, stop_rule_is_a_prefix);
     ("orchestrator: empty node list rejected", `Quick, run_rejects_empty_node_list);
-    ("explorer: metrics consistency", `Quick, exploration_metrics_consistent) ]
+    ("explorer: metrics consistency", `Quick, exploration_metrics_consistent);
+    ("explorer: derivation memo agrees with a fresh ground truth", `Quick,
+     derivation_memo_differential) ]
