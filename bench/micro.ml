@@ -141,15 +141,27 @@ let bench_checkpoint =
   Test.make ~name:"snapshot/checkpoint-take"
     (Staged.stage (fun () -> Snapshot.Checkpoint.take ~at:Netsim.Time.zero checkpoint_router))
 
+(* The one cut controller of the 6-router deployment above. *)
+let checkpoint_cut =
+  Snapshot.Cut.create ~speakers:(Topology.Build.speaker checkpoint_build)
+    checkpoint_build.Topology.Build.net
+
+(* A whole Chandy-Lamport cut from node 0: every node checkpointed and
+   every channel's marker delivered by the live engine, which runs on
+   between cuts. *)
+let bench_cut =
+  Test.make ~name:"snapshot/cut"
+    (Staged.stage (fun () ->
+         Dice.Explorer.take_snapshot ~build:checkpoint_build ~cut:checkpoint_cut ~node:0 ()))
+
 (* A cut of the converged 6-router deployment above, with one UPDATE in
    flight on its first channel: a withdrawal of a prefix nobody holds,
    so quiescing the shadow delivers it to one speaker and stops. *)
 let spawn_snapshot =
-  let build = checkpoint_build in
-  let cut =
-    Snapshot.Cut.create ~speakers:(Topology.Build.speaker build) build.Topology.Build.net
+  let snap =
+    Dice.Explorer.take_snapshot ~build:checkpoint_build ~cut:checkpoint_cut ~node:0 ()
+    |> Snapshot.Cut.snapshot_of
   in
-  let snap = Dice.Explorer.take_snapshot ~build ~cut ~node:0 () |> Snapshot.Cut.snapshot_of in
   let raw =
     Bgp.Wire.encode
       (Bgp.Msg.Update
@@ -228,7 +240,7 @@ let tests =
   Test.make_grouped ~name:"dice"
     [ bench_wire_encode; bench_wire_decode; bench_trie_lpm; bench_trie_find;
       bench_changed_prefixes; bench_decision;
-      bench_policy; bench_checkpoint; bench_spawn; bench_solver; bench_solver_memo;
+      bench_policy; bench_checkpoint; bench_cut; bench_spawn; bench_solver; bench_solver_memo;
       bench_path_signature; bench_engine_events ]
 
 (* Toolkit's [minor_allocated] reads [Gc.quick_stat], whose

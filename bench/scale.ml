@@ -83,9 +83,11 @@ type rib_result = {
 
 let rib_micro ~prefixes =
   let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  Netsim.Network.add_node net 0 (fun ~src:_ _ -> ());
-  Netsim.Network.add_node net 1 (fun ~src:_ _ -> ());
+  let net =
+    Netsim.Network.create eng
+      (Netsim.Network.make_topology ~nodes:[ 0; 1 ] ~channels:[])
+      (fun _ ~src:_ _ -> ())
+  in
   let peer = Bgp.Router.addr_of_node 1 in
   let cfg =
     Bgp.Config.make ~asn:65001

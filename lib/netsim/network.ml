@@ -77,61 +77,69 @@ let net_metrics label =
     nm_link_downtime =
       Telemetry.Metrics.histogram ~buckets:downtime_buckets (name "link_downtime_us") }
 
-(* Who is connected to whom, with every node's sorted successors and
-   predecessors so a neighbor query costs its degree.  A live network
-   grows its own.  A frozen one is a copy that nothing writes again: it
-   is shared, read-only, by every network made over it, on any domain,
-   so its sorted lists are filled in when it is made. *)
+(* Who is connected to whom, fixed before any network is made over it
+   and never written again, so the live network and every shadow share
+   one.  Nodes are numbered by ascending id and channels by ascending
+   (source, destination), so a node's out-channels are consecutive. *)
 type topology = {
-  out_adj : (int, int list) Hashtbl.t;  (* every node, even a sink *)
-  in_adj : (int, int list) Hashtbl.t;
-  mutable node_list : int list option;  (* sorted; [None] until asked *)
-  mutable chan_list : (int * int) list option;  (* sorted; [None] until asked *)
+  ids : int array;
+  out_start : int array;
+  chan_src : int array;
+  chan_dst : int array;
 }
 
-let empty_topology () =
-  { out_adj = Hashtbl.create 64; in_adj = Hashtbl.create 64; node_list = None;
-    chan_list = None }
+(* The first [i] in [lo, hi) with [a.(i) >= x], or [hi]; [a] ascends
+   there. *)
+let rec lower_bound (a : int array) x lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if a.(mid) < x then lower_bound a x (mid + 1) hi else lower_bound a x lo mid
 
-let rec insert_sorted (x : int) = function
-  | y :: rest when y < x -> y :: insert_sorted x rest
-  | l -> x :: l
+let index ids id =
+  let i = lower_bound ids id 0 (Array.length ids) in
+  if i < Array.length ids && ids.(i) = id then i else -1
 
-let adjacent tbl id = Option.value (Hashtbl.find_opt tbl id) ~default:[]
+let node_number tp id = index tp.ids id
 
-let node_list tp =
-  match tp.node_list with
-  | Some l -> l
-  | None ->
-      let l = List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) tp.out_adj []) in
-      tp.node_list <- Some l;
-      l
+(* A node's out-channels ascend by destination number. *)
+let channel_number tp a b =
+  let i = node_number tp a and j = node_number tp b in
+  if i < 0 || j < 0 then -1
+  else
+    let hi = tp.out_start.(i + 1) in
+    let c = lower_bound tp.chan_dst j tp.out_start.(i) hi in
+    if c < hi && tp.chan_dst.(c) = j then c else -1
 
-let chan_list tp =
-  match tp.chan_list with
-  | Some l -> l
-  | None ->
-      let l =
-        List.concat_map
-          (fun a -> List.map (fun b -> (a, b)) (adjacent tp.out_adj a))
-          (node_list tp)
-      in
-      tp.chan_list <- Some l;
-      l
+let channel_ends tp c = (tp.ids.(tp.chan_src.(c)), tp.ids.(tp.chan_dst.(c)))
+
+let make_topology ~nodes ~channels =
+  let fail fmt = Printf.ksprintf (fun m -> invalid_arg ("Network.make_topology: " ^ m)) fmt in
+  let ids = Array.of_list (List.sort Int.compare nodes) in
+  Array.iteri (fun i id -> if i > 0 && ids.(i - 1) = id then fail "node %d twice" id) ids;
+  let number id = match index ids id with -1 -> fail "no node %d" id | i -> i in
+  let chans =
+    Array.of_list (List.sort compare (List.map (fun (a, b) -> (number a, number b)) channels))
+  in
+  Array.iteri
+    (fun c (a, b) ->
+      if c > 0 && chans.(c - 1) = (a, b) then fail "channel %d->%d twice" ids.(a) ids.(b))
+    chans;
+  let chan_src = Array.map fst chans and n = Array.length ids in
+  let out_start = Array.make (n + 1) 0 in
+  Array.iter (fun a -> out_start.(a + 1) <- out_start.(a + 1) + 1) chan_src;
+  for i = 1 to n do
+    out_start.(i) <- out_start.(i) + out_start.(i - 1)
+  done;
+  { ids; out_start; chan_src; chan_dst = Array.map snd chans }
 
 type 'msg t = {
   eng : Engine.t;
   metrics : net_metrics option;
   topo : topology;
-  frozen : bool;
-      (* [topo] is shared and fixed: node and channel records are made
-         on first use rather than by [add_node] and [connect] *)
-  first_handler : int -> src:int -> 'msg -> unit;
-      (* a frozen network's node handler until [set_handler] *)
-  mutable fixed : topology option;
-      (* a live network's [topology], until [add_node] or [connect] *)
-  node_tbl : (int, 'msg node) Hashtbl.t;
-  chan_tbl : (int * int, 'msg channel) Hashtbl.t;
+  first_handler : int -> src:int -> 'msg -> unit;  (* a node's until [set_handler] *)
+  nodes : 'msg node option array;  (* by node number, made on first use *)
+  chans : 'msg channel option array;  (* by channel number *)
   net_rng : Rng.t;
   mutable control_handler : (self:int -> src:int -> control -> unit) option;
   mutable tap : (dst:int -> src:int -> 'msg -> unit) option;
@@ -145,17 +153,29 @@ type 'msg t = {
   mutable next_seq : int;
 }
 
-let make ?label ~topo ~frozen ~first_handler eng =
+let new_channel link rng =
+  { link; chan_rng = rng; last_delivery = Time.zero; ch_up = true;
+    ch_policy = Drop_while_down; ch_held = []; ch_down_since = None;
+    ch_first = Landed; ch_last = Landed }
+
+let create ?label ?(links = fun () -> []) eng topo first_handler =
+  let net_rng = Rng.split (Engine.rng eng) in
+  let chans = Array.make (Array.length topo.chan_src) None in
+  List.iter
+    (fun (a, b, link) ->
+      match channel_number topo a b with
+      | c when c >= 0 && Option.is_none chans.(c) ->
+          chans.(c) <- Some (new_channel link (Rng.split net_rng))
+      | _ -> invalid_arg (Printf.sprintf "Network.create: link %d->%d" a b))
+    (links ());
   {
     eng;
     metrics = Option.map net_metrics label;
     topo;
-    frozen;
     first_handler;
-    fixed = None;
-    node_tbl = Hashtbl.create 64;
-    chan_tbl = Hashtbl.create 256;
-    net_rng = Rng.split (Engine.rng eng);
+    nodes = Array.make (Array.length topo.ids) None;
+    chans;
+    net_rng;
     control_handler = None;
     tap = None;
     transform = None;
@@ -168,70 +188,13 @@ let make ?label ~topo ~frozen ~first_handler eng =
     next_seq = 0;
   }
 
-let create ?label eng =
-  make ?label ~topo:(empty_topology ()) ~frozen:false
-    ~first_handler:(fun _ ~src:_ _ -> ()) eng
-
-(* The record tables start as large as a live network's.  A table
-   grown from a smaller start keeps longer chains, and every delivery
-   walks one with structural key comparisons: that cost more than the
-   allocation it saved. *)
-let over eng topo first_handler = make ~topo ~frozen:true ~first_handler eng
-
+let topology t = t.topo
 let engine t = t.eng
 
 let bump t f = match t.metrics with Some m -> f m | None -> ()
 
-let has_node t id = Hashtbl.mem t.topo.out_adj id
-let has_channel t a b = List.mem b (adjacent t.topo.out_adj a)
-
-let refuse_frozen t what =
-  if t.frozen then invalid_arg (Printf.sprintf "Network.%s: frozen topology" what)
-
-let add_node t id handler =
-  refuse_frozen t "add_node";
-  if has_node t id then
-    invalid_arg (Printf.sprintf "Network.add_node: node %d exists" id);
-  Hashtbl.add t.node_tbl id { handler; nd_up = true; nd_down_since = None };
-  Hashtbl.add t.topo.out_adj id [];
-  Hashtbl.add t.topo.in_adj id [];
-  t.topo.node_list <- None;
-  t.fixed <- None
-
-let new_channel link rng =
-  { link; chan_rng = rng; last_delivery = Time.zero; ch_up = true;
-    ch_policy = Drop_while_down; ch_held = []; ch_down_since = None;
-    ch_first = Landed; ch_last = Landed }
-
-let connect t a b link =
-  refuse_frozen t "connect";
-  if not (has_node t a) then invalid_arg (Printf.sprintf "Network.connect: no node %d" a);
-  if not (has_node t b) then invalid_arg (Printf.sprintf "Network.connect: no node %d" b);
-  if Hashtbl.mem t.chan_tbl (a, b) then
-    invalid_arg (Printf.sprintf "Network.connect: channel %d->%d exists" a b);
-  Hashtbl.add t.chan_tbl (a, b) (new_channel link (Rng.split t.net_rng));
-  Hashtbl.replace t.topo.out_adj a (insert_sorted b (adjacent t.topo.out_adj a));
-  Hashtbl.replace t.topo.in_adj b (insert_sorted a (adjacent t.topo.in_adj b));
-  t.topo.chan_list <- None;
-  t.fixed <- None
-
-let topology t =
-  match t.fixed with
-  | Some tp -> tp
-  | None when t.frozen -> t.topo
-  | None ->
-      (* The adjacency lists are immutable, so copying the tables that
-         hold them is enough. *)
-      let tp =
-        { out_adj = Hashtbl.copy t.topo.out_adj; in_adj = Hashtbl.copy t.topo.in_adj;
-          node_list = Some (node_list t.topo); chan_list = Some (chan_list t.topo) }
-      in
-      t.fixed <- Some tp;
-      tp
-
-let connect_sym t a b link =
-  connect t a b link;
-  connect t b a link
+let has_node t id = node_number t.topo id >= 0
+let has_channel t a b = channel_number t.topo a b >= 0
 
 (* Only a labeled network ([metrics] set) has events, and only while a
    sink listens: shadow clones and unobserved runs never build a detail
@@ -248,49 +211,39 @@ let downtime_us t since =
 (* Failure state                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A frozen network makes a record on its first use: a node's with its
-   first handler, a channel's with an ideal link, which draws nothing
-   from a generator and so can share the network's. *)
-let first_node t id =
-  if t.frozen && has_node t id then begin
-    let n = { handler = t.first_handler id; nd_up = true; nd_down_since = None } in
-    Hashtbl.add t.node_tbl id n;
-    Some n
-  end
-  else None
+(* Records are made on first use: a node's with its first handler, a
+   channel's with an ideal link, which draws nothing from a generator
+   and so can share the network's. *)
+let node_at t i =
+  match t.nodes.(i) with
+  | Some n -> n
+  | None ->
+      let n = { handler = t.first_handler t.topo.ids.(i); nd_up = true; nd_down_since = None } in
+      t.nodes.(i) <- Some n;
+      n
 
-let first_chan t a b =
-  if t.frozen && has_channel t a b then begin
-    let ch = new_channel Link.ideal t.net_rng in
-    Hashtbl.add t.chan_tbl (a, b) ch;
-    Some ch
-  end
-  else None
-
-(* The lookups stay small enough to inline into the delivery path. *)
-let node_opt t id =
-  match Hashtbl.find_opt t.node_tbl id with Some _ as n -> n | None -> first_node t id
-
-let chan_opt t a b =
-  match Hashtbl.find_opt t.chan_tbl (a, b) with Some _ as ch -> ch | None -> first_chan t a b
+let chan_at t c =
+  match t.chans.(c) with
+  | Some ch -> ch
+  | None ->
+      let ch = new_channel Link.ideal t.net_rng in
+      t.chans.(c) <- Some ch;
+      ch
 
 let node_of t id =
-  match node_opt t id with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Network: no node %d" id)
+  match node_number t.topo id with
+  | -1 -> invalid_arg (Printf.sprintf "Network: no node %d" id)
+  | i -> node_at t i
 
-let chan_of t a b =
-  match chan_opt t a b with
-  | Some ch -> ch
-  | None -> invalid_arg (Printf.sprintf "Network: no channel %d->%d" a b)
+let channel_of t a b =
+  match channel_number t.topo a b with
+  | -1 -> invalid_arg (Printf.sprintf "Network: no channel %d->%d" a b)
+  | c -> c
 
-let set_handler t id handler =
-  match node_opt t id with
-  | Some n -> n.handler <- handler
-  | None -> invalid_arg (Printf.sprintf "Network.set_handler: no node %d" id)
+let set_handler t id handler = (node_of t id).handler <- handler
 
 let node_is_up t id = (node_of t id).nd_up
-let link_is_up t a b = (chan_of t a b).ch_up
+let link_is_up t a b = (chan_at t (channel_of t a b)).ch_up
 
 let set_node_down t id =
   let n = node_of t id in
@@ -322,7 +275,9 @@ let drop t ~src env =
   | Data _ -> emit_lazy t ~node:src ~kind:"drop" (fun () -> "message lost to churn")
   | Control _ -> emit_lazy t ~node:src ~kind:"drop" (fun () -> "marker lost to churn")
 
-let deliver t ~src ~dst ch =
+let deliver t c ch =
+  let tp = t.topo in
+  let src = tp.ids.(tp.chan_src.(c)) and dst = tp.ids.(tp.chan_dst.(c)) in
   let env =
     match ch.ch_first with
     | Flight f ->
@@ -332,7 +287,7 @@ let deliver t ~src ~dst ch =
     | Landed -> invalid_arg "Network: delivery on an empty channel"
   in
   t.flying <- t.flying - 1;
-  let dst_node = node_of t dst in
+  let dst_node = node_at t tp.chan_dst.(c) in
   if not dst_node.nd_up then drop t ~src env
   else if not ch.ch_up then
     (* The link failed while the message was in flight. *)
@@ -341,9 +296,9 @@ let deliver t ~src ~dst ch =
     | Queue_while_down -> ch.ch_held <- ch.ch_held @ [ env ])
   else
     match env with
-    | Control c -> (
+    | Control ctl -> (
         match t.control_handler with
-        | Some f -> f ~self:dst ~src c
+        | Some f -> f ~self:dst ~src ctl
         | None -> ())
     | Data m -> (
         t.delivered <- t.delivered + 1;
@@ -375,7 +330,7 @@ let deliver t ~src ~dst ch =
                     ignore (Engine.schedule t.eng ~after:d (fun () -> set_node_up t dst))
                 | None -> ()))
 
-let schedule_delivery t ~src ~dst ch env =
+let schedule_delivery t c ch env =
   let now = Engine.now t.eng in
   let arrival = Time.add now (Link.delay ch.link ch.chan_rng) in
   (* Clamp to the previous delivery instant to preserve FIFO order. *)
@@ -390,15 +345,16 @@ let schedule_delivery t ~src ~dst ch env =
   | Landed -> ch.ch_first <- f);
   ch.ch_last <- f;
   t.next_seq <- t.next_seq + 1;
-  ignore (Engine.at t.eng arrival (fun () -> deliver t ~src ~dst ch))
+  ignore (Engine.at t.eng arrival (fun () -> deliver t c ch))
 
 let transmit t ~src ~dst env =
-  match chan_opt t src dst with
-  | None -> invalid_arg (Printf.sprintf "Network.send: no channel %d->%d" src dst)
-  | Some ch ->
+  match channel_number t.topo src dst with
+  | -1 -> invalid_arg (Printf.sprintf "Network.send: no channel %d->%d" src dst)
+  | c ->
+      let ch = chan_at t c in
       (* A down node is silent: its timers may still fire, but nothing it
          tries to send reaches the wire. *)
-      if not (node_of t src).nd_up then drop t ~src env
+      if not (node_at t t.topo.chan_src.(c)).nd_up then drop t ~src env
       else if not ch.ch_up then
         (match ch.ch_policy with
         | Drop_while_down -> drop t ~src env
@@ -406,11 +362,11 @@ let transmit t ~src ~dst env =
             (* Ride the normal delay path; [deliver] holds the envelope
                at arrival, so the held queue is in arrival order and FIFO
                survives messages already in flight when the link failed. *)
-            schedule_delivery t ~src ~dst ch env)
-      else schedule_delivery t ~src ~dst ch env
+            schedule_delivery t c ch env)
+      else schedule_delivery t c ch env
 
 let set_link_down ?(policy = Drop_while_down) t a b =
-  let ch = chan_of t a b in
+  let ch = chan_at t (channel_of t a b) in
   ch.ch_policy <- policy;
   if ch.ch_up then begin
     ch.ch_up <- false;
@@ -420,8 +376,8 @@ let set_link_down ?(policy = Drop_while_down) t a b =
         Printf.sprintf "link %d->%d down" a b)
   end
 
-let set_link_up t a b =
-  let ch = chan_of t a b in
+let link_up t c ch =
+  let a, b = channel_ends t.topo c in
   if not ch.ch_up then begin
     ch.ch_up <- true;
     (match ch.ch_down_since with
@@ -437,8 +393,12 @@ let set_link_up t a b =
        delay path; the FIFO floor keeps the order intact. *)
     let held = ch.ch_held in
     ch.ch_held <- [];
-    List.iter (fun env -> schedule_delivery t ~src:a ~dst:b ch env) held
+    List.iter (fun env -> schedule_delivery t c ch env) held
   end
+
+let set_link_up t a b =
+  let c = channel_of t a b in
+  link_up t c (chan_at t c)
 
 let partition t xs ys =
   List.iter
@@ -450,11 +410,8 @@ let partition t xs ys =
         ys)
     xs
 
-let heal t =
-  (* [set_link_up] only mutates channel records, never the table
-     structure, so iterating directly is safe; a channel with no record
-     yet is up. *)
-  Hashtbl.iter (fun (a, b) ch -> if not ch.ch_up then set_link_up t a b) t.chan_tbl
+(* In channel order; a channel with no record yet is up. *)
+let heal t = Array.iteri (fun c -> Option.iter (link_up t c)) t.chans
 
 let send t ~src ~dst msg =
   t.sent <- t.sent + 1;
@@ -475,9 +432,16 @@ let set_transform t f = t.transform <- f
 let set_crash_policy t p = t.crash_policy <- p
 let crashes t = List.rev t.crash_log
 
-let neighbors_out t id = adjacent t.topo.out_adj id
-let neighbors_in t id = adjacent t.topo.in_adj id
-let channels t = chan_list t.topo
+let channels t = List.init (Array.length t.topo.chan_src) (channel_ends t.topo)
+
+let neighbors_out t id =
+  match node_number t.topo id with
+  | -1 -> []
+  | i ->
+      let first = t.topo.out_start.(i) in
+      List.init (t.topo.out_start.(i + 1) - first) (fun k -> snd (channel_ends t.topo (first + k)))
+
+let neighbors_in t id = List.filter_map (fun (a, b) -> if b = id then Some a else None) (channels t)
 
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered
@@ -498,13 +462,11 @@ let digest t =
     || Option.is_some t.control_handler
   then None
   else
-    (* A channel or node with no record yet (frozen networks) is
-       described as a new one. *)
+    (* A channel or node with no record yet is described as a new one. *)
     let blank = new_channel Link.ideal t.net_rng in
     let chans =
-      List.map
-        (fun k -> (k, Option.value (Hashtbl.find_opt t.chan_tbl k) ~default:blank))
-        (channels t)
+      List.init (Array.length t.chans) (fun c ->
+          (channel_ends t.topo c, Option.value t.chans.(c) ~default:blank))
     in
     if List.exists (fun (_, ch) -> draws ch.link) chans then None
     else begin
@@ -528,10 +490,8 @@ let digest t =
           chans
       in
       let nodes =
-        List.map
-          (fun id ->
-            (id, match Hashtbl.find_opt t.node_tbl id with Some n -> n.nd_up | None -> true))
-          (node_list t.topo)
+        List.init (Array.length t.nodes) (fun i ->
+            (t.topo.ids.(i), match t.nodes.(i) with Some n -> n.nd_up | None -> true))
       in
       Some
         (Digest.string

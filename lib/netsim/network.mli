@@ -1,8 +1,9 @@
 (** Message-passing network over the event engine.
 
     Nodes are integers; channels are directed and FIFO, and — on a
-    healthy substrate — reliable.  The network is polymorphic in the
-    application message type.
+    healthy substrate — reliable.  A network is made over a
+    {!topology}, and its nodes and channels never change after.  The
+    network is polymorphic in the application message type.
 
     Two hooks exist for the snapshot subsystem:
     - control messages ([Marker]) travel on the same FIFO channels as
@@ -50,27 +51,50 @@ type crash = {
 
 type 'msg t
 
-type topology
-(** A node and channel set fixed once, with every node's sorted
-    successors and predecessors.  It is immutable, so any number of
-    networks, on any domains, can be made {!over} one. *)
+type topology = private {
+  ids : int array;  (** node ids, ascending; a node's number is its index *)
+  out_start : int array;
+      (** node [i]'s out-channels are numbered [out_start.(i)] to
+          [out_start.(i + 1) - 1]; one entry per node, plus one *)
+  chan_src : int array;  (** channel number -> source node number *)
+  chan_dst : int array;  (** channel number -> destination node number *)
+}
+(** A node and channel set, fixed before any network is made over it.
+    Channels are numbered densely in ascending (source, destination)
+    order.  It is immutable: the live network and every shadow of it
+    are made over one. *)
 
-val topology : 'msg t -> topology
-(** The network's nodes and channels as they are now.  Later
-    {!add_node} and {!connect} calls do not change the value returned;
-    until one happens, every call returns the same value. *)
+val make_topology : nodes:int list -> channels:(int * int) list -> topology
+(** @raise Invalid_argument on a node listed twice, a channel to or
+    from an unlisted node, or a channel listed twice. *)
 
-val over : Engine.t -> topology -> (int -> src:int -> 'msg -> unit) -> 'msg t
-(** A network whose nodes and channels are [topology]'s, every link
-    {!Link.ideal}, unlabeled.  It costs what it touches: a channel's
-    record is made on its first send, a node's on its first delivery or
-    {!set_handler}, and until [set_handler] replaces it node [id]'s
-    handler is [first id].  {!add_node} and {!connect} raise
-    [Invalid_argument].  It answers every query, {!digest} included,
-    as a network built by [add_node] and [connect] with ideal links
-    would. *)
+val node_number : topology -> int -> int
+(** The number of node [id], or [-1] when it is not a node. *)
 
-(** [create ?label eng] builds an empty network.
+val channel_number : topology -> int -> int -> int
+(** The number of channel [a -> b], or [-1] when there is none. *)
+
+val channel_ends : topology -> int -> int * int
+(** Channel [c]'s source and destination ids. *)
+
+val create :
+  ?label:string ->
+  ?links:(unit -> (int * int * Link.t) list) ->
+  Engine.t ->
+  topology ->
+  (int -> src:int -> 'msg -> unit) ->
+  'msg t
+(** [create eng topology first] is a network whose nodes and channels
+    are [topology]'s.  It splits its generator from [eng]'s, then calls
+    [links] (default: none) once, so [links] may split the next one:
+    each listed channel's record is made now, with that link model and
+    a generator split from the network's, in list order.  Every other
+    record is made on first use: a channel's with {!Link.ideal}, a
+    node's with handler [first id] until {!set_handler}.  Both kinds
+    answer every query, {!digest} included, alike.
+    @raise Invalid_argument if [links] names a channel that is not in
+    [topology], or one twice.
+
     [label] opts this network into the global telemetry registry:
     counters [net.<label>.sent/delivered/dropped/node_downs/link_downs]
     and downtime histograms [net.<label>.node_downtime_us] /
@@ -79,7 +103,9 @@ val over : Engine.t -> topology -> (int -> src:int -> 'msg -> unit) -> 'msg t
     the telemetry sink.  Leave it unset for throwaway networks (shadow
     replays) so they do not pollute the live run's accounting or
     timeline. *)
-val create : ?label:string -> Engine.t -> 'msg t
+
+val topology : 'msg t -> topology
+
 val engine : 'msg t -> Engine.t
 
 val emit_lazy : 'msg t -> node:int -> kind:string -> (unit -> string) -> unit
@@ -88,19 +114,8 @@ val emit_lazy : 'msg t -> node:int -> kind:string -> (unit -> string) -> unit
     while {!Telemetry.enabled}; otherwise the detail thunk never runs,
     so call sites pay nothing for events nobody reads. *)
 
-val add_node : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
-(** @raise Invalid_argument if the node already exists. *)
-
 val set_handler : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
 (** Replace an existing node's message handler. *)
-
-val connect : 'msg t -> int -> int -> Link.t -> unit
-(** [connect t a b link] creates the directed channel [a -> b].
-    @raise Invalid_argument if either endpoint is unknown or the channel
-    exists. *)
-
-val connect_sym : 'msg t -> int -> int -> Link.t -> unit
-(** Both directions with the same link model. *)
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** @raise Invalid_argument if the channel does not exist. *)
@@ -156,7 +171,7 @@ val partition : 'msg t -> int list -> int list -> unit
     are skipped. *)
 
 val heal : 'msg t -> unit
-(** Bring every down link (not node) back up. *)
+(** Bring every down link (not node) back up, in channel order. *)
 
 (** {1 Introspection} *)
 
@@ -166,10 +181,10 @@ val neighbors_out : 'msg t -> int -> int list
 (** Ascending; costs the node's degree. *)
 
 val neighbors_in : 'msg t -> int -> int list
-(** Ascending; costs the node's degree. *)
+(** Ascending; costs the channel count. *)
 
 val channels : 'msg t -> (int * int) list
-(** Ascending; sorted once per change of the channel set. *)
+(** Ascending, in channel-number order. *)
 
 val digest : string t -> Digest.t option
 (** A digest of everything that decides what the network does next,

@@ -19,29 +19,25 @@ let stalled_of = function Complete _ -> [] | Partial (_, st) -> st
 let in_flight_total snapshot =
   List.fold_left (fun acc c -> acc + List.length c.ch_messages) 0 snapshot.channels
 
-type chan_status = Recording of string list ref | Closed of string list
-
+(* Indexed by the network topology's node and channel numbers.  A
+   channel records what arrives from its destination's checkpoint
+   until its marker closes it. *)
 type active_snap = {
   a_id : int;
   a_initiator : int;
   a_started : Netsim.Time.t;
-  a_checkpoints : (int, Checkpoint.t) Hashtbl.t;
-  a_channels : (int * int, chan_status) Hashtbl.t;
+  a_checkpoints : Checkpoint.t option array;
+  a_closed : bool array;
+  a_recorded : string list array;  (* newest first *)
   mutable a_markers_sent : int;
-  (* The channel set pinned at initiation time: completion accounting is
-     judged against this, so channels appearing later cannot corrupt it
-     and channels that stall show up in the Partial result.  [a_missing]
-     holds the expected channels whose marker has not arrived: the cut
-     is done when it is empty. *)
-  a_expected : (int * int) list;
-  a_missing : (int * int, unit) Hashtbl.t;
-  a_topology : Netsim.Network.topology;  (* the network at initiation *)
+  mutable a_missing : int;  (* channels still open: the cut is done at 0 *)
   mutable a_timer : Netsim.Engine.timer option;
   a_on_result : result -> unit;
 }
 
 type t = {
   net : string Netsim.Network.t;
+  topo : Netsim.Network.topology;
   speakers : int -> Bgp.Speaker.t;
   active_tbl : (int, active_snap) Hashtbl.t;
   mutable n_completed : int;
@@ -51,34 +47,23 @@ type t = {
 
 let now t = Netsim.Engine.now (Netsim.Network.engine t.net)
 
+(* One record per channel, in channel order: gathered messages where we
+   have them, empty otherwise — so a shadow spawned from a partial cut
+   still knows the full channel structure. *)
 let build_snapshot t a =
-  let checkpoints =
-    Hashtbl.fold (fun node cp acc -> (node, cp) :: acc) a.a_checkpoints []
-    |> List.sort (fun (x, _) (y, _) -> Int.compare x y)
-  in
-  (* One record per expected channel, in [a_expected]'s ascending
-     order: gathered messages where we have them, empty otherwise — so
-     a shadow spawned from a partial cut still knows the full channel
-     structure. *)
-  let channels =
-    List.map
-      (fun (f, d) ->
-        let msgs =
-          match Hashtbl.find_opt a.a_channels (f, d) with
-          | Some (Recording r) -> List.rev !r
-          | Some (Closed m) -> m
-          | None -> []
-        in
-        { ch_from = f; ch_to = d; ch_messages = msgs })
-      a.a_expected
-  in
   { snap_id = a.a_id;
     initiator = a.a_initiator;
     started_at = a.a_started;
     completed_at = now t;
-    checkpoints;
-    channels;
-    topology = a.a_topology;
+    checkpoints =
+      Array.fold_right
+        (fun cp acc -> match cp with Some cp -> (cp.Checkpoint.node, cp) :: acc | None -> acc)
+        a.a_checkpoints [];
+    channels =
+      List.init (Array.length a.a_closed) (fun c ->
+          let ch_from, ch_to = Netsim.Network.channel_ends t.topo c in
+          { ch_from; ch_to; ch_messages = List.rev a.a_recorded.(c) });
+    topology = t.topo;
     control_messages = a.a_markers_sent }
 
 let m_complete = lazy (Telemetry.Metrics.counter "cut.complete")
@@ -103,60 +88,58 @@ let finish t a = settle t a (Complete (build_snapshot t a))
 
 let abort t a =
   if Hashtbl.mem t.active_tbl a.a_id then begin
-    let stalled = List.filter (Hashtbl.mem a.a_missing) a.a_expected in
+    let stalled =
+      List.filter (fun c -> not a.a_closed.(c)) (List.init (Array.length a.a_closed) Fun.id)
+      |> List.map (Netsim.Network.channel_ends t.topo)
+    in
     settle t a (Partial (build_snapshot t a, stalled))
   end
 
-(* First involvement of [node] in snapshot [a]: checkpoint it, start
-   recording every incoming channel, and flood markers downstream.
-   [closed_from] is the incoming channel whose marker triggered this
-   (recorded empty per the algorithm); [None] at the initiator. *)
-let engage t a node ~closed_from =
-  Hashtbl.replace a.a_checkpoints node (Checkpoint.take ~at:(now t) (t.speakers node));
-  List.iter
-    (fun src ->
-      let key = (src, node) in
-      match closed_from with
-      | Some c when c = src -> Hashtbl.replace a.a_channels key (Closed [])
-      | Some _ | None -> Hashtbl.replace a.a_channels key (Recording (ref [])))
-    (Netsim.Network.neighbors_in t.net node);
-  List.iter
-    (fun dst ->
-      a.a_markers_sent <- a.a_markers_sent + 1;
-      Netsim.Network.send_control t.net ~src:node ~dst
-        (Netsim.Network.Marker { snapshot = a.a_id; initiator = a.a_initiator }))
-    (Netsim.Network.neighbors_out t.net node)
+(* First involvement of [node] in snapshot [a]: checkpoint it, which
+   starts recording its open incoming channels, and flood markers
+   downstream. *)
+let engage t a node =
+  let tp = t.topo in
+  let cp = Checkpoint.take ~at:(now t) (t.speakers node) in
+  let i = Netsim.Network.node_number tp node in
+  if i < 0 then invalid_arg (Printf.sprintf "Cut: no node %d" node);
+  a.a_checkpoints.(i) <- Some cp;
+  for c = tp.out_start.(i) to tp.out_start.(i + 1) - 1 do
+    a.a_markers_sent <- a.a_markers_sent + 1;
+    Netsim.Network.send_control t.net ~src:node ~dst:tp.ids.(tp.chan_dst.(c))
+      (Netsim.Network.Marker { snapshot = a.a_id; initiator = a.a_initiator })
+  done
 
-let check_done t a = if Hashtbl.length a.a_missing = 0 then finish t a
+let check_done t a = if a.a_missing = 0 then finish t a
 
-(* A second marker on one channel finds its node engaged and the
-   channel closed, so handling it again changes nothing. *)
+(* The marker closes its channel, empty if it engages [self]; a second
+   marker on one channel changes nothing. *)
 let on_marker t ~self ~src ~snapshot =
   match Hashtbl.find_opt t.active_tbl snapshot with
   | None -> () (* marker of an already-finished snapshot: stale, ignore *)
   | Some a ->
-      Hashtbl.remove a.a_missing (src, self);
-      (if not (Hashtbl.mem a.a_checkpoints self) then
-         engage t a self ~closed_from:(Some src)
-       else
-         match Hashtbl.find_opt a.a_channels (src, self) with
-         | Some (Recording r) ->
-             Hashtbl.replace a.a_channels (src, self) (Closed (List.rev !r))
-         | Some (Closed _) | None -> ());
-      check_done t a
+      let c = Netsim.Network.channel_number t.topo src self in
+      if not a.a_closed.(c) then begin
+        a.a_closed.(c) <- true;
+        a.a_missing <- a.a_missing - 1;
+        if Option.is_none a.a_checkpoints.(t.topo.chan_dst.(c)) then engage t a self;
+        check_done t a
+      end
 
 let on_delivery t ~dst ~src msg =
-  Hashtbl.iter
-    (fun _ a ->
-      match Hashtbl.find_opt a.a_channels (src, dst) with
-      | Some (Recording r) -> r := msg :: !r
-      | Some (Closed _) | None -> ())
-    t.active_tbl
+  if Hashtbl.length t.active_tbl > 0 then begin
+    let c = Netsim.Network.channel_number t.topo src dst in
+    Hashtbl.iter
+      (fun _ a ->
+        if (not a.a_closed.(c)) && Option.is_some a.a_checkpoints.(t.topo.chan_dst.(c)) then
+          a.a_recorded.(c) <- msg :: a.a_recorded.(c))
+      t.active_tbl
+  end
 
 let create ~speakers net =
   let t =
-    { net; speakers; active_tbl = Hashtbl.create 4; n_completed = 0; n_aborted = 0;
-      next_id = 0 }
+    { net; topo = Netsim.Network.topology net; speakers; active_tbl = Hashtbl.create 4;
+      n_completed = 0; n_aborted = 0; next_id = 0 }
   in
   Netsim.Network.set_control_handler net (fun ~self ~src control ->
       match control with
@@ -167,15 +150,11 @@ let create ~speakers net =
 let initiate ?deadline t ~initiator ~on_result =
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
-  let expected = Netsim.Network.channels t.net in
-  let missing = Hashtbl.create (List.length expected) in
-  List.iter (fun c -> Hashtbl.replace missing c ()) expected;
+  let n = Array.length t.topo.Netsim.Network.ids and m = Array.length t.topo.chan_src in
   let a =
     { a_id = id; a_initiator = initiator; a_started = now t;
-      a_checkpoints = Hashtbl.create 32; a_channels = Hashtbl.create 64;
-      a_markers_sent = 0; a_expected = expected; a_missing = missing;
-      a_topology = Netsim.Network.topology t.net;
-      a_timer = None;
+      a_checkpoints = Array.make n None; a_closed = Array.make m false;
+      a_recorded = Array.make m []; a_markers_sent = 0; a_missing = m; a_timer = None;
       a_on_result = on_result }
   in
   Hashtbl.replace t.active_tbl id a;
@@ -190,7 +169,7 @@ let initiate ?deadline t ~initiator ~on_result =
   | None -> ());
   (* If engaging the initiator raises (e.g. its speaker is gone), the
      cut must not stay registered — nothing would ever settle it. *)
-  (try engage t a initiator ~closed_from:None
+  (try engage t a initiator
    with e ->
      (match a.a_timer with Some tm -> Netsim.Engine.cancel tm | None -> ());
      Hashtbl.remove t.active_tbl id;

@@ -13,10 +13,10 @@
     {!initiate} therefore accepts a [?deadline]: when it fires before
     the cut closes, the cut {e aborts} into a {!result.Partial} carrying
     everything gathered so far plus the list of channels whose marker
-    never arrived.  Completion accounting is pinned to the channel set
-    at initiation time, so mid-snapshot topology churn cannot corrupt
-    it.  Every initiated cut settles exactly once — completed or
-    aborted, it leaves the active table. *)
+    never arrived.  A network's topology is fixed when the network is
+    made, so every cut closes the channel set it started with; churn
+    takes nodes and links down, never out.  Every initiated cut settles
+    exactly once — completed or aborted, it leaves the active table. *)
 
 type channel_record = {
   ch_from : int;
@@ -31,13 +31,13 @@ type snapshot = {
   completed_at : Netsim.Time.t;
   checkpoints : (int * Checkpoint.t) list;  (** sorted by node *)
   channels : channel_record list;
-      (** one record per channel expected at initiation (empty messages
-          for channels the sweep never reached), ascending *)
+      (** one record per channel of the topology (empty messages for
+          channels the sweep never reached), in channel-number order,
+          which ascends *)
   topology : Netsim.Network.topology;
-      (** the network's nodes and channels at initiation, shared by
-          every shadow spawned from the snapshot; a node the cut did not
-          checkpoint is a black hole in them.  Nodes and channels added
-          during the cut are not in it. *)
+      (** the network's topology, shared by every shadow spawned from
+          the snapshot; a node the cut did not checkpoint is a black
+          hole in them *)
   control_messages : int;  (** markers sent — the overhead metric *)
 }
 

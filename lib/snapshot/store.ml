@@ -49,46 +49,39 @@ let proxy s =
       (fun () -> match s.live with Some sp -> sp.sp_digest () | None -> cap.cap_digest ());
     sp_capture = (fun () -> (touch s).sp_capture ()) }
 
-(* [slots] ascend by id, as the snapshot's checkpoints do. *)
-let find slots id =
-  let rec go lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      let s = slots.(mid) in
-      if s.id = id then Some s else if s.id < id then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length slots)
-
 let spawn ?bugs_of ?(deliver_in_flight = true) (snap : Cut.snapshot) =
   let engine = Netsim.Engine.create ~seed:(0xD1CE + snap.Cut.snap_id) () in
-  let slots = ref [||] and touched = ref [] in
+  let topo = snap.Cut.topology in
+  (* By node number; [None] for a node the cut did not checkpoint. *)
+  let slots = Array.make (Array.length topo.Netsim.Network.ids) None and touched = ref [] in
+  let slot id = match Netsim.Network.node_number topo id with -1 -> None | i -> slots.(i) in
   (* Ideal links: shadow exploration cares about ordering and content,
      not latency.  A node's first delivery respawns its speaker, which
      takes over as the node's handler; the black-hole stand-ins of a
      partial cut drop what they get. *)
   let net =
-    Netsim.Network.over engine snap.Cut.topology (fun id ->
-        match find !slots id with
+    Netsim.Network.create engine topo (fun id ->
+        match slot id with
         | Some s -> fun ~src raw -> (touch s).sp_process_raw ~from_node:src raw
         | None -> fun ~src:_ _ -> ())
   in
-  slots :=
-    Array.of_list
-      (List.map
-         (fun (id, (cp : Checkpoint.t)) ->
-           let bugs =
-             match bugs_of with
-             | Some f -> f id
-             | None -> cp.Checkpoint.image.Bgp.Speaker.cap_bugs
-           in
-           { id; cp; bugs; net; live = None; touched })
-         snap.Cut.checkpoints);
+  List.iter
+    (fun (id, (cp : Checkpoint.t)) ->
+      let bugs =
+        match bugs_of with
+        | Some f -> f id
+        | None -> cp.Checkpoint.image.Bgp.Speaker.cap_bugs
+      in
+      slots.(Netsim.Network.node_number topo id) <-
+        Some { id; cp; bugs; net; live = None; touched })
+    snap.Cut.checkpoints;
   (* A node told to run other code than it ran at the cut is no longer
      its capture. *)
   Array.iter
-    (fun s -> if s.bugs <> s.cp.Checkpoint.image.Bgp.Speaker.cap_bugs then ignore (touch s))
-    !slots;
+    (function
+      | Some s when s.bugs <> s.cp.Checkpoint.image.Bgp.Speaker.cap_bugs -> ignore (touch s)
+      | Some _ | None -> ())
+    slots;
   if deliver_in_flight then
     List.iter
       (fun (c : Cut.channel_record) ->
@@ -97,13 +90,15 @@ let spawn ?bugs_of ?(deliver_in_flight = true) (snap : Cut.snapshot) =
             Netsim.Network.send net ~src:c.Cut.ch_from ~dst:c.Cut.ch_to msg)
           c.Cut.ch_messages)
       snap.Cut.channels;
-  let slots = !slots in
   { sh_engine = engine;
     sh_net = net;
-    sh_speakers = Array.fold_right (fun s acc -> (s.id, proxy s) :: acc) slots [];
+    sh_speakers =
+      Array.fold_right
+        (fun s acc -> match s with Some s -> (s.id, proxy s) :: acc | None -> acc)
+        slots [];
     sh_touch =
       (fun id ->
-        match find slots id with
+        match slot id with
         | Some s -> touch s
         | None -> invalid_arg (Printf.sprintf "Store.speaker: node %d not in shadow" id));
     sh_touched =

@@ -3,9 +3,10 @@
     A shadow owns a fresh event engine and network — nothing it does
     can reach the live system (Figure 2, steps 3-5: "explore input k
     over cloned snapshot k").  A shadow costs what it touches, not what
-    the snapshot holds.  Its network is made over the snapshot's frozen
-    topology, shared by every shadow of it, and makes a channel's record
-    on the channel's first send and a node's on its first delivery.  Its
+    the snapshot holds.  Its network is made over the snapshot's
+    topology, the one the live network was made over, and makes a
+    channel's record on the channel's first send and a node's on its
+    first delivery.  Its
     speakers stay checkpoints until touched: an untouched node answers
     its config, RIB, bug flags and digest from its capture, and is
     respawned — with its original implementation, so heterogeneous

@@ -7,15 +7,25 @@ type t = {
 
 let deploy ?(seed = 42) ?(sparrow_nodes = []) graph =
   let engine = Netsim.Engine.create ~seed () in
-  let net = Netsim.Network.create ~label:"live" engine in
-  let link_rng = Netsim.Rng.split (Netsim.Engine.rng engine) in
-  List.iter
-    (fun id -> Netsim.Network.add_node net id (fun ~src:_ _ -> ()))
-    (Graph.node_ids graph);
-  List.iter
-    (fun (e : Graph.edge) ->
-      Netsim.Network.connect_sym net e.a e.b (Generate.link_model link_rng graph e.a e.b))
-    graph.Graph.edges;
+  let edges = graph.Graph.edges in
+  let topology =
+    Netsim.Network.make_topology ~nodes:(Graph.node_ids graph)
+      ~channels:(List.concat_map (fun (e : Graph.edge) -> [ (e.a, e.b); (e.b, e.a) ]) edges)
+  in
+  (* The link models draw from the generator split after the network's,
+     one per edge, and the network splits each channel's in edge order,
+     a->b before b->a. *)
+  let links () =
+    let link_rng = Netsim.Rng.split (Netsim.Engine.rng engine) in
+    List.concat_map
+      (fun (e : Graph.edge) ->
+        let link = Generate.link_model link_rng graph e.a e.b in
+        [ (e.a, e.b, link); (e.b, e.a, link) ])
+      edges
+  in
+  let net =
+    Netsim.Network.create ~label:"live" ~links engine topology (fun _ ~src:_ _ -> ())
+  in
   let speakers =
     List.map
       (fun id ->

@@ -705,11 +705,10 @@ let candidates_only_change_flagged () =
 
 (* Node 0 of a star of four, where a speaker's sends go nowhere. *)
 let star_net () =
-  let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  List.iter (fun id -> Netsim.Network.add_node net id (fun ~src:_ _ -> ())) [ 0; 1; 2; 3 ];
-  List.iter (fun i -> Netsim.Network.connect_sym net 0 i Netsim.Link.ideal) [ 1; 2; 3 ];
-  net
+  Netsim.Network.create (Netsim.Engine.create ())
+    (Netsim.Network.make_topology ~nodes:[ 0; 1; 2; 3 ]
+       ~channels:(List.concat_map (fun i -> [ (0, i); (i, 0) ]) [ 1; 2; 3 ]))
+    (fun _ ~src:_ _ -> ())
 
 (* A peer's OPEN and KEEPALIVE, delivered by hand. *)
 let greet_from (sp : Bgp.Speaker.t) i =
@@ -1233,19 +1232,22 @@ let speaker_digest_pins () =
    respawned at once, then the in-flight messages re-sent. *)
 let eager_spawn ?bugs_of (snap : Snapshot.Cut.snapshot) =
   let engine = Netsim.Engine.create ~seed:(0xD1CE + snap.Snapshot.Cut.snap_id) () in
-  let net = Netsim.Network.create engine in
+  let channels =
+    List.map
+      (fun (c : Snapshot.Cut.channel_record) -> (c.Snapshot.Cut.ch_from, c.Snapshot.Cut.ch_to))
+      snap.Snapshot.Cut.channels
+  in
   let nodes =
     List.sort_uniq Int.compare
       (List.map fst snap.Snapshot.Cut.checkpoints
-      @ List.concat_map
-          (fun (c : Snapshot.Cut.channel_record) -> [ c.Snapshot.Cut.ch_from; c.Snapshot.Cut.ch_to ])
-          snap.Snapshot.Cut.channels)
+      @ List.concat_map (fun (a, b) -> [ a; b ]) channels)
   in
-  List.iter (fun id -> Netsim.Network.add_node net id (fun ~src:_ _ -> ())) nodes;
-  List.iter
-    (fun (c : Snapshot.Cut.channel_record) ->
-      Netsim.Network.connect net c.Snapshot.Cut.ch_from c.Snapshot.Cut.ch_to Netsim.Link.ideal)
-    snap.Snapshot.Cut.channels;
+  let net =
+    Netsim.Network.create engine
+      ~links:(fun () -> List.map (fun (a, b) -> (a, b, Netsim.Link.ideal)) channels)
+      (Netsim.Network.make_topology ~nodes ~channels)
+      (fun _ ~src:_ _ -> ())
+  in
   let speakers =
     List.map
       (fun (id, cp) ->

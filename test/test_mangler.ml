@@ -98,8 +98,11 @@ let per_link_streams_deterministic () =
 
 let schedule_window () =
   let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  Netsim.Network.add_node net 0 (fun ~src:_ (_ : string) -> ());
+  let net =
+    Netsim.Network.create eng
+      (Netsim.Network.make_topology ~nodes:[ 0 ] ~channels:[])
+      (fun _ ~src:_ (_ : string) -> ())
+  in
   let t = Netsim.Mangler.create ~seed:4 () in
   let sched =
     Netsim.Mangler.window ~rate:0.25 ~from_:(span_sec 5.) ~until_:(span_sec 10.)
@@ -117,10 +120,11 @@ exception Boom
 
 let absorb_restarts_node () =
   let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  Netsim.Network.add_node net 0 (fun ~src:_ (_ : string) -> ());
-  Netsim.Network.add_node net 1 (fun ~src:_ msg -> if msg = "boom" then raise Boom);
-  Netsim.Network.connect_sym net 0 1 Netsim.Link.ideal;
+  let net =
+    Netsim.Network.create eng
+      (Netsim.Network.make_topology ~nodes:[ 0; 1 ] ~channels:[ (0, 1); (1, 0) ])
+      (fun id ~src:_ msg -> if id = 1 && msg = "boom" then raise Boom)
+  in
   Netsim.Network.set_crash_policy net
     (Netsim.Network.Absorb { restart_after = Some (span_sec 5.) });
   Netsim.Network.send net ~src:0 ~dst:1 "boom";
@@ -136,10 +140,11 @@ let absorb_restarts_node () =
 
 let propagate_is_default () =
   let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  Netsim.Network.add_node net 0 (fun ~src:_ (_ : string) -> ());
-  Netsim.Network.add_node net 1 (fun ~src:_ _ -> raise Boom);
-  Netsim.Network.connect_sym net 0 1 Netsim.Link.ideal;
+  let net =
+    Netsim.Network.create eng
+      (Netsim.Network.make_topology ~nodes:[ 0; 1 ] ~channels:[ (0, 1); (1, 0) ])
+      (fun id ~src:_ (_ : string) -> if id = 1 then raise Boom)
+  in
   Netsim.Network.send net ~src:0 ~dst:1 "boom";
   Alcotest.check_raises "handler exception escapes" Boom (fun () ->
       Netsim.Engine.run ~until:(Netsim.Time.of_sec 1.) eng)

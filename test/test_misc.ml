@@ -61,18 +61,25 @@ let stats_untouched () =
 (* --- Network error handling --- *)
 
 let network_errors () =
-  let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  Netsim.Network.add_node net 0 (fun ~src:_ _ -> ());
+  let topology nodes channels () = ignore (Netsim.Network.make_topology ~nodes ~channels) in
   Alcotest.check_raises "duplicate node"
-    (Invalid_argument "Network.add_node: node 0 exists") (fun () ->
-      Netsim.Network.add_node net 0 (fun ~src:_ _ -> ()));
+    (Invalid_argument "Network.make_topology: node 0 twice")
+    (topology [ 0; 1; 0 ] []);
+  Alcotest.check_raises "channel to unknown node"
+    (Invalid_argument "Network.make_topology: no node 9")
+    (topology [ 0; 1 ] [ (0, 9) ]);
+  Alcotest.check_raises "duplicate channel"
+    (Invalid_argument "Network.make_topology: channel 0->1 twice")
+    (topology [ 0; 1 ] [ (0, 1); (1, 0); (0, 1) ]);
+  let net =
+    Netsim.Network.create (Netsim.Engine.create ())
+      (Netsim.Network.make_topology ~nodes:[ 0; 1 ] ~channels:[])
+      (fun _ ~src:_ _ -> ())
+  in
   Alcotest.check_raises "send without channel"
     (Invalid_argument "Network.send: no channel 0->1") (fun () ->
       Netsim.Network.send net ~src:0 ~dst:1 "x");
-  Alcotest.check_raises "connect to unknown node"
-    (Invalid_argument "Network.connect: no node 9") (fun () ->
-      Netsim.Network.connect net 0 9 Netsim.Link.ideal)
+  Alcotest.(check bool) "absent node" false (Netsim.Network.has_node net 999)
 
 let engine_stop_mid_run () =
   let eng = Netsim.Engine.create () in
@@ -93,8 +100,11 @@ let engine_stop_mid_run () =
 
 let speaker_wraps_router_faithfully () =
   let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  Netsim.Network.add_node net 0 (fun ~src:_ _ -> ());
+  let net =
+    Netsim.Network.create eng
+      (Netsim.Network.make_topology ~nodes:[ 0 ] ~channels:[])
+      (fun _ ~src:_ _ -> ())
+  in
   let cfg =
     Bgp.Config.make ~asn:65001 ~router_id:(Bgp.Router.addr_of_node 0)
       ~networks:[ Bgp.Prefix.of_string_exn "192.0.2.0/24" ]

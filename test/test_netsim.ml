@@ -195,18 +195,28 @@ let stats_basics () =
 (* Network                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A network over [nodes] with a channel each way between every pair
+   of [edges], ideal links. *)
+let sym_net ?(handler = fun _ ~src:_ _ -> ()) eng nodes edges =
+  Netsim.Network.create eng
+    (Netsim.Network.make_topology ~nodes
+       ~channels:(List.concat_map (fun (a, b) -> [ (a, b); (b, a) ]) edges))
+    handler
+
 let network_fifo =
   QCheck.Test.make ~name:"network: channels are FIFO under jitter" ~count:50
     QCheck.(pair small_int (int_bound 30))
     (fun (seed, n) ->
       let n = max 2 n in
       let eng = Netsim.Engine.create ~seed () in
-      let net = Netsim.Network.create eng in
       let received = ref [] in
-      Netsim.Network.add_node net 0 (fun ~src:_ _ -> ());
-      Netsim.Network.add_node net 1 (fun ~src:_ m -> received := m :: !received);
-      Netsim.Network.connect net 0 1
-        (Netsim.Link.make ~jitter:(Netsim.Time.span_ms 50) (Netsim.Time.span_ms 10));
+      let net =
+        Netsim.Network.create eng
+          ~links:(fun () ->
+            [ (0, 1, Netsim.Link.make ~jitter:(Netsim.Time.span_ms 50) (Netsim.Time.span_ms 10)) ])
+          (Netsim.Network.make_topology ~nodes:[ 0; 1 ] ~channels:[ (0, 1) ])
+          (fun _ ~src:_ m -> received := m :: !received)
+      in
       for i = 1 to n do
         Netsim.Network.send net ~src:0 ~dst:1 (string_of_int i)
       done;
@@ -215,10 +225,7 @@ let network_fifo =
 
 let network_counts () =
   let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  Netsim.Network.add_node net 0 (fun ~src:_ _ -> ());
-  Netsim.Network.add_node net 1 (fun ~src:_ _ -> ());
-  Netsim.Network.connect_sym net 0 1 Netsim.Link.ideal;
+  let net = sym_net eng [ 0; 1 ] [ (0, 1) ] in
   Netsim.Network.send net ~src:0 ~dst:1 "hello";
   check Alcotest.int "in flight" 1 (Netsim.Network.in_flight net);
   Netsim.Engine.run eng;
@@ -227,86 +234,86 @@ let network_counts () =
   check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "channels"
     [ (0, 1); (1, 0) ] (Netsim.Network.channels net)
 
-(* Adjacency kept as channels connect, against the fold over every
-   channel it replaced.  A network made over its topology answers alike
-   even after the live one grows, and after the same sends its digest
-   is that of a network connected channel by channel. *)
-type net_op = Add of int | Connect of int * int
+(* A topology made from a node and channel list, against the fold over
+   that list; and a network whose channel records are made up front,
+   against one that makes them on first use: after the same sends they
+   describe the same state.  A case may carry one defect, which the
+   constructor must refuse. *)
+type topo_case = { t_nodes : int list; t_chans : (int * int) list; t_defect : string option }
 
-let gen_net_ops =
-  QCheck.Gen.(
-    list_size (int_range 0 60)
-      (frequency
-         [ (1, map (fun id -> Add id) (int_bound 9));
-           (3, map2 (fun a b -> Connect (a, b)) (int_bound 9) (int_bound 9)) ]))
+let gen_topo_case =
+  let open QCheck.Gen in
+  let* ids = list_size (int_range 0 10) (int_bound 9) in
+  let* nodes = shuffle_l (List.sort_uniq Int.compare ids) in
+  let* pairs =
+    if nodes = [] then return []
+    else list_size (int_range 0 40) (pair (oneofl nodes) (oneofl nodes))
+  in
+  let* chans = shuffle_l (List.sort_uniq compare pairs) in
+  let case ?defect t_nodes t_chans = { t_nodes; t_chans; t_defect = defect } in
+  let unknown = (List.fold_left max 0 nodes, 10) in
+  frequency
+    ((3, return (case nodes chans))
+     :: (1, return (case ~defect:"no node" nodes (chans @ [ unknown ])))
+     :: (match nodes with
+        | id :: _ -> [ (1, return (case ~defect:"node twice" (nodes @ [ id ]) chans)) ]
+        | [] -> [])
+    @ (match chans with
+      | c :: _ -> [ (1, return (case ~defect:"channel twice" nodes (c :: chans))) ]
+      | [] -> []))
 
-let print_net_ops ops =
-  String.concat " "
-    (List.map
-       (function Add id -> Printf.sprintf "+%d" id | Connect (a, b) -> Printf.sprintf "%d>%d" a b)
-       ops)
+let print_topo_case c =
+  Printf.sprintf "nodes %s; channels %s; %s"
+    (String.concat " " (List.map string_of_int c.t_nodes))
+    (String.concat " " (List.map (fun (a, b) -> Printf.sprintf "%d>%d" a b) c.t_chans))
+    (Option.value c.t_defect ~default:"no defect")
 
 let network_adjacency =
   QCheck.Test.make ~name:"network: adjacency equals the fold over channels" ~count:200
-    (QCheck.pair (QCheck.make ~print:print_net_ops gen_net_ops) QCheck.small_int)
-    (fun (ops, seed) ->
-      let net = Netsim.Network.create (Netsim.Engine.create ()) in
-      let nodes = ref [] and chans = ref [] in
-      let fold pick id = List.sort Int.compare (List.filter_map (pick id) !chans) in
-      let fold_in = fold (fun id (a, b) -> if b = id then Some a else None) in
-      let fold_out = fold (fun id (a, b) -> if a = id then Some b else None) in
-      let agree net =
-        Netsim.Network.channels net = List.sort compare !chans
-        && List.for_all
-             (fun id ->
-               Netsim.Network.has_node net id
-               && Netsim.Network.neighbors_in net id = fold_in id
-               && Netsim.Network.neighbors_out net id = fold_out id)
-             !nodes
-      in
-      let applied =
-        List.for_all
-          (fun op ->
-            (match op with
-            | Add id -> (
-                match Netsim.Network.add_node net id (fun ~src:_ _ -> ()) with
-                | () -> nodes := id :: !nodes
-                | exception Invalid_argument _ -> ())
-            | Connect (a, b) -> (
-                match Netsim.Network.connect net a b Netsim.Link.ideal with
-                | () -> chans := (a, b) :: !chans
-                | exception Invalid_argument _ -> ()));
-            agree net)
-          ops
-      in
-      let topology = Netsim.Network.topology net in
-      (try
-         Netsim.Network.add_node net 10 (fun ~src:_ _ -> ());
-         Netsim.Network.connect net 10 (List.hd !nodes) Netsim.Link.ideal
-       with Failure _ | Invalid_argument _ -> ());
-      let eng = Netsim.Engine.create ~seed () in
-      let frozen = Netsim.Network.over eng topology (fun _ ~src:_ _ -> ()) in
-      let rng = Netsim.Rng.create seed in
-      let sends =
-        if !chans = [] then []
-        else List.init 5 (fun i -> (Netsim.Rng.pick rng !chans, string_of_int i))
-      in
-      let send net = List.iter (fun ((src, dst), m) -> Netsim.Network.send net ~src ~dst m) sends in
-      let eager = Netsim.Network.create (Netsim.Engine.create ~seed ()) in
-      List.iter (fun id -> Netsim.Network.add_node eager id (fun ~src:_ _ -> ())) !nodes;
-      List.iter (fun (a, b) -> Netsim.Network.connect eager a b Netsim.Link.ideal) (List.rev !chans);
-      send eager;
-      send frozen;
-      applied && agree frozen
-      && Netsim.Network.digest eager = Netsim.Network.digest frozen
-      && Netsim.Network.in_flight frozen = List.length sends)
+    (QCheck.pair (QCheck.make ~print:print_topo_case gen_topo_case) QCheck.small_int)
+    (fun (c, seed) ->
+      match Netsim.Network.make_topology ~nodes:c.t_nodes ~channels:c.t_chans with
+      | exception Invalid_argument _ -> Option.is_some c.t_defect
+      | topology ->
+          let net links =
+            Netsim.Network.create ?links (Netsim.Engine.create ~seed ()) topology
+              (fun _ ~src:_ _ -> ())
+          in
+          let first_use = net None in
+          let up_front =
+            net (Some (fun () -> List.map (fun (a, b) -> (a, b, Netsim.Link.ideal)) c.t_chans))
+          in
+          let fold pick id = List.sort Int.compare (List.filter_map (pick id) c.t_chans) in
+          let fold_in = fold (fun id (a, b) -> if b = id then Some a else None) in
+          let fold_out = fold (fun id (a, b) -> if a = id then Some b else None) in
+          let agree net =
+            Netsim.Network.channels net = List.sort compare c.t_chans
+            && (not (Netsim.Network.has_node net 10))
+            && List.for_all
+                 (fun id ->
+                   Netsim.Network.has_node net id
+                   && Netsim.Network.neighbors_in net id = fold_in id
+                   && Netsim.Network.neighbors_out net id = fold_out id)
+                 c.t_nodes
+          in
+          let rng = Netsim.Rng.create seed in
+          let sends =
+            if c.t_chans = [] then []
+            else List.init 5 (fun i -> (Netsim.Rng.pick rng c.t_chans, string_of_int i))
+          in
+          let send net =
+            List.iter (fun ((src, dst), m) -> Netsim.Network.send net ~src ~dst m) sends
+          in
+          send up_front;
+          send first_use;
+          Option.is_none c.t_defect && agree first_use && agree up_front
+          && Netsim.Network.digest up_front = Netsim.Network.digest first_use
+          && Netsim.Network.in_flight first_use = List.length sends
+          && Netsim.Network.in_flight up_front = List.length sends)
 
 let network_tap_and_control () =
   let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  Netsim.Network.add_node net 0 (fun ~src:_ _ -> ());
-  Netsim.Network.add_node net 1 (fun ~src:_ _ -> ());
-  Netsim.Network.connect_sym net 0 1 Netsim.Link.ideal;
+  let net = sym_net eng [ 0; 1 ] [ (0, 1) ] in
   let tapped = ref [] and controls = ref [] in
   Netsim.Network.set_delivery_tap net (Some (fun ~dst ~src msg -> tapped := (src, dst, msg) :: !tapped));
   Netsim.Network.set_control_handler net (fun ~self ~src c ->
@@ -328,12 +335,9 @@ let network_tap_and_control () =
 
 let churn_rig () =
   let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
   let received = ref [] in
-  Netsim.Network.add_node net 0 (fun ~src:_ _ -> ());
-  Netsim.Network.add_node net 1 (fun ~src:_ m -> received := m :: !received);
-  Netsim.Network.connect_sym net 0 1 Netsim.Link.ideal;
-  (eng, net, received)
+  let handler id ~src:_ m = if id = 1 then received := m :: !received in
+  (eng, sym_net ~handler eng [ 0; 1 ] [ (0, 1) ], received)
 
 let node_down_drops () =
   let eng, net, received = churn_rig () in
@@ -406,14 +410,11 @@ let queue_policy_preserves_fifo_with_in_flight () =
 
 let partition_and_heal () =
   let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
   let got = ref [] in
-  List.iter
-    (fun id -> Netsim.Network.add_node net id (fun ~src m -> got := (src, id, m) :: !got))
-    [ 0; 1; 2; 3 ];
-  Netsim.Network.connect_sym net 0 1 Netsim.Link.ideal;
-  Netsim.Network.connect_sym net 1 2 Netsim.Link.ideal;
-  Netsim.Network.connect_sym net 2 3 Netsim.Link.ideal;
+  let net =
+    sym_net eng [ 0; 1; 2; 3 ] [ (0, 1); (1, 2); (2, 3) ]
+      ~handler:(fun id ~src m -> got := (src, id, m) :: !got)
+  in
   Netsim.Network.partition net [ 0; 1 ] [ 2; 3 ];
   (* Intra-side channel unaffected, cross-side channels cut both ways. *)
   Alcotest.(check bool) "0->1 up" true (Netsim.Network.link_is_up net 0 1);
@@ -434,10 +435,7 @@ let partition_and_heal () =
 
 let churn_schedule_timing () =
   let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  Netsim.Network.add_node net 0 (fun ~src:_ _ -> ());
-  Netsim.Network.add_node net 1 (fun ~src:_ _ -> ());
-  Netsim.Network.connect_sym net 0 1 Netsim.Link.ideal;
+  let net = sym_net eng [ 0; 1 ] [ (0, 1) ] in
   let schedule =
     Netsim.Churn.crash ~node:1 ~at:(Netsim.Time.span_ms 10)
       ~restore_after:(Netsim.Time.span_ms 10) ()

@@ -7,13 +7,12 @@ let p = Bgp.Prefix.of_string_exn
 (* A linear chain of [n] eBGP routers, each originating one prefix. *)
 let chain n =
   let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  for i = 0 to n - 1 do
-    Netsim.Network.add_node net i (fun ~src:_ _ -> ())
-  done;
-  for i = 0 to n - 2 do
-    Netsim.Network.connect_sym net i (i + 1) Netsim.Link.ideal
-  done;
+  let net =
+    Netsim.Network.create eng
+      (Netsim.Network.make_topology ~nodes:(List.init n Fun.id)
+         ~channels:(List.concat (List.init (n - 1) (fun i -> [ (i, i + 1); (i + 1, i) ]))))
+      (fun _ ~src:_ _ -> ())
+  in
   let routers =
     List.init n (fun i ->
         let neighbors =
@@ -132,11 +131,12 @@ let no_export_respected () =
 let loop_prevention () =
   (* A triangle: routes must never be accepted back by their origin. *)
   let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  for i = 0 to 2 do Netsim.Network.add_node net i (fun ~src:_ _ -> ()) done;
-  Netsim.Network.connect_sym net 0 1 Netsim.Link.ideal;
-  Netsim.Network.connect_sym net 1 2 Netsim.Link.ideal;
-  Netsim.Network.connect_sym net 0 2 Netsim.Link.ideal;
+  let net =
+    Netsim.Network.create eng
+      (Netsim.Network.make_topology ~nodes:[ 0; 1; 2 ]
+         ~channels:[ (0, 1); (1, 0); (1, 2); (2, 1); (0, 2); (2, 0) ])
+      (fun _ ~src:_ _ -> ())
+  in
   let mk i others =
     Bgp.Config.make ~asn:(1000 + i) ~router_id:(Bgp.Router.addr_of_node i)
       ~networks:[ p (Printf.sprintf "192.0.%d.0/24" i) ]
@@ -265,10 +265,11 @@ let stuck_open_times_out () =
   (* A peer that is down from the very start: the session attempt parks
      in OpenSent and must be reaped by the hold timer, not hang. *)
   let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  Netsim.Network.add_node net 0 (fun ~src:_ _ -> ());
-  Netsim.Network.add_node net 1 (fun ~src:_ _ -> ());
-  Netsim.Network.connect_sym net 0 1 Netsim.Link.ideal;
+  let net =
+    Netsim.Network.create eng
+      (Netsim.Network.make_topology ~nodes:[ 0; 1 ] ~channels:[ (0, 1); (1, 0) ])
+      (fun _ ~src:_ _ -> ())
+  in
   Netsim.Network.set_node_down net 1;
   let cfg =
     Bgp.Config.make ~asn:1000 ~router_id:(Bgp.Router.addr_of_node 0)

@@ -180,10 +180,11 @@ let incremental_matches_full =
        gen_ops)
     (fun ops ->
       let eng = Netsim.Engine.create () in
-      let net = Netsim.Network.create eng in
-      for node = 0 to 3 do
-        Netsim.Network.add_node net node (fun ~src:_ _ -> ())
-      done;
+      let net =
+        Netsim.Network.create eng
+          (Netsim.Network.make_topology ~nodes:[ 0; 1; 2; 3 ] ~channels:[])
+          (fun _ ~src:_ _ -> ())
+      in
       let cfg =
         Config.make ~asn:local_as
           ~router_id:(Router.addr_of_node 0)

@@ -477,6 +477,33 @@ let counting_cut_equals_rescanning =
            (if rescanned.v_complete then "complete" else "partial")
            rescanned.v_markers (List.length rescanned.v_stalled))
 
+(* One demo27 cut, pinned: the live links' timing decides when the
+   last marker lands, and the channel records are what every shadow
+   replays.  Cut from node 0 while the sessions come up, so UPDATEs are
+   in flight. *)
+let channel_records_md5 (s : Snapshot.Cut.snapshot) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (c : Snapshot.Cut.channel_record) ->
+      Buffer.add_string b (Printf.sprintf "%d>%d:" c.Snapshot.Cut.ch_from c.Snapshot.Cut.ch_to);
+      List.iter
+        (fun m -> Buffer.add_string b (Printf.sprintf "%d:%s" (String.length m) m))
+        c.Snapshot.Cut.ch_messages;
+      Buffer.add_char b ';')
+    s.Snapshot.Cut.channels;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let demo27_golden_cut () =
+  let build = Topology.Build.deploy Topology.Demo27.graph in
+  Topology.Build.start_all build;
+  Topology.Build.run_for build (Netsim.Time.span_ms 20);
+  let s = take build (make_cut build) 0 in
+  check Alcotest.int "completed at (us)" 370_952 (Netsim.Time.to_us s.Snapshot.Cut.completed_at);
+  check Alcotest.int "markers" 68 s.Snapshot.Cut.control_messages;
+  check Alcotest.int "in flight" 33 (Snapshot.Cut.in_flight_total s);
+  check Alcotest.string "channel records" "c1cfbb405846c121759e36b0a3c97111"
+    (channel_records_md5 s)
+
 let suite =
   [ ("checkpoint: captures state immutably", `Quick, checkpoint_captures_state);
     ("cut: completes over all nodes", `Quick, cut_completes_with_all_nodes);
@@ -488,4 +515,5 @@ let suite =
     QCheck_alcotest.to_alcotest counting_cut_equals_rescanning;
     ("store: shadow isolation", `Quick, shadow_isolation);
     ("store: clones are independent", `Quick, clones_are_independent);
-    ("checkpoint: O(1) cost", `Quick, checkpoint_cost_constant) ]
+    ("checkpoint: O(1) cost", `Quick, checkpoint_cost_constant);
+    ("cut: demo27 cut pinned", `Quick, demo27_golden_cut) ]

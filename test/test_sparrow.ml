@@ -169,10 +169,12 @@ let sparrow_capture_respawn () =
     (Snapshot.Checkpoint.route_count (Snapshot.Checkpoint.take ~at:Netsim.Time.zero sp1) > 0);
   (* Respawn on an isolated net and compare Loc-RIBs. *)
   let eng = Netsim.Engine.create () in
-  let net = Netsim.Network.create eng in
-  List.iter (fun id -> Netsim.Network.add_node net id (fun ~src:_ _ -> ())) [ 0; 1; 2 ];
-  Netsim.Network.connect_sym net 0 1 Netsim.Link.ideal;
-  Netsim.Network.connect_sym net 1 2 Netsim.Link.ideal;
+  let net =
+    Netsim.Network.create eng
+      (Netsim.Network.make_topology ~nodes:[ 0; 1; 2 ]
+         ~channels:[ (0, 1); (1, 0); (1, 2); (2, 1) ])
+      (fun _ ~src:_ _ -> ())
+  in
   let clone = capture.Bgp.Speaker.cap_respawn ~net ~bugs:Bgp.Router.no_bugs in
   Alcotest.(check bool) "same Loc-RIB" true
     (Bgp.Prefix_trie.bindings (Bgp.Speaker.loc_rib clone)
@@ -193,8 +195,11 @@ let capture_reads_as_respawn () =
         (Bgp.Rib.loc_cardinal rib > 0 && Bgp.Rib.total_adj_in rib > 0
         && not (Bgp.Ipv4.Map.is_empty rib.Bgp.Rib.adj_out));
       let eng = Netsim.Engine.create () in
-      let net = Netsim.Network.create eng in
-      List.iter (fun n -> Netsim.Network.add_node net n (fun ~src:_ _ -> ())) [ 0; 1; 2 ];
+      let net =
+        Netsim.Network.create eng
+          (Netsim.Network.make_topology ~nodes:[ 0; 1; 2 ] ~channels:[])
+          (fun _ ~src:_ _ -> ())
+      in
       let respawn = cap.Bgp.Speaker.cap_respawn ~net ~bugs:cap.Bgp.Speaker.cap_bugs in
       Alcotest.(check bool) (what ^ ": cap_rib is the respawn's sp_rib") true
         (rib == respawn.Bgp.Speaker.sp_rib ());
@@ -304,9 +309,12 @@ let sparrow_selection_spec =
     ~count:200 arb_announcements
     (fun events ->
       let eng = Netsim.Engine.create () in
-      let net = Netsim.Network.create eng in
-      List.iter (fun id -> Netsim.Network.add_node net id (fun ~src:_ _ -> ())) [ 0; 1; 2; 3 ];
-      List.iter (fun i -> Netsim.Network.connect_sym net 0 i Netsim.Link.ideal) [ 1; 2; 3 ];
+      let net =
+        Netsim.Network.create eng
+          (Netsim.Network.make_topology ~nodes:[ 0; 1; 2; 3 ]
+             ~channels:(List.concat_map (fun i -> [ (0, i); (i, 0) ]) [ 1; 2; 3 ]))
+          (fun _ ~src:_ _ -> ())
+      in
       let cfg =
         Bgp.Config.make ~asn:65100 ~router_id:(Bgp.Router.addr_of_node 0)
           ~neighbors:

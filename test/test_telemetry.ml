@@ -69,8 +69,9 @@ let trace_details sink =
 
 let event_thunks_run_only_when_listened () =
   let eng = Netsim.Engine.create () in
-  let live = Netsim.Network.create ~label:"live" eng in
-  let unlabeled = Netsim.Network.create eng in
+  let topology = Netsim.Network.make_topology ~nodes:[ 0 ] ~channels:[] in
+  let live = Netsim.Network.create ~label:"live" eng topology (fun _ ~src:_ _ -> ()) in
+  let unlabeled = Netsim.Network.create eng topology (fun _ ~src:_ _ -> ()) in
   let runs = ref 0 in
   let emit net =
     Netsim.Network.emit_lazy net ~node:0 ~kind:"probe" (fun () ->
@@ -88,6 +89,27 @@ let event_thunks_run_only_when_listened () =
       check
         Alcotest.(list string)
         "only the labeled network's events" [ "detail"; "detail" ]
+        (trace_details sink))
+
+(* [heal] walks the channels in number order, so its "link up" events
+   come out in ascending (source, destination) order, whatever order
+   the links went down in. *)
+let heal_emits_in_channel_order () =
+  let eng = Netsim.Engine.create () in
+  let net =
+    Netsim.Network.create ~label:"live" eng
+      (Netsim.Network.make_topology ~nodes:[ 0; 1; 2; 3 ]
+         ~channels:[ (0, 1); (1, 0); (1, 2); (2, 1); (2, 3); (3, 2) ])
+      (fun _ ~src:_ (_ : string) -> ())
+  in
+  List.iter (fun (a, b) -> Netsim.Network.set_link_down net a b) [ (3, 2); (2, 1); (0, 1) ];
+  Netsim.Network.partition net [ 0; 1 ] [ 2; 3 ];
+  with_memory_sink (fun sink ->
+      Netsim.Network.heal net;
+      check
+        Alcotest.(list string)
+        "link up events"
+        [ "link 0->1 up"; "link 1->2 up"; "link 2->1 up"; "link 3->2 up" ]
         (trace_details sink))
 
 (* Shadows run on unlabeled networks, so a replay adds nothing to the
@@ -388,6 +410,8 @@ let suite =
       event_thunks_run_only_when_listened;
     Alcotest.test_case "events: a shadow replay adds none" `Quick
       shadow_replay_adds_no_events;
+    Alcotest.test_case "events: heal brings links up in channel order" `Quick
+      heal_emits_in_channel_order;
     Alcotest.test_case "jsonl: every event round-trips" `Quick jsonl_roundtrip;
     Alcotest.test_case "jsonl: parser rejects garbage" `Quick
       json_parser_rejects_garbage;
