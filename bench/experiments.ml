@@ -129,7 +129,7 @@ let f2 () =
       let raw = Dice.Sym_handler.concretize view input in
       (Snapshot.Store.speaker shadow node).Bgp.Speaker.sp_process_raw
         ~from_node:(Bgp.Router.node_of_addr peer) raw;
-      let quiesced = Snapshot.Store.run_to_quiescence shadow in
+      let quiesced = Snapshot.Store.run_to_quiescence shadow.Snapshot.Store.sh_clone in
       Tables.note "%d. explored input %d over cloned snapshot %d (quiesced=%b, fp=%08x)\n"
         (3 + i) (i + 1) (i + 1) quiesced
         (Snapshot.Store.loc_rib_fingerprint shadow land 0xFFFFFFFF))
@@ -459,7 +459,7 @@ let t4 () =
           let raw = Dice.Sym_handler.concretize view run.Concolic.Engine.run_input in
           (Snapshot.Store.speaker shadow node).Bgp.Speaker.sp_process_raw
             ~from_node:(Bgp.Router.node_of_addr peer) raw;
-          ignore (Snapshot.Store.run_to_quiescence shadow);
+          ignore (Snapshot.Store.run_to_quiescence shadow.Snapshot.Store.sh_clone);
           let via =
             match
               Bgp.Prefix_trie.find target
@@ -635,7 +635,7 @@ let t6 () =
     victim.Bgp.Speaker.sp_set_config { cfg with Bgp.Config.networks = [] };
     let snap = Snapshot.Cut.snapshot_of (Dice.Explorer.take_snapshot ~build ~cut ~node:0 ()) in
     let shadow = Snapshot.Store.spawn ~deliver_in_flight snap in
-    ignore (Snapshot.Store.run_to_quiescence shadow);
+    ignore (Snapshot.Store.run_to_quiescence shadow.Snapshot.Store.sh_clone);
     assert (Topology.Build.converge build);
     (* Count node/prefix disagreements between the quiesced clone and
        the eventual live state. *)

@@ -156,7 +156,9 @@ let bench_cut =
 
 (* A cut of the converged 6-router deployment above, with one UPDATE in
    flight on its first channel: a withdrawal of a prefix nobody holds,
-   so quiescing the shadow delivers it to one speaker and stops. *)
+   so quiescing the clone delivers it to one speaker and stops.  The
+   converged cut recorded nothing, so the fixture adds channel 0's
+   record. *)
 let spawn_snapshot =
   let snap =
     Dice.Explorer.take_snapshot ~build:checkpoint_build ~cut:checkpoint_cut ~node:0 ()
@@ -167,18 +169,37 @@ let spawn_snapshot =
       (Bgp.Msg.Update
          { withdrawn = [ Bgp.Prefix.of_string_exn "203.0.113.0/24" ]; attrs = None; nlri = [] })
   in
-  let channels =
-    List.mapi
-      (fun i (c : Snapshot.Cut.channel_record) ->
-        if i = 0 then { c with Snapshot.Cut.ch_messages = [ raw ] } else c)
+  let ch_from, ch_to = Netsim.Network.channel_ends snap.Snapshot.Cut.topology 0 in
+  let others =
+    List.filter
+      (fun (c : Snapshot.Cut.channel_record) ->
+        (c.Snapshot.Cut.ch_from, c.Snapshot.Cut.ch_to) <> (ch_from, ch_to))
       snap.Snapshot.Cut.channels
   in
-  { snap with Snapshot.Cut.channels }
+  { snap with
+    Snapshot.Cut.channels = { Snapshot.Cut.ch_from; ch_to; ch_messages = [ raw ] } :: others }
 
+(* The explorer's clone, quiesced. *)
 let bench_spawn =
   Test.make ~name:"snapshot/spawn"
     (Staged.stage (fun () ->
-         Snapshot.Store.run_to_quiescence (Snapshot.Store.spawn spawn_snapshot)))
+         Snapshot.Store.run_to_quiescence (Snapshot.Store.clone spawn_snapshot)))
+
+(* The explorer's clone of a converged gr250 cut, which a replay pays
+   before its first event.  The deployment is made when the row runs
+   and dropped after it: a heap that size, kept alive, would slow every
+   row that allocates after it. *)
+let gr250_snapshot () =
+  let build = Topology.Build.deploy (Topology.Gao_rexford.scale_graph ~nodes:250 ~seed:42) in
+  Topology.Build.start_all build;
+  assert (Topology.Build.converge build);
+  let cut = Snapshot.Cut.create ~speakers:(Topology.Build.speaker build) build.Topology.Build.net in
+  Snapshot.Cut.snapshot_of (Dice.Explorer.take_snapshot ~build ~cut ~node:0 ())
+
+let bench_spawn_250 =
+  Test.make_with_resource ~name:"snapshot/spawn-250" Test.uniq ~allocate:gr250_snapshot
+    ~free:ignore
+    (Staged.stage (fun snap -> Snapshot.Store.clone snap))
 
 let solver_constraints =
   let x = Concolic.Expr.var "bench_x" ~lo:0 ~hi:65535 in
@@ -240,7 +261,7 @@ let tests =
   Test.make_grouped ~name:"dice"
     [ bench_wire_encode; bench_wire_decode; bench_trie_lpm; bench_trie_find;
       bench_changed_prefixes; bench_decision;
-      bench_policy; bench_checkpoint; bench_cut; bench_spawn; bench_solver; bench_solver_memo;
+      bench_policy; bench_checkpoint; bench_cut; bench_spawn; bench_spawn_250; bench_solver; bench_solver_memo;
       bench_path_signature; bench_engine_events ]
 
 (* Toolkit's [minor_allocated] reads [Gc.quick_stat], whose

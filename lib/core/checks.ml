@@ -60,29 +60,29 @@ let bad node property evidence =
 
 (* The AS that originated a route; locally-originated routes have an
    empty path and originate at this speaker. *)
-let origin_asn (sp : Bgp.Speaker.t) (route : Bgp.Rib.route) =
+let origin_asn cfg (route : Bgp.Rib.route) =
   match Bgp.As_path.origin_as route.Bgp.Rib.attrs.Bgp.Attr.as_path with
   | Some a -> a
-  | None -> (sp.Bgp.Speaker.sp_config ()).Bgp.Config.asn
+  | None -> cfg.Bgp.Config.asn
 
 let verdict_of property id = function
   | [] -> ok id property
   | evidence -> bad id property (String.concat "; " evidence)
 
-let origin_authenticity gt id sp =
+let origin_authenticity gt id cfg (rib : Bgp.Rib.t) =
   verdict_of "origin-authenticity" id
     (Bgp.Prefix_trie.fold
        (fun prefix route acc ->
          match gt.owner_of prefix with
          | None -> acc
          | Some owner ->
-             let origin = origin_asn sp route in
+             let origin = origin_asn cfg route in
              if origin = owner then acc
              else
                Printf.sprintf "%s originated by AS%d, owner is AS%d"
                  (Bgp.Prefix.to_string prefix) origin owner
                :: acc)
-       (Bgp.Speaker.loc_rib sp) [])
+       rib.Bgp.Rib.loc [])
 
 (* The three per-input properties, prefix by prefix.  A prefix's
    evidence is a function of the node id, the config, [loc[p]] and
@@ -172,9 +172,16 @@ let render pp id failing =
 
 let rendered id failing = List.map2 (fun pp f -> render pp id f) per_prefix failing
 
-let check_whole pp id (sp : Bgp.Speaker.t) =
-  let cfg = sp.Bgp.Speaker.sp_config () and rib = sp.Bgp.Speaker.sp_rib () in
+let check_whole pp id cfg rib =
   render pp id (evaluate pp id cfg rib (checked_prefixes cfg rib) Bgp.Prefix.Map.empty)
+
+(* A checkpointed node's config and RIB in a clone: its speaker's if
+   touched, else its capture's. *)
+let state (cp : Snapshot.Checkpoint.t) = function
+  | Some (sp : Bgp.Speaker.t) -> (sp.Bgp.Speaker.sp_config (), sp.Bgp.Speaker.sp_rib ())
+  | None ->
+      let cap = cp.Snapshot.Checkpoint.image in
+      (cap.Bgp.Speaker.cap_config, cap.Bgp.Speaker.cap_rib)
 
 let convergence_verdict settled id =
   match settled with
@@ -182,9 +189,10 @@ let convergence_verdict settled id =
   | Snapshot.Store.Oscillating -> bad id "convergence" "routing oscillation (state revisited)"
   | Snapshot.Store.Diverging -> bad id "convergence" "no quiescence within event budget"
 
-let convergence ?budget shadow =
-  let v = convergence_verdict (Snapshot.Store.settle ?budget shadow) in
-  List.map (fun (id, _) -> v id) shadow.Snapshot.Store.sh_speakers
+let convergence ?budget clone =
+  let v = convergence_verdict (Snapshot.Store.settle ?budget clone) in
+  List.rev
+    (Snapshot.Store.fold (fun cp _ acc -> v cp.Snapshot.Checkpoint.node :: acc) clone [])
 
 type scope = Baseline | Per_input
 
@@ -196,7 +204,12 @@ type checker = {
   run : Snapshot.Store.shadow -> verdict list;
 }
 
+(* [check] is given a node id, config and RIB; the checker reads them
+   off a speaker. *)
 let checker name fault_class scope check =
+  let check id (sp : Bgp.Speaker.t) =
+    check id (sp.Bgp.Speaker.sp_config ()) (sp.Bgp.Speaker.sp_rib ())
+  in
   { name; fault_class; scope; check;
     run =
       (fun shadow ->
@@ -215,16 +228,18 @@ let per_input =
 
 let standard_suite gt = baseline gt :: per_input
 
-(* Is [r] the row of [sp]'s current config and RIB? *)
-let current (sp : Bgp.Speaker.t) r =
-  sp.Bgp.Speaker.sp_config () == r.r_config && sp.Bgp.Speaker.sp_rib () == r.r_rib
+(* Is [r] the row of this config and RIB? *)
+let current cfg rib r = cfg == r.r_config && rib == r.r_rib
 
-let recorded entries id sp =
+let recorded entries id cfg rib =
   match Int_map.find_opt id entries with
-  | Some e when current sp e.e_row -> Some e
+  | Some e when current cfg rib e.e_row -> Some e
   | Some _ | None -> None
 
-let reuses gt id sp = Option.is_some (recorded (Atomic.get gt.memo) id sp)
+let reuses gt id (sp : Bgp.Speaker.t) =
+  Option.is_some
+    (recorded (Atomic.get gt.memo) id (sp.Bgp.Speaker.sp_config ()) (sp.Bgp.Speaker.sp_rib ()))
+
 let entry_row entries id = Option.map (fun e -> e.e_row) (Int_map.find_opt id entries)
 
 (* The row of [id] at [cfg] and [rib], from a [prior] row when only the
@@ -242,34 +257,36 @@ let row_of prior id cfg rib =
   in
   { r_config = cfg; r_rib = rib; r_failing = failing; r_verdicts = rendered id failing }
 
-let speaker_row prior id (sp : Bgp.Speaker.t) =
-  row_of prior id (sp.Bgp.Speaker.sp_config ()) (sp.Bgp.Speaker.sp_rib ())
-
-let record gt shadow =
+let record gt clone =
   let entries, changed =
-    List.fold_left
-      (fun (entries, changed) (id, (sp : Bgp.Speaker.t)) ->
+    Snapshot.Store.fold
+      (fun cp live (entries, changed) ->
+        let id = cp.Snapshot.Checkpoint.node and cfg, rib = state cp live in
         let prior = entry_row entries id in
         match prior with
-        | Some r when current sp r -> (entries, changed)
+        | Some r when current cfg rib r -> (entries, changed)
         | Some _ | None ->
             let e =
-              { e_row = speaker_row prior id sp; e_baseline = origin_authenticity gt id sp }
+              { e_row = row_of prior id cfg rib; e_baseline = origin_authenticity gt id cfg rib }
             in
             (Int_map.add id e entries, id :: changed))
-      (Atomic.get gt.memo, []) shadow.Snapshot.Store.sh_speakers
+      clone (Atomic.get gt.memo, [])
   in
   Atomic.set gt.memo entries;
   List.rev changed
 
-let run_baseline gt shadow =
+let run_baseline gt clone =
   let entries = Atomic.get gt.memo in
-  let c = baseline gt in
-  ( c,
-    List.map
-      (fun (id, sp) ->
-        match recorded entries id sp with Some e -> e.e_baseline | None -> c.check id sp)
-      shadow.Snapshot.Store.sh_speakers )
+  ( baseline gt,
+    List.rev
+      (Snapshot.Store.fold
+         (fun cp live acc ->
+           let id = cp.Snapshot.Checkpoint.node and cfg, rib = state cp live in
+           (match recorded entries id cfg rib with
+           | Some e -> e.e_baseline
+           | None -> origin_authenticity gt id cfg rib)
+           :: acc)
+         clone []) )
 
 (* Each checkpointed node's row at its capture, in checkpoint order:
    ascending ids. *)
@@ -309,20 +326,21 @@ let position (c : captured) id =
   in
   go 0 (Array.length c)
 
-let changed c shadow =
+let changed c clone =
   let edits =
     List.fold_right
-      (fun ((cp : Snapshot.Checkpoint.t), sp) edits ->
+      (fun ((cp : Snapshot.Checkpoint.t), (sp : Bgp.Speaker.t)) edits ->
         let id = cp.Snapshot.Checkpoint.node in
         let i = position c id in
         let r = snd c.(i) in
-        if current sp r then edits
+        let cfg = sp.Bgp.Speaker.sp_config () and rib = sp.Bgp.Speaker.sp_rib () in
+        if current cfg rib r then edits
         else
           List.map2
             (fun (was, v) edits -> if v = was then edits else (i, v) :: edits)
-            (List.combine r.r_verdicts (speaker_row (Some r) id sp).r_verdicts)
+            (List.combine r.r_verdicts (row_of (Some r) id cfg rib).r_verdicts)
             edits)
-      (shadow.Snapshot.Store.sh_touched ())
+      (Snapshot.Store.touched clone)
       (List.map (fun _ -> []) per_input)
   in
   List.combine per_input edits

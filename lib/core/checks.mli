@@ -35,9 +35,9 @@ val convergence_verdict : Snapshot.Store.settled -> int -> verdict
     (policy-conflict class) and [Diverging] is reported as
     non-quiescence within the event budget. *)
 
-val convergence : ?budget:int -> Snapshot.Store.shadow -> verdict list
-(** {!Snapshot.Store.settle}s the shadow and gives every speaker its
-    {!convergence_verdict}. *)
+val convergence : ?budget:int -> Snapshot.Store.clone -> verdict list
+(** {!Snapshot.Store.settle}s the clone and gives every checkpointed
+    node its {!convergence_verdict}, in node order. *)
 
 type scope =
   | Baseline  (** state property: checked once per snapshot, pre-input *)
@@ -109,29 +109,32 @@ val standard_suite : ground_truth -> checker list
     function of the view, so reuse never changes an input, its order
     or a path count. *)
 
-val record : ground_truth -> Snapshot.Store.shadow -> int list
-(** Check every speaker of the shadow that the memo cannot reuse (the
-    [Per_input] checkers on the changed prefixes where the config
-    allows) and make it that node's entry; returns those node ids, in
-    [sh_speakers] order.  The explorer records the pristine clone of
+val record : ground_truth -> Snapshot.Store.clone -> int list
+(** Check every checkpointed node of the clone that the memo cannot
+    reuse, at its touched speaker's config and RIB or else its
+    capture's (the [Per_input] checkers on the changed prefixes where
+    the config allows), and make it that node's entry; returns those
+    node ids, ascending.  The explorer records the pristine clone of
     each cut before its replays fan out, never during them. *)
 
 val reuses : ground_truth -> int -> Bgp.Speaker.t -> bool
 (** Is the memo's entry for this node that speaker's config and RIB? *)
 
-val run_baseline : ground_truth -> Snapshot.Store.shadow -> checker * verdict list
+val run_baseline : ground_truth -> Snapshot.Store.clone -> checker * verdict list
 (** The {!standard_suite}'s [Baseline] checker and its verdicts over
-    [sh_speakers] in order — equal to [c.run shadow].  Reads the memo
-    and never writes it: a speaker it cannot reuse is checked. *)
+    the checkpointed nodes in order, each at its touched speaker or
+    else its capture — equal to [c.run] over the clone's
+    {!Snapshot.Store.shadow}.  Reads the memo and never writes it: a
+    node it cannot reuse is checked. *)
 
 (** {1 Verdicts at the capture}
 
-    A shadow's untouched speaker {e is} its checkpoint, so its verdicts
+    A clone's untouched node {e is} its checkpoint, so its verdicts
     are the same in every replay of a cut.  {!captured} checks each
     checkpointed node once per cut, at its captured config and RIB
     (from the memo where the entry is that capture, else on the
     prefixes changed since the entry); a replay then checks only the
-    speakers {!Snapshot.Store.shadow}'s [sh_touched] lists, each
+    speakers {!Snapshot.Store.touched} lists, each
     against its capture, on the prefixes it changed ({!changed}).  A
     node the pristine clone changed has a memo entry that is not its
     capture, and is answered from the capture all the same. *)
@@ -149,8 +152,8 @@ val columns : captured -> (checker * verdict array) list
     its verdict for each of {!nodes} at the capture: the checker's
     [run] over an untouched shadow of the snapshot. *)
 
-val changed : captured -> Snapshot.Store.shadow -> (checker * (int * verdict) list) list
-(** For each of {!columns}, in order, the verdicts of a shadow of the
+val changed : captured -> Snapshot.Store.clone -> (checker * (int * verdict) list) list
+(** For each of {!columns}, in order, the verdicts of a clone of the
     same snapshot that differ from the column, as (index into {!nodes},
     verdict), ascending: only touched speakers can differ, so only they
     are looked at. *)

@@ -127,9 +127,9 @@ let digests_of columns =
 (* The unperturbed clone of the snapshot, quiesced: spawned once per
    cut for the baseline checks and, when exploring, the verdict memo. *)
 let pristine ~params snapshot =
-  let sh = Snapshot.Store.spawn snapshot in
-  ignore (Snapshot.Store.run_to_quiescence ~max_events:params.shadow_budget sh);
-  sh
+  let c = Snapshot.Store.clone snapshot in
+  ignore (Snapshot.Store.run_to_quiescence ~max_events:params.shadow_budget c);
+  c
 
 (* Baseline (state) properties: checked once per exploration against
    the pristine clone.  Hoisted out of the per-peer loop — every peer
@@ -188,8 +188,8 @@ let check_cut ?(params = default_params) ~gt ~node snapshot =
 let replay k ~peer_addr ~now ?input ~crash_property raw =
   Telemetry.with_span "shadow_replay" (fun _sp ->
   let node = k.k_node and budget = k.k_params.shadow_budget in
-  let shadow = Snapshot.Store.spawn k.k_snapshot in
-  let target = Snapshot.Store.speaker shadow node in
+  let shadow = Snapshot.Store.clone k.k_snapshot in
+  let target = Snapshot.Store.touch shadow node in
   let crash_faults =
     match
       target.Bgp.Speaker.sp_process_raw
@@ -453,7 +453,7 @@ let replay_direct ?(params = default_params) ~build ~cut ~gt ~node
   let shadow, conv_faults =
     if not params.check_convergence then (pristine ~params snapshot, [])
     else begin
-      let shadow = Snapshot.Store.spawn snapshot in
+      let shadow = Snapshot.Store.clone snapshot in
       let verdicts = Checks.convergence ~budget:params.shadow_budget shadow in
       let faults =
         faults_of ~self:node ~now

@@ -41,10 +41,14 @@ type 'msg channel = {
   mutable ch_last : 'msg flight;
 }
 
+(* A node's record holds its out-channels' records, [out.(k)] for
+   channel [out_start.(i) + k], each made on first use like the node's
+   own. *)
 type 'msg node = {
   mutable handler : src:int -> 'msg -> unit;
   mutable nd_up : bool;
   mutable nd_down_since : Time.t option;
+  out : 'msg channel option array;
 }
 
 (* Global (registry) accounting, created only for labeled networks so
@@ -139,7 +143,6 @@ type 'msg t = {
   topo : topology;
   first_handler : int -> src:int -> 'msg -> unit;  (* a node's until [set_handler] *)
   nodes : 'msg node option array;  (* by node number, made on first use *)
-  chans : 'msg channel option array;  (* by channel number *)
   net_rng : Rng.t;
   mutable control_handler : (self:int -> src:int -> control -> unit) option;
   mutable tap : (dst:int -> src:int -> 'msg -> unit) option;
@@ -158,35 +161,66 @@ let new_channel link rng =
     ch_policy = Drop_while_down; ch_held = []; ch_down_since = None;
     ch_first = Landed; ch_last = Landed }
 
+(* Records are made on first use: a node's with its first handler, a
+   channel's with an ideal link, which draws nothing from a generator
+   and so can share the network's. *)
+let node_at t i =
+  match t.nodes.(i) with
+  | Some n -> n
+  | None ->
+      let degree = t.topo.out_start.(i + 1) - t.topo.out_start.(i) in
+      let n =
+        { handler = t.first_handler t.topo.ids.(i); nd_up = true; nd_down_since = None;
+          out = (if degree = 0 then [||] else Array.make degree None) }
+      in
+      t.nodes.(i) <- Some n;
+      n
+
+(* Channel [c] out of node [n], number [i]. *)
+let out_chan t n i c =
+  let k = c - t.topo.out_start.(i) in
+  match n.out.(k) with
+  | Some ch -> ch
+  | None ->
+      let ch = new_channel Link.ideal t.net_rng in
+      n.out.(k) <- Some ch;
+      ch
+
+let chan_at t c =
+  let i = t.topo.chan_src.(c) in
+  out_chan t (node_at t i) i c
+
 let create ?label ?(links = fun () -> []) eng topo first_handler =
-  let net_rng = Rng.split (Engine.rng eng) in
-  let chans = Array.make (Array.length topo.chan_src) None in
+  let t =
+    { eng;
+      metrics = Option.map net_metrics label;
+      topo;
+      first_handler;
+      nodes = Array.make (Array.length topo.ids) None;
+      net_rng = Rng.split (Engine.rng eng);
+      control_handler = None;
+      tap = None;
+      transform = None;
+      crash_policy = Propagate;
+      crash_log = [];
+      sent = 0;
+      delivered = 0;
+      flying = 0;
+      dropped = 0;
+      next_seq = 0 }
+  in
   List.iter
     (fun (a, b, link) ->
+      let fail () = invalid_arg (Printf.sprintf "Network.create: link %d->%d" a b) in
       match channel_number topo a b with
-      | c when c >= 0 && Option.is_none chans.(c) ->
-          chans.(c) <- Some (new_channel link (Rng.split net_rng))
-      | _ -> invalid_arg (Printf.sprintf "Network.create: link %d->%d" a b))
+      | -1 -> fail ()
+      | c ->
+          let i = topo.chan_src.(c) in
+          let n = node_at t i and k = c - topo.out_start.(i) in
+          if Option.is_some n.out.(k) then fail ();
+          n.out.(k) <- Some (new_channel link (Rng.split t.net_rng)))
     (links ());
-  {
-    eng;
-    metrics = Option.map net_metrics label;
-    topo;
-    first_handler;
-    nodes = Array.make (Array.length topo.ids) None;
-    chans;
-    net_rng;
-    control_handler = None;
-    tap = None;
-    transform = None;
-    crash_policy = Propagate;
-    crash_log = [];
-    sent = 0;
-    delivered = 0;
-    flying = 0;
-    dropped = 0;
-    next_seq = 0;
-  }
+  t
 
 let topology t = t.topo
 let engine t = t.eng
@@ -210,25 +244,6 @@ let downtime_us t since =
 (* ------------------------------------------------------------------ *)
 (* Failure state                                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* Records are made on first use: a node's with its first handler, a
-   channel's with an ideal link, which draws nothing from a generator
-   and so can share the network's. *)
-let node_at t i =
-  match t.nodes.(i) with
-  | Some n -> n
-  | None ->
-      let n = { handler = t.first_handler t.topo.ids.(i); nd_up = true; nd_down_since = None } in
-      t.nodes.(i) <- Some n;
-      n
-
-let chan_at t c =
-  match t.chans.(c) with
-  | Some ch -> ch
-  | None ->
-      let ch = new_channel Link.ideal t.net_rng in
-      t.chans.(c) <- Some ch;
-      ch
 
 let node_of t id =
   match node_number t.topo id with
@@ -351,10 +366,12 @@ let transmit t ~src ~dst env =
   match channel_number t.topo src dst with
   | -1 -> invalid_arg (Printf.sprintf "Network.send: no channel %d->%d" src dst)
   | c ->
-      let ch = chan_at t c in
+      let i = t.topo.chan_src.(c) in
+      let n = node_at t i in
+      let ch = out_chan t n i c in
       (* A down node is silent: its timers may still fire, but nothing it
          tries to send reaches the wire. *)
-      if not (node_at t t.topo.chan_src.(c)).nd_up then drop t ~src env
+      if not n.nd_up then drop t ~src env
       else if not ch.ch_up then
         (match ch.ch_policy with
         | Drop_while_down -> drop t ~src env
@@ -410,8 +427,15 @@ let partition t xs ys =
         ys)
     xs
 
-(* In channel order; a channel with no record yet is up. *)
-let heal t = Array.iteri (fun c -> Option.iter (link_up t c)) t.chans
+(* In channel order, which is node order and, within a node, out-slice
+   order; a channel with no record yet is up. *)
+let heal t =
+  Array.iteri
+    (fun i -> function
+      | Some n ->
+          Array.iteri (fun k -> Option.iter (link_up t (t.topo.out_start.(i) + k))) n.out
+      | None -> ())
+    t.nodes
 
 let send t ~src ~dst msg =
   t.sent <- t.sent + 1;
@@ -464,9 +488,14 @@ let digest t =
   else
     (* A channel or node with no record yet is described as a new one. *)
     let blank = new_channel Link.ideal t.net_rng in
+    let record c =
+      let i = t.topo.chan_src.(c) in
+      match t.nodes.(i) with
+      | Some n -> Option.value n.out.(c - t.topo.out_start.(i)) ~default:blank
+      | None -> blank
+    in
     let chans =
-      List.init (Array.length t.chans) (fun c ->
-          (channel_ends t.topo c, Option.value t.chans.(c) ~default:blank))
+      List.init (Array.length t.topo.chan_src) (fun c -> (channel_ends t.topo c, record c))
     in
     if List.exists (fun (_, ch) -> draws ch.link) chans then None
     else begin

@@ -87,11 +87,14 @@ val create :
 (** [create eng topology first] is a network whose nodes and channels
     are [topology]'s.  It splits its generator from [eng]'s, then calls
     [links] (default: none) once, so [links] may split the next one:
-    each listed channel's record is made now, with that link model and
-    a generator split from the network's, in list order.  Every other
-    record is made on first use: a channel's with {!Link.ideal}, a
-    node's with handler [first id] until {!set_handler}.  Both kinds
-    answer every query, {!digest} included, alike.
+    each listed channel's record, and its source node's, is made now,
+    with that link model and a generator split from the network's, in
+    list order.  Every other
+    record is made on first use: a node's with handler [first id] until
+    {!set_handler}, and a channel's with {!Link.ideal}.  A channel's
+    record lives in its source node's, so a network allocates nothing
+    per channel until the channel's source sends or a query names it.
+    Both kinds answer every query, {!digest} included, alike.
     @raise Invalid_argument if [links] names a channel that is not in
     [topology], or one twice.
 

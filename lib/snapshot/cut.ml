@@ -6,6 +6,7 @@ type snapshot = {
   started_at : Netsim.Time.t;
   completed_at : Netsim.Time.t;
   checkpoints : (int * Checkpoint.t) list;
+  by_number : Checkpoint.t option array;
   channels : channel_record list;
   topology : Netsim.Network.topology;
   control_messages : int;
@@ -47,9 +48,9 @@ type t = {
 
 let now t = Netsim.Engine.now (Netsim.Network.engine t.net)
 
-(* One record per channel, in channel order: gathered messages where we
-   have them, empty otherwise — so a shadow spawned from a partial cut
-   still knows the full channel structure. *)
+(* A record for each channel that recorded messages, in channel order.
+   The cut is settled when this runs, so nothing writes its checkpoint
+   array again and the snapshot can share it. *)
 let build_snapshot t a =
   { snap_id = a.a_id;
     initiator = a.a_initiator;
@@ -59,10 +60,18 @@ let build_snapshot t a =
       Array.fold_right
         (fun cp acc -> match cp with Some cp -> (cp.Checkpoint.node, cp) :: acc | None -> acc)
         a.a_checkpoints [];
+    by_number = a.a_checkpoints;
     channels =
-      List.init (Array.length a.a_closed) (fun c ->
-          let ch_from, ch_to = Netsim.Network.channel_ends t.topo c in
-          { ch_from; ch_to; ch_messages = List.rev a.a_recorded.(c) });
+      (let rec from c acc =
+         if c < 0 then acc
+         else
+           match a.a_recorded.(c) with
+           | [] -> from (c - 1) acc
+           | newest_first ->
+               let ch_from, ch_to = Netsim.Network.channel_ends t.topo c in
+               from (c - 1) ({ ch_from; ch_to; ch_messages = List.rev newest_first } :: acc)
+       in
+       from (Array.length a.a_recorded - 1) []);
     topology = t.topo;
     control_messages = a.a_markers_sent }
 

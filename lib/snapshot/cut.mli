@@ -30,10 +30,13 @@ type snapshot = {
   started_at : Netsim.Time.t;
   completed_at : Netsim.Time.t;
   checkpoints : (int * Checkpoint.t) list;  (** sorted by node *)
+  by_number : Checkpoint.t option array;
+      (** the same checkpoints by [topology] node number, [None] for a
+          node the cut did not checkpoint; read it, never write it *)
   channels : channel_record list;
-      (** one record per channel of the topology (empty messages for
-          channels the sweep never reached), in channel-number order,
-          which ascends *)
+      (** a record for each channel that recorded messages, in
+          channel-number order, which ascends; every other channel of
+          [topology] recorded nothing *)
   topology : Netsim.Network.topology;
       (** the network's topology, shared by every shadow spawned from
           the snapshot; a node the cut did not checkpoint is a black

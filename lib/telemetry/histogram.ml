@@ -55,6 +55,23 @@ let observe t v =
       if v > t.hi then t.hi <- v;
       t.rev_samples <- v :: t.rev_samples)
 
+let restorer t =
+  locked t (fun () ->
+      let counts = Array.copy t.counts
+      and n = t.n
+      and total = t.total
+      and lo = t.lo
+      and hi = t.hi
+      and samples = t.rev_samples in
+      fun () ->
+        locked t (fun () ->
+            Array.blit counts 0 t.counts 0 (Array.length counts);
+            t.n <- n;
+            t.total <- total;
+            t.lo <- lo;
+            t.hi <- hi;
+            t.rev_samples <- samples))
+
 let count t = locked t (fun () -> t.n)
 let sum t = locked t (fun () -> t.total)
 

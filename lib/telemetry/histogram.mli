@@ -20,6 +20,9 @@ val create : ?buckets:float array -> string -> t
     @raise Invalid_argument if [buckets] is empty or not increasing. *)
 
 val observe : t -> float -> unit
+val restorer : t -> unit -> unit
+(** [restorer t] is a function that puts [t] back as it is now. *)
+
 val count : t -> int
 val sum : t -> float
 

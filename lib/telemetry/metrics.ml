@@ -1,22 +1,50 @@
-type counter = { c_name : string; c : int Atomic.t }
-type gauge = { g_name : string; g : int Atomic.t }
+(* [listed] holds while the metric was registered, or a counter or
+   gauge of it bumped, outside every scope.  Until then it is reported
+   only once it holds a value, so a scope leaves no trace of a metric it
+   registered. *)
+type counter = { c_name : string; c : int Atomic.t; c_listed : bool ref }
+type gauge = { g_name : string; g : int Atomic.t; g_listed : bool ref }
 
 type metric =
   | Counter of counter
   | Gauge of gauge
   | Hist of Histogram.t
 
-let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
+type entry = { metric : metric; listed : bool ref }
+
+let registry : (string, entry) Hashtbl.t = Hashtbl.create 64
 let registry_lock = Mutex.create ()
+
+(* A function that puts the metric back as it is now. *)
+let restorer = function
+  | Counter c ->
+      let v = Atomic.get c.c in
+      fun () -> Atomic.set c.c v
+  | Gauge g ->
+      let v = Atomic.get g.g in
+      fun () -> Atomic.set g.g v
+  | Hist h -> Histogram.restorer h
+
+(* Each open scope's restorers, innermost scope first.  A metric
+   registered while scopes are open joins each of them as it was made:
+   zero. *)
+let open_scopes : (unit -> unit) list ref list ref = ref []
+
+let outside () = match !open_scopes with [] -> true | _ :: _ -> false
+let mark_listed listed = if (not !listed) && outside () then listed := true
 
 let register name make use =
   Mutex.lock registry_lock;
   let m =
     match Hashtbl.find_opt registry name with
-    | Some m -> m
+    | Some e ->
+        mark_listed e.listed;
+        e.metric
     | None ->
-        let m = make () in
-        Hashtbl.add registry name m;
+        let listed = ref (outside ()) in
+        let m = make listed in
+        Hashtbl.add registry name { metric = m; listed };
+        List.iter (fun scope -> scope := restorer m :: !scope) !open_scopes;
         m
   in
   Mutex.unlock registry_lock;
@@ -28,30 +56,59 @@ let register name make use =
 
 let counter name =
   register name
-    (fun () -> Counter { c_name = name; c = Atomic.make 0 })
+    (fun c_listed -> Counter { c_name = name; c = Atomic.make 0; c_listed })
     (function Counter c -> Some c | Gauge _ | Hist _ -> None)
 
-let incr c = Atomic.incr c.c
-let add c n = ignore (Atomic.fetch_and_add c.c n)
+let incr c =
+  mark_listed c.c_listed;
+  Atomic.incr c.c
+
+let add c n =
+  mark_listed c.c_listed;
+  ignore (Atomic.fetch_and_add c.c n)
+
 let value c = Atomic.get c.c
 let reset c = Atomic.set c.c 0
 
 let gauge name =
   register name
-    (fun () -> Gauge { g_name = name; g = Atomic.make 0 })
+    (fun g_listed -> Gauge { g_name = name; g = Atomic.make 0; g_listed })
     (function Gauge g -> Some g | Counter _ | Hist _ -> None)
 
-let set g n = Atomic.set g.g n
+let set g n =
+  mark_listed g.g_listed;
+  Atomic.set g.g n
+
 let gauge_value g = Atomic.get g.g
 
 let histogram ?buckets name =
   register name
-    (fun () -> Hist (Histogram.create ?buckets name))
+    (fun _ -> Hist (Histogram.create ?buckets name))
     (function Hist h -> Some h | Counter _ | Gauge _ -> None)
+
+let scoped f =
+  Mutex.lock registry_lock;
+  let scope = ref (Hashtbl.fold (fun _ e acc -> restorer e.metric :: acc) registry []) in
+  open_scopes := scope :: !open_scopes;
+  Mutex.unlock registry_lock;
+  Fun.protect f ~finally:(fun () ->
+      Mutex.lock registry_lock;
+      open_scopes := List.filter (fun s -> s != scope) !open_scopes;
+      Mutex.unlock registry_lock;
+      List.iter (fun restore -> restore ()) !scope)
+
+let holds_value = function
+  | Counter c -> value c <> 0
+  | Gauge g -> gauge_value g <> 0
+  | Hist h -> Histogram.count h > 0
 
 let entries () =
   Mutex.lock registry_lock;
-  let all = Hashtbl.fold (fun k v acc -> (k, v) :: acc) registry [] in
+  let all =
+    Hashtbl.fold
+      (fun k e acc -> if !(e.listed) || holds_value e.metric then (k, e.metric) :: acc else acc)
+      registry []
+  in
   Mutex.unlock registry_lock;
   List.sort (fun (a, _) (b, _) -> String.compare a b) all
 

@@ -30,6 +30,17 @@ val set : gauge -> int -> unit
 val histogram : ?buckets:float array -> string -> Histogram.t
 (** Find-or-register; [buckets] only applies on first registration. *)
 
+val scoped : (unit -> 'a) -> 'a
+(** [scoped f] runs [f] in a metrics scope of its own.  Inside it every
+    metric counts on from its value at entry; when [f] returns or
+    raises, every metric is put back as it was at entry.  One first
+    registered inside a scope goes back to zero, and {!snapshot} and
+    {!pp_report} leave it out until it holds a value, or is registered
+    or (a counter or gauge) bumped outside every scope.  So nothing [f] does outlives the scope: for
+    work that is not the run's own, such as a triage replay filed
+    beside a live run.  Scopes nest.  Bumps that other domains make
+    while [f] runs are undone with [f]'s. *)
+
 val snapshot : unit -> (string * Json.t) list
 (** One [(name, value)] pair per registered metric, sorted by name.
     Counters and gauges render as

@@ -33,14 +33,15 @@ let attempt_repair t (entry : Corpus.entry) sg =
       | Some record -> Corpus.set_repair ~dir:t.corpus_dir entry record)
 
 (* The confirm, minimize and repair replays are the collector's own
-   work, not the live run's: they record into a noop sink, so the
-   caller's artifact and cascade window see the same events whether or
-   not a corpus is being filed.  (Each replay still runs its own
-   cascade monitor, which tees onto the noop.) *)
+   work, not the live run's: they record into a noop sink and bump
+   metrics in a scope of their own, so the caller's artifact, cascade
+   window and metric values are the same whether or not a corpus is
+   being filed.  (Each replay still runs its own cascade monitor, which
+   tees onto the noop.) *)
 let quietly f =
   let saved = Telemetry.sink () in
   Telemetry.set_sink Telemetry.Sink.noop;
-  Fun.protect ~finally:(fun () -> Telemetry.set_sink saved) f
+  Fun.protect ~finally:(fun () -> Telemetry.set_sink saved) (fun () -> Telemetry.Metrics.scoped f)
 
 let file_fault t (f : Dice.Fault.t) =
   let sg = Dice.Signature.of_fault ~graph:t.graph f in

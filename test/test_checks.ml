@@ -41,28 +41,35 @@ let scoped gt scope =
     (fun (c : Dice.Checks.checker) -> c.Dice.Checks.scope = scope)
     (Dice.Checks.standard_suite gt)
 
+(* A shadow's clone, which the explorer and the store's own loops work
+   on. *)
+let cl (sh : Snapshot.Store.shadow) = sh.Snapshot.Store.sh_clone
+
 (* The explorer's pristine clone: spawned and run to quiescence. *)
 let pristine clone =
   let sh = clone () in
-  ignore (Snapshot.Store.run_to_quiescence sh);
+  ignore (Snapshot.Store.run_to_quiescence (cl sh));
   sh
 
-(* A fresh clone with one input's wire bytes delivered at [node] over
-   one of its sessions (the first by default), as the explorer replays
-   it; the clone is not yet run. *)
-let subject ?(session = 0) clone ~node input =
-  let sh = clone () in
-  let target = Snapshot.Store.speaker sh node in
+(* One input's wire bytes delivered to [target] over one of its
+   sessions (the first by default), as the explorer replays it. *)
+let deliver_input ?(session = 0) (target : Bgp.Speaker.t) input =
   let peer = List.nth (target.Bgp.Speaker.sp_config ()).Bgp.Config.neighbors session in
   let view = Dice.Sym_handler.view_of_speaker target ~peer:peer.Bgp.Config.addr in
   let input = ("neighbor_as", peer.Bgp.Config.remote_as) :: input in
-  (match
-     target.Bgp.Speaker.sp_process_raw
-       ~from_node:(Bgp.Router.node_of_addr peer.Bgp.Config.addr)
-       (Dice.Sym_handler.concretize view input)
-   with
+  match
+    target.Bgp.Speaker.sp_process_raw
+      ~from_node:(Bgp.Router.node_of_addr peer.Bgp.Config.addr)
+      (Dice.Sym_handler.concretize view input)
+  with
   | () -> ()
-  | exception Bgp.Router.Crash _ -> ());
+  | exception Bgp.Router.Crash _ -> ()
+
+(* A fresh clone with [input] delivered at [node]; the clone is not yet
+   run. *)
+let subject ?session clone ~node input =
+  let sh = clone () in
+  deliver_input ?session (Snapshot.Store.speaker sh node) input;
   sh
 
 let verdict_string (v : Dice.Checks.verdict) =
@@ -77,17 +84,17 @@ let suite_view results =
 
 let suite_t = Alcotest.(list (pair string (list string)))
 
-(* A shadow's per-input verdicts as a replay of its cut reads them: the
+(* A clone's per-input verdicts as a replay of its cut reads them: the
    columns at the capture, with the verdicts its touched speakers
    changed. *)
-let capture_view captured sh =
+let capture_view captured clone =
   List.map2
     (fun (c, column) (_, edits) ->
       let column = Array.copy column in
       List.iter (fun (i, v) -> column.(i) <- v) edits;
       (c, Array.to_list column))
     (Dice.Checks.columns captured)
-    (Dice.Checks.changed captured sh)
+    (Dice.Checks.changed captured clone)
 
 (* The three per-input checkers as they were before verdicts were kept
    per prefix: each folds over the whole Loc-RIB.  [check] now renders
@@ -280,8 +287,8 @@ let agrees_with_full gt captured scope sh =
   let memoized =
     suite_view
       (match scope with
-      | Dice.Checks.Baseline -> [ Dice.Checks.run_baseline gt sh ]
-      | Dice.Checks.Per_input -> capture_view captured sh)
+      | Dice.Checks.Baseline -> [ Dice.Checks.run_baseline gt (cl sh) ]
+      | Dice.Checks.Per_input -> capture_view captured (cl sh))
   in
   let full = suite_view (full_sweep (scoped gt scope) sh) in
   let run =
@@ -303,14 +310,14 @@ let agrees_with_full gt captured scope sh =
 let cut_agrees gt snap ~node inputs =
   let clone () = Snapshot.Store.spawn snap in
   let p = pristine clone in
-  ignore (Dice.Checks.record gt p);
+  ignore (Dice.Checks.record gt (cl p));
   let captured = Dice.Checks.captured gt snap in
   agrees_with_full gt captured Dice.Checks.Baseline p
   && agrees_with_full gt captured Dice.Checks.Per_input p
   && List.for_all
        (fun input ->
          let sh = subject clone ~node input in
-         ignore (Dice.Checks.convergence ~budget:5_000 sh);
+         ignore (Dice.Checks.convergence ~budget:5_000 (cl sh));
          agrees_with_full gt captured Dice.Checks.Per_input sh)
        inputs
 
@@ -472,7 +479,7 @@ let quiet_round_rerecords_nothing () =
   ignore (Dice.Explorer.explore_node ~build ~cut ~gt ~node:1 ());
   Topology.Build.run_for build (sec 10.);
   let p = pristine (snapshot build ~node:3) in
-  check Alcotest.(list int) "re-recorded" [] (Dice.Checks.record gt p);
+  check Alcotest.(list int) "re-recorded" [] (Dice.Checks.record gt (cl p));
   List.iter
     (fun (id, sp) ->
       Alcotest.(check bool) (Printf.sprintf "node %d reuses" id) true
@@ -490,7 +497,7 @@ let untouched_router_hits () =
   let snap = cut_from build ~node in
   let clone () = Snapshot.Store.spawn snap in
   let gt = Dice.Checks.ground_truth_of_graph graph in
-  ignore (Dice.Checks.record gt (pristine clone));
+  ignore (Dice.Checks.record gt (cl (pristine clone)));
   let quiet = pristine clone in
   List.iter
     (fun (id, sp) ->
@@ -502,7 +509,7 @@ let untouched_router_hits () =
     subject clone ~node
       [ ("withdraw", 1); ("nlri_a", 8); ("nlri_b", 8); ("nlri_c", 8); ("nlri_len", 24) ]
   in
-  ignore (Dice.Checks.convergence sh);
+  ignore (Dice.Checks.convergence (cl sh));
   List.iter
     (fun (id, sp) ->
       if id <> node then
@@ -512,7 +519,7 @@ let untouched_router_hits () =
     sh.Snapshot.Store.sh_speakers;
   check suite_t "verdicts equal full checking"
     (suite_view (full_sweep (scoped gt Dice.Checks.Per_input) sh))
-    (suite_view (capture_view (Dice.Checks.captured gt snap) sh))
+    (suite_view (capture_view (Dice.Checks.captured gt snap) (cl sh)))
 
 (* Sparrow's view changes only with its tables, and a clone starts from
    the captured one, so a second clone of the same snapshot returns the
@@ -525,7 +532,7 @@ let sparrow_hits () =
   let snap = cut_from build ~node:1 in
   let clone () = Snapshot.Store.spawn snap in
   let gt = Dice.Checks.ground_truth_of_graph graph in
-  ignore (Dice.Checks.record gt (pristine clone));
+  ignore (Dice.Checks.record gt (cl (pristine clone)));
   let sh = pristine clone in
   List.iter
     (fun (id, sp) ->
@@ -535,10 +542,10 @@ let sparrow_hits () =
     sh.Snapshot.Store.sh_speakers;
   check suite_t "baseline verdicts equal full checking"
     (suite_view (full_sweep (scoped gt Dice.Checks.Baseline) sh))
-    (suite_view [ Dice.Checks.run_baseline gt sh ]);
+    (suite_view [ Dice.Checks.run_baseline gt (cl sh) ]);
   check suite_t "per-input verdicts equal full checking"
     (suite_view (full_sweep (scoped gt Dice.Checks.Per_input) sh))
-    (suite_view (capture_view (Dice.Checks.captured gt snap) sh))
+    (suite_view (capture_view (Dice.Checks.captured gt snap) (cl sh)))
 
 (* A changed Sparrow table never returns a stale view: an announcement
    and then its withdrawal each show in the next view, on a live node
@@ -586,37 +593,33 @@ let sparrow_view_follows_tables () =
   follows "live" (Topology.Build.speaker build 2)
 
 (* [sh] with node [id]'s speaker reporting [rib] in place of its own,
-   among its speakers and, where [id] is touched, its touched ones. *)
+   among its speakers and as its clone's touched speaker. *)
 let with_rib (sh : Snapshot.Store.shadow) id rib =
-  let swap (sp : Bgp.Speaker.t) = { sp with Bgp.Speaker.sp_rib = (fun () -> rib) } in
+  let sp = { (List.assoc id sh.Snapshot.Store.sh_speakers) with Bgp.Speaker.sp_rib = (fun () -> rib) } in
+  let c = cl sh in
+  let i = Netsim.Network.node_number c.Snapshot.Store.cl_snapshot.Snapshot.Cut.topology id in
   { sh with
     Snapshot.Store.sh_speakers =
-      List.map
-        (fun (i, sp) -> if i = id then (i, swap sp) else (i, sp))
-        sh.Snapshot.Store.sh_speakers;
-    sh_touched =
-      (fun () ->
-        List.map
-          (fun ((cp : Snapshot.Checkpoint.t), sp) ->
-            if cp.Snapshot.Checkpoint.node = id then (cp, swap sp) else (cp, sp))
-          (sh.Snapshot.Store.sh_touched ())) }
+      List.map (fun (j, s) -> if j = id then (j, sp) else (j, s)) sh.Snapshot.Store.sh_speakers;
+    sh_clone =
+      { c with
+        Snapshot.Store.cl_touched =
+          (i, sp) :: List.filter (fun (j, _) -> j <> i) c.Snapshot.Store.cl_touched } }
 
 (* [snap] with node [id] captured at [rib]. *)
 let captured_at (snap : Snapshot.Cut.snapshot) id rib =
+  let at (cp : Snapshot.Checkpoint.t) =
+    if cp.Snapshot.Checkpoint.node <> id then cp
+    else
+      { cp with
+        Snapshot.Checkpoint.image = { cp.Snapshot.Checkpoint.image with Bgp.Speaker.cap_rib = rib } }
+  in
   { snap with
-    Snapshot.Cut.checkpoints =
-      List.map
-        (fun (i, (cp : Snapshot.Checkpoint.t)) ->
-          if i <> id then (i, cp)
-          else
-            ( i,
-              { cp with
-                Snapshot.Checkpoint.image =
-                  { cp.Snapshot.Checkpoint.image with Bgp.Speaker.cap_rib = rib } } ))
-        snap.Snapshot.Cut.checkpoints }
+    Snapshot.Cut.checkpoints = List.map (fun (i, cp) -> (i, at cp)) snap.Snapshot.Cut.checkpoints;
+    by_number = Array.map (Option.map at) snap.Snapshot.Cut.by_number }
 
 let verdict_at captured sh name id =
-  capture_view captured sh
+  capture_view captured (cl sh)
   |> List.find (fun ((c : Dice.Checks.checker), _) -> c.Dice.Checks.name = name)
   |> snd
   |> List.find (fun (v : Dice.Checks.verdict) -> v.Dice.Checks.v_node = id)
@@ -632,7 +635,7 @@ let loc_only_change_flagged () =
   let gt = Dice.Checks.ground_truth_of_graph graph in
   let snap = cut_from build ~node in
   let p = pristine (fun () -> Snapshot.Store.spawn snap) in
-  ignore (Dice.Checks.record gt p);
+  ignore (Dice.Checks.record gt (cl p));
   let sp = Snapshot.Store.speaker p node in
   let own = (sp.Bgp.Speaker.sp_config ()).Bgp.Config.asn in
   let rib = sp.Bgp.Speaker.sp_rib () in
@@ -658,7 +661,7 @@ let loc_only_change_flagged () =
       Alcotest.(check bool) (what ^ ": flagged") false v.Dice.Checks.v_ok;
       check suite_t (what ^ ": verdicts equal full checking")
         (suite_view (full_sweep (scoped gt Dice.Checks.Per_input) sh))
-        (suite_view (capture_view captured sh)))
+        (suite_view (capture_view captured (cl sh))))
     [ ("own AS", "no-own-as-in-path", Bgp.Rib.loc_set prefix looped rib);
       ("martian", "no-martians", Bgp.Rib.loc_set martian route rib) ]
 
@@ -901,7 +904,7 @@ let clones_keep_bug_flags () =
           ("contains_self", 1); ("origin_as", Topology.Gao_rexford.asn_of_node 4) ]
       in
       let loop_ok sh =
-        ignore (Dice.Checks.convergence ~budget:5_000 sh);
+        ignore (Dice.Checks.convergence ~budget:5_000 (cl sh));
         List.for_all
           (fun (v : Dice.Checks.verdict) -> v.Dice.Checks.v_ok)
           (loop_check.Dice.Checks.run sh)
@@ -968,7 +971,7 @@ let eager_convergence ~budget shadow =
 let end_state (sh : Snapshot.Store.shadow) =
   ( Netsim.Engine.pending sh.Snapshot.Store.sh_engine,
     Snapshot.Store.loc_rib_fingerprint sh,
-    Option.map Digest.to_hex (Snapshot.Store.digest sh) )
+    Option.map Digest.to_hex (Snapshot.Store.digest (cl sh)) )
 
 let end_state_t = Alcotest.(triple int int (option string))
 
@@ -976,7 +979,7 @@ let end_state_t = Alcotest.(triple int int (option string))
    end state. *)
 let agrees ~budget make =
   let deferred = make () and eager = make () in
-  let got = Dice.Checks.convergence ~budget deferred in
+  let got = Dice.Checks.convergence ~budget (cl deferred) in
   let want, events = eager_convergence ~budget eager in
   check Alcotest.(list string) "verdicts" (List.map verdict_string want)
     (List.map verdict_string got);
@@ -1119,7 +1122,7 @@ let early_stop_matches_budget_run =
     (fun c ->
       let make = run_case_clone c in
       let early = make () and full = make () in
-      let got = List.map verdict_string (Dice.Checks.convergence ~budget:c.budget early) in
+      let got = List.map verdict_string (Dice.Checks.convergence ~budget:c.budget (cl early)) in
       let want, _ = eager_convergence ~budget:c.budget full in
       let want = List.map verdict_string want in
       (got = want && end_state early = end_state full)
@@ -1145,7 +1148,7 @@ let fingerprint_since_capture_is_relative =
       let eng = sh.Snapshot.Store.sh_engine in
       let rec go steps =
         let want = Snapshot.Store.loc_rib_fingerprint sh - base in
-        let got = Snapshot.Store.fingerprint_since_capture sh in
+        let got = Snapshot.Store.fingerprint_since_capture (cl sh) in
         if got <> want then QCheck.Test.fail_reportf "after %d events: %d vs %d" steps got want
         else if steps >= c.budget || not (Netsim.Engine.step eng) then true
         else begin
@@ -1168,7 +1171,7 @@ let dispute_stops_early () =
   let sh = make () in
   let us (sh : Snapshot.Store.shadow) = Netsim.Time.to_us (Netsim.Engine.now sh.Snapshot.Store.sh_engine) in
   check Alcotest.bool "oscillating" true
-    (Snapshot.Store.settle ~budget:30_000 sh = Snapshot.Store.Oscillating);
+    (Snapshot.Store.settle ~budget:30_000 (cl sh) = Snapshot.Store.Oscillating);
   let full = make () in
   ignore (eager_convergence ~budget:30_000 full);
   check Alcotest.bool
@@ -1177,7 +1180,7 @@ let dispute_stops_early () =
     (us sh * 5 < us full);
   check end_state_t "budget state" (end_state full) (end_state sh)
 
-let hex_digest sh = Option.map Digest.to_hex (Snapshot.Store.digest sh)
+let hex_digest sh = Option.map Digest.to_hex (Snapshot.Store.digest (cl sh))
 
 (* Two spawns of one snapshot describe the same state, until their
    in-flight envelopes differ in content; a queued timer makes a
@@ -1189,12 +1192,12 @@ let shadow_digest_pins () =
   let sh = clone () and other = clone () in
   check Alcotest.(option string) "two spawns, one state" (hex_digest sh) (hex_digest other);
   check Alcotest.bool "described" true (Option.is_some (hex_digest sh));
-  let src, dst = List.hd (Netsim.Network.channels other.Snapshot.Store.sh_net) in
-  Netsim.Network.send sh.Snapshot.Store.sh_net ~src ~dst "one";
-  Netsim.Network.send other.Snapshot.Store.sh_net ~src ~dst "two";
+  let src, dst = List.hd (Netsim.Network.channels (cl other).Snapshot.Store.cl_net) in
+  Netsim.Network.send (cl sh).Snapshot.Store.cl_net ~src ~dst "one";
+  Netsim.Network.send (cl other).Snapshot.Store.cl_net ~src ~dst "two";
   check Alcotest.bool "different envelopes in flight" false (hex_digest sh = hex_digest other);
   ignore
-    (Netsim.Engine.schedule sh.Snapshot.Store.sh_engine ~after:(Netsim.Time.span_sec 1.)
+    (Netsim.Engine.schedule (cl sh).Snapshot.Store.cl_engine ~after:(Netsim.Time.span_sec 1.)
        (fun () -> ()));
   check Alcotest.(option string) "a queued timer" None (hex_digest sh)
 
@@ -1210,7 +1213,7 @@ let speaker_digest_pins () =
       let sh = clone () and other = clone () in
       let sp = Snapshot.Store.speaker sh node in
       let cap = Bgp.Speaker.capture sp in
-      let respawn = cap.Bgp.Speaker.cap_respawn ~net:other.Snapshot.Store.sh_net ~bugs:cap.Bgp.Speaker.cap_bugs in
+      let respawn = cap.Bgp.Speaker.cap_respawn ~net:(cl other).Snapshot.Store.cl_net ~bugs:cap.Bgp.Speaker.cap_bugs in
       let before = sp.Bgp.Speaker.sp_digest () in
       check Alcotest.string (Printf.sprintf "%s respawn" sp.Bgp.Speaker.sp_impl)
         (Digest.to_hex before) (Digest.to_hex (respawn.Bgp.Speaker.sp_digest ()));
@@ -1228,30 +1231,25 @@ let speaker_digest_pins () =
 (* ------------------------------------------------------------------ *)
 
 (* [Store.spawn] as it was before shadows cost what they touch: every
-   node added and every channel connected up front, every speaker
-   respawned at once, then the in-flight messages re-sent. *)
+   channel connected up front, every speaker respawned at once, then the
+   in-flight messages re-sent.  Its clone lists every node as touched. *)
 let eager_spawn ?bugs_of (snap : Snapshot.Cut.snapshot) =
   let engine = Netsim.Engine.create ~seed:(0xD1CE + snap.Snapshot.Cut.snap_id) () in
+  let topology = snap.Snapshot.Cut.topology in
   let channels =
-    List.map
-      (fun (c : Snapshot.Cut.channel_record) -> (c.Snapshot.Cut.ch_from, c.Snapshot.Cut.ch_to))
-      snap.Snapshot.Cut.channels
-  in
-  let nodes =
-    List.sort_uniq Int.compare
-      (List.map fst snap.Snapshot.Cut.checkpoints
-      @ List.concat_map (fun (a, b) -> [ a; b ]) channels)
+    List.init (Array.length topology.Netsim.Network.chan_src) (Netsim.Network.channel_ends topology)
   in
   let net =
     Netsim.Network.create engine
       ~links:(fun () -> List.map (fun (a, b) -> (a, b, Netsim.Link.ideal)) channels)
-      (Netsim.Network.make_topology ~nodes ~channels)
+      topology
       (fun _ ~src:_ _ -> ())
   in
-  let speakers =
+  let live =
     List.map
       (fun (id, cp) ->
-        (id, Snapshot.Checkpoint.respawn ?bugs:(Option.map (fun f -> f id) bugs_of) cp ~net))
+        ( Netsim.Network.node_number topology id,
+          Snapshot.Checkpoint.respawn ?bugs:(Option.map (fun f -> f id) bugs_of) cp ~net ))
       snap.Snapshot.Cut.checkpoints
   in
   List.iter
@@ -1260,14 +1258,16 @@ let eager_spawn ?bugs_of (snap : Snapshot.Cut.snapshot) =
         (fun msg -> Netsim.Network.send net ~src:c.Snapshot.Cut.ch_from ~dst:c.Snapshot.Cut.ch_to msg)
         c.Snapshot.Cut.ch_messages)
     snap.Snapshot.Cut.channels;
-  { Snapshot.Store.sh_engine = engine;
-    sh_net = net;
-    sh_speakers = speakers;
-    sh_touch = (fun id -> List.assoc id speakers);
-    sh_touched =
-      (fun () ->
-        List.map (fun (id, sp) -> (List.assoc id snap.Snapshot.Cut.checkpoints, sp)) speakers);
-    sh_from = snap.Snapshot.Cut.snap_id }
+  let clone =
+    { Snapshot.Store.cl_snapshot = snap;
+      cl_engine = engine;
+      cl_net = net;
+      cl_touched = live }
+  in
+  { Snapshot.Store.sh_clone = clone;
+    sh_engine = engine;
+    sh_speakers =
+      List.map (fun (cp, sp) -> (cp.Snapshot.Checkpoint.node, sp)) (Snapshot.Store.touched clone) }
 
 type lazy_case = {
   l_seed : int;
@@ -1303,11 +1303,15 @@ let print_lazy_case c =
     | None -> "-"
     | Some i -> String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) i))
 
-(* A shadow spawned lazily and one spawned eagerly, from one cut and
-   given the same input, deliver the same messages in the same order
-   and end alike: the digest before the input, the verdicts of every
-   checker and of convergence, the pending events, the Loc-RIB
-   fingerprint and the digest after. *)
+(* A shadow spawned lazily, one spawned eagerly and the explorer's
+   clone, from one cut and given the same input, deliver the same
+   messages in the same order and end alike: the digest before the
+   input, the convergence verdicts, the per-input verdicts the replay
+   changed, the pending events, the fingerprint since the capture and
+   the digest after; the two shadows also agree on every checker over
+   every speaker and on the full fingerprint, and the two lazy arms on
+   the speakers they touched.  Their pristine clones leave the same memo
+   behind. *)
 let lazy_shadow_equals_eager =
   QCheck.Test.make ~count:40 ~name:"store: a lazy shadow equals an eager one"
     (QCheck.make ~print:print_lazy_case gen_lazy_case)
@@ -1345,44 +1349,141 @@ let lazy_shadow_equals_eager =
               else (Topology.Build.speaker build id).Bgp.Speaker.sp_bugs ())
         else None
       in
-      let given spawn =
-        let sh = spawn ?bugs_of snap in
-        let before = hex_digest sh in
-        (match c.l_input with
-        | Some input -> ignore (subject (fun () -> sh) ~node input)
-        | None -> ());
-        (sh, before)
+      (* The explorer's clone runs the captured bug flags: it is an arm
+         only where nothing overrides them. *)
+      let arms =
+        [ ("eager", fun () -> let sh = eager_spawn ?bugs_of snap in (cl sh, Some sh));
+          ("spawn", fun () -> let sh = Snapshot.Store.spawn ?bugs_of snap in (cl sh, Some sh)) ]
+        @
+        if Option.is_none bugs_of then [ ("clone", fun () -> (Snapshot.Store.clone snap, None)) ]
+        else []
       in
-      let delivered spawn =
-        let sh, _ = given spawn in
+      let given make =
+        let clone, sh = make () in
+        let before = Option.map Digest.to_hex (Snapshot.Store.digest clone) in
+        Option.iter (deliver_input (Snapshot.Store.touch clone node)) c.l_input;
+        (clone, sh, before)
+      in
+      let delivered make =
+        let clone, _, _ = given make in
         let got = ref [] in
-        Netsim.Network.set_delivery_tap sh.Snapshot.Store.sh_net
+        Netsim.Network.set_delivery_tap clone.Snapshot.Store.cl_net
           (Some (fun ~dst ~src msg -> got := (src, dst, msg) :: !got));
-        ignore (Snapshot.Store.run_to_quiescence ~max_events:5_000 sh);
+        ignore (Snapshot.Store.run_to_quiescence ~max_events:5_000 clone);
         List.rev !got
       in
-      let outcome spawn =
-        let sh, before = given spawn in
-        let gt = Dice.Checks.ground_truth_of_graph graph in
-        let verdicts =
-          Dice.Checks.convergence ~budget:5_000 sh
-          @ List.concat_map
-              (fun (ch : Dice.Checks.checker) -> ch.Dice.Checks.run sh)
-              (Dice.Checks.standard_suite gt)
+      let gt = Dice.Checks.ground_truth_of_graph graph in
+      let captured = Dice.Checks.captured gt snap in
+      (* What every arm reads alike, and what only the shadows have: the
+         verdicts of every checker over every speaker, the full Loc-RIB
+         fingerprint, and whether the digest is the one their speakers
+         describe. *)
+      let outcome make =
+        let clone, sh, before = given make in
+        let settled = Dice.Checks.convergence ~budget:5_000 clone in
+        let edits =
+          List.map
+            (fun ((ch : Dice.Checks.checker), edits) ->
+              ( ch.Dice.Checks.name,
+                List.map (fun (i, v) -> Printf.sprintf "%d: %s" i (verdict_string v)) edits ))
+            (Dice.Checks.changed captured clone)
         in
-        ( before,
-          List.map verdict_string verdicts,
-          end_state sh )
+        let digest = Option.map Digest.to_hex (Snapshot.Store.digest clone) in
+        let common =
+          ( before,
+            List.map verdict_string settled,
+            edits,
+            ( Netsim.Engine.pending clone.Snapshot.Store.cl_engine,
+              Snapshot.Store.fingerprint_since_capture clone,
+              digest ) )
+        in
+        (* The digest as the shadow's speakers describe the state: the
+           network's and each speaker's own, in node order. *)
+        let described (sh : Snapshot.Store.shadow) =
+          Option.map
+            (fun net ->
+              Digest.to_hex
+                (Digest.string
+                   (String.concat ""
+                      (net
+                      :: List.map
+                           (fun (_, (sp : Bgp.Speaker.t)) -> sp.Bgp.Speaker.sp_digest ())
+                           sh.Snapshot.Store.sh_speakers))))
+            (Netsim.Network.digest clone.Snapshot.Store.cl_net)
+        in
+        let swept =
+          Option.map
+            (fun sh ->
+              ( List.concat_map
+                  (fun (ch : Dice.Checks.checker) -> List.map verdict_string (ch.Dice.Checks.run sh))
+                  (Dice.Checks.standard_suite gt),
+                Snapshot.Store.loc_rib_fingerprint sh,
+                described sh = digest ))
+            sh
+        in
+        let touched = List.map (fun (cp, _) -> cp.Snapshot.Checkpoint.node) (Snapshot.Store.touched clone) in
+        (common, swept, touched)
       in
-      let lazy_ ?bugs_of snap = Snapshot.Store.spawn ?bugs_of snap in
-      let d_lazy = delivered lazy_ and d_eager = delivered eager_spawn in
-      let ((b_lazy, v_lazy, e_lazy) as o_lazy) = outcome lazy_ in
-      let ((b_eager, v_eager, e_eager) as o_eager) = outcome eager_spawn in
-      (d_lazy = d_eager && o_lazy = o_eager)
-      || QCheck.Test.fail_reportf
-           "lazy and eager agree on: deliveries %b (%d, %d), first digest %b, verdicts %b, end state %b"
-           (d_lazy = d_eager) (List.length d_lazy) (List.length d_eager) (b_lazy = b_eager)
-           (v_lazy = v_eager) (e_lazy = e_eager))
+      (* A pristine clone recorded into a fresh memo: the nodes recorded
+         and whether the memo then holds each speaker it touched, the
+         baseline verdicts, the nodes a second pristine clone re-records,
+         and which of a fresh shadow's speakers the memo reuses. *)
+      let probe = Snapshot.Store.spawn snap in
+      let memo make =
+        let gt = Dice.Checks.ground_truth_of_graph graph in
+        let pristine () =
+          let clone, _ = make () in
+          ignore (Snapshot.Store.run_to_quiescence ~max_events:5_000 clone);
+          clone
+        in
+        let first = pristine () in
+        let recorded = Dice.Checks.record gt first in
+        let holds_touched =
+          List.for_all
+            (fun ((cp : Snapshot.Checkpoint.t), sp) ->
+              Dice.Checks.reuses gt cp.Snapshot.Checkpoint.node sp)
+            (Snapshot.Store.touched first)
+        in
+        let _, baseline = Dice.Checks.run_baseline gt (pristine ()) in
+        let again = Dice.Checks.record gt (pristine ()) in
+        ( (recorded, holds_touched),
+          List.map verdict_string baseline,
+          again,
+          List.map (fun (id, sp) -> Dice.Checks.reuses gt id sp) probe.Snapshot.Store.sh_speakers )
+      in
+      let results f = List.map (fun (name, make) -> (name, f make)) arms in
+      let deliveries = results delivered and outcomes = results outcome in
+      let memos = results memo in
+      let agree what values =
+        match values with
+        | [] -> true
+        | (first, v) :: rest ->
+            List.for_all
+              (fun (name, w) ->
+                w = v || QCheck.Test.fail_reportf "%s: %s and %s disagree" what first name)
+              rest
+      in
+      let pick f = List.map (fun (name, o) -> (name, f o)) in
+      let shadows = List.filter_map (fun (name, (_, sh, _)) -> Option.map (fun s -> (name, s)) sh) in
+      agree "deliveries" deliveries
+      && agree "digest before, convergence, changed verdicts, end state"
+           (pick (fun (common, _, _) -> common) outcomes)
+      && agree "every checker over every speaker, full fingerprint" (shadows outcomes)
+      && agree "touched set"
+           (pick (fun (_, _, touched) -> touched)
+              (List.filter (fun (name, _) -> name <> "eager") outcomes))
+      && agree "memo" memos
+      && List.for_all
+           (fun (name, (_, swept, _)) ->
+             match swept with
+             | Some (_, _, false) ->
+                 QCheck.Test.fail_reportf "%s: the digest is not its speakers'" name
+             | Some (_, _, true) | None -> true)
+           outcomes
+      && List.for_all
+           (fun (name, ((_, held), _, _, _)) ->
+             held || QCheck.Test.fail_reportf "%s: the memo lost a touched speaker" name)
+           memos)
 
 (* ------------------------------------------------------------------ *)
 (* Replays checked on their touched speakers against a full sweep      *)
@@ -1405,7 +1506,7 @@ let swept_replay gt snap ~node ~peer_addr ~budget raw =
         [ Dice.Fault.make ~at:now ~node ~property:"handler-crash" Dice.Fault.Programming_error
             detail ]
   in
-  let conv = Dice.Checks.convergence ~budget sh in
+  let conv = Dice.Checks.convergence ~budget (cl sh) in
   let groups =
     List.map
       (fun (c : Dice.Checks.checker) -> (c.Dice.Checks.fault_class, c.Dice.Checks.run sh))
@@ -1491,7 +1592,7 @@ let replays_match_full_sweep =
       let gt = Dice.Checks.ground_truth_of_graph graph in
       let snap = cut_from build ~node in
       let params = { Dice.Explorer.default_params with Dice.Explorer.shadow_budget = 5_000 } in
-      ignore (Dice.Checks.record gt (pristine (fun () -> Snapshot.Store.spawn snap)));
+      ignore (Dice.Checks.record gt (cl (pristine (fun () -> Snapshot.Store.spawn snap))));
       let k = Dice.Explorer.check_cut ~params ~gt ~node snap in
       replays_agree gt k snap ~node ~budget:5_000
         ((0, no_op_input) :: List.mapi (fun i input -> (i, input)) c.inputs))
@@ -1517,7 +1618,7 @@ let replay_check_cases () =
   let rib = (Snapshot.Store.speaker p other).Bgp.Speaker.sp_rib () in
   let route = snd (List.hd (Bgp.Prefix_trie.bindings rib.Bgp.Rib.loc)) in
   let recorded = with_rib p other (Bgp.Rib.loc_set (Bgp.Prefix.of_string_exn "127.0.0.0/8") route rib) in
-  ignore (Dice.Checks.record gt recorded);
+  ignore (Dice.Checks.record gt (cl recorded));
   let entry = List.assoc other recorded.Snapshot.Store.sh_speakers in
   Alcotest.(check bool) "the memo entry is the martian RIB" true
     (Dice.Checks.reuses gt other entry);
@@ -1528,7 +1629,7 @@ let replay_check_cases () =
   let on_swept (sh : Snapshot.Store.shadow) =
     touched :=
       List.map (fun ((cp : Snapshot.Checkpoint.t), _) -> cp.Snapshot.Checkpoint.node)
-        (sh.Snapshot.Store.sh_touched ())
+        (Snapshot.Store.touched (cl sh))
   in
   Alcotest.(check bool) "no-op replay equals the sweep" true
     (replays_agree ~on_swept gt k snap ~node ~budget:30_000 [ (0, no_op_input) ]);
@@ -1571,7 +1672,7 @@ let replay_check_cases () =
         Dice.Inject.apply build (Dice.Inject.Loop_check_bug { at = remote });
         Topology.Build.run_for build (sec 10.);
         let snap = cut_from build ~node in
-        ignore (Dice.Checks.record gt (pristine (fun () -> Snapshot.Store.spawn snap)));
+        ignore (Dice.Checks.record gt (cl (pristine (fun () -> Snapshot.Store.spawn snap))));
         let k = Dice.Explorer.check_cut ~gt ~node snap in
         let through =
           [ ("nlri_a", 8); ("nlri_b", 8); ("nlri_c", 11); ("nlri_len", 24); ("path_len", 2);
@@ -1599,7 +1700,7 @@ let replay_check_cases () =
     List.filter
       (fun node ->
         let snap = cut_from build ~node in
-        ignore (Dice.Checks.record gt (pristine (fun () -> Snapshot.Store.spawn snap)));
+        ignore (Dice.Checks.record gt (cl (pristine (fun () -> Snapshot.Store.spawn snap))));
         let k = Dice.Explorer.check_cut ~params ~gt ~node snap in
         Alcotest.(check bool) (Printf.sprintf "gadget node %d equals the sweep" node) true
           (replays_agree gt k snap ~node ~budget:3_000 [ (0, no_op_input) ]);

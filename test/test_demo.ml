@@ -63,8 +63,17 @@ let bad_flags_exit_cleanly () =
   check Alcotest.bool "-f dispute: no uncaught exception" false
     (contains err "uncaught exception")
 
+(* The metric lines of an artifact, by name, without their timestamps. *)
+let metric_lines path =
+  List.rev
+    (Telemetry.Sink.fold_file path ~init:[] ~f:(fun acc ~line:_ -> function
+       | Ok (_, Telemetry.Sink.Metric { name; value; _ }) ->
+           (name ^ " " ^ Telemetry.Json.to_string value) :: acc
+       | Ok _ | Error _ -> acc))
+
 (* Auto-triage's confirm/minimize/repair replays are not the live run:
-   filing a corpus must leave the live run's artifact as it was. *)
+   filing a corpus must leave the live run's artifact as it was, its
+   metric values included. *)
 let corpus_filing_leaves_artifact_alone () =
   Test_campaign.with_temp_dir @@ fun dir ->
   let counts name extra =
@@ -75,12 +84,14 @@ let corpus_filing_leaves_artifact_alone () =
     check Alcotest.int (name ^ ": exit 0 (stderr: " ^ err ^ ")") 0 code;
     match Telemetry.Schema.validate_file path with
     | Error msgs -> Alcotest.failf "%s: invalid: %s" name (String.concat "; " msgs)
-    | Ok v -> Telemetry.Schema.(v.v_spans, v.v_faults, v.v_traces)
+    | Ok v -> (Telemetry.Schema.(v.v_spans, v.v_faults, v.v_traces), metric_lines path)
   in
-  let plain = counts "plain" [] in
-  let filed = counts "filed" [ "--corpus"; Filename.concat dir "corpus" ] in
+  let plain, plain_metrics = counts "plain" [] in
+  let filed, filed_metrics = counts "filed" [ "--corpus"; Filename.concat dir "corpus" ] in
   let triple = Alcotest.(triple int int int) in
   check triple "spans, faults, traces" plain filed;
+  check Alcotest.bool "metric lines written" true (plain_metrics <> []);
+  check Alcotest.(list string) "metric lines" plain_metrics filed_metrics;
   check Alcotest.bool "entries filed" true
     (Triage.Corpus.load ~dir:(Filename.concat dir "corpus") <> [])
 

@@ -270,8 +270,7 @@ let mirror_matches_reality =
                  the node's Adj-RIB-In. *)
               let cut = make_cut build in
               let snap = Snapshot.Cut.snapshot_of (Dice.Explorer.take_snapshot ~build ~cut ~node ()) in
-              let shadow = Snapshot.Store.spawn snap in
-              let target = Snapshot.Store.speaker shadow node in
+              let target = Snapshot.Store.touch (Snapshot.Store.clone snap) node in
               target.Bgp.Speaker.sp_process_raw
                 ~from_node:(Bgp.Router.node_of_addr peer_addr) raw;
               let prefix = List.hd u.Bgp.Msg.nlri in
@@ -413,7 +412,7 @@ let checks_clean_on_healthy_system () =
   let cut = make_cut build in
   let snap = Snapshot.Cut.snapshot_of (Dice.Explorer.take_snapshot ~build ~cut ~node:0 ()) in
   let shadow = Snapshot.Store.spawn snap in
-  ignore (Snapshot.Store.run_to_quiescence shadow);
+  ignore (Snapshot.Store.run_to_quiescence shadow.Snapshot.Store.sh_clone);
   List.iter
     (fun (c : Dice.Checks.checker) ->
       List.iter

@@ -236,9 +236,11 @@ let network_counts () =
 
 (* A topology made from a node and channel list, against the fold over
    that list; and a network whose channel records are made up front,
-   against one that makes them on first use: after the same sends they
-   describe the same state.  A case may carry one defect, which the
-   constructor must refuse. *)
+   against one that makes them with their source node on first use:
+   after the same sends, links taken down and healed, they describe the
+   same state, hold the same links up and deliver the same messages in
+   the same order.  A case may carry one defect, which the constructor
+   must refuse. *)
 type topo_case = { t_nodes : int list; t_chans : (int * int) list; t_defect : string option }
 
 let gen_topo_case =
@@ -276,11 +278,15 @@ let network_adjacency =
       | exception Invalid_argument _ -> Option.is_some c.t_defect
       | topology ->
           let net links =
-            Netsim.Network.create ?links (Netsim.Engine.create ~seed ()) topology
-              (fun _ ~src:_ _ -> ())
+            let log = ref [] in
+            let net =
+              Netsim.Network.create ?links (Netsim.Engine.create ~seed ()) topology
+                (fun dst ~src m -> log := (src, dst, m) :: !log)
+            in
+            (net, log)
           in
-          let first_use = net None in
-          let up_front =
+          let first_use, first_use_log = net None in
+          let up_front, up_front_log =
             net (Some (fun () -> List.map (fun (a, b) -> (a, b, Netsim.Link.ideal)) c.t_chans))
           in
           let fold pick id = List.sort Int.compare (List.filter_map (pick id) c.t_chans) in
@@ -304,12 +310,44 @@ let network_adjacency =
           let send net =
             List.iter (fun ((src, dst), m) -> Netsim.Network.send net ~src ~dst m) sends
           in
-          send up_front;
-          send first_use;
-          Option.is_none c.t_defect && agree first_use && agree up_front
-          && Netsim.Network.digest up_front = Netsim.Network.digest first_use
-          && Netsim.Network.in_flight first_use = List.length sends
-          && Netsim.Network.in_flight up_front = List.length sends)
+          let downs =
+            if c.t_chans = [] then []
+            else
+              List.init 2 (fun _ ->
+                  ( Netsim.Rng.pick rng c.t_chans,
+                    Netsim.Rng.pick rng
+                      [ Netsim.Network.Drop_while_down; Netsim.Network.Queue_while_down ] ))
+          in
+          let more =
+            if c.t_chans = [] then []
+            else List.init 3 (fun i -> (Netsim.Rng.pick rng c.t_chans, "after " ^ string_of_int i))
+          in
+          let up net = List.map (fun (a, b) -> Netsim.Network.link_is_up net a b) c.t_chans in
+          (* Sends, links down, more sends: the link state of the downed
+             channels, and after [heal] of every channel, then every
+             delivery. *)
+          let run (net, log) =
+            send net;
+            let sent = Netsim.Network.in_flight net = List.length sends in
+            let digest = Netsim.Network.digest net in
+            List.iter
+              (fun ((a, b), policy) -> Netsim.Network.set_link_down ~policy net a b)
+              downs;
+            List.iter (fun ((src, dst), m) -> Netsim.Network.send net ~src ~dst m) more;
+            let down = List.map (fun ((a, b), _) -> Netsim.Network.link_is_up net a b) downs in
+            let in_flight = Netsim.Network.in_flight net in
+            Netsim.Network.heal net;
+            let healed = up net in
+            Netsim.Engine.run (Netsim.Network.engine net);
+            ( (sent, digest, in_flight, down, healed),
+              List.rev !log,
+              Netsim.Network.digest net )
+          in
+          let ((sent, _, _, down, healed), _, _) as want = run (up_front, up_front_log) in
+          Option.is_none c.t_defect && agree first_use && agree up_front && sent
+          && (not (List.exists Fun.id down))
+          && List.for_all Fun.id healed
+          && run (first_use, first_use_log) = want)
 
 let network_tap_and_control () =
   let eng = Netsim.Engine.create () in

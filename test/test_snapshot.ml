@@ -46,6 +46,22 @@ let take build cut node =
   | Snapshot.Cut.Complete s -> s
   | Snapshot.Cut.Partial _ -> Alcotest.fail "cut unexpectedly partial"
 
+(* Every channel of the snapshot's topology, in channel order, with the
+   messages it recorded: none where the snapshot lists no record. *)
+let all_channels (s : Snapshot.Cut.snapshot) =
+  let tp = s.Snapshot.Cut.topology in
+  List.init (Array.length tp.Netsim.Network.chan_src) (fun c ->
+      let a, b = Netsim.Network.channel_ends tp c in
+      ( a, b,
+        match
+          List.find_opt
+            (fun (r : Snapshot.Cut.channel_record) ->
+              r.Snapshot.Cut.ch_from = a && r.Snapshot.Cut.ch_to = b)
+            s.Snapshot.Cut.channels
+        with
+        | Some r -> r.Snapshot.Cut.ch_messages
+        | None -> [] ))
+
 let checkpoint_captures_state () =
   let build = deploy_line 3 in
   let sp = Topology.Build.speaker build 1 in
@@ -66,7 +82,9 @@ let cut_completes_with_all_nodes () =
   let cut = make_cut build in
   let snap = take build cut 0 in
   check Alcotest.int "all nodes checkpointed" 4 (List.length snap.Snapshot.Cut.checkpoints);
-  check Alcotest.int "all directed channels closed" 6 (List.length snap.Snapshot.Cut.channels);
+  check Alcotest.int "all directed channels closed" 6 (List.length (all_channels snap));
+  check Alcotest.int "a record only where messages were recorded" 0
+    (List.length snap.Snapshot.Cut.channels);
   Alcotest.(check bool) "markers bounded by channels" true
     (snap.Snapshot.Cut.control_messages <= 6);
   check Alcotest.int "controller idle" 0 (Snapshot.Cut.active cut)
@@ -96,7 +114,7 @@ let cut_captures_in_flight () =
   (* Spawn the clone and let it quiesce: it must reach the same
      conclusion as the live system eventually does. *)
   let shadow = Snapshot.Store.spawn snap in
-  Alcotest.(check bool) "shadow quiesces" true (Snapshot.Store.run_to_quiescence shadow);
+  Alcotest.(check bool) "shadow quiesces" true (Snapshot.Store.run_to_quiescence shadow.Snapshot.Store.sh_clone);
   assert (Topology.Build.converge build);
   let withdrawn_prefix = Topology.Gao_rexford.prefix_of_node 3 in
   List.iter
@@ -115,9 +133,9 @@ let shadow_isolation () =
   let snap = take build cut 0 in
   let live_before = Topology.Build.loc_rib_snapshot build in
   let live_msgs = Netsim.Network.messages_sent build.Topology.Build.net in
-  let shadow = Snapshot.Store.spawn snap in
+  let shadow = Snapshot.Store.clone snap in
   (* Hammer the clone. *)
-  let sp0 = Snapshot.Store.speaker shadow 0 in
+  let sp0 = Snapshot.Store.touch shadow 0 in
   sp0.Bgp.Speaker.sp_inject_update ~from:(Bgp.Router.addr_of_node 1)
     { Bgp.Msg.withdrawn = [];
       attrs =
@@ -140,10 +158,10 @@ let clones_are_independent () =
   let build = deploy_line 3 in
   let cut = make_cut build in
   let snap = take build cut 0 in
-  let s1 = Snapshot.Store.spawn snap in
-  let s2 = Snapshot.Store.spawn snap in
+  let s1 = Snapshot.Store.clone snap in
+  let s2 = Snapshot.Store.clone snap in
   let inject shadow prefix =
-    (Snapshot.Store.speaker shadow 0).Bgp.Speaker.sp_inject_update
+    (Snapshot.Store.touch shadow 0).Bgp.Speaker.sp_inject_update
       ~from:(Bgp.Router.addr_of_node 1)
       { Bgp.Msg.withdrawn = [];
         attrs =
@@ -159,7 +177,7 @@ let clones_are_independent () =
   ignore (Snapshot.Store.run_to_quiescence s2);
   let has shadow prefix =
     Bgp.Prefix_trie.mem (Bgp.Prefix.of_string_exn prefix)
-      (Bgp.Speaker.loc_rib (Snapshot.Store.speaker shadow 0))
+      (Bgp.Speaker.loc_rib (Snapshot.Store.touch shadow 0))
   in
   Alcotest.(check bool) "s1 sees its input only" true
     (has s1 "203.0.113.0/24" && not (has s1 "198.51.100.0/24"));
@@ -223,8 +241,8 @@ let partial_cut_spawns_shadow () =
   match take_result ~deadline:(Netsim.Time.span_sec 30.) build cut 0 with
   | Snapshot.Cut.Complete _ -> Alcotest.fail "cut completed across a dead node"
   | Snapshot.Cut.Partial (snap, _) ->
-      let shadow = Snapshot.Store.spawn snap in
-      let sp0 = Snapshot.Store.speaker shadow 0 in
+      let shadow = Snapshot.Store.clone snap in
+      let sp0 = Snapshot.Store.touch shadow 0 in
       sp0.Bgp.Speaker.sp_inject_update ~from:(Bgp.Router.addr_of_node 1)
         { Bgp.Msg.withdrawn = [ Topology.Gao_rexford.prefix_of_node 3 ];
           attrs = None; nlri = [] };
@@ -286,11 +304,7 @@ let view_of_result r =
     v_completed = Netsim.Time.to_us s.Snapshot.Cut.completed_at;
     v_checkpoints =
       List.map (fun (node, cp) -> checkpoint_view node cp) s.Snapshot.Cut.checkpoints;
-    v_channels =
-      List.map
-        (fun (c : Snapshot.Cut.channel_record) ->
-          (c.Snapshot.Cut.ch_from, c.Snapshot.Cut.ch_to, c.Snapshot.Cut.ch_messages))
-        s.Snapshot.Cut.channels;
+    v_channels = all_channels s;
     v_markers = s.Snapshot.Cut.control_messages }
 
 (* The marker algorithm as it was before completion was counted: after
@@ -484,13 +498,11 @@ let counting_cut_equals_rescanning =
 let channel_records_md5 (s : Snapshot.Cut.snapshot) =
   let b = Buffer.create 4096 in
   List.iter
-    (fun (c : Snapshot.Cut.channel_record) ->
-      Buffer.add_string b (Printf.sprintf "%d>%d:" c.Snapshot.Cut.ch_from c.Snapshot.Cut.ch_to);
-      List.iter
-        (fun m -> Buffer.add_string b (Printf.sprintf "%d:%s" (String.length m) m))
-        c.Snapshot.Cut.ch_messages;
+    (fun (ch_from, ch_to, messages) ->
+      Buffer.add_string b (Printf.sprintf "%d>%d:" ch_from ch_to);
+      List.iter (fun m -> Buffer.add_string b (Printf.sprintf "%d:%s" (String.length m) m)) messages;
       Buffer.add_char b ';')
-    s.Snapshot.Cut.channels;
+    (all_channels s);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let demo27_golden_cut () =

@@ -233,7 +233,7 @@ let sparrow_decision_matches_spec () =
   let gt = Dice.Checks.ground_truth_of_graph graph in
   let snap = Snapshot.Cut.snapshot_of (Dice.Explorer.take_snapshot ~build ~cut ~node:0 ()) in
   let shadow = Snapshot.Store.spawn snap in
-  ignore (Snapshot.Store.run_to_quiescence shadow);
+  ignore (Snapshot.Store.run_to_quiescence shadow.Snapshot.Store.sh_clone);
   List.iter
     (fun (c : Dice.Checks.checker) ->
       List.iter

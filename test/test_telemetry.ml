@@ -118,13 +118,13 @@ let shadow_replay_adds_no_events () =
   let build = Test_snapshot.deploy_line 3 in
   let snap = Test_snapshot.take build (Test_snapshot.make_cut build) 0 in
   with_memory_sink (fun sink ->
-      let shadow = Snapshot.Store.spawn snap in
-      let sp = Snapshot.Store.speaker shadow 2 in
+      let shadow = Snapshot.Store.clone snap in
+      let sp = Snapshot.Store.touch shadow 2 in
       let cfg = sp.Bgp.Speaker.sp_config () in
       sp.Bgp.Speaker.sp_set_config { cfg with Bgp.Config.networks = [] };
       check Alcotest.bool "shadow quiesces" true (Snapshot.Store.run_to_quiescence shadow);
       check Alcotest.bool "the withdrawal travelled" true
-        (Netsim.Network.messages_delivered shadow.Snapshot.Store.sh_net > 0);
+        (Netsim.Network.messages_delivered shadow.Snapshot.Store.cl_net > 0);
       check Alcotest.(list string) "no trace events" [] (trace_details sink))
 
 (* ------------------------------------------------------------------ *)
