@@ -38,7 +38,8 @@ let micro_fields micro =
   let field pick (name, ns, words) =
     Option.map (fun v -> (name, Json.Float (Benchio.round2 v))) (pick ns words)
   in
-  ( Json.Obj (List.filter_map (field (fun ns _ -> ns)) micro),
+  let timed = List.filter (fun (name, _, _) -> not (List.mem name Micro.heap_bound)) micro in
+  ( Json.Obj (List.filter_map (field (fun ns _ -> ns)) timed),
     Json.Obj (List.filter_map (field (fun _ words -> words)) micro) )
 
 let write_bench_json ~path ~micro ~run ~cache_hits ~cache_misses

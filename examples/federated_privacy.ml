@@ -26,15 +26,16 @@ let () =
       build.Topology.Build.net
   in
   let x = Dice.Explorer.explore_node ~build ~cut ~gt ~node:1 () in
+  let digests = List.concat x.Dice.Explorer.x_digests in
 
   Printf.printf "explorer node: 1 (AS%d)\n" (Topology.Gao_rexford.asn_of_node 1);
   Printf.printf "digests received from remote domains (%d total):\n"
-    (List.length x.Dice.Explorer.x_digests);
+    (List.length digests);
   let violated, ok_count =
     List.fold_left
       (fun (v, k) d ->
         if (d : Dice.Privacy.digest).Dice.Privacy.d_ok then (v, k + 1) else (d :: v, k))
-      ([], 0) x.Dice.Explorer.x_digests
+      ([], 0) digests
   in
   Printf.printf "  %d ok digests (suppressed)\n" ok_count;
   let distinct_violated =
@@ -51,8 +52,8 @@ let () =
     (Digest.to_hex
        (Digest.string
           (String.concat "\n"
-             (List.map (Format.asprintf "%a" Dice.Privacy.pp_digest) x.Dice.Explorer.x_digests))));
-  let agg = Dice.Privacy.aggregate x.Dice.Explorer.x_digests in
+             (List.map (Format.asprintf "%a" Dice.Privacy.pp_digest) digests))));
+  let agg = Dice.Privacy.aggregate digests in
   Printf.printf "aggregate: %d digests, %d distinct violations -> system %s\n"
     agg.Dice.Privacy.total
     (List.length (List.sort_uniq compare agg.Dice.Privacy.violations))

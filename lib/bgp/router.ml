@@ -86,8 +86,12 @@ let fsm_config t (n : Config.neighbor) : Fsm.config =
 let session t peer =
   Option.value (Ipv4.Map.find_opt peer t.st.sessions) ~default:(Fsm.create ())
 
+(* [Map.add] returns the map itself when the peer is already bound to
+   [fsm], so a session an event left as it was keeps [t.st], and with
+   it the speaker's last capture. *)
 let set_session t peer fsm =
-  t.st <- { t.st with sessions = Ipv4.Map.add peer fsm t.st.sessions }
+  let sessions = Ipv4.Map.add peer fsm t.st.sessions in
+  if sessions != t.st.sessions then t.st <- { t.st with sessions }
 
 let is_ibgp t (n : Config.neighbor) = n.Config.remote_as = t.cfg.Config.asn
 
@@ -155,9 +159,22 @@ let export_for t (n : Config.neighbor) prefix (route : Rib.route) =
           in
           Some { attrs with Attr.next_hop = address t }
 
+(* The [stats] counter of each message kind, sent and received. *)
+let tx_key = function
+  | Msg.Open _ -> "tx_open"
+  | Msg.Update _ -> "tx_update"
+  | Msg.Notification _ -> "tx_notification"
+  | Msg.Keepalive -> "tx_keepalive"
+
+let rx_key = function
+  | Msg.Open _ -> "rx_open"
+  | Msg.Update _ -> "rx_update"
+  | Msg.Notification _ -> "rx_notification"
+  | Msg.Keepalive -> "rx_keepalive"
+
 let send_msg t peer msg =
   let dst = node_of_addr peer in
-  Netsim.Stats.incr t.stats ("tx_" ^ String.lowercase_ascii (Msg.kind msg));
+  Netsim.Stats.incr t.stats (tx_key msg);
   Netsim.Network.send t.net ~src:t.node ~dst (Wire.encode msg)
 
 (* Group (prefix, attrs) pairs sharing identical attributes into one
@@ -485,7 +502,7 @@ let process_raw t ~from_node raw =
       in
       match Wire.decode_graceful raw with
       | Wire.Msg msg ->
-          Netsim.Stats.incr t.stats ("rx_" ^ String.lowercase_ascii (Msg.kind msg));
+          Netsim.Stats.incr t.stats (rx_key msg);
           drive t n (Fsm.Msg_received msg);
           reset_hold_timer t n
       | Wire.Treat_as_withdraw { withdrawn; nlri; err } ->

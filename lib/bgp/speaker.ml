@@ -39,7 +39,12 @@ let once f =
         ignore (Atomic.compare_and_set cell None (Some (f ())));
         Option.get (Atomic.get cell)
 
+(* A router keeps its last capture and the state it was taken at: while
+   its state, config and bug flags are still those values, nothing a
+   capture reads has changed, so it is returned again, and its digest
+   is computed once across cuts. *)
 let rec of_router r =
+  let last = ref None in
   { sp_node = Router.node r;
     sp_impl = "bird-like";
     sp_config = (fun () -> Router.config r);
@@ -53,17 +58,22 @@ let rec of_router r =
     sp_inject_update = (fun ~from u -> Router.inject_update r ~from u);
     sp_stats = (fun () -> Router.stats r);
     sp_digest = (fun () -> Router.digest r);
-    sp_capture = (fun () -> capture_router r) }
+    sp_capture =
+      (fun () ->
+        let st = Router.state r and cfg = Router.config r and bugs = Router.bugs r in
+        match !last with
+        | Some (st', cap) when st == st' && cfg == cap.cap_config && bugs == cap.cap_bugs -> cap
+        | Some _ | None ->
+            let cap = capture_router r st cfg bugs in
+            last := Some (st, cap);
+            cap) }
 
-and capture_router r =
-  let st = Router.state r in
-  let cfg = Router.config r in
-  let rib = st.Router.rib and bugs = Router.bugs r in
+and capture_router r st cfg bugs =
   { cap_node = Router.node r;
     cap_impl = "bird-like";
     cap_config = cfg;
     cap_bugs = bugs;
-    cap_rib = rib;
+    cap_rib = st.Router.rib;
     cap_digest = once (fun () -> Router.respawn_digest ~bugs cfg st);
     cap_respawn =
       (fun ~net ~bugs -> of_router (Router.respawn ~bugs ~net ~node:(Router.node r) cfg st)) }

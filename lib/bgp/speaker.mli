@@ -66,4 +66,7 @@ val once : (unit -> 'a) -> unit -> 'a
 
 val of_router : Router.t -> t
 (** Wrap the reference implementation.  Respawned clones run with
-    liveness timers disabled (shadow semantics). *)
+    liveness timers disabled (shadow semantics).  [sp_capture] returns
+    the speaker's last capture, physically, while the router's
+    {!Router.state}, config and bug flags are still physically the ones
+    it was taken at. *)

@@ -26,10 +26,29 @@ module Int_map = Map.Make (Int)
    the next job) the last one may win. *)
 type memo = entry Int_map.t Atomic.t
 
+(* One checker's verdicts over a cut's checkpointed nodes, each with
+   the digest it would cross a domain boundary as, and the failing ones
+   in node order.  Which node explores is not part of it: the explorer
+   leaves its own node's digest out when it reports. *)
+type column = {
+  c_class : Fault.fault_class;
+  c_rows : (verdict * Privacy.digest) array;
+  c_failing : verdict list;
+}
+
+(* Each checkpointed node's row at its capture, in checkpoint order
+   (ascending ids), and the columns built from those rows. *)
+type captured = {
+  cp_rows : (int * row) array;
+  cp_columns : column list;  (* the per-input checkers', in suite order *)
+  cp_quiesced : column;  (* convergence on a shadow that quiesced *)
+}
+
 type ground_truth = {
   owner_of : Bgp.Prefix.t -> int option;
   memo : memo;
   derivations : Sym_handler.memo;
+  last_captured : captured option Atomic.t;
 }
 
 (* [prefix_of_node] maps node ids one-to-one onto /24s, so at most one
@@ -51,7 +70,8 @@ let ground_truth_of_graph graph =
     | Some (owned, asn) when Bgp.Prefix.subsumes owned p -> Some asn
     | Some _ | None -> None
   in
-  { owner_of; memo = Atomic.make Int_map.empty; derivations = Sym_handler.memo () }
+  { owner_of; memo = Atomic.make Int_map.empty; derivations = Sym_handler.memo ();
+    last_captured = Atomic.make None }
 
 let ok node property = { v_node = node; v_property = property; v_ok = true; v_evidence = "" }
 
@@ -288,43 +308,91 @@ let run_baseline gt clone =
            :: acc)
          clone []) )
 
-(* Each checkpointed node's row at its capture, in checkpoint order:
-   ascending ids. *)
-type captured = (int * row) array
+let reported v =
+  ( v,
+    Privacy.digest ~node:v.v_node ~property:v.v_property ~ok:v.v_ok ~evidence:v.v_evidence )
 
-let captured gt (snapshot : Snapshot.Cut.snapshot) =
-  let entries = Atomic.get gt.memo in
-  Array.of_list
-    (List.map
-       (fun (id, (cp : Snapshot.Checkpoint.t)) ->
-         let cap = cp.Snapshot.Checkpoint.image in
-         let cfg = cap.Bgp.Speaker.cap_config and rib = cap.Bgp.Speaker.cap_rib in
-         match entry_row entries id with
-         | Some r when r.r_config == cfg && r.r_rib == rib -> (id, r)
-         | prior -> (id, row_of prior id cfg rib))
-       snapshot.Snapshot.Cut.checkpoints)
+let failing rows =
+  Array.fold_right (fun (v, _) acc -> if v.v_ok then acc else v :: acc) rows []
 
-let nodes c = Array.map fst c
+let column c_class verdicts =
+  let c_rows = Array.map reported verdicts in
+  { c_class; c_rows; c_failing = failing c_rows }
 
-(* The rows, one verdict per checker each, turned into one column per
-   checker. *)
-let columns c =
-  let columns =
+let edit c = function
+  | [] -> c
+  | edits ->
+      let rows = Array.copy c.c_rows in
+      List.iter (fun (i, v) -> rows.(i) <- reported v) edits;
+      { c with c_rows = rows; c_failing = failing rows }
+
+let build rows =
+  let verdicts =
     Array.fold_right
-      (fun (_, r) columns -> List.map2 (fun v column -> v :: column) r.r_verdicts columns)
-      c
+      (fun (_, r) lists -> List.map2 (fun v vs -> v :: vs) r.r_verdicts lists)
+      rows
       (List.map (fun _ -> []) per_input)
   in
-  List.map2 (fun checker column -> (checker, Array.of_list column)) per_input columns
+  { cp_rows = rows;
+    cp_columns =
+      List.map2 (fun (c : checker) vs -> column c.fault_class (Array.of_list vs)) per_input verdicts;
+    cp_quiesced =
+      column Fault.Policy_conflict
+        (Array.map (fun (id, _) -> convergence_verdict Snapshot.Store.Quiesced id) rows) }
 
-let position (c : captured) id =
+(* Are [rows] the rows of the checkpoints, node for node?  Allocates
+   nothing. *)
+let rows_of_checkpoints rows (cps : Snapshot.Checkpoint.t option array) =
+  let n = Array.length rows in
+  let rec go i k =
+    if i = Array.length cps then k = n
+    else
+      match cps.(i) with
+      | None -> go (i + 1) k
+      | Some cp ->
+          let cap = cp.Snapshot.Checkpoint.image in
+          k < n
+          && fst rows.(k) = cp.Snapshot.Checkpoint.node
+          && current cap.Bgp.Speaker.cap_config cap.Bgp.Speaker.cap_rib (snd rows.(k))
+          && go (i + 1) (k + 1)
+  in
+  go 0 0
+
+let captured gt (snapshot : Snapshot.Cut.snapshot) =
+  let cps = snapshot.Snapshot.Cut.by_number in
+  match Atomic.get gt.last_captured with
+  | Some c when rows_of_checkpoints c.cp_rows cps -> c
+  | Some _ | None ->
+      let entries = Atomic.get gt.memo in
+      let row (cp : Snapshot.Checkpoint.t) =
+        let id = cp.Snapshot.Checkpoint.node and cfg, rib = state cp None in
+        match entry_row entries id with
+        | Some r when current cfg rib r -> (id, r)
+        | prior -> (id, row_of prior id cfg rib)
+      in
+      let c =
+        build
+          (Array.of_list
+             (Array.fold_right
+                (fun cp rows -> match cp with Some cp -> row cp :: rows | None -> rows)
+                cps []))
+      in
+      Atomic.set gt.last_captured (Some c);
+      c
+
+let nodes c = Array.map fst c.cp_rows
+let columns c = c.cp_columns
+let quiesced c = c.cp_quiesced
+
+let position c id =
+  let rows = c.cp_rows in
   let rec go lo hi =
     if lo >= hi then invalid_arg (Printf.sprintf "Checks.changed: node %d not in the cut" id);
     let mid = (lo + hi) / 2 in
-    let x = fst c.(mid) in
+    let x = fst rows.(mid) in
     if x = id then mid else if x < id then go (mid + 1) hi else go lo mid
   in
-  go 0 (Array.length c)
+  go 0 (Array.length rows)
 
 let changed c clone =
   let edits =
@@ -332,7 +400,7 @@ let changed c clone =
       (fun ((cp : Snapshot.Checkpoint.t), (sp : Bgp.Speaker.t)) edits ->
         let id = cp.Snapshot.Checkpoint.node in
         let i = position c id in
-        let r = snd c.(i) in
+        let r = snd c.cp_rows.(i) in
         let cfg = sp.Bgp.Speaker.sp_config () and rib = sp.Bgp.Speaker.sp_rib () in
         if current cfg rib r then edits
         else

@@ -8,6 +8,9 @@
 type memo
 (** The per-speaker verdict memo (below), carried across cuts. *)
 
+type captured
+(** A cut's verdicts at its captures ({!captured}, below). *)
+
 type ground_truth = {
   owner_of : Bgp.Prefix.t -> int option;
       (** ASN authorized to originate the (covering) prefix *)
@@ -15,6 +18,9 @@ type ground_truth = {
   derivations : Sym_handler.memo;
       (** each explored session's last concolic derivation
           ({!Sym_handler.derive}), carried across cuts like [memo] *)
+  last_captured : captured option Atomic.t;
+      (** the last cut's verdicts at its captures, which the next cut
+          reuses while its captures are the same ({!captured}) *)
 }
 
 val ground_truth_of_graph : Topology.Graph.t -> ground_truth
@@ -131,26 +137,50 @@ val run_baseline : ground_truth -> Snapshot.Store.clone -> checker * verdict lis
 
     A clone's untouched node {e is} its checkpoint, so its verdicts
     are the same in every replay of a cut.  {!captured} checks each
-    checkpointed node once per cut, at its captured config and RIB
-    (from the memo where the entry is that capture, else on the
-    prefixes changed since the entry); a replay then checks only the
-    speakers {!Snapshot.Store.touched} lists, each
-    against its capture, on the prefixes it changed ({!changed}).  A
-    node the pristine clone changed has a memo entry that is not its
-    capture, and is answered from the capture all the same. *)
-
-type captured
+    checkpointed node at its captured config and RIB (from the memo
+    where the entry is that capture, else on the prefixes changed
+    since the entry), and builds the columns from those rows once for
+    each distinct set of captures: a cut whose captures are all the
+    last cut's shares that cut's columns.  A replay then checks only
+    the speakers {!Snapshot.Store.touched} lists, each against its
+    capture, on the prefixes it changed ({!changed}).  A node the
+    pristine clone changed has a memo entry that is not its capture,
+    and is answered from the capture all the same. *)
 
 val captured : ground_truth -> Snapshot.Cut.snapshot -> captured
-(** Reads the memo and never writes it. *)
+(** Reads the memo and never writes it.  When every checkpoint's
+    captured config and RIB are physically those of the rows in
+    [last_captured], node for node, that value itself is returned;
+    otherwise the rows are built and the result is kept there.  The
+    verdicts are a pure function of the rows, so reuse never changes
+    one. *)
 
 val nodes : captured -> int array
 (** The checkpointed node ids, ascending: the order of every column. *)
 
-val columns : captured -> (checker * verdict array) list
+(** One checker's verdicts over {!nodes}, each with its {!Privacy}
+    digest, and the failing ones in node order.  Every node's digest is
+    there, the exploring node's too: it is left out when the explorer
+    reports, so one column serves every exploring node. *)
+type column = {
+  c_class : Fault.fault_class;
+  c_rows : (verdict * Privacy.digest) array;
+  c_failing : verdict list;
+}
+
+val column : Fault.fault_class -> verdict array -> column
+
+val edit : column -> (int * verdict) list -> column
+(** The column with these (index, verdict) rows replaced; the column
+    itself when there are none. *)
+
+val columns : captured -> column list
 (** Each [Per_input] checker of {!standard_suite}, in suite order, with
     its verdict for each of {!nodes} at the capture: the checker's
     [run] over an untouched shadow of the snapshot. *)
+
+val quiesced : captured -> column
+(** Every node's {!convergence_verdict} on a shadow that quiesced. *)
 
 val changed : captured -> Snapshot.Store.clone -> (checker * (int * verdict) list) list
 (** For each of {!columns}, in order, the verdicts of a clone of the

@@ -26,7 +26,7 @@ type exploration = {
   x_partial : bool;
   x_stalled : (int * int) list;
   x_faults : Fault.t list;
-  x_digests : Privacy.digest list;
+  x_digests : Privacy.digest list list;
   x_inputs : int;
   x_shadow_runs : int;
   x_mangled : int;
@@ -72,16 +72,8 @@ let take_snapshot ?deadline ~build ~cut ~node () =
           ("stalled", Telemetry.Json.Int (List.length (Snapshot.Cut.stalled_of r))) ];
       r)
 
-(* A verdict as the explorer reports it: a fault when it fails, with
-   its evidence only at the explorer's own node, and from any other
-   node the digest that crossed the domain boundary. *)
-let digest_of ~self (v : Checks.verdict) =
-  if v.Checks.v_node = self then None
-  else
-    Some
-      (Privacy.digest ~node:v.Checks.v_node ~property:v.Checks.v_property
-         ~ok:v.Checks.v_ok ~evidence:v.Checks.v_evidence)
-
+(* A failing verdict as the explorer reports it: with its evidence
+   only at the explorer's own node. *)
 let fault_of ~self ~now ?input checker_class (v : Checks.verdict) =
   Fault.make ?input ~at:now ~node:v.Checks.v_node ~property:v.Checks.v_property
     checker_class
@@ -91,37 +83,22 @@ let fault_of ~self ~now ?input checker_class (v : Checks.verdict) =
           carries no remote evidence. *)
        "remote check digest reported a violation")
 
-let reported ~self v = (v, digest_of ~self v)
-
-(* One checker's verdicts over the nodes, as the explorer reports them:
-   each with its digest, and the failing ones, in node order. *)
-type column = {
-  c_class : Fault.fault_class;
-  c_rows : (Checks.verdict * Privacy.digest option) array;
-  c_failing : Checks.verdict list;
-}
-
-let failing rows =
-  Array.fold_right
-    (fun ((v : Checks.verdict), _) acc -> if v.Checks.v_ok then acc else v :: acc)
-    rows []
-
-let column ~self c_class verdicts =
-  let c_rows = Array.map (reported ~self) verdicts in
-  { c_class; c_rows; c_failing = failing c_rows }
-
 (* Columns as faults and as digests, each in column then node order.  A
    fault is recorded when it is made, so faults are made in that order
-   too. *)
+   too.  The explorer's own node sends no digest. *)
 let faults_of ~self ~now ?input columns =
-  List.concat_map (fun c -> List.map (fault_of ~self ~now ?input c.c_class) c.c_failing) columns
+  List.concat_map
+    (fun (c : Checks.column) ->
+      List.map (fault_of ~self ~now ?input c.Checks.c_class) c.Checks.c_failing)
+    columns
 
-let digests_of columns =
+let digests_of ~self columns =
   List.fold_right
-    (fun c digests ->
+    (fun (c : Checks.column) digests ->
       Array.fold_right
-        (fun (_, d) digests -> match d with Some d -> d :: digests | None -> digests)
-        c.c_rows digests)
+        (fun ((v : Checks.verdict), d) digests ->
+          if v.Checks.v_node = self then digests else d :: digests)
+        c.Checks.c_rows digests)
     columns []
 
 (* The unperturbed clone of the snapshot, quiesced: spawned once per
@@ -137,8 +114,8 @@ let pristine ~params snapshot =
    waste. *)
 let baseline_results ~gt ~node ~now pristine =
   let (c : Checks.checker), verdicts = Checks.run_baseline gt pristine in
-  let columns = [ column ~self:node c.Checks.fault_class (Array.of_list verdicts) ] in
-  (faults_of ~self:node ~now columns, digests_of columns)
+  let columns = [ Checks.column c.Checks.fault_class (Array.of_list verdicts) ] in
+  (faults_of ~self:node ~now columns, digests_of ~self:node columns)
 
 type checked_cut = {
   k_params : params;
@@ -146,25 +123,20 @@ type checked_cut = {
   k_snapshot : Snapshot.Cut.snapshot;
   k_node : int;
   k_captured : Checks.captured;
-  k_columns : column list;  (* the per-input checkers', as {!Checks.columns} *)
-  k_quiesced : column option;  (* convergence on a quiesced shadow, when checked *)
+  k_columns : Checks.column list;  (* the per-input checkers', as {!Checks.columns} *)
+  k_quiesced : Checks.column option;  (* convergence on a quiesced shadow, when checked *)
   k_digests : Privacy.digest list;  (* of a replay that changed no verdict *)
 }
 
-let convergence_column ~self captured settled =
-  column ~self Fault.Policy_conflict
+let convergence_column captured settled =
+  Checks.column Fault.Policy_conflict
     (Array.map (Checks.convergence_verdict settled) (Checks.nodes captured))
 
 let check_cut ?(params = default_params) ~gt ~node snapshot =
   let captured = Checks.captured gt snapshot in
-  let k_columns =
-    List.map
-      (fun ((c : Checks.checker), verdicts) -> column ~self:node c.Checks.fault_class verdicts)
-      (Checks.columns captured)
+  let k_columns = Checks.columns captured
   and k_quiesced =
-    if params.check_convergence then
-      Some (convergence_column ~self:node captured Snapshot.Store.Quiesced)
-    else None
+    if params.check_convergence then Some (Checks.quiesced captured) else None
   in
   { k_params = params;
     k_derivations = gt.Checks.derivations;
@@ -173,7 +145,7 @@ let check_cut ?(params = default_params) ~gt ~node snapshot =
     k_captured = captured;
     k_columns;
     k_quiesced;
-    k_digests = digests_of (k_columns @ Option.to_list k_quiesced) }
+    k_digests = digests_of ~self:node (k_columns @ Option.to_list k_quiesced) }
 
 (* Replay one raw byte string over its own fresh clone and run the
    per-input property checkers, on the speakers the replay touched
@@ -209,22 +181,14 @@ let replay k ~peer_addr ~now ?input ~crash_property raw =
     end
   in
   let per_input =
-    List.map2
-      (fun column (_, edits) ->
-        match edits with
-        | [] -> column
-        | edits ->
-            let rows = Array.copy column.c_rows in
-            List.iter (fun (i, v) -> rows.(i) <- reported ~self:node v) edits;
-            { column with c_rows = rows; c_failing = failing rows })
-      k.k_columns
+    List.map2 (fun column (_, edits) -> Checks.edit column edits) k.k_columns
       (Checks.changed k.k_captured shadow)
   in
   let convergence =
     match (k.k_quiesced, settled) with
     | None, _ -> []
     | Some quiesced, Snapshot.Store.Quiesced -> [ quiesced ]
-    | Some _, settled -> [ convergence_column ~self:node k.k_captured settled ]
+    | Some _, settled -> [ convergence_column k.k_captured settled ]
   in
   let columns = per_input @ convergence in
   let faults = faults_of ~self:node ~now ?input columns in
@@ -232,7 +196,7 @@ let replay k ~peer_addr ~now ?input ~crash_property raw =
   let unchanged =
     settled = Snapshot.Store.Quiesced && List.for_all2 ( == ) per_input k.k_columns
   in
-  (crash_faults @ faults, if unchanged then k.k_digests else digests_of columns))
+  (crash_faults @ faults, if unchanged then k.k_digests else digests_of ~self:node columns))
 
 let replay_input k ~view ~peer_addr ~now input =
   replay k ~peer_addr ~now ~input ~crash_property:"handler-crash"
@@ -241,12 +205,16 @@ let replay_input k ~view ~peer_addr ~now input =
 (* The instrumented handler's view of [node]'s session with [peer], read
    from the node's checkpoint: the snapshot's consistent state. *)
 let view_at (snapshot : Snapshot.Cut.snapshot) ~node ~peer =
-  let cp = List.assoc node snapshot.Snapshot.Cut.checkpoints in
-  Sym_handler.view_of_capture cp.Snapshot.Checkpoint.image ~peer
+  match
+    snapshot.Snapshot.Cut.by_number.(Netsim.Network.node_number snapshot.Snapshot.Cut.topology
+                                       node)
+  with
+  | Some cp -> Sym_handler.view_of_capture cp.Snapshot.Checkpoint.image ~peer
+  | None -> invalid_arg (Printf.sprintf "Explorer: node %d not in the cut" node)
 
 type peer_result = {
   pr_faults : Fault.t list;  (* deduped, canonical input order *)
-  pr_digests : Privacy.digest list;
+  pr_digests : Privacy.digest list list;  (* one segment per replay, in task order *)
   pr_result : Sym_handler.outcome Concolic.Engine.result;
   pr_shadow_runs : int;
   pr_mangled : int;
@@ -319,7 +287,7 @@ let explore_peer k ~build ~peer_addr =
   in
   let replayed = List.map replay tasks in
   let faults = crash_faults @ List.concat_map fst replayed in
-  let digests = List.concat (List.map snd replayed) in
+  let digests = List.map snd replayed in
   Telemetry.add_attr sp
     [ ("inputs", Telemetry.Json.Int (List.length inputs));
       ("mangled", Telemetry.Json.Int (List.length mangled));
@@ -396,7 +364,7 @@ let explore_node ?(params = default_params) ~build ~cut ~gt ~node () =
       peers
   in
   let faults = base_faults @ List.concat_map (fun pr -> pr.pr_faults) merged in
-  let digests = List.concat (base_digests :: List.map (fun pr -> pr.pr_digests) merged) in
+  let digests = base_digests :: List.concat_map (fun pr -> pr.pr_digests) merged in
   let sum f = List.fold_left (fun acc pr -> acc + f pr) 0 merged in
   let inputs = sum (fun pr -> pr.pr_result.Concolic.Engine.inputs_executed) in
   let paths = sum (fun pr -> pr.pr_result.Concolic.Engine.distinct_paths) in
@@ -456,8 +424,7 @@ let replay_direct ?(params = default_params) ~build ~cut ~gt ~node
       let shadow = Snapshot.Store.clone snapshot in
       let verdicts = Checks.convergence ~budget:params.shadow_budget shadow in
       let faults =
-        faults_of ~self:node ~now
-          [ column ~self:node Fault.Policy_conflict (Array.of_list verdicts) ]
+        faults_of ~self:node ~now [ Checks.column Fault.Policy_conflict (Array.of_list verdicts) ]
       in
       (* Last node first: the order the stored repair baselines list. *)
       (shadow, List.rev faults)

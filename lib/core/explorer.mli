@@ -39,7 +39,11 @@ type exploration = {
   x_stalled : (int * int) list;
       (** channels whose marker never arrived (empty when complete) *)
   x_faults : Fault.t list;  (** deduplicated *)
-  x_digests : Privacy.digest list;  (** remote check results *)
+  x_digests : Privacy.digest list list;
+      (** remote check results, as segments in the order they arrive:
+          the baseline's, then each replay's, sessions in config order
+          and replays in input order; [List.concat] gives the stream.
+          A replay that changed no verdict shares its cut's segment. *)
   x_inputs : int;  (** concolic executions of the instrumented handler *)
   x_shadow_runs : int;  (** clones subjected to inputs *)
   x_mangled : int;  (** of which mangled wire-byte inputs *)

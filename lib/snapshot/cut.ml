@@ -30,6 +30,7 @@ type active_snap = {
   a_checkpoints : Checkpoint.t option array;
   a_closed : bool array;
   a_recorded : string list array;  (* newest first *)
+  a_marker : Netsim.Network.control;  (* the one every channel carries *)
   mutable a_markers_sent : int;
   mutable a_missing : int;  (* channels still open: the cut is done at 0 *)
   mutable a_timer : Netsim.Engine.timer option;
@@ -115,8 +116,7 @@ let engage t a node =
   a.a_checkpoints.(i) <- Some cp;
   for c = tp.out_start.(i) to tp.out_start.(i + 1) - 1 do
     a.a_markers_sent <- a.a_markers_sent + 1;
-    Netsim.Network.send_control t.net ~src:node ~dst:tp.ids.(tp.chan_dst.(c))
-      (Netsim.Network.Marker { snapshot = a.a_id; initiator = a.a_initiator })
+    Netsim.Network.send_control t.net ~src:node ~dst:tp.ids.(tp.chan_dst.(c)) a.a_marker
   done
 
 let check_done t a = if a.a_missing = 0 then finish t a
@@ -163,7 +163,9 @@ let initiate ?deadline t ~initiator ~on_result =
   let a =
     { a_id = id; a_initiator = initiator; a_started = now t;
       a_checkpoints = Array.make n None; a_closed = Array.make m false;
-      a_recorded = Array.make m []; a_markers_sent = 0; a_missing = m; a_timer = None;
+      a_recorded = Array.make m [];
+      a_marker = Netsim.Network.Marker { snapshot = id; initiator };
+      a_markers_sent = 0; a_missing = m; a_timer = None;
       a_on_result = on_result }
   in
   Hashtbl.replace t.active_tbl id a;

@@ -3,6 +3,7 @@ type t = {
   engine : Netsim.Engine.t;
   net : string Netsim.Network.t;
   speakers : (int * Bgp.Speaker.t) list;
+  by_number : Bgp.Speaker.t array;
 }
 
 let deploy ?(seed = 42) ?(sparrow_nodes = []) graph =
@@ -38,12 +39,16 @@ let deploy ?(seed = 42) ?(sparrow_nodes = []) graph =
         (id, sp))
       (Graph.node_ids graph)
   in
-  { graph; engine; net; speakers }
+  (* The topology numbers the nodes in ascending id order. *)
+  let by_number =
+    Array.of_list (List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) speakers))
+  in
+  { graph; engine; net; speakers; by_number }
 
 let speaker t id =
-  match List.assoc_opt id t.speakers with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Build.speaker: unknown node %d" id)
+  match Netsim.Network.node_number (Netsim.Network.topology t.net) id with
+  | -1 -> invalid_arg (Printf.sprintf "Build.speaker: unknown node %d" id)
+  | i -> t.by_number.(i)
 
 let start_all t = List.iter (fun (_, sp) -> sp.Bgp.Speaker.sp_start ()) t.speakers
 

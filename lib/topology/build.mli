@@ -11,6 +11,8 @@ type t = {
   engine : Netsim.Engine.t;
   net : string Netsim.Network.t;
   speakers : (int * Bgp.Speaker.t) list;  (** sorted by node id *)
+  by_number : Bgp.Speaker.t array;
+      (** the same speakers by the network topology's node number *)
 }
 
 val deploy : ?seed:int -> ?sparrow_nodes:int list -> Graph.t -> t
@@ -19,6 +21,9 @@ val deploy : ?seed:int -> ?sparrow_nodes:int list -> Graph.t -> t
     homogeneous bird-like deployment. *)
 
 val speaker : t -> int -> Bgp.Speaker.t
+(** The node's speaker, found by its topology node number.
+    @raise Invalid_argument for a node not deployed. *)
+
 val start_all : t -> unit
 
 val run_for : t -> Netsim.Time.span -> unit

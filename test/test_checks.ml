@@ -89,8 +89,8 @@ let suite_t = Alcotest.(list (pair string (list string)))
    changed. *)
 let capture_view captured clone =
   List.map2
-    (fun (c, column) (_, edits) ->
-      let column = Array.copy column in
+    (fun (column : Dice.Checks.column) (c, edits) ->
+      let column = Array.map fst column.Dice.Checks.c_rows in
       List.iter (fun (i, v) -> column.(i) <- v) edits;
       (c, Array.to_list column))
     (Dice.Checks.columns captured)
@@ -337,6 +337,10 @@ type between =
   | Fault of int * int  (** (kind, node index), as {!inject_of} *)
   | Hijack of int * int  (** (hijacker, victim) node indices *)
   | Reconfig of int  (** an equal but fresh config at this node index *)
+  | Looped of int
+      (** this node index's loop check turned off and a route through
+          its own AS received from its first neighbour: RIBs and
+          verdicts change, no config does *)
 
 let print_between = function
   | Quiet -> "quiet"
@@ -344,6 +348,7 @@ let print_between = function
   | Fault (k, i) -> Printf.sprintf "fault%d@%d" k i
   | Hijack (i, j) -> Printf.sprintf "hijack@%d of %d" i j
   | Reconfig i -> Printf.sprintf "reconfig@%d" i
+  | Looped i -> Printf.sprintf "looped@%d" i
 
 let gen_between =
   let open QCheck.Gen in
@@ -353,7 +358,8 @@ let gen_between =
       (2, map (fun i -> Flap i) idx);
       (2, map2 (fun k i -> Fault (k, i)) (int_bound 2) idx);
       (2, map2 (fun i j -> Hijack (i, j)) idx idx);
-      (1, map (fun i -> Reconfig i) idx) ]
+      (1, map (fun i -> Reconfig i) idx);
+      (1, map (fun i -> Looped i) idx) ]
 
 let sec = Netsim.Time.span_sec
 
@@ -389,6 +395,21 @@ let apply_between build step =
       let cfg = sp.Bgp.Speaker.sp_config () in
       sp.Bgp.Speaker.sp_set_config { cfg with Bgp.Config.hold_time = cfg.Bgp.Config.hold_time };
       Topology.Build.run_for build (sec 5.)
+  | Looped i ->
+      let sp = speaker i in
+      let cfg = sp.Bgp.Speaker.sp_config () in
+      let n = List.hd cfg.Bgp.Config.neighbors in
+      sp.Bgp.Speaker.sp_set_bugs
+        { (sp.Bgp.Speaker.sp_bugs ()) with Bgp.Router.skip_loop_check = true };
+      sp.Bgp.Speaker.sp_inject_update ~from:n.Bgp.Config.addr
+        { Bgp.Msg.withdrawn = [];
+          attrs =
+            Some
+              (Bgp.Attr.make ~origin:Bgp.Attr.Igp
+                 ~as_path:[ Bgp.As_path.Seq [ n.Bgp.Config.remote_as; cfg.Bgp.Config.asn ] ]
+                 ~next_hop:n.Bgp.Config.addr ());
+          nlri = [ Bgp.Prefix.of_string_exn "203.0.113.0/24" ] };
+      Topology.Build.run_for build (sec 10.)
 
 (* Differential across cuts: one ground truth carries its memo through
    a sequence of cuts with live churn, injected faults and config
@@ -413,7 +434,11 @@ let carried_memo_matches_full_checking =
    the same live history) go through the same churn, faults and config
    changes.  One explorer carries its ground truth from cut to cut; the
    other starts every cut with a fresh one, whose empty memo has every
-   speaker checked.  Each cut's faults and digests agree, in order. *)
+   speaker checked.  After each step two explorer nodes take a cut in
+   turn, and each step's second node is the next step's first, so the
+   carried columns are reused from one exploring node to another.  Each
+   cut's faults and flattened digest stream agree, in order, and some
+   cut reuses the last one's columns. *)
 let carried_explorer_equals_fresh ~sparrow_nodes () =
   let graph = random_graph ~seed:7 ~transit:2 ~stub:4 in
   let ids = Topology.Graph.node_ids graph in
@@ -432,21 +457,32 @@ let carried_explorer_equals_fresh ~sparrow_nodes () =
   let fault_strings (x : Dice.Explorer.exploration) =
     List.map (Format.asprintf "%a" Dice.Fault.pp) x.Dice.Explorer.x_faults
   in
+  let reused = ref 0 in
   List.iteri
     (fun k step ->
       apply_between a step;
       apply_between b step;
-      let node = List.nth ids (k mod List.length ids) in
-      let xa = Dice.Explorer.explore_node ~params ~build:a ~cut:cut_a ~gt:carried ~node () in
-      let xb =
-        Dice.Explorer.explore_node ~params ~build:b ~cut:cut_b
-          ~gt:(Dice.Checks.ground_truth_of_graph graph) ~node ()
-      in
-      let what = Printf.sprintf "cut %d (%s)" k (print_between step) in
-      check Alcotest.(list string) (what ^ ": faults") (fault_strings xb) (fault_strings xa);
-      Alcotest.(check bool) (what ^ ": digests") true
-        (xa.Dice.Explorer.x_digests = xb.Dice.Explorer.x_digests))
-    [ Quiet; Flap 1; Fault (0, 2); Hijack (3, 1); Reconfig 4; Fault (2, 5); Quiet ]
+      List.iter
+        (fun node ->
+          let last = Atomic.get carried.Dice.Checks.last_captured in
+          let xa = Dice.Explorer.explore_node ~params ~build:a ~cut:cut_a ~gt:carried ~node () in
+          if Atomic.get carried.Dice.Checks.last_captured == last then incr reused;
+          let xb =
+            Dice.Explorer.explore_node ~params ~build:b ~cut:cut_b
+              ~gt:(Dice.Checks.ground_truth_of_graph graph) ~node ()
+          in
+          let what = Printf.sprintf "cut %d (%s) from node %d" k (print_between step) node in
+          check Alcotest.(list string) (what ^ ": faults") (fault_strings xb) (fault_strings xa);
+          check
+            Alcotest.(list string)
+            (what ^ ": digests")
+            (List.map (Format.asprintf "%a" Dice.Privacy.pp_digest)
+               (List.concat xb.Dice.Explorer.x_digests))
+            (List.map (Format.asprintf "%a" Dice.Privacy.pp_digest)
+               (List.concat xa.Dice.Explorer.x_digests)))
+        [ List.nth ids (k mod List.length ids); List.nth ids ((k + 1) mod List.length ids) ])
+    [ Quiet; Flap 1; Fault (0, 2); Hijack (3, 1); Reconfig 4; Looped 2; Fault (2, 5); Quiet ];
+  Alcotest.(check bool) "some cut reused the last cut's columns" true (!reused > 0)
 
 (* A hijack injected between two cuts is flagged by the second cut's
    baseline, although the first cut recorded the hijacker's verdicts

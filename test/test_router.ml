@@ -289,8 +289,77 @@ let stuck_open_times_out () =
     (Netsim.Stats.get (Bgp.Router.stats r0) "session_down" >= 1
     || Netsim.Stats.get (Bgp.Router.stats r0) "tx_notification" >= 1)
 
+(* A speaker returns its last capture while nothing a capture holds has
+   changed, and a new one, described as a fresh respawn, once its
+   config, bug flags or routing or session state change. *)
+let capture_reused_while_unchanged () =
+  let eng, _, routers = chain 3 in
+  let r1 = List.nth routers 1 in
+  let sp = Bgp.Speaker.of_router r1 in
+  let established () =
+    check Alcotest.int "both sessions Established" 2
+      (List.length (Bgp.Router.established_peers r1))
+  in
+  established ();
+  let first = Bgp.Speaker.capture sp in
+  let same what =
+    Alcotest.(check bool) (what ^ ": same capture") true (Bgp.Speaker.capture sp == first)
+  in
+  same "captured again";
+  let tx = Netsim.Stats.get (Bgp.Router.stats r1) "tx_keepalive" in
+  Bgp.Router.process_raw r1 ~from_node:0 (Bgp.Wire.encode Bgp.Msg.keepalive);
+  same "a KEEPALIVE received";
+  (* Past one keepalive interval (a third of the 90 s hold time). *)
+  Netsim.Engine.run ~until:(Netsim.Time.add (Netsim.Engine.now eng) (Netsim.Time.span_sec 31.)) eng;
+  Alcotest.(check bool) "the keepalive timer fired" true
+    (Netsim.Stats.get (Bgp.Router.stats r1) "tx_keepalive" > tx);
+  established ();
+  same "keepalives sent and received";
+  (* A fresh network with the chain's node ids, for respawns. *)
+  let respawn_digest (cap : Bgp.Speaker.capture) =
+    let net =
+      Netsim.Network.create (Netsim.Engine.create ())
+        (Netsim.Network.make_topology ~nodes:[ 0; 1; 2 ] ~channels:[])
+        (fun _ ~src:_ _ -> ())
+    in
+    (cap.Bgp.Speaker.cap_respawn ~net ~bugs:cap.Bgp.Speaker.cap_bugs).Bgp.Speaker.sp_digest ()
+  in
+  let prev = ref first in
+  let changed what =
+    let cap = Bgp.Speaker.capture sp in
+    Alcotest.(check bool) (what ^ ": a new capture") false (cap == !prev);
+    check Alcotest.string (what ^ ": digest is a fresh respawn's")
+      (Digest.to_hex (respawn_digest cap))
+      (Digest.to_hex (cap.Bgp.Speaker.cap_digest ()));
+    Alcotest.(check bool) (what ^ ": then kept") true (Bgp.Speaker.capture sp == cap);
+    prev := cap
+  in
+  check Alcotest.string "the first capture's digest is a fresh respawn's"
+    (Digest.to_hex (respawn_digest first))
+    (Digest.to_hex (first.Bgp.Speaker.cap_digest ()));
+  let cfg = Bgp.Router.config r1 in
+  Bgp.Router.set_config r1 { cfg with Bgp.Config.hold_time = cfg.Bgp.Config.hold_time };
+  changed "set_config";
+  Bgp.Router.set_bugs r1 { Bgp.Router.no_bugs with Bgp.Router.invert_med = true };
+  changed "set_bugs";
+  Bgp.Router.inject_update r1 ~from:(Bgp.Router.addr_of_node 0)
+    { Bgp.Msg.withdrawn = [];
+      attrs =
+        Some
+          (Bgp.Attr.make ~origin:Bgp.Attr.Igp
+             ~as_path:[ Bgp.As_path.Seq [ 1000; 64512 ] ]
+             ~next_hop:(Bgp.Router.addr_of_node 0) ());
+      nlri = [ p "198.51.100.0/24" ] };
+  Alcotest.(check bool) "the UPDATE changed the RIB" true
+    (Bgp.Prefix_trie.mem (p "198.51.100.0/24") (Bgp.Router.loc_rib r1));
+  changed "an UPDATE that changes the RIB";
+  Bgp.Router.stop_session r1 (Bgp.Router.addr_of_node 2);
+  changed "a session drop"
+
 let suite =
   [ ("router: chain convergence", `Quick, chain_converges);
+    ("router: capture reused while the state is unchanged", `Quick,
+      capture_reused_while_unchanged);
     ("router: withdrawal propagates", `Quick, withdrawal_propagates);
     ("router: removed neighbor dropped", `Quick, removed_neighbor_dropped);
     ("router: session down flushes", `Quick, session_down_flushes_routes);
