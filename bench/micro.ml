@@ -268,6 +268,23 @@ let bench_engine_events =
          done;
          Netsim.Engine.run eng))
 
+(* The same with 1,000 events at a fixed shuffle of the delays 1..1000:
+   most land before the latest one queued, so the queue's heap side
+   orders them, which the monotone run above never reaches. *)
+let shuffled_delays =
+  let d = Array.init 1000 (fun i -> i + 1) in
+  Netsim.Rng.shuffle (Netsim.Rng.create 1000) d;
+  d
+
+let bench_engine_shuffled =
+  Test.make ~name:"netsim/schedule-and-run-shuffled-1000"
+    (Staged.stage (fun () ->
+         let eng = Netsim.Engine.create () in
+         Array.iter
+           (fun after -> ignore (Netsim.Engine.schedule eng ~after (fun () -> ())))
+           shuffled_delays;
+         Netsim.Engine.run eng))
+
 (* Rows whose time is mostly GC work over their fixture's heap: their
    ns/op is printed but left out of BENCH.json, so only their minor
    words are gated. *)
@@ -279,7 +296,7 @@ let tests =
       bench_changed_prefixes; bench_decision;
       bench_policy; bench_checkpoint; bench_cut; bench_cut_250; bench_spawn; bench_spawn_250;
       bench_solver; bench_solver_memo;
-      bench_path_signature; bench_engine_events ]
+      bench_path_signature; bench_engine_events; bench_engine_shuffled ]
 
 (* Toolkit's [minor_allocated] reads [Gc.quick_stat], whose
    [minor_words] field is only refreshed at collection boundaries on
@@ -301,8 +318,8 @@ let minor_words = Measure.instance (module Minor_words) (Measure.register (modul
 (* (ns/op, minor words/op) per benchmark, sorted by name; shared with
    the [par] and [scale] sections so BENCH.json carries the same
    numbers that get printed.  Minor words expose allocator pressure —
-   the zero-copy decode and batched-event wins stay visible even when a
-   noisy CI host blurs the wall-clock numbers. *)
+   the zero-copy decode and the allocation-free event queue stay
+   visible even when a noisy CI host blurs the wall-clock numbers. *)
 let one_pass () =
   let instances = [ Instance.monotonic_clock; minor_words ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.4) ~kde:None () in

@@ -40,6 +40,3 @@ val step : t -> bool
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Run until the queue drains, [until] is reached, or [max_events] have
     fired — whichever comes first. *)
-
-val stop : t -> unit
-(** Makes the current [run] return after the executing event completes. *)

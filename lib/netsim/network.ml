@@ -2,8 +2,6 @@ type control = Marker of { snapshot : int; initiator : int }
 
 type 'msg envelope = Data of 'msg | Control of control
 
-type link_policy = Drop_while_down | Queue_while_down
-
 type crash_policy = Propagate | Absorb of { restart_after : Time.span option }
 
 type crash = {
@@ -30,10 +28,6 @@ type 'msg channel = {
   chan_rng : Rng.t;
   mutable last_delivery : Time.t;  (* FIFO floor for the next delivery *)
   mutable ch_up : bool;
-  mutable ch_policy : link_policy;
-  (* Envelopes held back while the link is down under [Queue_while_down],
-     oldest first. *)
-  mutable ch_held : 'msg envelope list;
   mutable ch_down_since : Time.t option;
   (* The engine event only says "deliver the next one", so the channel
      holds everything a delivery depends on. *)
@@ -158,8 +152,7 @@ type 'msg t = {
 
 let new_channel link rng =
   { link; chan_rng = rng; last_delivery = Time.zero; ch_up = true;
-    ch_policy = Drop_while_down; ch_held = []; ch_down_since = None;
-    ch_first = Landed; ch_last = Landed }
+    ch_down_since = None; ch_first = Landed; ch_last = Landed }
 
 (* Records are made on first use: a node's with its first handler, a
    channel's with an ideal link, which draws nothing from a generator
@@ -306,9 +299,7 @@ let deliver t c ch =
   if not dst_node.nd_up then drop t ~src env
   else if not ch.ch_up then
     (* The link failed while the message was in flight. *)
-    (match ch.ch_policy with
-    | Drop_while_down -> drop t ~src env
-    | Queue_while_down -> ch.ch_held <- ch.ch_held @ [ env ])
+    drop t ~src env
   else
     match env with
     | Control ctl -> (
@@ -370,21 +361,12 @@ let transmit t ~src ~dst env =
       let n = node_at t i in
       let ch = out_chan t n i c in
       (* A down node is silent: its timers may still fire, but nothing it
-         tries to send reaches the wire. *)
-      if not n.nd_up then drop t ~src env
-      else if not ch.ch_up then
-        (match ch.ch_policy with
-        | Drop_while_down -> drop t ~src env
-        | Queue_while_down ->
-            (* Ride the normal delay path; [deliver] holds the envelope
-               at arrival, so the held queue is in arrival order and FIFO
-               survives messages already in flight when the link failed. *)
-            schedule_delivery t c ch env)
+         tries to send reaches the wire.  A down link loses it too. *)
+      if not (n.nd_up && ch.ch_up) then drop t ~src env
       else schedule_delivery t c ch env
 
-let set_link_down ?(policy = Drop_while_down) t a b =
+let set_link_down t a b =
   let ch = chan_at t (channel_of t a b) in
-  ch.ch_policy <- policy;
   if ch.ch_up then begin
     ch.ch_up <- false;
     ch.ch_down_since <- Some (Engine.now t.eng);
@@ -405,12 +387,7 @@ let link_up t c ch =
               (float_of_int (downtime_us t since)))
     | None -> ());
     emit_lazy t ~node:a ~kind:"churn" (fun () ->
-        Printf.sprintf "link %d->%d up" a b);
-    (* Release held-back traffic in arrival order through the normal
-       delay path; the FIFO floor keeps the order intact. *)
-    let held = ch.ch_held in
-    ch.ch_held <- [];
-    List.iter (fun env -> schedule_delivery t c ch env) held
+        Printf.sprintf "link %d->%d up" a b)
   end
 
 let set_link_up t a b =
@@ -512,11 +489,7 @@ let digest t =
         |> List.map (fun (at, _, k, env) -> (at - now, k, env))
       in
       let channels =
-        List.map
-          (fun (k, ch) ->
-            ( k, ch.ch_up, ch.ch_policy, ch.ch_held,
-              max 0 (Time.to_us ch.last_delivery - now) ))
-          chans
+        List.map (fun (k, ch) -> (k, ch.ch_up, max 0 (Time.to_us ch.last_delivery - now))) chans
       in
       let nodes =
         List.init (Array.length t.nodes) (fun i ->

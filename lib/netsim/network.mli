@@ -15,19 +15,13 @@
     can be taken down and restored at runtime ({!set_node_down},
     {!set_link_down}, {!partition}).  A down node neither receives nor
     sends — deliveries to it are dropped and anything its (still
-    firing) timers try to transmit is silenced.  A down link either
-    drops traffic or holds it back for redelivery on recovery,
-    according to its {!link_policy}.  Dropped messages are counted in
-    {!messages_dropped}.  See {!Churn} for declarative failure
+    firing) timers try to transmit is silenced.  A down link drops
+    what is sent on it and what reaches the end of it while it is
+    down; nothing is redelivered on recovery.  Dropped messages are
+    counted in {!messages_dropped}.  See {!Churn} for declarative failure
     schedules driven by engine timers. *)
 
 type control = Marker of { snapshot : int; initiator : int }
-
-type link_policy =
-  | Drop_while_down  (** traffic on a down link is lost (default) *)
-  | Queue_while_down
-      (** traffic is held back and redelivered, in order, when the link
-          comes back up *)
 
 (** What happens when a destination handler raises during delivery. *)
 type crash_policy =
@@ -156,15 +150,14 @@ val set_node_up : 'msg t -> int -> unit
 
 val node_is_up : 'msg t -> int -> bool
 
-val set_link_down : ?policy:link_policy -> 'msg t -> int -> int -> unit
-(** Take the directed channel [a -> b] down.  [policy] (default
-    [Drop_while_down]) governs both new transmissions and messages
-    already in flight when they reach their delivery instant.
+val set_link_down : 'msg t -> int -> int -> unit
+(** Take the directed channel [a -> b] down: new transmissions on it,
+    and messages already in flight when they reach their delivery
+    instant, are dropped.  Idempotent.
     @raise Invalid_argument on an unknown channel. *)
 
 val set_link_up : 'msg t -> int -> int -> unit
-(** Restore a link; under [Queue_while_down] the held-back messages are
-    redelivered in their original order. *)
+(** Restore a link.  What it dropped while down is not redelivered. *)
 
 val link_is_up : 'msg t -> int -> int -> bool
 
@@ -193,8 +186,8 @@ val digest : string t -> Digest.t option
 (** A digest of everything that decides what the network does next,
     for telling whether a run has come back to an earlier moment: every
     in-flight envelope in delivery order with its arrival time relative
-    to now, each channel's up state, link policy, held-back envelopes
-    and FIFO floor (relative, and only while it lies ahead), each node's
+    to now, each channel's up state and FIFO floor (relative, and only
+    while it lies ahead), each node's
     up state, and the crash policy.  The counters ([messages_sent] and
     the like), the crash log, the down-since stamps and the telemetry
     metrics are left out: nothing reads them to decide an event.

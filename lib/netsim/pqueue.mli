@@ -1,15 +1,13 @@
 (** Imperative stable priority queue.
 
-    A ring buffer absorbs the common monotone case — pushes at or
-    after the current tail priority — in O(1); everything else goes to
-    a pairing heap of same-priority *batches* (values pushed
-    back-to-back at one priority share a heap node and value array,
-    recycled through a free list), so bursts of same-timestamp events
-    cost near-zero allocation.  Entries with equal priority dequeue in
-    insertion order (stability) without per-entry sequence numbers —
-    the dispatch rule makes ring entries provably older than any
-    equal-priority heap batch — which keeps the discrete-event engine
-    deterministic. *)
+    A ring buffer absorbs the monotone case — pushes at or after the
+    current tail priority — in O(1); everything else goes to a binary
+    min-heap over (priority, push order) held in three parallel arrays
+    that double when full.  Neither side allocates per entry.  Entries
+    with equal priority dequeue in insertion order (stability): the
+    dispatch rule makes ring entries provably older than any
+    equal-priority heap entry, and heap entries tie-break on their push
+    order.  That keeps the discrete-event engine deterministic. *)
 
 type 'a t
 
@@ -27,6 +25,3 @@ val min_prio : 'a t -> int
 val pop_value : 'a t -> 'a
 (** Removes and returns the minimum entry, without allocating.
     @raise Invalid_argument on an empty queue. *)
-
-val pop : 'a t -> (int * 'a) option
-(** Removes and returns the minimum entry as [(prio, value)]. *)

@@ -82,19 +82,21 @@ let network_errors () =
   Alcotest.(check bool) "absent node" false (Netsim.Network.has_node net 999)
 
 let engine_stop_mid_run () =
+  (* [max_events] stops a run after that many queue slots, a cancelled
+     one included; [step] and a later run fire the rest in order. *)
   let eng = Netsim.Engine.create () in
-  let count = ref 0 in
-  for _ = 1 to 10 do
-    ignore
-      (Netsim.Engine.schedule eng ~after:100 (fun () ->
-           incr count;
-           if !count = 3 then Netsim.Engine.stop eng))
-  done;
+  let fired = ref [] in
+  let timers =
+    List.init 10 (fun i -> Netsim.Engine.schedule eng ~after:100 (fun () -> fired := i :: !fired))
+  in
+  Netsim.Engine.cancel (List.nth timers 1);
+  Netsim.Engine.run ~max_events:3 eng;
+  check (Alcotest.list Alcotest.int) "stopped after the third slot" [ 0; 2 ] (List.rev !fired);
+  Alcotest.(check bool) "step fires the next" true (Netsim.Engine.step eng);
+  check (Alcotest.list Alcotest.int) "one more" [ 0; 2; 3 ] (List.rev !fired);
   Netsim.Engine.run eng;
-  check Alcotest.int "stopped after third event" 3 !count;
-  (* the remaining events are still pending and can run later *)
-  Netsim.Engine.run eng;
-  check Alcotest.int "resumed" 10 !count
+  check (Alcotest.list Alcotest.int) "resumed" [ 0; 2; 3; 4; 5; 6; 7; 8; 9 ] (List.rev !fired);
+  Alcotest.(check bool) "drained" false (Netsim.Engine.step eng)
 
 (* --- Speaker wrapper consistency --- *)
 

@@ -55,46 +55,82 @@ let rng_bounds =
 (* Pqueue                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Every entry as [(prio, value)], in dequeue order. *)
+let pqueue_drain q =
+  let rec go acc =
+    if Netsim.Pqueue.is_empty q then List.rev acc
+    else
+      let prio = Netsim.Pqueue.min_prio q in
+      go ((prio, Netsim.Pqueue.pop_value q) :: acc)
+  in
+  go []
+
 let pqueue_orders () =
   let q = Netsim.Pqueue.create () in
   List.iter (fun p -> Netsim.Pqueue.push q ~prio:p p) [ 5; 1; 4; 1; 3 ];
-  let rec drain acc =
-    match Netsim.Pqueue.pop q with
-    | Some (_, v) -> drain (v :: acc)
-    | None -> List.rev acc
-  in
-  check (Alcotest.list Alcotest.int) "sorted" [ 1; 1; 3; 4; 5 ] (drain [])
+  check (Alcotest.list Alcotest.int) "sorted" [ 1; 1; 3; 4; 5 ] (List.map snd (pqueue_drain q))
 
 let pqueue_stable () =
   let q = Netsim.Pqueue.create () in
-  List.iteri (fun i name -> ignore i; Netsim.Pqueue.push q ~prio:7 name)
-    [ "a"; "b"; "c"; "d" ];
-  let rec drain acc =
-    match Netsim.Pqueue.pop q with
-    | Some (_, v) -> drain (v :: acc)
-    | None -> List.rev acc
-  in
+  List.iter (fun name -> Netsim.Pqueue.push q ~prio:7 name) [ "a"; "b"; "c"; "d" ];
   check (Alcotest.list Alcotest.string) "insertion order on ties" [ "a"; "b"; "c"; "d" ]
-    (drain [])
+    (List.map snd (pqueue_drain q))
 
+type pq_op = Push of int | Pop
+
+(* Segments of the shapes an engine queue sees: monotone runs (the
+   ring's), bursts at one priority, out-of-order pushes (the heap's, once
+   the ring holds a later tail) and runs of pops.  Priorities come from a
+   narrow range so that ties between the ring and the heap are common,
+   and segments reach past 128 entries so that both structures grow. *)
+let pq_ops =
+  let open QCheck.Gen in
+  let prio = int_range 0 300 in
+  let monotone =
+    map2
+      (fun start steps ->
+        let push (p, acc) d = (p + d, Push (p + d) :: acc) in
+        List.rev (snd (List.fold_left push (start, []) steps)))
+      prio
+      (list_size (int_range 1 300) (int_range 0 2))
+  in
+  let burst = map2 (fun p k -> List.init k (fun _ -> Push p)) prio (int_range 1 40) in
+  let scattered = list_size (int_range 1 300) (map (fun p -> Push p) prio) in
+  let pops = map (fun k -> List.init k (fun _ -> Pop)) (int_range 1 200) in
+  let segment = frequency [ (3, monotone); (2, burst); (3, scattered); (2, pops) ] in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat " " (List.map (function Push p -> string_of_int p | Pop -> "pop") ops))
+    (map List.concat (list_size (int_range 1 12) segment))
+
+module Pq_model = Map.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+(* The reference holds the pending entries keyed by (priority, push
+   index): its minimum is the head of their stable sort.  The operations
+   end with more pops than there were pushes, so the queue is drained
+   and then seen empty. *)
 let pqueue_model =
-  QCheck.Test.make ~name:"pqueue: pop sequence equals stable sort" ~count:200
-    QCheck.(list small_int)
-    (fun prios ->
+  QCheck.Test.make ~name:"pqueue: pop sequence equals stable sort" ~count:200 pq_ops (fun ops ->
       let q = Netsim.Pqueue.create () in
-      List.iteri (fun i p -> Netsim.Pqueue.push q ~prio:p (p, i)) prios;
-      let rec drain acc =
-        match Netsim.Pqueue.pop q with
-        | Some (_, v) -> drain (v :: acc)
-        | None -> List.rev acc
+      let rec go model n = function
+        | [] -> true
+        | Push p :: rest ->
+            Netsim.Pqueue.push q ~prio:p n;
+            go (Pq_model.add (p, n) () model) (n + 1) rest
+        | Pop :: rest -> (
+            match Pq_model.min_binding_opt model with
+            | None -> Netsim.Pqueue.is_empty q && Netsim.Pqueue.length q = 0 && go model n rest
+            | Some (((p, i) as k), ()) ->
+                Netsim.Pqueue.length q = Pq_model.cardinal model
+                && Netsim.Pqueue.min_prio q = p
+                && Netsim.Pqueue.pop_value q = i
+                && go (Pq_model.remove k model) n rest)
       in
-      let got = drain [] in
-      let expected =
-        List.stable_sort
-          (fun (p1, _) (p2, _) -> Int.compare p1 p2)
-          (List.mapi (fun i p -> (p, i)) prios)
-      in
-      got = expected)
+      go Pq_model.empty 0 (ops @ List.init (List.length ops + 1) (fun _ -> Pop)))
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
@@ -313,10 +349,7 @@ let network_adjacency =
           let downs =
             if c.t_chans = [] then []
             else
-              List.init 2 (fun _ ->
-                  ( Netsim.Rng.pick rng c.t_chans,
-                    Netsim.Rng.pick rng
-                      [ Netsim.Network.Drop_while_down; Netsim.Network.Queue_while_down ] ))
+              List.init 2 (fun _ -> Netsim.Rng.pick rng c.t_chans)
           in
           let more =
             if c.t_chans = [] then []
@@ -330,11 +363,9 @@ let network_adjacency =
             send net;
             let sent = Netsim.Network.in_flight net = List.length sends in
             let digest = Netsim.Network.digest net in
-            List.iter
-              (fun ((a, b), policy) -> Netsim.Network.set_link_down ~policy net a b)
-              downs;
+            List.iter (fun (a, b) -> Netsim.Network.set_link_down net a b) downs;
             List.iter (fun ((src, dst), m) -> Netsim.Network.send net ~src ~dst m) more;
-            let down = List.map (fun ((a, b), _) -> Netsim.Network.link_is_up net a b) downs in
+            let down = List.map (fun (a, b) -> Netsim.Network.link_is_up net a b) downs in
             let in_flight = Netsim.Network.in_flight net in
             Netsim.Network.heal net;
             let healed = up net in
@@ -408,9 +439,9 @@ let node_down_mid_flight () =
   check Alcotest.int "dropped at arrival" 1 (Netsim.Network.messages_dropped net);
   check Alcotest.int "in-flight accounting drained" 0 (Netsim.Network.in_flight net)
 
-let link_down_policies () =
+let link_down_drops () =
   let eng, net, received = churn_rig () in
-  (* Drop policy: traffic on a down link is lost. *)
+  (* Traffic sent on a down link is lost. *)
   Netsim.Network.set_link_down net 0 1;
   Alcotest.(check bool) "link reported down" false (Netsim.Network.link_is_up net 0 1);
   Alcotest.(check bool) "reverse direction untouched" true
@@ -418,33 +449,18 @@ let link_down_policies () =
   Netsim.Network.send net ~src:0 ~dst:1 "lost";
   Netsim.Engine.run eng;
   check Alcotest.int "dropped" 1 (Netsim.Network.messages_dropped net);
+  (* So is traffic already in flight when the link fails, and recovery
+     redelivers nothing. *)
   Netsim.Network.set_link_up net 0 1;
-  (* Queue policy: traffic is held and redelivered in order on recovery. *)
-  Netsim.Network.set_link_down ~policy:Netsim.Network.Queue_while_down net 0 1;
-  List.iter (fun m -> Netsim.Network.send net ~src:0 ~dst:1 m) [ "1"; "2"; "3" ];
+  Netsim.Network.send net ~src:0 ~dst:1 "in flight";
+  Netsim.Network.set_link_down net 0 1;
   Netsim.Engine.run eng;
-  check (Alcotest.list Alcotest.string) "held while down" [] (List.rev !received);
+  check Alcotest.int "dropped at arrival" 2 (Netsim.Network.messages_dropped net);
   Netsim.Network.set_link_up net 0 1;
+  Netsim.Network.send net ~src:0 ~dst:1 "after";
   Netsim.Engine.run eng;
-  check (Alcotest.list Alcotest.string) "flushed in FIFO order" [ "1"; "2"; "3" ]
+  check (Alcotest.list Alcotest.string) "only the post-recovery message" [ "after" ]
     (List.rev !received)
-
-let queue_policy_preserves_fifo_with_in_flight () =
-  (* A message already in flight when the link fails is queued at its
-     arrival instant; messages sent while down queue behind it; the
-     flush keeps the original order. *)
-  let eng, net, received = churn_rig () in
-  Netsim.Network.send net ~src:0 ~dst:1 "a";
-  Netsim.Network.set_link_down ~policy:Netsim.Network.Queue_while_down net 0 1;
-  Netsim.Network.send net ~src:0 ~dst:1 "b";
-  Netsim.Network.send net ~src:0 ~dst:1 "c";
-  Netsim.Engine.run eng;
-  check (Alcotest.list Alcotest.string) "all held" [] (List.rev !received);
-  Netsim.Network.set_link_up net 0 1;
-  Netsim.Engine.run eng;
-  check (Alcotest.list Alcotest.string) "order preserved across the outage"
-    [ "a"; "b"; "c" ] (List.rev !received);
-  check Alcotest.int "nothing dropped" 0 (Netsim.Network.messages_dropped net)
 
 let partition_and_heal () =
   let eng = Netsim.Engine.create () in
@@ -538,8 +554,7 @@ let suite =
     ("network: tap and control plane", `Quick, network_tap_and_control);
     ("churn: node down drops and silences", `Quick, node_down_drops);
     ("churn: node fails mid-flight", `Quick, node_down_mid_flight);
-    ("churn: link drop and queue policies", `Quick, link_down_policies);
-    ("churn: queue policy keeps FIFO", `Quick, queue_policy_preserves_fifo_with_in_flight);
+    ("churn: link down drops", `Quick, link_down_drops);
     ("churn: partition and heal", `Quick, partition_and_heal);
     ("churn: schedule fires on time", `Quick, churn_schedule_timing);
     ("churn: random schedule deterministic", `Quick, churn_random_deterministic) ]
