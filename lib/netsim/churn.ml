@@ -38,21 +38,13 @@ let random ~rng ~nodes ~links ~start ~duration ?(node_fraction = 0.2)
     min n (max 0 c)
   in
   let shuffle l =
-    (* Deterministic Fisher-Yates driven by [rng]. *)
     let a = Array.of_list l in
-    for i = Array.length a - 1 downto 1 do
-      let j = Rng.int rng (i + 1) in
-      let tmp = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- tmp
-    done;
+    Rng.shuffle rng a;
     Array.to_list a
   in
   let victims = ref [] in
   let n_nodes = pick_count node_fraction (List.length nodes) in
-  let chosen_nodes =
-    match shuffle nodes with l -> List.filteri (fun i _ -> i < n_nodes) l
-  in
+  let chosen_nodes = List.filteri (fun i _ -> i < n_nodes) (shuffle nodes) in
   List.iter
     (fun node ->
       let at = start + Rng.int rng (duration / 2) in
@@ -60,9 +52,7 @@ let random ~rng ~nodes ~links ~start ~duration ?(node_fraction = 0.2)
       victims := !victims @ crash ~node ~at ~restore_after ())
     chosen_nodes;
   let n_links = pick_count link_fraction (List.length links) in
-  let chosen_links =
-    match shuffle links with l -> List.filteri (fun i _ -> i < n_links) l
-  in
+  let chosen_links = List.filteri (fun i _ -> i < n_links) (shuffle links) in
   List.iter
     (fun (a, b) ->
       let every = max 2 (duration / 3) in

@@ -18,19 +18,18 @@ let ideal = make (Time.span_ms 1)
 
 let cap_hits = lazy (Telemetry.Metrics.counter "link.retransmit_cap_hits")
 
+(* Each lost transmission costs one retransmit timeout; bound the number
+   of retries so a pathological RNG stream cannot stall the channel.
+   Cap hits are counted so the loss-understatement bound documented in
+   the interface is observable, not only derivable. *)
+let rec retries t rng n acc =
+  if n >= t.max_retries then begin
+    Telemetry.Metrics.incr (Lazy.force cap_hits);
+    acc
+  end
+  else if Rng.chance rng t.loss then retries t rng (n + 1) (acc + t.retransmit)
+  else acc
+
 let delay t rng =
   let base = t.latency + (if t.jitter > 0 then Rng.int rng (t.jitter + 1) else 0) in
-  (* Each lost transmission costs one retransmit timeout; bound the number
-     of retries so a pathological RNG stream cannot stall the channel.
-     Cap hits are counted so the loss-understatement bound documented in
-     the interface is observable, not only derivable. *)
-  let rec retries n acc =
-    if t.loss <= 0. then acc
-    else if n >= t.max_retries then begin
-      Telemetry.Metrics.incr (Lazy.force cap_hits);
-      acc
-    end
-    else if Rng.chance rng t.loss then retries (n + 1) (acc + t.retransmit)
-    else acc
-  in
-  base + retries 0 0
+  if t.loss <= 0. then base else base + retries t rng 0 0

@@ -110,7 +110,7 @@ type t = {
   mutable m_links : (int * int) list option;  (* None = every link *)
   (* One independent stream per directed link, so adding traffic on one
      link never perturbs the fault pattern of another. *)
-  m_rngs : (int, (int, Rng.t) Hashtbl.t) Hashtbl.t;  (* by source, then destination *)
+  m_rngs : (int * int, Rng.t) Hashtbl.t;
 }
 
 let create ?(rate = 0.) ?(kinds = all_kinds) ?links ~seed () =
@@ -132,21 +132,11 @@ let set_kinds t kinds =
 let set_links t links = t.m_links <- links
 
 let rng_for t src dst =
-  let from_src =
-    match Hashtbl.find_opt t.m_rngs src with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Hashtbl.create 8 in
-        Hashtbl.add t.m_rngs src tbl;
-        tbl
-  in
-  match Hashtbl.find_opt from_src dst with
+  match Hashtbl.find_opt t.m_rngs (src, dst) with
   | Some rng -> rng
   | None ->
-      let rng =
-        Rng.create (t.m_seed lxor (src * 0x1000003) lxor (dst * 0x10000019))
-      in
-      Hashtbl.add from_src dst rng;
+      let rng = Rng.create (t.m_seed lxor (src * 0x1000003) lxor (dst * 0x10000019)) in
+      Hashtbl.add t.m_rngs (src, dst) rng;
       rng
 
 let targets t src dst =

@@ -33,6 +33,7 @@ type 'msg channel = {
      holds everything a delivery depends on. *)
   mutable ch_first : 'msg flight;
   mutable ch_last : 'msg flight;
+  deliver : unit -> unit;  (* every engine event of the channel runs it *)
 }
 
 (* A node's record holds its out-channels' records, [out.(k)] for
@@ -98,7 +99,8 @@ let index ids id =
   let i = lower_bound ids id 0 (Array.length ids) in
   if i < Array.length ids && ids.(i) = id then i else -1
 
-let node_number tp id = index tp.ids id
+let node_number tp id =
+  if id >= 0 && id < Array.length tp.ids && tp.ids.(id) = id then id else index tp.ids id
 
 (* A node's out-channels ascend by destination number. *)
 let channel_number tp a b =
@@ -138,8 +140,8 @@ type 'msg t = {
   first_handler : int -> src:int -> 'msg -> unit;  (* a node's until [set_handler] *)
   nodes : 'msg node option array;  (* by node number, made on first use *)
   net_rng : Rng.t;
-  mutable control_handler : (self:int -> src:int -> control -> unit) option;
-  mutable tap : (dst:int -> src:int -> 'msg -> unit) option;
+  mutable control_handler : (chan:int -> self:int -> src:int -> control -> unit) option;
+  mutable tap : (chan:int -> dst:int -> src:int -> 'msg -> unit) option;
   mutable transform : (src:int -> dst:int -> 'msg -> 'msg list) option;
   mutable crash_policy : crash_policy;
   mutable crash_log : crash list;  (* newest first *)
@@ -150,13 +152,9 @@ type 'msg t = {
   mutable next_seq : int;
 }
 
-let new_channel link rng =
-  { link; chan_rng = rng; last_delivery = Time.zero; ch_up = true;
-    ch_down_since = None; ch_first = Landed; ch_last = Landed }
-
 (* Records are made on first use: a node's with its first handler, a
-   channel's with an ideal link, which draws nothing from a generator
-   and so can share the network's. *)
+   channel's (below) with an ideal link, which draws nothing from a
+   generator and so can share the network's. *)
 let node_at t i =
   match t.nodes.(i) with
   | Some n -> n
@@ -169,13 +167,135 @@ let node_at t i =
       t.nodes.(i) <- Some n;
       n
 
+let topology t = t.topo
+let engine t = t.eng
+
+let bump t f = match t.metrics with Some m -> f m | None -> ()
+
+let has_node t id = node_number t.topo id >= 0
+
+(* Only a labeled network ([metrics] set) has events, and only while a
+   sink listens: shadow clones and unobserved runs never build a detail
+   string. *)
+let emit_lazy t ~node ~kind f =
+  if Option.is_some t.metrics && Telemetry.enabled () then
+    Telemetry.trace_event ~t_us:(Time.to_us (Engine.now t.eng)) ~node ~kind
+      ~detail:(f ())
+
+let downtime_us t since =
+  Time.to_us (Engine.now t.eng) - Time.to_us since
+
+(* ------------------------------------------------------------------ *)
+(* Failure state                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let node_of t id =
+  match node_number t.topo id with
+  | -1 -> invalid_arg (Printf.sprintf "Network: no node %d" id)
+  | i -> node_at t i
+
+let set_handler t id handler = (node_of t id).handler <- handler
+
+let node_is_up t id = (node_of t id).nd_up
+
+let set_node_down t id =
+  let n = node_of t id in
+  if n.nd_up then begin
+    n.nd_up <- false;
+    n.nd_down_since <- Some (Engine.now t.eng);
+    bump t (fun m -> Telemetry.Metrics.incr m.nm_node_downs);
+    emit_lazy t ~node:id ~kind:"churn" (fun () -> "node down")
+  end
+
+let set_node_up t id =
+  let n = node_of t id in
+  if not n.nd_up then begin
+    n.nd_up <- true;
+    (match n.nd_down_since with
+    | Some since ->
+        n.nd_down_since <- None;
+        bump t (fun m ->
+            Telemetry.Histogram.observe m.nm_node_downtime
+              (float_of_int (downtime_us t since)))
+    | None -> ());
+    emit_lazy t ~node:id ~kind:"churn" (fun () -> "node up")
+  end
+
+let drop t ~src env =
+  t.dropped <- t.dropped + 1;
+  bump t (fun m -> Telemetry.Metrics.incr m.nm_dropped);
+  emit_lazy t ~node:src ~kind:"drop" (fun () ->
+      match env with Data _ -> "message lost to churn" | Control _ -> "marker lost to churn")
+
+let deliver t c ch =
+  let tp = t.topo in
+  let src = tp.ids.(tp.chan_src.(c)) and dst = tp.ids.(tp.chan_dst.(c)) in
+  let env =
+    match ch.ch_first with
+    | Flight f ->
+        ch.ch_first <- f.next;
+        if f.next == Landed then ch.ch_last <- Landed;
+        f.env
+    | Landed -> invalid_arg "Network: delivery on an empty channel"
+  in
+  t.flying <- t.flying - 1;
+  let dst_node = node_at t tp.chan_dst.(c) in
+  if not dst_node.nd_up then drop t ~src env
+  else if not ch.ch_up then
+    (* The link failed while the message was in flight. *)
+    drop t ~src env
+  else
+    match env with
+    | Control ctl -> (
+        match t.control_handler with
+        | Some f -> f ~chan:c ~self:dst ~src ctl
+        | None -> ())
+    | Data m -> (
+        t.delivered <- t.delivered + 1;
+        bump t (fun mt -> Telemetry.Metrics.incr mt.nm_delivered);
+        (match t.tap with Some f -> f ~chan:c ~dst ~src m | None -> ());
+        emit_lazy t ~node:dst ~kind:"deliver" (fun () ->
+            Printf.sprintf "from %d" src);
+        match t.crash_policy with
+        | Propagate -> dst_node.handler ~src m
+        | Absorb { restart_after } -> (
+            try dst_node.handler ~src m with
+            | (Stack_overflow | Out_of_memory) as e -> raise e
+            | e ->
+                (* The node died processing input: record it as a
+                   first-class event, take the node down (its timers
+                   keep firing but it is silent, like a crashed
+                   process), and optionally respawn it. *)
+                let detail = Printexc.to_string e in
+                t.crash_log <-
+                  { cr_node = dst; cr_src = src; cr_at = Engine.now t.eng;
+                    cr_exn = detail }
+                  :: t.crash_log;
+                bump t (fun mt -> Telemetry.Metrics.incr mt.nm_handler_crashes);
+                emit_lazy t ~node:dst ~kind:"crash" (fun () ->
+                    Printf.sprintf "handler died on message from %d: %s" src detail);
+                set_node_down t dst;
+                match restart_after with
+                | Some d ->
+                    ignore (Engine.schedule t.eng ~after:d (fun () -> set_node_up t dst))
+                | None -> ()))
+
+(* Channel [c]'s record, with the action its every delivery runs. *)
+let new_channel t c link rng =
+  let rec ch =
+    { link; chan_rng = rng; last_delivery = Time.zero; ch_up = true;
+      ch_down_since = None; ch_first = Landed; ch_last = Landed;
+      deliver = (fun () -> deliver t c ch) }
+  in
+  ch
+
 (* Channel [c] out of node [n], number [i]. *)
 let out_chan t n i c =
   let k = c - t.topo.out_start.(i) in
   match n.out.(k) with
   | Some ch -> ch
   | None ->
-      let ch = new_channel Link.ideal t.net_rng in
+      let ch = new_channel t c Link.ideal t.net_rng in
       n.out.(k) <- Some ch;
       ch
 
@@ -211,132 +331,18 @@ let create ?label ?(links = fun () -> []) eng topo first_handler =
           let i = topo.chan_src.(c) in
           let n = node_at t i and k = c - topo.out_start.(i) in
           if Option.is_some n.out.(k) then fail ();
-          n.out.(k) <- Some (new_channel link (Rng.split t.net_rng)))
+          n.out.(k) <- Some (new_channel t c link (Rng.split t.net_rng)))
     (links ());
   t
-
-let topology t = t.topo
-let engine t = t.eng
-
-let bump t f = match t.metrics with Some m -> f m | None -> ()
-
-let has_node t id = node_number t.topo id >= 0
-let has_channel t a b = channel_number t.topo a b >= 0
-
-(* Only a labeled network ([metrics] set) has events, and only while a
-   sink listens: shadow clones and unobserved runs never build a detail
-   string. *)
-let emit_lazy t ~node ~kind f =
-  if Option.is_some t.metrics && Telemetry.enabled () then
-    Telemetry.trace_event ~t_us:(Time.to_us (Engine.now t.eng)) ~node ~kind
-      ~detail:(f ())
-
-let downtime_us t since =
-  Time.to_us (Engine.now t.eng) - Time.to_us since
-
-(* ------------------------------------------------------------------ *)
-(* Failure state                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let node_of t id =
-  match node_number t.topo id with
-  | -1 -> invalid_arg (Printf.sprintf "Network: no node %d" id)
-  | i -> node_at t i
 
 let channel_of t a b =
   match channel_number t.topo a b with
   | -1 -> invalid_arg (Printf.sprintf "Network: no channel %d->%d" a b)
   | c -> c
 
-let set_handler t id handler = (node_of t id).handler <- handler
-
-let node_is_up t id = (node_of t id).nd_up
 let link_is_up t a b = (chan_at t (channel_of t a b)).ch_up
 
-let set_node_down t id =
-  let n = node_of t id in
-  if n.nd_up then begin
-    n.nd_up <- false;
-    n.nd_down_since <- Some (Engine.now t.eng);
-    bump t (fun m -> Telemetry.Metrics.incr m.nm_node_downs);
-    emit_lazy t ~node:id ~kind:"churn" (fun () -> "node down")
-  end
-
-let set_node_up t id =
-  let n = node_of t id in
-  if not n.nd_up then begin
-    n.nd_up <- true;
-    (match n.nd_down_since with
-    | Some since ->
-        n.nd_down_since <- None;
-        bump t (fun m ->
-            Telemetry.Histogram.observe m.nm_node_downtime
-              (float_of_int (downtime_us t since)))
-    | None -> ());
-    emit_lazy t ~node:id ~kind:"churn" (fun () -> "node up")
-  end
-
-let drop t ~src env =
-  t.dropped <- t.dropped + 1;
-  bump t (fun m -> Telemetry.Metrics.incr m.nm_dropped);
-  match env with
-  | Data _ -> emit_lazy t ~node:src ~kind:"drop" (fun () -> "message lost to churn")
-  | Control _ -> emit_lazy t ~node:src ~kind:"drop" (fun () -> "marker lost to churn")
-
-let deliver t c ch =
-  let tp = t.topo in
-  let src = tp.ids.(tp.chan_src.(c)) and dst = tp.ids.(tp.chan_dst.(c)) in
-  let env =
-    match ch.ch_first with
-    | Flight f ->
-        ch.ch_first <- f.next;
-        if f.next == Landed then ch.ch_last <- Landed;
-        f.env
-    | Landed -> invalid_arg "Network: delivery on an empty channel"
-  in
-  t.flying <- t.flying - 1;
-  let dst_node = node_at t tp.chan_dst.(c) in
-  if not dst_node.nd_up then drop t ~src env
-  else if not ch.ch_up then
-    (* The link failed while the message was in flight. *)
-    drop t ~src env
-  else
-    match env with
-    | Control ctl -> (
-        match t.control_handler with
-        | Some f -> f ~self:dst ~src ctl
-        | None -> ())
-    | Data m -> (
-        t.delivered <- t.delivered + 1;
-        bump t (fun mt -> Telemetry.Metrics.incr mt.nm_delivered);
-        (match t.tap with Some f -> f ~dst ~src m | None -> ());
-        emit_lazy t ~node:dst ~kind:"deliver" (fun () ->
-            Printf.sprintf "from %d" src);
-        match t.crash_policy with
-        | Propagate -> dst_node.handler ~src m
-        | Absorb { restart_after } -> (
-            try dst_node.handler ~src m with
-            | (Stack_overflow | Out_of_memory) as e -> raise e
-            | e ->
-                (* The node died processing input: record it as a
-                   first-class event, take the node down (its timers
-                   keep firing but it is silent, like a crashed
-                   process), and optionally respawn it. *)
-                let detail = Printexc.to_string e in
-                t.crash_log <-
-                  { cr_node = dst; cr_src = src; cr_at = Engine.now t.eng;
-                    cr_exn = detail }
-                  :: t.crash_log;
-                bump t (fun mt -> Telemetry.Metrics.incr mt.nm_handler_crashes);
-                emit_lazy t ~node:dst ~kind:"crash" (fun () ->
-                    Printf.sprintf "handler died on message from %d: %s" src detail);
-                set_node_down t dst;
-                match restart_after with
-                | Some d ->
-                    ignore (Engine.schedule t.eng ~after:d (fun () -> set_node_up t dst))
-                | None -> ()))
-
-let schedule_delivery t c ch env =
+let schedule_delivery t ch env =
   let now = Engine.now t.eng in
   let arrival = Time.add now (Link.delay ch.link ch.chan_rng) in
   (* Clamp to the previous delivery instant to preserve FIFO order. *)
@@ -351,19 +357,16 @@ let schedule_delivery t c ch env =
   | Landed -> ch.ch_first <- f);
   ch.ch_last <- f;
   t.next_seq <- t.next_seq + 1;
-  ignore (Engine.at t.eng arrival (fun () -> deliver t c ch))
+  ignore (Engine.at t.eng arrival ch.deliver)
 
-let transmit t ~src ~dst env =
-  match channel_number t.topo src dst with
-  | -1 -> invalid_arg (Printf.sprintf "Network.send: no channel %d->%d" src dst)
-  | c ->
-      let i = t.topo.chan_src.(c) in
-      let n = node_at t i in
-      let ch = out_chan t n i c in
-      (* A down node is silent: its timers may still fire, but nothing it
-         tries to send reaches the wire.  A down link loses it too. *)
-      if not (n.nd_up && ch.ch_up) then drop t ~src env
-      else schedule_delivery t c ch env
+let transmit t c env =
+  let i = t.topo.chan_src.(c) in
+  let n = node_at t i in
+  let ch = out_chan t n i c in
+  (* A down node is silent: its timers may still fire, but nothing it
+     tries to send reaches the wire.  A down link loses it too. *)
+  if not (n.nd_up && ch.ch_up) then drop t ~src:t.topo.ids.(i) env
+  else schedule_delivery t ch env
 
 let set_link_down t a b =
   let ch = chan_at t (channel_of t a b) in
@@ -399,8 +402,8 @@ let partition t xs ys =
     (fun a ->
       List.iter
         (fun b ->
-          if has_channel t a b then set_link_down t a b;
-          if has_channel t b a then set_link_down t b a)
+          if channel_number t.topo a b >= 0 then set_link_down t a b;
+          if channel_number t.topo b a >= 0 then set_link_down t b a)
         ys)
     xs
 
@@ -419,13 +422,16 @@ let send t ~src ~dst msg =
   bump t (fun m -> Telemetry.Metrics.incr m.nm_sent);
   emit_lazy t ~node:src ~kind:"send" (fun () ->
       Printf.sprintf "to %d" dst);
+  let c = channel_number t.topo src dst in
+  if c < 0 then invalid_arg (Printf.sprintf "Network.send: no channel %d->%d" src dst);
   (* The wire transform only sees application data — control markers
      belong to the snapshot algorithm and must stay intact. *)
   match t.transform with
-  | None -> transmit t ~src ~dst (Data msg)
-  | Some f -> List.iter (fun m -> transmit t ~src ~dst (Data m)) (f ~src ~dst msg)
+  | None -> transmit t c (Data msg)
+  | Some f -> List.iter (fun m -> transmit t c (Data m)) (f ~src ~dst msg)
 
-let send_control t ~src ~dst c = transmit t ~src ~dst (Control c)
+let control ctl = Control ctl
+let send_control = transmit
 
 let set_control_handler t f = t.control_handler <- Some f
 let set_delivery_tap t tap = t.tap <- tap
@@ -464,7 +470,7 @@ let digest t =
   then None
   else
     (* A channel or node with no record yet is described as a new one. *)
-    let blank = new_channel Link.ideal t.net_rng in
+    let blank = new_channel t (-1) Link.ideal t.net_rng in
     let record c =
       let i = t.topo.chan_src.(c) in
       match t.nodes.(i) with

@@ -5,7 +5,8 @@
     {!topology}, and its nodes and channels never change after.  The
     network is polymorphic in the application message type.
 
-    Two hooks exist for the snapshot subsystem:
+    Two hooks exist for the snapshot subsystem, each given the number
+    of the channel that delivered ([chan]):
     - control messages ([Marker]) travel on the same FIFO channels as
       data but are delivered to the control handler instead of the node;
     - a delivery tap observes every data message just before it reaches
@@ -22,6 +23,11 @@
     schedules driven by engine timers. *)
 
 type control = Marker of { snapshot : int; initiator : int }
+
+type 'msg envelope
+
+val control : control -> 'msg envelope
+(** A control message as a channel carries it, for {!send_control}. *)
 
 (** What happens when a destination handler raises during delivery. *)
 type crash_policy =
@@ -63,7 +69,8 @@ val make_topology : nodes:int list -> channels:(int * int) list -> topology
     from an unlisted node, or a channel listed twice. *)
 
 val node_number : topology -> int -> int
-(** The number of node [id], or [-1] when it is not a node. *)
+(** The number of node [id], or [-1] when it is not a node; found
+    without a search when [ids.(id) = id], as for the ids [0] to [n - 1]. *)
 
 val channel_number : topology -> int -> int -> int
 (** The number of channel [a -> b], or [-1] when there is none. *)
@@ -117,10 +124,11 @@ val set_handler : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** @raise Invalid_argument if the channel does not exist. *)
 
-val send_control : 'msg t -> src:int -> dst:int -> control -> unit
+val send_control : 'msg t -> int -> 'msg envelope -> unit
+(** [send_control t c env] sends [env] on channel number [c]. *)
 
-val set_control_handler : 'msg t -> (self:int -> src:int -> control -> unit) -> unit
-val set_delivery_tap : 'msg t -> (dst:int -> src:int -> 'msg -> unit) option -> unit
+val set_control_handler : 'msg t -> (chan:int -> self:int -> src:int -> control -> unit) -> unit
+val set_delivery_tap : 'msg t -> (chan:int -> dst:int -> src:int -> 'msg -> unit) option -> unit
 
 val set_transform : 'msg t -> (src:int -> dst:int -> 'msg -> 'msg list) option -> unit
 (** Install (or clear) a wire transform applied by {!send} before a

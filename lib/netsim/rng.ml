@@ -1,19 +1,26 @@
-type t = { mutable state : int64 }
+(* An 8-byte state that a draw reads and writes inline: it allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let next t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = next t }
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let split t = of_state (next t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -25,7 +32,7 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t bound =
+let[@inline] float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v /. 9007199254740992.0)
 

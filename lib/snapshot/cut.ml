@@ -30,7 +30,7 @@ type active_snap = {
   a_checkpoints : Checkpoint.t option array;
   a_closed : bool array;
   a_recorded : string list array;  (* newest first *)
-  a_marker : Netsim.Network.control;  (* the one every channel carries *)
+  a_marker : string Netsim.Network.envelope;  (* the one every channel carries *)
   mutable a_markers_sent : int;
   mutable a_missing : int;  (* channels still open: the cut is done at 0 *)
   mutable a_timer : Netsim.Engine.timer option;
@@ -105,39 +105,35 @@ let abort t a =
     settle t a (Partial (build_snapshot t a, stalled))
   end
 
-(* First involvement of [node] in snapshot [a]: checkpoint it, which
-   starts recording its open incoming channels, and flood markers
-   downstream. *)
-let engage t a node =
+(* First involvement of node number [i] in snapshot [a]: checkpoint
+   it, which starts recording its open incoming channels, and flood
+   markers downstream. *)
+let engage t a i =
   let tp = t.topo in
-  let cp = Checkpoint.take ~at:(now t) (t.speakers node) in
-  let i = Netsim.Network.node_number tp node in
-  if i < 0 then invalid_arg (Printf.sprintf "Cut: no node %d" node);
-  a.a_checkpoints.(i) <- Some cp;
+  a.a_checkpoints.(i) <- Some (Checkpoint.take ~at:(now t) (t.speakers tp.ids.(i)));
   for c = tp.out_start.(i) to tp.out_start.(i + 1) - 1 do
     a.a_markers_sent <- a.a_markers_sent + 1;
-    Netsim.Network.send_control t.net ~src:node ~dst:tp.ids.(tp.chan_dst.(c)) a.a_marker
+    Netsim.Network.send_control t.net c a.a_marker
   done
 
 let check_done t a = if a.a_missing = 0 then finish t a
 
-(* The marker closes its channel, empty if it engages [self]; a second
-   marker on one channel changes nothing. *)
-let on_marker t ~self ~src ~snapshot =
-  match Hashtbl.find_opt t.active_tbl snapshot with
-  | None -> () (* marker of an already-finished snapshot: stale, ignore *)
-  | Some a ->
-      let c = Netsim.Network.channel_number t.topo src self in
+(* The marker closes channel [c], empty if it engages the channel's
+   destination; a second marker on one channel changes nothing. *)
+let on_marker t c ~snapshot =
+  match Hashtbl.find t.active_tbl snapshot with
+  | exception Not_found -> () (* marker of an already-finished snapshot: stale, ignore *)
+  | a ->
       if not a.a_closed.(c) then begin
         a.a_closed.(c) <- true;
         a.a_missing <- a.a_missing - 1;
-        if Option.is_none a.a_checkpoints.(t.topo.chan_dst.(c)) then engage t a self;
+        let i = t.topo.chan_dst.(c) in
+        if Option.is_none a.a_checkpoints.(i) then engage t a i;
         check_done t a
       end
 
-let on_delivery t ~dst ~src msg =
+let on_delivery t c msg =
   if Hashtbl.length t.active_tbl > 0 then begin
-    let c = Netsim.Network.channel_number t.topo src dst in
     Hashtbl.iter
       (fun _ a ->
         if (not a.a_closed.(c)) && Option.is_some a.a_checkpoints.(t.topo.chan_dst.(c)) then
@@ -150,21 +146,23 @@ let create ~speakers net =
     { net; topo = Netsim.Network.topology net; speakers; active_tbl = Hashtbl.create 4;
       n_completed = 0; n_aborted = 0; next_id = 0 }
   in
-  Netsim.Network.set_control_handler net (fun ~self ~src control ->
-      match control with
-      | Netsim.Network.Marker { snapshot; initiator = _ } -> on_marker t ~self ~src ~snapshot);
-  Netsim.Network.set_delivery_tap net (Some (fun ~dst ~src msg -> on_delivery t ~dst ~src msg));
+  Netsim.Network.set_control_handler net
+    (fun ~chan ~self:_ ~src:_ (Netsim.Network.Marker { snapshot; initiator = _ }) ->
+      on_marker t chan ~snapshot);
+  Netsim.Network.set_delivery_tap net (Some (fun ~chan ~dst:_ ~src:_ msg -> on_delivery t chan msg));
   t
 
 let initiate ?deadline t ~initiator ~on_result =
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
+  let i = Netsim.Network.node_number t.topo initiator in
+  if i < 0 then invalid_arg (Printf.sprintf "Cut: no node %d" initiator);
   let n = Array.length t.topo.Netsim.Network.ids and m = Array.length t.topo.chan_src in
   let a =
     { a_id = id; a_initiator = initiator; a_started = now t;
       a_checkpoints = Array.make n None; a_closed = Array.make m false;
       a_recorded = Array.make m [];
-      a_marker = Netsim.Network.Marker { snapshot = id; initiator };
+      a_marker = Netsim.Network.control (Netsim.Network.Marker { snapshot = id; initiator });
       a_markers_sent = 0; a_missing = m; a_timer = None;
       a_on_result = on_result }
   in
@@ -180,7 +178,7 @@ let initiate ?deadline t ~initiator ~on_result =
   | None -> ());
   (* If engaging the initiator raises (e.g. its speaker is gone), the
      cut must not stay registered — nothing would ever settle it. *)
-  (try engage t a initiator
+  (try engage t a i
    with e ->
      (match a.a_timer with Some tm -> Netsim.Engine.cancel tm | None -> ());
      Hashtbl.remove t.active_tbl id;

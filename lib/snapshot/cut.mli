@@ -1,11 +1,13 @@
 (** Consistent global snapshots via the Chandy–Lamport marker
     algorithm, run over the live simulation's FIFO channels.
 
-    On initiation the initiator checkpoints itself and floods markers;
-    every node checkpoints on its first marker and records each
-    incoming channel until that channel's marker arrives.  The result
-    is a causally consistent cut including in-flight messages — the
-    "consistent shadow snapshot of local node checkpoints" of the
+    On initiation the initiator checkpoints itself and sends the cut's
+    one marker envelope on each out-channel by number; every node does
+    the same on its first marker, and records each incoming channel
+    until that channel's marker arrives.  The network hands both hooks
+    the delivering channel's number, so no marker costs a search.  The
+    result is a causally consistent cut including in-flight messages —
+    the "consistent shadow snapshot of local node checkpoints" of the
     paper's Figure 2 (step 2).
 
     {b Deadlines.} On a churning substrate a marker can be lost (dead

@@ -1404,7 +1404,7 @@ let lazy_shadow_equals_eager =
         let clone, _, _ = given make in
         let got = ref [] in
         Netsim.Network.set_delivery_tap clone.Snapshot.Store.cl_net
-          (Some (fun ~dst ~src msg -> got := (src, dst, msg) :: !got));
+          (Some (fun ~chan:_ ~dst ~src msg -> got := (src, dst, msg) :: !got));
         ignore (Snapshot.Store.run_to_quiescence ~max_events:5_000 clone);
         List.rev !got
       in

@@ -42,6 +42,42 @@ let rng_split_independent () =
   let ys = List.init 10 (fun _ -> Netsim.Rng.int child2 1000) in
   Alcotest.(check bool) "children differ" true (xs <> ys)
 
+(* The first draws of two seeds and of a child split from each: every
+   link delay and every generated deployment reads this stream, so a
+   change of representation must leave it bit for bit as it is. *)
+let rng_stream_pinned () =
+  let draws seed =
+    let r = Netsim.Rng.create seed in
+    let ints = List.init 4 (fun _ -> Netsim.Rng.int r 1_000_000) in
+    let chances = List.init 8 (fun _ -> Netsim.Rng.chance r 0.5) in
+    let bools = List.init 4 (fun _ -> Netsim.Rng.bool r) in
+    let child = Netsim.Rng.split r in
+    let child_ints = List.init 4 (fun _ -> Netsim.Rng.int child 1_000_000) in
+    (ints, chances, bools, child_ints, Netsim.Rng.int r max_int)
+  in
+  let stream =
+    Alcotest.(
+      pair (list int)
+        (pair (list bool) (pair (list bool) (pair (list int) int))))
+  in
+  let nest (a, b, c, d, e) = (a, (b, (c, (d, e)))) in
+  check stream "seed 7"
+    (nest
+       ( [ 260047; 740821; 692496; 531163 ],
+         [ false; true; true; false; false; true; false; true ],
+         [ false; false; true; true ],
+         [ 224654; 734147; 316452; 978893 ],
+         4377696885917266329 ))
+    (nest (draws 7));
+  check stream "the engine's default seed"
+    (nest
+       ( [ 358545; 425258; 207344; 19989 ],
+         [ false; true; false; true; true; true; false; false ],
+         [ false; true; false; true ],
+         [ 604240; 939975; 799653; 546277 ],
+         3034634373357066691 ))
+    (nest (draws 0x51CE))
+
 let rng_bounds =
   QCheck.Test.make ~name:"rng: int_in stays in range" ~count:500
     QCheck.(triple small_int small_int small_int)
@@ -275,8 +311,10 @@ let network_counts () =
    against one that makes them with their source node on first use:
    after the same sends, links taken down and healed, they describe the
    same state, hold the same links up and deliver the same messages in
-   the same order.  A case may carry one defect, which the constructor
-   must refuse. *)
+   the same order.  A third network, with a delivery tap and a control
+   handler installed, carries the same sends and a marker on every
+   channel: each delivery names the channel number of its two ends.  A
+   case may carry one defect, which the constructor must refuse. *)
 type topo_case = { t_nodes : int list; t_chans : (int * int) list; t_defect : string option }
 
 let gen_topo_case =
@@ -374,28 +412,69 @@ let network_adjacency =
               List.rev !log,
               Netsim.Network.digest net )
           in
+          let hooks_agree =
+            let net, _ = net None in
+            let calls = ref 0 and wrong = ref 0 in
+            let seen ~chan ~src ~dst =
+              incr calls;
+              if chan <> Netsim.Network.channel_number topology src dst then incr wrong
+            in
+            Netsim.Network.set_delivery_tap net
+              (Some (fun ~chan ~dst ~src _ -> seen ~chan ~src ~dst));
+            Netsim.Network.set_control_handler net (fun ~chan ~self ~src _ ->
+                seen ~chan ~src ~dst:self);
+            let marker =
+              Netsim.Network.control (Netsim.Network.Marker { snapshot = 0; initiator = 0 })
+            in
+            send net;
+            List.iteri (fun k _ -> Netsim.Network.send_control net k marker) c.t_chans;
+            Netsim.Engine.run (Netsim.Network.engine net);
+            !wrong = 0 && !calls = List.length sends + List.length c.t_chans
+          in
           let ((sent, _, _, down, healed), _, _) as want = run (up_front, up_front_log) in
-          Option.is_none c.t_defect && agree first_use && agree up_front && sent
+          Option.is_none c.t_defect && agree first_use && agree up_front && sent && hooks_agree
           && (not (List.exists Fun.id down))
           && List.for_all Fun.id healed
           && run (first_use, first_use_log) = want)
+
+(* [node_number] against a scan of the id list, over dense id sets
+   (0 to n - 1, which it answers without a search) and sparse ones,
+   where some ids may equal their number by chance. *)
+let node_number_scan =
+  QCheck.Test.make ~name:"network: node_number equals a linear scan" ~count:300
+    QCheck.(pair bool (list_of_size Gen.(int_range 0 12) (int_bound 20)))
+    (fun (dense, ids) ->
+      let nodes =
+        if dense then List.init (List.length ids) Fun.id else List.sort_uniq Int.compare ids
+      in
+      let topology = Netsim.Network.make_topology ~nodes ~channels:[] in
+      List.for_all
+        (fun id ->
+          let want =
+            match List.find_index (Int.equal id) nodes with Some i -> i | None -> -1
+          in
+          Netsim.Network.node_number topology id = want)
+        (List.init 26 (fun k -> k - 2)))
 
 let network_tap_and_control () =
   let eng = Netsim.Engine.create () in
   let net = sym_net eng [ 0; 1 ] [ (0, 1) ] in
   let tapped = ref [] and controls = ref [] in
-  Netsim.Network.set_delivery_tap net (Some (fun ~dst ~src msg -> tapped := (src, dst, msg) :: !tapped));
-  Netsim.Network.set_control_handler net (fun ~self ~src c ->
+  Netsim.Network.set_delivery_tap net
+    (Some (fun ~chan ~dst ~src msg -> tapped := (chan, (src, dst), msg) :: !tapped));
+  Netsim.Network.set_control_handler net (fun ~chan ~self ~src c ->
       match c with
-      | Netsim.Network.Marker { snapshot; _ } -> controls := (src, self, snapshot) :: !controls);
+      | Netsim.Network.Marker { snapshot; _ } -> controls := (chan, (src, self), snapshot) :: !controls);
+  (* Channel 0 is 0 -> 1, channel 1 is 1 -> 0. *)
   Netsim.Network.send net ~src:0 ~dst:1 "data";
-  Netsim.Network.send_control net ~src:0 ~dst:1
-    (Netsim.Network.Marker { snapshot = 42; initiator = 0 });
+  Netsim.Network.send_control net 1
+    (Netsim.Network.control (Netsim.Network.Marker { snapshot = 42; initiator = 1 }));
   Netsim.Engine.run eng;
-  check (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int Alcotest.string))
-    "tap saw the data message" [ (0, 1, "data") ] !tapped;
-  check (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int Alcotest.int))
-    "control handler saw the marker" [ (0, 1, 42) ] !controls;
+  let ends = Alcotest.(pair int int) in
+  check (Alcotest.list (Alcotest.triple Alcotest.int ends Alcotest.string))
+    "tap saw the data message" [ (0, (0, 1), "data") ] !tapped;
+  check (Alcotest.list (Alcotest.triple Alcotest.int ends Alcotest.int))
+    "control handler saw the marker" [ (1, (1, 0), 42) ] !controls;
   check Alcotest.int "marker not counted as data" 1 (Netsim.Network.messages_delivered net)
 
 (* ------------------------------------------------------------------ *)
@@ -536,6 +615,7 @@ let suite =
     ("time: rejects negative", `Quick, time_rejects_negative);
     ("rng: deterministic", `Quick, rng_deterministic);
     ("rng: split independence", `Quick, rng_split_independent);
+    ("rng: stream pinned", `Quick, rng_stream_pinned);
     qtest rng_bounds;
     ("pqueue: orders by priority", `Quick, pqueue_orders);
     ("pqueue: stable on ties", `Quick, pqueue_stable);
@@ -551,6 +631,7 @@ let suite =
     qtest network_fifo;
     ("network: counters and channels", `Quick, network_counts);
     qtest network_adjacency;
+    qtest node_number_scan;
     ("network: tap and control plane", `Quick, network_tap_and_control);
     ("churn: node down drops and silences", `Quick, node_down_drops);
     ("churn: node fails mid-flight", `Quick, node_down_mid_flight);

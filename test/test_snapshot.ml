@@ -316,6 +316,8 @@ let rescanning_cut ?deadline net ~speakers ~initiator ~on_result =
   let seen = Hashtbl.create 16 in
   let expected = Netsim.Network.channels net in
   let started = now () and sent = ref 0 and active = ref true and timer = ref None in
+  let topology = Netsim.Network.topology net in
+  let marker = Netsim.Network.control (Netsim.Network.Marker { snapshot = 0; initiator }) in
   let settle complete stalled =
     active := false;
     Option.iter Netsim.Engine.cancel !timer;
@@ -348,14 +350,13 @@ let rescanning_cut ?deadline net ~speakers ~initiator ~on_result =
     List.iter
       (fun dst ->
         incr sent;
-        Netsim.Network.send_control net ~src:node ~dst
-          (Netsim.Network.Marker { snapshot = 0; initiator }))
+        Netsim.Network.send_control net (Netsim.Network.channel_number topology node dst) marker)
       (Netsim.Network.neighbors_out net node)
   in
   let check_done () =
     if !active && List.for_all (Hashtbl.mem seen) expected then settle true []
   in
-  Netsim.Network.set_control_handler net (fun ~self ~src _ ->
+  Netsim.Network.set_control_handler net (fun ~chan:_ ~self ~src _ ->
       if !active && not (Hashtbl.mem seen (src, self)) then begin
         Hashtbl.replace seen (src, self) ();
         (if not (Hashtbl.mem checkpoints self) then engage self ~closed_from:(Some src)
@@ -367,7 +368,7 @@ let rescanning_cut ?deadline net ~speakers ~initiator ~on_result =
       end);
   Netsim.Network.set_delivery_tap net
     (Some
-       (fun ~dst ~src msg ->
+       (fun ~chan:_ ~dst ~src msg ->
          if !active then
            match Hashtbl.find_opt chans (src, dst) with
            | Some (`Recording r) -> r := msg :: !r
